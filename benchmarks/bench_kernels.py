@@ -1,8 +1,8 @@
-"""Timing comparison of the pure and compiled kernels on shared inputs.
+"""Timing comparison of the pure and compiled product kernels.
 
-Three workloads: raw sparse products, raw integer ranks, and an
-end-to-end chart+certificate build that swaps the kernel functions in
-place so everything downstream is identical apart from the backend.
+Two workloads: raw sparse products, and an end-to-end chart+certificate
+build that swaps the product kernel in place so everything downstream
+is identical apart from the backend.
 
 Run:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -47,24 +47,6 @@ def bench_mul(repeat):
     return run(_kernels_py), run(_speedups) if _speedups else None
 
 
-def bench_rank(repeat):
-    rng = random.Random(777)
-    mats = []
-    for _ in range(4):
-        m = [[rng.randint(-99, 99) for _ in range(80)] for _ in range(60)]
-        m[30] = [2 * x - y for x, y in zip(m[10], m[20])]  # force deficiency
-        mats.append(m)
-
-    def run(impl):
-        t0 = time.perf_counter()
-        for _ in range(repeat):
-            for m in mats:
-                impl.bareiss_rank(m)
-        return time.perf_counter() - t0
-
-    return run(_kernels_py), run(_speedups) if _speedups else None
-
-
 def bench_end_to_end(repeat):
     from superslice.liealg import (build_sl, dynkin_grading,
                                    principal_nilpotent, sl2_triple_for)
@@ -78,16 +60,15 @@ def bench_end_to_end(repeat):
         injectivity_certificate(finite_miura(chart))
 
     def run(impl):
-        keep = (_kernels.mul_terms, _kernels.bareiss_rank)
+        keep = _kernels.mul_terms
         _kernels.mul_terms = impl.mul_terms
-        _kernels.bareiss_rank = impl.bareiss_rank
         try:
             t0 = time.perf_counter()
             for _ in range(repeat):
                 job()
             return time.perf_counter() - t0
         finally:
-            _kernels.mul_terms, _kernels.bareiss_rank = keep
+            _kernels.mul_terms = keep
 
     return run(_kernels_py), run(_speedups) if _speedups else None
 
@@ -99,7 +80,6 @@ def main():
     if _speedups is None:
         print("compiled extension not built; showing pure timings only")
     rows = [("sparse products (6 pairs x 120 terms)", bench_mul(args.repeat)),
-            ("integer rank (4 matrices 60x80)", bench_rank(args.repeat)),
             ("sl(2|1) chart + certificate", bench_end_to_end(args.repeat))]
     print(f"{'workload':40} {'pure':>9} {'compiled':>9} {'speedup':>8}")
     for name, (pure, fast) in rows:

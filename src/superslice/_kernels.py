@@ -1,4 +1,5 @@
-"""Kernel selector: compiled extension when available, pure Python otherwise.
+"""Kernel selector for the sparse product: compiled extension when
+available, pure Python otherwise.
 
 Set SUPERSLICE_PURE=1 to force the pure implementation (used by the
 benchmark and the equivalence tests).
@@ -17,14 +18,10 @@ if not os.environ.get("SUPERSLICE_PURE"):
         from . import _speedups  # type: ignore[attr-defined]
 
         mul_terms = _speedups.mul_terms
-        bareiss_rank = _speedups.bareiss_rank
         IMPLEMENTATION = "compiled"
     except ImportError:
         mul_terms = _kernels_py.mul_terms
-        bareiss_rank = _kernels_py.bareiss_rank
 else:
     mul_terms = _kernels_py.mul_terms
-    bareiss_rank = _kernels_py.bareiss_rank
 
 mul_monomials = _kernels_py.mul_monomials
-clear_denominators = _kernels_py.clear_denominators

@@ -1,12 +1,11 @@
-"""Pure-Python hot kernels: sparse term-merge product and Bareiss rank.
+"""Pure-Python hot kernel: the sparse term-merge product.
 
-The compiled twin lives in _speedups.pyx; _kernels picks one at import.
-Both operate on plain containers so results are interchangeable.
+The compiled twin of mul_terms lives in _speedups.pyx; _kernels picks
+one at import.  Both operate on plain containers so results are
+interchangeable.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def mul_monomials(ma, mb, parities):
@@ -78,63 +77,3 @@ def mul_terms(terms_a, terms_b, parities):
                 else:
                     del out[mono]
     return out
-
-
-def bareiss_rank(rows):
-    """Rank of an integer matrix (list of lists of int), fraction-free.
-
-    Mutates a copy; exact over arbitrary-precision ints.
-    """
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(nc):
-        # find pivot
-        piv = -1
-        for r in range(row, nr):
-            if m[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nr):
-            mr = m[r]
-            mrc = mr[col]
-            base = m[row]
-            for c in range(col + 1, nc):
-                mr[c] = (pv * mr[c] - mrc * base[c]) // prev
-            mr[col] = 0
-        prev = pv
-        row += 1
-        rank += 1
-        if row == nr:
-            break
-    return rank
-
-
-def clear_denominators(rows):
-    """Scale each Fraction row to a primitive integer row (rank-preserving)."""
-    out = []
-    for r in rows:
-        denom = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                d = x.denominator
-                if d != 1:
-                    g = _gcd(denom, d)
-                    denom = denom // g * d
-        out.append([int(x * denom) if isinstance(x, Fraction) else int(x) * denom
-                    for x in r])
-    return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -260,7 +260,7 @@ def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
             f"{Fraction(top, 2)}")
     h0 = h0_truncated(chart, mw, ctx.get("brst"))
     dims = h0.dimensions()
-    if not h0.consistent():
+    if not h0.consistent(dims):
         raise StageError(
             "H^0 dimensions disagree with the free superfield count",
             data={"computed": {str(w): d for w, d in sorted(dims.items())},

@@ -115,6 +115,8 @@ class GradedComplex:
             raise ValueError("variable weights must share a sign")
         self.sign = 1 if w2s[0] > 0 else -1
         self._blocks: dict[int, dict[int, list[tuple]]] = {}
+        # rank of d on block (k, n2); H^k and H^{k+1} both need it
+        self._ranks: dict[tuple[int, int], int] = {}
 
     # -- weight blocks -----------------------------------------------------
 
@@ -183,8 +185,11 @@ class GradedComplex:
     def _rank(self, k: int, n2: int) -> int:
         if k < 0:
             return 0
-        m = self.d_matrix(k, n2)
-        return exact_rank(m) if m is not None else 0
+        got = self._ranks.get((k, n2))
+        if got is None:
+            m = self.d_matrix(k, n2)
+            got = self._ranks[(k, n2)] = exact_rank(m) if m is not None else 0
+        return got
 
     def cohomology_dim(self, k: int, weight) -> int:
         """dim H^k at the given weight (a half-integer; Fractions fine)."""

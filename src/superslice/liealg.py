@@ -768,12 +768,26 @@ def algebra_to_json(alg: LieSuperalgebra) -> dict:
 
 
 def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
+    """Algebra from its JSON form; raises ValueError on entries that no
+    algebra can have (parity outside {0, 1}, a bracket index outside the
+    basis, a zero denominator), whatever ``check`` says."""
     basis = data["basis"]
     labels = [b["label"] for b in basis]
     parities = [int(b["parity"]) for b in basis]
+    for n, p in enumerate(parities):
+        if p not in (0, 1):
+            raise ValueError(f"basis entry {n} ({labels[n]!r}): parity {p} "
+                             "is not 0 or 1")
+    dim = len(labels)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ent in data["brackets"]:
+    for n, ent in enumerate(data["brackets"]):
         i, j, k = int(ent["i"]), int(ent["j"]), int(ent["k"])
+        for key, idx in (("i", i), ("j", j), ("k", k)):
+            if not 0 <= idx < dim:
+                raise ValueError(f"bracket entry {n}: {key} = {idx} is "
+                                 f"outside the basis (dimension {dim})")
+        if int(ent["c_den"]) == 0:
+            raise ValueError(f"bracket entry {n}: c_den is 0")
         c = Fraction(int(ent["c_num"]), int(ent["c_den"]))
         table.setdefault((i, j), {})[k] = table.get((i, j), {}).get(k, ZERO) + c
     form = None

@@ -1,9 +1,13 @@
 """Exact rational linear algebra.
 
 RationalMatrix is a thin dense container of Fractions with the operations
-the rest of the package needs: fraction-free rank, reduced row echelon
-form, solving, nullspaces.  Everything is exact; nothing here ever
-touches floats.
+the rest of the package needs: rank, reduced row echelon form, solving,
+nullspaces.  All four run on one sparse elimination core over Q: rows
+become {column: Fraction} dicts and are reduced shortest first, pivoting
+on the leading column, so the mostly-zero coboundary matrices of the
+cohomology layer cost in proportion to their nonzeros, not their cells.
+RREF is unique, so the results do not depend on the pivot order.
+Everything is exact; nothing here ever touches floats.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from . import _kernels
 from .superpoly import _as_fraction
 
 ZERO = Fraction(0)
@@ -89,55 +92,94 @@ class RationalMatrix:
         return f"<RationalMatrix {self.nrows}x{self.ncols}>"
 
 
+def _sparse_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict]:
+    """Nonzero rows as {col: Fraction} dicts, in input order."""
+    out = []
+    for r in rows:
+        # the identity test skips the shared ZERO cheaply
+        sr = {j: x for j, x in enumerate(r) if x is not ZERO and x}
+        if sr:
+            out.append(sr)
+    return out
+
+
+def _subtract(r: dict, f: Fraction, p: dict) -> None:
+    """r -= f * p in place, dropping entries that cancel."""
+    for j, x in p.items():
+        v = r.get(j, ZERO) - f * x
+        if v:
+            r[j] = v
+        else:
+            del r[j]
+
+
+def _echelon(rows: list[dict]) -> dict[int, dict]:
+    """Sparse Gaussian elimination over Q.
+
+    Rows enter shortest first (a Markowitz-style order that keeps pivot
+    rows short and fill-in low); each is reduced on its leading column
+    against the pivot rows found so far until it is zero or claims a new
+    leading column.  Returns {pivot column: row}, each row scaled to 1
+    at its pivot and zero at every column before it.  The input dicts
+    are used up as work space.
+    """
+    pivots: dict[int, dict] = {}
+    for r in sorted(rows, key=len):
+        while r:
+            lead = min(r)
+            p = pivots.get(lead)
+            if p is None:
+                inv = ONE / r[lead]
+                pivots[lead] = {j: x * inv for j, x in r.items()}
+                break
+            _subtract(r, r[lead], p)
+    return pivots
+
+
+def _reduced(rows: list[dict]) -> tuple[list[int], list[dict]]:
+    """Reduced row echelon form of sparse rows: (pivot columns in
+    increasing order, the matching rows)."""
+    pivots = _echelon(rows)
+    cols = sorted(pivots)
+    # Back substitution from the last pivot up.  Rows already reduced
+    # vanish at every other pivot column, so subtracting them never
+    # brings a pivot column back.
+    for c in reversed(cols):
+        r = pivots[c]
+        for pc in [j for j in r if j != c and j in pivots]:
+            _subtract(r, r[pc], pivots[pc])
+    return cols, [pivots[c] for c in cols]
+
+
 def exact_rank(m: RationalMatrix) -> int:
-    """Rank via fraction-free (Bareiss) elimination on a cleared copy."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    rows = _kernels.clear_denominators(m.rows)
-    return _kernels.bareiss_rank(rows)
+    """Rank via sparse elimination over Q (echelon form only)."""
+    return len(_echelon(_sparse_rows(m.rows)))
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, list[int]]:
     """Reduced row echelon form over Q; returns (R, pivot_columns)."""
-    rows = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    pivots: list[int] = []
-    row = 0
-    for col in range(nc):
-        piv = -1
-        for r in range(row, nr):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        rows[row], rows[piv] = rows[piv], rows[row]
-        pv = rows[row][col]
-        rows[row] = [x / pv for x in rows[row]]
-        for r in range(nr):
-            if r != row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-        if row == nr:
-            break
-    out = RationalMatrix.__new__(RationalMatrix)
-    out.rows, out.nrows, out.ncols = rows, nr, nc
-    return out, pivots
+    cols, prows = _reduced(_sparse_rows(m.rows))
+    out = RationalMatrix.zeros(m.nrows, m.ncols)
+    for dense, r in zip(out.rows, prows):
+        for j, x in r.items():
+            dense[j] = x
+    return out, cols
 
 
 def nullspace(m: RationalMatrix) -> list[list[Fraction]]:
     """Canonical kernel basis (one vector per free column of the RREF)."""
-    r, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
+    cols, prows = _reduced(_sparse_rows(m.rows))
+    pivset = set(cols)
     basis = []
-    for fc in free:
+    for fc in range(m.ncols):
+        if fc in pivset:
+            continue
         v = [ZERO] * m.ncols
         v[fc] = ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -r.rows[i][fc]
+        for pc, r in zip(cols, prows):
+            x = r.get(fc)
+            if x is not None:
+                v[pc] = -x
         basis.append(v)
     return basis
 
@@ -147,13 +189,14 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Fraction]]:
     bb = [_as_fraction(x) for x in b]
     if len(bb) != m.nrows:
         raise ValueError("shape mismatch")
-    aug = RationalMatrix([list(r) + [bb[i]] for i, r in enumerate(m.rows)])
-    r, pivots = rref(aug)
-    if m.ncols in pivots:
+    nc = m.ncols
+    rows = _sparse_rows(list(r) + [bb[i]] for i, r in enumerate(m.rows))
+    cols, prows = _reduced(rows)
+    if cols and cols[-1] == nc:
         return None  # inconsistent
-    x = [ZERO] * m.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = r.rows[i][m.ncols]
+    x = [ZERO] * nc
+    for pc, r in zip(cols, prows):
+        x[pc] = r.get(nc, ZERO)
     return x
 
 

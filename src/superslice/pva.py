@@ -697,9 +697,14 @@ class TruncatedH0:
         return {Fraction(n2, 2): self.graded.cohomology_dim(0, Fraction(n2, 2))
                 for n2 in range(self.max_wt2 + 1)}
 
-    def consistent(self) -> bool:
-        """Computed dimensions equal the free differential ring counts."""
-        have = {w: d for w, d in self.dimensions().items() if d}
+    def consistent(self, dims: Optional[dict] = None) -> bool:
+        """Computed dimensions equal the free differential ring counts.
+
+        ``dims`` is the result of ``dimensions()`` when the caller has it
+        already; otherwise it is computed here."""
+        if dims is None:
+            dims = self.dimensions()
+        have = {w: d for w, d in dims.items() if d}
         want = {Fraction(n2, 2): c for n2, c in self.expected.items() if c}
         return have == want
 

@@ -141,6 +141,38 @@ class TestAlgebraValidate:
         assert [s["name"] for s in rep["body"]["stages"]] == ["load"]
         assert stage(rep, "load")["verdict"] == "fail"
 
+    def load_error(self, tmp_path, capsys, basis, brackets):
+        path = write_alg(tmp_path, "bad.json", basis, brackets)
+        code, rep = run_json(["algebra", "validate", "--algebra", path],
+                             capsys)
+        assert code == 1
+        assert rep["body"]["verdict"] == "fail"
+        assert [s["name"] for s in rep["body"]["stages"]] == ["load"]
+        st = stage(rep, "load")
+        assert st["verdict"] == "fail"
+        return st["error"]
+
+    def test_parity_outside_0_1_fails_at_load(self, tmp_path, capsys):
+        # used to load and be counted as odd, with verdict PASS
+        err = self.load_error(tmp_path, capsys,
+                              [("x", 0), ("y", 2)], [])
+        assert "parity 2" in err and "'y'" in err
+
+    def test_bracket_index_out_of_range_fails_at_load(self, tmp_path,
+                                                      capsys):
+        # used to end in an IndexError traceback
+        err = self.load_error(tmp_path, capsys,
+                              [("x", 0), ("y", 0), ("z", 0)],
+                              [(99, 1, 2, 1, 1), (1, 99, 2, -1, 1)])
+        assert "bracket entry 0" in err and "i = 99" in err
+
+    def test_zero_denominator_fails_at_load(self, tmp_path, capsys):
+        # used to end in a ZeroDivisionError traceback
+        err = self.load_error(tmp_path, capsys,
+                              [("x", 0), ("y", 0), ("z", 0)],
+                              [(0, 1, 2, 1, 0), (1, 0, 2, -1, 1)])
+        assert "c_den is 0" in err
+
 
 # -- stage orchestration ---------------------------------------------------------
 

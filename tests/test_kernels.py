@@ -1,12 +1,13 @@
-"""Backend equivalence for the hot kernels.
+"""Backend equivalence for the hot kernels, and the rank oracles.
 
 The compiled extension must be a drop-in twin of _kernels_py: identical
-dicts out of mul_terms, identical ranks out of bareiss_rank, over inputs
-drawn with mixed parities and arbitrary-precision entries.  The rank
-kernels are additionally checked against the pivot count of the Fraction
-Gaussian elimination in linalg.rref, which shares no code with either
-twin.  Selector behavior (SUPERSLICE_PURE) is exercised in a subprocess
-so the import-time switch is what's actually tested.
+dicts out of mul_terms over inputs drawn with mixed parities and
+arbitrary-precision entries.  The dense Bareiss rank in
+tests/dense_oracles.py (the package's former rank kernel, whose compiled
+twin still ships in the extension) is checked against the pivot count of
+dense Gauss-Jordan elimination, and the package's sparse exact_rank
+against both.  Selector behavior (SUPERSLICE_PURE) is exercised in a
+subprocess so the import-time switch is what's actually tested.
 """
 
 import os
@@ -17,8 +18,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracles import bareiss_rank, dense_rref
 from superslice import _kernels, _kernels_py
-from superslice.linalg import RationalMatrix, rref
+from superslice.linalg import RationalMatrix, exact_rank, rref
 
 try:
     from superslice import _speedups
@@ -102,15 +104,20 @@ class TestBareissRank:
             ([[2, 3, 5], [7, 11, 13], [9, 14, 19]], 3),
         ]
         for rows, want in cases:
-            assert _kernels_py.bareiss_rank([list(r) for r in rows]) == want
+            assert bareiss_rank([list(r) for r in rows]) == want
+            assert exact_rank(RationalMatrix(rows)) == want
             if _speedups is not None:
                 assert _speedups.bareiss_rank([list(r) for r in rows]) == want
 
     def test_no_input_mutation(self):
         rows = [[1, 2], [3, 4]]
         keep = [list(r) for r in rows]
-        _kernels_py.bareiss_rank(rows)
+        bareiss_rank(rows)
         assert rows == keep
+        m = RationalMatrix(rows)
+        exact_rank(m)
+        rref(m)
+        assert m.rows == keep
         if _speedups is not None:
             _speedups.bareiss_rank(rows)
             assert rows == keep
@@ -120,9 +127,10 @@ class TestBareissRank:
     def test_matches_gaussian_pivot_count(self, nr, nc, data):
         rows = [[data.draw(st.integers(-20, 20)) for _ in range(nc)]
                 for _ in range(nr)]
-        _, pivots = rref(RationalMatrix(rows))
+        _, pivots = dense_rref(rows, nc)
         want = len(pivots)
-        assert _kernels_py.bareiss_rank(rows) == want
+        assert bareiss_rank(rows) == want
+        assert exact_rank(RationalMatrix(rows)) == want
         if _speedups is not None:
             assert _speedups.bareiss_rank(rows) == want
 
@@ -131,8 +139,7 @@ class TestBareissRank:
         # growth control: determinants overflow machine words fast
         rows = [[10 ** 30 + i * j for j in range(5)] for i in range(5)]
         rows[2] = [2 * x for x in rows[1]]
-        assert _speedups.bareiss_rank(rows) == \
-            _kernels_py.bareiss_rank(rows) == 2
+        assert _speedups.bareiss_rank(rows) == bareiss_rank(rows) == 2
 
 
 class TestSelector:
