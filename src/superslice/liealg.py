@@ -769,26 +769,37 @@ def algebra_to_json(alg: LieSuperalgebra) -> dict:
 
 def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
     """Algebra from its JSON form; raises ValueError on entries that no
-    algebra can have (parity outside {0, 1}, a bracket index outside the
+    algebra can have (a label that is not a string, a number that is not
+    a JSON integer, parity outside {0, 1}, a bracket index outside the
     basis, a zero denominator), whatever ``check`` says."""
     basis = data["basis"]
     labels = [b["label"] for b in basis]
-    parities = [int(b["parity"]) for b in basis]
-    for n, p in enumerate(parities):
-        if p not in (0, 1):
-            raise ValueError(f"basis entry {n} ({labels[n]!r}): parity {p} "
+    parities = [b["parity"] for b in basis]
+    for n, (lab, p) in enumerate(zip(labels, parities)):
+        if not isinstance(lab, str):
+            raise ValueError(f"basis entry {n}: label {lab!r} is not a "
+                             "string")
+        # JSON integers only: 0.9 or true must not pass as a parity
+        if type(p) is not int or p not in (0, 1):
+            raise ValueError(f"basis entry {n} ({lab!r}): parity {p!r} "
                              "is not 0 or 1")
     dim = len(labels)
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    keys = ("i", "j", "k", "c_num", "c_den")
     for n, ent in enumerate(data["brackets"]):
-        i, j, k = int(ent["i"]), int(ent["j"]), int(ent["k"])
+        for key in keys:
+            # JSON integers only: int() would truncate 1.5 to 1
+            if type(ent[key]) is not int:
+                raise ValueError(f"bracket entry {n}: {key} = "
+                                 f"{ent[key]!r} is not an integer")
+        i, j, k, num, den = (ent[key] for key in keys)
         for key, idx in (("i", i), ("j", j), ("k", k)):
             if not 0 <= idx < dim:
                 raise ValueError(f"bracket entry {n}: {key} = {idx} is "
                                  f"outside the basis (dimension {dim})")
-        if int(ent["c_den"]) == 0:
+        if den == 0:
             raise ValueError(f"bracket entry {n}: c_den is 0")
-        c = Fraction(int(ent["c_num"]), int(ent["c_den"]))
+        c = Fraction(num, den)
         table.setdefault((i, j), {})[k] = table.get((i, j), {}).get(k, ZERO) + c
     form = None
     if data.get("form") is not None:

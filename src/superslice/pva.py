@@ -473,8 +473,9 @@ def coordinate_lambda_table(chart: SliceChart,
 # -- jet-aware images and morphisms ----------------------------------------
 
 class _JetImages:
-    """Image table for a derivation commuting with the total derivative:
-    the image of a jet is the jet of the image of its base generator."""
+    """Image table for a map commuting with the total derivative (the BRST
+    derivation, a DifferentialMorphism): the image of a jet is the jet of
+    the image of its base generator, computed once and cached."""
 
     def __init__(self, ring: PolyRing, base: Mapping[int, SuperPolynomial]):
         self.ring = ring
@@ -505,23 +506,17 @@ class DifferentialMorphism:
                  base_images: Mapping[int, SuperPolynomial]):
         self.src = src
         self.dst = dst
-        self.images = dict(base_images)
-        for img in self.images.values():
+        for img in base_images.values():
             if img.ring is not dst:
                 raise ValueError("image polynomial in wrong ring")
+        self.images = _JetImages(src, base_images)
 
     def image(self, i: int) -> SuperPolynomial:
         got = self.images.get(i)
-        if got is not None:
-            return got
-        v = self.src.variables[i]
-        if not v.order:
-            raise ValueError(f"no image for generator {v.name}")
-        img = self.image(self.src.index[v.base])
-        for _ in range(v.order):
-            img = img.total_derivative()
-        self.images[i] = img
-        return img
+        if got is None:
+            raise ValueError(f"no image for generator "
+                             f"{self.src.variables[i].name}")
+        return got
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         if p.ring is not self.src:

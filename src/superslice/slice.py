@@ -275,8 +275,10 @@ class PoissonStructure:
     identified with the affine functions u -> -(-1)^{|u|}(u|.) for
     u in g_{<=0} and u -> (u|.) for u in g_{1/2}; generator brackets are
     {u, v} = [u, v] (both in g_{<=0}), (f|[u,v]) (both in g_{1/2}), 0 mixed,
-    extended as a biderivation.  Polynomials from any other ring are
-    rejected.
+    extended as a biderivation.  The extension is delegated to
+    ``pva.ArcBracket`` on the same table: the finite bracket is the
+    lambda^0 part of the arc lambda bracket (De Sole and Kac, "Finite vs
+    affine W-algebras").  Polynomials from any other ring are rejected.
     """
 
     def __init__(self, chart: SliceChart):
@@ -313,6 +315,8 @@ class PoissonStructure:
                     val = self.ring.zero()
                 if not val.is_zero():
                     self._table[(a, b)] = val
+        from .pva import ArcBracket  # pva imports this module
+        self._arc = ArcBracket(self.ring, self._table)
 
         # affine identification with the z-coordinate ring of the chart:
         # zeta_a = c_a + sum_beta M[a, beta] z_beta
@@ -356,69 +360,13 @@ class PoissonStructure:
             raise ValueError("polynomial is not in the Poisson ring")
         return p.substitute(dict(enumerate(self._gen_images)), self.chart.ring)
 
-    def _gen_bracket(self, a: int, b: int) -> SuperPolynomial:
-        return self._table.get((a, b), self.ring.zero())
-
-    def _bracket_gen_mono(self, a: int, mono: tuple) -> SuperPolynomial:
-        """{zeta_a, monomial} by left Leibniz."""
-        if not mono:
-            return self.ring.zero()
-        ring = self.ring
-        par = ring.parities()
-        (j, e) = mono[0]
-        head = (j, 1)
-        rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
-        first = self._gen_bracket(a, j)
-        rest_poly = SuperPolynomial(ring, {rest: ONE})
-        out = first * rest_poly
-        tail = self._bracket_gen_mono(a, rest)
-        if not tail.is_zero():
-            head_poly = SuperPolynomial(ring, {(head,): ONE})
-            sgn = -ONE if (par[a] and par[j]) else ONE
-            out = out + head_poly * tail * sgn
-        return out
-
-    def _bracket_mono_poly(self, mono: tuple, q: SuperPolynomial,
-                           q_parity: int) -> SuperPolynomial:
-        """{monomial, q} for parity-homogeneous q."""
-        ring = self.ring
-        if not mono:
-            return ring.zero()
-        (j, e) = mono[0]
-        rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
-        rest_parity = sum(ring.parity_of(v) * k for v, k in rest) % 2
-        head_poly = SuperPolynomial(ring, {((j, 1),): ONE})
-        out = head_poly * self._bracket_mono_poly(rest, q, q_parity)
-        gen_q = self._bracket_gen_poly(j, q)
-        if not gen_q.is_zero():
-            rest_poly = SuperPolynomial(ring, {rest: ONE})
-            sgn = -ONE if (rest_parity and q_parity) else ONE
-            out = out + gen_q * rest_poly * sgn
-        return out
-
-    def _bracket_gen_poly(self, a: int, q: SuperPolynomial) -> SuperPolynomial:
-        out = self.ring.zero()
-        for mono, c in q.terms.items():
-            t = self._bracket_gen_mono(a, mono)
-            if not t.is_zero():
-                out = out + t * c
-        return out
-
     def bracket(self, p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-        """{p, q}: biderivation extension of the generator table."""
+        """{p, q}: the lambda^0 coefficient of the arc lambda bracket on the
+        same generator table (no jets here, so it is the whole bracket)."""
         for x in (p, q):
             if x.ring is not self.ring:
                 raise ValueError("polynomial is not in the Poisson ring")
-        qe, qo = q.parity_split()
-        out = self.ring.zero()
-        for mono, c in p.terms.items():
-            for qq, qpar in ((qe, 0), (qo, 1)):
-                if qq.is_zero():
-                    continue
-                t = self._bracket_mono_poly(mono, qq, qpar)
-                if not t.is_zero():
-                    out = out + t * c
-        return out
+        return self._arc.bracket(p, q).coefficient(0)
 
 
 def zhu_poisson_bracket(structure: PoissonStructure, p: SuperPolynomial,

@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from . import _kernels
-
 Scalar = Union[Fraction, int]
 
 ZERO = Fraction(0)
@@ -32,6 +30,79 @@ def _as_fraction(c: Scalar) -> Fraction:
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"exact rational required, got {type(c).__name__}")
+
+
+# -- the sparse term-merge product -----------------------------------------
+
+def mul_monomials(ma, mb, parities):
+    """Merge two sorted (index, exp) monomials.
+
+    Returns (monomial, sign) with sign in {1, -1}, or (None, 0) when an odd
+    variable squares to zero.  The sign is the Koszul sign for interleaving
+    the odd factors into index order.
+    """
+    if not ma:
+        return mb, 1
+    if not mb:
+        return ma, 1
+    # count inversions between odd factors of ma and mb
+    odd_a = [i for i, e in ma if parities[i]]
+    odd_b = [i for i, e in mb if parities[i]]
+    sign = 1
+    if odd_a and odd_b:
+        seen_b = set(odd_b)
+        for i in odd_a:
+            if i in seen_b:
+                return None, 0
+        inv = 0
+        for x in odd_a:
+            for y in odd_b:
+                if x > y:
+                    inv += 1
+        if inv & 1:
+            sign = -1
+    out = []
+    ia = ib = 0
+    na, nb = len(ma), len(mb)
+    while ia < na and ib < nb:
+        va, ea = ma[ia]
+        vb, eb = mb[ib]
+        if va < vb:
+            out.append((va, ea))
+            ia += 1
+        elif vb < va:
+            out.append((vb, eb))
+            ib += 1
+        else:
+            if parities[va]:
+                return None, 0  # odd variable squared
+            out.append((va, ea + eb))
+            ia += 1
+            ib += 1
+    out.extend(ma[ia:])
+    out.extend(mb[ib:])
+    return tuple(out), sign
+
+
+def mul_terms(terms_a, terms_b, parities):
+    """Sparse product of two term dicts; drops zero coefficients."""
+    out = {}
+    for ma, ca in terms_a.items():
+        for mb, cb in terms_b.items():
+            mono, sign = mul_monomials(ma, mb, parities)
+            if sign == 0:
+                continue
+            c = ca * cb if sign == 1 else -(ca * cb)
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = c
+            else:
+                s = prev + c
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+    return out
 
 
 class Variable:
@@ -262,7 +333,7 @@ class SuperPolynomial:
                 return self.ring.zero()
             return SuperPolynomial(self.ring, {m: v * c for m, v in self.terms.items()})
         self._check_ring(other)
-        out = _kernels.mul_terms(self.terms, other.terms, self.ring.parities())
+        out = mul_terms(self.terms, other.terms, self.ring.parities())
         return SuperPolynomial(self.ring, out)
 
     def __rmul__(self, other):
@@ -429,16 +500,3 @@ class SuperPolynomial:
 
 def _frac_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def poly_mul(a: SuperPolynomial, b: SuperPolynomial) -> SuperPolynomial:
-    """Product with the Koszul sign rule (module-level alias)."""
-    return a * b
-
-
-def partial_derivative(p: SuperPolynomial, i: Union[int, str]) -> SuperPolynomial:
-    return p.partial_derivative(i)
-
-
-def total_derivative(p: SuperPolynomial) -> SuperPolynomial:
-    return p.total_derivative()

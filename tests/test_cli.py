@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from superslice import cli
 from superslice.cli import (JobConfig, body_bytes, main, parse_algebra_file,
                             report_text, resolve_algebra, run_pipeline)
 from superslice.liealg import algebra_to_json, build_sl
@@ -153,10 +154,15 @@ class TestAlgebraValidate:
         return st["error"]
 
     def test_parity_outside_0_1_fails_at_load(self, tmp_path, capsys):
-        # used to load and be counted as odd, with verdict PASS
-        err = self.load_error(tmp_path, capsys,
-                              [("x", 0), ("y", 2)], [])
-        assert "parity 2" in err and "'y'" in err
+        # 2 used to load and be counted as odd, 0.9 as even, with verdict
+        # PASS; only the JSON integers 0 and 1 are parities
+        for bad in (2, 0.9, True, "1"):
+            err = self.load_error(tmp_path, capsys,
+                                  [("x", 0), ("y", bad)], [])
+            assert f"parity {bad!r}" in err and "'y'" in err
+        # a label must be a string too
+        err = self.load_error(tmp_path, capsys, [("x", 0), (7, 0)], [])
+        assert "label 7 is not a string" in err
 
     def test_bracket_index_out_of_range_fails_at_load(self, tmp_path,
                                                       capsys):
@@ -165,6 +171,12 @@ class TestAlgebraValidate:
                               [("x", 0), ("y", 0), ("z", 0)],
                               [(99, 1, 2, 1, 1), (1, 99, 2, -1, 1)])
         assert "bracket entry 0" in err and "i = 99" in err
+        # an index must be a JSON integer, not 0.0, false or "0"
+        for bad in (0.0, False, "0"):
+            err = self.load_error(tmp_path, capsys,
+                                  [("x", 0), ("y", 0), ("z", 0)],
+                                  [(bad, 1, 2, 1, 1), (1, 0, 2, -1, 1)])
+            assert f"i = {bad!r} is not an integer" in err
 
     def test_zero_denominator_fails_at_load(self, tmp_path, capsys):
         # used to end in a ZeroDivisionError traceback
@@ -172,6 +184,14 @@ class TestAlgebraValidate:
                               [("x", 0), ("y", 0), ("z", 0)],
                               [(0, 1, 2, 1, 0), (1, 0, 2, -1, 1)])
         assert "c_den is 0" in err
+        # c_num 1.5 used to be truncated to 1, with verdict PASS
+        for num, den, want in ((1.5, 1, "c_num = 1.5"),
+                               (3, 2.0, "c_den = 2.0"),
+                               ("1", 1, "c_num = '1'")):
+            err = self.load_error(tmp_path, capsys,
+                                  [("x", 0), ("y", 0), ("z", 0)],
+                                  [(0, 1, 2, num, den), (1, 0, 2, -1, 1)])
+            assert f"{want} is not an integer" in err
 
 
 # -- stage orchestration ---------------------------------------------------------
@@ -307,6 +327,25 @@ class TestStagePayloads:
         # monomials in one weight-2 generator: 1, s, s^2
         assert h0["0"] == 1 and h0["2"] == 1 and h0["4"] == 1
         assert h0["1"] == 0 and h0["3"] == 0
+
+    def test_cohomology_slice_positive_degree_must_vanish(self, capsys,
+                                                          monkeypatch):
+        # H^0 still matches its count; a stray H^1 alone fails the stage
+        real = cli.cohomology_table
+
+        def with_h1(cx):
+            table = real(cx)
+            table[(1, F(2))] = 1
+            return table
+
+        monkeypatch.setattr(cli, "cohomology_table", with_h1)
+        code, rep = run_json(["cohomology", "--algebra", "sl2",
+                              "--coefficients", "slice",
+                              "--max-weight", "4"], capsys)
+        assert code == 1
+        st = stage(rep, "cohomology")
+        assert st["verdict"] == "fail"
+        assert st["counterexample"] == {"H^1(weight 2)": 1}
 
     def test_pva_h0_default_cutoff(self, capsys):
         code, rep = run_json(["pva", "h0", "--algebra", "sl2"], capsys)

@@ -10,8 +10,8 @@ Oracles:
 * Lambda brackets: generator pairs come from the structure constants;
   products and jets are checked against hand Leibniz/sesquilinearity
   expansions, skew-symmetry is verified as a property, and the
-  lambda-degree-zero sector is cross-checked against the independently
-  implemented finite Poisson bracket.
+  lambda-degree-zero sector is cross-checked against the finite Leibniz
+  recursion kept in tests/finite_poisson_oracle.py.
 * Q: squares to zero (constructor trap plus explicit), commutes with
   the total derivative, is an odd derivation; the sl2 generator images
   and the weight-2 harmonic representative are pinned by hand.
@@ -26,14 +26,14 @@ from fractions import Fraction
 
 import pytest
 
+from finite_poisson_oracle import finite_bracket
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
-                            LambdaPolynomial, arc_ring, brst_complex,
-                            graded_miura, h0_truncated, lambda_bracket,
-                            skew_defect)
-from superslice.slice import (PoissonStructure, gauge_fix,
-                              zhu_poisson_bracket)
+                            DifferentialMorphism, LambdaPolynomial,
+                            arc_ring, brst_complex, graded_miura,
+                            h0_truncated, lambda_bracket, skew_defect)
+from superslice.slice import PoissonStructure, gauge_fix
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
 ONE = Fraction(1)
@@ -409,7 +409,7 @@ class TestBRSTComplex:
 
     def test_lambda_zero_sector_matches_finite_bracket(self, osp_chart):
         # Independent implementations: ArcBracket's recursion vs the
-        # finite Poisson biderivation, compared on all product pairs.
+        # finite Leibniz oracle, compared on all product pairs.
         ch = osp_chart
         ps = PoissonStructure(ch)
         gm = graded_miura(ch, ps)
@@ -420,8 +420,8 @@ class TestBRSTComplex:
                 p = ch.ring.gen(i) * ch.ring.gen(j)
                 q = ch.ring.gen((i + 1) % m)
                 P = B.bracket(amb.gen(i) * amb.gen(j), amb.gen((i + 1) % m))
-                fin = zhu_poisson_bracket(ps, ps.to_poisson_ring(p),
-                                          ps.to_poisson_ring(q))
+                fin = finite_bracket(ps, ps.to_poisson_ring(p),
+                                     ps.to_poisson_ring(q))
                 finz = ps.from_poisson_ring(fin)
                 hat = finz.substitute(
                     {b: amb.gen(b) for b in finz.variables_used()}, amb)
@@ -518,6 +518,19 @@ class TestGradedMiura:
         b = gm.target.gen(gm.target.index["z_h1"])
         assert gm(s.total_derivative()) == b * b.total_derivative() * 2
         assert gm(s.total_derivative()) == gm(s).total_derivative()
+
+    def test_morphism_jets_and_missing_images(self):
+        src = PolyRing([Variable("a", 0), Variable("b", 0)],
+                       differential=True)
+        dst = PolyRing([Variable("x", 0)], differential=True)
+        x = dst.gen(0)
+        mor = DifferentialMorphism(src, dst, {0: x * x})
+        da = src.derivative_index(0)
+        assert mor.image(da) == x * x.total_derivative() * 2
+        assert mor.image(da) is mor.image(da)  # computed once
+        for i in (1, src.derivative_index(1)):
+            with pytest.raises(ValueError, match="no image for generator"):
+                mor.image(i)
 
     def test_constants_map_to_constants(self, sl2_chart):
         gm = graded_miura(sl2_chart)

@@ -13,14 +13,18 @@ Oracles used here:
   restriction to f + (diagonal) factors as (lambda-b1)(lambda-b2)(lambda-b3).
 * osp(1|2) and sl(2|1), structural: invariance under random gauge moves
   with formal odd symbols, weight/parity homogeneity, exact round trips,
-  Poisson antisymmetry / Jacobi / Leibniz.  On top of that the computed
-  charts and bracket tables are frozen as regression values.
+  Poisson antisymmetry / Jacobi / Leibniz, and the bracket (the lambda^0
+  part of the arc lambda bracket) against the finite Leibniz recursion
+  in tests/finite_poisson_oracle.py.  On top of that the computed charts
+  and bracket tables are frozen as regression values.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from finite_poisson_oracle import finite_bracket
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                principal_nilpotent, sl2_triple_for)
 from superslice.slice import (PoissonStructure, finite_miura, gauge_fix,
@@ -358,6 +362,24 @@ class TestPoissonAxioms:
         lhs2 = ps.bracket(b * b, c)
         rhs2 = b * ps.bracket(b, c) + ps.bracket(b, c) * b
         assert lhs2 == rhs2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_finite_leibniz_oracle(self, osp_ps, sl21_ps, data):
+        # random products of mixed parity, up to three factors per term
+        def draw_poly(ring):
+            out = ring.zero()
+            for _ in range(data.draw(st.integers(1, 3))):
+                term = ring.const(data.draw(st.integers(-3, 3).filter(bool)))
+                for i in data.draw(st.lists(
+                        st.integers(0, len(ring.variables) - 1), max_size=3)):
+                    term = term * ring.gen(i)
+                out = out + term
+            return out
+
+        for ps in (osp_ps, sl21_ps):
+            p, q = draw_poly(ps.ring), draw_poly(ps.ring)
+            assert ps.bracket(p, q) == finite_bracket(ps, p, q)
 
     def test_mixed_degree_pairs_vanish(self, osp_ps):
         # one argument in degree <= 0, the other in degree 1/2
