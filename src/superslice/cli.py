@@ -5,7 +5,9 @@ stage by stage (triple, grading, decomposition, chart, invariance, Miura,
 certificate, optional cohomology and arc checks), and emits a
 reproducible report: a JSON body whose bytes depend only on the job
 configuration, with wall-clock timings segregated so re-runs compare
-equal.  Exit code 0 exactly when every executed stage passes.
+equal.  Exit code 0 exactly when every executed stage passes; otherwise
+1 for a failed check, 2 for rejected input (a failed load or validate
+stage, or bad arguments) and 3 for an internal error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -57,16 +60,18 @@ _SL_NAME = re.compile(r"^sl\(?(\d+)(?:\|(\d+))?\)?$")
 def resolve_algebra(name_or_path: str, check: bool = True):
     """Catalogue name (sl2, sl3, sl2|1, osp12) or JSON file path.
 
-    Returns (algebra, source_kind).  File loading with check=False
-    defers the structural verification to the validate stage, so schema
-    problems and invariant violations are reported separately.
+    Returns (algebra, source_kind).  check=False defers the structural
+    verification to the validate stage, for catalogue algebras and files
+    alike, so schema problems and invariant violations are reported
+    separately and each algebra is verified once per pipeline.
     """
     s = name_or_path.strip()
     m = _SL_NAME.match(s)
     if m:
-        return build_sl(int(m.group(1)), int(m.group(2) or 0)), "catalogue"
+        return build_sl(int(m.group(1)), int(m.group(2) or 0),
+                        check=check), "catalogue"
     if s in ("osp12", "osp(1|2)"):
-        return build_osp_1_2(), "catalogue"
+        return build_osp_1_2(check=check), "catalogue"
     if os.path.exists(s):
         try:
             return load_algebra_file(s, check=check), "file"
@@ -343,11 +348,39 @@ def _jsonable(x):
     return x
 
 
+INTERNAL_ERROR = "internal-error"
+_REJECTED_INPUT = ("load", "validate")
+
+
+def _internal_error(stage: str, e: Exception) -> dict:
+    """Failed-stage entry for an exception no stage anticipated, with the
+    innermost frame it was raised from."""
+    frame = traceback.extract_tb(e.__traceback__)[-1]
+    return {"name": INTERNAL_ERROR, "verdict": "fail", "stage": stage,
+            "exception": type(e).__name__, "error": str(e),
+            "at": f"{os.path.basename(frame.filename)}:{frame.lineno} "
+                  f"in {frame.name}"}
+
+
+def exit_code(report: dict) -> int:
+    """0 pass, 1 failed check, 2 rejected input (the load or validate
+    stage failed), 3 internal error."""
+    body = report["body"]
+    if body["verdict"] == "pass":
+        return 0
+    failed = body["stages"][-1]["name"]
+    if failed == INTERNAL_ERROR:
+        return 3
+    return 2 if failed in _REJECTED_INPUT else 1
+
+
 def run_pipeline(config: JobConfig, command: str = "run",
                  targets: Optional[list[str]] = None) -> dict:
     """Execute the requested stages in order; a failing stage is recorded
     with its name and counterexample data and everything after it is
-    skipped.  Returns {"body": ..., "timings": ...}."""
+    skipped.  An exception other than StageError or ValueError is
+    recorded as an internal-error stage naming the stage that raised it.
+    Returns {"body": ..., "timings": ...}."""
     if targets is None:
         targets = _targets("run", None, config)
     body = {
@@ -372,19 +405,22 @@ def run_pipeline(config: JobConfig, command: str = "run",
         if name not in targets:
             continue
         t0 = time.perf_counter()
+        failure = None
         try:
             payload = _STAGES[name](config, ctx)
         except (StageError, ValueError) as e:
-            entry = {"name": name, "verdict": "fail",
-                     "error": getattr(e, "message", None) or str(e)}
+            failure = {"name": name, "verdict": "fail",
+                       "error": getattr(e, "message", None) or str(e)}
             data = getattr(e, "data", None)
             if data:
-                entry["counterexample"] = _jsonable(data)
-            timings[name] = round(time.perf_counter() - t0, 6)
-            body["stages"].append(entry)
+                failure["counterexample"] = _jsonable(data)
+        except Exception as e:
+            failure = _internal_error(name, e)
+        timings[name] = round(time.perf_counter() - t0, 6)
+        if failure is not None:
+            body["stages"].append(failure)
             body["verdict"] = "fail"
             break
-        timings[name] = round(time.perf_counter() - t0, 6)
         entry = {"name": name, "verdict": "pass"}
         entry.update(_jsonable(payload))
         body["stages"].append(entry)
@@ -420,6 +456,9 @@ def run_orbit(config: JobConfig, element: str, by: str) -> dict:
     except ValueError as e:
         body["stages"].append({"name": "orbit", "verdict": "fail",
                                "error": str(e)})
+        body["verdict"] = "fail"
+    except Exception as e:
+        body["stages"].append(_internal_error("orbit", e))
         body["verdict"] = "fail"
     dt = round(time.perf_counter() - t0, 6)
     return {"body": body,
@@ -588,7 +627,7 @@ def main(argv=None) -> int:
         report = run_pipeline(config, command=command,
                               targets=_targets(args.command, action, config))
     _emit(report, config)
-    return 0 if report["body"]["verdict"] == "pass" else 1
+    return exit_code(report)
 
 
 if __name__ == "__main__":

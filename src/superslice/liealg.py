@@ -585,9 +585,10 @@ def _matrix_bracket(a, b, pa, pb, size):
     return out
 
 
-def build_sl(m: int, n: int = 0) -> LieSuperalgebra:
+def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
     """sl(m|n) (or gl(n|n) with a warning in meta when m == n) with the
-    supertrace form normalized on the even highest root."""
+    supertrace form normalized on the even highest root.  check=False
+    skips the structural verification, as in load_algebra_file."""
     if m < 1 or n < 0 or m + n < 2:
         raise ValueError("need m >= 1, n >= 0, m + n >= 2")
     size = m + n
@@ -667,11 +668,12 @@ def build_sl(m: int, n: int = 0) -> LieSuperalgebra:
     if gl_center:
         meta["warning"] = ("sl(n|n) is not basic; returning gl(n|n) "
                            "with its center")
-    return LieSuperalgebra(labels, parities, table, form=form, meta=meta)
+    return LieSuperalgebra(labels, parities, table, form=form, meta=meta,
+                           check=check)
 
 
-def build_osp_1_2() -> LieSuperalgebra:
-    """osp(1|2): even sl2 {e,h,f} plus odd {vp,vm}.
+def build_osp_1_2(check: bool = True) -> LieSuperalgebra:
+    """osp(1|2): even sl2 {e,h,f} plus odd {vp,vm}; check as in build_sl.
 
     Convention: [h,vp] = vp, [h,vm] = -vm, [vp,vm] = h, [vp,vp] = 2e,
     [vm,vm] = -2f, [e,vm] = -vp, [f,vp] = -vm.  Realized by 3x3 matrices
@@ -702,7 +704,7 @@ def build_osp_1_2() -> LieSuperalgebra:
     for (a, b), v in pairs.items():
         form[ix[a], ix[b]] = Fraction(v)
     return LieSuperalgebra(labels, parities, table, form=form,
-                           meta={"type": "osp12"})
+                           meta={"type": "osp12"}, check=check)
 
 
 def principal_nilpotent(alg: LieSuperalgebra) -> list[Fraction]:

@@ -10,6 +10,8 @@ relevant subalgebras are nilpotent.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial
 from typing import Mapping, Sequence
 
 from .liealg import LieSuperalgebra, nilpotency_class
@@ -77,38 +79,61 @@ def _compositions(total: int):
     yield from rec(total)
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+@lru_cache(maxsize=None)
+def _dynkin_words(max_word_len: int) -> tuple:
+    """((word, coefficient), ...) of the Dynkin series up to max_word_len.
+
+    A word is a tuple of letters, 0 for x and 1 for y, standing for the
+    right-nested bracket [w1,[w2,[...,wk]]].  Each composition
+    ((p1,q1),...,(pn,qn)) of the word length contributes
+    (-1)^(n-1) / (n * len * prod pi! qi!) to the word x^p1 y^q1 ...;
+    the summed coefficients are exact rationals (Goldberg), and words
+    whose sum vanishes are dropped.  Words keep the order in which the
+    compositions first spell them.
+    """
+    coeffs: dict = {}
+    for total in range(1, max_word_len + 1):
+        for blocks in _compositions(total):
+            n = len(blocks)
+            denom = n * total
+            word: tuple = ()
+            for p, q in blocks:
+                denom *= factorial(p) * factorial(q)
+                word += (0,) * p + (1,) * q
+            coeffs[word] = coeffs.get(word, ZERO) + Fraction(
+                (-1) ** (n - 1), denom)
+    return tuple((w, c) for w, c in coeffs.items() if c)
 
 
 def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
                 max_word_len: int) -> dict:
     """log(exp(x) exp(y)) by the integrated Dynkin series, truncated at
     word length max_word_len (exact when the span is nilpotent of class
-    <= max_word_len)."""
+    <= max_word_len).
+
+    The series is summed one distinct word at a time (_dynkin_words, as
+    in Casas and Murua), and the nested brackets go through a memo keyed
+    by word suffix, [w1, term(w2...wk)], so each suffix is bracketed at
+    most once per call; a vanishing suffix makes every word ending in it
+    vanish without a bracket.
+    """
+    letters = (x, y)
+    memo: dict = {}
+
+    def term(word: tuple) -> PolyVector:
+        if len(word) == 1:
+            return letters[word[0]]
+        got = memo.get(word)
+        if got is None:
+            inner = term(word[1:])
+            got = {} if vec_is_zero(inner) \
+                else alg.bracket_poly(letters[word[0]], inner)
+            memo[word] = got
+        return got
+
     out: dict = {}
-    for total in range(1, max_word_len + 1):
-        for blocks in _compositions(total):
-            n = len(blocks)
-            denom = total
-            for p, q in blocks:
-                denom *= _factorial(p) * _factorial(q)
-            coeff = Fraction((-1) ** (n - 1), n * denom)
-            word: list = []
-            for p, q in blocks:
-                word.extend([x] * p)
-                word.extend([y] * q)
-            # right-nested bracketing [w1,[w2,[...,wk]]]
-            term = word[-1]
-            for v in reversed(word[:-1]):
-                term = alg.bracket_poly(v, term)
-                if vec_is_zero(term):
-                    break
-            else:
-                out = _vec_add(out, _vec_scale(term, coeff))
+    for word, coeff in _dynkin_words(max_word_len):
+        out = _vec_add(out, _vec_scale(term(word), coeff))
     return out
 
 

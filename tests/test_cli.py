@@ -10,6 +10,9 @@ the report body.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,8 @@ import pytest
 from superslice import cli
 from superslice.cli import (JobConfig, body_bytes, main, parse_algebra_file,
                             report_text, resolve_algebra, run_pipeline)
-from superslice.liealg import algebra_to_json, build_sl
+from superslice.liealg import (LieSuperalgebra, algebra_to_json,
+                               build_osp_1_2, build_sl)
 
 F = Fraction
 
@@ -112,7 +116,7 @@ class TestAlgebraValidate:
                          [(0, 1, 2, 1, 1)])
         code, rep = run_json(["algebra", "validate", "--algebra", path],
                              capsys)
-        assert code == 1
+        assert code == 2
         st = stage(rep, "validate")
         assert st["verdict"] == "fail"
         assert "antisymmetry" in st["error"]
@@ -128,7 +132,7 @@ class TestAlgebraValidate:
                           (2, 1, 1, -2, 1), (1, 2, 1, 2, 1)])
         code, rep = run_json(["algebra", "validate", "--algebra", path],
                              capsys)
-        assert code == 1
+        assert code == 2
         st = stage(rep, "validate")
         assert "Jacobi" in st["error"]
         assert "(" in st["error"] and "," in st["error"]
@@ -138,7 +142,7 @@ class TestAlgebraValidate:
         path.write_text("[1, 2")
         code, rep = run_json(["algebra", "validate", "--algebra", str(path)],
                              capsys)
-        assert code == 1
+        assert code == 2
         assert [s["name"] for s in rep["body"]["stages"]] == ["load"]
         assert stage(rep, "load")["verdict"] == "fail"
 
@@ -146,7 +150,7 @@ class TestAlgebraValidate:
         path = write_alg(tmp_path, "bad.json", basis, brackets)
         code, rep = run_json(["algebra", "validate", "--algebra", path],
                              capsys)
-        assert code == 1
+        assert code == 2
         assert rep["body"]["verdict"] == "fail"
         assert [s["name"] for s in rep["body"]["stages"]] == ["load"]
         st = stage(rep, "load")
@@ -456,3 +460,118 @@ class TestReportMechanics:
             main(["pva", "h0", "--algebra", "sl2", "--max-weight", "1/3"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# -- failure taxonomy and entry points ---------------------------------------------
+
+class TestExitCodes:
+    def test_pass_is_0(self, capsys):
+        code, rep = run_json(["slice", "chart", "--algebra", "sl2"], capsys)
+        assert code == 0 and cli.exit_code(rep) == 0
+
+    def test_failed_check_is_1(self, capsys):
+        code, rep = run_json(["run", "--algebra", "sl2",
+                              "--nilpotent", "h1"], capsys)
+        assert code == 1
+        assert rep["body"]["stages"][-1]["name"] == "triple"
+
+    def test_rejected_input_is_2(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{")
+        code, rep = run_json(["run", "--algebra", str(path)], capsys)
+        assert code == 2
+        assert rep["body"]["stages"][-1]["name"] == "load"
+        code, rep = run_json(["run", "--algebra", "e8"], capsys)
+        assert code == 2
+        # a table that loads but breaks antisymmetry fails validate
+        path = write_alg(tmp_path, "bad.json",
+                         [("x", 0), ("y", 0), ("z", 0)], [(0, 1, 2, 1, 1)])
+        code, rep = run_json(["run", "--algebra", path], capsys)
+        assert code == 2
+        assert rep["body"]["stages"][-1]["name"] == "validate"
+
+    def test_internal_error_is_3(self, capsys, monkeypatch):
+        def broken(config, ctx):
+            return {}["no such key"]
+
+        monkeypatch.setitem(cli._STAGES, "chart", broken)
+        code, rep = run_json(["run", "--algebra", "sl2"], capsys)
+        assert code == 3
+        assert rep["body"]["verdict"] == "fail"
+        assert [s["name"] for s in rep["body"]["stages"]] == [
+            "load", "validate", "triple", "grading", "decomposition",
+            "internal-error"]
+        st = rep["body"]["stages"][-1]
+        assert st["at"].startswith("test_cli.py:") and \
+            st.pop("at").endswith(" in broken")
+        assert st == {"name": "internal-error", "verdict": "fail",
+                      "stage": "chart", "exception": "KeyError",
+                      "error": "'no such key'"}
+        assert "chart" in rep["timings"]["stages"]
+
+    def test_orbit_internal_error_is_3(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "adjoint_orbit_map", broken)
+        code, rep = run_json(["orbit", "--algebra", "sl2",
+                              "--element", "e21", "--by", "e12"], capsys)
+        assert code == 3
+        (st,) = rep["body"]["stages"]
+        assert st.pop("at").endswith(" in broken")
+        assert st == {"name": "internal-error", "verdict": "fail",
+                      "stage": "orbit", "exception": "ZeroDivisionError",
+                      "error": "boom"}
+
+
+class TestVerifyOnce:
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        calls = []
+        real = LieSuperalgebra._verify
+
+        def counted(self):
+            calls.append(self.dim)
+            return real(self)
+
+        monkeypatch.setattr(LieSuperalgebra, "_verify", counted)
+        return calls
+
+    def test_catalogue_run_verifies_once(self, verify_calls, capsys):
+        for name in ("sl3", "sl(2|1)", "osp12"):
+            verify_calls.clear()
+            code, rep = run_json(["run", "--algebra", name], capsys)
+            assert code == 0
+            assert len(verify_calls) == 1, name
+
+    def test_bare_builders_still_verify(self, verify_calls):
+        build_sl(3)
+        assert verify_calls == [8]
+        build_osp_1_2()
+        assert verify_calls == [8, 5]
+        build_sl(3, check=False)
+        build_osp_1_2(check=False)
+        assert verify_calls == [8, 5]
+
+    def test_orbit_verifies_its_load(self, verify_calls, capsys):
+        code, _ = run_cli(["orbit", "--algebra", "sl2", "--element", "e21",
+                           "--by", "e12"], capsys)
+        assert code == 0 and verify_calls == [3]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superslice", "slice", "chart",
+         "--algebra", "sl2", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    direct = run_pipeline(JobConfig(algebra="sl2"), command="slice chart",
+                          targets=cli._targets("slice", "chart",
+                                               JobConfig(algebra="sl2")))
+    assert rep["body"] == direct["body"]

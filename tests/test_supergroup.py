@@ -2,17 +2,22 @@
 
 Matrices over the polynomial ring are multiplied entry by entry in the
 test itself, so exp(A) exp(B) = exp(bch(A,B)) is checked against nothing
-but arithmetic.
+but arithmetic.  The word-table BCH series is also compared with the
+former composition-by-composition series in bch_oracle.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import bch_oracle
 
 from superslice.liealg import (LieSuperalgebra, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent, sl2_triple_for)
-from superslice.supergroup import (adjoint_orbit_map, apply_derivation,
-                                   bch_product, regular_representation)
+from superslice.supergroup import (_dynkin_words, adjoint_orbit_map,
+                                   apply_derivation, bch_product,
+                                   regular_representation)
 from superslice.superpoly import PolyRing, Variable
 
 F = Fraction
@@ -140,6 +145,28 @@ def test_bch_matches_matrix_exponential_sl4_depth3():
     assert lhs == rhs
 
 
+def test_bch_matches_matrix_exponential_sl6_depth5():
+    # strictly upper-triangular sl6 has class 5: every length-4 and
+    # length-5 Dynkin coefficient enters exp(X) exp(Y)
+    alg = build_sl(6)
+    ring = PolyRing([])
+    x = const_vec(alg, ring, {"e12": F(1), "e23": F(2), "e34": F(-1),
+                              "e45": F(1, 2), "e56": F(3), "e24": F(1, 3)})
+    y = const_vec(alg, ring, {"e12": F(-2), "e23": F(1, 2), "e34": F(1),
+                              "e45": F(-3), "e56": F(1, 5), "e13": F(2),
+                              "e46": F(-1)})
+    z = bch_product(alg, x, y, 5)
+    X = vec_to_pmat(alg, x, sl_unit, 6, ring)
+    Y = vec_to_pmat(alg, y, sl_unit, 6, ring)
+    Z = vec_to_pmat(alg, z, sl_unit, 6, ring)
+    assert Z[0][5] != 0  # the length-5 brackets reach the corner
+    lhs = pmat_mul(pmat_exp(X, ring), pmat_exp(Y, ring), ring)
+    assert lhs == pmat_exp(Z, ring)
+    # and depth 4 is not enough
+    Z4 = vec_to_pmat(alg, bch_product(alg, x, y, 4), sl_unit, 6, ring)
+    assert lhs != pmat_exp(Z4, ring)
+
+
 def test_bch_associative_depth3():
     alg = build_sl(4)
     ring = PolyRing([])
@@ -187,6 +214,94 @@ def test_bch_odd_directions_osp12():
                    pmat_exp(to_pmat(y), ring), ring)
     rhs = pmat_exp(to_pmat(z), ring)
     assert lhs == rhs
+
+
+# -- word table and suffix memo against the composition oracle -----------------
+
+def positive_part(alg):
+    """Basis indices of n+: e_ij with i < j for sl(m|n), e and vp for
+    osp(1|2)."""
+    if alg.meta["type"] == "osp12":
+        return [alg.index["e"], alg.index["vp"]]
+    return [i for i, lab in enumerate(alg.labels)
+            if lab[0] == "e" and lab[1] < lab[2]]
+
+
+def _bch_cases():
+    out = {}
+    for name, alg in (("sl4", build_sl(4)), ("sl5", build_sl(5)),
+                      ("sl(2|1)", build_sl(2, 1)),
+                      ("osp(1|2)", build_osp_1_2())):
+        out[name + " n+"] = (alg, positive_part(alg))
+    # n+ above has class <= 4, so length-5 words vanish there; whole
+    # small algebras keep every word length alive
+    for name in ("sl(2|1)", "osp(1|2)"):
+        alg = out[name + " n+"][0]
+        out[name] = (alg, list(range(alg.dim)))
+    return out
+
+
+BCH_CASES = _bch_cases()
+SYMBOLS = PolyRing([Variable("a", 0), Variable("b", 0), Variable("s", 1),
+                    Variable("t", 1)])
+
+
+def random_even_vector(data, alg, support):
+    """Even element of span(support) tensor the ring: coefficient parity
+    follows the basis vector, so odd directions carry odd symbols."""
+    ring = SYMBOLS
+    a, b, s, t = (ring.gen(v) for v in "abst")
+    monomials = {0: [ring.one(), a, b, s * t], 1: [s, t, a * s, b * t]}
+    out = {}
+    for i in data.draw(st.lists(st.sampled_from(support), min_size=1,
+                                max_size=3, unique=True)):
+        c = ring.zero()
+        for m in data.draw(st.lists(
+                st.sampled_from(monomials[alg.parities[i]]),
+                min_size=1, max_size=2)):
+            c = c + m * F(data.draw(st.integers(-3, 3)),
+                          data.draw(st.integers(1, 3)))
+        out[i] = c
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bch_matches_composition_oracle(data):
+    alg, support = BCH_CASES[data.draw(st.sampled_from(sorted(BCH_CASES)))]
+    x = random_even_vector(data, alg, support)
+    y = random_even_vector(data, alg, support)
+    for depth in range(1, 6):
+        assert bch_product(alg, x, y, depth) == \
+            bch_oracle.bch_product(alg, x, y, depth), depth
+
+
+def test_bch_brackets_each_suffix_at_most_once():
+    alg = build_sl(6)
+    ring = PolyRing([Variable(f"x{k}", 0) for k in range(5)]
+                    + [Variable(f"y{k}", 0) for k in range(5)])
+    simple = ["e12", "e23", "e34", "e45", "e56"]
+    x = {alg.index[l]: ring.gen(f"x{k}") for k, l in enumerate(simple)}
+    y = {alg.index[l]: ring.gen(f"y{k}") for k, l in enumerate(simple)}
+    suffixes = {w[i:] for w, _ in _dynkin_words(5)
+                for i in range(len(w) - 1)}
+    assert len(_dynkin_words(5)) == 44
+
+    calls = []
+    real = alg.bracket_poly
+
+    def counted(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    alg.bracket_poly = counted
+    got = bch_product(alg, x, y, 5)
+    memo_calls = len(calls)
+    calls.clear()
+    want = bch_oracle.bch_product(alg, x, y, 5)
+    assert got == want
+    assert memo_calls <= len(suffixes) <= 62
+    assert len(calls) > 4 * memo_calls  # the oracle rebuilds every bracket
 
 
 # -- adjoint orbit map ---------------------------------------------------------
