@@ -154,7 +154,6 @@ def _stage_grading(config: JobConfig, ctx: dict) -> dict:
 def _stage_decomposition(config: JobConfig, ctx: dict) -> dict:
     alg = ctx["alg"]
     pieces = graded_slice_decomposition(alg, ctx["grading"], ctx["triple"])
-    ctx["pieces"] = pieces
     rows = []
     even = odd = 0
     for lev in sorted(pieces):

@@ -8,9 +8,13 @@ derivation determined on generators by
     d(m)     = sum_a ph^a . R(v_a)(m)
     d(ph^c)  = -1/2 sum_{a,b} (-1)^{|v_a||v_c|} str^c_{ab} ph^a ph^b
 
-where R is either the right regular representation on exponential group
-coordinates or the gauge action on the coordinates of f + g_{>=-1/2},
-and str^c_{ab} are the structure constants of the acting algebra.  The
+where R is the infinitesimal action of the acting algebra: the right
+regular representation on exponential group coordinates (a Bernoulli
+series of brackets, see supergroup), the gauge action R(v_a)(Z) =
+[Z, v_a] on the coordinates of f + g_{>=-1/2}, or that gauge action
+moved to the Zhu generators of the arc complex in pva.  str^c_{ab} are
+the structure constants of the acting algebra.  One routine,
+_ce_images, builds these generator images for all three complexes.  The
 ghost must multiply from the left: only then does the Leibniz extension
 of the generator images reproduce sum_a ph^a . R(v_a)(.) on the whole
 ring (R(v_a) is a superderivation of parity |v_a|, and moving ph^a in
@@ -30,8 +34,7 @@ from typing import Mapping, Optional, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra, dense_to_poly
 from .linalg import RationalMatrix, exact_rank
-from .supergroup import (_drop_terms_with, _scratch_parameter,
-                         adjoint_orbit_map, regular_representation)
+from .supergroup import regular_representation
 from .superpoly import PolyRing, SuperPolynomial, Variable
 
 ONE = Fraction(1)
@@ -76,20 +79,33 @@ def odd_derivation(ring: PolyRing, images: Mapping[int, SuperPolynomial]):
     return d
 
 
+def _check_square_zero(ring: PolyRing, d,
+                       images: Mapping[int, SuperPolynomial],
+                       symbol: str) -> None:
+    """Raise unless the odd derivation d kills the image of every
+    generator; an odd derivation squares to an even one, so d^2 then
+    vanishes on the whole ring."""
+    for pos, img in images.items():
+        if img.is_zero():
+            continue
+        sq = d(img)
+        if not sq.is_zero():
+            raise ValueError(f"{symbol}^2 != 0 on generator "
+                             f"{ring.variables[pos].name}: {sq.text()}")
+
+
 class GradedComplex:
     """Finite weight blocks of a ring with an odd square-zero derivation.
 
     ``module_positions`` and ``ghost_positions`` list the ring variables
-    the complex is built on (scratch variables appended later by other
-    computations are ignored); cohomological degree counts ghost factors
+    the complex is built on; cohomological degree counts ghost factors
     with multiplicity.  Weights are doubled integers internally, matching
     the ring's ``wt2`` convention.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial],
                  module_positions: Sequence[int],
-                 ghost_positions: Sequence[int], max_wt2: int,
-                 label: str = ""):
+                 ghost_positions: Sequence[int], max_wt2: int):
         self.ring = ring
         self.images = dict(images)
         self.module_positions = list(module_positions)
@@ -97,17 +113,8 @@ class GradedComplex:
         self.positions = self.module_positions + self.ghost_positions
         self.ghost_set = set(self.ghost_positions)
         self.max_wt2 = max_wt2
-        self.label = label
         self.d = odd_derivation(ring, self.images)
-        for pos in self.positions:
-            img = self.images.get(pos)
-            if img is None or img.is_zero():
-                continue
-            sq = self.d(img)
-            if not sq.is_zero():
-                raise ValueError(
-                    f"d^2 != 0 on generator {ring.variables[pos].name}: "
-                    f"{sq.text()}")
+        _check_square_zero(ring, self.d, self.images, "d")
         w2s = [ring.variables[p].wt2 for p in self.positions]
         if any(w is None or w == 0 for w in w2s):
             raise ValueError("every complex variable needs a nonzero weight")
@@ -211,10 +218,6 @@ def _as_wt2(weight) -> int:
     return int(n2)
 
 
-def cohomology_dims(complex_: GradedComplex, k: int, weight) -> int:
-    return complex_.cohomology_dim(k, weight)
-
-
 def cohomology_table(complex_: GradedComplex) -> dict:
     """{(degree, weight): dim} over every block inside the truncation."""
     out = {}
@@ -226,13 +229,7 @@ def cohomology_table(complex_: GradedComplex) -> dict:
     return out
 
 
-# -- the two coefficient modules ------------------------------------------------
-
-def regular_action(alg: LieSuperalgebra, sub_indices: Sequence[int],
-                   ring: PolyRing, coord_index: Sequence[int]):
-    """Right regular representation fields; see supergroup for details."""
-    return regular_representation(alg, sub_indices, ring, coord_index)
-
+# -- the three gauge complexes ------------------------------------------------
 
 def _ghost_images(sub: LieSuperalgebra, ring: PolyRing,
                   ghost_offset: int) -> dict[int, SuperPolynomial]:
@@ -251,6 +248,28 @@ def _ghost_images(sub: LieSuperalgebra, ring: PolyRing,
                 * ring.gen(ghost_offset + b_loc) * s
         if not acc.is_zero():
             images[ghost_offset + c_loc] = acc
+    return images
+
+
+def _ce_images(sub: LieSuperalgebra, ring: PolyRing,
+               fields: Sequence[Sequence[SuperPolynomial]],
+               nmod: int) -> dict[int, SuperPolynomial]:
+    """Generator images of the CE differential of the acting algebra sub.
+
+    The module variables are ring positions 0..nmod-1 and the ghost ph^a
+    of basis vector a of sub sits at nmod + a; fields[a][b] is R(v_a)
+    applied to module variable b.  Then d(m_b) = sum_a ph^a . fields[a][b]
+    and d(ph^c) is the half-sum of _ghost_images.
+    """
+    images: dict[int, SuperPolynomial] = {}
+    for b in range(nmod):
+        acc = ring.zero()
+        for a, row in enumerate(fields):
+            if not row[b].is_zero():
+                acc = acc + ring.gen(nmod + a) * row[b]
+        if not acc.is_zero():
+            images[b] = acc
+    images.update(_ghost_images(sub, ring, nmod))
     return images
 
 
@@ -275,24 +294,17 @@ def regular_ce_complex(alg: LieSuperalgebra, grading: GoodGrading,
                                   wt2=-grading.weights2[i]))
     ring = PolyRing(variables)
     p = len(pos_idx)
-    fields = regular_action(alg, pos_idx, ring, list(range(p)))
-    images: dict[int, SuperPolynomial] = {}
-    for b in range(p):
-        acc = ring.zero()
-        for a in range(p):
-            comp = fields[a][b]
-            if not comp.is_zero():
-                acc = acc + ring.gen(p + a) * comp
-        images[b] = acc
-    images.update(_ghost_images(alg.restrict_to(pos_idx), ring, p))
+    fields = regular_representation(alg, pos_idx, ring, list(range(p)))
+    images = _ce_images(alg.restrict_to(pos_idx), ring, fields, p)
     return GradedComplex(ring, images, list(range(p)),
-                         list(range(p, 2 * p)), _as_wt2(max_weight),
-                         label="regular")
+                         list(range(p, 2 * p)), _as_wt2(max_weight))
 
 
 def _gauge_action_fields(chart, ring: PolyRing):
     """fields[a][b]: the infinitesimal motion of coordinate z_b under the
-    gauge flow of positive basis vector a, at the generic point."""
+    gauge flow of positive basis vector v_a at the generic point Z, whose
+    coordinates are the first variables of ring:
+    d/dt exp(-t v_a) Z exp(t v_a) at t = 0, which is [Z, v_a]."""
     alg, grading = chart.alg, chart.grading
     coords = chart.coord_indices
     pos_of = {b: pos for pos, b in enumerate(coords)}
@@ -301,16 +313,11 @@ def _gauge_action_fields(chart, ring: PolyRing):
         Z[b] = Z.get(b, ring.zero()) + ring.gen(pos)
     fields = []
     for i in grading.positive_indices():
-        t = _scratch_parameter(ring, alg.parities[i])
-        moved = adjoint_orbit_map(alg, Z, {i: ring.gen(t)})
         row = [ring.zero() for _ in coords]
-        for j, comp in moved.items():
-            lin = _drop_terms_with(comp.partial_derivative(t), t)
-            if lin.is_zero():
-                continue
+        for j, comp in alg.bracket_poly(Z, {i: ring.one()}).items():
             if j not in pos_of:
                 raise ValueError("gauge action left the coordinate domain")
-            row[pos_of[j]] = lin
+            row[pos_of[j]] = comp
         fields.append(row)
     return fields
 
@@ -335,30 +342,9 @@ def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
     ring = PolyRing(variables)
     p = len(pos_idx)
     fields = _gauge_action_fields(chart, ring)
-    images: dict[int, SuperPolynomial] = {}
-    for b in range(m):
-        acc = ring.zero()
-        for a in range(p):
-            comp = fields[a][b]
-            if not comp.is_zero():
-                acc = acc + ring.gen(m + a) * comp
-        images[b] = acc
-    images.update(_ghost_images(alg.restrict_to(pos_idx), ring, m))
+    images = _ce_images(alg.restrict_to(pos_idx), ring, fields, m)
     return GradedComplex(ring, images, list(range(m)),
-                         list(range(m, m + p)), _as_wt2(max_weight),
-                         label="slice-module")
-
-
-def build_ce_complex(alg: LieSuperalgebra, grading: GoodGrading,
-                     coefficients: str = "regular", max_weight=4,
-                     chart=None) -> GradedComplex:
-    if coefficients == "regular":
-        return regular_ce_complex(alg, grading, max_weight)
-    if coefficients in ("slice", "slice-module"):
-        if chart is None:
-            raise ValueError("slice-module coefficients need a chart")
-        return slice_ce_complex(chart, max_weight)
-    raise ValueError(f"unknown coefficient module {coefficients!r}")
+                         list(range(m, m + p)), _as_wt2(max_weight))
 
 
 # -- independent cross-checks ----------------------------------------------------
@@ -388,8 +374,7 @@ def de_rham_check(p: int, q: int, max_degree: int = 4) -> dict:
     for j in range(q):
         images[p + j] = -ring.gen(n + p + j)
     cx = GradedComplex(ring, images, list(range(n)),
-                       list(range(n, 2 * n)), 2 * max_degree,
-                       label=f"deRham({p}|{q})")
+                       list(range(n, 2 * n)), 2 * max_degree)
     out = {}
     for deg in range(max_degree + 1):
         for k in range(deg + 1):

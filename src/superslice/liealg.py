@@ -14,6 +14,7 @@ on polynomial vectors applies the Koszul rule
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -23,6 +24,8 @@ from .superpoly import PolyRing, SuperPolynomial, _as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# a form entry as algebra_to_json writes it: "3", "-3" or "-3/2"
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 NumVector = list  # dense list of Fractions, one per basis element
 PolyVector = dict  # basis index -> SuperPolynomial
@@ -194,15 +197,6 @@ class LieSuperalgebra:
                     out[k] = add if cur is None else cur + add
         return {k: v for k, v in out.items() if not v.is_zero()}
 
-    def bracket(self, x, y):
-        """Bracket dispatching on representation (dense scalar / sparse poly)."""
-        if isinstance(x, dict) and isinstance(y, dict):
-            return self.bracket_poly(x, y)
-        if isinstance(x, dict) or isinstance(y, dict):
-            raise TypeError("mixed vector representations; convert with "
-                            "dense_to_poly first")
-        return self.bracket_num(x, y)
-
     def ad_matrix(self, x: Sequence) -> RationalMatrix:
         """Matrix of ad_x = [x, .] in the basis (columns are images)."""
         cols = []
@@ -233,8 +227,7 @@ class LieSuperalgebra:
     def even_indices(self) -> list[int]:
         return [i for i in range(self.dim) if self.parities[i] == 0]
 
-    def restrict_to(self, indices: Sequence[int],
-                    keep_form: bool = False) -> "LieSuperalgebra":
+    def restrict_to(self, indices: Sequence[int]) -> "LieSuperalgebra":
         """Subalgebra on a subset of basis elements (must close)."""
         idx = list(indices)
         pos = {b: a for a, b in enumerate(idx)}
@@ -252,12 +245,9 @@ class LieSuperalgebra:
                             f"{self.labels[j]}] leaves the span")
                     out[pos[k]] = c
                 table[(a, b)] = out
-        form = None
-        if keep_form and self.form is not None:
-            form = RationalMatrix([[self.form[i, j] for j in idx] for i in idx])
         return LieSuperalgebra([self.labels[i] for i in idx],
                                [self.parities[i] for i in idx], table,
-                               form=form, check=False)
+                               check=False)
 
     def __repr__(self):
         ev = sum(1 for p in self.parities if p == 0)
@@ -769,11 +759,23 @@ def algebra_to_json(alg: LieSuperalgebra) -> dict:
     return out
 
 
+def _form_entry(x, r: int, c: int) -> Fraction:
+    """A JSON integer or an exact rational string, nothing else: a float
+    such as 0.1 is a binary fraction, and true would read as 1."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        return Fraction(x)
+    raise ValueError(f"form entry ({r}, {c}): {x!r} is not an integer or "
+                     "an exact rational string such as '-3/2'")
+
+
 def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
     """Algebra from its JSON form; raises ValueError on entries that no
     algebra can have (a label that is not a string, a number that is not
     a JSON integer, parity outside {0, 1}, a bracket index outside the
-    basis, a zero denominator), whatever ``check`` says."""
+    basis, a zero denominator, a form entry that is neither a JSON
+    integer nor an exact rational string), whatever ``check`` says."""
     basis = data["basis"]
     labels = [b["label"] for b in basis]
     parities = [b["parity"] for b in basis]
@@ -805,8 +807,9 @@ def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
         table.setdefault((i, j), {})[k] = table.get((i, j), {}).get(k, ZERO) + c
     form = None
     if data.get("form") is not None:
-        form = RationalMatrix([[Fraction(x) for x in row]
-                               for row in data["form"]])
+        form = RationalMatrix([
+            [_form_entry(x, r, c) for c, x in enumerate(row)]
+            for r, row in enumerate(data["form"])])
     return LieSuperalgebra(labels, parities, table, form=form,
                            meta=data.get("meta") or {}, check=check)
 

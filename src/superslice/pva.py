@@ -31,9 +31,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, _as_wt2, _gauge_action_fields,
-                         _ghost_images, odd_derivation,
-                         weighted_monomial_counts)
+from .cohomology import (GradedComplex, _as_wt2, _ce_images,
+                         _check_square_zero, _gauge_action_fields,
+                         odd_derivation, weighted_monomial_counts)
 from .linalg import nullspace
 from .slice import PoissonStructure, SliceChart, finite_miura
 from .superpoly import PolyRing, SuperPolynomial, Variable
@@ -590,38 +590,26 @@ class BRSTComplex:
                 table[(uloc, n + aloc)] = acc * (ONE if both_odd else -ONE)
         self.bracket_machine = ArcBracket(ring, table)
 
-        zr = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
-                       for v in chart.ring.variables])
-        fields = _gauge_action_fields(chart, zr)
-        zimg = [ps._z_images[b].substitute(gen_map, ring)
-                for b in range(len(chart.coord_indices))]
-        images: dict[int, SuperPolynomial] = {}
-        for uloc in range(n):
-            acc = ring.zero()
-            for aloc in range(self.nghost):
-                comp = zr.zero()
-                for beta in range(len(chart.coord_indices)):
+        # gauge fields on the f + g_{>=-1/2} coordinates, moved to the
+        # generators: row u of _fwd_M, then z_b -> _z_images[b]
+        m = len(chart.coord_indices)
+        zimg = [ps._z_images[b].substitute(gen_map, ring) for b in range(m)]
+        fields = []
+        for row in _gauge_action_fields(chart, chart.ring):
+            moved = []
+            for uloc in range(n):
+                comp = chart.ring.zero()
+                for beta in range(m):
                     co = ps._fwd_M[uloc, beta]
                     if co:
-                        comp = comp + fields[aloc][beta] * co
-                if comp.is_zero():
-                    continue
-                hat = comp.substitute(
-                    {b: zimg[b] for b in comp.variables_used()}, ring)
-                acc = acc + ring.gen(n + aloc) * hat
-            if not acc.is_zero():
-                images[uloc] = acc
-        images.update(_ghost_images(alg.restrict_to(pos_idx), ring, n))
+                        comp = comp + row[beta] * co
+                moved.append(comp.substitute(
+                    {b: zimg[b] for b in comp.variables_used()}, ring))
+            fields.append(moved)
+        images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
         self._images = images
         self.Q = odd_derivation(ring, _JetImages(ring, images))
-        for pos in range(n + self.nghost):
-            img = images.get(pos)
-            if img is None or img.is_zero():
-                continue
-            sq = self.Q(img)
-            if not sq.is_zero():
-                raise ValueError(f"Q^2 != 0 on generator "
-                                 f"{ring.variables[pos].name}: {sq.text()}")
+        _check_square_zero(ring, self.Q, images, "Q")
 
     def generator(self, label: str) -> SuperPolynomial:
         return self.ring.gen(self.ring.index[f"p_{label}"])
@@ -675,8 +663,7 @@ class TruncatedH0:
                 idx = ring.derivative_index(idx)
                 w += 2
         images = {i: cx.Q(ring.gen(i)) for i in module + ghosts}
-        self.graded = GradedComplex(ring, images, module, ghosts, w2cap,
-                                    label="arc gauge complex")
+        self.graded = GradedComplex(ring, images, module, ghosts, w2cap)
         gens = []
         for v in chart.slice_ring.variables:
             w = v.wt2

@@ -3,22 +3,26 @@
 Everything happens on even elements of g tensor a polynomial ring, where
 coefficients carry the parity of their basis vector.  On those the
 classical integrated Baker-Campbell-Hausdorff series (Dynkin form) and
-the adjoint-orbit series apply verbatim; both terminate because the
-relevant subalgebras are nilpotent.
+the adjoint-orbit series apply verbatim, and the right regular action is
+the Bernoulli series in ad of the group coordinate; all three terminate
+because the relevant subalgebras are nilpotent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Mapping, Sequence
 
-from .liealg import LieSuperalgebra, nilpotency_class
-from .superpoly import PolyRing, SuperPolynomial, Variable
+from .liealg import LieSuperalgebra
+from .superpoly import PolyRing, SuperPolynomial
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# brackets a nested-ad series may take before its nilpotent operand is
+# declared not nilpotent enough
+MAX_SERIES_TERMS = 64
 
 PolyVector = Mapping[int, SuperPolynomial]
 
@@ -45,19 +49,19 @@ def vec_is_zero(a: PolyVector) -> bool:
     return all(v.is_zero() for v in a.values())
 
 
-def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector, y: PolyVector,
-                      max_terms: int = 64) -> dict:
+def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
+                      y: PolyVector) -> dict:
     """exp(-y) w exp(y) = sum_n (1/n!) [..[[w,y],y]..,y] (n brackets).
 
     Terminates when the iterated bracket vanishes; raises if it has not
-    after max_terms steps (y not nilpotent enough).
+    after MAX_SERIES_TERMS steps (y not nilpotent enough).
     """
     out = {k: v for k, v in w.items() if not v.is_zero()}
     term = out
     n = 0
     while not vec_is_zero(term):
         n += 1
-        if n > max_terms:
+        if n > MAX_SERIES_TERMS:
             raise ValueError("adjoint series did not terminate")
         term = _vec_scale(alg.bracket_poly(term, y), Fraction(1, n))
         out = _vec_add(out, term)
@@ -137,17 +141,12 @@ def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
     return out
 
 
-def _scratch_parameter(ring: PolyRing, parity: int) -> int:
-    name = "_todd" if parity else "_teven"
-    if name in ring.index:
-        return ring.index[name]
-    return ring.add_variable(Variable(name, parity))
-
-
-def _drop_terms_with(poly: SuperPolynomial, idx: int) -> SuperPolynomial:
-    kept = {m: c for m, c in poly.terms.items()
-            if all(v != idx for v, _ in m)}
-    return SuperPolynomial(poly.ring, kept)
+@lru_cache(maxsize=None)
+def _bernoulli(n: int) -> Fraction:
+    """Exact Bernoulli number B_n, with B_1 = -1/2 (z/(e^z - 1))."""
+    if n == 0:
+        return ONE
+    return -sum(comb(n + 1, k) * _bernoulli(k) for k in range(n)) / (n + 1)
 
 
 def regular_representation(alg: LieSuperalgebra, sub_indices: Sequence[int],
@@ -159,23 +158,34 @@ def regular_representation(alg: LieSuperalgebra, sub_indices: Sequence[int],
     variable dual to basis vector sub_indices[a] (matching parity).
     Returns fields[a][b] = SuperPolynomial c with
     R(v_a) = sum_b c_b d/dx_b, coefficients written to the left.
+
+    At the generic point X = sum_b x_b v_b the field is the derivative of
+    the group law, d/dt log(exp(X) exp(t v_a)) at t = 0, which is
+
+        ad_X / (1 - exp(-ad_X)) v_a = sum_n B_n/n! [..[[v_a, X], X].., X]
+
+    with n brackets and the Bernoulli numbers B_n (B_1 = -1/2).  The sum
+    stops when the nested bracket vanishes.
     """
     sub_indices = list(sub_indices)
-    sub = alg.restrict_to(sub_indices)  # validates closure
-    nclass = nilpotency_class(sub)
     pos = {g: a for a, g in enumerate(sub_indices)}
     X = {g: ring.gen(coord_index[a]) for a, g in enumerate(sub_indices)}
     fields = []
-    for a, g in enumerate(sub_indices):
-        par = alg.parities[g]
-        t = _scratch_parameter(ring, par)
-        B = bch_product(alg, X, {g: ring.gen(t)}, nclass)
+    for g in sub_indices:
         row = [ring.zero() for _ in sub_indices]
-        for i, comp in B.items():
-            if i not in pos:
+        term = {g: ring.one()}
+        n = 0
+        while term:
+            coeff = _bernoulli(n) / factorial(n)
+            if coeff:
+                for i, comp in term.items():
+                    row[pos[i]] = row[pos[i]] + comp * coeff
+            n += 1
+            if n > MAX_SERIES_TERMS:
+                raise ValueError("regular series did not terminate")
+            term = alg.bracket_poly(term, X)
+            if not term.keys() <= pos.keys():
                 raise ValueError("group law left the subalgebra")
-            c = _drop_terms_with(comp.partial_derivative(t), t)
-            row[pos[i]] = c
         fields.append(row)
     return fields
 

@@ -148,6 +148,9 @@ class TestAlgebraValidate:
 
     def load_error(self, tmp_path, capsys, basis, brackets):
         path = write_alg(tmp_path, "bad.json", basis, brackets)
+        return self.load_failure(path, capsys)
+
+    def load_failure(self, path, capsys):
         code, rep = run_json(["algebra", "validate", "--algebra", path],
                              capsys)
         assert code == 2
@@ -196,6 +199,30 @@ class TestAlgebraValidate:
                                   [("x", 0), ("y", 0), ("z", 0)],
                                   [(0, 1, 2, num, den), (1, 0, 2, -1, 1)])
             assert f"{want} is not an integer" in err
+
+    def form_error(self, tmp_path, capsys, entry):
+        data = algebra_to_json(build_sl(2))
+        data["form"][0][1] = entry
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(data))
+        return self.load_failure(str(path), capsys)
+
+    def test_float_form_entry_fails_at_load(self, tmp_path, capsys):
+        # 0.1 used to load as the binary float 3602879701896397/2^55,
+        # with verdict PASS
+        err = self.form_error(tmp_path, capsys, 0.1)
+        assert "form entry (0, 1): 0.1 is not an integer" in err
+
+    def test_bool_form_entry_fails_at_load(self, tmp_path, capsys):
+        # true used to load as 1
+        err = self.form_error(tmp_path, capsys, True)
+        assert "form entry (0, 1): True is not an integer" in err
+
+    def test_zero_denominator_form_entry_fails_at_load(self, tmp_path,
+                                                        capsys):
+        # "1/0" used to end in an internal-error stage with exit code 3
+        err = self.form_error(tmp_path, capsys, "1/0")
+        assert "form entry (0, 1): '1/0' is not an integer" in err
 
 
 # -- stage orchestration ---------------------------------------------------------

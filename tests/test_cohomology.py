@@ -4,22 +4,28 @@ modules, and the de Rham cross-check.
 Size oracles: H^0 of the slice module must match the monomial counts of
 the free graded ring on the chart's invariant generators (computed by an
 independent knapsack count), and the regular module must have the
-cohomology of a point.  Small blocks are pinned by hand.
+cohomology of a point.  Small blocks are pinned by hand.  The gauge
+action fields are compared with the former scratch-parameter
+linearisation of the adjoint orbit series in gauge_action_oracle.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from superslice.cohomology import (GradedComplex, build_ce_complex,
-                                   cohomology_dims, cohomology_table,
+import gauge_action_oracle
+
+from superslice.cli import resolve_algebra
+from superslice.cohomology import (GradedComplex, cohomology_table,
                                    de_rham_check, odd_derivation,
                                    regular_ce_complex, slice_ce_complex,
                                    weighted_monomial_counts,
                                    _gauge_action_fields)
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
-                               principal_nilpotent, sl2_triple_for)
-from superslice.slice import gauge_fix
+                               parse_nilpotent, principal_nilpotent,
+                               sl2_triple_for)
+from superslice.pva import BRSTComplex
+from superslice.slice import PoissonStructure, gauge_fix
 from superslice.supergroup import apply_derivation
 from superslice.superpoly import PolyRing, Variable
 
@@ -29,6 +35,16 @@ def principal_setup(alg):
     triple = sl2_triple_for(alg, f)
     grading = dynkin_grading(alg, triple)
     return triple, grading
+
+
+def chart_for(name, nilpotent):
+    alg, _ = resolve_algebra(name)
+    triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+
+
+def names(ring):
+    return [v.name for v in ring.variables]
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +174,19 @@ class TestSliceModule:
                                 for w, x in zip(want, fields[pos_idx.index(k)])]
                 assert all((x - y).is_zero() for x, y in zip(comm, want))
 
+    @pytest.mark.parametrize("name,nilpotent", [
+        ("sl2", "principal"), ("sl3", "principal"), ("osp12", "principal"),
+        ("sl(2|1)", "principal"), ("sl(3|1)", "principal"), ("sl4", "e21"),
+        ("sl5", "principal"), ("sl(3|2)", "principal")])
+    def test_gauge_fields_match_orbit_series_oracle(self, name, nilpotent):
+        chart = chart_for(name, nilpotent)
+        before = names(chart.ring)
+        got = _gauge_action_fields(chart, chart.ring)
+        assert names(chart.ring) == before
+        # the oracle appends its scratch parameters to the same ring
+        want = gauge_action_oracle.gauge_action_fields(chart, chart.ring)
+        assert got == want
+
     def test_truncation_consistency(self, sl3_data):
         alg, triple, grading = sl3_data
         chart = gauge_fix(alg, triple, grading)
@@ -178,31 +207,37 @@ class TestSliceModule:
             cx.cohomology_dim(0, -1)  # wrong sign for this complex
 
 
-# -- dispatcher and guards -------------------------------------------------------
+# -- builders and guards ---------------------------------------------------------
 
 
 class TestBuildDispatch:
     def test_regular_and_slice_alias(self, osp_data):
         alg, triple, grading = osp_data
         chart = gauge_fix(alg, triple, grading)
-        cx = build_ce_complex(alg, grading, "regular", max_weight=2)
-        assert cohomology_dims(cx, 0, 0) == 1
-        sx = build_ce_complex(alg, grading, "slice", max_weight=2, chart=chart)
-        assert cohomology_dims(sx, 0, 2) == 1
+        cx = regular_ce_complex(alg, grading, max_weight=2)
+        assert cx.cohomology_dim(0, 0) == 1
+        sx = slice_ce_complex(chart, max_weight=2)
+        assert sx.cohomology_dim(0, 2) == 1
 
-    def test_slice_needs_chart(self, osp_data):
-        alg, triple, grading = osp_data
-        with pytest.raises(ValueError, match="need a chart"):
-            build_ce_complex(alg, grading, "slice-module", max_weight=2)
-
-    def test_unknown_module(self, osp_data):
-        alg, triple, grading = osp_data
-        with pytest.raises(ValueError, match="unknown coefficient"):
-            build_ce_complex(alg, grading, "adjoint", max_weight=2)
+    @pytest.mark.parametrize("name,nilpotent", [
+        ("sl(2|1)", "principal"), ("sl4", "e21")])
+    def test_builders_leave_every_ring_unchanged(self, name, nilpotent):
+        chart = chart_for(name, nilpotent)
+        ps = PoissonStructure(chart)
+        given = [chart.ring, chart.slice_ring, ps.ring]
+        before = [names(r) for r in given]
+        reg = regular_ce_complex(chart.alg, chart.grading, max_weight=2)
+        sx = slice_ce_complex(chart, max_weight=2)
+        brst = BRSTComplex(chart, ps)
+        assert [names(r) for r in given] == before
+        # each complex's own ring holds its module variables and ghosts
+        assert len(reg.ring.variables) == len(reg.positions)
+        assert len(sx.ring.variables) == len(sx.positions)
+        assert len(brst.ring.variables) == brst.nmod + brst.nghost
 
     def test_non_half_integer_weight_rejected(self, osp_data):
         alg, triple, grading = osp_data
-        cx = build_ce_complex(alg, grading, "regular", max_weight=2)
+        cx = regular_ce_complex(alg, grading, max_weight=2)
         with pytest.raises(ValueError, match="half-integer"):
             cx.cohomology_dim(0, Fraction(1, 3))
 

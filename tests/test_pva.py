@@ -27,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from finite_poisson_oracle import finite_bracket
+from superslice import pva
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
@@ -328,6 +329,19 @@ class TestBRSTComplex:
                 assert cx.Q(cx.Q(g)).is_zero()
                 jet = g.total_derivative()
                 assert cx.Q(cx.Q(jet)).is_zero()
+
+    def test_q_square_trap(self, osp_chart, monkeypatch):
+        # doubling the ghost half-sum breaks Q^2 = 0 on the generators,
+        # and the constructor must say so
+        real = pva._ce_images
+
+        def doubled_ghosts(sub, ring, fields, nmod):
+            images = real(sub, ring, fields, nmod)
+            return {k: v * 2 if k >= nmod else v for k, v in images.items()}
+
+        monkeypatch.setattr(pva, "_ce_images", doubled_ghosts)
+        with pytest.raises(ValueError, match=r"Q\^2 != 0 on generator p_"):
+            BRSTComplex(osp_chart)
 
     def test_q_commutes_with_d(self, osp_cx):
         cx = osp_cx

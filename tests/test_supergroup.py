@@ -3,7 +3,9 @@
 Matrices over the polynomial ring are multiplied entry by entry in the
 test itself, so exp(A) exp(B) = exp(bch(A,B)) is checked against nothing
 but arithmetic.  The word-table BCH series is also compared with the
-former composition-by-composition series in bch_oracle.
+former composition-by-composition series in bch_oracle, and the
+Bernoulli-series regular representation with the former linearisation
+of the BCH series in gauge_action_oracle.
 """
 
 from fractions import Fraction
@@ -12,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bch_oracle
+import gauge_action_oracle
 
+from superslice.cli import resolve_algebra
 from superslice.liealg import (LieSuperalgebra, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent, sl2_triple_for)
 from superslice.supergroup import (_dynkin_words, adjoint_orbit_map,
@@ -407,3 +411,33 @@ def test_regular_representation_is_homomorphism_sl21_positive():
                     kk = idx.index(k)
                     want = [w + fld * c for w, fld in zip(want, fields[kk])]
             assert got == want, (alg.labels[ga], alg.labels[gb])
+
+
+@pytest.mark.parametrize("name,nilpotent", [
+    ("sl2", "principal"), ("sl3", "principal"), ("osp12", "principal"),
+    ("sl(2|1)", "principal"), ("sl(3|1)", "principal"), ("sl4", "e21"),
+    ("sl5", "principal"), ("sl(3|2)", "principal"), ("sl4", "principal"),
+    ("sl(2|2)", "principal"), ("sl6", "principal")])
+def test_regular_representation_matches_bch_oracle(name, nilpotent):
+    # n+ of sl6 has class 5, the first case where B_4 contributes
+    alg, _ = resolve_algebra(name)
+    t = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+    idx = dynkin_grading(alg, t).positive_indices()
+    ring = PolyRing([Variable(f"x{alg.labels[i]}", alg.parities[i])
+                     for i in idx])
+    coords = list(range(len(idx)))
+    got = regular_representation(alg, idx, ring, coords)
+    assert len(ring.variables) == len(idx)
+    # the oracle appends its scratch parameters to the same ring
+    want = gauge_action_oracle.regular_representation(alg, idx, ring, coords)
+    assert got == want
+
+
+def test_regular_representation_guards():
+    alg = build_sl(2)
+    ring = PolyRing([Variable("x1", 0), Variable("x2", 0)])
+    e, f, h = (alg.index[lab] for lab in ("e12", "e21", "h1"))
+    with pytest.raises(ValueError, match="left the subalgebra"):
+        regular_representation(alg, [e, f], ring, [0, 1])  # [e, f] = h
+    with pytest.raises(ValueError, match="did not terminate"):
+        regular_representation(alg, [h, e], ring, [0, 1])  # not nilpotent
