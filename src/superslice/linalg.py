@@ -200,10 +200,6 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Fraction]]:
     return x
 
 
-def column_space_contains(m: RationalMatrix, b: Sequence) -> bool:
-    return solve(m, b) is not None
-
-
 def from_columns(cols: Iterable[Sequence]) -> RationalMatrix:
     cols = [list(c) for c in cols]
     if not cols:

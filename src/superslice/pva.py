@@ -14,7 +14,12 @@ Three layers:
 * ``LambdaPolynomial`` and ``ArcBracket``: a lambda bracket on a
   differential polynomial ring, given by a table of generator brackets
   and extended by sesquilinearity and the left and right Leibniz rules.
-  The tables used here are level zero, so generator brackets are
+  ``ArcBracket.bracket`` evaluates that extension in closed form by the
+  master formula of Barakat, De Sole and Kac (Japan. J. Math. 4, 2009,
+  eq. 1.33) with left partial derivatives, the Koszul sign of each
+  term being (-1)^{|g||df/du_i^(m)|} (see the class docstring).  The
+  engine takes any table, jets and lambda-dependent entries included;
+  the tables built here are level zero, so their generator brackets are
   constant in lambda and all lambda dependence comes from jets.
 
 * ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: the arc gauge
@@ -140,9 +145,15 @@ def _series_mul(a: list, b: list, ring: PolyRing) -> list:
     return out
 
 
-def arc_ring(base: PolyRing,
-             relations: Sequence[SuperPolynomial] = ()) -> ArcRing:
-    return ArcRing(base, relations)
+def _add_to(out: dict, k: int, p: SuperPolynomial) -> None:
+    q = out.get(k)
+    out[k] = p if q is None else q + p
+
+
+def _scaled(p: SuperPolynomial, c: int) -> SuperPolynomial:
+    if c == 1:
+        return p
+    return -p if c == -1 else p * c
 
 
 # -- lambda polynomials ---------------------------------------------------
@@ -198,53 +209,24 @@ class LambdaPolynomial:
     def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         return self + (-other)
 
-    def lmul(self, p: SuperPolynomial) -> "LambdaPolynomial":
-        """Multiply every coefficient by p from the left."""
-        return LambdaPolynomial(self.ring,
-                                {k: p * q for k, q in self.coeffs.items()})
-
-    def rmul(self, p: SuperPolynomial) -> "LambdaPolynomial":
-        """Multiply every coefficient by p from the right."""
-        return LambdaPolynomial(self.ring,
-                                {k: q * p for k, q in self.coeffs.items()})
-
-    def shift(self, m: int) -> "LambdaPolynomial":
-        """Multiply by (-lam)^m."""
-        if m == 0:
-            return self
-        sgn = ONE if m % 2 == 0 else -ONE
-        return LambdaPolynomial(self.ring,
-                                {k + m: p * sgn
-                                 for k, p in self.coeffs.items()})
-
     def lam_plus_d(self) -> "LambdaPolynomial":
         """Multiply by (lam + d), d the total derivative on coefficients."""
         out: dict[int, SuperPolynomial] = {}
-
-        def add(k, p):
-            q = out.get(k)
-            out[k] = p if q is None else q + p
-
         for k, p in self.coeffs.items():
-            add(k + 1, p)
-            add(k, p.total_derivative())
+            _add_to(out, k + 1, p)
+            _add_to(out, k, p.total_derivative())
         return LambdaPolynomial(self.ring, out)
 
     def sub_neg_lam_d(self) -> "LambdaPolynomial":
         """Substitute lam -> -lam - d, the d landing on the coefficient."""
         out: dict[int, SuperPolynomial] = {}
-
-        def add(k, p):
-            q = out.get(k)
-            out[k] = p if q is None else q + p
-
         for k, p in self.coeffs.items():
-            sgn = ONE if k % 2 == 0 else -ONE
-            for j in range(k + 1):
-                q = p
-                for _ in range(k - j):
+            sgn = -1 if k % 2 else 1
+            q = p
+            for j in range(k, -1, -1):
+                _add_to(out, j, _scaled(q, sgn * math.comb(k, j)))
+                if j:
                     q = q.total_derivative()
-                add(j, q * (sgn * math.comb(k, j)))
         return LambdaPolynomial(self.ring, out)
 
     def __eq__(self, other) -> bool:
@@ -291,6 +273,26 @@ class ArcBracket:
     convention of the finite Poisson structure.  Skew-symmetry itself
     is not imposed; it follows from a skew-consistent table and is
     covered by tests.
+
+    ``bracket`` evaluates these rules in closed form by the master
+    formula of Barakat, De Sole and Kac ("Poisson vertex algebras in the
+    theory of Hamiltonian equations", Japan. J. Math. 4, 2009, eq. 1.33),
+    written with left partial derivatives.  For f and g of pure parity,
+    u_i the generators and u_i^(m) their jets:
+
+        {f_lam g} = sum_i (-1)^{|g|(|f|+|u_i|)} G_i(lam + d)_> F_i,
+        G_i(lam)  = {u_i _lam g}
+                  = sum_{j,n} [(lam + d)^n {u_i _lam u_j}] dg/du_j^(n),
+        F_i(lam)  = sum_m (-lam - d)^m df/du_i^(m).
+
+    The right rule makes {u_i _lam .} the left derivation
+    sum_y {u_i _lam y} d/dy, which gives G_i.  The left rule gives the
+    sum over the jets of f by induction on f; its sign is the Koszul
+    sign (-1)^{|g||df/du_i^(m)|} of moving g past the derivative, and
+    |df/du_i^(m)| = |f| + |u_i|.  Mixed-parity arguments are split into
+    parity parts.  Each G_i costs one product per table entry that meets
+    a jet of g, and F_i one more; with no jets and a lambda-free entry,
+    no power of lam + d is expanded.
     """
 
     def __init__(self, ring: PolyRing, table: Mapping[tuple, object]):
@@ -305,86 +307,30 @@ class ArcBracket:
                 self.table[(i, j)] = val
         self._zero = LambdaPolynomial(ring)
 
-    def _base(self, i: int) -> int:
-        return self.ring.index[self.ring.variables[i].base]
-
-    def _gen_pair(self, i: int, j: int) -> LambdaPolynomial:
-        out = self.table.get((self._base(i), self._base(j)))
-        if out is None:
-            return self._zero
-        for _ in range(self.ring.variables[j].order):
+    def _entry(self, i: int, y: int) -> LambdaPolynomial:
+        """{u_i _lam y} for the jet y = u_j^(n): (lam + d)^n {u_i _lam u_j}."""
+        v = self.ring.variables[y]
+        out = self.table.get((i, self.ring.index[v.base]), self._zero)
+        for _ in range(v.order):
             out = out.lam_plus_d()
-        m = self.ring.variables[i].order
-        return out.shift(m) if m else out
-
-    def _gen_mono(self, i: int, mono: tuple) -> LambdaPolynomial:
-        """{gen_i _lam monomial} by the right Leibniz rule."""
-        if not mono:
-            return self._zero
-        ring = self.ring
-        (j, e) = mono[0]
-        rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
-        out = self._gen_pair(i, j)
-        if rest and not out.is_zero():
-            out = out.rmul(SuperPolynomial(ring, {rest: ONE}))
-        if rest:
-            tail = self._gen_mono(i, rest)
-            if not tail.is_zero():
-                tail = tail.lmul(SuperPolynomial(ring, {((j, 1),): ONE}))
-                if ring.parity_of(i) and ring.parity_of(j):
-                    tail = tail.scale(-ONE)
-                out = out + tail
         return out
 
-    def _gen_poly(self, i: int, q: SuperPolynomial) -> LambdaPolynomial:
-        out = self._zero
-        for mono, c in q.terms.items():
-            t = self._gen_mono(i, mono)
-            if not t.is_zero():
-                out = out + t.scale(c)
-        return out
-
-    def _arrow(self, P: LambdaPolynomial,
-               r: SuperPolynomial) -> LambdaPolynomial:
-        """sum_k c_k (lam+d)^k r for P = sum_k c_k lam^k."""
-        if P.is_zero():
-            return self._zero
+    def _generator_bracket(self, i: int, dg: Sequence[tuple]) -> dict:
+        """Coefficients of G_i = {u_i _lam g} from the pairs (y, dg/dy)."""
         out: dict[int, SuperPolynomial] = {}
+        for y, d in dg:
+            for k, c in self._entry(i, y).coeffs.items():
+                _add_to(out, k, c * d)
+        return out
 
-        def add(k, p):
-            q = out.get(k)
-            out[k] = p if q is None else q + p
-
-        for k, c in P.coeffs.items():
-            derivs = [r]
-            for _ in range(k):
-                derivs.append(derivs[-1].total_derivative())
-            for j in range(k + 1):
-                add(j, c * derivs[k - j] * math.comb(k, j))
-        return LambdaPolynomial(self.ring, out)
-
-    def _mono_poly(self, mono: tuple, q: SuperPolynomial,
-                   q_parity: int) -> LambdaPolynomial:
-        """{monomial _lam q} by the left Leibniz rule, q parity
-        homogeneous."""
-        if not mono:
-            return self._zero
+    def _partials_by_generator(self, f: SuperPolynomial) -> dict:
+        """{i: {m: df/du_i^(m)}} over the jets in f."""
         ring = self.ring
-        (j, e) = mono[0]
-        rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
-        first = self._gen_poly(j, q)
-        if not rest:
-            return first
-        rest_parity = sum(ring.parity_of(v) * k for v, k in rest) % 2
-        out = self._arrow(first, SuperPolynomial(ring, {rest: ONE}))
-        if rest_parity and q_parity:
-            out = out.scale(-ONE)
-        tail = self._mono_poly(rest, q, q_parity)
-        if not tail.is_zero():
-            t = self._arrow(tail, SuperPolynomial(ring, {((j, 1),): ONE}))
-            if ring.parity_of(j) and (rest_parity + q_parity) % 2:
-                t = t.scale(-ONE)
-            out = out + t
+        out: dict[int, dict[int, SuperPolynomial]] = {}
+        for x in sorted(f.variables_used()):
+            v = ring.variables[x]
+            out.setdefault(ring.index[v.base], {})[v.order] = \
+                f.partial_derivative(x)
         return out
 
     def bracket(self, p: SuperPolynomial,
@@ -392,16 +338,42 @@ class ArcBracket:
         for x in (p, q):
             if x.ring is not self.ring:
                 raise ValueError("polynomial is not in the bracket ring")
-        qe, qo = q.parity_split()
-        out = self._zero
-        for mono, c in p.terms.items():
-            for qq, qpar in ((qe, 0), (qo, 1)):
-                if qq.is_zero():
-                    continue
-                t = self._mono_poly(mono, qq, qpar)
-                if not t.is_zero():
-                    out = out + t.scale(c)
-        return out
+        ring = self.ring
+        p_parts = [(par, self._partials_by_generator(pp))
+                   for par, pp in enumerate(p.parity_split())
+                   if not pp.is_zero()]
+        out: dict[int, SuperPolynomial] = {}
+        for q_par, qq in enumerate(q.parity_split()):
+            if qq.is_zero():
+                continue
+            dq = [(y, qq.partial_derivative(y))
+                  for y in sorted(qq.variables_used())]
+            rows: dict[int, dict] = {}
+            for p_par, partials in p_parts:
+                for i, dp in partials.items():
+                    G = rows.get(i)
+                    if G is None:
+                        G = rows[i] = self._generator_bracket(i, dq)
+                    if not G:
+                        continue
+                    F = LambdaPolynomial(ring, dp).sub_neg_lam_d()
+                    odd = q_par and (p_par + ring.parity_of(i)) % 2
+                    _apply_shifted(out, G, F, -1 if odd else 1)
+        return LambdaPolynomial(ring, out)
+
+
+def _apply_shifted(out: dict, G: Mapping[int, SuperPolynomial],
+                   F: LambdaPolynomial, sign: int) -> None:
+    """Add sign * G(lam + d)_> F, that is sign * sum_k G_k (lam + d)^k F,
+    to the coefficient dict out."""
+    derivs = {l: [f] for l, f in F.coeffs.items()}
+    for k, g in G.items():
+        for l, ds in derivs.items():
+            while len(ds) <= k:
+                ds.append(ds[-1].total_derivative())
+            for r in range(k + 1):
+                _add_to(out, k - r + l,
+                        _scaled(g * ds[r], sign * math.comb(k, r)))
 
 
 def skew_defect(machine: ArcBracket, a: SuperPolynomial,
@@ -627,11 +599,6 @@ def brst_complex(chart: SliceChart,
     return BRSTComplex(chart, structure)
 
 
-def lambda_bracket(complex_: BRSTComplex, a: SuperPolynomial,
-                   b: SuperPolynomial) -> LambdaPolynomial:
-    return complex_.lambda_bracket(a, b)
-
-
 # -- degree-zero cohomology by conformal weight -----------------------------
 
 class TruncatedH0:
@@ -724,7 +691,10 @@ class GradedMiura:
     The finite map is injective (see the certificate); the jet extension
     adds one triangular block per derivative order, so injectivity
     carries over order by order.  No statement beyond the level-zero
-    brackets is made here.
+    brackets is made here: the tables are constant in lambda and
+    ``check_intertwining`` brackets order-zero generators and their
+    images, so every bracket it compares has lambda-degree 0 and no
+    jets, and the check re-derives the finite Poisson intertwining.
     """
 
     def __init__(self, chart: SliceChart,

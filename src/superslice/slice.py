@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .liealg import (GoodGrading, LieSuperalgebra, Sl2Triple, _invert,
-                     centralizer, dense_to_poly, graded_slice_decomposition,
+                     dense_to_poly, graded_slice_decomposition,
                      nilpotency_class)
 from .linalg import RationalMatrix, exact_rank
-from .supergroup import adjoint_orbit_map, bch_product, vec_is_zero
+from .supergroup import adjoint_orbit_map, bch_product
 from .superpoly import PolyRing, SuperPolynomial, Variable
 
 ZERO = Fraction(0)
@@ -367,11 +367,6 @@ class PoissonStructure:
             if x.ring is not self.ring:
                 raise ValueError("polynomial is not in the Poisson ring")
         return self._arc.bracket(p, q).coefficient(0)
-
-
-def zhu_poisson_bracket(structure: PoissonStructure, p: SuperPolynomial,
-                        q: SuperPolynomial) -> SuperPolynomial:
-    return structure.bracket(p, q)
 
 
 def slice_poisson_table(chart: SliceChart,

@@ -188,14 +188,3 @@ def regular_representation(alg: LieSuperalgebra, sub_indices: Sequence[int],
                 raise ValueError("group law left the subalgebra")
         fields.append(row)
     return fields
-
-
-def apply_derivation(coeffs: Sequence[SuperPolynomial],
-                     var_indices: Sequence[int],
-                     f: SuperPolynomial) -> SuperPolynomial:
-    """(sum_b c_b d/dx_b) f with left coefficients."""
-    out = f.ring.zero()
-    for c, v in zip(coeffs, var_indices):
-        if not c.is_zero():
-            out = out + c * f.partial_derivative(v)
-    return out

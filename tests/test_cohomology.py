@@ -26,7 +26,6 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                sl2_triple_for)
 from superslice.pva import BRSTComplex
 from superslice.slice import PoissonStructure, gauge_fix
-from superslice.supergroup import apply_derivation
 from superslice.superpoly import PolyRing, Variable
 
 
@@ -157,7 +156,10 @@ class TestSliceModule:
         var_idx = list(range(m))
 
         def compose(fa, fb):
-            return [apply_derivation(fa, var_idx, comp) for comp in fb]
+            # (sum_b fa[b] d/dz_b) applied to each component of fb
+            return [sum((c * comp.partial_derivative(v)
+                         for c, v in zip(fa, var_idx)), ring.zero())
+                    for comp in fb]
 
         for a, ia in enumerate(pos_idx):
             for b, ib in enumerate(pos_idx):

@@ -15,7 +15,7 @@ from superslice.liealg import (GoodGrading, LieSuperalgebra, SubspaceBasis,
                                build_sl, centralizer, descending_central_series,
                                dynkin_grading, graded_slice_decomposition,
                                nilpotency_class, parse_nilpotent,
-                               principal_nilpotent, sl2_triple_for)
+                               sl2_triple_for)
 from superslice.superpoly import PolyRing, Variable
 
 F = Fraction

@@ -5,8 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from dense_oracles import dense_rank, dense_rref
-from superslice.linalg import (RationalMatrix, column_space_contains,
-                               exact_rank, from_columns, nullspace, rref, solve)
+from superslice.linalg import (RationalMatrix, exact_rank, from_columns,
+                               nullspace, rref, solve)
 
 
 def test_rank_trivial():
@@ -34,7 +34,7 @@ def test_solve_and_inconsistent():
     assert x == [2, 1]
     bad = RationalMatrix([[1, 1], [2, 2]])
     assert solve(bad, [1, 3]) is None
-    assert column_space_contains(bad, [1, 2])
+    assert solve(bad, [1, 2]) is not None
 
 
 def test_nullspace_annihilates():

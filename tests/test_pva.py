@@ -9,9 +9,12 @@ Oracles:
   are also written out by hand.
 * Lambda brackets: generator pairs come from the structure constants;
   products and jets are checked against hand Leibniz/sesquilinearity
-  expansions, skew-symmetry is verified as a property, and the
-  lambda-degree-zero sector is cross-checked against the finite Leibniz
-  recursion kept in tests/finite_poisson_oracle.py.
+  expansions (a Virasoro central charge among them), skew-symmetry is
+  verified as a property, the master formula is compared with the
+  per-monomial Leibniz recursion kept in tests/leibniz_bracket_oracle.py
+  on random polynomials with jets, and the lambda-degree-zero sector is
+  cross-checked against the finite Leibniz recursion kept in
+  tests/finite_poisson_oracle.py.
 * Q: squares to zero (constructor trap plus explicit), commutes with
   the total derivative, is an odd derivation; the sl2 generator images
   and the weight-2 harmonic representative are pinned by hand.
@@ -25,17 +28,19 @@ Oracles:
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
+from leibniz_bracket_oracle import leibniz_bracket
 from superslice import pva
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
                             DifferentialMorphism, LambdaPolynomial,
-                            arc_ring, brst_complex, graded_miura,
-                            h0_truncated, lambda_bracket, skew_defect)
+                            brst_complex, graded_miura, h0_truncated,
+                            skew_defect)
 from superslice.slice import PoissonStructure, gauge_fix
-from superslice.superpoly import PolyRing, SuperPolynomial, Variable
+from superslice.superpoly import PolyRing, Variable
 
 ONE = Fraction(1)
 
@@ -72,7 +77,7 @@ def osp_cx(osp_chart):
 class TestArcRing:
     def test_affine_line_is_free(self):
         base = PolyRing([Variable("x", 0)])
-        arc = arc_ring(base)
+        arc = ArcRing(base)
         assert arc.relations == []
         assert arc.check_relations(depth=3)
         x = arc.ring.gen(0)
@@ -87,7 +92,7 @@ class TestArcRing:
         ry = by.gen(0) * by.gen(0) * by.gen(0)
         rboth = [both.gen(0) * both.gen(0),
                  both.gen(1) * both.gen(1) * both.gen(1)]
-        arc = arc_ring(both, rboth)
+        arc = ArcRing(both, rboth)
         assert arc.check_relations(depth=3)
         # each induced relation only mentions the jets of its own factor
         for k, jet in enumerate(arc.relation_jets(0, 3)):
@@ -97,10 +102,10 @@ class TestArcRing:
             assert all(arc.ring.variables[i].base == "y"
                        for i in jet.variables_used())
         # and matches the standalone arc rings term for term
-        ax = arc_ring(bx, [rx])
+        ax = ArcRing(bx, [rx])
         assert [p.text() for p in ax.relation_jets(0, 3)] == \
             [p.text() for p in arc.relation_jets(0, 3)]
-        ay = arc_ring(by, [ry])
+        ay = ArcRing(by, [ry])
         assert [p.text() for p in ay.relation_jets(0, 3)] == \
             [p.text() for p in arc.relation_jets(1, 3)]
 
@@ -113,7 +118,7 @@ class TestArcRing:
         #   order 3: x x'''/3 + x' x''
         base = PolyRing([Variable("x", 0)])
         x = base.gen(0)
-        arc = arc_ring(base, [x * x])
+        arc = ArcRing(base, [x * x])
         R = arc.ring
         x0 = R.gen(0)
         x1 = x0.total_derivative()
@@ -129,7 +134,7 @@ class TestArcRing:
     def test_series_coefficients_match_jets(self):
         base = PolyRing([Variable("x", 0), Variable("y", 0)])
         p = base.gen(0) * base.gen(0) * base.gen(1)
-        arc = arc_ring(base, [p])
+        arc = ArcRing(base, [p])
         want = arc.relation_jets(0, 4)
         got = arc.series_coefficients(p, 4)
         assert want == got
@@ -139,7 +144,7 @@ class TestArcRing:
         # derivatives vs truncated series), so a mismatch must be forced
         base = PolyRing([Variable("x", 0)])
         x = base.gen(0)
-        arc = arc_ring(base, [x * x])
+        arc = ArcRing(base, [x * x])
         monkeypatch.setattr(
             arc, "relation_jets",
             lambda j, depth: [arc.ring.zero()] * (depth + 1))
@@ -150,17 +155,17 @@ class TestArcRing:
         base = PolyRing([Variable("x", 0)])
         other = PolyRing([Variable("x", 0)])
         with pytest.raises(ValueError, match="not in the base ring"):
-            arc_ring(base, [other.gen(0)])
+            ArcRing(base, [other.gen(0)])
         diff = PolyRing([Variable("x", 0)], differential=True)
         with pytest.raises(ValueError, match="must not be differential"):
-            arc_ring(diff)
-        arc = arc_ring(base)
+            ArcRing(diff)
+        arc = ArcRing(base)
         with pytest.raises(ValueError, match="not in the base ring"):
             arc.embed(other.gen(0))
 
     def test_embed_is_order_zero(self):
         base = PolyRing([Variable("x", 0), Variable("th", 1)])
-        arc = arc_ring(base)
+        arc = ArcRing(base)
         p = base.gen(0) * base.gen(1)
         q = arc.embed(p)
         assert q.text() == p.text()
@@ -194,14 +199,6 @@ class TestLambdaPolynomial:
         assert (P + Q) == LambdaPolynomial(R, {0: a})
         assert (P - P).is_zero()
         assert P.scale(Fraction(2)).coefficient(0) == a * 2
-        assert P.lmul(a).coefficient(1) == a
-        assert P.rmul(a).coefficient(0) == a * a
-
-    def test_shift_is_minus_lambda_power(self, lam_ring):
-        R = lam_ring
-        P = LambdaPolynomial(R, {0: R.gen(0)})
-        assert P.shift(1) == LambdaPolynomial(R, {1: -R.gen(0)})
-        assert P.shift(2) == LambdaPolynomial(R, {2: R.gen(0)})
 
     def test_lam_plus_d(self, lam_ring):
         R = lam_ring
@@ -300,6 +297,97 @@ class TestFreeBoson:
             for y in samples:
                 assert skew_defect(B, x, y).is_zero()
 
+    @pytest.mark.parametrize("a", [Fraction(1, 2), ONE])
+    def test_virasoro_central_charge_by_hand(self, a):
+        # {h_lam h} = 2 lam and L = h^2/4 + a h'.  By the right rule
+        #   {L_lam h}  = lam h + h' - 2a lam^2,
+        #   {L_lam h'} = (lam + d){L_lam h}
+        #              = lam^2 h + 2 lam h' + h'' - 2a lam^3,
+        # and dL/dh = h/2, dL/dh' = a, so
+        #   {L_lam L} = {L_lam h} h/2 + a {L_lam h'}
+        #             = (d + 2 lam) L - 2a^2 lam^3:
+        # central term -1/2 lam^3 at a = 1/2 and -2 lam^3 at a = 1.
+        R = PolyRing([Variable("h", 0, wt2=2)], differential=True)
+        B = ArcBracket(R, {(0, 0): LambdaPolynomial(R, {1: R.const(2)})})
+        h = R.gen(0)
+        L = h * h * Fraction(1, 4) + h.total_derivative() * a
+        want = LambdaPolynomial(R, {0: L.total_derivative(), 1: L * 2,
+                                    3: R.const(-2 * a * a)})
+        assert B.bracket(L, L) == want
+
+
+# -- the master formula against the Leibniz recursion -----------------------
+
+
+def _lambda_table_machine():
+    """Even h and L, odd psi, with lambda-dependent entries whose
+    coefficients carry jets: {h_lam h} = 2 lam, {psi_lam psi} = 1 + lam^2,
+    {L_lam L} = (d + 2 lam) L + lam^3, and L acting on h and psi with
+    weights 1 and 3/2.  The oracle comparison needs no Jacobi identity."""
+    R = PolyRing([Variable("h", 0, wt2=2), Variable("psi", 1, wt2=3),
+                  Variable("L", 0, wt2=4)], differential=True)
+    h, psi, L = R.gen(0), R.gen(1), R.gen(2)
+
+    def lam(*coeffs):
+        return LambdaPolynomial(R, dict(enumerate(coeffs)))
+
+    half = Fraction(1, 2)
+    table = {(0, 0): lam(R.zero(), R.const(2)),
+             (1, 1): lam(R.one(), R.zero(), R.one()),
+             (2, 2): lam(L.total_derivative(), L * 2, R.zero(), R.one()),
+             (2, 0): lam(h.total_derivative(), h),
+             (0, 2): lam(R.zero(), h),
+             (2, 1): lam(psi.total_derivative(), psi * 3 * half),
+             (1, 2): lam(psi.total_derivative() * half, psi * 3 * half)}
+    return ArcBracket(R, table)
+
+
+@pytest.fixture(scope="module")
+def oracle_machines(boson, osp_chart, osp_cx):
+    sl21 = graded_miura(principal_chart(build_sl(2, 1)))
+    return [boson[1], _lambda_table_machine(),
+            graded_miura(osp_chart).ambient_bracket, sl21.ambient_bracket,
+            osp_cx.bracket_machine]
+
+
+class TestMasterFormula:
+    """ArcBracket.bracket against the per-monomial Leibniz recursion."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_leibniz_oracle(self, oracle_machines, data):
+        # random mixed-parity polynomials in jets of order <= 2
+        def draw_poly(ring):
+            n = sum(1 for v in ring.variables if v.order == 0)
+            out = ring.zero()
+            for _ in range(data.draw(st.integers(1, 3))):
+                term = ring.const(data.draw(st.integers(-3, 3).filter(bool)))
+                for i, m in data.draw(st.lists(
+                        st.tuples(st.integers(0, n - 1), st.integers(0, 2)),
+                        max_size=3)):
+                    for _ in range(m):
+                        i = ring.derivative_index(i)
+                    term = term * ring.gen(i)
+                out = out + term
+            return out
+
+        for B in oracle_machines:
+            p, q = draw_poly(B.ring), draw_poly(B.ring)
+            assert B.bracket(p, q) == leibniz_bracket(B, p, q)
+
+    def test_lambda_table_jets_by_hand(self):
+        # {h_lam h'} = (lam + d) 2 lam = 2 lam^2; {psi'_lam psi} =
+        # -lam (1 + lam^2); {h'_lam psi h} = -lam psi {h_lam h} = -2 lam^2 psi
+        B = _lambda_table_machine()
+        R = B.ring
+        h, psi = R.gen(0), R.gen(1)
+        assert B.bracket(h, h.total_derivative()) == \
+            LambdaPolynomial(R, {2: R.const(2)})
+        assert B.bracket(psi.total_derivative(), psi) == \
+            LambdaPolynomial(R, {1: -R.one(), 3: -R.one()})
+        assert B.bracket(h.total_derivative(), psi * h) == \
+            LambdaPolynomial(R, {2: psi * (-2)})
+
 
 # -- the arc gauge complex ---------------------------------------------------
 
@@ -390,7 +478,7 @@ class TestBRSTComplex:
             LambdaPolynomial(cx.ring, {0: ph * 2})
         assert cx.lambda_bracket(h, ph) == \
             LambdaPolynomial(cx.ring, {0: ph * (-2)})
-        assert lambda_bracket(cx, ph, ph).is_zero()
+        assert cx.lambda_bracket(ph, ph).is_zero()
 
     def test_even_generator_self_bracket_vanishes(self, sl2_cx):
         # [u, u] = 0 for even u, so {u_lam u} = 0 on the nose

@@ -20,8 +20,7 @@ from superslice.cli import resolve_algebra
 from superslice.liealg import (LieSuperalgebra, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent, sl2_triple_for)
 from superslice.supergroup import (_dynkin_words, adjoint_orbit_map,
-                                   apply_derivation, bch_product,
-                                   regular_representation)
+                                   bch_product, regular_representation)
 from superslice.superpoly import PolyRing, Variable
 
 F = Fraction
@@ -365,8 +364,10 @@ def commutator_fields(ring, var_idx, f1, p1, f2, p2):
     sgn = F(-1) if p1 and p2 else F(1)
     out = []
     for b in range(len(f1)):
-        t1 = apply_derivation(f1, var_idx, f2[b])
-        t2 = apply_derivation(f2, var_idx, f1[b])
+        t1 = sum((c * f2[b].partial_derivative(v)
+                  for c, v in zip(f1, var_idx)), ring.zero())
+        t2 = sum((c * f1[b].partial_derivative(v)
+                  for c, v in zip(f2, var_idx)), ring.zero())
         out.append(t1 - t2 * sgn)
     return out
 
