@@ -526,6 +526,16 @@ def _half_integer(s: str) -> Fraction:
     return v
 
 
+def _positive_int(s: str) -> int:
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", required=True,
@@ -537,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grading", default="dynkin",
                         help="'dynkin' or comma-separated half-integer "
                              "weights, one per basis element")
-    common.add_argument("--trials", type=int, default=5)
+    common.add_argument("--trials", type=_positive_int, default=5,
+                        help="seeded random gauge trials (at least 1)")
     common.add_argument("--seed", type=int, default=1)
     common.add_argument("--max-weight", dest="max_weight",
                         type=_half_integer, default=None,

@@ -4,6 +4,12 @@ An algebra is a basis (labels + parities), a sparse table of structure
 constants over Q, and an optional even supersymmetric invariant bilinear
 form.  Construction re-verifies super-antisymmetry, parity homogeneity,
 the super Jacobi identity and, when a form is given, its invariance.
+Jacobi is checked on sorted basis triples i <= j <= k only: once
+super-antisymmetry holds, the Jacobiator is super-alternating, so its
+value on any permutation of a triple is a sign times its value on the
+sorted one (the proof is in ``LieSuperalgebra._verify``).  The form is
+read once into sparse rows and checked only where an entry or a bracket
+can be nonzero.
 
 Vectors come in two flavors: dense lists of Fractions, and sparse dicts
 mapping basis index -> SuperPolynomial for symbolic points.  The bracket
@@ -69,6 +75,27 @@ class LieSuperalgebra:
         }
 
     def _verify(self):
+        """Super-antisymmetry and parity on every table entry, then super
+        Jacobi on sorted basis triples i <= j <= k, then the form.
+
+        Sorted triples suffice once antisymmetry and parity hold.  The
+        Jacobiator J(x,y,z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]]
+        is then super-alternating on homogeneous elements:
+
+        - swapping x, y: [[y,x],z] = -(-1)^{|x||y|}[[x,y],z], so
+          J(y,x,z) = [y,[x,z]] + (-1)^{|x||y|}[[x,y],z]
+                     - (-1)^{|x||y|}[x,[y,z]] = -(-1)^{|x||y|} J(x,y,z);
+        - swapping y, z: [x,[z,y]] = -(-1)^{|y||z|}[x,[y,z]],
+          [[x,z],y] = -(-1)^{(|x|+|z|)|y|}[y,[x,z]] and
+          [z,[x,y]] = -(-1)^{|z|(|x|+|y|)}[[x,y],z], so
+          J(x,z,y) = -(-1)^{|y||z|} J(x,y,z).
+
+        These transpositions generate every permutation, so J vanishes on
+        a basis triple iff it vanishes on its sorted one.  Equal indices
+        stay in: J(x,x,z) need not vanish for odd x.  A triple is skipped
+        when [x_j,x_k], [x_i,x_j] and [x_i,x_k] are all absent from the
+        table, since then all three terms of J are zero.
+        """
         p = self.parities
         for (i, j), row in self.table.items():
             sgn = -ONE if not (p[i] and p[j]) else ONE
@@ -84,13 +111,17 @@ class LieSuperalgebra:
                         f"parity inhomogeneity in [{self.labels[i]},"
                         f"{self.labels[j]}]")
         n = self.dim
+        table = self.table
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 pij = p[i] * p[j]
-                for k in range(n):
+                bij = self._bb(i, j)
+                for k in range(j, n):
+                    if (j, k) not in table and not bij and (i, k) not in table:
+                        continue  # all three terms vanish
                     # [x_i,[x_j,x_k]] = [[x_i,x_j],x_k] + (-1)^{ij}[x_j,[x_i,x_k]]
                     lhs = self._b(i, self._bb(j, k))
-                    rhs = self._b2(self._bb(i, j), k)
+                    rhs = self._b2(bij, k)
                     t = self._b(j, self._bb(i, k))
                     for m, c in t.items():
                         rhs[m] = rhs.get(m, ZERO) + (-c if pij else c)
@@ -103,27 +134,44 @@ class LieSuperalgebra:
             self._verify_form()
 
     def _verify_form(self):
+        """Evenness, supersymmetry and invariance of the form, on the
+        entries and triples where something can be nonzero.
+
+        Evenness and supersymmetry are checked at every position (a, b)
+        where f[a,b] or f[b,a] is nonzero, in row-major order, so the
+        first violation reported is the one a dense scan would meet
+        first; at every other position both hold trivially.  Invariance
+        ([x_i,x_j],x_k) = (x_i,[x_j,x_k]) is checked on the triples where
+        one side can be nonzero: the left side needs a table entry (i,j)
+        with some m in its support and f[m,k] != 0, the right side a
+        table entry (j,k) with some m in its support and f[i,m] != 0,
+        which by the supersymmetry just checked means f[m,i] != 0.
+        """
         f = self.form
         if f.nrows != self.dim or f.ncols != self.dim:
             raise ValueError("form shape mismatch")
         p = self.parities
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if p[i] != p[j] and f[i, j]:
-                    raise ValueError("form is not even")
-                sgn = -ONE if p[i] and p[j] else ONE
-                if f[i, j] != sgn * f[j, i]:
-                    raise ValueError("form is not supersymmetric")
-        # invariance ([x,y],z) = (x,[y,z]) on basis triples
-        for i in range(self.dim):
-            for j in range(self.dim):
-                bij = self._bb(i, j)
-                for k in range(self.dim):
-                    lhs = sum((c * f[m, k] for m, c in bij.items()), ZERO)
-                    rhs = sum((c * f[i, m] for m, c in self._bb(j, k).items()),
-                              ZERO)
-                    if lhs != rhs:
-                        raise ValueError("form is not invariant")
+        rows = [{c: v for c, v in enumerate(r) if v} for r in f.rows]
+        nonzero = {(a, b) for a, row in enumerate(rows) for b in row}
+        for a, b in sorted(nonzero | {(b, a) for a, b in nonzero}):
+            v = rows[a].get(b, ZERO)
+            if p[a] != p[b] and v:
+                raise ValueError("form is not even")
+            sgn = -ONE if p[a] and p[b] else ONE
+            if v != sgn * rows[b].get(a, ZERO):
+                raise ValueError("form is not supersymmetric")
+        triples = set()
+        for (a, b), row in self.table.items():
+            for m in row:
+                triples.update((a, b, k) for k in rows[m])  # (i, j) = (a, b)
+                triples.update((i, a, b) for i in rows[m])  # (j, k) = (a, b)
+        for i, j, k in triples:
+            lhs = sum((c * rows[m].get(k, ZERO)
+                       for m, c in self._bb(i, j).items()), ZERO)
+            rhs = sum((c * rows[i].get(m, ZERO)
+                       for m, c in self._bb(j, k).items()), ZERO)
+            if lhs != rhs:
+                raise ValueError("form is not invariant")
 
     # -- basic bracket machinery --------------------------------------------
 

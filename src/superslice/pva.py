@@ -749,7 +749,10 @@ class GradedMiura:
         """{a_lam b} on the slice jets, computed through the ambient
         coordinates and re-expressed on the slice; raises if any
         coefficient fails to live on the slice jets."""
-        P = self.ambient_bracket.bracket(self._embed(a), self._embed(b))
+        return self._to_slice(
+            self.ambient_bracket.bracket(self._embed(a), self._embed(b)))
+
+    def _to_slice(self, P: LambdaPolynomial) -> LambdaPolynomial:
         out: dict[int, SuperPolynomial] = {}
         for k, c in P.coeffs.items():
             r = self._restrict(c)
@@ -762,14 +765,15 @@ class GradedMiura:
         """Target-side bracket of the images equals the image of the
         slice bracket, on every ordered generator pair."""
         labs = self.chart.inv_order
+        gens = [self.source.gen(i) for i in range(len(labs))]
+        images = [self(g) for g in gens]
+        embedded = [self._embed(g) for g in gens]
         out = {}
         for i, la in enumerate(labs):
             for j, lb in enumerate(labs):
-                lhs = self.target_bracket.bracket(
-                    self(self.source.gen(i)), self(self.source.gen(j)))
-                rhs = self.morphism.on_lambda(
-                    self.source_bracket(self.source.gen(i),
-                                        self.source.gen(j)))
+                lhs = self.target_bracket.bracket(images[i], images[j])
+                rhs = self.morphism.on_lambda(self._to_slice(
+                    self.ambient_bracket.bracket(embedded[i], embedded[j])))
                 if lhs != rhs:
                     raise ValueError("Miura images fail the lambda bracket "
                                      f"on ({la}, {lb})")

@@ -448,15 +448,21 @@ class SuperPolynomial:
             cache[i] = p
             return p
 
-        out = tgt.zero()
+        tpar = tgt.parities()
+        out: dict[tuple, Fraction] = {}
         for m, c in self.terms.items():
-            acc = tgt.const(c)
+            acc = {(): c}
             for i, e in m:
-                gi = image(i)
+                gi = image(i).terms
                 for _ in range(e):
-                    acc = acc * gi
-            out = out + acc
-        return out
+                    acc = mul_terms(acc, gi, tpar)
+            for mono, v in acc.items():
+                s = out.get(mono, ZERO) + v
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        return SuperPolynomial(tgt, out)
 
     def evaluate(self, values: Mapping[int, Scalar]) -> "SuperPolynomial":
         """Substitute scalars for (even) variables."""

@@ -488,6 +488,14 @@ class TestReportMechanics:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, trials, capsys):
+        # no sampled gauge would leave invariance a vacuous PASS
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algebra", "sl3", "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
 
 # -- failure taxonomy and entry points ---------------------------------------------
 

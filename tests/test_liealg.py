@@ -9,7 +9,10 @@ entry against that.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import validate_oracle
+from superslice.linalg import RationalMatrix
 from superslice.liealg import (GoodGrading, LieSuperalgebra, SubspaceBasis,
                                algebra_from_json, algebra_to_json, build_osp_1_2,
                                build_sl, centralizer, descending_central_series,
@@ -164,6 +167,146 @@ def test_jacobi_violation_rejected():
             {(0, 1): {2: F(1)}, (1, 0): {2: F(-1)},
              (1, 2): {0: F(1)}, (2, 1): {0: F(-1)},
              (2, 0): {0: F(1)}, (0, 2): {0: F(-1)}})
+
+
+@pytest.mark.parametrize("x, h", [(0, 1), (1, 0)])
+def test_jacobi_on_equal_indices_checked(x, h):
+    # odd x, even h, [x,x] = h, [h,x] = x: antisymmetric and parity
+    # homogeneous, but J(x,x,x) = -3x; every violated triple repeats x,
+    # which sorts first or last depending on the basis order
+    table = {(x, x): {h: F(1)}, (h, x): {x: F(1)}, (x, h): {x: F(-1)}}
+    labels, parities = ["", ""], [0, 0]
+    labels[x], labels[h], parities[x] = "x", "h", 1
+    with pytest.raises(ValueError, match="Jacobi"):
+        LieSuperalgebra(labels, parities, table)
+    with pytest.raises(ValueError, match="Jacobi"):
+        validate_oracle.verify(
+            LieSuperalgebra(labels, parities, table, check=False))
+
+
+@pytest.mark.parametrize("brackets", [
+    [(1, 2, 3), (0, 3, 3)],  # J(a,b,c) = [a,[b,c]] = d
+    [(0, 1, 3), (3, 2, 3)],  # J(a,b,c) = -[[a,b],c] = -d
+    [(0, 2, 3), (1, 3, 3)],  # J(a,b,c) = -[b,[a,c]] = -d
+])
+def test_jacobi_fails_on_one_term_of_one_triple(brackets):
+    # four even elements and two brackets [x,y] = z: (a,b,c) is the only
+    # failing triple, through only one of the three terms of J
+    table = {}
+    for x, y, z in brackets:
+        table[(x, y)] = {z: F(1)}
+        table[(y, x)] = {z: F(-1)}
+    alg = LieSuperalgebra(list("abcd"), [0] * 4, table, check=False)
+    with pytest.raises(ValueError, match=r"Jacobi fails at \(a,b,c\)"):
+        alg._verify()
+    with pytest.raises(ValueError, match=r"Jacobi fails at \(a,b,c\)"):
+        validate_oracle.verify(alg)
+
+
+# -- sorted-triple and sparse-form checks against the dense oracle -------------
+
+_CATALOGUE = {"sl3": build_sl(3), "sl(2|1)": build_sl(2, 1),
+              "osp12": build_osp_1_2()}
+
+_KINDS = ("antisymmetry", "parity", "Jacobi", "not even",
+          "not supersymmetric", "not invariant")
+
+
+def _failure_kind(check, alg):
+    try:
+        check(alg)
+    except ValueError as exc:
+        kinds = [k for k in _KINDS if k in str(exc)]
+        assert len(kinds) == 1, str(exc)
+        return kinds[0]
+    return None
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A catalogue algebra with one table entry (optionally with its
+    mirror) or one form entry (optionally with its mirror) moved."""
+    base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
+    n, p = base.dim, base.parities
+    table = {key: dict(row) for key, row in base.table.items()}
+    form = RationalMatrix(base.form.rows)
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    on_table = draw(st.booleans())
+    mirror = draw(st.booleans())
+    if on_table:
+        old = table.get((i, j), {}).get(k, F(0))
+    else:
+        old = form[i, j]
+    # either clear the entry or add a small nonzero rational to it
+    delta = -old if old and draw(st.booleans()) else draw(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+    sgn = F(1) if p[i] and p[j] else F(-1)
+    if on_table:
+        table.setdefault((i, j), {})[k] = old + delta
+        if mirror and i != j:
+            row = table.setdefault((j, i), {})
+            row[k] = row.get(k, F(0)) + sgn * delta
+    else:
+        form[i, j] = old + delta
+        if mirror and i != j:
+            form[j, i] = form[j, i] + (-sgn) * delta
+    return LieSuperalgebra(base.labels, p, table, form, check=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_algebras())
+def test_verify_matches_dense_oracle(alg):
+    assert (_failure_kind(lambda a: a._verify(), alg)
+            == _failure_kind(validate_oracle.verify, alg))
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Up to four basis elements of random parity, a few antisymmetric
+    parity-homogeneous brackets and a few even supersymmetric form
+    entries: the Jacobi and invariance violations of such tables sit on
+    one or two triples, so no missed triple hides behind another."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    coeff = st.sampled_from([F(-2), F(-1), F(1), F(1, 2), F(2)])
+    table = {}
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = sorted(draw(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1))))
+        outs = [k for k in range(n) if p[k] == (p[a] + p[b]) % 2]
+        if (a == b and not p[a]) or not outs:
+            continue
+        k, c = draw(st.sampled_from(outs)), draw(coeff)
+        table.setdefault((a, b), {})[k] = c
+        if a != b:
+            table.setdefault((b, a), {})[k] = c if p[a] and p[b] else -c
+    form = None
+    if draw(st.booleans()):
+        form = RationalMatrix.zeros(n, n)
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.tuples(st.integers(0, n - 1),
+                                  st.integers(0, n - 1)))
+            if p[a] != p[b] or (a == b and p[a]):
+                continue
+            c = draw(coeff)
+            form[a, b] = c
+            form[b, a] = -c if p[a] else c
+    return LieSuperalgebra([f"x{i}" for i in range(n)], p, table, form,
+                           check=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_algebras())
+def test_verify_matches_dense_oracle_on_sparse_tables(alg):
+    assert (_failure_kind(lambda a: a._verify(), alg)
+            == _failure_kind(validate_oracle.verify, alg))
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOGUE))
+def test_catalogue_passes_both(name):
+    alg = _CATALOGUE[name]
+    alg._verify()
+    validate_oracle.verify(alg)
 
 
 # -- triples and gradings -----------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import substitute_oracle
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
 
@@ -122,7 +123,7 @@ def test_text_deterministic():
 
 # -- property tests ---------------------------------------------------------
 
-def polys(r, max_terms=4):
+def polys(r, max_terms=4, max_exp=2):
     par = r.parities()
     def mono(draw_exps):
         pairs = []
@@ -130,7 +131,7 @@ def polys(r, max_terms=4):
             if e:
                 pairs.append((i, 1 if par[i] else e))
         return tuple(pairs)
-    exp = st.lists(st.integers(min_value=0, max_value=2),
+    exp = st.lists(st.integers(min_value=0, max_value=max_exp),
                    min_size=len(par), max_size=len(par))
     coeff = st.fractions(min_value=-4, max_value=4).filter(lambda c: c != 0)
     term = st.tuples(exp, coeff)
@@ -180,3 +181,62 @@ def test_product_rule_odd_var_koszul(p, q):
 @given(polys(R), polys(R), polys(R))
 def test_associativity(p, q, s):
     assert (p * q) * s == p * (q * s)
+
+
+# -- substitute against the term-by-term oracle --------------------------------
+
+# the target extends the source, so unmapped variables keep their index
+T = PolyRing([Variable("x", 0), Variable("y", 0), Variable("t", 1),
+              Variable("s", 1), Variable("u", 0), Variable("v", 1)])
+
+
+@st.composite
+def image_maps(draw, src, tgt):
+    """Images for a random subset of the variables of src: homogeneous
+    polynomials of the variable's parity in tgt, zero included."""
+    images = {}
+    for i, p in enumerate(src.parities()):
+        if draw(st.booleans()):
+            q = draw(polys(tgt, max_terms=3))
+            images[i] = q.parity_split()[p]
+    return images
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitute_matches_oracle(data):
+    src = R
+    tgt = data.draw(st.sampled_from([R, T]))
+    p = data.draw(polys(src, max_terms=5, max_exp=3))
+    images = data.draw(image_maps(src, tgt))
+    target = None if tgt is src and data.draw(st.booleans()) else tgt
+    got = p.substitute(images, target)
+    want = substitute_oracle.substitute(p, images, target)
+    assert got.ring is want.ring is tgt
+    # same terms, in the same order
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@pytest.mark.parametrize("subst", [
+    lambda p, imgs, tgt: p.substitute(imgs, tgt),
+    substitute_oracle.substitute])
+def test_substitute_errors(subst):
+    x, t = R.gen("x"), R.gen("t")
+    p = x * x * t
+    with pytest.raises(ValueError, match="wrong ring"):
+        subst(p, {R.index["x"]: R.gen("y")}, T)
+    with pytest.raises(ValueError, match="parity homogeneous"):
+        subst(p, {R.index["x"]: x + t}, None)
+    with pytest.raises(ValueError, match="parity mismatch"):
+        subst(p, {R.index["t"]: T.gen("u")}, T)
+    # zero images are homogeneous of either parity
+    assert subst(p, {R.index["t"]: T.zero()}, T).is_zero()
+
+
+def test_substitute_drops_cancelled_terms():
+    x, y, t = R.gen("x"), R.gen("y"), R.gen("t")
+    p = x * t + y * t + 3
+    images = {R.index["x"]: T.gen("y"), R.index["y"]: -T.gen("y")}
+    got = p.substitute(images, T)
+    assert got.terms == {(): Fraction(3)}
+    assert got.terms == substitute_oracle.substitute(p, images, T).terms
