@@ -262,7 +262,7 @@ def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
         raise StageError(
             f"max weight {mw} is below the largest slice generator weight "
             f"{Fraction(top, 2)}")
-    h0 = h0_truncated(chart, mw, ctx.get("brst"))
+    h0 = h0_truncated(ctx["brst"], mw)
     dims = h0.dimensions()
     if not h0.consistent(dims):
         raise StageError(
@@ -435,8 +435,10 @@ def run_orbit(config: JobConfig, element: str, by: str) -> dict:
                        "by": by},
             "stages": [], "verdict": "pass"}
     t0 = time.perf_counter()
+    stage = "load"  # a rejected algebra fails here, as in run_pipeline
     try:
         alg, _ = resolve_algebra(config.algebra)
+        stage = "orbit"
         w = parse_nilpotent(alg, element)
         y = parse_nilpotent(alg, by)
         ring = PolyRing([])
@@ -453,15 +455,15 @@ def run_orbit(config: JobConfig, element: str, by: str) -> dict:
                            for i, c in enumerate(dense) if c},
         })
     except ValueError as e:
-        body["stages"].append({"name": "orbit", "verdict": "fail",
+        body["stages"].append({"name": stage, "verdict": "fail",
                                "error": str(e)})
         body["verdict"] = "fail"
     except Exception as e:
-        body["stages"].append(_internal_error("orbit", e))
+        body["stages"].append(_internal_error(stage, e))
         body["verdict"] = "fail"
     dt = round(time.perf_counter() - t0, 6)
     return {"body": body,
-            "timings": {"stages": {"orbit": dt}, "total_s": dt}}
+            "timings": {"stages": {stage: dt}, "total_s": dt}}
 
 
 def report_json(report: dict) -> str:

@@ -140,12 +140,21 @@ class LieSuperalgebra:
         Evenness and supersymmetry are checked at every position (a, b)
         where f[a,b] or f[b,a] is nonzero, in row-major order, so the
         first violation reported is the one a dense scan would meet
-        first; at every other position both hold trivially.  Invariance
-        ([x_i,x_j],x_k) = (x_i,[x_j,x_k]) is checked on the triples where
-        one side can be nonzero: the left side needs a table entry (i,j)
-        with some m in its support and f[m,k] != 0, the right side a
-        table entry (j,k) with some m in its support and f[i,m] != 0,
-        which by the supersymmetry just checked means f[m,i] != 0.
+        first; at every other position both hold trivially.
+
+        Invariance is checked on the triples reached from a table entry
+        (i,j): some m in its support has f[m,k] != 0.  Write
+        D(i,j,k) = ([x_i,x_j],x_k) - (x_i,[x_j,x_k]) and a, b, c for the
+        parities of x_i, x_j, x_k.  Super-antisymmetry and parity of the
+        table (checked in ``_verify``) and supersymmetry (checked just
+        before) give ([x_k,x_j],x_i) = -(-1)^{ab+bc+ca} (x_i,[x_j,x_k])
+        and (x_k,[x_j,x_i]) = -(-1)^{ab+bc+ca} ([x_i,x_j],x_k), so
+        D(k,j,i) = (-1)^{ab+bc+ca} D(i,j,k).  A triple whose right side
+        can be nonzero has a table entry (j,k) with some m in its
+        support and f[i,m] != 0; its reverse (k,j,i) then has the table
+        entry (k,j) with the same support and f[m,i] != 0, so it is
+        reached, and its defect vanishes exactly when this one does.
+        Triples reached from neither side have D = 0.
         """
         f = self.form
         if f.nrows != self.dim or f.ncols != self.dim:
@@ -161,10 +170,9 @@ class LieSuperalgebra:
             if v != sgn * rows[b].get(a, ZERO):
                 raise ValueError("form is not supersymmetric")
         triples = set()
-        for (a, b), row in self.table.items():
+        for (i, j), row in self.table.items():
             for m in row:
-                triples.update((a, b, k) for k in rows[m])  # (i, j) = (a, b)
-                triples.update((i, a, b) for i in rows[m])  # (j, k) = (a, b)
+                triples.update((i, j, k) for k in rows[m])
         for i, j, k in triples:
             lhs = sum((c * rows[m].get(k, ZERO)
                        for m, c in self._bb(i, j).items()), ZERO)
@@ -346,12 +354,6 @@ class SubspaceBasis:
         m = from_columns(self.vectors)
         return solve(m, [_as_fraction(x) for x in v]) is not None
 
-    def coordinates_of(self, v: Sequence) -> Optional[list[Fraction]]:
-        if not self.vectors:
-            return None
-        m = from_columns(self.vectors)
-        return solve(m, [_as_fraction(x) for x in v])
-
 
 # -- good gradings ------------------------------------------------------------
 
@@ -411,9 +413,6 @@ class GoodGrading:
 
     def levels(self) -> list[int]:
         return sorted(set(self.weights2))
-
-    def max_wt2(self) -> int:
-        return max(self.weights2)
 
 
 def sl2_triple_for(alg: LieSuperalgebra, f: Sequence) -> "Sl2Triple":

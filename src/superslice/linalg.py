@@ -44,9 +44,6 @@ class RationalMatrix:
             m.rows[i][i] = ONE
         return m
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows)
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix([[self.rows[r][c] for r in range(self.nrows)]
                                for c in range(self.ncols)])

@@ -19,15 +19,18 @@ Three layers:
   eq. 1.33) with left partial derivatives, the Koszul sign of each
   term being (-1)^{|g||df/du_i^(m)|} (see the class docstring).  The
   engine takes any table, jets and lambda-dependent entries included;
-  the tables built here are level zero, so their generator brackets are
+  the pipeline's tables are level zero, so their generator brackets are
   constant in lambda and all lambda dependence comes from jets.
 
-* ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: the arc gauge
-  complex on the Zhu generators of g_{<=0} + g_{1/2} with one ghost per
-  positive direction, its degree-zero cohomology per conformal weight
-  (sized against the free differential ring on the slice generators),
-  and the arc functor applied to the finite Miura map together with the
-  lambda-bracket intertwining check.
+* ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects built
+  on the chart's one Poisson structure (``SliceChart.poisson``).  The
+  arc gauge complex puts its generator table on the Zhu generators of
+  g_{<=0} + g_{1/2} with one ghost per positive direction; its
+  degree-zero cohomology is sized per conformal weight against the free
+  differential ring on the slice generators.  The arc functor applied to
+  the finite Miura map lands in one differential ring on the chart
+  coordinates, carrying the Poisson structure's coordinate table, where
+  the lambda-bracket intertwining check takes both of its brackets.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .cohomology import (GradedComplex, _as_wt2, _ce_images,
                          _check_square_zero, _gauge_action_fields,
                          odd_derivation, weighted_monomial_counts)
 from .linalg import nullspace
-from .slice import PoissonStructure, SliceChart, finite_miura
+from .slice import SliceChart, finite_miura
 from .superpoly import PolyRing, SuperPolynomial, Variable
 
 ZERO = Fraction(0)
@@ -387,61 +390,6 @@ def skew_defect(machine: ArcBracket, a: SuperPolynomial,
     return lhs + (rhs.scale(-ONE) if pa and pb else rhs)
 
 
-# -- transported generator tables -----------------------------------------
-
-def coordinate_lambda_table(chart: SliceChart,
-                            structure: Optional[PoissonStructure] = None,
-                            positions: Optional[Sequence[int]] = None):
-    """Differential ring on (a subset of) the chart coordinates with the
-    level-zero generator table transported through the affine
-    identification zeta = c + M z.
-
-    Returns (ring, table).  Values are constant in lambda; all lambda
-    dependence downstream comes from jets.  Raises if a bracket value
-    needs a coordinate outside the selection (the g_ini selection is
-    closed, so that signals a bad subset).
-    """
-    ps = structure if structure is not None else PoissonStructure(chart)
-    chart = ps.chart
-    m = len(chart.coord_indices)
-    sel = list(range(m)) if positions is None else list(positions)
-    ring = PolyRing([Variable(chart.ring.variables[b].name,
-                              chart.ring.parity_of(b),
-                              wt2=chart.ring.variables[b].wt2)
-                     for b in sel], differential=True)
-    where = {b: k for k, b in enumerate(sel)}
-    lin = []
-    for b in sel:
-        row = {}
-        for mono, c in ps._z_images[b].terms.items():
-            if len(mono) == 1 and mono[0][1] == 1:
-                row[mono[0][0]] = c
-            elif mono:
-                raise ValueError("affine identification is not linear")
-        lin.append(row)
-    table: dict[tuple[int, int], SuperPolynomial] = {}
-    for ki in range(len(sel)):
-        for kj in range(len(sel)):
-            acc = None
-            for a, ca in lin[ki].items():
-                for b, cb in lin[kj].items():
-                    val = ps._table.get((a, b))
-                    if val is None:
-                        continue
-                    term = val * (ca * cb)
-                    acc = term if acc is None else acc + term
-            if acc is None or acc.is_zero():
-                continue
-            zval = ps.from_poisson_ring(acc)
-            used = zval.variables_used()
-            if not used <= set(where):
-                raise ValueError("bracket value leaves the selected "
-                                 "coordinates")
-            table[(ki, kj)] = zval.substitute(
-                {b: ring.gen(where[b]) for b in used}, ring)
-    return ring, table
-
-
 # -- jet-aware images and morphisms ----------------------------------------
 
 class _JetImages:
@@ -510,25 +458,25 @@ class BRSTComplex:
     one ghost per positive basis direction, carrying the level-zero
     lambda bracket and the odd differential Q.
 
-    Q on a generator symbol is the gauge action transported through the
-    affine identification, each ghost multiplying from the left; on a
-    ghost it is the coadjoint half-sum over the positive part.  Jets
-    follow by commuting Q with the total derivative.  The constructor
-    checks Q^2 = 0 on every generator; an odd derivation commuting with
-    d whose square kills the order-zero generators squares to zero
-    everywhere.
+    The generator rows of the lambda table are the chart's Poisson
+    table (``SliceChart.poisson``); the ghost rows are read off the
+    structure constants.  Q on a generator symbol is the gauge action
+    pushed to the generators by the Poisson structure, each ghost
+    multiplying from the left; on a ghost it is the coadjoint half-sum
+    over the positive part.  Jets follow by commuting Q with the total
+    derivative.  The constructor checks Q^2 = 0 on every generator; an
+    odd derivation commuting with d whose square kills the order-zero
+    generators squares to zero everywhere.
 
     Conformal weights: a generator for u of grading weight j carries
     1 - j, the ghost for a positive direction of weight j carries j,
     each jet order adds 1, and Q preserves the weight.
     """
 
-    def __init__(self, chart: SliceChart,
-                 structure: Optional[PoissonStructure] = None):
-        ps = structure if structure is not None else PoissonStructure(chart)
+    def __init__(self, chart: SliceChart):
+        ps = chart.poisson
         alg, grading = chart.alg, chart.grading
         self.chart = chart
-        self.structure = ps
         pos_idx = grading.positive_indices()
         n = len(ps.gen_indices)
         gens = [Variable(v.name, v.parity, wt2=v.wt2)
@@ -542,42 +490,29 @@ class BRSTComplex:
         self.nmod = n
         self.nghost = len(pos_idx)
 
-        gen_map = {a: ring.gen(a) for a in range(n)}
-        table: dict[tuple[int, int], SuperPolynomial] = {}
-        for (a, b), val in ps._table.items():
-            table[(a, b)] = val.substitute(gen_map, ring)
-        for aloc, ia in enumerate(pos_idx):
-            for uloc, iu in enumerate(ps.gen_indices):
-                acc = ring.zero()
-                for bloc, ib in enumerate(pos_idx):
-                    c = alg.bracket_num(alg.basis_vector(iu),
-                                        alg.basis_vector(ib))[ia]
-                    if c:
-                        acc = acc + ring.gen(n + bloc) * c
-                if acc.is_zero():
-                    continue
-                table[(n + aloc, uloc)] = acc
-                # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}
-                both_odd = alg.parities[iu] and not alg.parities[ia]
-                table[(uloc, n + aloc)] = acc * (ONE if both_odd else -ONE)
+        table = {k: v.substitute({}, ring) for k, v in ps.table.items()}
+        # {ph_a _lam u} = sum_b (coefficient of v_a in [u, v_b]) ph_b
+        ghost_pos = {i: n + loc for loc, i in enumerate(pos_idx)}
+        rows: dict[tuple[int, int], SuperPolynomial] = {}
+        for (iu, ib), br in alg.table.items():
+            uloc, b = ps.gen_pos.get(iu), ghost_pos.get(ib)
+            if uloc is None or b is None:
+                continue
+            for ia, c in br.items():
+                a = ghost_pos.get(ia)
+                if a is not None:
+                    _add_to(rows, (a, uloc), ring.gen(b) * c)
+        for (a, uloc), acc in rows.items():
+            if acc.is_zero():
+                continue
+            table[(a, uloc)] = acc
+            # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}
+            iu, ia = ps.gen_indices[uloc], pos_idx[a - n]
+            both_odd = alg.parities[iu] and not alg.parities[ia]
+            table[(uloc, a)] = acc * (ONE if both_odd else -ONE)
         self.bracket_machine = ArcBracket(ring, table)
 
-        # gauge fields on the f + g_{>=-1/2} coordinates, moved to the
-        # generators: row u of _fwd_M, then z_b -> _z_images[b]
-        m = len(chart.coord_indices)
-        zimg = [ps._z_images[b].substitute(gen_map, ring) for b in range(m)]
-        fields = []
-        for row in _gauge_action_fields(chart, chart.ring):
-            moved = []
-            for uloc in range(n):
-                comp = chart.ring.zero()
-                for beta in range(m):
-                    co = ps._fwd_M[uloc, beta]
-                    if co:
-                        comp = comp + row[beta] * co
-                moved.append(comp.substitute(
-                    {b: zimg[b] for b in comp.variables_used()}, ring))
-            fields.append(moved)
+        fields = ps.push_fields(_gauge_action_fields(chart, chart.ring), ring)
         images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
         self._images = images
         self.Q = odd_derivation(ring, _JetImages(ring, images))
@@ -594,9 +529,8 @@ class BRSTComplex:
         return self.bracket_machine.bracket(a, b)
 
 
-def brst_complex(chart: SliceChart,
-                 structure: Optional[PoissonStructure] = None) -> BRSTComplex:
-    return BRSTComplex(chart, structure)
+def brst_complex(chart: SliceChart) -> BRSTComplex:
+    return BRSTComplex(chart)
 
 
 # -- degree-zero cohomology by conformal weight -----------------------------
@@ -606,10 +540,9 @@ class TruncatedH0:
     weight, against the free differential ring on the slice generators
     as the independent size oracle."""
 
-    def __init__(self, chart: SliceChart, max_weight,
-                 complex_: Optional[BRSTComplex] = None):
+    def __init__(self, complex_: BRSTComplex, max_weight):
         w2cap = _as_wt2(max_weight)
-        cx = complex_ if complex_ is not None else BRSTComplex(chart)
+        cx, chart = complex_, complex_.chart
         self.chart = chart
         self.complex = cx
         self.max_wt2 = w2cap
@@ -674,9 +607,8 @@ class TruncatedH0:
         return out
 
 
-def h0_truncated(chart: SliceChart, max_weight,
-                 complex_: Optional[BRSTComplex] = None) -> TruncatedH0:
-    return TruncatedH0(chart, max_weight, complex_)
+def h0_truncated(complex_: BRSTComplex, max_weight) -> TruncatedH0:
+    return TruncatedH0(complex_, max_weight)
 
 
 # -- the Miura map, one jet at a time ---------------------------------------
@@ -684,10 +616,14 @@ def h0_truncated(chart: SliceChart, max_weight,
 class GradedMiura:
     """Arc functor applied to the finite Miura map.
 
-    Source: differential ring on the slice generators.  Target:
-    differential ring on the f + g_ini coordinates with the transported
-    level-zero lambda table.  The order-zero generator maps to the
-    finite Miura image of its invariant; jets map to total derivatives.
+    Source: differential ring on the slice generators.  ``ring``: one
+    differential ring on the chart coordinates, carrying the chart's
+    Poisson structure moved to those coordinates
+    (``PoissonStructure.coordinate_brackets``) in ``bracket_machine``.
+    The order-zero generator maps to the finite Miura image of its
+    invariant, a polynomial in the f + g_ini coordinates; jets map to
+    total derivatives.  The constructor checks that brackets of g_ini
+    coordinates stay in g_ini, so brackets of images never leave them.
     The finite map is injective (see the certificate); the jet extension
     adds one triangular block per derivative order, so injectivity
     carries over order by order.  No statement beyond the level-zero
@@ -697,60 +633,51 @@ class GradedMiura:
     jets, and the check re-derives the finite Poisson intertwining.
     """
 
-    def __init__(self, chart: SliceChart,
-                 structure: Optional[PoissonStructure] = None):
-        ps = structure if structure is not None else PoissonStructure(chart)
+    def __init__(self, chart: SliceChart):
+        ps = chart.poisson
         self.chart = chart
         self.finite = finite_miura(chart)
         self.source = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
                                 for v in chart.slice_ring.variables],
                                differential=True)
-        tgt_ring, tgt_table = coordinate_lambda_table(
-            chart, ps, self.finite.ini_positions)
-        self.target = tgt_ring
-        self.target_bracket = ArcBracket(tgt_ring, tgt_table)
-        where = {b: k for k, b in enumerate(self.finite.ini_positions)}
+        self.ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
+                              for v in chart.ring.variables],
+                             differential=True)
+        ini = set(self.finite.ini_positions)
+        table = ps.coordinate_brackets(self.ring)
+        for (b, c), val in table.items():
+            if b in ini and c in ini and not val.variables_used() <= ini:
+                raise ValueError("bracket value leaves the g_ini coordinates")
+        self.bracket_machine = ArcBracket(self.ring, table)
         base: dict[int, SuperPolynomial] = {}
         for nn, lab in enumerate(chart.inv_order):
             img = self.finite.images[lab]
-            used = img.variables_used()
-            if not used <= set(where):
+            if not img.variables_used() <= ini:
                 raise ValueError("Miura image leaves the g_ini coordinates")
-            base[nn] = img.substitute(
-                {b: tgt_ring.gen(where[b]) for b in used}, tgt_ring)
-        self.morphism = DifferentialMorphism(self.source, self.target, base)
-
-        amb_ring, amb_table = coordinate_lambda_table(chart, ps, None)
-        self.ambient = amb_ring
-        self.ambient_bracket = ArcBracket(amb_ring, amb_table)
-        inv_hat = {}
-        for nn, lab in enumerate(chart.inv_order):
-            p = chart.invariants[lab]
-            inv_hat[nn] = p.substitute(
-                {b: amb_ring.gen(b) for b in p.variables_used()}, amb_ring)
-        self._embed = DifferentialMorphism(self.source, self.ambient, inv_hat)
+            base[nn] = img.substitute({}, self.ring)
+        self.morphism = DifferentialMorphism(self.source, self.ring, base)
+        self._embed = DifferentialMorphism(
+            self.source, self.ring,
+            {nn: chart.invariants[lab].substitute({}, self.ring)
+             for nn, lab in enumerate(chart.inv_order)})
         spoint = chart.slice_point()
         rest: dict[int, SuperPolynomial] = {}
         for b, bi in enumerate(chart.coord_indices):
             comp = spoint.get(bi)
-            if comp is None:
-                rest[b] = self.source.zero()
-            else:
-                rest[b] = comp.substitute(
-                    {i: self.source.gen(i) for i in comp.variables_used()},
-                    self.source)
-        self._restrict = DifferentialMorphism(self.ambient, self.source, rest)
+            rest[b] = self.source.zero() if comp is None \
+                else comp.substitute({}, self.source)
+        self._restrict = DifferentialMorphism(self.ring, self.source, rest)
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return self.morphism(p)
 
     def source_bracket(self, a: SuperPolynomial,
                        b: SuperPolynomial) -> LambdaPolynomial:
-        """{a_lam b} on the slice jets, computed through the ambient
+        """{a_lam b} on the slice jets, computed through the chart
         coordinates and re-expressed on the slice; raises if any
         coefficient fails to live on the slice jets."""
         return self._to_slice(
-            self.ambient_bracket.bracket(self._embed(a), self._embed(b)))
+            self.bracket_machine.bracket(self._embed(a), self._embed(b)))
 
     def _to_slice(self, P: LambdaPolynomial) -> LambdaPolynomial:
         out: dict[int, SuperPolynomial] = {}
@@ -762,8 +689,9 @@ class GradedMiura:
         return LambdaPolynomial(self.source, out)
 
     def check_intertwining(self) -> dict:
-        """Target-side bracket of the images equals the image of the
-        slice bracket, on every ordered generator pair."""
+        """Bracket of the images equals the image of the slice bracket,
+        on every ordered generator pair, both brackets taken in the one
+        coordinate ring."""
         labs = self.chart.inv_order
         gens = [self.source.gen(i) for i in range(len(labs))]
         images = [self(g) for g in gens]
@@ -771,9 +699,9 @@ class GradedMiura:
         out = {}
         for i, la in enumerate(labs):
             for j, lb in enumerate(labs):
-                lhs = self.target_bracket.bracket(images[i], images[j])
+                lhs = self.bracket_machine.bracket(images[i], images[j])
                 rhs = self.morphism.on_lambda(self._to_slice(
-                    self.ambient_bracket.bracket(embedded[i], embedded[j])))
+                    self.bracket_machine.bracket(embedded[i], embedded[j])))
                 if lhs != rhs:
                     raise ValueError("Miura images fail the lambda bracket "
                                      f"on ({la}, {lb})")
@@ -781,6 +709,5 @@ class GradedMiura:
         return out
 
 
-def graded_miura(chart: SliceChart,
-                 structure: Optional[PoissonStructure] = None) -> GradedMiura:
-    return GradedMiura(chart, structure)
+def graded_miura(chart: SliceChart) -> GradedMiura:
+    return GradedMiura(chart)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .liealg import (GoodGrading, LieSuperalgebra, Sl2Triple, _invert,
                      dense_to_poly, graded_slice_decomposition,
@@ -54,7 +55,9 @@ class SliceChart:
     with that label after gauging; gauge[label] is the component of the
     gauge group element on the positive basis direction with that label.
     adjoint_orbit_map(Z, gauge) equals f + sum invariants * basis, and
-    conjugating back by the negated gauge recovers Z exactly.
+    conjugating back by the negated gauge recovers Z exactly.  The
+    chart owns its Poisson structure, ``poisson``, built on first use,
+    so jobs that stop at the chart never build it.
     """
 
     def __init__(self, alg, triple, grading, ring, coord_indices,
@@ -77,6 +80,11 @@ class SliceChart:
             for n, lab in enumerate(self.inv_order)])
         self.slice_names = {lab: f"s{n + 1}"
                             for n, lab in enumerate(self.inv_order)}
+
+    @cached_property
+    def poisson(self) -> "PoissonStructure":
+        """The chart's Poisson structure, built the first time it is used."""
+        return PoissonStructure(self)
 
     def parity_of(self, label: str) -> int:
         v = self.inv_vectors[label]
@@ -225,7 +233,10 @@ def verify_invariance(chart: SliceChart, trials: int,
                       seed: int = 0):
     """Random gauge trials: invariants(conj(Z, Y)) == invariants(Z) as
     polynomial identities in auxiliary odd symbols.  Returns (True, None)
-    or (False, description of the first counterexample)."""
+    or (False, description of the first counterexample); raises when
+    trials is below 1, which would make the PASS vacuous."""
+    if trials < 1:
+        raise ValueError(f"invariance needs at least 1 trial, got {trials}")
     alg, grading = chart.alg, chart.grading
     rng = random.Random(seed)
     for t in range(trials):
@@ -275,90 +286,138 @@ class PoissonStructure:
     identified with the affine functions u -> -(-1)^{|u|}(u|.) for
     u in g_{<=0} and u -> (u|.) for u in g_{1/2}; generator brackets are
     {u, v} = [u, v] (both in g_{<=0}), (f|[u,v]) (both in g_{1/2}), 0 mixed,
-    extended as a biderivation.  The extension is delegated to
-    ``pva.ArcBracket`` on the same table: the finite bracket is the
-    lambda^0 part of the arc lambda bracket (De Sole and Kac, "Finite vs
-    affine W-algebras").  Polynomials from any other ring are rejected.
+    extended as a biderivation.  ``table`` holds them, read off the
+    nonzero structure constants and form entries.  The extension is
+    delegated to ``pva.ArcBracket`` on the same table: the finite bracket
+    is the lambda^0 part of the arc lambda bracket (De Sole and Kac,
+    "Finite vs affine W-algebras").  Polynomials from any other ring are
+    rejected.
+
+    The identification is zeta = c + M z with z the chart coordinates.
+    ``coordinate_table`` is the table moved to the chart ring once:
+    {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'} over the
+    nonzero entries of rows b and c of Minv (constants bracket to zero).
     """
 
     def __init__(self, chart: SliceChart):
         alg, grading = chart.alg, chart.grading
         if alg.form is None:
             raise ValueError("Poisson structure needs the bilinear form")
-        self.chart = chart
+        # the chart's ring, not the chart: the chart caches this object,
+        # and a reference cycle would keep both alive until a collection
+        self.chart_ring = chart.ring
         self.alg = alg
+        w2 = grading.weights2
         self.gen_indices = [i for i in range(alg.dim)
-                            if grading.weights2[i] <= 0
-                            or grading.weights2[i] == 1]
+                            if w2[i] <= 0 or w2[i] == 1]
         self.gen_pos = {b: a for a, b in enumerate(self.gen_indices)}
         self.ring = PolyRing([
-            Variable(f"p_{alg.labels[i]}", alg.parities[i],
-                     wt2=2 - grading.weights2[i])
+            Variable(f"p_{alg.labels[i]}", alg.parities[i], wt2=2 - w2[i])
             for i in self.gen_indices])
-        n = len(self.gen_indices)
-        w2 = grading.weights2
-        self._table: dict[tuple[int, int], SuperPolynomial] = {}
-        f = chart.triple.f
-        for a, ia in enumerate(self.gen_indices):
-            for b, ib in enumerate(self.gen_indices):
-                br = alg.bracket_num(alg.basis_vector(ia),
-                                     alg.basis_vector(ib))
-                if w2[ia] <= 0 and w2[ib] <= 0:
-                    out = self.ring.zero()
-                    for k, c in enumerate(br):
-                        if c:
-                            out = out + self.ring.gen(self.gen_pos[k]) * c
-                    val = out
-                elif w2[ia] == 1 and w2[ib] == 1:
-                    val = self.ring.const(alg.form_value(f, br))
-                else:
-                    val = self.ring.zero()
-                if not val.is_zero():
-                    self._table[(a, b)] = val
+        form = [{c: v for c, v in enumerate(r) if v} for r in alg.form.rows]
+        f = {j: c for j, c in enumerate(chart.triple.f) if c}
+        f_left: dict[int, Fraction] = {}  # k -> (f|x_k)
+        for j, c in f.items():
+            for k, v in form[j].items():
+                f_left[k] = f_left.get(k, ZERO) + c * v
+        self.table: dict[tuple[int, int], SuperPolynomial] = {}
+        for (ia, ib), row in alg.table.items():
+            if ia not in self.gen_pos or ib not in self.gen_pos:
+                continue
+            if w2[ia] <= 0 and w2[ib] <= 0:
+                val = self.ring.zero()
+                for k, c in row.items():
+                    val = val + self.ring.gen(self.gen_pos[k]) * c
+            elif w2[ia] == 1 and w2[ib] == 1:
+                val = self.ring.const(sum((c * f_left.get(k, ZERO)
+                                           for k, c in row.items()), ZERO))
+            else:
+                continue
+            if not val.is_zero():
+                self.table[(self.gen_pos[ia], self.gen_pos[ib])] = val
         from .pva import ArcBracket  # pva imports this module
-        self._arc = ArcBracket(self.ring, self._table)
+        self._arc = ArcBracket(self.ring, self.table)
 
         # affine identification with the z-coordinate ring of the chart:
         # zeta_a = c_a + sum_beta M[a, beta] z_beta
-        m = len(chart.coord_indices)
+        n, m = len(self.gen_indices), len(chart.coord_indices)
         if n != m:
             raise ValueError("generator/coordinate count mismatch")
         M = RationalMatrix.zeros(n, m)
-        const = []
+        self._const = []
         for a, ia in enumerate(self.gen_indices):
             sgn = ONE if w2[ia] == 1 else (ONE if alg.parities[ia] else -ONE)
-            u = alg.basis_vector(ia)
-            const.append(sgn * alg.form_value(u, f))
-            for beta, ib in enumerate(chart.coord_indices):
-                M[a, beta] = sgn * alg.form_value(u, alg.basis_vector(ib))
-        self._fwd_M, self._fwd_c = M, const
-        Minv = _invert(M)
-        self._z_images = []  # z_beta as a polynomial in the generators
-        for beta in range(m):
-            acc = self.ring.zero()
-            for a in range(n):
-                co = Minv[beta, a]
-                if co:
-                    acc = acc + (self.ring.gen(a) - self.ring.const(const[a])) * co
-            self._z_images.append(acc)
+            self._const.append(sgn * sum((v * f.get(j, ZERO)
+                                          for j, v in form[ia].items()), ZERO))
+            for ib, v in form[ia].items():
+                if ib in chart.coord_pos:
+                    M[a, chart.coord_pos[ib]] = sgn * v
+        self._m_rows = [{b: c for b, c in enumerate(r) if c} for r in M.rows]
+        self._minv_rows = [{a: c for a, c in enumerate(r) if c}
+                           for r in _invert(M).rows]
         self._gen_images = []  # zeta_a as a polynomial in the z-ring
-        for a in range(n):
-            acc = chart.ring.const(const[a])
-            for beta in range(m):
-                co = M[a, beta]
-                if co:
-                    acc = acc + chart.ring.gen(beta) * co
+        for a, row in enumerate(self._m_rows):
+            acc = chart.ring.const(self._const[a])
+            for beta, co in row.items():
+                acc = acc + chart.ring.gen(beta) * co
             self._gen_images.append(acc)
 
+        on_z = {k: self.from_poisson_ring(v) for k, v in self.table.items()}
+        self.coordinate_table: dict[tuple[int, int], SuperPolynomial] = {}
+        for b, row_b in enumerate(self._minv_rows):
+            for c, row_c in enumerate(self._minv_rows):
+                acc = chart.ring.zero()
+                for a, ca in row_b.items():
+                    for a2, cc in row_c.items():
+                        val = on_z.get((a, a2))
+                        if val is not None:
+                            acc = acc + val * (ca * cc)
+                if not acc.is_zero():
+                    self.coordinate_table[(b, c)] = acc
+
+    def coordinate_brackets(self, ring: PolyRing) -> dict:
+        """``coordinate_table`` on a ring whose first variables are the
+        chart coordinates, in chart order."""
+        return {k: v.substitute({}, ring)
+                for k, v in self.coordinate_table.items()}
+
+    def _coordinates_in(self, ring: PolyRing) -> dict:
+        """z_b = sum_a Minv[b, a] (zeta_a - c_a), zeta_a being ring.gen(a)."""
+        out = {}
+        for b, row in enumerate(self._minv_rows):
+            acc = ring.zero()
+            for a, co in row.items():
+                acc = acc + (ring.gen(a) - ring.const(self._const[a])) * co
+            out[b] = acc
+        return out
+
+    def push_fields(self, fields, ring: PolyRing) -> list:
+        """Vector fields on the chart coordinates, fields[k][b] being the
+        motion of z_b, written on the generators: component a of field k
+        is sum_b M[a, b] fields[k][b] at z = Minv (zeta - c), zeta_a being
+        ring.gen(a)."""
+        z = self._coordinates_in(ring)
+        out = []
+        for field in fields:
+            moved = []
+            for row in self._m_rows:
+                comp = self.chart_ring.zero()
+                for b, co in row.items():
+                    comp = comp + field[b] * co
+                moved.append(comp.substitute(
+                    {b: z[b] for b in comp.variables_used()}, ring))
+            out.append(moved)
+        return out
+
     def to_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
-        if p.ring is not self.chart.ring:
+        if p.ring is not self.chart_ring:
             raise ValueError("polynomial is not on the chart coordinates")
-        return p.substitute(dict(enumerate(self._z_images)), self.ring)
+        return p.substitute(self._coordinates_in(self.ring), self.ring)
 
     def from_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
         if p.ring is not self.ring:
             raise ValueError("polynomial is not in the Poisson ring")
-        return p.substitute(dict(enumerate(self._gen_images)), self.chart.ring)
+        return p.substitute(dict(enumerate(self._gen_images)), self.chart_ring)
 
     def bracket(self, p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
         """{p, q}: the lambda^0 coefficient of the arc lambda bracket on the
@@ -369,12 +428,11 @@ class PoissonStructure:
         return self._arc.bracket(p, q).coefficient(0)
 
 
-def slice_poisson_table(chart: SliceChart,
-                        structure: Optional[PoissonStructure] = None) -> dict:
+def slice_poisson_table(chart: SliceChart) -> dict:
     """{I_a, I_b} for all invariant pairs, re-expressed exactly in the
     slice coordinates.  Raises if a bracket is not a function of the
     invariants (which would signal an invariance bug)."""
-    ps = structure or PoissonStructure(chart)
+    ps = chart.poisson
     lifted = {lab: ps.to_poisson_ring(chart.invariants[lab])
               for lab in chart.inv_order}
     spoint = chart.slice_point()

@@ -158,9 +158,6 @@ class PolyRing:
             self._parities = tuple(v.parity for v in self.variables)
         return self._parities
 
-    def var_index(self, name: str) -> int:
-        return self.index[name]
-
     def add_variable(self, v: Variable) -> int:
         if v.name in self.index:
             raise ValueError(f"duplicate variable name {v.name!r}")
@@ -208,9 +205,6 @@ class PolyRing:
             for _ in range(e):
                 p = p * g
         return p
-
-    def __contains__(self, poly: "SuperPolynomial") -> bool:
-        return poly.ring is self
 
 
 def derivative_name(base: str, order: int) -> str:
@@ -284,9 +278,6 @@ class SuperPolynomial:
         if len(seen) == 1:
             return seen.pop()
         return None
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def variables_used(self) -> set[int]:
         out: set[int] = set()

@@ -16,7 +16,7 @@ ONE = Fraction(1)
 
 
 def _gen_bracket(ps, a, b):
-    return ps._table.get((a, b), ps.ring.zero())
+    return ps.table.get((a, b), ps.ring.zero())
 
 
 def _bracket_gen_mono(ps, a, mono):

@@ -249,12 +249,12 @@ def test_arc_differential_squares_to_zero_and_h0_counts():
     cx2 = brst_complex(sl2_chart)
     cxo = brst_complex(osp_chart)
 
-    h2 = h0_truncated(sl2_chart, F(3), cx2)
+    h2 = h0_truncated(cx2, F(3))
     dims = h2.dimensions()
     assert [dims[F(w)] for w in range(4)] == [1, 0, 1, 1]
     assert h2.consistent()
 
-    ho = h0_truncated(osp_chart, F(2), cxo)
+    ho = h0_truncated(cxo, F(2))
     have = {w: d for w, d in ho.dimensions().items() if d}
     gens = [(v.wt2, v.parity) for v in osp_chart.slice_ring.variables]
     want = {F(n2, 2): c

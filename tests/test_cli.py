@@ -22,6 +22,7 @@ from superslice.cli import (JobConfig, body_bytes, main, parse_algebra_file,
                             report_text, resolve_algebra, run_pipeline)
 from superslice.liealg import (LieSuperalgebra, algebra_to_json,
                                build_osp_1_2, build_sl)
+from superslice.slice import PoissonStructure
 
 F = Fraction
 
@@ -496,6 +497,17 @@ class TestReportMechanics:
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_library_trials_below_one_fail_invariance(self, trials):
+        # run_pipeline has no argparse in front of it; the stage itself
+        # must refuse a vacuous PASS
+        rep = run_pipeline(JobConfig(algebra="sl3", trials=trials))
+        assert rep["body"]["verdict"] == "fail"
+        st = rep["body"]["stages"][-1]
+        assert st["name"] == "invariance"
+        assert "at least 1 trial" in st["error"]
+        assert cli.exit_code(rep) == 1
+
 
 # -- failure taxonomy and entry points ---------------------------------------------
 
@@ -524,6 +536,21 @@ class TestExitCodes:
         code, rep = run_json(["run", "--algebra", path], capsys)
         assert code == 2
         assert rep["body"]["stages"][-1]["name"] == "validate"
+
+    def test_orbit_rejected_algebra_is_2(self, tmp_path, capsys):
+        # an unknown name and a file that fails validation both fail the
+        # load stage, as in every other command
+        bad = write_alg(tmp_path, "bad.json",
+                        [("x", 0), ("y", 0), ("z", 0)], [(0, 1, 2, 1, 1)])
+        for name, msg in (("nosuch", "unknown algebra"),
+                          (bad, "super-antisymmetry fails")):
+            code, rep = run_json(["orbit", "--algebra", name,
+                                  "--element", "e21", "--by", "e12"], capsys)
+            assert code == 2
+            (st,) = rep["body"]["stages"]
+            assert st["name"] == "load" and st["verdict"] == "fail"
+            assert msg in st["error"]
+            assert list(rep["timings"]["stages"]) == ["load"]
 
     def test_internal_error_is_3(self, capsys, monkeypatch):
         def broken(config, ctx):
@@ -587,6 +614,23 @@ class TestVerifyOnce:
         build_sl(3, check=False)
         build_osp_1_2(check=False)
         assert verify_calls == [8, 5]
+
+    def test_one_poisson_structure_per_chart(self, monkeypatch, capsys):
+        # the arc stages share the chart's structure; chart jobs build none
+        built = []
+        real = PoissonStructure.__init__
+
+        def counted(self, chart):
+            built.append(chart)
+            real(self, chart)
+
+        monkeypatch.setattr(PoissonStructure, "__init__", counted)
+        code, _ = run_cli(["run", "--algebra", "sl(2|1)",
+                           "--max-weight", "2"], capsys)
+        assert code == 0 and len(built) == 1
+        built.clear()
+        code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
+        assert code == 0 and built == []
 
     def test_orbit_verifies_its_load(self, verify_calls, capsys):
         code, _ = run_cli(["orbit", "--algebra", "sl2", "--element", "e21",

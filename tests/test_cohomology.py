@@ -25,7 +25,7 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
                                sl2_triple_for)
 from superslice.pva import BRSTComplex
-from superslice.slice import PoissonStructure, gauge_fix
+from superslice.slice import gauge_fix
 from superslice.superpoly import PolyRing, Variable
 
 
@@ -225,12 +225,12 @@ class TestBuildDispatch:
         ("sl(2|1)", "principal"), ("sl4", "e21")])
     def test_builders_leave_every_ring_unchanged(self, name, nilpotent):
         chart = chart_for(name, nilpotent)
-        ps = PoissonStructure(chart)
+        ps = chart.poisson
         given = [chart.ring, chart.slice_ring, ps.ring]
         before = [names(r) for r in given]
         reg = regular_ce_complex(chart.alg, chart.grading, max_weight=2)
         sx = slice_ce_complex(chart, max_weight=2)
-        brst = BRSTComplex(chart, ps)
+        brst = BRSTComplex(chart)
         assert [names(r) for r in given] == before
         # each complex's own ring holds its module variables and ghosts
         assert len(reg.ring.variables) == len(reg.positions)

@@ -39,7 +39,7 @@ from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
                             DifferentialMorphism, LambdaPolynomial,
                             brst_complex, graded_miura, h0_truncated,
                             skew_defect)
-from superslice.slice import PoissonStructure, gauge_fix
+from superslice.slice import gauge_fix
 from superslice.superpoly import PolyRing, Variable
 
 ONE = Fraction(1)
@@ -346,7 +346,7 @@ def _lambda_table_machine():
 def oracle_machines(boson, osp_chart, osp_cx):
     sl21 = graded_miura(principal_chart(build_sl(2, 1)))
     return [boson[1], _lambda_table_machine(),
-            graded_miura(osp_chart).ambient_bracket, sl21.ambient_bracket,
+            graded_miura(osp_chart).bracket_machine, sl21.bracket_machine,
             osp_cx.bracket_machine]
 
 
@@ -513,9 +513,9 @@ class TestBRSTComplex:
         # Independent implementations: ArcBracket's recursion vs the
         # finite Leibniz oracle, compared on all product pairs.
         ch = osp_chart
-        ps = PoissonStructure(ch)
-        gm = graded_miura(ch, ps)
-        amb, B = gm.ambient, gm.ambient_bracket
+        ps = ch.poisson
+        gm = graded_miura(ch)
+        amb, B = gm.ring, gm.bracket_machine
         m = len(ch.coord_indices)
         for i in range(m):
             for j in range(m):
@@ -536,13 +536,13 @@ class TestBRSTComplex:
 
 class TestTruncatedH0:
     def test_sl2_dimensions(self, sl2_chart, sl2_cx):
-        h0 = h0_truncated(sl2_chart, 3, sl2_cx)
+        h0 = h0_truncated(sl2_cx, 3)
         dims = h0.dimensions()
         assert [dims[Fraction(w)] for w in range(4)] == [1, 0, 1, 1]
         assert h0.consistent()
 
     def test_sl2_weight_two_representative(self, sl2_chart, sl2_cx):
-        h0 = h0_truncated(sl2_chart, 3, sl2_cx)
+        h0 = h0_truncated(sl2_cx, 3)
         reps = h0.representatives(2)
         assert len(reps) == 1
         cx = sl2_cx
@@ -553,7 +553,7 @@ class TestTruncatedH0:
 
     def test_sl2_weight_three_representative_is_the_jet(self, sl2_chart,
                                                         sl2_cx):
-        h0 = h0_truncated(sl2_chart, 3, sl2_cx)
+        h0 = h0_truncated(sl2_cx, 3)
         reps = h0.representatives(3)
         assert len(reps) == 1
         cx = sl2_cx
@@ -570,38 +570,38 @@ class TestTruncatedH0:
         assert got == jet * scale
 
     def test_osp_dimensions_include_odd_generator(self, osp_chart, osp_cx):
-        h0 = h0_truncated(osp_chart, 2, osp_cx)
+        h0 = h0_truncated(osp_cx, 2)
         dims = {w: d for w, d in h0.dimensions().items() if d}
         assert dims == {Fraction(0): 1, Fraction(3, 2): 1, Fraction(2): 1}
         assert h0.consistent()
 
     def test_osp_deeper_truncation_consistent(self, osp_chart, osp_cx):
-        h0 = h0_truncated(osp_chart, 3, osp_cx)
+        h0 = h0_truncated(osp_cx, 3)
         assert h0.consistent()
         # the two truncations agree where they overlap
-        shallow = h0_truncated(osp_chart, 2, osp_cx)
+        shallow = h0_truncated(osp_cx, 2)
         deep = h0.dimensions()
         for w, d in shallow.dimensions().items():
             assert deep[w] == d
 
     def test_weight_zero_is_constants(self, sl2_chart, sl2_cx):
-        h0 = h0_truncated(sl2_chart, 2, sl2_cx)
+        h0 = h0_truncated(sl2_cx, 2)
         assert h0.dimension(0) == 1
         assert [r.text() for r in h0.representatives(0)] == ["1"]
 
     def test_representatives_are_cocycles(self, osp_chart, osp_cx):
-        h0 = h0_truncated(osp_chart, 3, osp_cx)
+        h0 = h0_truncated(osp_cx, 3)
         for n2 in range(7):
             for r in h0.representatives(Fraction(n2, 2)):
                 assert osp_cx.Q(r).is_zero()
 
     def test_truncation_below_generators_rejected(self, sl2_chart, sl2_cx):
         with pytest.raises(ValueError, match="below every slice generator"):
-            h0_truncated(sl2_chart, 1, sl2_cx)
+            h0_truncated(sl2_cx, 1)
 
     def test_half_integer_weights_only(self, sl2_chart, sl2_cx):
         with pytest.raises(ValueError, match="half-integers"):
-            h0_truncated(sl2_chart, Fraction(7, 3), sl2_cx)
+            h0_truncated(sl2_cx, Fraction(7, 3))
 
 
 # -- graded Miura -------------------------------------------------------------
@@ -611,13 +611,13 @@ class TestGradedMiura:
     def test_sl2_image_is_the_square(self, sl2_chart):
         gm = graded_miura(sl2_chart)
         s = gm.source.gen(0)
-        b = gm.target.gen(gm.target.index["z_h1"])
+        b = gm.ring.gen(gm.ring.index["z_h1"])
         assert gm(s) == b * b
 
     def test_commutes_with_d(self, sl2_chart):
         gm = graded_miura(sl2_chart)
         s = gm.source.gen(0)
-        b = gm.target.gen(gm.target.index["z_h1"])
+        b = gm.ring.gen(gm.ring.index["z_h1"])
         assert gm(s.total_derivative()) == b * b.total_derivative() * 2
         assert gm(s.total_derivative()) == gm(s).total_derivative()
 
@@ -637,11 +637,11 @@ class TestGradedMiura:
     def test_constants_map_to_constants(self, sl2_chart):
         gm = graded_miura(sl2_chart)
         c = gm.source.const(Fraction(5, 3))
-        assert gm(c) == gm.target.const(Fraction(5, 3))
+        assert gm(c) == gm.ring.const(Fraction(5, 3))
 
     def test_osp_images(self, osp_chart):
         gm = graded_miura(osp_chart)
-        T = gm.target
+        T = gm.ring
         zh = T.gen(T.index["z_h"])
         zvm = T.gen(T.index["z_vm"])
         images = {lab: gm(gm.source.gen(i))
@@ -677,8 +677,8 @@ class TestGradedMiura:
         gm = graded_miura(osp_chart)
         mu_vp = gm(gm.source.gen(osp_chart.inv_order.index("vp")))
         mu_e = gm(gm.source.gen(osp_chart.inv_order.index("e")))
-        got = gm.target_bracket.bracket(mu_vp, mu_vp)
-        assert got == LambdaPolynomial(gm.target,
+        got = gm.bracket_machine.bracket(mu_vp, mu_vp)
+        assert got == LambdaPolynomial(gm.ring,
                                        {0: mu_e * Fraction(1, 2)})
 
     def test_sl3_and_sl21_intertwine(self):
@@ -689,11 +689,54 @@ class TestGradedMiura:
             n = len(ch.inv_order)
             assert len(out) == n * n and all(out.values())
 
+    def test_gini_closure_trap(self, monkeypatch):
+        # {z_vm, z_vm} = 1/2 on osp(1|2); moving it onto z_e, a degree-1
+        # coordinate, breaks closure of the g_ini brackets
+        ch = principal_chart(build_osp_1_2())
+        R = ch.ring
+        vm, e = R.index["z_vm"], R.index["z_e"]
+        table = ch.poisson.coordinate_table
+        assert table[(vm, vm)] == R.const(Fraction(1, 2))
+        monkeypatch.setitem(table, (vm, vm), R.const(Fraction(1, 2)) + R.gen(e))
+        with pytest.raises(ValueError,
+                           match="bracket value leaves the g_ini coordinates"):
+            graded_miura(ch)
+
+    def test_miura_image_trap(self, sl2_chart, monkeypatch):
+        real = pva.finite_miura
+
+        def leaky(chart):
+            mi = real(chart)
+            lab = chart.inv_order[0]
+            mi.images[lab] = mi.images[lab] + chart.ring.gen("z_e12")
+            return mi
+
+        monkeypatch.setattr(pva, "finite_miura", leaky)
+        with pytest.raises(ValueError,
+                           match="Miura image leaves the g_ini coordinates"):
+            graded_miura(sl2_chart)
+
+    def test_source_bracket_off_the_slice_raises(self, osp_chart,
+                                                 monkeypatch):
+        # {z_h lam z_h} = z_vp * z_vm is no table entry of osp(1|2); with
+        # it, {s_e lam s_e} picks up 4 z_h^2 z_vp z_vm, which is not a
+        # function of the invariants
+        gm = graded_miura(osp_chart)
+        R = gm.ring
+        h = R.index["z_h"]
+        bogus = R.gen("z_vp") * R.gen("z_vm")
+        monkeypatch.setitem(gm.bracket_machine.table, (h, h),
+                            LambdaPolynomial(R, {0: bogus}))
+        s_e = gm.source.gen(osp_chart.inv_order.index("e"))
+        with pytest.raises(ValueError,
+                           match="lambda bracket leaves the slice jets"):
+            gm.source_bracket(s_e, s_e)
+
     def test_source_bracket_trap_message(self, osp_chart):
         # a polynomial off the invariant subalgebra trips the re-embed
         # check when smuggled through the restriction
         gm = graded_miura(osp_chart)
-        amb = gm.ambient
+        amb = gm.ring
         stray = amb.gen(0)  # a bare coordinate is not a slice function
         r = gm._restrict(stray)
         assert gm._embed(r) != stray

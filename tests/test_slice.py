@@ -409,9 +409,11 @@ class TestPoissonAxioms:
 
 
 class TestEdges:
-    def test_zero_trials_vacuous(self, sl2_chart):
-        ok, bad = verify_invariance(sl2_chart, trials=0)
-        assert ok and bad is None
+    def test_zero_trials_rejected(self, sl2_chart):
+        # no trial would make the PASS vacuous
+        for trials in (0, -2):
+            with pytest.raises(ValueError, match="at least 1 trial"):
+                verify_invariance(sl2_chart, trials=trials)
 
     def test_point_outside_domain_rejected(self, sl2_chart):
         with pytest.raises(ValueError, match="leaves f"):
