@@ -26,7 +26,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (RationalMatrix, exact_rank, from_columns, nullspace,
                      rref, solve)
-from .superpoly import PolyRing, SuperPolynomial, _as_fraction
+from .superpoly import (PolyRing, SuperPolynomial, _as_fraction,
+                        common_denominator, fraction_terms, mul_int_terms,
+                        numerators)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,6 +57,10 @@ class LieSuperalgebra:
             cleaned = {k: _as_fraction(c) for k, c in row.items() if c}
             if cleaned:
                 self.table[(i, j)] = cleaned
+        # the table over one common denominator, for bracket_poly
+        self._int_den = common_denominator(*self.table.values())
+        self._int_table = {ij: list(numerators(row, self._int_den).items())
+                           for ij, row in self.table.items()}
         self.form = form
         self.meta = dict(meta or {})
         if check:
@@ -229,29 +235,71 @@ class LieSuperalgebra:
 
     def bracket_poly(self, x: Mapping[int, SuperPolynomial],
                      y: Mapping[int, SuperPolynomial]) -> dict[int, SuperPolynomial]:
-        """Bracket of polynomial-coefficient vectors with the Koszul rule."""
-        out: dict[int, SuperPolynomial] = {}
+        """Bracket of polynomial-coefficient vectors with the Koszul rule
+        [a x_i, b x_j] = a ((-1)^{|x_i||b|} b) [x_i, x_j].
+
+        Fused over integer numerators: x and y are each put over one
+        common denominator, and the structure constants over the table's
+        (``_int_table``).  Each (i, j) product a * b is formed once by
+        ``mul_int_terms``, with the parity twist for odd x_i applied as a
+        sign per term of b, and scattered to every k of the table row
+        (i, j) times its integer constant.  Each output component is
+        turned into Fractions once, at the end.  Keys and their order are
+        those of the sum over (i, j) of (a * b) * c taken in Fractions.
+        """
+        x = [(i, a) for i, a in x.items() if a.terms]
+        y = [(j, b) for j, b in y.items() if b.terms]
+        if not x or not y:
+            return {}
+        ring = x[0][1].ring
+        for _, p in x + y:
+            if p.ring is not ring:
+                raise ValueError("polynomials belong to different rings")
+        rpar = ring.parities()
+        dx = common_denominator(*[a.terms for _, a in x])
+        dy = common_denominator(*[b.terms for _, b in y])
+        an = [(i, numerators(a.terms, dx)) for i, a in x]
+        bn = [(j, numerators(b.terms, dy)) for j, b in y]
+        twisted: dict[int, dict] = {}
         par = self.parities
-        for i, a in x.items():
-            if a.is_zero():
-                continue
-            for j, b in y.items():
-                row = self._bb(i, j)
-                if not row or b.is_zero():
+        table = self._int_table
+        out: dict[int, dict] = {}
+        for i, a in an:
+            for j, b in bn:
+                row = table.get((i, j))
+                if row is None:
                     continue
                 if par[i]:
-                    be, bo = b.parity_split()
-                    eff = be - bo  # (-1)^{|x_i||b|} b
+                    # (-1)^{|b|} b: even terms in order, then odd ones negated
+                    eff = twisted.get(j)
+                    if eff is None:
+                        ev, od = {}, {}
+                        for m, n in b.items():
+                            if sum(rpar[v] * e for v, e in m) & 1:
+                                od[m] = -n
+                            else:
+                                ev[m] = n
+                        ev.update(od)
+                        eff = twisted[j] = ev
                 else:
                     eff = b
-                coeff = a * eff
-                if coeff.is_zero():
+                prod = mul_int_terms(a, eff, rpar)
+                if not prod:
                     continue
-                for k, c in row.items():
-                    cur = out.get(k)
-                    add = coeff * c
-                    out[k] = add if cur is None else cur + add
-        return {k: v for k, v in out.items() if not v.is_zero()}
+                for k, c in row:
+                    acc = out.get(k)
+                    if acc is None:
+                        out[k] = {m: n * c for m, n in prod.items()}
+                        continue
+                    for m, n in prod.items():
+                        s = acc.get(m, 0) + n * c
+                        if s:
+                            acc[m] = s
+                        else:
+                            del acc[m]
+        den = dx * dy * self._int_den
+        return {k: SuperPolynomial(ring, fraction_terms(acc, den))
+                for k, acc in out.items() if acc}
 
     def ad_matrix(self, x: Sequence) -> RationalMatrix:
         """Matrix of ad_x = [x, .] in the basis (columns are images)."""
@@ -420,9 +468,12 @@ def sl2_triple_for(alg: LieSuperalgebra, f: Sequence) -> "Sl2Triple":
 
     Solves ad_f^2 w = 2 f over the even part, sets h = [f, w], then solves
     the joint linear system [f, e] = -h, (ad_h - 2) e = 0.  Raises
-    ValueError when no completion exists for the found h.
+    ValueError when f is zero or odd, or when no completion exists for
+    the found h.
     """
     f = [_as_fraction(x) for x in f]
+    if not any(f):
+        raise ValueError("f is zero: a nilpotent must be a nonzero vector")
     even = alg.even_indices()
     for i, c in enumerate(f):
         if c and alg.parities[i]:
@@ -778,7 +829,11 @@ def parse_nilpotent(alg: LieSuperalgebra, expr: str) -> list[Fraction]:
             part = part[1:]
         if "*" in part:
             c, name = part.split("*", 1)
-            coeff = Fraction(c)
+            try:
+                coeff = Fraction(c)
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"coefficient {c!r} has a zero denominator") from None
         else:
             coeff, name = ONE, part
         if name not in alg.index:

@@ -9,6 +9,17 @@ exceed exponent 1.  Products of odd variables are normalized to index
 order with the Koszul sign absorbed into the coefficient, so equal
 polynomials always have identical dicts.
 
+Coefficients are Fractions at the API and integer numerators over one
+common denominator inside products.  ``numerators`` puts each operand
+over its ``common_denominator`` (the lcm of its coefficient
+denominators), ``mul_int_terms`` multiplies and accumulates in Python
+ints, and ``fraction_terms`` divides each output term by the product of
+the operands' denominators, once.  Scaling by a positive integer keeps
+the zero test of every partial sum, so a product has the same keys in
+the same order as one taken in Fractions.  ``mul_terms`` (and so ``*``),
+``substitute`` and ``LieSuperalgebra.bracket_poly`` all multiply this
+way.
+
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
 """
@@ -16,6 +27,7 @@ d/dt (s*t) = -s for odd s, t.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Scalar = Union[Fraction, int]
@@ -45,6 +57,13 @@ def mul_monomials(ma, mb, parities):
         return mb, 1
     if not mb:
         return ma, 1
+    if ma[-1][0] < mb[0][0]:
+        return ma + mb, 1  # already in index order: no factor moves
+    if mb[-1][0] < ma[0][0]:
+        # every factor of mb moves left past every factor of ma
+        odd = (sum(parities[i] for i, _ in ma)
+               & sum(parities[i] for i, _ in mb) & 1)
+        return mb + ma, -1 if odd else 1
     # count inversions between odd factors of ma and mb
     odd_a = [i for i, e in ma if parities[i]]
     odd_b = [i for i, e in mb if parities[i]]
@@ -84,8 +103,33 @@ def mul_monomials(ma, mb, parities):
     return tuple(out), sign
 
 
-def mul_terms(terms_a, terms_b, parities):
-    """Sparse product of two term dicts; drops zero coefficients."""
+def common_denominator(*term_dicts) -> int:
+    """lcm of the coefficient denominators of the term dicts (1 if none)."""
+    return lcm(*[c.denominator for t in term_dicts for c in t.values()])
+
+
+def numerators(terms, d: int) -> dict:
+    """A Fraction term dict over d (a multiple of every denominator in
+    it) as integer numerators."""
+    if d == 1:
+        return {m: c.numerator for m, c in terms.items()}
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def fraction_terms(terms, d: int) -> dict:
+    """Integer numerators over d back to Fraction coefficients."""
+    if d == 1:
+        return {m: Fraction(n) for m, n in terms.items()}
+    return {m: Fraction(n, d) for m, n in terms.items()}
+
+
+def mul_int_terms(terms_a, terms_b, parities):
+    """Sparse product of two term dicts over integer numerators.
+
+    Products are accumulated per monomial in the order the pairs meet
+    (a-major); a sum that reaches zero drops its key, and a later
+    contribution to that monomial appends it again.
+    """
     out = {}
     for ma, ca in terms_a.items():
         for mb, cb in terms_b.items():
@@ -103,6 +147,15 @@ def mul_terms(terms_a, terms_b, parities):
                 else:
                     del out[mono]
     return out
+
+
+def mul_terms(terms_a, terms_b, parities):
+    """Sparse product of two Fraction term dicts; drops zero coefficients."""
+    da = common_denominator(terms_a)
+    db = common_denominator(terms_b)
+    return fraction_terms(mul_int_terms(numerators(terms_a, da),
+                                        numerators(terms_b, db), parities),
+                          da * db)
 
 
 class Variable:
@@ -414,9 +467,10 @@ class SuperPolynomial:
         """
         tgt = target if target is not None else self.ring
         par = self.ring.parities()
-        cache: dict[int, SuperPolynomial] = {}
+        cache: dict[int, tuple[dict, int]] = {}
 
-        def image(i: int) -> SuperPolynomial:
+        def image(i: int) -> tuple[dict, int]:
+            """The image of variable i over its own common denominator."""
             got = cache.get(i)
             if got is not None:
                 return got
@@ -436,24 +490,34 @@ class SuperPolynomial:
             else:
                 # unmapped variables pass through; extensions keep indices stable
                 p = tgt.gen(i)
-            cache[i] = p
-            return p
+            d = common_denominator(p.terms)
+            got = cache[i] = (numerators(p.terms, d), d)
+            return got
 
-        tpar = tgt.parities()
-        out: dict[tuple, Fraction] = {}
+        # term m = c * prod image(i)^e has denominator
+        # c.denominator * prod d_i^e; all terms are summed over their lcm
+        dens = []
         for m, c in self.terms.items():
-            acc = {(): c}
+            d = c.denominator
             for i, e in m:
-                gi = image(i).terms
+                d *= image(i)[1] ** e
+            dens.append(d)
+        den = lcm(*dens)
+        tpar = tgt.parities()
+        out: dict[tuple, int] = {}
+        for (m, c), d in zip(self.terms.items(), dens):
+            acc = {(): c.numerator * (den // d)}
+            for i, e in m:
+                gi = cache[i][0]
                 for _ in range(e):
-                    acc = mul_terms(acc, gi, tpar)
+                    acc = mul_int_terms(acc, gi, tpar)
             for mono, v in acc.items():
-                s = out.get(mono, ZERO) + v
+                s = out.get(mono, 0) + v
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
-        return SuperPolynomial(tgt, out)
+        return SuperPolynomial(tgt, fraction_terms(out, den))
 
     def evaluate(self, values: Mapping[int, Scalar]) -> "SuperPolynomial":
         """Substitute scalars for (even) variables."""

@@ -279,6 +279,25 @@ class TestStageIsolation:
         assert names == ["load", "validate", "triple"]
         assert "unknown basis label" in stage(rep, "triple")["error"]
 
+    def test_zero_denominator_fails_at_triple_stage(self, capsys):
+        # Fraction("1/0") raises ZeroDivisionError, which is no internal
+        # error but a malformed coefficient
+        code, rep = run_json(["slice", "chart", "--algebra", "sl3",
+                              "--nilpotent", "1/0*e21"], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple"]
+        assert "'1/0' has a zero denominator" in stage(rep, "triple")["error"]
+
+    @pytest.mark.parametrize("nilpotent", ["0*e21", "e21-e21"])
+    def test_zero_nilpotent_fails_at_triple_stage(self, nilpotent, capsys):
+        code, rep = run_json(["run", "--algebra", "sl3",
+                              "--nilpotent", nilpotent], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple"]
+        assert "f is zero" in stage(rep, "triple")["error"]
+
     def test_non_nilpotent_choice_reported(self, capsys):
         # h1 is semisimple, so no sl2-triple has it as the f element
         code, rep = run_json(["run", "--algebra", "sl2",
@@ -420,6 +439,14 @@ class TestStagePayloads:
                               "--element", "nope", "--by", "e12"], capsys)
         assert code == 1
         assert "unknown basis label" in stage(rep, "orbit")["error"]
+
+    def test_orbit_rejects_zero_denominator(self, capsys):
+        code, rep = run_json(["orbit", "--algebra", "sl3",
+                              "--element", "1/0*e21", "--by", "e12"], capsys)
+        assert code == 1
+        st = stage(rep, "orbit")
+        assert st["verdict"] == "fail"
+        assert "'1/0' has a zero denominator" in st["error"]
 
 
 # -- report mechanics --------------------------------------------------------------

@@ -1,7 +1,11 @@
 """The sparse product kernel, and the rank oracles.
 
 mul_terms is pinned on fixed cases: the Koszul sign of two odd factors,
-an odd square dying, and exact cancellation dropping its key.  The dense
+an odd square dying, and exact cancellation dropping its key.  The
+integer-numerator kernel under mul_terms, SuperPolynomial.__mul__ and
+LieSuperalgebra.bracket_poly is compared with the Fraction kernel in
+tests/fraction_kernel_oracle.py (the package's former implementation):
+same items in the same order, every coefficient a Fraction.  The dense
 Bareiss rank in tests/dense_oracles.py (the package's former rank
 kernel) is checked against the pivot count of dense Gauss-Jordan
 elimination, and the package's sparse exact_rank against both.
@@ -9,11 +13,14 @@ elimination, and the package's sparse exact_rank against both.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_kernel_oracle as oracle
 from dense_oracles import bareiss_rank, dense_rref
+from superslice.liealg import LieSuperalgebra, build_sl
 from superslice.linalg import RationalMatrix, exact_rank, rref
-from superslice.superpoly import mul_terms
+from superslice.superpoly import PolyRing, SuperPolynomial, Variable, mul_terms
 
 F = Fraction
 # a tuple on purpose: PolyRing.parities() hands the kernel a tuple
@@ -37,6 +44,115 @@ class TestMulTerms:
         b = {((0, 1),): F(1), (): F(-1)}
         # (x + 1)(x - 1): the x-terms cancel exactly
         assert mul_terms(a, b, PARITIES) == {((0, 2),): F(1), (): F(-1)}
+
+
+# -- the integer-numerator kernel against the Fraction oracle -----------------
+
+# four variables, two of them odd: few enough monomials that products
+# collide, cancel and square odd factors to zero
+RING = PolyRing([Variable("x", 0), Variable("t", 1), Variable("y", 0),
+                 Variable("s", 1)])
+RPAR = RING.parities()
+# mixed denominators, so that operands are rescaled to a common one
+COEFFS = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3),
+                          F(-3, 2), F(5, 6), F(-1, 6), F(3), F(7, 4)])
+MONOS = st.lists(st.integers(0, 2), min_size=4, max_size=4).map(
+    lambda es: tuple((i, 1 if RPAR[i] else e) for i, e in enumerate(es) if e))
+
+
+def term_dicts(min_size=0):
+    return st.dictionaries(MONOS, COEFFS, min_size=min_size, max_size=5)
+
+
+def assert_same(got, want):
+    """Same items in the same order, every coefficient a Fraction."""
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.values())
+
+
+class TestIntegerKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(term_dicts(min_size=1), term_dicts(min_size=1))
+    def test_mul_terms_matches_oracle(self, a, b):
+        assert_same(mul_terms(a, b, RPAR), oracle.mul_terms(a, b, RPAR))
+        got = SuperPolynomial(RING, a) * SuperPolynomial(RING, b)
+        assert_same(got.terms, oracle.mul_terms(a, b, RPAR))
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_dicts(min_size=2), st.data())
+    def test_cancelling_cross_terms_match_oracle(self, a, data):
+        # b is a scaled copy of a with some signs flipped: for commuting
+        # monomials m, n the cross terms c_m c_n mn cancel in a * b
+        k = data.draw(COEFFS)
+        flips = data.draw(st.lists(st.booleans(), min_size=len(a),
+                                   max_size=len(a)))
+        b = {m: (-k if f else k) * c for (m, c), f in zip(a.items(), flips)}
+        assert_same(mul_terms(a, b, RPAR), oracle.mul_terms(a, b, RPAR))
+
+    @given(term_dicts())
+    def test_zero_operand(self, a):
+        assert mul_terms(a, {}, RPAR) == {} == mul_terms({}, a, RPAR)
+
+    def test_fixed_cancelled_key_is_appended_again(self):
+        # (1 + x + x^2)(1 - x + x^2) = 1 + x^2 + x^4: x^2 is met first,
+        # cancels to zero, and comes back last
+        x, x2 = ((0, 1),), ((0, 2),)
+        a = {(): F(1, 2), x: F(1, 2), x2: F(1, 2)}
+        b = {x2: F(2, 3), x: F(-2, 3), (): F(2, 3)}
+        want = {(): F(1, 3), ((0, 4),): F(1, 3), x2: F(1, 3)}
+        got = mul_terms(a, b, RPAR)
+        assert_same(got, want)
+        assert_same(got, oracle.mul_terms(a, b, RPAR))
+
+
+def rescaled_sl21(label):
+    """sl(2|1) with basis vector ``label`` scaled by 1/3: the structure
+    constants [x_i, x_j] = sum_m c x_m become c s_i s_j / s_m."""
+    alg = build_sl(2, 1)
+    scale = [F(1)] * alg.dim
+    scale[alg.index[label]] = F(1, 3)
+    table = {(i, j): {m: c * scale[i] * scale[j] / scale[m]
+                      for m, c in row.items()}
+             for (i, j), row in alg.table.items()}
+    return LieSuperalgebra(alg.labels, alg.parities, table)
+
+
+@st.composite
+def poly_vectors(draw, dim):
+    """Basis index -> polynomial of any parity on RING, zero included."""
+    idx = draw(st.lists(st.integers(0, dim - 1), max_size=4, unique=True))
+    return {i: SuperPolynomial(RING, draw(term_dicts())) for i in idx}
+
+
+class TestBracketPoly:
+    @pytest.mark.parametrize("label", ["e13", "e12"])
+    def test_rescaled_table_has_denominators(self, label):
+        alg = rescaled_sl21(label)
+        dens = {c.denominator for row in alg.table.values()
+                for c in row.values()}
+        assert max(dens) > 1
+
+    @pytest.mark.parametrize("label", ["e13", "e12"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_on_rescaled_sl21(self, label, data):
+        alg = rescaled_sl21(label)
+        x = data.draw(poly_vectors(alg.dim))
+        y = data.draw(poly_vectors(alg.dim))
+        got = alg.bracket_poly(x, y)
+        want = oracle.bracket_poly(alg, x, y)
+        assert list(got) == list(want)
+        for k, v in got.items():
+            assert v.ring is RING
+            assert_same(v.terms, want[k].terms)
+
+    def test_rings_must_agree(self):
+        alg = build_sl(2)
+        other = PolyRing([Variable("x", 0)])
+        x = {alg.index["e12"]: RING.gen("x")}
+        y = {alg.index["e21"]: other.gen("x")}
+        with pytest.raises(ValueError, match="different rings"):
+            alg.bracket_poly(x, y)
 
 
 class TestBareissRank:

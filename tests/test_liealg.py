@@ -510,6 +510,15 @@ def test_parse_nilpotent_coefficients():
     assert v[alg.index["e12"]] == F(-1, 3)
     with pytest.raises(ValueError, match="unknown"):
         parse_nilpotent(alg, "e99")
+    with pytest.raises(ValueError, match="'3/0' has a zero denominator"):
+        parse_nilpotent(alg, "e21 + 3/0*e12")
+
+
+def test_sl2_triple_rejects_zero_f():
+    alg = build_sl(2)
+    for expr in ("0*e21", "e21 - e21"):
+        with pytest.raises(ValueError, match="f is zero"):
+            sl2_triple_for(alg, parse_nilpotent(alg, expr))
 
 
 def test_subspace_basis_rejects_dependent_vectors():
