@@ -132,7 +132,13 @@ def _stage_grading(config: JobConfig, ctx: dict) -> dict:
         grading = dynkin_grading(alg, triple)
         mode = "dynkin"
     else:
-        parts = [Fraction(x) for x in config.grading.split(",")]
+        parts = []
+        for x in config.grading.split(","):
+            try:
+                parts.append(Fraction(x))
+            except ZeroDivisionError:
+                raise StageError(f"grading weight {x!r} has a zero "
+                                 "denominator") from None
         if len(parts) != alg.dim:
             raise StageError(f"need {alg.dim} grading weights, "
                              f"got {len(parts)}")

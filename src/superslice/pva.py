@@ -44,7 +44,8 @@ from .cohomology import (GradedComplex, _as_wt2, _ce_images,
                          odd_derivation, weighted_monomial_counts)
 from .linalg import nullspace
 from .slice import SliceChart, finite_miura
-from .superpoly import PolyRing, SuperPolynomial, Variable
+from .superpoly import (PolyRing, SuperPolynomial, Variable,
+                        sum_of_products)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -188,11 +189,6 @@ class LambdaPolynomial:
     def degree(self) -> int:
         return max(self.coeffs) if self.coeffs else -1
 
-    def parity(self) -> Optional[int]:
-        seen = {p.parity() for p in self.coeffs.values()}
-        seen.discard(None)
-        return seen.pop() if len(seen) == 1 else None
-
     def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
         if other.ring is not self.ring:
             raise ValueError("lambda polynomial in wrong ring")
@@ -295,7 +291,17 @@ class ArcBracket:
     |df/du_i^(m)| = |f| + |u_i|.  Mixed-parity arguments are split into
     parity parts.  Each G_i costs one product per table entry that meets
     a jet of g, and F_i one more; with no jets and a lambda-free entry,
-    no power of lam + d is expanded.
+    no power of lam + d is expanded.  The products of G_i and of each
+    power of lam in the result are collected as (n, a, b) triples and
+    summed by ``superpoly.sum_of_products`` in one integer accumulator.
+
+    Arguments are ``BracketOperand``s: ``operand(p)`` prepares p once
+    for this machine (its parity parts, its partials and F_i on the
+    left, its pairs (y, dg/dy) on the right), and the operand keeps a
+    memo of the rows G_i it has served as right argument, so an
+    argument bracketed n times computes each of them once.  ``bracket``
+    takes polynomials or operands and wraps polynomials itself, so both
+    go through one evaluation.
     """
 
     def __init__(self, ring: PolyRing, table: Mapping[tuple, object]):
@@ -319,11 +325,18 @@ class ArcBracket:
         return out
 
     def _generator_bracket(self, i: int, dg: Sequence[tuple]) -> dict:
-        """Coefficients of G_i = {u_i _lam g} from the pairs (y, dg/dy)."""
-        out: dict[int, SuperPolynomial] = {}
+        """Coefficient term dicts {k: ...} of G_i = {u_i _lam g} from the
+        pairs (y, dg/dy), each power summed in one accumulator."""
+        acc: dict[int, list] = {}
         for y, d in dg:
             for k, c in self._entry(i, y).coeffs.items():
-                _add_to(out, k, c * d)
+                acc.setdefault(k, []).append((1, c.terms, d.terms))
+        par = self.ring.parities()  # after _entry may have added jets
+        out = {}
+        for k, triples in acc.items():
+            terms = sum_of_products(triples, par)
+            if terms:
+                out[k] = terms
         return out
 
     def _partials_by_generator(self, f: SuperPolynomial) -> dict:
@@ -336,47 +349,108 @@ class ArcBracket:
                 f.partial_derivative(x)
         return out
 
-    def bracket(self, p: SuperPolynomial,
-                q: SuperPolynomial) -> LambdaPolynomial:
-        for x in (p, q):
-            if x.ring is not self.ring:
-                raise ValueError("polynomial is not in the bracket ring")
-        ring = self.ring
-        p_parts = [(par, self._partials_by_generator(pp))
-                   for par, pp in enumerate(p.parity_split())
-                   if not pp.is_zero()]
-        out: dict[int, SuperPolynomial] = {}
-        for q_par, qq in enumerate(q.parity_split()):
+    def operand(self, p: SuperPolynomial) -> "BracketOperand":
+        """p prepared once as an argument of ``bracket`` on this machine."""
+        return BracketOperand(self, p)
+
+    def bracket(self, p, q) -> LambdaPolynomial:
+        """{p _lam q} for polynomials or operands of this machine."""
+        p, q = self._as_operand(p), self._as_operand(q)
+        acc: dict[int, list] = {}
+        for q_par, qq in enumerate(q.parts):
             if qq.is_zero():
                 continue
-            dq = [(y, qq.partial_derivative(y))
-                  for y in sorted(qq.variables_used())]
-            rows: dict[int, dict] = {}
-            for p_par, partials in p_parts:
-                for i, dp in partials.items():
-                    G = rows.get(i)
-                    if G is None:
-                        G = rows[i] = self._generator_bracket(i, dq)
+            for p_par, partials in enumerate(p.partials()):
+                for i in partials:
+                    G = q.row(q_par, i)
                     if not G:
                         continue
-                    F = LambdaPolynomial(ring, dp).sub_neg_lam_d()
-                    odd = q_par and (p_par + ring.parity_of(i)) % 2
-                    _apply_shifted(out, G, F, -1 if odd else 1)
-        return LambdaPolynomial(ring, out)
+                    odd = q_par and (p_par + self.ring.parity_of(i)) % 2
+                    _collect_shifted(acc, G, p.shifted(p_par, i),
+                                     -1 if odd else 1)
+        ring = self.ring
+        par = ring.parities()  # after the derivatives of F_i
+        return LambdaPolynomial(
+            ring, {k: SuperPolynomial(ring, sum_of_products(triples, par))
+                   for k, triples in acc.items()})
+
+    def _as_operand(self, x) -> "BracketOperand":
+        if isinstance(x, BracketOperand):
+            if x.machine is not self:
+                raise ValueError("operand is prepared for another bracket")
+            return x
+        return BracketOperand(self, x)
 
 
-def _apply_shifted(out: dict, G: Mapping[int, SuperPolynomial],
-                   F: LambdaPolynomial, sign: int) -> None:
-    """Add sign * G(lam + d)_> F, that is sign * sum_k G_k (lam + d)^k F,
-    to the coefficient dict out."""
-    derivs = {l: [f] for l, f in F.coeffs.items()}
+class BracketOperand:
+    """An argument of ``ArcBracket.bracket``, prepared once for reuse.
+
+    Holds the parity parts of the polynomial.  On the left it supplies,
+    per part and generator i, F_i = sum_m (-lam - d)^m df/du_i^(m) with
+    the total derivatives of its coefficients, both computed on first
+    use; on the right the pairs (y, dg/dy) per part and a memo of the
+    rows G_i = {u_i _lam g}.  Every memo depends only on the polynomial
+    and the machine's table, so an operand serves any number of brackets
+    on its machine, on either side.
+    """
+
+    __slots__ = ("machine", "parts", "_partials", "_shifted", "_dg",
+                 "_rows")
+
+    def __init__(self, machine: ArcBracket, p: SuperPolynomial):
+        if p.ring is not machine.ring:
+            raise ValueError("polynomial is not in the bracket ring")
+        self.machine = machine
+        self.parts = p.parity_split()  # indexed by parity
+        self._partials = None
+        self._shifted: tuple[dict, dict] = ({}, {})
+        self._dg = None
+        self._rows: tuple[dict, dict] = ({}, {})
+
+    def partials(self) -> list:
+        """Per parity part, {i: {m: df/du_i^(m)}} over its jets."""
+        if self._partials is None:
+            self._partials = [self.machine._partials_by_generator(pp)
+                              for pp in self.parts]
+        return self._partials
+
+    def shifted(self, par: int, i: int) -> dict:
+        """F_i of the parity-par part as {l: [F_l, dF_l, d^2F_l, ...]};
+        the derivative lists grow as the brackets need them."""
+        got = self._shifted[par].get(i)
+        if got is None:
+            F = LambdaPolynomial(self.machine.ring,
+                                 self.partials()[par][i]).sub_neg_lam_d()
+            got = self._shifted[par][i] = {l: [f]
+                                           for l, f in F.coeffs.items()}
+        return got
+
+    def row(self, par: int, i: int) -> dict:
+        """G_i of the parity-par part as coefficient term dicts."""
+        got = self._rows[par].get(i)
+        if got is None:
+            if self._dg is None:
+                self._dg = [[(y, pp.partial_derivative(y))
+                             for y in sorted(pp.variables_used())]
+                            for pp in self.parts]
+            got = self._rows[par][i] = \
+                self.machine._generator_bracket(i, self._dg[par])
+        return got
+
+
+def _collect_shifted(acc: dict, G: Mapping[int, dict], F: Mapping[int, list],
+                     sign: int) -> None:
+    """Collect the products of sign * G(lam + d)_> F, that is
+    sign * sum_k G_k (lam + d)^k F, as (n, a, b) triples per power of
+    lam in acc; F maps each power l to the derivatives of its
+    coefficient, extended here as far as k needs."""
     for k, g in G.items():
-        for l, ds in derivs.items():
+        for l, ds in F.items():
             while len(ds) <= k:
                 ds.append(ds[-1].total_derivative())
             for r in range(k + 1):
-                _add_to(out, k - r + l,
-                        _scaled(g * ds[r], sign * math.comb(k, r)))
+                acc.setdefault(k - r + l, []).append(
+                    (sign * math.comb(k, r), g, ds[r].terms))
 
 
 def skew_defect(machine: ArcBracket, a: SuperPolynomial,
@@ -694,14 +768,15 @@ class GradedMiura:
         coordinate ring."""
         labs = self.chart.inv_order
         gens = [self.source.gen(i) for i in range(len(labs))]
-        images = [self(g) for g in gens]
-        embedded = [self._embed(g) for g in gens]
+        B = self.bracket_machine
+        images = [B.operand(self(g)) for g in gens]
+        embedded = [B.operand(self._embed(g)) for g in gens]
         out = {}
         for i, la in enumerate(labs):
             for j, lb in enumerate(labs):
-                lhs = self.bracket_machine.bracket(images[i], images[j])
+                lhs = B.bracket(images[i], images[j])
                 rhs = self.morphism.on_lambda(self._to_slice(
-                    self.bracket_machine.bracket(embedded[i], embedded[j])))
+                    B.bracket(embedded[i], embedded[j])))
                 if lhs != rhs:
                     raise ValueError("Miura images fail the lambda bracket "
                                      f"on ({la}, {lb})")

@@ -18,7 +18,11 @@ the operands' denominators, once.  Scaling by a positive integer keeps
 the zero test of every partial sum, so a product has the same keys in
 the same order as one taken in Fractions.  ``mul_terms`` (and so ``*``),
 ``substitute`` and ``LieSuperalgebra.bracket_poly`` all multiply this
-way.
+way.  ``sum_of_products`` is the one accumulator for sums of products:
+it takes sum n * a * b over many (n, a, b) over the lcm of the
+products' denominators, so each output term becomes a Fraction once.
+``mul_terms`` is its one-product case, and the lambda bracket of
+``pva`` sums each power of lambda with it.
 
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
@@ -51,7 +55,8 @@ def mul_monomials(ma, mb, parities):
 
     Returns (monomial, sign) with sign in {1, -1}, or (None, 0) when an odd
     variable squares to zero.  The sign is the Koszul sign for interleaving
-    the odd factors into index order.
+    the odd factors into index order: each odd factor of ma placed by the
+    merge passes the odd factors of mb placed before it.
     """
     if not ma:
         return mb, 1
@@ -64,33 +69,21 @@ def mul_monomials(ma, mb, parities):
         odd = (sum(parities[i] for i, _ in ma)
                & sum(parities[i] for i, _ in mb) & 1)
         return mb + ma, -1 if odd else 1
-    # count inversions between odd factors of ma and mb
-    odd_a = [i for i, e in ma if parities[i]]
-    odd_b = [i for i, e in mb if parities[i]]
-    sign = 1
-    if odd_a and odd_b:
-        seen_b = set(odd_b)
-        for i in odd_a:
-            if i in seen_b:
-                return None, 0
-        inv = 0
-        for x in odd_a:
-            for y in odd_b:
-                if x > y:
-                    inv += 1
-        if inv & 1:
-            sign = -1
     out = []
     ia = ib = 0
     na, nb = len(ma), len(mb)
+    odd_b = inv = 0  # odd factors of mb placed, inversions counted
     while ia < na and ib < nb:
         va, ea = ma[ia]
         vb, eb = mb[ib]
         if va < vb:
             out.append((va, ea))
+            if parities[va]:
+                inv += odd_b
             ia += 1
         elif vb < va:
             out.append((vb, eb))
+            odd_b += parities[vb]
             ib += 1
         else:
             if parities[va]:
@@ -98,9 +91,16 @@ def mul_monomials(ma, mb, parities):
             out.append((va, ea + eb))
             ia += 1
             ib += 1
-    out.extend(ma[ia:])
-    out.extend(mb[ib:])
-    return tuple(out), sign
+    if ia < na:
+        # mb is used up: every odd factor left in ma passes all of its odd ones
+        if odd_b:
+            for va, _ in ma[ia:]:
+                if parities[va]:
+                    inv += odd_b
+        out.extend(ma[ia:])
+    else:
+        out.extend(mb[ib:])
+    return tuple(out), -1 if inv & 1 else 1
 
 
 def common_denominator(*term_dicts) -> int:
@@ -123,14 +123,16 @@ def fraction_terms(terms, d: int) -> dict:
     return {m: Fraction(n, d) for m, n in terms.items()}
 
 
-def mul_int_terms(terms_a, terms_b, parities):
-    """Sparse product of two term dicts over integer numerators.
+def mul_int_terms(terms_a, terms_b, parities, out=None):
+    """Sparse product of two term dicts over integer numerators, added
+    into ``out`` (a new dict if None), which is returned.
 
     Products are accumulated per monomial in the order the pairs meet
     (a-major); a sum that reaches zero drops its key, and a later
     contribution to that monomial appends it again.
     """
-    out = {}
+    if out is None:
+        out = {}
     for ma, ca in terms_a.items():
         for mb, cb in terms_b.items():
             mono, sign = mul_monomials(ma, mb, parities)
@@ -149,13 +151,35 @@ def mul_int_terms(terms_a, terms_b, parities):
     return out
 
 
+def sum_of_products(triples, parities):
+    """sum n * a * b over (int n, Fraction term dict a, Fraction term
+    dict b) triples, as a Fraction term dict without zero coefficients.
+
+    Each product a * b has denominator da * db (the operands' common
+    denominators); all are summed in ints over the lcm D of those, the
+    numerators of a scaled by n * D / (da * db), and each output term
+    becomes a Fraction once.  Products accumulate into one dict in
+    triple order, each as ``mul_int_terms`` orders it.
+    """
+    prepared = []
+    for n, a, b in triples:
+        if n and a and b:
+            da, db = common_denominator(a), common_denominator(b)
+            prepared.append((n, a, da, b, db, da * db))
+    if not prepared:
+        return {}
+    den = lcm(*[p[5] for p in prepared])
+    out = {}
+    for n, a, da, b, db, d in prepared:
+        # a times n * D / db and b times db, both integral: n * a * b * D
+        mul_int_terms(numerators(a, n * (den // d) * da), numerators(b, db),
+                      parities, out)
+    return fraction_terms(out, den)
+
+
 def mul_terms(terms_a, terms_b, parities):
     """Sparse product of two Fraction term dicts; drops zero coefficients."""
-    da = common_denominator(terms_a)
-    db = common_denominator(terms_b)
-    return fraction_terms(mul_int_terms(numerators(terms_a, da),
-                                        numerators(terms_b, db), parities),
-                          da * db)
+    return sum_of_products(((1, terms_a, terms_b),), parities)
 
 
 class Variable:

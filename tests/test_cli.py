@@ -289,6 +289,17 @@ class TestStageIsolation:
         assert names == ["load", "validate", "triple"]
         assert "'1/0' has a zero denominator" in stage(rep, "triple")["error"]
 
+    def test_zero_denominator_fails_at_grading_stage(self, capsys):
+        # a bare Fraction("1/0") on a weight used to end in an
+        # internal-error stage with exit code 3
+        code, rep = run_json(["run", "--algebra", "sl2",
+                              "--grading", "1/0,0,0"], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple", "grading"]
+        assert "grading weight '1/0' has a zero denominator" in \
+            stage(rep, "grading")["error"]
+
     @pytest.mark.parametrize("nilpotent", ["0*e21", "e21-e21"])
     def test_zero_nilpotent_fails_at_triple_stage(self, nilpotent, capsys):
         code, rep = run_json(["run", "--algebra", "sl3",

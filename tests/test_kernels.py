@@ -5,7 +5,10 @@ an odd square dying, and exact cancellation dropping its key.  The
 integer-numerator kernel under mul_terms, SuperPolynomial.__mul__ and
 LieSuperalgebra.bracket_poly is compared with the Fraction kernel in
 tests/fraction_kernel_oracle.py (the package's former implementation):
-same items in the same order, every coefficient a Fraction.  The dense
+same items in the same order, every coefficient a Fraction.
+sum_of_products, the accumulator under mul_terms and the lambda
+bracket, is compared with the oracle's products summed in Fractions,
+and mul_monomials with the oracle's merge.  The dense
 Bareiss rank in tests/dense_oracles.py (the package's former rank
 kernel) is checked against the pivot count of dense Gauss-Jordan
 elimination, and the package's sparse exact_rank against both.
@@ -20,7 +23,8 @@ import fraction_kernel_oracle as oracle
 from dense_oracles import bareiss_rank, dense_rref
 from superslice.liealg import LieSuperalgebra, build_sl
 from superslice.linalg import RationalMatrix, exact_rank, rref
-from superslice.superpoly import PolyRing, SuperPolynomial, Variable, mul_terms
+from superslice.superpoly import (PolyRing, SuperPolynomial, Variable,
+                                  mul_monomials, mul_terms, sum_of_products)
 
 F = Fraction
 # a tuple on purpose: PolyRing.parities() hands the kernel a tuple
@@ -103,6 +107,108 @@ class TestIntegerKernel:
         got = mul_terms(a, b, RPAR)
         assert_same(got, want)
         assert_same(got, oracle.mul_terms(a, b, RPAR))
+
+
+def oracle_sum(triples, parities):
+    """sum n * a * b, each product by the Fraction oracle, summed in
+    Fractions one product at a time."""
+    out = {}
+    for n, a, b in triples:
+        for m, c in oracle.mul_terms(a, b, parities).items():
+            s = out.get(m, 0) + n * c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+TRIPLES = st.lists(st.tuples(st.integers(-3, 3), term_dicts(), term_dicts()),
+                   max_size=5)
+
+
+class TestSumOfProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(TRIPLES)
+    def test_matches_oracle(self, triples):
+        got = sum_of_products(triples, RPAR)
+        assert got == oracle_sum(triples, RPAR)
+        assert all(type(c) is Fraction for c in got.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(TRIPLES, st.data())
+    def test_cancellation_across_triples(self, triples, data):
+        # each triple again with its multiplier negated, in a drawn order:
+        # every product cancels against its partner
+        back = data.draw(st.permutations([(-n, a, b) for n, a, b in triples]))
+        assert sum_of_products(triples + back, RPAR) == {}
+        # a partial cancellation leaves the rest, as the oracle says
+        mixed = triples + back[:len(back) // 2]
+        got = sum_of_products(mixed, RPAR)
+        assert got == oracle_sum(mixed, RPAR)
+        assert all(type(c) is Fraction for c in got.values())
+
+    def test_fixed_cases(self):
+        t, x = ((1, 1),), ((0, 1),)
+        half, third = {x: F(1, 2)}, {x: F(1, 3), (): F(2, 3)}
+        assert sum_of_products([], RPAR) == {}
+        # odd square dies; zero multiplier and empty operands add nothing
+        assert sum_of_products([(5, {t: F(2, 3)}, {t: F(1, 2)}),
+                                (0, half, third), (1, {}, third)],
+                               RPAR) == {}
+        # 1/2 x (1/3 x + 2/3) * 3 - 1/4 x^2 over the lcm 6 * 4
+        got = sum_of_products([(3, half, third), (-1, half, half)], RPAR)
+        assert got == {((0, 2),): F(1, 4), x: F(1)}
+        assert all(type(c) is Fraction for c in got.values())
+
+
+# eight variables: odd ones interleaved with even ones, so that merges
+# meet interleaved odd indices, disjoint ranges and shared indices
+MPAR = (1, 0, 1, 1, 0, 1, 0, 1)
+EVEN = (0,) * 8
+
+
+@st.composite
+def monomials(draw, parities):
+    idx = draw(st.lists(st.integers(0, 7), unique=True, max_size=5))
+    return tuple((i, 1 if parities[i] else draw(st.integers(1, 3)))
+                 for i in sorted(idx))
+
+
+class TestMulMonomials:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([MPAR, EVEN]), st.data())
+    def test_matches_oracle(self, parities, data):
+        ma = data.draw(monomials(parities))
+        mb = data.draw(monomials(parities))
+        assert mul_monomials(ma, mb, parities) == \
+            oracle.mul_monomials(ma, mb, parities)
+
+    def test_fixed_cases(self):
+        def both(ma, mb, par=MPAR):
+            got = mul_monomials(ma, mb, par)
+            assert got == oracle.mul_monomials(ma, mb, par)
+            return got
+        # interleaved odd indices: t0 t3 * t2 t5 moves t3 past t2
+        assert both(((0, 1), (3, 1)), ((2, 1), (5, 1))) == \
+            (((0, 1), (2, 1), (3, 1), (5, 1)), -1)
+        # odd factors of ma left over once mb is used up
+        assert both(((0, 1), (5, 1), (7, 1)), ((2, 1), (3, 1))) == \
+            (((0, 1), (2, 1), (3, 1), (5, 1), (7, 1)), 1)
+        assert both(((0, 1), (7, 1)), ((1, 2), (2, 1))) == \
+            (((0, 1), (1, 2), (2, 1), (7, 1)), -1)
+        # disjoint index ranges, in either order
+        assert both(((0, 1), (2, 1)), ((3, 1), (5, 1))) == \
+            (((0, 1), (2, 1), (3, 1), (5, 1)), 1)
+        assert both(((3, 1), (4, 1)), ((0, 1), (1, 1))) == \
+            (((0, 1), (1, 1), (3, 1), (4, 1)), -1)
+        # a shared odd index dies, a shared even index adds exponents
+        assert both(((0, 1), (3, 1)), ((3, 1),)) == (None, 0)
+        assert both(((1, 2), (3, 1)), ((1, 1), (2, 1))) == \
+            (((1, 3), (2, 1), (3, 1)), -1)
+        # an all-even ring never changes sign
+        assert both(((2, 1), (5, 2)), ((0, 1), (2, 3), (7, 1)), EVEN) == \
+            (((0, 1), (2, 4), (5, 2), (7, 1)), 1)
 
 
 def rescaled_sl21(label):

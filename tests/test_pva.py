@@ -12,7 +12,9 @@ Oracles:
   expansions (a Virasoro central charge among them), skew-symmetry is
   verified as a property, the master formula is compared with the
   per-monomial Leibniz recursion kept in tests/leibniz_bracket_oracle.py
-  on random polynomials with jets, and the lambda-degree-zero sector is
+  on random polynomials with jets (and, through prepared operands used
+  on either side and reused, on a table with lambda-dependent entries),
+  and the lambda-degree-zero sector is
   cross-checked against the finite Leibniz recursion kept in
   tests/finite_poisson_oracle.py.
 * Q: squares to zero (constructor trap plus explicit), commutes with
@@ -387,6 +389,50 @@ class TestMasterFormula:
             LambdaPolynomial(R, {1: -R.one(), 3: -R.one()})
         assert B.bracket(h.total_derivative(), psi * h) == \
             LambdaPolynomial(R, {2: psi * (-2)})
+
+
+class TestOperands:
+    """Prepared arguments give the brackets of the plain polynomials."""
+
+    def _samples(self):
+        B = _lambda_table_machine()
+        R = B.ring
+        h, psi, L = R.gen(0), R.gen(1), R.gen(2)
+        dh, dpsi = h.total_derivative(), psi.total_derivative()
+        return B, [h * L + dpsi * psi, psi * dh + L.total_derivative(),
+                   L * L * Fraction(1, 3) - psi * h, dh * dh + psi]
+
+    def test_operands_match_polynomials_and_oracle(self):
+        B, polys = self._samples()
+        ops = [B.operand(p) for p in polys]
+        for p, a in zip(polys, ops):
+            for q, b in zip(polys, ops):
+                want = leibniz_bracket(B, p, q)
+                assert B.bracket(p, q) == want
+                assert B.bracket(a, b) == want
+                assert B.bracket(a, q) == want == B.bracket(p, b)
+
+    def test_reused_operand_on_both_sides(self):
+        B, polys = self._samples()
+        p = polys[1]  # mixed parity, with jets
+        a = B.operand(p)
+        want = leibniz_bracket(B, p, p)
+        for _ in range(3):
+            assert B.bracket(a, a) == want
+        other = B.operand(polys[2])
+        for _ in range(2):
+            assert B.bracket(a, other) == leibniz_bracket(B, p, polys[2])
+            assert B.bracket(other, a) == leibniz_bracket(B, polys[2], p)
+
+    def test_operand_of_another_ring_rejected(self, boson):
+        B, polys = self._samples()
+        R, other = boson[0], boson[1]
+        with pytest.raises(ValueError, match="not in the bracket ring"):
+            B.operand(R.gen(0))
+        with pytest.raises(ValueError, match="another bracket"):
+            B.bracket(other.operand(R.gen(0)), polys[0])
+        with pytest.raises(ValueError, match="another bracket"):
+            B.bracket(polys[0], other.operand(R.gen(0)))
 
 
 # -- the arc gauge complex ---------------------------------------------------
