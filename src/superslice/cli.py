@@ -531,6 +531,9 @@ def _half_integer(s: str) -> Fraction:
     if (v * 2).denominator != 1:
         raise argparse.ArgumentTypeError(
             f"{s!r} is not a half-integer weight")
+    if v < 0:
+        # a negative cutoff keeps no weight block: an empty, vacuous table
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {s!r}")
     return v
 
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .liealg import GoodGrading, LieSuperalgebra, dense_to_poly
+from .liealg import GoodGrading, LieSuperalgebra
 from .linalg import RationalMatrix, exact_rank
 from .supergroup import regular_representation
-from .superpoly import PolyRing, SuperPolynomial, Variable
+from .superpoly import (UNIT, PolyRing, SuperPolynomial, Variable, combine,
+                        sum_of_products)
 
 ONE = Fraction(1)
 
@@ -47,34 +48,30 @@ def odd_derivation(ring: PolyRing, images: Mapping[int, SuperPolynomial]):
     all Koszul signs come from the ring's own multiplication plus the
     single crossing sign for moving d past the leading factor.
     """
-    cache: dict[tuple, SuperPolynomial] = {}
+    cache: dict[tuple, dict] = {}
 
-    def d_mono(mono: tuple) -> SuperPolynomial:
+    def d_mono(mono: tuple) -> dict:
+        """d of a monomial with coefficient 1, as a term dict."""
         if not mono:
-            return ring.zero()
+            return {}
         got = cache.get(mono)
         if got is not None:
             return got
         (j, e) = mono[0]
         rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
-        out = ring.zero()
+        # d(x_j rest) = d(x_j) rest + (-1)^{|x_j|} x_j d(rest)
         head_img = images.get(j)
-        if head_img is not None and not head_img.is_zero():
-            out = head_img * SuperPolynomial(ring, {rest: ONE})
-        tail = d_mono(rest)
-        if not tail.is_zero():
-            sgn = -ONE if ring.parity_of(j) else ONE
-            out = out + SuperPolynomial(ring, {((j, 1),): ONE}) * tail * sgn
-        cache[mono] = out
-        return out
+        triples = [(1, {} if head_img is None else head_img.terms,
+                    {rest: ONE}),
+                   (-1 if ring.parity_of(j) else 1, {((j, 1),): ONE},
+                    d_mono(rest))]
+        got = cache[mono] = sum_of_products(triples, ring.parities())
+        return got
 
     def d(p: SuperPolynomial) -> SuperPolynomial:
-        out = ring.zero()
-        for mono, c in p.terms.items():
-            t = d_mono(mono)
-            if not t.is_zero():
-                out = out + t * c
-        return out
+        triples = [(c, d_mono(mono), UNIT) for mono, c in p.terms.items()]
+        return SuperPolynomial(ring, sum_of_products(triples,
+                                                     ring.parities()))
 
     return d
 
@@ -106,6 +103,9 @@ class GradedComplex:
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial],
                  module_positions: Sequence[int],
                  ghost_positions: Sequence[int], max_wt2: int):
+        if max_wt2 < 0:
+            raise ValueError(f"max weight must be at least 0, got "
+                             f"{Fraction(max_wt2, 2)}")
         self.ring = ring
         self.images = dict(images)
         self.module_positions = list(module_positions)
@@ -233,9 +233,8 @@ def cohomology_table(complex_: GradedComplex) -> dict:
 
 def _ghost_images(sub: LieSuperalgebra, ring: PolyRing,
                   ghost_offset: int) -> dict[int, SuperPolynomial]:
-    images: dict[int, SuperPolynomial] = {}
+    acc: dict[int, list] = {}
     for c_loc in range(sub.dim):
-        acc = ring.zero()
         pc = sub.parities[c_loc]
         for (a_loc, b_loc), row in sub.table.items():
             coef = row.get(c_loc)
@@ -244,11 +243,10 @@ def _ghost_images(sub: LieSuperalgebra, ring: PolyRing,
             s = Fraction(-1, 2) * coef
             if sub.parities[a_loc] and pc:
                 s = -s
-            acc = acc + ring.gen(ghost_offset + a_loc) \
-                * ring.gen(ghost_offset + b_loc) * s
-        if not acc.is_zero():
-            images[ghost_offset + c_loc] = acc
-    return images
+            acc.setdefault(ghost_offset + c_loc, []).append(
+                (s, ring.gen(ghost_offset + a_loc).terms,
+                 ring.gen(ghost_offset + b_loc).terms))
+    return combine(ring, acc)
 
 
 def _ce_images(sub: LieSuperalgebra, ring: PolyRing,
@@ -261,14 +259,10 @@ def _ce_images(sub: LieSuperalgebra, ring: PolyRing,
     applied to module variable b.  Then d(m_b) = sum_a ph^a . fields[a][b]
     and d(ph^c) is the half-sum of _ghost_images.
     """
-    images: dict[int, SuperPolynomial] = {}
-    for b in range(nmod):
-        acc = ring.zero()
-        for a, row in enumerate(fields):
-            if not row[b].is_zero():
-                acc = acc + ring.gen(nmod + a) * row[b]
-        if not acc.is_zero():
-            images[b] = acc
+    images = combine(ring, {
+        b: [(1, ring.gen(nmod + a).terms, row[b].terms)
+            for a, row in enumerate(fields)]
+        for b in range(nmod)})
     images.update(_ghost_images(sub, ring, nmod))
     return images
 
@@ -308,9 +302,7 @@ def _gauge_action_fields(chart, ring: PolyRing):
     alg, grading = chart.alg, chart.grading
     coords = chart.coord_indices
     pos_of = {b: pos for pos, b in enumerate(coords)}
-    Z = dense_to_poly(alg, chart.triple.f, ring)
-    for pos, b in enumerate(coords):
-        Z[b] = Z.get(b, ring.zero()) + ring.gen(pos)
+    Z = chart.generic_point(ring)
     fields = []
     for i in grading.positive_indices():
         row = [ring.zero() for _ in coords]

@@ -44,7 +44,7 @@ from .cohomology import (GradedComplex, _as_wt2, _ce_images,
                          odd_derivation, weighted_monomial_counts)
 from .linalg import nullspace
 from .slice import SliceChart, finite_miura
-from .superpoly import (PolyRing, SuperPolynomial, Variable,
+from .superpoly import (UNIT, PolyRing, SuperPolynomial, Variable, combine,
                         sum_of_products)
 
 ZERO = Fraction(0)
@@ -112,16 +112,16 @@ class ArcRing:
                 series[i] = got
             return got
 
-        out = [ring.zero() for _ in range(depth + 1)]
+        out: dict[int, list] = {}
         for mono, c in p.terms.items():
             acc = [ring.one()] + [ring.zero()] * depth
             for (i, e) in mono:
                 for _ in range(e):
                     acc = _series_mul(acc, var_series(i), ring)
-            for n in range(depth + 1):
-                if not acc[n].is_zero():
-                    out[n] = out[n] + acc[n] * c
-        return out
+            for n, a in enumerate(acc):
+                out.setdefault(n, []).append((c, a.terms, UNIT))
+        sums = combine(ring, out)
+        return [sums.get(n, ring.zero()) for n in range(depth + 1)]
 
     def check_relations(self, depth: int = 3) -> bool:
         """Every induced relation equals the series coefficient it names."""
@@ -138,26 +138,12 @@ class ArcRing:
 def _series_mul(a: list, b: list, ring: PolyRing) -> list:
     """Truncated product of coefficient lists (same length in and out)."""
     depth = len(a) - 1
-    out = [ring.zero() for _ in range(depth + 1)]
+    acc: dict[int, list] = {}
     for i, ai in enumerate(a):
-        if ai.is_zero():
-            continue
         for j in range(depth + 1 - i):
-            bj = b[j]
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _add_to(out: dict, k: int, p: SuperPolynomial) -> None:
-    q = out.get(k)
-    out[k] = p if q is None else q + p
-
-
-def _scaled(p: SuperPolynomial, c: int) -> SuperPolynomial:
-    if c == 1:
-        return p
-    return -p if c == -1 else p * c
+            acc.setdefault(i + j, []).append((1, ai.terms, b[j].terms))
+    sums = combine(ring, acc)
+    return [sums.get(n, ring.zero()) for n in range(depth + 1)]
 
 
 # -- lambda polynomials ---------------------------------------------------
@@ -210,23 +196,24 @@ class LambdaPolynomial:
 
     def lam_plus_d(self) -> "LambdaPolynomial":
         """Multiply by (lam + d), d the total derivative on coefficients."""
-        out: dict[int, SuperPolynomial] = {}
+        acc: dict[int, list] = {}
         for k, p in self.coeffs.items():
-            _add_to(out, k + 1, p)
-            _add_to(out, k, p.total_derivative())
-        return LambdaPolynomial(self.ring, out)
+            acc.setdefault(k + 1, []).append((1, p.terms, UNIT))
+            acc.setdefault(k, []).append((1, p.total_derivative().terms, UNIT))
+        return LambdaPolynomial(self.ring, combine(self.ring, acc))
 
     def sub_neg_lam_d(self) -> "LambdaPolynomial":
         """Substitute lam -> -lam - d, the d landing on the coefficient."""
-        out: dict[int, SuperPolynomial] = {}
+        acc: dict[int, list] = {}
         for k, p in self.coeffs.items():
             sgn = -1 if k % 2 else 1
             q = p
             for j in range(k, -1, -1):
-                _add_to(out, j, _scaled(q, sgn * math.comb(k, j)))
+                acc.setdefault(j, []).append(
+                    (sgn * math.comb(k, j), q.terms, UNIT))
                 if j:
                     q = q.total_derivative()
-        return LambdaPolynomial(self.ring, out)
+        return LambdaPolynomial(self.ring, combine(self.ring, acc))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LambdaPolynomial)
@@ -368,11 +355,8 @@ class ArcBracket:
                     odd = q_par and (p_par + self.ring.parity_of(i)) % 2
                     _collect_shifted(acc, G, p.shifted(p_par, i),
                                      -1 if odd else 1)
-        ring = self.ring
-        par = ring.parities()  # after the derivatives of F_i
-        return LambdaPolynomial(
-            ring, {k: SuperPolynomial(ring, sum_of_products(triples, par))
-                   for k, triples in acc.items()})
+        # combine reads the parities after the derivatives of F_i
+        return LambdaPolynomial(self.ring, combine(self.ring, acc))
 
     def _as_operand(self, x) -> "BracketOperand":
         if isinstance(x, BracketOperand):
@@ -567,7 +551,7 @@ class BRSTComplex:
         table = {k: v.substitute({}, ring) for k, v in ps.table.items()}
         # {ph_a _lam u} = sum_b (coefficient of v_a in [u, v_b]) ph_b
         ghost_pos = {i: n + loc for loc, i in enumerate(pos_idx)}
-        rows: dict[tuple[int, int], SuperPolynomial] = {}
+        rows: dict[tuple[int, int], list] = {}
         for (iu, ib), br in alg.table.items():
             uloc, b = ps.gen_pos.get(iu), ghost_pos.get(ib)
             if uloc is None or b is None:
@@ -575,10 +559,9 @@ class BRSTComplex:
             for ia, c in br.items():
                 a = ghost_pos.get(ia)
                 if a is not None:
-                    _add_to(rows, (a, uloc), ring.gen(b) * c)
-        for (a, uloc), acc in rows.items():
-            if acc.is_zero():
-                continue
+                    rows.setdefault((a, uloc), []).append(
+                        (c, ring.gen(b).terms, UNIT))
+        for (a, uloc), acc in combine(ring, rows).items():
             table[(a, uloc)] = acc
             # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}
             iu, ia = ps.gen_indices[uloc], pos_idx[a - n]

@@ -15,14 +15,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .liealg import (GoodGrading, LieSuperalgebra, Sl2Triple, _invert,
                      dense_to_poly, graded_slice_decomposition,
                      nilpotency_class)
 from .linalg import RationalMatrix, exact_rank
 from .supergroup import adjoint_orbit_map, bch_product
-from .superpoly import PolyRing, SuperPolynomial, Variable
+from .superpoly import UNIT, PolyRing, SuperPolynomial, Variable, combine
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -93,22 +93,19 @@ class SliceChart:
                 return self.alg.parities[i]
         raise ValueError("zero invariant vector")
 
-    def generic_point(self) -> dict:
-        out = dense_to_poly(self.alg, self.triple.f, self.ring)
-        for pos, b in enumerate(self.coord_indices):
-            out[b] = out.get(b, self.ring.zero()) + self.ring.gen(pos)
-        return {k: v for k, v in out.items() if not v.is_zero()}
+    def generic_point(self, ring: Optional[PolyRing] = None) -> dict:
+        """Z = f + sum z_b x_b, z_b the variable at b's chart position in
+        ring (default: the chart ring)."""
+        ring = self.ring if ring is None else ring
+        return affine_point(ring, self.triple.f,
+                            [(self.alg.basis_vector(b), ring.gen(pos))
+                             for pos, b in enumerate(self.coord_indices)])
 
     def slice_point(self) -> dict:
         """f + sum s_n u_n over the slice coordinate ring."""
-        out = dense_to_poly(self.alg, self.triple.f, self.slice_ring)
-        for n, lab in enumerate(self.inv_order):
-            s = self.slice_ring.gen(n)
-            for i, c in enumerate(self.inv_vectors[lab]):
-                if c:
-                    add = s * c
-                    out[i] = out.get(i, self.slice_ring.zero()) + add
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        return affine_point(self.slice_ring, self.triple.f,
+                            [(self.inv_vectors[lab], self.slice_ring.gen(n))
+                             for n, lab in enumerate(self.inv_order)])
 
     def evaluate_invariants(self, point: dict, ring: PolyRing) -> dict:
         """Invariant values at a polynomial vector in f + g_{>=-1/2}."""
@@ -145,18 +142,24 @@ class SliceChart:
 
     def round_trip_check(self):
         """conj(slice point(Z), -gauge) == Z, symbolically."""
-        gauged = dense_to_poly(self.alg, self.triple.f, self.ring)
-        for lab in self.inv_order:
-            for i, c in enumerate(self.inv_vectors[lab]):
-                if c:
-                    add = self.invariants[lab] * c
-                    gauged[i] = gauged.get(i, self.ring.zero()) + add
+        gauged = affine_point(self.ring, self.triple.f,
+                              [(self.inv_vectors[lab], self.invariants[lab])
+                               for lab in self.inv_order])
         neg = {i: -p for i, p in self.gauge_vec.items()}
-        back = adjoint_orbit_map(self.alg, gauged, neg)
-        want = self.generic_point()
-        back = {k: v for k, v in back.items() if not v.is_zero()}
-        if back != want:
+        if adjoint_orbit_map(self.alg, gauged, neg) != self.generic_point():
             raise ValueError("round trip failed")
+
+
+def affine_point(ring: PolyRing, f: Sequence, terms) -> dict:
+    """f + sum p v over the (v, p) in terms, v a dense vector like f and
+    p a polynomial of ring, as {basis index: polynomial} without zero
+    components; each component is summed once (``combine``)."""
+    acc: dict = {i: [(c, UNIT, UNIT)] for i, c in enumerate(f) if c}
+    for v, p in terms:
+        for i, c in enumerate(v):
+            if c:
+                acc.setdefault(i, []).append((c, p.terms, UNIT))
+    return combine(ring, acc)
 
 
 def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
@@ -170,9 +173,9 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
                                   wt2=2 + grading.weights2[b]))
     ring = PolyRing(variables)
 
-    cur = dense_to_poly(alg, triple.f, ring)
-    for pos, b in enumerate(coord_indices):
-        cur[b] = cur.get(b, ring.zero()) + ring.gen(pos)
+    cur = affine_point(ring, triple.f,
+                       [(alg.basis_vector(b), ring.gen(pos))
+                        for pos, b in enumerate(coord_indices)])
 
     pos_idx = grading.positive_indices()
     nclass = nilpotency_class(alg.restrict_to(pos_idx)) if pos_idx else 1
@@ -181,16 +184,13 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
 
     for lev in sorted(pieces):
         piece = pieces[lev]
-        D = [cur.get(r, ring.zero()) for r in piece.row_indices]
+        D = [cur[r].terms if r in cur else {} for r in piece.row_indices]
         n_e = len(piece.e_basis)
-        coords = []
-        for r in range(piece.inverse.nrows):
-            acc = ring.zero()
-            for c, d in enumerate(D):
-                coeff = piece.inverse[r, c]
-                if coeff and not d.is_zero():
-                    acc = acc + d * coeff
-            coords.append(acc)
+        sums = combine(ring, {
+            r: [(piece.inverse[r, c], d, UNIT) for c, d in enumerate(D)]
+            for r in range(piece.inverse.nrows)})
+        coords = [sums.get(r, ring.zero())
+                  for r in range(piece.inverse.nrows)]
         for j in range(n_e):
             lab = _render_vector(alg, piece.e_basis[j])
             inv_order.append(lab)
@@ -208,13 +208,9 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
                 if gauge_total else step
 
     # exact self-check: the gauged point is f + sum invariants * basis
-    want = dense_to_poly(alg, triple.f, ring)
-    for lab in inv_order:
-        for i, c in enumerate(inv_vectors[lab]):
-            if c:
-                want[i] = want.get(i, ring.zero()) + invariants[lab] * c
-    cur = {k: v for k, v in cur.items() if not v.is_zero()}
-    want = {k: v for k, v in want.items() if not v.is_zero()}
+    want = affine_point(ring, triple.f,
+                        [(inv_vectors[lab], invariants[lab])
+                         for lab in inv_order])
     if cur != want:
         raise ValueError("gauge recursion did not land on the slice")
 
@@ -249,13 +245,11 @@ def verify_invariance(chart: SliceChart, trials: int,
             variables.append(Variable(f"g{t}_{alg.labels[i]}", 1))
         ring = PolyRing(variables)
 
-        Z = dense_to_poly(alg, chart.triple.f, ring)
-        for pos, b in enumerate(chart.coord_indices):
-            if alg.parities[b]:
-                comp = ring.gen(pos)  # odd coordinates stay formal
-            else:
-                comp = ring.const(_random_fraction(rng))
-            Z[b] = Z.get(b, ring.zero()) + comp
+        # odd coordinates stay formal, even ones are drawn in chart order
+        Z = affine_point(ring, chart.triple.f, [
+            (alg.basis_vector(b), ring.gen(pos) if alg.parities[b]
+             else ring.const(_random_fraction(rng)))
+            for pos, b in enumerate(chart.coord_indices)])
         Y = {}
         for i in grading.positive_indices():
             c = _random_fraction(rng)
@@ -320,21 +314,21 @@ class PoissonStructure:
         for j, c in f.items():
             for k, v in form[j].items():
                 f_left[k] = f_left.get(k, ZERO) + c * v
-        self.table: dict[tuple[int, int], SuperPolynomial] = {}
+        acc: dict = {}
         for (ia, ib), row in alg.table.items():
             if ia not in self.gen_pos or ib not in self.gen_pos:
                 continue
             if w2[ia] <= 0 and w2[ib] <= 0:
-                val = self.ring.zero()
-                for k, c in row.items():
-                    val = val + self.ring.gen(self.gen_pos[k]) * c
+                val = [(c, self.ring.gen(self.gen_pos[k]).terms, UNIT)
+                       for k, c in row.items()]
             elif w2[ia] == 1 and w2[ib] == 1:
-                val = self.ring.const(sum((c * f_left.get(k, ZERO)
-                                           for k, c in row.items()), ZERO))
+                val = [(c * f_left.get(k, ZERO), UNIT, UNIT)
+                       for k, c in row.items()]
             else:
                 continue
-            if not val.is_zero():
-                self.table[(self.gen_pos[ia], self.gen_pos[ib])] = val
+            acc[(self.gen_pos[ia], self.gen_pos[ib])] = val
+        self.table: dict[tuple[int, int], SuperPolynomial] = \
+            combine(self.ring, acc)
         from .pva import ArcBracket  # pva imports this module
         self._arc = ArcBracket(self.ring, self.table)
 
@@ -355,25 +349,23 @@ class PoissonStructure:
         self._m_rows = [{b: c for b, c in enumerate(r) if c} for r in M.rows]
         self._minv_rows = [{a: c for a, c in enumerate(r) if c}
                            for r in _invert(M).rows]
-        self._gen_images = []  # zeta_a as a polynomial in the z-ring
-        for a, row in enumerate(self._m_rows):
-            acc = chart.ring.const(self._const[a])
-            for beta, co in row.items():
-                acc = acc + chart.ring.gen(beta) * co
-            self._gen_images.append(acc)
+        # zeta_a as a polynomial in the z-ring; M is invertible, so no
+        # row is zero and every a has an image
+        self._gen_images = combine(chart.ring, {
+            a: [(self._const[a], UNIT, UNIT)]
+            + [(co, chart.ring.gen(beta).terms, UNIT)
+               for beta, co in row.items()]
+            for a, row in enumerate(self._m_rows)})
 
-        on_z = {k: self.from_poisson_ring(v) for k, v in self.table.items()}
-        self.coordinate_table: dict[tuple[int, int], SuperPolynomial] = {}
-        for b, row_b in enumerate(self._minv_rows):
-            for c, row_c in enumerate(self._minv_rows):
-                acc = chart.ring.zero()
-                for a, ca in row_b.items():
-                    for a2, cc in row_c.items():
-                        val = on_z.get((a, a2))
-                        if val is not None:
-                            acc = acc + val * (ca * cc)
-                if not acc.is_zero():
-                    self.coordinate_table[(b, c)] = acc
+        on_z = {k: self.from_poisson_ring(v).terms
+                for k, v in self.table.items()}
+        self.coordinate_table: dict[tuple[int, int], SuperPolynomial] = \
+            combine(chart.ring, {
+                (b, c): [(ca * cc, on_z[(a, a2)], UNIT)
+                         for a, ca in row_b.items()
+                         for a2, cc in row_c.items() if (a, a2) in on_z]
+                for b, row_b in enumerate(self._minv_rows)
+                for c, row_c in enumerate(self._minv_rows)})
 
     def coordinate_brackets(self, ring: PolyRing) -> dict:
         """``coordinate_table`` on a ring whose first variables are the
@@ -382,14 +374,15 @@ class PoissonStructure:
                 for k, v in self.coordinate_table.items()}
 
     def _coordinates_in(self, ring: PolyRing) -> dict:
-        """z_b = sum_a Minv[b, a] (zeta_a - c_a), zeta_a being ring.gen(a)."""
-        out = {}
+        """z_b = sum_a Minv[b, a] (zeta_a - c_a), zeta_a being ring.gen(a).
+        Minv is invertible, so every b has a nonzero image."""
+        acc: dict = {}
         for b, row in enumerate(self._minv_rows):
-            acc = ring.zero()
+            acc[b] = []
             for a, co in row.items():
-                acc = acc + (ring.gen(a) - ring.const(self._const[a])) * co
-            out[b] = acc
-        return out
+                acc[b] += [(co, ring.gen(a).terms, UNIT),
+                           (-co * self._const[a], UNIT, UNIT)]
+        return combine(ring, acc)
 
     def push_fields(self, fields, ring: PolyRing) -> list:
         """Vector fields on the chart coordinates, fields[k][b] being the
@@ -397,13 +390,15 @@ class PoissonStructure:
         is sum_b M[a, b] fields[k][b] at z = Minv (zeta - c), zeta_a being
         ring.gen(a)."""
         z = self._coordinates_in(ring)
+        zero = self.chart_ring.zero()
         out = []
         for field in fields:
+            comps = combine(self.chart_ring, {
+                a: [(co, field[b].terms, UNIT) for b, co in row.items()]
+                for a, row in enumerate(self._m_rows)})
             moved = []
-            for row in self._m_rows:
-                comp = self.chart_ring.zero()
-                for b, co in row.items():
-                    comp = comp + field[b] * co
+            for a in range(len(self._m_rows)):
+                comp = comps.get(a, zero)
                 moved.append(comp.substitute(
                     {b: z[b] for b in comp.variables_used()}, ring))
             out.append(moved)
@@ -417,7 +412,7 @@ class PoissonStructure:
     def from_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
         if p.ring is not self.ring:
             raise ValueError("polynomial is not in the Poisson ring")
-        return p.substitute(dict(enumerate(self._gen_images)), self.chart_ring)
+        return p.substitute(self._gen_images, self.chart_ring)
 
     def bracket(self, p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
         """{p, q}: the lambda^0 coefficient of the arc lambda bracket on the

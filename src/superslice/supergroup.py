@@ -16,7 +16,7 @@ from math import comb, factorial
 from typing import Mapping, Sequence
 
 from .liealg import LieSuperalgebra
-from .superpoly import PolyRing, SuperPolynomial
+from .superpoly import UNIT, PolyRing, SuperPolynomial, combine
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -25,24 +25,6 @@ ONE = Fraction(1)
 MAX_SERIES_TERMS = 64
 
 PolyVector = Mapping[int, SuperPolynomial]
-
-
-def _vec_add(a: PolyVector, b: PolyVector) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _vec_scale(a: PolyVector, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 def vec_is_zero(a: PolyVector) -> bool:
@@ -54,18 +36,21 @@ def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
     """exp(-y) w exp(y) = sum_n (1/n!) [..[[w,y],y]..,y] (n brackets).
 
     Terminates when the iterated bracket vanishes; raises if it has not
-    after MAX_SERIES_TERMS steps (y not nilpotent enough).
+    after MAX_SERIES_TERMS steps (y not nilpotent enough).  The nested
+    brackets are taken unscaled and summed once, each with weight 1/n!.
     """
-    out = {k: v for k, v in w.items() if not v.is_zero()}
-    term = out
+    acc: dict = {}
+    term = w
     n = 0
     while not vec_is_zero(term):
+        weight = Fraction(1, factorial(n))
+        for k, v in term.items():
+            acc.setdefault(k, []).append((weight, v.terms, UNIT))
         n += 1
         if n > MAX_SERIES_TERMS:
             raise ValueError("adjoint series did not terminate")
-        term = _vec_scale(alg.bracket_poly(term, y), Fraction(1, n))
-        out = _vec_add(out, term)
-    return out
+        term = alg.bracket_poly(term, y)
+    return combine(next(iter(w.values())).ring, acc) if acc else {}
 
 
 def _compositions(total: int):
@@ -135,10 +120,11 @@ def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
             memo[word] = got
         return got
 
-    out: dict = {}
+    acc: dict = {}
     for word, coeff in _dynkin_words(max_word_len):
-        out = _vec_add(out, _vec_scale(term(word), coeff))
-    return out
+        for k, v in term(word).items():
+            acc.setdefault(k, []).append((coeff, v.terms, UNIT))
+    return combine(next(iter((x or y).values())).ring, acc) if acc else {}
 
 
 @lru_cache(maxsize=None)
@@ -172,19 +158,19 @@ def regular_representation(alg: LieSuperalgebra, sub_indices: Sequence[int],
     X = {g: ring.gen(coord_index[a]) for a, g in enumerate(sub_indices)}
     fields = []
     for g in sub_indices:
-        row = [ring.zero() for _ in sub_indices]
+        acc: dict = {}
         term = {g: ring.one()}
         n = 0
         while term:
             coeff = _bernoulli(n) / factorial(n)
-            if coeff:
-                for i, comp in term.items():
-                    row[pos[i]] = row[pos[i]] + comp * coeff
+            for i, comp in term.items():
+                acc.setdefault(pos[i], []).append((coeff, comp.terms, UNIT))
             n += 1
             if n > MAX_SERIES_TERMS:
                 raise ValueError("regular series did not terminate")
             term = alg.bracket_poly(term, X)
             if not term.keys() <= pos.keys():
                 raise ValueError("group law left the subalgebra")
-        fields.append(row)
+        row = combine(ring, acc)
+        fields.append([row.get(b, ring.zero()) for b in range(len(pos))])
     return fields

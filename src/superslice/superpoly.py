@@ -18,11 +18,17 @@ the operands' denominators, once.  Scaling by a positive integer keeps
 the zero test of every partial sum, so a product has the same keys in
 the same order as one taken in Fractions.  ``mul_terms`` (and so ``*``),
 ``substitute`` and ``LieSuperalgebra.bracket_poly`` all multiply this
-way.  ``sum_of_products`` is the one accumulator for sums of products:
-it takes sum n * a * b over many (n, a, b) over the lcm of the
-products' denominators, so each output term becomes a Fraction once.
-``mul_terms`` is its one-product case, and the lambda bracket of
-``pva`` sums each power of lambda with it.
+way.  ``sum_of_products`` is the one accumulator for sums of products
+and for linear combinations: it takes sum n * a * b over many (n, a, b),
+n an int or a Fraction, over the lcm of the products' denominators, so
+each output term becomes a Fraction once.  ``mul_terms`` is its
+one-product case, the lambda bracket of ``pva`` sums each power of
+lambda with it, and ``combine`` sums a whole {key: [triples]} table
+with it, one key at a time; with the unit operand ``UNIT``,
+(c, p.terms, UNIT) is c * p, so series, generator images, Poisson
+tables and points f + sum p v are all summed this way.  Operand term
+dicts must hold no zero coefficient: build them from polynomials or
+``PolyRing.const``, never as {(): c} with c possibly zero.
 
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
@@ -38,6 +44,8 @@ Scalar = Union[Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# the term dict of the polynomial 1: (c, p.terms, UNIT) stands for c * p
+UNIT = {(): ONE}
 
 
 def _as_fraction(c: Scalar) -> Fraction:
@@ -152,20 +160,25 @@ def mul_int_terms(terms_a, terms_b, parities, out=None):
 
 
 def sum_of_products(triples, parities):
-    """sum n * a * b over (int n, Fraction term dict a, Fraction term
-    dict b) triples, as a Fraction term dict without zero coefficients.
+    """sum n * a * b over (n, a, b) triples, n an int or a Fraction and
+    a, b Fraction term dicts, as a Fraction term dict without zero
+    coefficients.
 
-    Each product a * b has denominator da * db (the operands' common
-    denominators); all are summed in ints over the lcm D of those, the
-    numerators of a scaled by n * D / (da * db), and each output term
-    becomes a Fraction once.  Products accumulate into one dict in
-    triple order, each as ``mul_int_terms`` orders it.
+    Each product n * a * b has denominator da * db * dn (the operands'
+    common denominators and n's); all are summed in ints over the lcm D
+    of those, the numerators of a scaled by n's numerator times
+    D / (da * db * dn), and each output term becomes a Fraction once.
+    Products accumulate into one dict in triple order, each as
+    ``mul_int_terms`` orders it.  Operands must hold no zero
+    coefficient: an int accumulator only drops the sums it sees reach
+    zero, so a zero term of an operand survives into the output.
     """
     prepared = []
     for n, a, b in triples:
         if n and a and b:
             da, db = common_denominator(a), common_denominator(b)
-            prepared.append((n, a, da, b, db, da * db))
+            prepared.append((n.numerator, a, da, b, db,
+                             da * db * n.denominator))
     if not prepared:
         return {}
     den = lcm(*[p[5] for p in prepared])
@@ -175,6 +188,21 @@ def sum_of_products(triples, parities):
         mul_int_terms(numerators(a, n * (den // d) * da), numerators(b, db),
                       parities, out)
     return fraction_terms(out, den)
+
+
+def combine(ring: "PolyRing", acc: Mapping) -> dict:
+    """{key: [(n, a, b), ...]} to {key: sum n * a * b as a polynomial of
+    ring}, each key summed once by ``sum_of_products``; keys whose sum
+    is zero are dropped.  ``UNIT`` as b makes (c, p.terms, UNIT) the
+    term c * p, so this is also the one way to take linear combinations.
+    The ring's parities are read here, after any jets the operands
+    needed were added."""
+    out = {}
+    for key, triples in acc.items():
+        terms = sum_of_products(triples, ring.parities())
+        if terms:
+            out[key] = SuperPolynomial(ring, terms)
+    return out
 
 
 def mul_terms(terms_a, terms_b, parities):
@@ -472,11 +500,10 @@ class SuperPolynomial:
     def total_derivative(self) -> "SuperPolynomial":
         """Derivation sending each variable of order n to the one of order n+1."""
         ring = self.ring
-        out = ring.zero()
-        for i in sorted(self.variables_used()):
-            di = ring.derivative_index(i)
-            out = out + ring.gen(di) * self.partial_derivative(i)
-        return out
+        triples = [(1, ring.gen(ring.derivative_index(i)).terms,
+                    self.partial_derivative(i).terms)
+                   for i in sorted(self.variables_used())]
+        return SuperPolynomial(ring, sum_of_products(triples, ring.parities()))
 
     def substitute(self, images: Mapping[int, "SuperPolynomial"],
                    target: Optional[PolyRing] = None) -> "SuperPolynomial":

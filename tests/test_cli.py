@@ -527,6 +527,28 @@ class TestReportMechanics:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("coefficients", ["slice", "regular"])
+    @pytest.mark.parametrize("weight", ["-1", "-1/2"])
+    def test_negative_max_weight_rejected(self, weight, coefficients,
+                                          capsys):
+        # a negative cutoff keeps no block: an empty table would PASS
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", "--algebra", "sl3", f"--max-weight={weight}",
+                  "--coefficients", coefficients])
+        assert exc.value.code == 2
+        assert "--max-weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coefficients", ["slice", "regular"])
+    def test_library_negative_max_weight_fails_cohomology(self, coefficients):
+        rep = run_pipeline(JobConfig(algebra="sl3", max_weight=F(-1),
+                                     coefficients=coefficients),
+                           command="cohomology")
+        assert rep["body"]["verdict"] == "fail"
+        st = rep["body"]["stages"][-1]
+        assert st["name"] == "cohomology"
+        assert "at least 0" in st["error"]
+        assert cli.exit_code(rep) == 1
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_rejected(self, trials, capsys):
         # no sampled gauge would leave invariance a vacuous PASS

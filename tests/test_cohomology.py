@@ -255,6 +255,20 @@ class TestBuildDispatch:
         with pytest.raises(ValueError, match="share a sign"):
             GradedComplex(ring, {}, [0], [1], 6)
 
+    @pytest.mark.parametrize("max_wt2", [-1, -2])
+    def test_negative_truncation_rejected(self, max_wt2):
+        # no block would survive, so every table would be vacuously empty
+        ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=-2)])
+        with pytest.raises(ValueError, match="at least 0"):
+            GradedComplex(ring, {0: ring.gen(1)}, [0], [1], max_wt2)
+
+    def test_negative_max_weight_rejected_by_builders(self, sl3_data):
+        alg, triple, grading = sl3_data
+        with pytest.raises(ValueError, match="at least 0"):
+            regular_ce_complex(alg, grading, max_weight=-1)
+        with pytest.raises(ValueError, match="at least 0"):
+            slice_ce_complex(gauge_fix(alg, triple, grading), max_weight=-1)
+
     def test_missing_weight_rejected(self):
         ring = PolyRing([Variable("x", 0), Variable("ph", 1, wt2=-2)])
         with pytest.raises(ValueError, match="nonzero weight"):

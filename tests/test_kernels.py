@@ -6,9 +6,11 @@ integer-numerator kernel under mul_terms, SuperPolynomial.__mul__ and
 LieSuperalgebra.bracket_poly is compared with the Fraction kernel in
 tests/fraction_kernel_oracle.py (the package's former implementation):
 same items in the same order, every coefficient a Fraction.
-sum_of_products, the accumulator under mul_terms and the lambda
-bracket, is compared with the oracle's products summed in Fractions,
-and mul_monomials with the oracle's merge.  The dense
+sum_of_products, the one accumulator under mul_terms, the lambda
+bracket and (through combine and UNIT) every linear combination of
+polynomials, is compared with the oracle's products summed in
+Fractions, for int and Fraction multipliers, and mul_monomials with
+the oracle's merge.  The dense
 Bareiss rank in tests/dense_oracles.py (the package's former rank
 kernel) is checked against the pivot count of dense Gauss-Jordan
 elimination, and the package's sparse exact_rank against both.
@@ -23,8 +25,9 @@ import fraction_kernel_oracle as oracle
 from dense_oracles import bareiss_rank, dense_rref
 from superslice.liealg import LieSuperalgebra, build_sl
 from superslice.linalg import RationalMatrix, exact_rank, rref
-from superslice.superpoly import (PolyRing, SuperPolynomial, Variable,
-                                  mul_monomials, mul_terms, sum_of_products)
+from superslice.superpoly import (UNIT, PolyRing, SuperPolynomial, Variable,
+                                  combine, mul_monomials, mul_terms,
+                                  sum_of_products)
 
 F = Fraction
 # a tuple on purpose: PolyRing.parities() hands the kernel a tuple
@@ -123,7 +126,11 @@ def oracle_sum(triples, parities):
     return out
 
 
-TRIPLES = st.lists(st.tuples(st.integers(-3, 3), term_dicts(), term_dicts()),
+# int and Fraction multipliers, zero included: a Fraction's denominator
+# joins the product's denominator in the accumulator
+MULTIPLIERS = st.integers(-3, 3) | st.sampled_from(
+    [F(0), F(1, 2), F(-2, 3), F(5, 4), F(-7, 6), F(3)])
+TRIPLES = st.lists(st.tuples(MULTIPLIERS, term_dicts(), term_dicts()),
                    max_size=5)
 
 
@@ -160,6 +167,49 @@ class TestSumOfProducts:
         got = sum_of_products([(3, half, third), (-1, half, half)], RPAR)
         assert got == {((0, 2),): F(1, 4), x: F(1)}
         assert all(type(c) is Fraction for c in got.values())
+        # 2/3 * (1/2 x) * 1 - 1/6 x over the lcm of 2 * 3 and 6
+        assert sum_of_products([(F(2, 3), half, UNIT),
+                                (F(-1, 6), {x: F(1)}, UNIT)], RPAR) == \
+            {x: F(1, 6)}
+
+
+class TestCombine:
+    @settings(max_examples=100, deadline=None)
+    @given(term_dicts(), MULTIPLIERS)
+    def test_unit_operand_is_scalar_multiple(self, a, c):
+        p = SuperPolynomial(RING, a)
+        got = combine(RING, {"k": [(c, p.terms, UNIT)]})
+        assert got == ({"k": p * c} if a and c else {})
+
+    @settings(max_examples=100, deadline=None)
+    @given(TRIPLES, TRIPLES)
+    def test_keys_match_sum_of_products(self, kept, other):
+        # key "c" cancels exactly and is dropped; "k" and "o" are
+        # summed on their own, in key order
+        acc = {"c": kept + [(-n, a, b) for n, a, b in kept],
+               "k": kept, "o": other}
+        got = combine(RING, acc)
+        want = {key: sum_of_products(acc[key], RPAR) for key in ("k", "o")}
+        assert list(got) == [key for key in ("k", "o") if want[key]]
+        for key, v in got.items():
+            assert v.ring is RING and v.terms == want[key]
+
+    def test_fixed_cancellation_drops_key(self):
+        x, t, s = RING.gen("x"), RING.gen("t"), RING.gen("s")
+        # t s + s t = 0 for odd t, s
+        got = combine(RING, {
+            0: [(1, t.terms, s.terms), (1, s.terms, t.terms)],
+            1: [(F(1, 2), x.terms, UNIT), (-1, t.terms, UNIT)],
+            2: [], 3: [(0, x.terms, UNIT)]})
+        assert got == {1: x * F(1, 2) - t}
+
+    def test_parities_read_at_the_call(self):
+        # the operands name a jet that the ring gains after they are built
+        ring = PolyRing([Variable("u", 1)], differential=True)
+        u, du = ring.gen(0).terms, {((1, 1),): F(1)}
+        acc = {0: [(1, du, u)]}
+        ring.derivative_index(0)
+        assert combine(ring, acc) == {0: -(ring.gen(0) * ring.gen(1))}
 
 
 # eight variables: odd ones interleaved with even ones, so that merges
