@@ -24,56 +24,97 @@ derivation, so vanishing on generators is vanishing everywhere.
 
 Every variable carries a nonzero weight and all weights share one sign,
 so each weight block is finite dimensional and cohomology is a matter
-of exact ranks, block by block, with no analysis anywhere.
+of exact ranks, block by block, with no analysis anywhere.  The rank
+path runs in Python ints from the differential to the pivot:
+OddDerivation keeps every image as integer numerators over one
+denominator, GradedComplex.d_matrix reads a block's rows straight from
+those, and linalg.row_rank eliminates them fraction-free.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from math import gcd
+from typing import Mapping, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
-from .linalg import RationalMatrix, exact_rank
+from .linalg import row_nullspace, row_rank
 from .supergroup import regular_representation
-from .superpoly import (UNIT, PolyRing, SuperPolynomial, Variable, combine,
-                        sum_of_products)
+from .superpoly import (PolyRing, SuperPolynomial, Variable, combine,
+                        common_denominator, fraction_terms, mul_int_terms,
+                        numerators)
 
-ONE = Fraction(1)
 
+class OddDerivation:
+    """Extension of generator images to an odd derivation of the whole ring.
 
-def odd_derivation(ring: PolyRing, images: Mapping[int, SuperPolynomial]):
-    """Extend generator images to an odd derivation of the whole ring.
+    Calling it maps a polynomial to its image.  Missing generators map to
+    zero; all Koszul signs come from the ring's product plus the single
+    crossing sign for moving d past the leading factor.
 
-    Missing generators map to zero.  Returns a callable poly -> poly;
-    all Koszul signs come from the ring's own multiplication plus the
-    single crossing sign for moving d past the leading factor.
+    Everything inside runs in Python ints over one denominator ``den``,
+    the lcm of the coefficient denominators of ``images.values()``.  The
+    images may be a lazy table whose ``get`` serves more generators than
+    its ``values()`` lists (``pva._JetImages`` derives jet images by
+    total derivatives, which multiply coefficients by integers only);
+    every image is checked to have denominators dividing ``den`` and the
+    derivation raises ``ValueError`` if one does not, so no numerator is
+    ever floored.  ``mono(m)`` is den * d(m) for a monomial m with
+    coefficient 1, as a cached {monomial: int} dict; a polynomial's
+    image becomes Fractions once, at the end.
     """
-    cache: dict[tuple, dict] = {}
 
-    def d_mono(mono: tuple) -> dict:
-        """d of a monomial with coefficient 1, as a term dict."""
+    def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial]):
+        self.ring = ring
+        self.images = images
+        self.den = common_denominator(*(img.terms for img in images.values()))
+        self._gens: dict[int, dict] = {}
+        self._monos: dict[tuple, dict] = {}
+
+    def _generator(self, j: int) -> dict:
+        """den * d(x_j) as {monomial: int}."""
+        got = self._gens.get(j)
+        if got is None:
+            img = self.images.get(j)
+            got = {}
+            if img is not None:
+                for c in img.terms.values():
+                    if self.den % c.denominator:
+                        raise ValueError(
+                            f"image of {self.ring.variables[j].name} has "
+                            f"denominator {c.denominator}, which does not "
+                            f"divide {self.den}")
+                got = numerators(img.terms, self.den)
+            self._gens[j] = got
+        return got
+
+    def mono(self, mono: tuple) -> dict:
+        """den * d(mono) for a monomial with coefficient 1, as {monomial:
+        int} without zero entries (cached; do not modify)."""
         if not mono:
             return {}
-        got = cache.get(mono)
+        got = self._monos.get(mono)
         if got is not None:
             return got
         (j, e) = mono[0]
         rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
         # d(x_j rest) = d(x_j) rest + (-1)^{|x_j|} x_j d(rest)
-        head_img = images.get(j)
-        triples = [(1, {} if head_img is None else head_img.terms,
-                    {rest: ONE}),
-                   (-1 if ring.parity_of(j) else 1, {((j, 1),): ONE},
-                    d_mono(rest))]
-        got = cache[mono] = sum_of_products(triples, ring.parities())
+        head = self._generator(j)
+        tail = self.mono(rest)
+        par = self.ring.parities()
+        got = mul_int_terms(head, {rest: 1}, par)
+        mul_int_terms({((j, 1),): -1 if par[j] else 1}, tail, par, got)
+        self._monos[mono] = got
         return got
 
-    def d(p: SuperPolynomial) -> SuperPolynomial:
-        triples = [(c, d_mono(mono), UNIT) for mono, c in p.terms.items()]
-        return SuperPolynomial(ring, sum_of_products(triples,
-                                                     ring.parities()))
-
-    return d
+    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
+        den = common_denominator(p.terms)
+        acc: dict[tuple, int] = {}
+        for mono, n in numerators(p.terms, den).items():
+            # the constant n times den * d(mono), summed into acc
+            mul_int_terms({(): n}, self.mono(mono), self.ring.parities(),
+                          acc)
+        return SuperPolynomial(self.ring, fraction_terms(acc, den * self.den))
 
 
 def _check_square_zero(ring: PolyRing, d,
@@ -98,6 +139,15 @@ class GradedComplex:
     the complex is built on; cohomological degree counts ghost factors
     with multiplicity.  Weights are doubled integers internally, matching
     the ring's ``wt2`` convention.
+
+    A block (k, n2) has the monomials of ghost degree k and doubled
+    weight n2 as its basis, in a fixed enumeration order.  ``d_matrix``
+    gives d on a block as sparse primitive integer rows, one per source
+    monomial (the transpose of the matrix of d, each column scaled);
+    ranks are taken on those rows and cached, since H^k and H^{k+1}
+    both need the rank of d on block k.  ``cocycles`` takes the kernel
+    from the unscaled integer images instead, where scaling would
+    matter.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial],
@@ -113,7 +163,7 @@ class GradedComplex:
         self.positions = self.module_positions + self.ghost_positions
         self.ghost_set = set(self.ghost_positions)
         self.max_wt2 = max_wt2
-        self.d = odd_derivation(ring, self.images)
+        self.d = OddDerivation(ring, self.images)
         _check_square_zero(ring, self.d, self.images, "d")
         w2s = [ring.variables[p].wt2 for p in self.positions]
         if any(w is None or w == 0 for w in w2s):
@@ -134,31 +184,45 @@ class GradedComplex:
         if got is not None:
             return got
         poss = self.positions
+        n = len(poss)
         w2 = [self.ring.variables[p].wt2 * self.sign for p in poss]
-        par = [self.ring.parity_of(p) for p in poss]
+        odd = [self.ring.parity_of(p) for p in poss]
+        ghost = [p in self.ghost_set for p in poss]
+        # no monomial in positions i.. has weight below min_w2[i]; the
+        # entry past the end is above every weight the block can reach
+        min_w2 = [min(w2[i:]) for i in range(n)] + [abs(n2) + 1]
+        # canonical monomial keys are sorted by variable index (the
+        # factors are distinct variables, so no sign is involved); the
+        # recursion appends factors in position order
+        ascending = poss == sorted(poss)
         out: dict[int, list[tuple]] = {}
         mono: list[tuple[int, int]] = []
 
-        def rec(i: int, rem: int):
-            if rem == 0:
-                # canonical monomial key: sorted by variable index (the
-                # factors are distinct variables, so no sign is involved)
-                m = tuple(sorted(mono))
-                k = sum(e for pos, e in m if pos in self.ghost_set)
-                out.setdefault(k, []).append(m)
-                return
-            if i == len(poss):
-                return
-            rec(i + 1, rem)
-            cap = 1 if par[i] else rem // w2[i]
+        def rec(i: int, rem: int, k: int):
+            """Monomials of weight rem in positions i.., extending mono
+            (ghost degree k so far): first those without position i,
+            then those with exponent 1, 2, ... of it."""
+            if rem >= min_w2[i + 1]:
+                rec(i + 1, rem, k)
+            w = w2[i]
+            cap = rem // w
+            if odd[i] and cap > 1:
+                cap = 1
             for e in range(1, cap + 1):
-                if w2[i] * e > rem:
-                    break
+                left = rem - w * e
+                ke = k + e if ghost[i] else k
                 mono.append((poss[i], e))
-                rec(i + 1, rem - w2[i] * e)
+                if left == 0:
+                    m = tuple(mono) if ascending else tuple(sorted(mono))
+                    out.setdefault(ke, []).append(m)
+                elif left >= min_w2[i + 1]:
+                    rec(i + 1, left, ke)
                 mono.pop()
 
-        rec(0, abs(n2))
+        if n2 == 0:
+            out[0] = [()]
+        elif abs(n2) >= min_w2[0]:
+            rec(0, abs(n2), 0)
         self._blocks[n2] = out
         return out
 
@@ -168,35 +232,54 @@ class GradedComplex:
     def block_dim(self, k: int, n2: int) -> int:
         return len(self.block_basis(k, n2))
 
-    def d_matrix(self, k: int, n2: int) -> Optional[RationalMatrix]:
-        """Matrix of d from block (k, n2) to (k+1, n2); None if either
-        side is empty (then the map is zero)."""
-        src = self.block_basis(k, n2)
-        tgt = self.block_basis(k + 1, n2)
-        if not src or not tgt:
-            for m in src:
-                if not self.d(SuperPolynomial(self.ring, {m: ONE})).is_zero():
+    def _image_rows(self, k: int, n2: int) -> list[dict]:
+        """den * d(m) for each basis monomial m of block (k, n2), in
+        basis order, as {index in the basis of block (k+1, n2): int}."""
+        where = {m: t for t, m in enumerate(self.block_basis(k + 1, n2))}
+        rows = []
+        for m in self.block_basis(k, n2):
+            row = {}
+            for mm, x in self.d.mono(m).items():
+                t = where.get(mm)
+                if t is None:
                     raise ValueError("differential left its weight block")
-            return None
-        where = {m: r for r, m in enumerate(tgt)}
-        out = RationalMatrix.zeros(len(tgt), len(src))
-        for c, m in enumerate(src):
-            img = self.d(SuperPolynomial(self.ring, {m: ONE}))
-            for mm, coeff in img.terms.items():
-                r = where.get(mm)
-                if r is None:
-                    raise ValueError("differential left its weight block")
-                out[r, c] = coeff
-        return out
+                row[t] = x
+            rows.append(row)
+        return rows
+
+    def d_matrix(self, k: int, n2: int) -> list[dict]:
+        """The transpose of the matrix of d from block (k, n2) to block
+        (k+1, n2) as sparse integer rows: row i is the image of the i-th
+        basis monomial of block (k, n2), scaled to a primitive
+        {target index: int} ({} for a cocycle).  The rows have the rank
+        of d, not its kernel (see ``cocycles``)."""
+        rows = self._image_rows(k, n2)
+        for i, r in enumerate(rows):
+            g = gcd(*r.values())
+            if g > 1:
+                rows[i] = {t: x // g for t, x in r.items()}
+        return rows
 
     def _rank(self, k: int, n2: int) -> int:
         if k < 0:
             return 0
         got = self._ranks.get((k, n2))
         if got is None:
-            m = self.d_matrix(k, n2)
-            got = self._ranks[(k, n2)] = exact_rank(m) if m is not None else 0
+            got = self._ranks[(k, n2)] = row_rank(self.d_matrix(k, n2))
         return got
+
+    def cocycles(self, k: int, n2: int) -> list[SuperPolynomial]:
+        """Basis of the kernel of d on block (k, n2): one cocycle per
+        free column of the reduced matrix of d, with coefficient 1 on
+        its own basis monomial."""
+        src = self.block_basis(k, n2)
+        cols: list[dict] = [{} for _ in self.block_basis(k + 1, n2)]
+        for c, row in enumerate(self._image_rows(k, n2)):
+            for t, x in row.items():
+                cols[t][c] = x
+        return [SuperPolynomial(self.ring,
+                                {m: x for m, x in zip(src, v) if x})
+                for v in row_nullspace(cols, len(src))]
 
     def cohomology_dim(self, k: int, weight) -> int:
         """dim H^k at the given weight (a half-integer; Fractions fine)."""

@@ -39,10 +39,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, _as_wt2, _ce_images,
+from .cohomology import (GradedComplex, OddDerivation, _as_wt2, _ce_images,
                          _check_square_zero, _gauge_action_fields,
-                         odd_derivation, weighted_monomial_counts)
-from .linalg import nullspace
+                         weighted_monomial_counts)
 from .slice import SliceChart, finite_miura
 from .superpoly import (UNIT, PolyRing, SuperPolynomial, Variable, combine,
                         sum_of_products)
@@ -453,11 +452,19 @@ def skew_defect(machine: ArcBracket, a: SuperPolynomial,
 class _JetImages:
     """Image table for a map commuting with the total derivative (the BRST
     derivation, a DifferentialMorphism): the image of a jet is the jet of
-    the image of its base generator, computed once and cached."""
+    the image of its base generator, computed once and cached.  Total
+    derivatives multiply coefficients by integers only, so every jet
+    image has denominators dividing the lcm of those of ``values()``,
+    the base images (OddDerivation checks this on each image served)."""
 
     def __init__(self, ring: PolyRing, base: Mapping[int, SuperPolynomial]):
         self.ring = ring
+        self.base = dict(base)
         self.cache = dict(base)
+
+    def values(self):
+        """The base images; jet images are served by ``get`` only."""
+        return self.base.values()
 
     def get(self, j: int, default=None):
         got = self.cache.get(j)
@@ -572,7 +579,7 @@ class BRSTComplex:
         fields = ps.push_fields(_gauge_action_fields(chart, chart.ring), ring)
         images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
         self._images = images
-        self.Q = odd_derivation(ring, _JetImages(ring, images))
+        self.Q = OddDerivation(ring, _JetImages(ring, images))
         _check_square_zero(ring, self.Q, images, "Q")
 
     def generator(self, label: str) -> SuperPolynomial:
@@ -649,19 +656,7 @@ class TruncatedH0:
 
     def representatives(self, weight) -> list[SuperPolynomial]:
         """Basis of the degree-zero kernel of Q at the given weight."""
-        n2 = _as_wt2(weight)
-        basis = self.graded.block_basis(0, n2)
-        if not basis:
-            return []
-        mat = self.graded.d_matrix(0, n2)
-        ring = self.graded.ring
-        if mat is None:
-            return [SuperPolynomial(ring, {m: ONE}) for m in basis]
-        out = []
-        for vec in nullspace(mat):
-            terms = {m: c for m, c in zip(basis, vec) if c}
-            out.append(SuperPolynomial(ring, terms))
-        return out
+        return self.graded.cocycles(0, _as_wt2(weight))
 
 
 def h0_truncated(complex_: BRSTComplex, max_weight) -> TruncatedH0:

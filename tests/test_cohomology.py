@@ -9,24 +9,27 @@ action fields are compared with the former scratch-parameter
 linearisation of the adjoint orbit series in gauge_action_oracle.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import gauge_action_oracle
+from dense_oracles import dense_rank
 
 from superslice.cli import resolve_algebra
-from superslice.cohomology import (GradedComplex, cohomology_table,
-                                   de_rham_check, odd_derivation,
+from superslice.cohomology import (GradedComplex, OddDerivation,
+                                   cohomology_table, de_rham_check,
                                    regular_ce_complex, slice_ce_complex,
                                    weighted_monomial_counts,
                                    _gauge_action_fields)
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
                                sl2_triple_for)
-from superslice.pva import BRSTComplex
+from superslice.linalg import row_rank
+from superslice.pva import BRSTComplex, h0_truncated
 from superslice.slice import gauge_fix
-from superslice.superpoly import PolyRing, Variable
+from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
 
 def principal_setup(alg):
@@ -80,8 +83,10 @@ class TestRegular:
         # one even coordinate x, one odd ghost ph, both of weight -1
         assert cx.block_basis(0, -2) == [((0, 1),)]
         assert cx.block_basis(1, -2) == [((1, 1),)]
-        m = cx.d_matrix(0, -4)  # d(x^2) = 2 x ph
-        assert m.nrows == 1 and m.ncols == 1 and m[0, 0] == Fraction(2)
+        x, ph = cx.ring.gen(0), cx.ring.gen(1)
+        assert cx.d(x * x) == x * ph * 2  # d(x^2) = 2 x ph
+        # the transpose as primitive integer rows: one source, one target
+        assert cx.d_matrix(0, -4) == [{0: 1}]
 
     def test_sl2_point_cohomology(self, sl2_data):
         alg, triple, grading = sl2_data
@@ -289,11 +294,118 @@ class TestDeRham:
         # on C^{0|1}: d(th . dth^m) = -dth^{m+1}, so every positive-degree
         # block is exact
         ring = PolyRing([Variable("th", 1, wt2=2), Variable("dth", 0, wt2=2)])
-        d = odd_derivation(ring, {0: -ring.gen(1)})
+        d = OddDerivation(ring, {0: -ring.gen(1)})
         th, dth = ring.gen(0), ring.gen(1)
         assert d(th) == -dth
         assert d(th * dth) == -(dth * dth)
         assert d(dth * dth).is_zero()
+
+
+# -- the integer differential against the polynomial one ------------------------
+
+
+def dense_d_rows(cx, k, n2):
+    """The transpose of the matrix of d on block (k, n2) in Fractions,
+    built from cx.d applied to each basis monomial."""
+    where = {m: t for t, m in enumerate(cx.block_basis(k + 1, n2))}
+    rows = []
+    for m in cx.block_basis(k, n2):
+        row = [Fraction(0)] * len(where)
+        for mm, c in cx.d(SuperPolynomial(cx.ring, {m: Fraction(1)})
+                          ).terms.items():
+            row[where[mm]] = c
+        rows.append(row)
+    return rows
+
+
+def assert_block_ranks_match_dense(cx):
+    blocks = 0
+    for a2 in range(cx.max_wt2 + 1):
+        n2 = a2 * cx.sign
+        below = 0  # rank of d from block k - 1 into block k
+        for k in range(cx.max_degree(n2) + 1):
+            rows = dense_d_rows(cx, k, n2)
+            rank = dense_rank(rows) if rows and rows[0] else 0
+            assert row_rank(cx.d_matrix(k, n2)) == rank, (k, n2)
+            assert cx.cohomology_dim(k, Fraction(n2, 2)) == \
+                cx.block_dim(k, n2) - rank - below, (k, n2)
+            below = rank
+            blocks += 1
+    assert blocks > 10
+
+
+class TestIntegerRows:
+    def test_slice_sl21_block_ranks(self, sl21_data):
+        alg, triple, grading = sl21_data
+        assert_block_ranks_match_dense(
+            slice_ce_complex(gauge_fix(alg, triple, grading), max_weight=4))
+
+    def test_regular_sl4_block_ranks(self):
+        alg = build_sl(4)
+        _, grading = principal_setup(alg)
+        assert_block_ranks_match_dense(
+            regular_ce_complex(alg, grading, max_weight=6))
+
+    def test_brst_h0_block_ranks(self, sl21_data):
+        alg, triple, grading = sl21_data
+        chart = gauge_fix(alg, triple, grading)
+        assert_block_ranks_match_dense(
+            h0_truncated(BRSTComplex(chart), 3).graded)
+
+    def test_rows_are_primitive_images(self, sl21_data):
+        alg, triple, grading = sl21_data
+        cx = slice_ce_complex(gauge_fix(alg, triple, grading), max_weight=4)
+        for k in range(3):
+            rows = cx.d_matrix(k, 6)
+            dense = dense_d_rows(cx, k, 6)
+            assert len(rows) == len(dense) == cx.block_dim(k, 6)
+            for row, want in zip(rows, dense):
+                assert all(isinstance(x, int) for x in row.values())
+                assert math.gcd(*row.values()) in (0, 1)
+                nz = {t: c for t, c in enumerate(want) if c}
+                assert set(row) == set(nz)
+                # row = s * d(m) for one positive rational s
+                assert len({Fraction(row[t]) / c
+                            for t, c in nz.items()}) <= 1
+                assert all(row[t] * c > 0 for t, c in nz.items())
+
+
+class TestOneDenominator:
+    def test_lazy_image_outside_the_denominator_raises(self):
+        # values() lists d(x) = 2 th over the denominator 1; get also
+        # serves d(y) = th / 3, the way pva._JetImages serves jets
+        ring = PolyRing([Variable("x", 0, wt2=2), Variable("y", 0, wt2=2),
+                         Variable("th", 1, wt2=2)])
+        th = ring.gen(2)
+
+        class LazyTable:
+            base = {0: th * 2}
+
+            def values(self):
+                return self.base.values()
+
+            def get(self, j, default=None):
+                return th * Fraction(1, 3) if j == 1 else \
+                    self.base.get(j, default)
+
+        d = OddDerivation(ring, LazyTable())
+        assert d.den == 1
+        assert d(ring.gen(0)) == th * 2
+        with pytest.raises(ValueError, match="denominator 3"):
+            d(ring.gen(1))
+        with pytest.raises(ValueError, match="denominator 3"):
+            d(ring.gen(0) * ring.gen(1))
+
+    def test_jet_images_share_the_denominator(self, sl2_data):
+        alg, triple, grading = sl2_data
+        cx = BRSTComplex(gauge_fix(alg, triple, grading))
+        ring = cx.ring
+        jet = ring.derivative_index(ring.derivative_index(0))
+        got = cx.Q(ring.gen(jet))
+        want = cx.Q(ring.gen(0)).total_derivative().total_derivative()
+        assert got == want
+        assert all(cx.Q.den % c.denominator == 0
+                   for c in got.terms.values())
 
 
 # -- counting helper -------------------------------------------------------------

@@ -1,12 +1,20 @@
-"""Exact linear algebra: rank, RREF, solve, nullspace."""
+"""Exact linear algebra: rank, RREF, solve, nullspace.
+
+The fraction-free integer core is compared with two oracles that share
+no code with it: the package's former sparse elimination over Fractions
+(tests/fraction_elimination_oracle.py) and dense Bareiss and
+Gauss-Jordan elimination (tests/dense_oracles.py).
+"""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import fraction_elimination_oracle as fraction_oracle
 from dense_oracles import dense_rank, dense_rref
 from superslice.linalg import (RationalMatrix, exact_rank, from_columns,
-                               nullspace, rref, solve)
+                               nullspace, row_nullspace, row_rank, rref,
+                               solve)
 
 
 def test_rank_trivial():
@@ -150,3 +158,89 @@ def test_rref_nullspace_solve_match_dense_oracle(data):
     for b in (m.mul_vector(x0),
               [Fraction(data.draw(st.integers(-3, 3))) for _ in rows]):
         assert solve(m, b) == oracle_solve(rows, nc, b)
+
+
+# -- the integer core against both oracles ------------------------------------
+
+PRIMES = [2, 3, 5, 7, 11, 13, 1_000_003, 2_147_483_647, 2 ** 61 - 1,
+          10 ** 18 + 9]
+
+
+def draw_hard_rows(data, max_side=7):
+    """Rows whose clearing and elimination stress integer growth: mixed
+    denominators (several primes and their products), large prime
+    numerators, and rows that are combinations of other rows with
+    large coefficients."""
+    rnd = data.draw(st.randoms(use_true_random=False))
+    nr, nc = rnd.randint(1, max_side), rnd.randint(1, max_side)
+    density = rnd.choice([0.3, 0.6, 0.9])
+
+    def entry():
+        num = rnd.choice([-1, 1]) * rnd.choice(PRIMES + [1, 4, 6, 9])
+        den = rnd.choice([1, 1, 2, 3, 6, 7, 35, 1_000_003, 2 ** 61 - 1])
+        return Fraction(num, den)
+
+    rows = [[entry() if rnd.random() < density else Fraction(0)
+             for _ in range(nc)] for _ in range(nr)]
+    for _ in range(rnd.randint(0, nr // 2)):
+        if nr < 2:
+            break
+        i, j, t = rnd.sample(range(nr), 2) + [rnd.randrange(nr)]
+        a, b = entry(), entry()
+        rows[t] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows, nc
+
+
+def assert_matches_both_oracles(rows, nc, data):
+    m = RationalMatrix(rows)
+    assert exact_rank(m) == fraction_oracle.rank(rows) == dense_rank(rows)
+    r, pivots = rref(m)
+    want_rows, want_pivots = dense_rref(rows, nc)
+    assert (r.rows, pivots) == fraction_oracle.rref(rows, nc)
+    assert (r.rows, pivots) == (want_rows, want_pivots)
+    assert all(type(x) is Fraction for row in r.rows for x in row)
+    kernel = nullspace(m)
+    assert kernel == fraction_oracle.nullspace(rows, nc)
+    assert kernel == oracle_nullspace(rows, nc)
+    x0 = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(nc)]
+    for b in (m.mul_vector(x0),
+              [Fraction(data.draw(st.sampled_from([0, 1, -7, 2 ** 61 - 1])),
+                        data.draw(st.sampled_from([1, 3, 35])))
+               for _ in rows]):
+        got = solve(m, b)
+        assert got == fraction_oracle.solve(rows, nc, b)
+        assert got == oracle_solve(rows, nc, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_core_matches_fraction_and_dense_oracles(data):
+    rows, nc = draw_sparse_rows(data, max_side=7)
+    assert_matches_both_oracles(rows, nc, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mixed_denominators_large_primes_dependent_rows(data):
+    rows, nc = draw_hard_rows(data)
+    assert_matches_both_oracles(rows, nc, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_row_entry_points_match_dense_oracle(data):
+    rows, nc = draw_sparse_rows(data)
+    # denominators are 1..7, so 420 = lcm(1..7) clears all of them
+    ints = [[int(x * 420) for x in row] for row in rows]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in ints]
+    keep = [dict(r) for r in sparse]
+    assert row_rank(sparse) == dense_rank(ints)
+    assert row_nullspace(sparse, nc) == oracle_nullspace(ints, nc)
+    assert sparse == keep  # the input rows are not work space
+
+
+def test_row_rank_takes_empty_rows():
+    assert row_rank([]) == 0
+    assert row_rank([{}, {}]) == 0
+    assert row_rank([{}, {3: -2, 5: 4}, {3: 1, 5: -2}, {}]) == 1
+    assert row_nullspace([{}], 2) == [[1, 0], [0, 1]]
