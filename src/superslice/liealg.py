@@ -652,147 +652,125 @@ def _invert(m: RationalMatrix) -> RationalMatrix:
 
 # -- catalogue ----------------------------------------------------------------
 
-def _matrix_bracket(a, b, pa, pb, size):
-    """Supercommutator of sparse matrices given as dict (r,c) -> Fraction."""
-    out: dict[tuple[int, int], Fraction] = {}
-    def acc(key, val):
-        t = out.get(key, ZERO) + val
-        if t:
-            out[key] = t
-        else:
-            out.pop(key, None)
-    for (r1, c1), x in a.items():
-        for (r2, c2), y in b.items():
-            if c1 == r2:
-                acc((r1, c2), x * y)
-    sgn = -ONE if (pa and pb) else ONE
-    for (r1, c1), x in b.items():
-        for (r2, c2), y in a.items():
-            if c1 == r2:
-                acc((r1, c2), -sgn * x * y)
-    return out
+def _from_matrices(labels: Sequence[str], mats: Sequence[Mapping],
+                   row_parity: Sequence[int], form_scale: Fraction,
+                   meta: dict, check: bool) -> LieSuperalgebra:
+    """The algebra spanned by square supermatrices {(row, col): Fraction}
+    whose rows and columns have the parities ``row_parity``.
 
-
-def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
-    """sl(m|n) (or gl(n|n) with a warning in meta when m == n) with the
-    supertrace form normalized on the even highest root.  check=False
-    skips the structural verification, as in load_algebra_file."""
-    if m < 1 or n < 0 or m + n < 2:
-        raise ValueError("need m >= 1, n >= 0, m + n >= 2")
-    size = m + n
-    par = lambda i: 0 if i < m else 1
-
-    labels: list[str] = []
-    mats: list[dict] = []
-    parities: list[int] = []
-    for i in range(size):
-        for j in range(size):
-            if i != j:
-                labels.append(f"e{i + 1}{j + 1}")
-                mats.append({(i, j): ONE})
-                parities.append((par(i) + par(j)) % 2)
-    gl_center = (m == n)
-    if gl_center:
-        for i in range(size):
-            labels.append(f"e{i + 1}{i + 1}")
-            mats.append({(i, i): ONE})
-            parities.append(0)
-    else:
-        for i in range(size - 1):
-            sign = ONE if (par(i) != par(i + 1)) else -ONE
-            labels.append(f"h{i + 1}")
-            mats.append({(i, i): ONE, (i + 1, i + 1): sign})
-            parities.append(0)
-
-    diag_idx = [k for k, M in enumerate(mats) if all(r == c for r, c in M)]
-    diag_cols = []
-    for k in diag_idx:
-        diag_cols.append([mats[k].get((i, i), ZERO) for i in range(size)])
-    diag_matrix = from_columns(diag_cols)
-
-    def decompose(M: dict) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        diag = [ZERO] * size
-        for (r, c), v in M.items():
-            if r == c:
-                diag[r] = v
-            else:
-                out[labels.index(f"e{r + 1}{c + 1}")] = v
-        if any(diag):
-            sol = solve(diag_matrix, diag)
-            if sol is None:
-                raise ValueError("diagonal part outside the basis span")
-            for pos, k in enumerate(diag_idx):
-                if sol[pos]:
-                    out[k] = sol[pos]
-        return out
+    The bracket is the supercommutator ab - (-1)^{|a||b|} ba, read back
+    in the basis through one rref of [B | I], B with the flattened basis
+    matrices as columns.  It gives E with E B = [I; 0]: the first dim
+    rows of E are a left inverse of B, the others vanish exactly on its
+    span.  Each position is mapped to its coordinates once; table rows
+    list basis indices in increasing order.  The form is ``form_scale``
+    times the supertrace of the product.  Raises ValueError on a basis
+    matrix that is not parity homogeneous, on dependent basis matrices
+    and on a supercommutator outside their span.
+    """
+    dim, size = len(mats), len(row_parity)
+    parities = []
+    for lab, a in zip(labels, mats):
+        seen = {(row_parity[r] + row_parity[c]) & 1 for r, c in a}
+        if len(seen) != 1:
+            raise ValueError(f"basis matrix {lab} is not parity homogeneous")
+        parities.append(seen.pop())
+    n = size * size
+    aug = RationalMatrix.zeros(n, dim + n)
+    for q, row in enumerate(aug.rows):
+        row[:dim] = [a.get(divmod(q, size), ZERO) for a in mats]
+        row[dim + q] = ONE
+    red, piv = rref(aug)
+    if piv[:dim] != list(range(dim)):
+        raise ValueError("basis matrices are linearly dependent")
+    unit = {}  # (r, c) -> coordinates of a unit there, its part off the span
+    for q in range(n):
+        col = [row[dim + q] for row in red.rows]
+        unit[divmod(q, size)] = (
+            [(k, ONE if x == 1 else x) for k, x in enumerate(col[:dim]) if x],
+            [(k, x) for k, x in enumerate(col[dim:]) if x])
+    by_row = [{} for _ in mats]  # row -> [(col, entry)] per basis matrix
+    for a, rows in zip(mats, by_row):
+        for (r, c), x in a.items():
+            rows.setdefault(r, []).append((c, x))
 
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    dim = len(labels)
-    for a in range(dim):
-        for b in range(dim):
-            br = _matrix_bracket(mats[a], mats[b], parities[a], parities[b], size)
-            if br:
-                table[(a, b)] = decompose(br)
-
-    # supertrace form, scaled so the even highest root theta has (theta,theta)=2
-    if m >= 2 or n == 0:
-        scale = ONE
-    elif n >= 2:
-        scale = -ONE
-    else:
-        scale = ONE  # gl(1|1): no even roots, normalization vacuous
     form = RationalMatrix.zeros(dim, dim)
-    for a in range(dim):
-        for b in range(dim):
-            v = ZERO
-            for (r, c), x in mats[a].items():
-                y = mats[b].get((c, r))
-                if y:
-                    v += x * y * (ONE if par(r) == 0 else -ONE)
-            form[a, b] = scale * v
-
-    meta = {"type": "gl" if gl_center else "sl", "m": m, "n": n}
-    if gl_center:
-        meta["warning"] = ("sl(n|n) is not basic; returning gl(n|n) "
-                           "with its center")
+    for i, (a, frow) in enumerate(zip(mats, form.rows)):
+        for j, b in enumerate(mats):
+            prod: dict[tuple[int, int], Fraction] = {}
+            for (r, c), x in a.items():
+                for c2, y in by_row[j].get(c, ()):
+                    prod[r, c2] = prod.get((r, c2), ZERO) + x * y
+            if prod:
+                frow[j] = form_scale * sum(-v if row_parity[r] else v
+                                           for (r, c), v in prod.items()
+                                           if r == c)
+            odd = parities[i] and parities[j]
+            for (r, c), y in b.items():
+                for c2, x in by_row[i].get(c, ()):
+                    v = y * x
+                    prod[r, c2] = prod.get((r, c2), ZERO) + (v if odd else -v)
+            row: dict[int, Fraction] = {}
+            outside: dict[int, Fraction] = {}
+            for rc, v in prod.items():
+                if v:
+                    coords, defect = unit[rc]
+                    for k, x in coords:
+                        row[k] = row.get(k, ZERO) + (v if x is ONE else v * x)
+                    for k, x in defect:
+                        outside[k] = outside.get(k, ZERO) + v * x
+            if any(outside.values()):
+                raise ValueError(f"[{labels[i]},{labels[j]}] leaves the "
+                                 "span of the basis matrices")
+            row = {k: row[k] for k in sorted(row) if row[k]}
+            if row:
+                table[i, j] = row
     return LieSuperalgebra(labels, parities, table, form=form, meta=meta,
                            check=check)
 
 
-def build_osp_1_2(check: bool = True) -> LieSuperalgebra:
-    """osp(1|2): even sl2 {e,h,f} plus odd {vp,vm}; check as in build_sl.
+def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
+    """sl(m|n), or gl(n|n) with a warning in meta when m == n, from the
+    matrix units e_ij (i != j) and h_i = e_ii -+ e_(i+1)(i+1) (every e_ii
+    for gl(n|n)) through ``_from_matrices``, with the supertrace form
+    normalized on the even highest root.  check=False skips the
+    structural verification, as in load_algebra_file."""
+    if m < 1 or n < 0 or m + n < 2:
+        raise ValueError("need m >= 1, n >= 0, m + n >= 2")
+    size = m + n
+    par = [0] * m + [1] * n
+    basis = [(f"e{i + 1}{j + 1}", {(i, j): ONE})
+             for i in range(size) for j in range(size) if i != j]
+    meta = {"type": "gl" if m == n else "sl", "m": m, "n": n}
+    if m == n:
+        basis += [(f"e{i + 1}{i + 1}", {(i, i): ONE}) for i in range(size)]
+        meta["warning"] = ("sl(n|n) is not basic; returning gl(n|n) "
+                           "with its center")
+    else:
+        basis += [(f"h{i + 1}", {(i, i): ONE, (i + 1, i + 1):
+                                 ONE if par[i] != par[i + 1] else -ONE})
+                  for i in range(size - 1)]
+    # (theta,theta) = 2 on the even highest root theta, which lies in the
+    # gl(n) block of sl(1|n) for n >= 2; gl(1|1) has no even root
+    scale = -ONE if m == 1 and n >= 2 else ONE
+    return _from_matrices([lab for lab, _ in basis], [a for _, a in basis],
+                          par, scale, meta, check)
 
-    Convention: [h,vp] = vp, [h,vm] = -vm, [vp,vm] = h, [vp,vp] = 2e,
-    [vm,vm] = -2f, [e,vm] = -vp, [f,vp] = -vm.  Realized by 3x3 matrices
-    preserving a split form on C^{1|2}; the form is -supertrace, which
-    gives kappa(h,h) = 2.
+
+def build_osp_1_2(check: bool = True) -> LieSuperalgebra:
+    """osp(1|2): even sl2 {e,h,f} plus odd {vp,vm}, through
+    ``_from_matrices``; check as in build_sl.
+
+    Realized by 3x3 matrices preserving a split form on C^{1|2} (row 0
+    even, rows 1 and 2 odd), so that [h,vp] = vp, [h,vm] = -vm,
+    [vp,vm] = h, [vp,vp] = 2e, [vm,vm] = -2f, [e,vm] = -vp and
+    [f,vp] = -vm.  The form is -supertrace, which gives kappa(h,h) = 2.
     """
-    labels = ["e", "h", "f", "vp", "vm"]
-    parities = [0, 0, 0, 1, 1]
-    ix = {l: i for i, l in enumerate(labels)}
-    raw = {
-        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
-        ("h", "vp"): {"vp": 1}, ("h", "vm"): {"vm": -1},
-        ("e", "vm"): {"vp": -1}, ("f", "vp"): {"vm": -1},
-        ("vp", "vp"): {"e": 2}, ("vm", "vm"): {"f": -2},
-        ("vp", "vm"): {"h": 1},
-    }
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b), row in raw.items():
-        i, j = ix[a], ix[b]
-        r = {ix[k]: Fraction(c) for k, c in row.items()}
-        table[(i, j)] = r
-        if i != j:
-            sgn = ONE if (parities[i] and parities[j]) else -ONE
-            table[(j, i)] = {k: sgn * c for k, c in r.items()}
-    form = RationalMatrix.zeros(5, 5)
-    pairs = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2,
-             ("vp", "vm"): 2, ("vm", "vp"): -2}
-    for (a, b), v in pairs.items():
-        form[ix[a], ix[b]] = Fraction(v)
-    return LieSuperalgebra(labels, parities, table, form=form,
-                           meta={"type": "osp12"}, check=check)
+    mats = [{(1, 2): ONE}, {(1, 1): ONE, (2, 2): -ONE}, {(2, 1): ONE},
+            {(0, 2): ONE, (1, 0): ONE}, {(0, 1): ONE, (2, 0): -ONE}]
+    return _from_matrices(["e", "h", "f", "vp", "vm"], mats, [0, 1, 1],
+                          -ONE, {"type": "osp12"}, check)
 
 
 def principal_nilpotent(alg: LieSuperalgebra) -> list[Fraction]:

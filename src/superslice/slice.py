@@ -529,72 +529,52 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     chart = miura.chart
     alg = chart.alg
     rng = random.Random(seed)
-    even_labels = [l for l in chart.inv_order if chart.parity_of(l) == 0]
-    odd_labels = [l for l in chart.inv_order if chart.parity_of(l) == 1]
-    even_target = len(even_labels)
-    odd_target = len(odd_labels)
-
-    even_jac = []
-    for lab in even_labels:
-        img = _zero_odd(miura.images[lab], miura.odd_positions)
-        even_jac.append([img.partial_derivative(pos)
-                         for pos in miura.even_positions])
-    odd_block = []
-    for lab in odd_labels:
-        img = miura.images[lab]
-        odd_block.append([_zero_odd(img.partial_derivative(pos),
-                                    miura.odd_positions)
-                          for pos in miura.odd_positions])
+    even, odd = miura.even_positions, miura.odd_positions
+    labels = [[l for l in chart.inv_order if chart.parity_of(l) == par]
+              for par in (0, 1)]
+    # even block: odd coordinates zeroed once per image, then
+    # differentiated; odd block: differentiated, then odd coordinates zeroed
+    jacobians = (
+        [[img.partial_derivative(pos) for pos in even]
+         for img in (_zero_odd(miura.images[l], odd) for l in labels[0])],
+        [[_zero_odd(miura.images[l].partial_derivative(pos), odd)
+          for pos in odd] for l in labels[1]])
+    targets = [len(l) for l in labels]
 
     def witness_candidates():
         for _ in range(trials):
-            yield {pos: _random_fraction(rng) for pos in miura.even_positions}
+            yield {pos: _random_fraction(rng) for pos in even}
         # guaranteed fallback: even coordinates of exp(e) . f
         shifted = adjoint_orbit_map(
             alg, dense_to_poly(alg, chart.triple.f, chart.ring),
             dense_to_poly(alg, chart.triple.e, chart.ring))
         point = {}
-        for pos in miura.even_positions:
+        for pos in even:
             b = chart.coord_indices[pos]
             comp = shifted.get(b)
             point[pos] = comp.as_constant() if comp is not None else ZERO
         yield point
 
+    # per block: the best rank so far (the target once it passes, 0 when
+    # the block is empty) and whether it has passed
     witnesses = []
-    even_rank = odd_rank = 0
-    even_ok = even_target == 0
-    odd_ok = odd_target == 0
+    ranks = [0, 0]
+    done = [not t for t in targets]
     for point in witness_candidates():
-        if not even_ok and even_target:
-            m = RationalMatrix([[_eval_even(x, point) for x in row]
-                                for row in even_jac])
-            r = exact_rank(m)
-            if r == even_target:
-                even_ok, even_rank = True, r
-                witnesses.append({"block": "even", "point": {
+        for blk, name in enumerate(("even", "odd")):
+            if done[blk]:
+                continue
+            r = exact_rank(RationalMatrix([
+                [_eval_even(x, point) for x in row] for row in jacobians[blk]]))
+            ranks[blk] = max(ranks[blk], r)
+            if r == targets[blk]:
+                done[blk] = True
+                witnesses.append({"block": name, "point": {
                     chart.ring.variables[pos].name: str(v)
                     for pos, v in point.items()}})
-            else:
-                even_rank = max(even_rank, r)
-        if not odd_ok and odd_target:
-            m = RationalMatrix([[_eval_even(x, point) for x in row]
-                                for row in odd_block])
-            r = exact_rank(m)
-            if r == odd_target:
-                odd_ok, odd_rank = True, r
-                witnesses.append({"block": "odd", "point": {
-                    chart.ring.variables[pos].name: str(v)
-                    for pos, v in point.items()}})
-            else:
-                odd_rank = max(odd_rank, r)
-        if even_ok and odd_ok:
-            break
-
-    if even_ok and odd_ok:
-        return InjectivityCertificate(even_rank if even_target else 0,
-                                      even_target,
-                                      odd_rank if odd_target else 0,
-                                      odd_target, witnesses, "pass")
+        if all(done):
+            return InjectivityCertificate(ranks[0], targets[0], ranks[1],
+                                          targets[1], witnesses, "pass")
     return InjectivityCertificate(
-        even_rank, even_target, odd_rank, odd_target, witnesses, "fail",
+        ranks[0], targets[0], ranks[1], targets[1], witnesses, "fail",
         note="no full-rank witness found; inconclusive, not a disproof")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Scalar = Union[Fraction, int]
 
@@ -302,14 +302,6 @@ class PolyRing:
         i = (name_or_index if isinstance(name_or_index, int)
              else self.index[name_or_index])
         return SuperPolynomial(self, {((i, 1),): ONE})
-
-    def monomial(self, pairs: Sequence[tuple[int, int]], coeff: Scalar = 1) -> "SuperPolynomial":
-        p = self.one() * _as_fraction(coeff)
-        for i, e in pairs:
-            g = self.gen(i)
-            for _ in range(e):
-                p = p * g
-        return p
 
 
 def derivative_name(base: str, order: int) -> str:

@@ -433,6 +433,20 @@ class TestEdges:
         assert "inconclusive" in cert.note
         assert cert.even_rank == 0 and cert.even_target == 1
 
+    def test_odd_block_failure_keeps_even_witness(self, sl21_chart):
+        # the even block passes and the zeroed odd block never does: one
+        # even witness, and the verdict is inconclusive
+        m = finite_miura(sl21_chart)
+        for lab in m.images:
+            if sl21_chart.parity_of(lab):
+                m.images[lab] = sl21_chart.ring.zero()
+        cert = injectivity_certificate(m, trials=2, seed=3)
+        assert cert.verdict == "fail"
+        assert (cert.even_rank, cert.even_target) == (2, 2)
+        assert (cert.odd_rank, cert.odd_target) == (0, 2)
+        assert [w["block"] for w in cert.witness_points] == ["even"]
+        assert "inconclusive" in cert.note
+
     def test_fallback_witness_with_zero_trials(self, osp_chart):
         cert = injectivity_certificate(finite_miura(osp_chart), trials=0)
         assert cert.verdict == "pass"
