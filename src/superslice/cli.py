@@ -435,7 +435,8 @@ def run_pipeline(config: JobConfig, command: str = "run",
 
 
 def run_orbit(config: JobConfig, element: str, by: str) -> dict:
-    """Conjugate a basis combination by the exponential of another."""
+    """Conjugate a basis combination by the exponential of another,
+    which must be even; the element may be odd."""
     body = {"tool": "superslice", "command": "orbit",
             "inputs": {"algebra": config.algebra, "element": element,
                        "by": by},
@@ -447,6 +448,11 @@ def run_orbit(config: JobConfig, element: str, by: str) -> dict:
         stage = "orbit"
         w = parse_nilpotent(alg, element)
         y = parse_nilpotent(alg, by)
+        if not alg.is_even(y):
+            # an odd direction needs odd (Grassmann) coefficients, which
+            # a numeric --by cannot carry
+            raise ValueError("--by must be even: with numeric coefficients "
+                             "exp(y) is a group element only for even y")
         ring = PolyRing([])
         moved = adjoint_orbit_map(alg, dense_to_poly(alg, w, ring),
                                   dense_to_poly(alg, y, ring))

@@ -8,13 +8,20 @@ Jacobi is checked on sorted basis triples i <= j <= k only: once
 super-antisymmetry holds, the Jacobiator is super-alternating, so its
 value on any permutation of a triple is a sign times its value on the
 sorted one (the proof is in ``LieSuperalgebra._verify``).  The form is
-read once into sparse rows and checked only where an entry or a bracket
-can be nonzero.
+read once into sparse rows (``form_rows``) and checked only where an
+entry or a bracket can be nonzero.
 
-Vectors come in two flavors: dense lists of Fractions, and sparse dicts
-mapping basis index -> SuperPolynomial for symbolic points.  The bracket
-on polynomial vectors applies the Koszul rule
-[a x, b y] = (-1)^{|x||b|} a b [x, y].
+Every bracket reads the structure constants as one integer table: the
+numerators n_ij^k over one common denominator d, so that
+c_ij^k = n_ij^k / d.  ``_bracket`` sums u_i v_j n_ij^k over sparse
+vectors and returns d [u, v]; the checks compare such scaled sums, and
+each public bracket divides by d once.
+
+Vectors come in two flavors: dense lists of Fractions, one entry per
+basis element (``bracket_num``, ``ad_matrix``, ``form_value``), and
+sparse dicts mapping basis index -> SuperPolynomial for symbolic points
+(``bracket_poly``).  The bracket on polynomial vectors applies the
+Koszul rule [a x, b y] = (-1)^{|x||b|} a b [x, y].
 """
 
 from __future__ import annotations
@@ -57,11 +64,15 @@ class LieSuperalgebra:
             cleaned = {k: _as_fraction(c) for k, c in row.items() if c}
             if cleaned:
                 self.table[(i, j)] = cleaned
-        # the table over one common denominator, for bracket_poly
+        # the integer table every bracket reads: rows {k: n} with
+        # table[i, j][k] = n / _int_den, in the key orders of ``table``
         self._int_den = common_denominator(*self.table.values())
-        self._int_table = {ij: list(numerators(row, self._int_den).items())
+        self._int_table = {ij: numerators(row, self._int_den)
                            for ij, row in self.table.items()}
         self.form = form
+        # the nonzero form entries, row by row in column order
+        self.form_rows = None if form is None else [
+            {c: v for c, v in enumerate(r) if v} for r in form.rows]
         self.meta = dict(meta or {})
         if check:
             self._verify()
@@ -100,7 +111,9 @@ class LieSuperalgebra:
         a basis triple iff it vanishes on its sorted one.  Equal indices
         stay in: J(x,x,z) need not vanish for odd x.  A triple is skipped
         when [x_j,x_k], [x_i,x_j] and [x_i,x_k] are all absent from the
-        table, since then all three terms of J are zero.
+        table, since then all three terms of J are zero.  The terms are
+        compared as d^2 J (d = ``_int_den``), in integers: the inner
+        bracket is a row of the integer table, the outer one ``_bracket``.
         """
         p = self.parities
         for (i, j), row in self.table.items():
@@ -117,22 +130,24 @@ class LieSuperalgebra:
                         f"parity inhomogeneity in [{self.labels[i]},"
                         f"{self.labels[j]}]")
         n = self.dim
-        table = self.table
+        table, bracket = self._int_table, self._bracket
+        none: dict[int, int] = {}  # the row of a bracket absent from the table
         for i in range(n):
             for j in range(i, n):
                 pij = p[i] * p[j]
-                bij = self._bb(i, j)
+                bij = table.get((i, j), none)
                 for k in range(j, n):
-                    if (j, k) not in table and not bij and (i, k) not in table:
+                    bjk = table.get((j, k), none)
+                    bik = table.get((i, k), none)
+                    if not (bij or bjk or bik):
                         continue  # all three terms vanish
                     # [x_i,[x_j,x_k]] = [[x_i,x_j],x_k] + (-1)^{ij}[x_j,[x_i,x_k]]
-                    lhs = self._b(i, self._bb(j, k))
-                    rhs = self._b2(bij, k)
-                    t = self._b(j, self._bb(i, k))
-                    for m, c in t.items():
-                        rhs[m] = rhs.get(m, ZERO) + (-c if pij else c)
-                    for m in set(lhs) | set(rhs):
-                        if lhs.get(m, ZERO) != rhs.get(m, ZERO):
+                    lhs = bracket({i: 1}, bjk)
+                    rhs = bracket(bij, {k: 1})
+                    for m, c in bracket({j: 1}, bik).items():
+                        rhs[m] = rhs.get(m, 0) + (-c if pij else c)
+                    for m in lhs.keys() | rhs.keys():
+                        if lhs.get(m, 0) != rhs.get(m, 0):
                             raise ValueError(
                                 f"super Jacobi fails at ({self.labels[i]},"
                                 f"{self.labels[j]},{self.labels[k]})")
@@ -166,7 +181,7 @@ class LieSuperalgebra:
         if f.nrows != self.dim or f.ncols != self.dim:
             raise ValueError("form shape mismatch")
         p = self.parities
-        rows = [{c: v for c, v in enumerate(r) if v} for r in f.rows]
+        rows = self.form_rows
         nonzero = {(a, b) for a, row in enumerate(rows) for b in row}
         for a, b in sorted(nonzero | {(b, a) for a, b in nonzero}):
             v = rows[a].get(b, ZERO)
@@ -175,43 +190,47 @@ class LieSuperalgebra:
             sgn = -ONE if p[a] and p[b] else ONE
             if v != sgn * rows[b].get(a, ZERO):
                 raise ValueError("form is not supersymmetric")
+        table = self._int_table
         triples = set()
-        for (i, j), row in self.table.items():
+        for (i, j), row in table.items():
             for m in row:
                 triples.update((i, j, k) for k in rows[m])
+        none: dict[int, int] = {}
         for i, j, k in triples:
-            lhs = sum((c * rows[m].get(k, ZERO)
-                       for m, c in self._bb(i, j).items()), ZERO)
-            rhs = sum((c * rows[i].get(m, ZERO)
-                       for m, c in self._bb(j, k).items()), ZERO)
+            # d D(i,j,k), with d = _int_den: the brackets are integer rows
+            lhs = sum(n * rows[m].get(k, ZERO) for m, n in table[i, j].items())
+            rhs = sum(n * rows[i].get(m, ZERO)
+                      for m, n in table.get((j, k), none).items())
             if lhs != rhs:
                 raise ValueError("form is not invariant")
 
-    # -- basic bracket machinery --------------------------------------------
+    # -- brackets -------------------------------------------------------------
 
-    def _bb(self, i: int, j: int) -> dict[int, Fraction]:
-        return self.table.get((i, j), {})
+    def _bracket(self, u: Mapping[int, object],
+                 v: Mapping[int, object]) -> dict[int, object]:
+        """d [u, v] = sum of u_i v_j n_ij^k over the integer table, for
+        sparse vectors {index: coefficient} (d = ``_int_den``).
 
-    def _b(self, i: int, v: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for j, c in v.items():
-            for k, s in self._bb(i, j).items():
-                t = out.get(k, ZERO) + c * s
-                if t:
-                    out[k] = t
-                else:
-                    out.pop(k, None)
+        Integers in give integers, Fractions give Fractions.  The result
+        may hold zeros where contributions cancel."""
+        table = self._int_table
+        out: dict[int, object] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                row = table.get((i, j))
+                if row is None:
+                    continue
+                ab = a * b
+                for k, n in row.items():
+                    out[k] = out.get(k, 0) + ab * n
         return out
 
-    def _b2(self, v: Mapping[int, Fraction], k: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, c in v.items():
-            for m, s in self._bb(i, k).items():
-                t = out.get(m, ZERO) + c * s
-                if t:
-                    out[m] = t
-                else:
-                    out.pop(m, None)
+    def _dense(self, scaled: Mapping[int, object], den: int) -> list[Fraction]:
+        """A sparse vector over den as a dense list of Fractions."""
+        out = [ZERO] * self.dim
+        for k, c in scaled.items():
+            if c:
+                out[k] = Fraction(c, den)
         return out
 
     def basis_vector(self, i: Union[int, str]) -> list[Fraction]:
@@ -222,16 +241,10 @@ class LieSuperalgebra:
         return v
 
     def bracket_num(self, x: Sequence, y: Sequence) -> list[Fraction]:
-        out = [ZERO] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in self._bb(i, j).items():
-                    out[k] += a * b * c
-        return out
+        """[x, y] of dense vectors: ``_bracket`` of their nonzero entries,
+        divided by ``_int_den`` once."""
+        return self._dense(self._bracket(_sparse(x), _sparse(y)),
+                           self._int_den)
 
     def bracket_poly(self, x: Mapping[int, SuperPolynomial],
                      y: Mapping[int, SuperPolynomial]) -> dict[int, SuperPolynomial]:
@@ -286,7 +299,7 @@ class LieSuperalgebra:
                 prod = mul_int_terms(a, eff, rpar)
                 if not prod:
                     continue
-                for k, c in row:
+                for k, c in row.items():
                     acc = out.get(k)
                     if acc is None:
                         out[k] = {m: n * c for m, n in prod.items()}
@@ -302,34 +315,28 @@ class LieSuperalgebra:
                 for k, acc in out.items() if acc}
 
     def ad_matrix(self, x: Sequence) -> RationalMatrix:
-        """Matrix of ad_x = [x, .] in the basis (columns are images)."""
-        cols = []
-        for j in range(self.dim):
-            img = [ZERO] * self.dim
-            for i, a in enumerate(x):
-                if not a:
-                    continue
-                for k, c in self._bb(i, j).items():
-                    img[k] += a * c
-            cols.append(img)
-        return from_columns(cols)
+        """Matrix of ad_x = [x, .] in the basis (columns are images): column
+        j is ``_bracket`` of x with the basis vector j, divided by
+        ``_int_den`` once."""
+        u = _sparse(x)
+        return from_columns(self._dense(self._bracket(u, {j: 1}),
+                                        self._int_den)
+                            for j in range(self.dim))
 
     def form_value(self, x: Sequence, y: Sequence) -> Fraction:
         if self.form is None:
             raise ValueError("algebra carries no bilinear form")
-        out = ZERO
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b and self.form[i, j]:
-                    out += a * self.form[i, j] * b
-        return out
+        return sum((a * v * y[j] for i, a in enumerate(x) if a
+                    for j, v in self.form_rows[i].items() if y[j]), ZERO)
 
     # -- structure ----------------------------------------------------------
 
     def even_indices(self) -> list[int]:
         return [i for i in range(self.dim) if self.parities[i] == 0]
+
+    def is_even(self, v: Sequence) -> bool:
+        """Whether the dense vector v has no odd component."""
+        return not any(c and self.parities[i] for i, c in enumerate(v))
 
     def restrict_to(self, indices: Sequence[int]) -> "LieSuperalgebra":
         """Subalgebra on a subset of basis elements (must close)."""
@@ -338,8 +345,8 @@ class LieSuperalgebra:
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
-                row = self._bb(i, j)
-                if not row:
+                row = self.table.get((i, j))
+                if row is None:
                     continue
                 out = {}
                 for k, c in row.items():
@@ -356,6 +363,11 @@ class LieSuperalgebra:
     def __repr__(self):
         ev = sum(1 for p in self.parities if p == 0)
         return f"<LieSuperalgebra dim {ev}|{self.dim - ev}>"
+
+
+def _sparse(v: Sequence) -> dict:
+    """The nonzero entries of a dense vector, by index."""
+    return {i: c for i, c in enumerate(v) if c}
 
 
 def dense_to_poly(alg: LieSuperalgebra, v: Sequence, ring: PolyRing) -> dict:
@@ -474,36 +486,26 @@ def sl2_triple_for(alg: LieSuperalgebra, f: Sequence) -> "Sl2Triple":
     f = [_as_fraction(x) for x in f]
     if not any(f):
         raise ValueError("f is zero: a nilpotent must be a nonzero vector")
+    if not alg.is_even(f):
+        raise ValueError("f must be even")
     even = alg.even_indices()
-    for i, c in enumerate(f):
-        if c and alg.parities[i]:
-            raise ValueError("f must be even")
-    adf = alg.ad_matrix(f)
-    adf2 = adf @ adf
-    cols = [[adf2[r, c] for r in range(alg.dim)] for c in even]
-    target = [2 * c for c in f]
-    w_even = solve(from_columns(cols), target)
+    # column c of ad_f^2 is two brackets, d^2 [f, [f, x_c]] over d^2
+    u = _sparse(f)
+    cols = [alg._dense(alg._bracket(u, alg._bracket(u, {c: 1})),
+                       alg._int_den ** 2) for c in even]
+    w_even = solve(from_columns(cols), [2 * c for c in f])
     if w_even is None:
         raise ValueError("no h with [h,f] = -2f in the image of ad_f")
     w = [ZERO] * alg.dim
     for pos, i in enumerate(even):
         w[i] = w_even[pos]
-    h = adf.mul_vector(w)
-    adh = alg.ad_matrix(h)
+    h = alg.bracket_num(f, w)
+    adf, adh = alg.ad_matrix(f), alg.ad_matrix(h)
     # rows: ad_f e = -h ; (ad_h - 2) e = 0, unknowns restricted to even part
-    rows = []
-    rhs = []
-    for r in range(alg.dim):
-        rows.append([adf[r, c] for c in even])
-        rhs.append(-h[r])
-    for r in range(alg.dim):
-        row = [adh[r, c] for c in even]
-        for pos, i in enumerate(even):
-            if i == r:
-                row[pos] -= 2
-        rows.append(row)
-        rhs.append(ZERO)
-    e_even = solve(RationalMatrix(rows), rhs)
+    rows = ([[adf[r, c] for c in even] for r in range(alg.dim)]
+            + [[adh[r, c] - 2 * (r == c) for c in even]
+               for r in range(alg.dim)])
+    e_even = solve(RationalMatrix(rows), [-x for x in h] + [ZERO] * alg.dim)
     if e_even is None:
         raise ValueError("found h does not extend to an sl2-triple")
     e = [ZERO] * alg.dim
@@ -528,10 +530,8 @@ class Sl2Triple:
         for got, want, name in checks:
             if got != want:
                 raise ValueError(f"not an sl2-triple: {name} fails")
-        for v in (self.e, self.h, self.f):
-            for i, c in enumerate(v):
-                if c and alg.parities[i]:
-                    raise ValueError("triple vectors must be even")
+        if not all(map(alg.is_even, (self.e, self.h, self.f))):
+            raise ValueError("triple vectors must be even")
 
 
 def dynkin_grading(alg: LieSuperalgebra, triple: Sl2Triple) -> GoodGrading:
@@ -774,20 +774,33 @@ def build_osp_1_2(check: bool = True) -> LieSuperalgebra:
 
 
 def principal_nilpotent(alg: LieSuperalgebra) -> list[Fraction]:
-    """Sum of the simple negative root vectors of the even part."""
+    """Sum of the simple negative root vectors of the even part.  Raises
+    ValueError when the catalogue metadata lacks an integer field or
+    names a basis label the algebra does not have."""
     t = alg.meta.get("type")
+
+    def unit(label: str) -> int:
+        if label not in alg.index:
+            raise ValueError(f"catalogue metadata of type {t!r} needs the "
+                             f"basis label {label!r}, which is missing")
+        return alg.index[label]
+
     if t in ("sl", "gl"):
+        for key in ("m", "n"):
+            if type(alg.meta.get(key)) is not int:
+                raise ValueError(f"catalogue metadata of type {t!r} needs "
+                                 f"an integer field {key!r}")
         m, n = alg.meta["m"], alg.meta["n"]
         f = [ZERO] * alg.dim
         for i in range(m + n - 1):
             if i + 1 == m:
                 continue  # odd direction, not part of the even principal
-            f[alg.index[f"e{i + 2}{i + 1}"]] = ONE
+            f[unit(f"e{i + 2}{i + 1}")] = ONE
         if not any(f):
             raise ValueError("even part has no principal nilpotent")
         return f
     if t == "osp12":
-        return alg.basis_vector("f")
+        return alg.basis_vector(unit("f"))
     raise ValueError("principal nilpotent needs catalogue metadata")
 
 
@@ -855,7 +868,8 @@ def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
     algebra can have (a label that is not a string, a number that is not
     a JSON integer, parity outside {0, 1}, a bracket index outside the
     basis, a zero denominator, a form entry that is neither a JSON
-    integer nor an exact rational string), whatever ``check`` says."""
+    integer nor an exact rational string, a meta that is not a JSON
+    object), whatever ``check`` says."""
     basis = data["basis"]
     labels = [b["label"] for b in basis]
     parities = [b["parity"] for b in basis]
@@ -890,8 +904,11 @@ def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
         form = RationalMatrix([
             [_form_entry(x, r, c) for c, x in enumerate(row)]
             for r, row in enumerate(data["form"])])
-    return LieSuperalgebra(labels, parities, table, form=form,
-                           meta=data.get("meta") or {}, check=check)
+    meta = data.get("meta")
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError(f"meta {meta!r} is not a JSON object")
+    return LieSuperalgebra(labels, parities, table, form=form, meta=meta,
+                           check=check)
 
 
 def load_algebra_file(path: str, check: bool = True) -> LieSuperalgebra:

@@ -73,23 +73,6 @@ class RationalMatrix:
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self.rows == other.rows)
 
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = RationalMatrix.zeros(self.nrows, other.ncols)
-        for i in range(self.nrows):
-            ri = self.rows[i]
-            oi = out.rows[i]
-            for k in range(self.ncols):
-                a = ri[k]
-                if not a:
-                    continue
-                rk = other.rows[k]
-                for j in range(other.ncols):
-                    if rk[j]:
-                        oi[j] += a * rk[j]
-        return out
-
     def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("shape mismatch")

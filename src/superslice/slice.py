@@ -308,7 +308,7 @@ class PoissonStructure:
         self.ring = PolyRing([
             Variable(f"p_{alg.labels[i]}", alg.parities[i], wt2=2 - w2[i])
             for i in self.gen_indices])
-        form = [{c: v for c, v in enumerate(r) if v} for r in alg.form.rows]
+        form = alg.form_rows
         f = {j: c for j, c in enumerate(chart.triple.f) if c}
         f_left: dict[int, Fraction] = {}  # k -> (f|x_k)
         for j, c in f.items():
@@ -467,12 +467,9 @@ class MiuraImage:
     def __init__(self, chart: SliceChart):
         self.chart = chart
         alg, grading = chart.alg, chart.grading
-        ring = chart.ring
-        images = {}
-        for pos, b in enumerate(chart.coord_indices):
-            if grading.weights2[b] >= 1:
-                images[pos] = ring.zero()
-        self.images = {lab: chart.invariants[lab].substitute(images, ring)
+        zeros = {pos: 0 for pos, b in enumerate(chart.coord_indices)
+                 if grading.weights2[b] >= 1}
+        self.images = {lab: chart.invariants[lab].evaluate(zeros)
                        for lab in chart.inv_order}
         self.ini_positions = [pos for pos, b in enumerate(chart.coord_indices)
                               if grading.weights2[b] <= 0]
@@ -506,20 +503,6 @@ class InjectivityCertificate:
         }
 
 
-def _zero_odd(p: SuperPolynomial, odd_positions) -> SuperPolynomial:
-    ring = p.ring
-    images = {pos: ring.zero() for pos in odd_positions}
-    return p.substitute(images, ring)
-
-
-def _eval_even(p: SuperPolynomial, assignment: dict) -> Fraction:
-    val = p.substitute({pos: p.ring.const(v) for pos, v in assignment.items()},
-                       p.ring)
-    if not val.is_constant():
-        raise ValueError("evaluation left free variables")
-    return val.as_constant()
-
-
 def injectivity_certificate(miura: MiuraImage, trials: int = 5,
                             seed: int = 0) -> InjectivityCertificate:
     """Exact-rank certificate of Miura injectivity at random rational
@@ -530,14 +513,15 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     alg = chart.alg
     rng = random.Random(seed)
     even, odd = miura.even_positions, miura.odd_positions
+    zero_odd = dict.fromkeys(odd, 0)
     labels = [[l for l in chart.inv_order if chart.parity_of(l) == par]
               for par in (0, 1)]
     # even block: odd coordinates zeroed once per image, then
     # differentiated; odd block: differentiated, then odd coordinates zeroed
     jacobians = (
         [[img.partial_derivative(pos) for pos in even]
-         for img in (_zero_odd(miura.images[l], odd) for l in labels[0])],
-        [[_zero_odd(miura.images[l].partial_derivative(pos), odd)
+         for img in (miura.images[l].evaluate(zero_odd) for l in labels[0])],
+        [[miura.images[l].partial_derivative(pos).evaluate(zero_odd)
           for pos in odd] for l in labels[1]])
     targets = [len(l) for l in labels]
 
@@ -565,7 +549,8 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
             if done[blk]:
                 continue
             r = exact_rank(RationalMatrix([
-                [_eval_even(x, point) for x in row] for row in jacobians[blk]]))
+                [x.evaluate(point).as_constant() for x in row]
+                for row in jacobians[blk]]))
             ranks[blk] = max(ranks[blk], r)
             if r == targets[blk]:
                 done[blk] = True

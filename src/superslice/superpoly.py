@@ -563,7 +563,8 @@ class SuperPolynomial:
         return SuperPolynomial(tgt, fraction_terms(out, den))
 
     def evaluate(self, values: Mapping[int, Scalar]) -> "SuperPolynomial":
-        """Substitute scalars for (even) variables."""
+        """Substitute scalars for variables: any for an even variable,
+        only zero for an odd one."""
         imgs = {i: self.ring.const(v) for i, v in values.items()}
         return self.substitute(imgs)
 

@@ -459,6 +459,25 @@ class TestStagePayloads:
         assert st["verdict"] == "fail"
         assert "'1/0' has a zero denominator" in st["error"]
 
+    @pytest.mark.parametrize("algebra, element, by", [
+        ("sl(2|1)", "e21", "e13"),  # at the parent: PASS with e21+e23
+        ("osp12", "vp", "vm"),      # at the parent: PASS, parity mixed
+        ("sl(2|1)", "e21", "e21+e13"),
+    ])
+    def test_orbit_rejects_odd_direction(self, algebra, element, by, capsys):
+        code, rep = run_json(["orbit", "--algebra", algebra,
+                              "--element", element, "--by", by], capsys)
+        assert code == 1
+        (st,) = rep["body"]["stages"]
+        assert st["name"] == "orbit" and st["verdict"] == "fail"
+        assert "--by must be even" in st["error"]
+
+    def test_orbit_moves_odd_element_by_even_direction(self, capsys):
+        code, rep = run_json(["orbit", "--algebra", "sl(2|1)",
+                              "--element", "e13", "--by", "e21"], capsys)
+        assert code == 0
+        assert stage(rep, "orbit")["components"] == {"e13": "1", "e23": "-1"}
+
 
 # -- report mechanics --------------------------------------------------------------
 
@@ -611,6 +630,38 @@ class TestExitCodes:
             assert st["name"] == "load" and st["verdict"] == "fail"
             assert msg in st["error"]
             assert list(rep["timings"]["stages"]) == ["load"]
+
+    @pytest.mark.parametrize("relabel, meta, msg", [
+        (True, {"type": "sl", "m": 3, "n": 0}, "basis label 'e21'"),
+        (False, {"type": "sl", "m": 3}, "integer field 'n'"),
+    ], ids=["relabelled-basis", "meta-without-n"])
+    def test_inconsistent_catalogue_meta_fails_triple(self, tmp_path,
+                                                      relabel, meta, msg,
+                                                      capsys):
+        # the file loads and validates; only the principal nilpotent,
+        # read off the metadata, cannot be formed
+        data = algebra_to_json(build_sl(3))
+        if relabel:
+            for b in data["basis"]:
+                b["label"] = "x" + b["label"]
+        data["meta"] = meta
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["run", "--algebra", str(path)], capsys)
+        assert code == 1
+        st = rep["body"]["stages"][-1]
+        assert st["name"] == "triple" and msg in st["error"]
+
+    def test_non_object_meta_is_2(self, tmp_path, capsys):
+        data = algebra_to_json(build_sl(3))
+        data["meta"] = ["sl"]
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["run", "--algebra", str(path)], capsys)
+        assert code == 2
+        (st,) = rep["body"]["stages"]
+        assert st["name"] == "load"
+        assert "is not a JSON object" in st["error"]
 
     def test_internal_error_is_3(self, capsys, monkeypatch):
         def broken(config, ctx):

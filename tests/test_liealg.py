@@ -9,7 +9,7 @@ entry against that.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import validate_oracle
 from superslice.linalg import RationalMatrix
@@ -222,14 +222,11 @@ def _failure_kind(check, alg):
     return None
 
 
-@st.composite
-def perturbed_algebras(draw):
-    """A catalogue algebra with one table entry (optionally with its
-    mirror) or one form entry (optionally with its mirror) moved."""
-    base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
-    n, p = base.dim, base.parities
-    table = {key: dict(row) for key, row in base.table.items()}
-    form = RationalMatrix(base.form.rows)
+def _perturb(draw, labels, p, table, form):
+    """The algebra on table and form with one table entry (optionally
+    with its mirror) or one form entry (optionally with its mirror)
+    moved."""
+    n = len(labels)
     i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
     on_table = draw(st.booleans())
     mirror = draw(st.booleans())
@@ -250,7 +247,16 @@ def perturbed_algebras(draw):
         form[i, j] = old + delta
         if mirror and i != j:
             form[j, i] = form[j, i] + (-sgn) * delta
-    return LieSuperalgebra(base.labels, p, table, form, check=False)
+    return LieSuperalgebra(labels, p, table, form, check=False)
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """A catalogue algebra with one table or form entry moved."""
+    base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
+    table = {key: dict(row) for key, row in base.table.items()}
+    return _perturb(draw, base.labels, base.parities, table,
+                    RationalMatrix(base.form.rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,6 +306,102 @@ def sparse_algebras(draw):
 def test_verify_matches_dense_oracle_on_sparse_tables(alg):
     assert (_failure_kind(lambda a: a._verify(), alg)
             == _failure_kind(validate_oracle.verify, alg))
+
+
+def _rescale(base, s):
+    """Table and form of ``base`` in the basis s_i x_i:
+    c_ij^k -> c_ij^k s_i s_j / s_k and F_ij -> F_ij s_i s_j."""
+    n = base.dim
+    table = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
+             for (i, j), row in base.table.items()}
+    form = RationalMatrix([[base.form[i, j] * s[i] * s[j] for j in range(n)]
+                           for i in range(n)])
+    return table, form
+
+
+@st.composite
+def rescaled_algebras(draw, perturb=True):
+    """A catalogue algebra in the basis s_i x_i for random nonzero
+    rationals s_i, so the integer table has a common denominator above 1
+    and the form has denominators.  With ``perturb``, one entry may then
+    be moved as in ``perturbed_algebras``."""
+    base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
+    s = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=5).filter(bool),
+                      min_size=base.dim, max_size=base.dim))
+    table, form = _rescale(base, s)
+    if perturb and draw(st.booleans()):
+        return _perturb(draw, base.labels, base.parities, table, form)
+    return LieSuperalgebra(base.labels, base.parities, table, form,
+                           check=False)
+
+
+def _has_denominators(alg):
+    return alg._int_den > 1 and any(
+        v.denominator > 1 for row in alg.form_rows for v in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rescaled_algebras())
+def test_verify_matches_dense_oracle_on_rescaled_bases(alg):
+    assume(_has_denominators(alg))
+    assert (_failure_kind(lambda a: a._verify(), alg)
+            == _failure_kind(validate_oracle.verify, alg))
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl(2|1)"])
+def test_rescaled_basis_keeps_checks_and_triple(name):
+    # the same algebra in the basis s_i x_i, s = (1/2, 2/3, 1, 1, ...):
+    # it passes both checks, and the principal triple found in it is the
+    # catalogue's, with coordinates divided by s
+    base = _CATALOGUE[name]
+    s = [F(1, 2), F(2, 3)] + [F(1)] * (base.dim - 2)
+    alg = LieSuperalgebra(base.labels, base.parities, *_rescale(base, s))
+    assert _has_denominators(alg)
+    validate_oracle.verify(alg)
+    want = sl2_triple_for(base, parse_nilpotent(base, "principal"))
+    got = sl2_triple_for(alg, [c / si for c, si in zip(want.f, s)])
+    for u, v in ((got.e, want.e), (got.h, want.h)):
+        assert [c * si for c, si in zip(u, s)] == v
+
+
+def _dense(alg, sparse):
+    out = [F(0)] * alg.dim
+    for k, c in sparse.items():
+        out[k] = c
+    return out
+
+
+@st.composite
+def algebras_with_vectors(draw):
+    alg = draw(rescaled_algebras(perturb=False))
+    coeff = st.one_of(st.just(F(0)), st.fractions(
+        min_value=-3, max_value=3, max_denominator=4))
+    vec = st.lists(coeff, min_size=alg.dim, max_size=alg.dim)
+    return alg, draw(vec), draw(vec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras_with_vectors())
+def test_numeric_brackets_match_dense_fraction_sums(case):
+    # the dense sums read the Fraction table and the form matrix through
+    # the oracle's own bracket helpers
+    alg, x, y = case
+    table = alg.table
+    xs = {i: c for i, c in enumerate(x) if c}
+    want = {}
+    for i, a in xs.items():
+        for k, c in validate_oracle._b(
+                table, i, {j: b for j, b in enumerate(y) if b}).items():
+            want[k] = want.get(k, F(0)) + a * c
+    assert alg.bracket_num(x, y) == _dense(alg, want)
+    ad = alg.ad_matrix(x)
+    for j in range(alg.dim):
+        col = _dense(alg, validate_oracle._b2(table, xs, j))
+        assert [ad[r, j] for r in range(alg.dim)] == col
+    assert alg.form_value(x, y) == sum(
+        (x[i] * alg.form[i, j] * y[j]
+         for i in range(alg.dim) for j in range(alg.dim)), F(0))
 
 
 @pytest.mark.parametrize("name", sorted(_CATALOGUE))
