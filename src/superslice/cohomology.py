@@ -40,9 +40,9 @@ from typing import Mapping, Sequence
 from .liealg import GoodGrading, LieSuperalgebra
 from .linalg import row_nullspace, row_rank
 from .supergroup import regular_representation
-from .superpoly import (PolyRing, SuperPolynomial, Variable, combine,
-                        common_denominator, fraction_terms, mul_int_terms,
-                        numerators)
+from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, combine,
+                        common_denominator, fraction_terms, lowest_variable,
+                        mul_int_terms, numerators, var_key)
 
 
 class OddDerivation:
@@ -59,9 +59,10 @@ class OddDerivation:
     total derivatives, which multiply coefficients by integers only);
     every image is checked to have denominators dividing ``den`` and the
     derivation raises ``ValueError`` if one does not, so no numerator is
-    ever floored.  ``mono(m)`` is den * d(m) for a monomial m with
-    coefficient 1, as a cached {monomial: int} dict; a polynomial's
-    image becomes Fractions once, at the end.
+    ever floored.  ``mono(m)`` is den * d(m) for a monomial key m with
+    coefficient 1, as a cached {monomial: int} dict, split off at the
+    lowest variable of m; a polynomial's image becomes Fractions once,
+    at the end.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial]):
@@ -69,7 +70,7 @@ class OddDerivation:
         self.images = images
         self.den = common_denominator(*(img.terms for img in images.values()))
         self._gens: dict[int, dict] = {}
-        self._monos: dict[tuple, dict] = {}
+        self._monos: dict[int, dict] = {}
 
     def _generator(self, j: int) -> dict:
         """den * d(x_j) as {monomial: int}."""
@@ -88,32 +89,35 @@ class OddDerivation:
             self._gens[j] = got
         return got
 
-    def mono(self, mono: tuple) -> dict:
-        """den * d(mono) for a monomial with coefficient 1, as {monomial:
-        int} without zero entries (cached; do not modify)."""
+    def mono(self, mono: int) -> dict:
+        """den * d(mono) for a monomial key with coefficient 1, as
+        {monomial: int} without zero entries (cached; do not modify)."""
         if not mono:
             return {}
         got = self._monos.get(mono)
         if got is not None:
             return got
-        (j, e) = mono[0]
-        rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
+        j = lowest_variable(mono)
+        unit = var_key(j)
+        rest = mono - unit
         # d(x_j rest) = d(x_j) rest + (-1)^{|x_j|} x_j d(rest)
         head = self._generator(j)
         tail = self.mono(rest)
-        par = self.ring.parities()
-        got = mul_int_terms(head, {rest: 1}, par)
-        mul_int_terms({((j, 1),): -1 if par[j] else 1}, tail, par, got)
+        masks = self.ring.masks()
+        got = mul_int_terms(head, {rest: 1}, masks)
+        mul_int_terms({unit: -1 if self.ring.parity_of(j) else 1}, tail,
+                      masks, got)
         self._monos[mono] = got
         return got
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         den = common_denominator(p.terms)
-        acc: dict[tuple, int] = {}
+        acc: dict[int, int] = {}
         for mono, n in numerators(p.terms, den).items():
-            # the constant n times den * d(mono), summed into acc
-            mul_int_terms({(): n}, self.mono(mono), self.ring.parities(),
-                          acc)
+            # the constant n times den * d(mono), summed into acc; the
+            # masks are read after mono may have added jets
+            dm = self.mono(mono)
+            mul_int_terms({0: n}, dm, self.ring.masks(), acc)
         return SuperPolynomial(self.ring, fraction_terms(acc, den * self.den))
 
 
@@ -171,13 +175,13 @@ class GradedComplex:
         if len({1 if w > 0 else -1 for w in w2s}) > 1:
             raise ValueError("variable weights must share a sign")
         self.sign = 1 if w2s[0] > 0 else -1
-        self._blocks: dict[int, dict[int, list[tuple]]] = {}
+        self._blocks: dict[int, dict[int, list[int]]] = {}
         # rank of d on block (k, n2); H^k and H^{k+1} both need it
         self._ranks: dict[tuple[int, int], int] = {}
 
     # -- weight blocks -----------------------------------------------------
 
-    def _weight_blocks(self, n2: int) -> dict[int, list[tuple]]:
+    def _weight_blocks(self, n2: int) -> dict[int, list[int]]:
         if n2 * self.sign < 0 or abs(n2) > self.max_wt2:
             raise ValueError("weight block outside the truncation")
         got = self._blocks.get(n2)
@@ -188,45 +192,43 @@ class GradedComplex:
         w2 = [self.ring.variables[p].wt2 * self.sign for p in poss]
         odd = [self.ring.parity_of(p) for p in poss]
         ghost = [p in self.ghost_set for p in poss]
+        unit = [var_key(p) for p in poss]
         # no monomial in positions i.. has weight below min_w2[i]; the
         # entry past the end is above every weight the block can reach
         min_w2 = [min(w2[i:]) for i in range(n)] + [abs(n2) + 1]
-        # canonical monomial keys are sorted by variable index (the
-        # factors are distinct variables, so no sign is involved); the
-        # recursion appends factors in position order
-        ascending = poss == sorted(poss)
-        out: dict[int, list[tuple]] = {}
-        mono: list[tuple[int, int]] = []
+        out: dict[int, list[int]] = {}
 
-        def rec(i: int, rem: int, k: int):
-            """Monomials of weight rem in positions i.., extending mono
+        def rec(i: int, rem: int, k: int, key: int):
+            """Monomials of weight rem in positions i.., times key
             (ghost degree k so far): first those without position i,
             then those with exponent 1, 2, ... of it."""
             if rem >= min_w2[i + 1]:
-                rec(i + 1, rem, k)
+                rec(i + 1, rem, k, key)
             w = w2[i]
             cap = rem // w
             if odd[i] and cap > 1:
                 cap = 1
+            if cap > EMAX:
+                raise OverflowError(
+                    f"weight block {Fraction(n2, 2)} needs exponent {cap} "
+                    f"of {self.ring.variables[poss[i]].name}, above {EMAX}")
             for e in range(1, cap + 1):
                 left = rem - w * e
                 ke = k + e if ghost[i] else k
-                mono.append((poss[i], e))
+                m = key + e * unit[i]
                 if left == 0:
-                    m = tuple(mono) if ascending else tuple(sorted(mono))
                     out.setdefault(ke, []).append(m)
                 elif left >= min_w2[i + 1]:
-                    rec(i + 1, left, ke)
-                mono.pop()
+                    rec(i + 1, left, ke, m)
 
         if n2 == 0:
-            out[0] = [()]
+            out[0] = [0]
         elif abs(n2) >= min_w2[0]:
-            rec(0, abs(n2), 0)
+            rec(0, abs(n2), 0, 0)
         self._blocks[n2] = out
         return out
 
-    def block_basis(self, k: int, n2: int) -> list[tuple]:
+    def block_basis(self, k: int, n2: int) -> list[int]:
         return self._weight_blocks(n2).get(k, [])
 
     def block_dim(self, k: int, n2: int) -> int:

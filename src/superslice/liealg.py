@@ -34,8 +34,8 @@ from typing import Mapping, Optional, Sequence, Union
 from .linalg import (RationalMatrix, exact_rank, from_columns, nullspace,
                      rref, solve)
 from .superpoly import (PolyRing, SuperPolynomial, _as_fraction,
-                        common_denominator, fraction_terms, mul_int_terms,
-                        numerators)
+                        common_denominator, fraction_terms, key_parity,
+                        mul_int_terms, numerators)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -255,7 +255,8 @@ class LieSuperalgebra:
         common denominator, and the structure constants over the table's
         (``_int_table``).  Each (i, j) product a * b is formed once by
         ``mul_int_terms``, with the parity twist for odd x_i applied as a
-        sign per term of b, and scattered to every k of the table row
+        sign per term of b (the parity of the popcount of its odd
+        fields), and scattered to every k of the table row
         (i, j) times its integer constant.  Each output component is
         turned into Fractions once, at the end.  Keys and their order are
         those of the sum over (i, j) of (a * b) * c taken in Fractions.
@@ -268,7 +269,8 @@ class LieSuperalgebra:
         for _, p in x + y:
             if p.ring is not ring:
                 raise ValueError("polynomials belong to different rings")
-        rpar = ring.parities()
+        masks = ring.masks()
+        odd = masks[0]
         dx = common_denominator(*[a.terms for _, a in x])
         dy = common_denominator(*[b.terms for _, b in y])
         an = [(i, numerators(a.terms, dx)) for i, a in x]
@@ -288,7 +290,7 @@ class LieSuperalgebra:
                     if eff is None:
                         ev, od = {}, {}
                         for m, n in b.items():
-                            if sum(rpar[v] * e for v, e in m) & 1:
+                            if key_parity(m, odd):
                                 od[m] = -n
                             else:
                                 ev[m] = n
@@ -296,7 +298,7 @@ class LieSuperalgebra:
                         eff = twisted[j] = ev
                 else:
                     eff = b
-                prod = mul_int_terms(a, eff, rpar)
+                prod = mul_int_terms(a, eff, masks)
                 if not prod:
                     continue
                 for k, c in row.items():

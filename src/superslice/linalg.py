@@ -73,12 +73,6 @@ class RationalMatrix:
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self.rows == other.rows)
 
-    def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.ncols:
-            raise ValueError("shape mismatch")
-        return [sum((r[j] * v[j] for j in range(self.ncols) if v[j]), ZERO)
-                for r in self.rows]
-
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
 

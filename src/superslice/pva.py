@@ -44,7 +44,7 @@ from .cohomology import (GradedComplex, OddDerivation, _as_wt2, _ce_images,
                          weighted_monomial_counts)
 from .slice import SliceChart, finite_miura
 from .superpoly import (UNIT, PolyRing, SuperPolynomial, Variable, combine,
-                        sum_of_products)
+                        sum_of_products, unpack)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -114,7 +114,7 @@ class ArcRing:
         out: dict[int, list] = {}
         for mono, c in p.terms.items():
             acc = [ring.one()] + [ring.zero()] * depth
-            for (i, e) in mono:
+            for i, e in unpack(mono):
                 for _ in range(e):
                     acc = _series_mul(acc, var_series(i), ring)
             for n, a in enumerate(acc):
@@ -317,10 +317,10 @@ class ArcBracket:
         for y, d in dg:
             for k, c in self._entry(i, y).coeffs.items():
                 acc.setdefault(k, []).append((1, c.terms, d.terms))
-        par = self.ring.parities()  # after _entry may have added jets
+        masks = self.ring.masks()  # after _entry may have added jets
         out = {}
         for k, triples in acc.items():
-            terms = sum_of_products(triples, par)
+            terms = sum_of_products(triples, masks)
             if terms:
                 out[k] = terms
         return out

@@ -3,11 +3,33 @@
 A ring holds an ordered list of variables, each with a parity (0 even,
 1 odd), an optional half-integer weight (stored doubled, so weight 3/2 is
 ``wt2 = 3``), and a derivative order.  Polynomials are dicts mapping
-monomials to Fraction coefficients.  A monomial is a tuple of
-``(variable_index, exponent)`` pairs sorted by index; odd variables never
-exceed exponent 1.  Products of odd variables are normalized to index
-order with the Koszul sign absorbed into the coefficient, so equal
-polynomials always have identical dicts.
+monomial keys to Fraction coefficients.  Products of odd variables are
+normalized to index order with the Koszul sign absorbed into the
+coefficient, so equal polynomials always have identical dicts.
+
+A monomial key is one Python int holding packed exponents (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): variable i owns the ``W``-bit field at
+bit offset ``W * i``, so x_i^e is ``e << (W * i)`` and the constant
+monomial is 0.  The top bit of each field is a guard bit, so an
+exponent is at most ``EMAX = 2**(W-1) - 1``; odd variables hold 0 or 1
+in the same fields, so the layout never depends on the ring's size and
+a jet that a differential ring adds later moves no existing key.  The
+product of keys ka and kb is ka + kb: disjoint odd bits add without a
+carry, and an odd variable met twice, or an exponent past ``EMAX``,
+sets a bit of the ring's ``over`` mask (bit 1 of an odd field, the
+guard bit of an even one).  The first means the product is zero; the
+second raises ``OverflowError``, so a carry never wraps silently into
+the next field.  The Koszul sign is the parity of the number of pairs
+(odd factor of ka, odd factor of kb) with the first of higher index,
+one ``int.bit_count`` per product (see ``mul_int_terms``).
+``PolyRing.masks()`` caches the (odd, over, limit) masks beside
+``parities()``; ``limit`` bounds every key of the ring and every bit
+from it up is in ``over`` too, so a key that names a variable the masks
+do not cover raises instead of being multiplied with the wrong signs.
+Tuples of (index, exponent) pairs sorted by index remain only at the
+edges: ``pack`` and ``unpack`` convert, and ``text`` sorts terms by
+(degree, unpacked tuple), so rendered output does not depend on the key.
 
 Coefficients are Fractions at the API and integer numerators over one
 common denominator inside products.  ``numerators`` puts each operand
@@ -28,7 +50,7 @@ with it, one key at a time; with the unit operand ``UNIT``,
 (c, p.terms, UNIT) is c * p, so series, generator images, Poisson
 tables and points f + sum p v are all summed this way.  Operand term
 dicts must hold no zero coefficient: build them from polynomials or
-``PolyRing.const``, never as {(): c} with c possibly zero.
+``PolyRing.const``, never as {0: c} with c possibly zero.
 
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
@@ -45,7 +67,7 @@ Scalar = Union[Fraction, int]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 # the term dict of the polynomial 1: (c, p.terms, UNIT) stands for c * p
-UNIT = {(): ONE}
+UNIT = {0: ONE}
 
 
 def _as_fraction(c: Scalar) -> Fraction:
@@ -56,60 +78,82 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"exact rational required, got {type(c).__name__}")
 
 
-# -- the sparse term-merge product -----------------------------------------
+# -- packed monomial keys ----------------------------------------------------
 
-def mul_monomials(ma, mb, parities):
-    """Merge two sorted (index, exp) monomials.
+W = 8  # bits per variable field
+EMAX = (1 << (W - 1)) - 1  # largest exponent: the field's top bit guards
+FIELD = (1 << W) - 1
 
-    Returns (monomial, sign) with sign in {1, -1}, or (None, 0) when an odd
-    variable squares to zero.  The sign is the Koszul sign for interleaving
-    the odd factors into index order: each odd factor of ma placed by the
-    merge passes the odd factors of mb placed before it.
-    """
-    if not ma:
-        return mb, 1
-    if not mb:
-        return ma, 1
-    if ma[-1][0] < mb[0][0]:
-        return ma + mb, 1  # already in index order: no factor moves
-    if mb[-1][0] < ma[0][0]:
-        # every factor of mb moves left past every factor of ma
-        odd = (sum(parities[i] for i, _ in ma)
-               & sum(parities[i] for i, _ in mb) & 1)
-        return mb + ma, -1 if odd else 1
+
+def var_key(i: int) -> int:
+    """The key of the monomial x_i."""
+    return 1 << (W * i)
+
+
+def lowest_variable(key: int) -> int:
+    """The index of the lowest variable in a nonzero key."""
+    return ((key ^ (key - 1)).bit_length() - 1) // W
+
+
+def key_parity(key: int, odd: int) -> int:
+    """The parity of a monomial: its number of odd factors modulo 2,
+    for the odd mask of ``masks()``."""
+    return (key & odd).bit_count() & 1
+
+
+def pack(mono) -> int:
+    """The key of a monomial given as (index, exponent) pairs."""
+    key = 0
+    for i, e in mono:
+        if not 0 <= e <= EMAX:
+            raise OverflowError(f"exponent {e} outside 0..{EMAX}")
+        key += e << (W * i)
+    return key
+
+
+def unpack(key: int) -> tuple:
+    """The (index, exponent) pairs of a key, sorted by index."""
     out = []
-    ia = ib = 0
-    na, nb = len(ma), len(mb)
-    odd_b = inv = 0  # odd factors of mb placed, inversions counted
-    while ia < na and ib < nb:
-        va, ea = ma[ia]
-        vb, eb = mb[ib]
-        if va < vb:
-            out.append((va, ea))
-            if parities[va]:
-                inv += odd_b
-            ia += 1
-        elif vb < va:
-            out.append((vb, eb))
-            odd_b += parities[vb]
-            ib += 1
-        else:
-            if parities[va]:
-                return None, 0  # odd variable squared
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-    if ia < na:
-        # mb is used up: every odd factor left in ma passes all of its odd ones
-        if odd_b:
-            for va, _ in ma[ia:]:
-                if parities[va]:
-                    inv += odd_b
-        out.extend(ma[ia:])
-    else:
-        out.extend(mb[ib:])
-    return tuple(out), -1 if inv & 1 else 1
+    while key:
+        i = lowest_variable(key)
+        e = (key >> (W * i)) & FIELD
+        out.append((i, e))
+        key -= e << (W * i)
+    return tuple(out)
 
+
+def key_masks(parities) -> tuple[int, int, int]:
+    """(odd, over, limit) for variables of the given parities: odd has
+    bit 0 of every odd field, every key of these variables is below
+    limit, and over has bit 1 of every odd field, the guard bit of every
+    even one and every bit from limit up (a negative int), so that a sum
+    of two keys meets it when an odd variable is squared, an exponent
+    overflows or a key lies outside the fields."""
+    odd = over = 0
+    for i, p in enumerate(parities):
+        if p:
+            odd |= 1 << (W * i)
+            over |= 2 << (W * i)
+        else:
+            over |= 1 << (W * i + W - 1)
+    limit = 1 << (W * len(parities))
+    return odd, over | -limit, limit
+
+
+def _odd_below(oa: int, odd: int) -> int:
+    """The odd fields below an odd number of the odd factors oa: for
+    the odd part ob of another key, popcount(ob & _odd_below(oa, odd))
+    counts the pairs (odd factor of oa, odd factor of ob) with the first
+    of higher index, modulo 2."""
+    q = 0
+    while oa:
+        low = oa & -oa
+        q ^= low - 1  # every bit below this factor
+        oa ^= low
+    return q & odd
+
+
+# -- the sparse product ------------------------------------------------------
 
 def common_denominator(*term_dicts) -> int:
     """lcm of the coefficient denominators of the term dicts (1 if none)."""
@@ -131,38 +175,60 @@ def fraction_terms(terms, d: int) -> dict:
     return {m: Fraction(n, d) for m, n in terms.items()}
 
 
-def mul_int_terms(terms_a, terms_b, parities, out=None):
+def mul_int_terms(terms_a, terms_b, masks, out=None):
     """Sparse product of two term dicts over integer numerators, added
-    into ``out`` (a new dict if None), which is returned.
+    into ``out`` (a new dict if None), which is returned; ``masks`` is
+    the ring's ``masks()``.
 
     Products are accumulated per monomial in the order the pairs meet
     (a-major); a sum that reaches zero drops its key, and a later
-    contribution to that monomial appends it again.
+    contribution to that monomial appends it again.  A pair's key is
+    ka + kb; when it meets the over mask, a key lies outside the ring's
+    fields (raises), an odd variable is squared (the pair is skipped) or
+    an exponent overflowed (raises).
+    Its sign is (-1)^(number of odd factors of ka that pass an odd
+    factor of kb on the way to index order), the parity of one
+    popcount against ``_odd_below`` of ka.
     """
     if out is None:
         out = {}
-    for ma, ca in terms_a.items():
-        for mb, cb in terms_b.items():
-            mono, sign = mul_monomials(ma, mb, parities)
-            if sign == 0:
-                continue
-            c = ca * cb if sign == 1 else -(ca * cb)
-            prev = out.get(mono)
+    if not terms_a or not terms_b:
+        return out
+    odd, over, limit = masks
+    b = terms_b.items()
+    for ka, ca in terms_a.items():
+        oa = ka & odd
+        qa = _odd_below(oa, odd) if oa else 0
+        for kb, cb in b:
+            k = ka + kb
+            if k & over:
+                if k >= limit:
+                    raise ValueError(
+                        "monomial key names a variable outside the ring")
+                if oa & kb:
+                    continue  # odd variable squared
+                raise OverflowError(
+                    f"exponent above {EMAX} in a monomial product")
+            if qa and (kb & qa).bit_count() & 1:
+                c = -(ca * cb)
+            else:
+                c = ca * cb
+            prev = out.get(k)
             if prev is None:
-                out[mono] = c
+                out[k] = c
             else:
                 s = prev + c
                 if s:
-                    out[mono] = s
+                    out[k] = s
                 else:
-                    del out[mono]
+                    del out[k]
     return out
 
 
-def sum_of_products(triples, parities):
+def sum_of_products(triples, masks):
     """sum n * a * b over (n, a, b) triples, n an int or a Fraction and
     a, b Fraction term dicts, as a Fraction term dict without zero
-    coefficients.
+    coefficients; ``masks`` is the ring's ``masks()``.
 
     Each product n * a * b has denominator da * db * dn (the operands'
     common denominators and n's); all are summed in ints over the lcm D
@@ -186,7 +252,7 @@ def sum_of_products(triples, parities):
     for n, a, da, b, db, d in prepared:
         # a times n * D / db and b times db, both integral: n * a * b * D
         mul_int_terms(numerators(a, n * (den // d) * da), numerators(b, db),
-                      parities, out)
+                      masks, out)
     return fraction_terms(out, den)
 
 
@@ -195,19 +261,20 @@ def combine(ring: "PolyRing", acc: Mapping) -> dict:
     ring}, each key summed once by ``sum_of_products``; keys whose sum
     is zero are dropped.  ``UNIT`` as b makes (c, p.terms, UNIT) the
     term c * p, so this is also the one way to take linear combinations.
-    The ring's parities are read here, after any jets the operands
+    The ring's masks are read here, after any jets the operands
     needed were added."""
     out = {}
+    masks = ring.masks()
     for key, triples in acc.items():
-        terms = sum_of_products(triples, ring.parities())
+        terms = sum_of_products(triples, masks)
         if terms:
             out[key] = SuperPolynomial(ring, terms)
     return out
 
 
-def mul_terms(terms_a, terms_b, parities):
+def mul_terms(terms_a, terms_b, masks):
     """Sparse product of two Fraction term dicts; drops zero coefficients."""
-    return sum_of_products(((1, terms_a, terms_b),), parities)
+    return sum_of_products(((1, terms_a, terms_b),), masks)
 
 
 class Variable:
@@ -236,7 +303,8 @@ class PolyRing:
 
     The table may grow (differential rings create higher-order variables
     lazily) but existing indices never change, so polynomials built
-    earlier stay valid.
+    earlier stay valid: their keys name the same fields.  ``parities()``
+    and ``masks()`` are read again after a growth.
     """
 
     def __init__(self, variables: Iterable[Variable], differential: bool = False):
@@ -247,7 +315,8 @@ class PolyRing:
                 raise ValueError(f"duplicate variable name {v.name!r}")
             self.index[v.name] = i
         self.differential = differential
-        self._parities = tuple(v.parity for v in self.variables)
+        self._parities = ()
+        self._masks = key_masks(())
         # (base, order) -> index, for differential rings
         self._jet: dict[tuple[str, int], int] = {
             (v.base, v.order): i for i, v in enumerate(self.variables)
@@ -260,8 +329,19 @@ class PolyRing:
 
     def parities(self) -> tuple[int, ...]:
         if len(self._parities) != len(self.variables):
-            self._parities = tuple(v.parity for v in self.variables)
+            self._refresh()
         return self._parities
+
+    def masks(self) -> tuple[int, int, int]:
+        """The (odd, over, limit) masks of ``key_masks`` for the ring's
+        variables, the argument of the product kernels."""
+        if len(self._parities) != len(self.variables):
+            self._refresh()
+        return self._masks
+
+    def _refresh(self) -> None:
+        self._parities = tuple(v.parity for v in self.variables)
+        self._masks = key_masks(self._parities)
 
     def add_variable(self, v: Variable) -> int:
         if v.name in self.index:
@@ -292,16 +372,16 @@ class PolyRing:
         return SuperPolynomial(self, {})
 
     def one(self) -> "SuperPolynomial":
-        return SuperPolynomial(self, {(): ONE})
+        return SuperPolynomial(self, {0: ONE})
 
     def const(self, c: Scalar) -> "SuperPolynomial":
         c = _as_fraction(c)
-        return SuperPolynomial(self, {(): c} if c else {})
+        return SuperPolynomial(self, {0: c} if c else {})
 
     def gen(self, name_or_index: Union[str, int]) -> "SuperPolynomial":
         i = (name_or_index if isinstance(name_or_index, int)
              else self.index[name_or_index])
-        return SuperPolynomial(self, {((i, 1),): ONE})
+        return SuperPolynomial(self, {var_key(i): ONE})
 
 
 def derivative_name(base: str, order: int) -> str:
@@ -317,7 +397,7 @@ class SuperPolynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple, Fraction]):
+    def __init__(self, ring: PolyRing, terms: Mapping[int, Fraction]):
         self.ring = ring
         self.terms = dict(terms)
 
@@ -327,19 +407,18 @@ class SuperPolynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return all(m == 0 for m in self.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), ZERO)
+        return self.terms.get(0, ZERO)
 
     def as_constant(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self.constant_term()
 
-    def monomial_parity(self, mono: tuple) -> int:
-        par = self.ring.parities()
-        return sum(par[i] * e for i, e in mono) & 1
+    def monomial_parity(self, mono: int) -> int:
+        return key_parity(mono, self.ring.masks()[0])
 
     def parity(self) -> Optional[int]:
         """Parity if homogeneous, else None (zero counts as either, returns 0)."""
@@ -364,7 +443,7 @@ class SuperPolynomial:
         seen = set()
         for m in self.terms:
             w = 0
-            for i, e in m:
+            for i, e in unpack(m):
                 v = self.ring.variables[i]
                 if v.wt2 is None:
                     raise ValueError(f"variable {v.name} carries no weight")
@@ -377,10 +456,10 @@ class SuperPolynomial:
         return None
 
     def variables_used(self) -> set[int]:
-        out: set[int] = set()
+        both = 0
         for m in self.terms:
-            out.update(i for i, _ in m)
-        return out
+            both |= m
+        return {i for i, _ in unpack(both)}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -421,7 +500,7 @@ class SuperPolynomial:
                 return self.ring.zero()
             return SuperPolynomial(self.ring, {m: v * c for m, v in self.terms.items()})
         self._check_ring(other)
-        out = mul_terms(self.terms, other.terms, self.ring.parities())
+        out = mul_terms(self.terms, other.terms, self.ring.masks())
         return SuperPolynomial(self.ring, out)
 
     def __rmul__(self, other):
@@ -443,8 +522,9 @@ class SuperPolynomial:
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __eq__(self, other):
@@ -463,30 +543,21 @@ class SuperPolynomial:
         """Left partial derivative with respect to variable i."""
         if isinstance(i, str):
             i = self.ring.index[i]
-        par = self.ring.parities()
-        odd_i = par[i]
-        out: dict[tuple, Fraction] = {}
+        unit = var_key(i)
+        odd = self.ring.masks()[0]
+        # the odd factors left of x_i, when x_i is odd: the left
+        # derivative passes each of them
+        left = odd & (unit - 1) if odd & unit else -1
+        out: dict[int, Fraction] = {}
         for m, c in self.terms.items():
-            for pos, (j, e) in enumerate(m):
-                if j != i:
-                    continue
-                if odd_i:
-                    # left derivative: sign counts odd factors left of position pos
-                    sgn = sum(par[m[q][0]] * m[q][1] for q in range(pos)) & 1
-                    rest = m[:pos] + m[pos + 1:]
-                    coeff = -c if sgn else c
-                else:
-                    coeff = c * e
-                    if e == 1:
-                        rest = m[:pos] + m[pos + 1:]
-                    else:
-                        rest = m[:pos] + ((j, e - 1),) + m[pos + 1:]
-                s = out.get(rest, ZERO) + coeff
-                if s:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
-                break
+            e = (m >> (W * i)) & FIELD
+            if not e:
+                continue
+            # m -> m - unit is one to one, so no two terms meet
+            if left < 0:
+                out[m - unit] = c * e
+            else:
+                out[m - unit] = -c if (m & left).bit_count() & 1 else c
         return SuperPolynomial(self.ring, out)
 
     def total_derivative(self) -> "SuperPolynomial":
@@ -495,7 +566,7 @@ class SuperPolynomial:
         triples = [(1, ring.gen(ring.derivative_index(i)).terms,
                     self.partial_derivative(i).terms)
                    for i in sorted(self.variables_used())]
-        return SuperPolynomial(ring, sum_of_products(triples, ring.parities()))
+        return SuperPolynomial(ring, sum_of_products(triples, ring.masks()))
 
     def substitute(self, images: Mapping[int, "SuperPolynomial"],
                    target: Optional[PolyRing] = None) -> "SuperPolynomial":
@@ -537,25 +608,35 @@ class SuperPolynomial:
             got = cache[i] = (numerators(p.terms, d), d)
             return got
 
-        # term m = c * prod image(i)^e has denominator
-        # c.denominator * prod d_i^e; all terms are summed over their lcm
-        dens = []
-        for m, c in self.terms.items():
-            d = c.denominator
-            for i, e in m:
-                d *= image(i)[1] ** e
-            dens.append(d)
-        den = lcm(*dens)
-        tpar = tgt.parities()
-        out: dict[tuple, int] = {}
-        for (m, c), d in zip(self.terms.items(), dens):
-            acc = {(): c.numerator * (den // d)}
-            for i, e in m:
-                gi = cache[i][0]
-                for _ in range(e):
-                    acc = mul_int_terms(acc, gi, tpar)
-            for mono, v in acc.items():
-                s = out.get(mono, 0) + v
+        masks = tgt.masks()
+        # a term's product of images is the head of its key (the product
+        # for the key without its highest factor) times that factor's
+        # image; heads are memoized as integer numerators over their
+        # denominator, so terms share the products of common factors
+        heads: dict[int, tuple[dict, int]] = {0: ({0: 1}, 1)}
+
+        def split(m: int) -> tuple[tuple[dict, int], tuple[dict, int]]:
+            i = (m.bit_length() - 1) // W
+            return head(m - var_key(i)), image(i)
+
+        def head(m: int) -> tuple[dict, int]:
+            got = heads.get(m)
+            if got is None:
+                (h, dh), (g, dg) = split(m)
+                got = heads[m] = (mul_int_terms(h, g, masks), dh * dg)
+            return got
+
+        # term c * m has denominator c.denominator * d(m); all terms are
+        # summed over the lcm of those
+        parts = [(c, split(m) if m else (heads[0], heads[0]))
+                 for m, c in self.terms.items()]
+        den = lcm(*[c.denominator * dh * dg
+                    for c, ((_, dh), (_, dg)) in parts])
+        out: dict[int, int] = {}
+        for c, ((h, dh), (g, dg)) in parts:
+            n = c.numerator * (den // (c.denominator * dh * dg))
+            for mono, v in mul_int_terms(h, g, masks).items():
+                s = out.get(mono, 0) + n * v
                 if s:
                     out[mono] = s
                 else:
@@ -574,13 +655,15 @@ class SuperPolynomial:
         """Canonical deterministic rendering."""
         if not self.terms:
             return "0"
+        mono = {m: unpack(m) for m in self.terms}
+
         def key(m):
-            return (sum(e for _, e in m), m)
+            return (sum(e for _, e in mono[m]), mono[m])
         pieces = []
         for m in sorted(self.terms, key=key):
             c = self.terms[m]
             factors = []
-            for i, e in m:
+            for i, e in mono[m]:
                 nm = self.ring.variables[i].name
                 factors.append(nm if e == 1 else f"{nm}^{e}")
             body = "*".join(factors)

@@ -10,7 +10,7 @@ returns, and the tests compare the two.
 
 from fractions import Fraction
 
-from superslice.superpoly import SuperPolynomial
+from superslice.superpoly import SuperPolynomial, pack, unpack
 
 ONE = Fraction(1)
 
@@ -29,11 +29,11 @@ def _bracket_gen_mono(ps, a, mono):
     head = (j, 1)
     rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
     first = _gen_bracket(ps, a, j)
-    rest_poly = SuperPolynomial(ring, {rest: ONE})
+    rest_poly = SuperPolynomial(ring, {pack(rest): ONE})
     out = first * rest_poly
     tail = _bracket_gen_mono(ps, a, rest)
     if not tail.is_zero():
-        head_poly = SuperPolynomial(ring, {(head,): ONE})
+        head_poly = SuperPolynomial(ring, {pack((head,)): ONE})
         sgn = -ONE if (par[a] and par[j]) else ONE
         out = out + head_poly * tail * sgn
     return out
@@ -47,11 +47,11 @@ def _bracket_mono_poly(ps, mono, q, q_parity):
     (j, e) = mono[0]
     rest = mono[1:] if e == 1 else ((j, e - 1),) + mono[1:]
     rest_parity = sum(ring.parity_of(v) * k for v, k in rest) % 2
-    head_poly = SuperPolynomial(ring, {((j, 1),): ONE})
+    head_poly = ring.gen(j)
     out = head_poly * _bracket_mono_poly(ps, rest, q, q_parity)
     gen_q = _bracket_gen_poly(ps, j, q)
     if not gen_q.is_zero():
-        rest_poly = SuperPolynomial(ring, {rest: ONE})
+        rest_poly = SuperPolynomial(ring, {pack(rest): ONE})
         sgn = -ONE if (rest_parity and q_parity) else ONE
         out = out + gen_q * rest_poly * sgn
     return out
@@ -60,7 +60,7 @@ def _bracket_mono_poly(ps, mono, q, q_parity):
 def _bracket_gen_poly(ps, a, q):
     out = ps.ring.zero()
     for mono, c in q.terms.items():
-        t = _bracket_gen_mono(ps, a, mono)
+        t = _bracket_gen_mono(ps, a, unpack(mono))
         if not t.is_zero():
             out = out + t * c
     return out
@@ -74,7 +74,7 @@ def finite_bracket(ps, p, q):
         for qq, qpar in ((qe, 0), (qo, 1)):
             if qq.is_zero():
                 continue
-            t = _bracket_mono_poly(ps, mono, qq, qpar)
+            t = _bracket_mono_poly(ps, unpack(mono), qq, qpar)
             if not t.is_zero():
                 out = out + t * c
     return out

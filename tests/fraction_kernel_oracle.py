@@ -9,10 +9,12 @@ every monomial pair is merged by counting odd inversions.
 ``a * eff`` with the ``mul_terms`` below, and adds ``coeff * c`` for
 each structure constant c of the algebra's Fraction table into a
 running SuperPolynomial per component.  None of it touches the
-package's product kernel or the algebra's integer table.
+package's product kernel or the algebra's integer table.  Monomials
+here are tuples of (index, exponent) pairs; ``times`` converts the
+packed keys of the package's polynomials at its edges.
 """
 
-from superslice.superpoly import SuperPolynomial
+from superslice.superpoly import SuperPolynomial, pack, unpack
 
 
 def mul_monomials(ma, mb, parities):
@@ -82,11 +84,14 @@ def mul_terms(terms_a, terms_b, parities):
 
 
 def times(a, b):
-    """a * b for two SuperPolynomials of one ring, through mul_terms."""
+    """a * b for two SuperPolynomials of one ring, through mul_terms on
+    the unpacked monomials."""
     if a.ring is not b.ring:
         raise ValueError("polynomials belong to different rings")
-    return SuperPolynomial(a.ring,
-                           mul_terms(a.terms, b.terms, a.ring.parities()))
+    ta = {unpack(m): c for m, c in a.terms.items()}
+    tb = {unpack(m): c for m, c in b.terms.items()}
+    return SuperPolynomial(a.ring, {
+        pack(m): c for m, c in mul_terms(ta, tb, a.ring.parities()).items()})
 
 
 def bracket_poly(alg, x, y):

@@ -14,7 +14,7 @@ Both functions grow the ring they are given by one or two variables.
 """
 
 from superslice.liealg import dense_to_poly, nilpotency_class
-from superslice.superpoly import SuperPolynomial, Variable
+from superslice.superpoly import SuperPolynomial, Variable, unpack
 from superslice.supergroup import adjoint_orbit_map, bch_product
 
 
@@ -27,7 +27,7 @@ def _scratch_parameter(ring, parity):
 
 def _drop_terms_with(poly, idx):
     kept = {m: c for m, c in poly.terms.items()
-            if all(v != idx for v, _ in m)}
+            if all(v != idx for v, _ in unpack(m))}
     return SuperPolynomial(poly.ring, kept)
 
 

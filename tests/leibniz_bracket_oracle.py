@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from superslice.pva import LambdaPolynomial
-from superslice.superpoly import SuperPolynomial
+from superslice.superpoly import SuperPolynomial, pack, unpack
 
 ONE = Fraction(1)
 
@@ -66,9 +66,9 @@ def _gen_mono(machine, i, mono):
     out = _gen_pair(machine, i, j)
     if not rest:
         return out
-    out = _rmul(out, SuperPolynomial(ring, {rest: ONE}))
+    out = _rmul(out, SuperPolynomial(ring, {pack(rest): ONE}))
     tail = _gen_mono(machine, i, rest)
-    tail = _lmul(SuperPolynomial(ring, {((j, 1),): ONE}), tail)
+    tail = _lmul(ring.gen(j), tail)
     if ring.parity_of(i) and ring.parity_of(j):
         tail = tail.scale(-ONE)
     return out + tail
@@ -77,7 +77,7 @@ def _gen_mono(machine, i, mono):
 def _gen_poly(machine, i, q):
     out = LambdaPolynomial(machine.ring)
     for mono, c in q.terms.items():
-        out = out + _gen_mono(machine, i, mono).scale(c)
+        out = out + _gen_mono(machine, i, unpack(mono)).scale(c)
     return out
 
 
@@ -105,11 +105,10 @@ def _mono_poly(machine, mono, q, q_parity):
     if not rest:
         return first
     rest_parity = sum(ring.parity_of(v) * k for v, k in rest) % 2
-    out = _arrow(first, SuperPolynomial(ring, {rest: ONE}))
+    out = _arrow(first, SuperPolynomial(ring, {pack(rest): ONE}))
     if rest_parity and q_parity:
         out = out.scale(-ONE)
-    t = _arrow(_mono_poly(machine, rest, q, q_parity),
-               SuperPolynomial(ring, {((j, 1),): ONE}))
+    t = _arrow(_mono_poly(machine, rest, q, q_parity), ring.gen(j))
     if ring.parity_of(j) and (rest_parity + q_parity) % 2:
         t = t.scale(-ONE)
     return out + t
@@ -122,5 +121,5 @@ def leibniz_bracket(machine, p, q):
         if qq.is_zero():
             continue
         for mono, c in p.terms.items():
-            out = out + _mono_poly(machine, mono, qq, qpar).scale(c)
+            out = out + _mono_poly(machine, unpack(mono), qq, qpar).scale(c)
     return out

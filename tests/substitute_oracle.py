@@ -10,6 +10,8 @@ the same errors for images in the wrong ring, images that are not
 parity homogeneous and images of the wrong parity.
 """
 
+from superslice.superpoly import unpack
+
 
 def substitute(p, images, target=None):
     tgt = target if target is not None else p.ring
@@ -42,7 +44,7 @@ def substitute(p, images, target=None):
     out = tgt.zero()
     for m, c in p.terms.items():
         acc = tgt.const(c)
-        for i, e in m:
+        for i, e in unpack(m):
             gi = image(i)
             for _ in range(e):
                 acc = acc * gi

@@ -29,7 +29,7 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
 from superslice.linalg import row_rank
 from superslice.pva import BRSTComplex, h0_truncated
 from superslice.slice import gauge_fix
-from superslice.superpoly import PolyRing, SuperPolynomial, Variable
+from superslice.superpoly import PolyRing, SuperPolynomial, Variable, pack
 
 
 def principal_setup(alg):
@@ -81,8 +81,8 @@ class TestRegular:
         alg, triple, grading = sl2_data
         cx = regular_ce_complex(alg, grading, max_weight=3)
         # one even coordinate x, one odd ghost ph, both of weight -1
-        assert cx.block_basis(0, -2) == [((0, 1),)]
-        assert cx.block_basis(1, -2) == [((1, 1),)]
+        assert cx.block_basis(0, -2) == [pack(((0, 1),))]
+        assert cx.block_basis(1, -2) == [pack(((1, 1),))]
         x, ph = cx.ring.gen(0), cx.ring.gen(1)
         assert cx.d(x * x) == x * ph * 2  # d(x^2) = 2 x ph
         # the transpose as primitive integer rows: one source, one target
