@@ -25,24 +25,25 @@ derivation, so vanishing on generators is vanishing everywhere.
 Every variable carries a nonzero weight and all weights share one sign,
 so each weight block is finite dimensional and cohomology is a matter
 of exact ranks, block by block, with no analysis anywhere.  The rank
-path runs in Python ints from the differential to the pivot:
-OddDerivation keeps every image as integer numerators over one
-denominator, GradedComplex.d_matrix reads a block's rows straight from
-those, and linalg.row_rank eliminates them fraction-free.
+path runs in Python ints from the differential to the pivot: every
+polynomial already holds integer numerators over one denominator,
+OddDerivation puts all generator images over one common denominator,
+GradedComplex.d_matrix reads a block's rows straight from those, and
+linalg.row_rank eliminates them fraction-free.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
 from .linalg import row_nullspace, row_rank
 from .supergroup import regular_representation
-from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, combine,
-                        common_denominator, fraction_terms, lowest_variable,
-                        mul_int_terms, numerators, var_key)
+from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, _poly,
+                        add_scaled, combine, lowest_variable, mul_int_terms,
+                        normal_terms, var_key)
 
 
 class OddDerivation:
@@ -53,39 +54,41 @@ class OddDerivation:
     crossing sign for moving d past the leading factor.
 
     Everything inside runs in Python ints over one denominator ``den``,
-    the lcm of the coefficient denominators of ``images.values()``.  The
-    images may be a lazy table whose ``get`` serves more generators than
-    its ``values()`` lists (``pva._JetImages`` derives jet images by
-    total derivatives, which multiply coefficients by integers only);
-    every image is checked to have denominators dividing ``den`` and the
-    derivation raises ``ValueError`` if one does not, so no numerator is
-    ever floored.  ``mono(m)`` is den * d(m) for a monomial key m with
-    coefficient 1, as a cached {monomial: int} dict, split off at the
-    lowest variable of m; a polynomial's image becomes Fractions once,
-    at the end.
+    the lcm of the denominators of ``images.values()``.  The images may
+    be a lazy table whose ``get`` serves more generators than its
+    ``values()`` lists (``pva._JetImages`` derives jet images by total
+    derivatives, which multiply coefficients by integers only); every
+    image is checked to have a denominator dividing ``den`` (``den %
+    img.den``) and the derivation raises ``ValueError`` if one does not,
+    so no numerator is ever floored.  ``mono(m)`` is den * d(m) for a
+    monomial key m with coefficient 1, as a cached {monomial: int} dict,
+    split off at the lowest variable of m; a polynomial's image is the
+    sum of its numerators times those, over p.den * den, made canonical
+    once at the end.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial]):
         self.ring = ring
         self.images = images
-        self.den = common_denominator(*(img.terms for img in images.values()))
+        self.den = lcm(*(img.den for img in images.values()))
         self._gens: dict[int, dict] = {}
         self._monos: dict[int, dict] = {}
 
     def _generator(self, j: int) -> dict:
-        """den * d(x_j) as {monomial: int}."""
+        """den * d(x_j) as {monomial: int} (do not modify)."""
         got = self._gens.get(j)
         if got is None:
             img = self.images.get(j)
             got = {}
-            if img is not None:
-                for c in img.terms.values():
-                    if self.den % c.denominator:
-                        raise ValueError(
-                            f"image of {self.ring.variables[j].name} has "
-                            f"denominator {c.denominator}, which does not "
-                            f"divide {self.den}")
-                got = numerators(img.terms, self.den)
+            if img is not None and img.terms:
+                if self.den % img.den:
+                    raise ValueError(
+                        f"image of {self.ring.variables[j].name} has "
+                        f"denominator {img.den}, which does not "
+                        f"divide {self.den}")
+                s = self.den // img.den
+                got = img.terms if s == 1 else \
+                    {m: n * s for m, n in img.terms.items()}
             self._gens[j] = got
         return got
 
@@ -111,14 +114,10 @@ class OddDerivation:
         return got
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
-        den = common_denominator(p.terms)
         acc: dict[int, int] = {}
-        for mono, n in numerators(p.terms, den).items():
-            # the constant n times den * d(mono), summed into acc; the
-            # masks are read after mono may have added jets
-            dm = self.mono(mono)
-            mul_int_terms({0: n}, dm, self.ring.masks(), acc)
-        return SuperPolynomial(self.ring, fraction_terms(acc, den * self.den))
+        for mono, n in p.terms.items():
+            add_scaled(acc, self.mono(mono), n)  # n times den * d(mono)
+        return _poly(self.ring, *normal_terms(acc, p.den * self.den))
 
 
 def _check_square_zero(ring: PolyRing, d,
@@ -329,8 +328,8 @@ def _ghost_images(sub: LieSuperalgebra, ring: PolyRing,
             if sub.parities[a_loc] and pc:
                 s = -s
             acc.setdefault(ghost_offset + c_loc, []).append(
-                (s, ring.gen(ghost_offset + a_loc).terms,
-                 ring.gen(ghost_offset + b_loc).terms))
+                (s, ring.gen(ghost_offset + a_loc),
+                 ring.gen(ghost_offset + b_loc)))
     return combine(ring, acc)
 
 
@@ -345,7 +344,7 @@ def _ce_images(sub: LieSuperalgebra, ring: PolyRing,
     and d(ph^c) is the half-sum of _ghost_images.
     """
     images = combine(ring, {
-        b: [(1, ring.gen(nmod + a).terms, row[b].terms)
+        b: [(1, ring.gen(nmod + a), row[b])
             for a, row in enumerate(fields)]
         for b in range(nmod)})
     images.update(_ghost_images(sub, ring, nmod))

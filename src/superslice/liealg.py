@@ -29,13 +29,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (RationalMatrix, exact_rank, from_columns, nullspace,
                      rref, solve)
-from .superpoly import (PolyRing, SuperPolynomial, _as_fraction,
-                        common_denominator, fraction_terms, key_parity,
-                        mul_int_terms, numerators)
+from .superpoly import (PolyRing, SuperPolynomial, _as_fraction, _poly,
+                        add_scaled, common_denominator, key_parity,
+                        mul_int_terms, normal_terms, numerators)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -251,15 +252,18 @@ class LieSuperalgebra:
         """Bracket of polynomial-coefficient vectors with the Koszul rule
         [a x_i, b x_j] = a ((-1)^{|x_i||b|} b) [x_i, x_j].
 
-        Fused over integer numerators: x and y are each put over one
-        common denominator, and the structure constants over the table's
-        (``_int_table``).  Each (i, j) product a * b is formed once by
-        ``mul_int_terms``, with the parity twist for odd x_i applied as a
-        sign per term of b (the parity of the popcount of its odd
-        fields), and scattered to every k of the table row
-        (i, j) times its integer constant.  Each output component is
-        turned into Fractions once, at the end.  Keys and their order are
-        those of the sum over (i, j) of (a * b) * c taken in Fractions.
+        Fused over the polynomials' integer numerators: the output sits
+        over dx * dy * ``_int_den``, dx and dy the lcms of the
+        denominators of x and y, and the structure constants are read
+        from the integer table (``_int_table``).  Each (i, j) product
+        a * b is formed once by ``mul_int_terms``, scaled by
+        (dx / a.den) (dy / b.den) per term of a, with the parity twist
+        for odd x_i applied as a sign per term of b (the parity of the
+        popcount of its odd fields), and scattered to every k of the
+        table row (i, j) times its integer constant.  Each output
+        component is made canonical once, at the end.  Keys and their
+        order are those of the sum over (i, j) of (a * b) * c taken in
+        Fractions.
         """
         x = [(i, a) for i, a in x.items() if a.terms]
         y = [(j, b) for j, b in y.items() if b.terms]
@@ -271,19 +275,19 @@ class LieSuperalgebra:
                 raise ValueError("polynomials belong to different rings")
         masks = ring.masks()
         odd = masks[0]
-        dx = common_denominator(*[a.terms for _, a in x])
-        dy = common_denominator(*[b.terms for _, b in y])
-        an = [(i, numerators(a.terms, dx)) for i, a in x]
-        bn = [(j, numerators(b.terms, dy)) for j, b in y]
+        dx = lcm(*[a.den for _, a in x])
+        dy = lcm(*[b.den for _, b in y])
         twisted: dict[int, dict] = {}
         par = self.parities
         table = self._int_table
         out: dict[int, dict] = {}
-        for i, a in an:
-            for j, b in bn:
+        for i, ap in x:
+            a, sa = ap.terms, dx // ap.den
+            for j, bp in y:
                 row = table.get((i, j))
                 if row is None:
                     continue
+                b = bp.terms
                 if par[i]:
                     # (-1)^{|b|} b: even terms in order, then odd ones negated
                     eff = twisted.get(j)
@@ -298,22 +302,13 @@ class LieSuperalgebra:
                         eff = twisted[j] = ev
                 else:
                     eff = b
-                prod = mul_int_terms(a, eff, masks)
+                prod = mul_int_terms(a, eff, masks, None, sa * (dy // bp.den))
                 if not prod:
                     continue
                 for k, c in row.items():
-                    acc = out.get(k)
-                    if acc is None:
-                        out[k] = {m: n * c for m, n in prod.items()}
-                        continue
-                    for m, n in prod.items():
-                        s = acc.get(m, 0) + n * c
-                        if s:
-                            acc[m] = s
-                        else:
-                            del acc[m]
+                    add_scaled(out.setdefault(k, {}), prod, c)
         den = dx * dy * self._int_den
-        return {k: SuperPolynomial(ring, fraction_terms(acc, den))
+        return {k: _poly(ring, *normal_terms(acc, den))
                 for k, acc in out.items() if acc}
 
     def ad_matrix(self, x: Sequence) -> RationalMatrix:

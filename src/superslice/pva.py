@@ -43,8 +43,8 @@ from .cohomology import (GradedComplex, OddDerivation, _as_wt2, _ce_images,
                          _check_square_zero, _gauge_action_fields,
                          weighted_monomial_counts)
 from .slice import SliceChart, finite_miura
-from .superpoly import (UNIT, PolyRing, SuperPolynomial, Variable, combine,
-                        sum_of_products, unpack)
+from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, Variable,
+                        combine, sum_of_products, unpack)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,13 +112,13 @@ class ArcRing:
             return got
 
         out: dict[int, list] = {}
-        for mono, c in p.terms.items():
+        for mono, c in p.items():
             acc = [ring.one()] + [ring.zero()] * depth
             for i, e in unpack(mono):
                 for _ in range(e):
                     acc = _series_mul(acc, var_series(i), ring)
             for n, a in enumerate(acc):
-                out.setdefault(n, []).append((c, a.terms, UNIT))
+                out.setdefault(n, []).append((c, a, UNIT))
         sums = combine(ring, out)
         return [sums.get(n, ring.zero()) for n in range(depth + 1)]
 
@@ -140,7 +140,7 @@ def _series_mul(a: list, b: list, ring: PolyRing) -> list:
     acc: dict[int, list] = {}
     for i, ai in enumerate(a):
         for j in range(depth + 1 - i):
-            acc.setdefault(i + j, []).append((1, ai.terms, b[j].terms))
+            acc.setdefault(i + j, []).append((1, ai, b[j]))
     sums = combine(ring, acc)
     return [sums.get(n, ring.zero()) for n in range(depth + 1)]
 
@@ -197,8 +197,8 @@ class LambdaPolynomial:
         """Multiply by (lam + d), d the total derivative on coefficients."""
         acc: dict[int, list] = {}
         for k, p in self.coeffs.items():
-            acc.setdefault(k + 1, []).append((1, p.terms, UNIT))
-            acc.setdefault(k, []).append((1, p.total_derivative().terms, UNIT))
+            acc.setdefault(k + 1, []).append((1, p, UNIT))
+            acc.setdefault(k, []).append((1, p.total_derivative(), UNIT))
         return LambdaPolynomial(self.ring, combine(self.ring, acc))
 
     def sub_neg_lam_d(self) -> "LambdaPolynomial":
@@ -209,7 +209,7 @@ class LambdaPolynomial:
             q = p
             for j in range(k, -1, -1):
                 acc.setdefault(j, []).append(
-                    (sgn * math.comb(k, j), q.terms, UNIT))
+                    (sgn * math.comb(k, j), q, UNIT))
                 if j:
                     q = q.total_derivative()
         return LambdaPolynomial(self.ring, combine(self.ring, acc))
@@ -311,18 +311,18 @@ class ArcBracket:
         return out
 
     def _generator_bracket(self, i: int, dg: Sequence[tuple]) -> dict:
-        """Coefficient term dicts {k: ...} of G_i = {u_i _lam g} from the
+        """Coefficients {k: IntTerms} of G_i = {u_i _lam g} from the
         pairs (y, dg/dy), each power summed in one accumulator."""
         acc: dict[int, list] = {}
         for y, d in dg:
             for k, c in self._entry(i, y).coeffs.items():
-                acc.setdefault(k, []).append((1, c.terms, d.terms))
+                acc.setdefault(k, []).append((1, c, d))
         masks = self.ring.masks()  # after _entry may have added jets
         out = {}
         for k, triples in acc.items():
-            terms = sum_of_products(triples, masks)
-            if terms:
-                out[k] = terms
+            got = sum_of_products(triples, masks)
+            if got.terms:
+                out[k] = got
         return out
 
     def _partials_by_generator(self, f: SuperPolynomial) -> dict:
@@ -409,7 +409,7 @@ class BracketOperand:
         return got
 
     def row(self, par: int, i: int) -> dict:
-        """G_i of the parity-par part as coefficient term dicts."""
+        """G_i of the parity-par part as {k: IntTerms}."""
         got = self._rows[par].get(i)
         if got is None:
             if self._dg is None:
@@ -421,7 +421,8 @@ class BracketOperand:
         return got
 
 
-def _collect_shifted(acc: dict, G: Mapping[int, dict], F: Mapping[int, list],
+def _collect_shifted(acc: dict, G: Mapping[int, IntTerms],
+                     F: Mapping[int, list],
                      sign: int) -> None:
     """Collect the products of sign * G(lam + d)_> F, that is
     sign * sum_k G_k (lam + d)^k F, as (n, a, b) triples per power of
@@ -433,7 +434,7 @@ def _collect_shifted(acc: dict, G: Mapping[int, dict], F: Mapping[int, list],
                 ds.append(ds[-1].total_derivative())
             for r in range(k + 1):
                 acc.setdefault(k - r + l, []).append(
-                    (sign * math.comb(k, r), g, ds[r].terms))
+                    (sign * math.comb(k, r), g, ds[r]))
 
 
 def skew_defect(machine: ArcBracket, a: SuperPolynomial,
@@ -567,7 +568,7 @@ class BRSTComplex:
                 a = ghost_pos.get(ia)
                 if a is not None:
                     rows.setdefault((a, uloc), []).append(
-                        (c, ring.gen(b).terms, UNIT))
+                        (c, ring.gen(b), UNIT))
         for (a, uloc), acc in combine(ring, rows).items():
             table[(a, uloc)] = acc
             # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}

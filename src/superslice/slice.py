@@ -158,7 +158,7 @@ def affine_point(ring: PolyRing, f: Sequence, terms) -> dict:
     for v, p in terms:
         for i, c in enumerate(v):
             if c:
-                acc.setdefault(i, []).append((c, p.terms, UNIT))
+                acc.setdefault(i, []).append((c, p, UNIT))
     return combine(ring, acc)
 
 
@@ -181,10 +181,11 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
     nclass = nilpotency_class(alg.restrict_to(pos_idx)) if pos_idx else 1
     gauge_total: dict = {}
     inv_order, invariants, inv_vectors, inv_wt2 = [], {}, {}, {}
+    zero = ring.zero()
 
     for lev in sorted(pieces):
         piece = pieces[lev]
-        D = [cur[r].terms if r in cur else {} for r in piece.row_indices]
+        D = [cur.get(r, zero) for r in piece.row_indices]
         n_e = len(piece.e_basis)
         sums = combine(ring, {
             r: [(piece.inverse[r, c], d, UNIT) for c, d in enumerate(D)]
@@ -319,7 +320,7 @@ class PoissonStructure:
             if ia not in self.gen_pos or ib not in self.gen_pos:
                 continue
             if w2[ia] <= 0 and w2[ib] <= 0:
-                val = [(c, self.ring.gen(self.gen_pos[k]).terms, UNIT)
+                val = [(c, self.ring.gen(self.gen_pos[k]), UNIT)
                        for k, c in row.items()]
             elif w2[ia] == 1 and w2[ib] == 1:
                 val = [(c * f_left.get(k, ZERO), UNIT, UNIT)
@@ -353,11 +354,11 @@ class PoissonStructure:
         # row is zero and every a has an image
         self._gen_images = combine(chart.ring, {
             a: [(self._const[a], UNIT, UNIT)]
-            + [(co, chart.ring.gen(beta).terms, UNIT)
+            + [(co, chart.ring.gen(beta), UNIT)
                for beta, co in row.items()]
             for a, row in enumerate(self._m_rows)})
 
-        on_z = {k: self.from_poisson_ring(v).terms
+        on_z = {k: self.from_poisson_ring(v)
                 for k, v in self.table.items()}
         self.coordinate_table: dict[tuple[int, int], SuperPolynomial] = \
             combine(chart.ring, {
@@ -380,7 +381,7 @@ class PoissonStructure:
         for b, row in enumerate(self._minv_rows):
             acc[b] = []
             for a, co in row.items():
-                acc[b] += [(co, ring.gen(a).terms, UNIT),
+                acc[b] += [(co, ring.gen(a), UNIT),
                            (-co * self._const[a], UNIT, UNIT)]
         return combine(ring, acc)
 
@@ -394,7 +395,7 @@ class PoissonStructure:
         out = []
         for field in fields:
             comps = combine(self.chart_ring, {
-                a: [(co, field[b].terms, UNIT) for b, co in row.items()]
+                a: [(co, field[b], UNIT) for b, co in row.items()]
                 for a, row in enumerate(self._m_rows)})
             moved = []
             for a in range(len(self._m_rows)):
@@ -421,41 +422,6 @@ class PoissonStructure:
             if x.ring is not self.ring:
                 raise ValueError("polynomial is not in the Poisson ring")
         return self._arc.bracket(p, q).coefficient(0)
-
-
-def slice_poisson_table(chart: SliceChart) -> dict:
-    """{I_a, I_b} for all invariant pairs, re-expressed exactly in the
-    slice coordinates.  Raises if a bracket is not a function of the
-    invariants (which would signal an invariance bug)."""
-    ps = chart.poisson
-    lifted = {lab: ps.to_poisson_ring(chart.invariants[lab])
-              for lab in chart.inv_order}
-    spoint = chart.slice_point()
-    # z-coordinates of the slice point, as polynomials in s
-    z_at_slice = {pos: spoint.get(b, chart.slice_ring.zero())
-                  for pos, b in enumerate(chart.coord_indices)}
-    for n, lab in enumerate(chart.inv_order):
-        # on the slice itself the invariant IS the coordinate
-        got = chart.invariants[lab].substitute(z_at_slice, chart.slice_ring)
-        if got != chart.slice_ring.gen(n):
-            raise ValueError(f"invariant {lab!r} does not restrict to its "
-                             f"slice coordinate")
-    out = {}
-    for la in chart.inv_order:
-        for lb in chart.inv_order:
-            raw = ps.bracket(lifted[la], lifted[lb])
-            on_z = ps.from_poisson_ring(raw)
-            on_slice = on_z.substitute(z_at_slice, chart.slice_ring)
-            # exactness: substituting s := I(z) must reproduce the bracket
-            images = {n: chart.invariants[lab2]
-                      for n, lab2 in enumerate(chart.inv_order)}
-            recon = on_slice.substitute(images, chart.ring)
-            if recon != on_z:
-                raise ValueError(
-                    f"bracket of invariants ({la},{lb}) is not a function "
-                    f"of the invariants")
-            out[(la, lb)] = on_slice
-    return out
 
 
 # -- Miura --------------------------------------------------------------------

@@ -45,7 +45,7 @@ def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
     while not vec_is_zero(term):
         weight = Fraction(1, factorial(n))
         for k, v in term.items():
-            acc.setdefault(k, []).append((weight, v.terms, UNIT))
+            acc.setdefault(k, []).append((weight, v, UNIT))
         n += 1
         if n > MAX_SERIES_TERMS:
             raise ValueError("adjoint series did not terminate")
@@ -123,7 +123,7 @@ def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
     acc: dict = {}
     for word, coeff in _dynkin_words(max_word_len):
         for k, v in term(word).items():
-            acc.setdefault(k, []).append((coeff, v.terms, UNIT))
+            acc.setdefault(k, []).append((coeff, v, UNIT))
     return combine(next(iter((x or y).values())).ring, acc) if acc else {}
 
 
@@ -164,7 +164,7 @@ def regular_representation(alg: LieSuperalgebra, sub_indices: Sequence[int],
         while term:
             coeff = _bernoulli(n) / factorial(n)
             for i, comp in term.items():
-                acc.setdefault(pos[i], []).append((coeff, comp.terms, UNIT))
+                acc.setdefault(pos[i], []).append((coeff, comp, UNIT))
             n += 1
             if n > MAX_SERIES_TERMS:
                 raise ValueError("regular series did not terminate")

@@ -31,26 +31,36 @@ Tuples of (index, exponent) pairs sorted by index remain only at the
 edges: ``pack`` and ``unpack`` convert, and ``text`` sorts terms by
 (degree, unpacked tuple), so rendered output does not depend on the key.
 
-Coefficients are Fractions at the API and integer numerators over one
-common denominator inside products.  ``numerators`` puts each operand
-over its ``common_denominator`` (the lcm of its coefficient
-denominators), ``mul_int_terms`` multiplies and accumulates in Python
-ints, and ``fraction_terms`` divides each output term by the product of
-the operands' denominators, once.  Scaling by a positive integer keeps
-the zero test of every partial sum, so a product has the same keys in
-the same order as one taken in Fractions.  ``mul_terms`` (and so ``*``),
-``substitute`` and ``LieSuperalgebra.bracket_poly`` all multiply this
-way.  ``sum_of_products`` is the one accumulator for sums of products
-and for linear combinations: it takes sum n * a * b over many (n, a, b),
-n an int or a Fraction, over the lcm of the products' denominators, so
-each output term becomes a Fraction once.  ``mul_terms`` is its
-one-product case, the lambda bracket of ``pva`` sums each power of
-lambda with it, and ``combine`` sums a whole {key: [triples]} table
-with it, one key at a time; with the unit operand ``UNIT``,
-(c, p.terms, UNIT) is c * p, so series, generator images, Poisson
-tables and points f + sum p v are all summed this way.  Operand term
-dicts must hold no zero coefficient: build them from polynomials or
-``PolyRing.const``, never as {0: c} with c possibly zero.
+A polynomial holds integer numerators over one positive denominator:
+``terms`` maps keys to nonzero ints and ``den`` is an int, so the
+polynomial is sum terms[m] * m / den (the content and primitive-part
+split of exact arithmetic over Q; Geddes, Czapor and Labahn,
+"Algorithms for Computer Algebra", 1992, ch. 2).  Every polynomial is
+canonical: no numerator is zero, gcd(den, *terms.values()) == 1 and
+zero is ({}, 1), so den is the lcm of the reduced coefficient
+denominators and equal polynomials have equal (terms, den).  Fractions
+appear only at the edges: the constructor (which takes int or Fraction
+coefficients), ``PolyRing.const``, scalar ``*`` and ``/``,
+``coefficient``, ``items``, ``constant_term`` and ``text``, which
+renders each n/den reduced.
+
+``mul_int_terms`` is the one product kernel: it multiplies and
+accumulates numerators in Python ints, with a scale factor applied once
+per term of the first operand, and a constant operand (one term, key 0)
+makes it a scaled add (``add_scaled``) instead of a product loop.
+Scaling by a nonzero integer keeps the zero test of every partial sum,
+so a product has the same keys in the same order as one taken in
+Fractions.  ``sum_of_products`` is the one accumulator for sums of
+products and for linear combinations: it takes sum n * a * b over many
+(n, a, b), n an int or a Fraction and a, b polynomials or ``IntTerms``,
+over the lcm D of the products' denominators (a.den * b.den times n's),
+each product scaled by n's numerator times D over its own denominator;
+the result is made canonical once, by one gcd over its numerators
+(``normal_terms``).  ``*``, ``total_derivative`` and the lambda bracket
+of ``pva`` take their products this way, and ``combine`` sums a whole
+{key: [triples]} table with it, one key at a time; with the unit operand
+``UNIT``, (c, p, UNIT) is c * p, so series, generator images, Poisson
+tables and points f + sum p v are all summed this way.
 
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
@@ -59,15 +69,25 @@ d/dt (s*t) = -s for odd s, t.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 Scalar = Union[Fraction, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# the term dict of the polynomial 1: (c, p.terms, UNIT) stands for c * p
-UNIT = {0: ONE}
+
+
+class IntTerms(NamedTuple):
+    """Integer numerators over one positive denominator: the polynomial
+    sum terms[m] * m / den.  An operand of ``sum_of_products`` is an
+    IntTerms or a SuperPolynomial, which has the same two fields."""
+    terms: dict
+    den: int
+
+
+# the polynomial 1: (c, p, UNIT) stands for c * p
+UNIT = IntTerms({0: 1}, 1)
 
 
 def _as_fraction(c: Scalar) -> Fraction:
@@ -156,36 +176,73 @@ def _odd_below(oa: int, odd: int) -> int:
 # -- the sparse product ------------------------------------------------------
 
 def common_denominator(*term_dicts) -> int:
-    """lcm of the coefficient denominators of the term dicts (1 if none)."""
+    """lcm of the coefficient denominators of rational term dicts (1 if
+    none)."""
     return lcm(*[c.denominator for t in term_dicts for c in t.values()])
 
 
 def numerators(terms, d: int) -> dict:
-    """A Fraction term dict over d (a multiple of every denominator in
+    """A rational term dict over d (a multiple of every denominator in
     it) as integer numerators."""
     if d == 1:
         return {m: c.numerator for m, c in terms.items()}
     return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def fraction_terms(terms, d: int) -> dict:
-    """Integer numerators over d back to Fraction coefficients."""
-    if d == 1:
-        return {m: Fraction(n) for m, n in terms.items()}
-    return {m: Fraction(n, d) for m, n in terms.items()}
+def normal_terms(terms: dict, den: int) -> IntTerms:
+    """Integer numerators over a positive den, none of them zero, in
+    canonical form: divided by gcd(den, *numerators), and zero over 1."""
+    if den != 1:
+        if not terms:
+            return IntTerms(terms, 1)
+        g = gcd(den, *terms.values())
+        if g != 1:
+            return IntTerms({m: n // g for m, n in terms.items()}, den // g)
+    return IntTerms(terms, den)
 
 
-def mul_int_terms(terms_a, terms_b, masks, out=None):
-    """Sparse product of two term dicts over integer numerators, added
-    into ``out`` (a new dict if None), which is returned; ``masks`` is
-    the ring's ``masks()``.
+def rational_terms(coeffs: Mapping, den: int = 1) -> IntTerms:
+    """Exact rational coefficients (ints or Fractions; zeros dropped)
+    over a positive int den, in canonical form."""
+    if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+        raise ValueError(f"denominator must be a positive int, got {den!r}")
+    coeffs = {m: _as_fraction(c) for m, c in coeffs.items() if c}
+    d = common_denominator(coeffs)
+    return normal_terms(numerators(coeffs, d), den * d)
+
+
+def add_scaled(out: dict, terms, c: int) -> dict:
+    """out += c * terms over integer numerators (c a nonzero int), in the
+    order of terms; a sum that reaches zero drops its key.  Returns
+    out."""
+    if not out:
+        out.update(terms if c == 1 else {m: c * n for m, n in terms.items()})
+        return out
+    get = out.get
+    for m, n in terms.items():
+        s = get(m, 0) + c * n
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return out
+
+
+def mul_int_terms(terms_a, terms_b, masks, out=None, scale: int = 1):
+    """scale * (the sparse product of two term dicts over integer
+    numerators), added into ``out`` (a new dict if None), which is
+    returned; ``masks`` is the ring's ``masks()`` and scale a nonzero
+    int, applied once per term of terms_a.
 
     Products are accumulated per monomial in the order the pairs meet
     (a-major); a sum that reaches zero drops its key, and a later
-    contribution to that monomial appends it again.  A pair's key is
-    ka + kb; when it meets the over mask, a key lies outside the ring's
-    fields (raises), an odd variable is squared (the pair is skipped) or
-    an exponent overflowed (raises).
+    contribution to that monomial appends it again.  A constant operand
+    (one term, key 0) commutes with everything and carries no sign, so
+    the product is ``add_scaled`` of the other operand, which meets the
+    pairs in the same order.  Otherwise a pair's key is ka + kb; when it
+    meets the over mask, a key lies outside the ring's fields (raises),
+    an odd variable is squared (the pair is skipped) or an exponent
+    overflowed (raises).
     Its sign is (-1)^(number of odd factors of ka that pass an odd
     factor of kb on the way to index order), the parity of one
     popcount against ``_odd_below`` of ka.
@@ -194,9 +251,14 @@ def mul_int_terms(terms_a, terms_b, masks, out=None):
         out = {}
     if not terms_a or not terms_b:
         return out
+    if len(terms_b) == 1 and 0 in terms_b:
+        return add_scaled(out, terms_a, scale * terms_b[0])
+    if len(terms_a) == 1 and 0 in terms_a:
+        return add_scaled(out, terms_b, scale * terms_a[0])
     odd, over, limit = masks
     b = terms_b.items()
     for ka, ca in terms_a.items():
+        ca *= scale
         oa = ka & odd
         qa = _odd_below(oa, odd) if oa else 0
         for kb, cb in b:
@@ -225,56 +287,46 @@ def mul_int_terms(terms_a, terms_b, masks, out=None):
     return out
 
 
-def sum_of_products(triples, masks):
+def sum_of_products(triples, masks) -> IntTerms:
     """sum n * a * b over (n, a, b) triples, n an int or a Fraction and
-    a, b Fraction term dicts, as a Fraction term dict without zero
-    coefficients; ``masks`` is the ring's ``masks()``.
+    a, b polynomials or ``IntTerms``, in canonical form; ``masks`` is
+    the ring's ``masks()``.
 
-    Each product n * a * b has denominator da * db * dn (the operands'
-    common denominators and n's); all are summed in ints over the lcm D
-    of those, the numerators of a scaled by n's numerator times
-    D / (da * db * dn), and each output term becomes a Fraction once.
-    Products accumulate into one dict in triple order, each as
-    ``mul_int_terms`` orders it.  Operands must hold no zero
-    coefficient: an int accumulator only drops the sums it sees reach
-    zero, so a zero term of an operand survives into the output.
+    Each product n * a * b has denominator a.den * b.den * dn (dn n's
+    denominator); all are summed in ints over the lcm D of those, each
+    product scaled by n's numerator times D / (a.den * b.den * dn)
+    inside ``mul_int_terms``, and the sum is divided by its gcd with D
+    once.  Products accumulate into one dict in triple order, each as
+    ``mul_int_terms`` orders it.
     """
     prepared = []
     for n, a, b in triples:
-        if n and a and b:
-            da, db = common_denominator(a), common_denominator(b)
-            prepared.append((n.numerator, a, da, b, db,
-                             da * db * n.denominator))
+        if n and a.terms and b.terms:
+            prepared.append((n, a.terms, b.terms,
+                             a.den * b.den * n.denominator))
     if not prepared:
-        return {}
-    den = lcm(*[p[5] for p in prepared])
+        return IntTerms({}, 1)
+    den = lcm(*[p[3] for p in prepared])
     out = {}
-    for n, a, da, b, db, d in prepared:
-        # a times n * D / db and b times db, both integral: n * a * b * D
-        mul_int_terms(numerators(a, n * (den // d) * da), numerators(b, db),
-                      masks, out)
-    return fraction_terms(out, den)
+    for n, ta, tb, d in prepared:
+        mul_int_terms(ta, tb, masks, out, n.numerator * (den // d))
+    return normal_terms(out, den)
 
 
 def combine(ring: "PolyRing", acc: Mapping) -> dict:
     """{key: [(n, a, b), ...]} to {key: sum n * a * b as a polynomial of
     ring}, each key summed once by ``sum_of_products``; keys whose sum
-    is zero are dropped.  ``UNIT`` as b makes (c, p.terms, UNIT) the
-    term c * p, so this is also the one way to take linear combinations.
+    is zero are dropped.  ``UNIT`` as b makes (c, p, UNIT) the term
+    c * p, so this is also the one way to take linear combinations.
     The ring's masks are read here, after any jets the operands
     needed were added."""
     out = {}
     masks = ring.masks()
     for key, triples in acc.items():
-        terms = sum_of_products(triples, masks)
+        terms, den = sum_of_products(triples, masks)
         if terms:
-            out[key] = SuperPolynomial(ring, terms)
+            out[key] = _poly(ring, terms, den)
     return out
-
-
-def mul_terms(terms_a, terms_b, masks):
-    """Sparse product of two Fraction term dicts; drops zero coefficients."""
-    return sum_of_products(((1, terms_a, terms_b),), masks)
 
 
 class Variable:
@@ -369,19 +421,20 @@ class PolyRing:
     # -- element builders ------------------------------------------------
 
     def zero(self) -> "SuperPolynomial":
-        return SuperPolynomial(self, {})
+        return _poly(self, {}, 1)
 
     def one(self) -> "SuperPolynomial":
-        return SuperPolynomial(self, {0: ONE})
+        return _poly(self, {0: 1}, 1)
 
     def const(self, c: Scalar) -> "SuperPolynomial":
         c = _as_fraction(c)
-        return SuperPolynomial(self, {0: c} if c else {})
+        return _poly(self, {0: c.numerator}, c.denominator) if c \
+            else _poly(self, {}, 1)
 
     def gen(self, name_or_index: Union[str, int]) -> "SuperPolynomial":
         i = (name_or_index if isinstance(name_or_index, int)
              else self.index[name_or_index])
-        return SuperPolynomial(self, {var_key(i): ONE})
+        return _poly(self, {var_key(i): 1}, 1)
 
 
 def derivative_name(base: str, order: int) -> str:
@@ -393,13 +446,17 @@ def derivative_name(base: str, order: int) -> str:
 
 
 class SuperPolynomial:
-    """Immutable-by-convention sparse polynomial over Q."""
+    """Immutable-by-convention sparse polynomial over Q: integer
+    numerators ``terms`` over one positive denominator ``den``, in the
+    canonical form of the module docstring."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "den")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[int, Fraction]):
+    def __init__(self, ring: PolyRing, terms: Mapping[int, Scalar],
+                 den: int = 1):
+        """sum terms[m] * m / den, terms holding ints or Fractions."""
         self.ring = ring
-        self.terms = dict(terms)
+        self.terms, self.den = rational_terms(terms, den)
 
     # -- basic predicates -------------------------------------------------
 
@@ -409,8 +466,19 @@ class SuperPolynomial:
     def is_constant(self) -> bool:
         return all(m == 0 for m in self.terms)
 
+    def coefficient(self, mono: int) -> Fraction:
+        """The coefficient of the monomial key mono, as a Fraction."""
+        n = self.terms.get(mono)
+        return Fraction(n, self.den) if n else ZERO
+
+    def items(self) -> Iterator[tuple[int, Fraction]]:
+        """(key, coefficient) pairs in term order, coefficients as
+        Fractions."""
+        den = self.den
+        return ((m, Fraction(n, den)) for m, n in self.terms.items())
+
     def constant_term(self) -> Fraction:
-        return self.terms.get(0, ZERO)
+        return self.coefficient(0)
 
     def as_constant(self) -> Fraction:
         if not self.is_constant():
@@ -431,9 +499,11 @@ class SuperPolynomial:
 
     def parity_split(self) -> tuple["SuperPolynomial", "SuperPolynomial"]:
         ev, od = {}, {}
+        odd = self.ring.masks()[0]
         for m, c in self.terms.items():
-            (ev if self.monomial_parity(m) == 0 else od)[m] = c
-        return SuperPolynomial(self.ring, ev), SuperPolynomial(self.ring, od)
+            (od if key_parity(m, odd) else ev)[m] = c
+        return (_poly(self.ring, *normal_terms(ev, self.den)),
+                _poly(self.ring, *normal_terms(od, self.den)))
 
     def weight2(self) -> Optional[int]:
         """Doubled weight if homogeneous; None if mixed. Zero -> 0.
@@ -471,19 +541,22 @@ class SuperPolynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return SuperPolynomial(self.ring, out)
+        da, db = self.den, other.den
+        if da == db:
+            out = add_scaled(dict(self.terms), other.terms, 1)
+        else:
+            d = lcm(da, db)
+            sa = d // da
+            out = add_scaled({m: sa * n for m, n in self.terms.items()},
+                             other.terms, d // db)
+            da = d
+        return _poly(self.ring, *normal_terms(out, da))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPolynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ring, {m: -n for m, n in self.terms.items()},
+                     self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -498,10 +571,13 @@ class SuperPolynomial:
             c = _as_fraction(other)
             if not c:
                 return self.ring.zero()
-            return SuperPolynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+            n = c.numerator
+            return _poly(self.ring, *normal_terms(
+                {m: v * n for m, v in self.terms.items()},
+                self.den * c.denominator))
         self._check_ring(other)
-        out = mul_terms(self.terms, other.terms, self.ring.masks())
-        return SuperPolynomial(self.ring, out)
+        return _poly(self.ring, *sum_of_products(((1, self, other),),
+                                                 self.ring.masks()))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -532,10 +608,11 @@ class SuperPolynomial:
             other = self.ring.const(other)
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
-        return self.ring is other.ring and self.terms == other.terms
+        return (self.ring is other.ring and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((id(self.ring), frozenset(self.terms.items())))
+        return hash((id(self.ring), self.den, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -548,7 +625,7 @@ class SuperPolynomial:
         # the odd factors left of x_i, when x_i is odd: the left
         # derivative passes each of them
         left = odd & (unit - 1) if odd & unit else -1
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for m, c in self.terms.items():
             e = (m >> (W * i)) & FIELD
             if not e:
@@ -558,15 +635,16 @@ class SuperPolynomial:
                 out[m - unit] = c * e
             else:
                 out[m - unit] = -c if (m & left).bit_count() & 1 else c
-        return SuperPolynomial(self.ring, out)
+        # a subset of the terms, times exponents: the gcd with den may grow
+        return _poly(self.ring, *normal_terms(out, self.den))
 
     def total_derivative(self) -> "SuperPolynomial":
         """Derivation sending each variable of order n to the one of order n+1."""
         ring = self.ring
-        triples = [(1, ring.gen(ring.derivative_index(i)).terms,
-                    self.partial_derivative(i).terms)
+        triples = [(1, ring.gen(ring.derivative_index(i)),
+                    self.partial_derivative(i))
                    for i in sorted(self.variables_used())]
-        return SuperPolynomial(ring, sum_of_products(triples, ring.masks()))
+        return _poly(ring, *sum_of_products(triples, ring.masks()))
 
     def substitute(self, images: Mapping[int, "SuperPolynomial"],
                    target: Optional[PolyRing] = None) -> "SuperPolynomial":
@@ -584,7 +662,7 @@ class SuperPolynomial:
         cache: dict[int, tuple[dict, int]] = {}
 
         def image(i: int) -> tuple[dict, int]:
-            """The image of variable i over its own common denominator."""
+            """The image of variable i as (numerators, denominator)."""
             got = cache.get(i)
             if got is not None:
                 return got
@@ -604,8 +682,7 @@ class SuperPolynomial:
             else:
                 # unmapped variables pass through; extensions keep indices stable
                 p = tgt.gen(i)
-            d = common_denominator(p.terms)
-            got = cache[i] = (numerators(p.terms, d), d)
+            got = cache[i] = (p.terms, p.den)
             return got
 
         masks = tgt.masks()
@@ -626,22 +703,15 @@ class SuperPolynomial:
                 got = heads[m] = (mul_int_terms(h, g, masks), dh * dg)
             return got
 
-        # term c * m has denominator c.denominator * d(m); all terms are
-        # summed over the lcm of those
-        parts = [(c, split(m) if m else (heads[0], heads[0]))
-                 for m, c in self.terms.items()]
-        den = lcm(*[c.denominator * dh * dg
-                    for c, ((_, dh), (_, dg)) in parts])
+        # term n * m / den has denominator den * d(m); all terms are
+        # summed over den times the lcm of the d(m)
+        parts = [(n, split(m) if m else (heads[0], heads[0]))
+                 for m, n in self.terms.items()]
+        den = lcm(*[dh * dg for _, ((_, dh), (_, dg)) in parts])
         out: dict[int, int] = {}
-        for c, ((h, dh), (g, dg)) in parts:
-            n = c.numerator * (den // (c.denominator * dh * dg))
-            for mono, v in mul_int_terms(h, g, masks).items():
-                s = out.get(mono, 0) + n * v
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return SuperPolynomial(tgt, fraction_terms(out, den))
+        for n, ((h, dh), (g, dg)) in parts:
+            add_scaled(out, mul_int_terms(h, g, masks), n * (den // (dh * dg)))
+        return _poly(tgt, *normal_terms(out, den * self.den))
 
     def evaluate(self, values: Mapping[int, Scalar]) -> "SuperPolynomial":
         """Substitute scalars for variables: any for an even variable,
@@ -661,7 +731,7 @@ class SuperPolynomial:
             return (sum(e for _, e in mono[m]), mono[m])
         pieces = []
         for m in sorted(self.terms, key=key):
-            c = self.terms[m]
+            c = Fraction(self.terms[m], self.den)
             factors = []
             for i, e in mono[m]:
                 nm = self.ring.variables[i].name
@@ -684,6 +754,19 @@ class SuperPolynomial:
 
     def __repr__(self):
         return f"<SuperPolynomial {self.text()}>"
+
+
+_new = object.__new__
+
+
+def _poly(ring: PolyRing, terms: dict, den: int) -> SuperPolynomial:
+    """The polynomial with these numerators over den, taken as they are:
+    the caller hands over canonical (terms, den) and keeps no alias."""
+    p = _new(SuperPolynomial)
+    p.ring = ring
+    p.terms = terms
+    p.den = den
+    return p
 
 
 def _frac_str(c: Fraction) -> str:

@@ -59,7 +59,7 @@ def _bracket_mono_poly(ps, mono, q, q_parity):
 
 def _bracket_gen_poly(ps, a, q):
     out = ps.ring.zero()
-    for mono, c in q.terms.items():
+    for mono, c in q.items():
         t = _bracket_gen_mono(ps, a, unpack(mono))
         if not t.is_zero():
             out = out + t * c
@@ -70,7 +70,7 @@ def finite_bracket(ps, p, q):
     """{p, q} on ps.ring: biderivation extension of ps's generator table."""
     qe, qo = q.parity_split()
     out = ps.ring.zero()
-    for mono, c in p.terms.items():
+    for mono, c in p.items():
         for qq, qpar in ((qe, 0), (qo, 1)):
             if qq.is_zero():
                 continue

@@ -1,20 +1,26 @@
 """The Fraction product kernel, kept as the oracle for the integer
-numerator kernel in superslice.superpoly.
+numerator kernel and the (terms, den) polynomials of superslice.superpoly.
 
 This is the package's former implementation of ``mul_monomials``,
-``mul_terms`` and ``LieSuperalgebra.bracket_poly``: every coefficient
-pair is multiplied and summed as Fractions, one gcd per operation, and
-every monomial pair is merged by counting odd inversions.
-``bracket_poly`` builds (-1)^{|x_i||b|} b as ``be - bo``, forms
-``a * eff`` with the ``mul_terms`` below, and adds ``coeff * c`` for
-each structure constant c of the algebra's Fraction table into a
-running SuperPolynomial per component.  None of it touches the
-package's product kernel or the algebra's integer table.  Monomials
-here are tuples of (index, exponent) pairs; ``times`` converts the
-packed keys of the package's polynomials at its edges.
+``mul_terms``, ``sum_of_products``, ``substitute``, ``text`` and
+``LieSuperalgebra.bracket_poly``, when a polynomial stored one Fraction
+per term: every coefficient pair is multiplied and summed as Fractions,
+one gcd per operation, and every monomial pair is merged by counting
+odd inversions.  ``bracket_poly`` builds (-1)^{|x_i||b|} b as
+``be - bo``, forms ``a * eff`` with the ``mul_terms`` below, and adds
+``coeff * c`` for each structure constant c of the algebra's Fraction
+table into a running SuperPolynomial per component.  None of it touches
+the package's product kernel or the algebra's integer table.  Monomials
+here are tuples of (index, exponent) pairs and term dicts map them to
+Fractions; ``fractions`` and ``times`` convert the package's
+polynomials at the edges.
 """
 
+from fractions import Fraction
+
 from superslice.superpoly import SuperPolynomial, pack, unpack
+
+ONE = Fraction(1)
 
 
 def mul_monomials(ma, mb, parities):
@@ -83,15 +89,79 @@ def mul_terms(terms_a, terms_b, parities):
     return out
 
 
+def sum_of_products(triples, parities):
+    """sum n * a * b over (n, a, b) triples of a rational n and term
+    dicts a, b: each product by ``mul_terms``, summed in Fractions one
+    product at a time; a sum that reaches zero drops its key."""
+    out = {}
+    for n, a, b in triples:
+        for m, c in mul_terms(a, b, parities).items():
+            s = out.get(m, 0) + n * c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def substitute(terms, images, parities):
+    """The term dict ``terms`` with the term dict images[i] put for each
+    variable i it names (variables without an image stay as they are),
+    each term's product of images taken factor by factor by
+    ``mul_terms`` and summed in Fractions."""
+    triples = []
+    for m, c in terms.items():
+        acc = {(): ONE}
+        for i, e in m:
+            for _ in range(e):
+                acc = mul_terms(acc, images.get(i, {((i, 1),): ONE}),
+                                parities)
+        triples.append((c, acc, {(): ONE}))
+    return sum_of_products(triples, parities)
+
+
+def text(ring, terms):
+    """The rendering of a term dict on ring: terms sorted by (degree,
+    monomial), each coefficient as a reduced n/d with its sign."""
+    if not terms:
+        return "0"
+    pieces = []
+    for m in sorted(terms, key=lambda m: (sum(e for _, e in m), m)):
+        c = terms[m]
+        body = "*".join(ring.variables[i].name + ("" if e == 1 else f"^{e}")
+                        for i, e in m)
+        a = abs(c)
+        s = str(a.numerator) if a.denominator == 1 \
+            else f"{a.numerator}/{a.denominator}"
+        if not body:
+            pieces.append((c, s))
+        elif a == 1:
+            pieces.append((c, body))
+        else:
+            pieces.append((c, f"{s}*{body}"))
+    out = []
+    for n, (c, s) in enumerate(pieces):
+        if n == 0:
+            out.append(("-" if c < 0 else "") + s)
+        else:
+            out.append((" - " if c < 0 else " + ") + s)
+    return "".join(out)
+
+
+def fractions(p):
+    """A package polynomial as a term dict: tuple monomials to Fraction
+    coefficients, in term order."""
+    return {unpack(m): c for m, c in p.items()}
+
+
 def times(a, b):
     """a * b for two SuperPolynomials of one ring, through mul_terms on
     the unpacked monomials."""
     if a.ring is not b.ring:
         raise ValueError("polynomials belong to different rings")
-    ta = {unpack(m): c for m, c in a.terms.items()}
-    tb = {unpack(m): c for m, c in b.terms.items()}
     return SuperPolynomial(a.ring, {
-        pack(m): c for m, c in mul_terms(ta, tb, a.ring.parities()).items()})
+        pack(m): c for m, c in mul_terms(fractions(a), fractions(b),
+                                         a.ring.parities()).items()})
 
 
 def bracket_poly(alg, x, y):

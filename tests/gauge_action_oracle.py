@@ -26,7 +26,7 @@ def _scratch_parameter(ring, parity):
 
 
 def _drop_terms_with(poly, idx):
-    kept = {m: c for m, c in poly.terms.items()
+    kept = {m: c for m, c in poly.items()
             if all(v != idx for v, _ in unpack(m))}
     return SuperPolynomial(poly.ring, kept)
 

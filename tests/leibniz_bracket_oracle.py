@@ -76,7 +76,7 @@ def _gen_mono(machine, i, mono):
 
 def _gen_poly(machine, i, q):
     out = LambdaPolynomial(machine.ring)
-    for mono, c in q.terms.items():
+    for mono, c in q.items():
         out = out + _gen_mono(machine, i, unpack(mono)).scale(c)
     return out
 
@@ -120,6 +120,6 @@ def leibniz_bracket(machine, p, q):
     for qq, qpar in zip(q.parity_split(), (0, 1)):
         if qq.is_zero():
             continue
-        for mono, c in p.terms.items():
+        for mono, c in p.items():
             out = out + _mono_poly(machine, unpack(mono), qq, qpar).scale(c)
     return out

@@ -42,7 +42,7 @@ def substitute(p, images, target=None):
         return q
 
     out = tgt.zero()
-    for m, c in p.terms.items():
+    for m, c in p.items():
         acc = tgt.const(c)
         for i, e in unpack(m):
             gi = image(i)

@@ -22,6 +22,7 @@ in the suite against independent oracles.
 import time
 from fractions import Fraction
 
+from slice_bracket_oracle import slice_poisson_table
 from superslice.cli import JobConfig, body_bytes, report_text, run_pipeline
 from superslice.cohomology import (cohomology_table, de_rham_check,
                                    regular_ce_complex,
@@ -31,8 +32,7 @@ from superslice.liealg import (build_osp_1_2, build_sl, centralizer,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import brst_complex, graded_miura, h0_truncated
 from superslice.slice import (PoissonStructure, finite_miura, gauge_fix,
-                              injectivity_certificate, slice_poisson_table,
-                              verify_invariance)
+                              injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
 F = Fraction

@@ -20,9 +20,12 @@ import pytest
 from superslice import cli
 from superslice.cli import (JobConfig, body_bytes, main, parse_algebra_file,
                             report_text, resolve_algebra, run_pipeline)
+from superslice.cohomology import regular_ce_complex, slice_ce_complex
 from superslice.liealg import (LieSuperalgebra, algebra_to_json,
-                               build_osp_1_2, build_sl)
-from superslice.slice import PoissonStructure
+                               build_osp_1_2, build_sl, dynkin_grading,
+                               parse_nilpotent, sl2_triple_for)
+from superslice.pva import brst_complex
+from superslice.slice import PoissonStructure, gauge_fix
 
 F = Fraction
 
@@ -556,6 +559,54 @@ class TestReportMechanics:
                   "--coefficients", coefficients])
         assert exc.value.code == 2
         assert "--max-weight" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["cohomology", "--coefficients", "regular", "--max-weight", "130"],
+        ["cohomology", "--max-weight", "128"],
+        ["pva", "h0", "--max-weight", "128"],
+        ["run", "--max-weight", "128"]])
+    def test_max_weight_past_the_exponent_limit_rejected(self, argv, capsys):
+        # sl2's lightest even generator weighs 1 in every complex: a
+        # cutoff of 128 needs x^128, one past EMAX = 127
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--algebra", "sl2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-weight" in err and "exponent limit 127" in err
+
+    @pytest.mark.parametrize("weight", ["127", "255/2"])
+    def test_max_weight_at_the_exponent_limit_runs(self, weight, capsys):
+        # 255/2 still needs only x^127
+        code, out = run_json(["cohomology", "--algebra", "sl2",
+                              "--coefficients", "regular",
+                              "--max-weight", weight], capsys)
+        assert code == 0 and out["body"]["verdict"] == "pass"
+
+    @pytest.mark.parametrize("name,nilpotent", [
+        ("sl2", "principal"), ("sl(2|1)", "principal"),
+        ("osp12", "principal"), ("sl4", "principal"), ("sl4", "e21")])
+    def test_lightest_even_generator_matches_the_complexes(self, name,
+                                                           nilpotent):
+        # the weights the limit check reads off (alg, grading) against
+        # the rings of the three complexes
+        alg, _ = resolve_algebra(name)
+        triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+        grading = dynkin_grading(alg, triple)
+        chart = gauge_fix(alg, triple, grading)
+        brst = brst_complex(chart)
+
+        def lightest(ring, positions):
+            even = [abs(ring.variables[p].wt2) for p in positions
+                    if not ring.parity_of(p)]
+            return min(even) if even else None
+
+        complexes = {"slice": slice_ce_complex(chart, 1),
+                     "regular": regular_ce_complex(alg, grading, 1)}
+        for kind, cx in complexes.items():
+            assert cli._lightest_even_wt2(alg, grading, kind) == \
+                lightest(cx.ring, cx.positions)
+        assert cli._lightest_even_wt2(alg, grading, "arc") == \
+            lightest(brst.ring, range(brst.nmod + brst.nghost))
 
     @pytest.mark.parametrize("coefficients", ["slice", "regular"])
     def test_library_negative_max_weight_fails_cohomology(self, coefficients):

@@ -312,7 +312,7 @@ def dense_d_rows(cx, k, n2):
     for m in cx.block_basis(k, n2):
         row = [Fraction(0)] * len(where)
         for mm, c in cx.d(SuperPolynomial(cx.ring, {m: Fraction(1)})
-                          ).terms.items():
+                          ).items():
             row[where[mm]] = c
         rows.append(row)
     return rows
@@ -405,7 +405,7 @@ class TestOneDenominator:
         want = cx.Q(ring.gen(0)).total_derivative().total_derivative()
         assert got == want
         assert all(cx.Q.den % c.denominator == 0
-                   for c in got.terms.values())
+                   for _, c in got.items())
 
 
 # -- counting helper -------------------------------------------------------------

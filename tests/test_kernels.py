@@ -1,26 +1,28 @@
-"""The sparse product kernel, and the rank oracles.
+"""The sparse product kernel, the (terms, den) polynomials, and the rank
+oracles.
 
-mul_terms is pinned on fixed cases: the Koszul sign of two odd factors,
-an odd square dying, and exact cancellation dropping its key.  The
-integer-numerator kernel under mul_terms, SuperPolynomial.__mul__ and
-LieSuperalgebra.bracket_poly is compared with the Fraction kernel in
-tests/fraction_kernel_oracle.py (the package's former implementation):
-same items in the same order, every coefficient a Fraction.
-sum_of_products, the one accumulator under mul_terms, the lambda
-bracket and (through combine and UNIT) every linear combination of
-polynomials, is compared with the oracle's products summed in
-Fractions, for int and Fraction multipliers.  The packed monomial keys
-are compared with the tuple merge in tests/tuple_merge_oracle.py (the
-package's former monomial product): mixed-parity rings, jets added
-after the operands were packed, exponents next to the field limit, and
-the same keys in the same order after unpacking; a product past the
-limit raises.  The dense Bareiss rank in tests/dense_oracles.py (the
-package's former rank kernel) is checked against the pivot count of
-dense Gauss-Jordan elimination, and the package's sparse exact_rank
-against both.
+A polynomial is integer numerators over one positive denominator, in
+canonical form.  Products, ``sum_of_products``, ``combine``,
+``substitute``, ``text`` and ``OddDerivation`` are compared with the
+Fraction kernel in tests/fraction_kernel_oracle.py (the package's former
+implementation, one Fraction per term), on operands with mixed
+denominators, Fraction multipliers and sums that cancel to zero: the
+same coefficients, products with their items in the same order, and
+every result canonical (no zero numerator, the numerators coprime to the
+denominator, zero as ({}, 1)).  The scaled add that replaces a product
+with a constant operand is compared with the tuple merge's product loop
+on that operand.  The packed monomial keys are compared with the tuple
+merge in tests/tuple_merge_oracle.py (the package's former monomial
+product): mixed-parity rings, jets added after the operands were
+packed, exponents next to the field limit, and the same keys in the
+same order after unpacking; a product past the limit raises.  The dense
+Bareiss rank in tests/dense_oracles.py (the package's former rank
+kernel) is checked against the pivot count of dense Gauss-Jordan
+elimination, and the package's sparse exact_rank against both.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,18 +30,19 @@ from hypothesis import given, settings, strategies as st
 import fraction_kernel_oracle as oracle
 import tuple_merge_oracle
 from dense_oracles import bareiss_rank, dense_rref
-from superslice.cohomology import GradedComplex
+from superslice.cohomology import GradedComplex, OddDerivation
 from superslice.liealg import LieSuperalgebra, build_sl
 from superslice.linalg import RationalMatrix, exact_rank, rref
 from superslice.superpoly import (EMAX, UNIT, W, PolyRing, SuperPolynomial,
-                                  Variable, combine, key_masks,
-                                  mul_int_terms, mul_terms, pack,
-                                  sum_of_products, unpack)
+                                  Variable, add_scaled, combine, key_masks,
+                                  mul_int_terms, pack, sum_of_products,
+                                  unpack)
 
 F = Fraction
+ONE = F(1)
 # a tuple on purpose: PolyRing.parities() hands out a tuple
 PARITIES = (0, 1, 0, 1, 1, 0)
-PMASKS = key_masks(PARITIES)
+PRING = PolyRing([Variable(f"v{i}", p) for i, p in enumerate(PARITIES)])
 
 
 def K(*pairs):
@@ -60,23 +63,56 @@ def oracle_mul(a, b, parities):
     return packed(oracle.mul_terms(tupled(a), tupled(b), parities))
 
 
+def oracle_sum(triples, parities):
+    """The Fraction oracle's sum n * a * b of packed term dicts."""
+    return packed(oracle.sum_of_products(
+        [(n, tupled(a), tupled(b)) for n, a, b in triples], parities))
+
+
+def rationals(x):
+    """The coefficients of a polynomial or an IntTerms as Fractions,
+    in term order."""
+    return {m: F(n, x.den) for m, n in x.terms.items()}
+
+
+def assert_canonical(x):
+    """(terms, den) in canonical form: nonzero int numerators over a
+    positive int den coprime to all of them; zero is ({}, 1)."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(n) is int and n for n in x.terms.values())
+    assert gcd(x.den, *x.terms.values()) == 1
+
+
+def assert_same(x, want):
+    """x is canonical and has the Fraction term dict want: the same
+    items in the same order."""
+    assert_canonical(x)
+    assert list(rationals(x).items()) == list(want.items())
+
+
+P = SuperPolynomial
+
+
 class TestMulTerms:
+    """Fixed products of polynomials (the cases of the former Fraction
+    ``mul_terms``)."""
+
     def test_fixed_koszul_sign(self):
         # x1 * x3 keeps order, x3 * x1 flips sign (both odd)
-        a = {K((1, 1)): F(1)}
-        b = {K((3, 1)): F(1)}
-        assert mul_terms(a, b, PMASKS) == {K((1, 1), (3, 1)): F(1)}
-        assert mul_terms(b, a, PMASKS) == {K((1, 1), (3, 1)): F(-1)}
+        a = P(PRING, {K((1, 1)): F(1)})
+        b = P(PRING, {K((3, 1)): F(1)})
+        assert_same(a * b, {K((1, 1), (3, 1)): F(1)})
+        assert_same(b * a, {K((1, 1), (3, 1)): F(-1)})
 
     def test_fixed_odd_square_dies(self):
-        a = {K((1, 1)): F(2)}
-        assert mul_terms(a, a, PMASKS) == {}
+        a = P(PRING, {K((1, 1)): F(2, 3)})
+        assert (a * a).terms == {} and (a * a).den == 1
 
     def test_fixed_cancellation_drops_key(self):
-        a = {K((0, 1)): F(1), 0: F(1)}
-        b = {K((0, 1)): F(1), 0: F(-1)}
-        # (x + 1)(x - 1): the x-terms cancel exactly
-        assert mul_terms(a, b, PMASKS) == {K((0, 2)): F(1), 0: F(-1)}
+        a = P(PRING, {K((0, 1)): F(1, 2), 0: F(1, 2)})
+        b = P(PRING, {K((0, 1)): F(2), 0: F(-2)})
+        # (x + 1)/2 * 2(x - 1): the x-terms cancel exactly
+        assert_same(a * b, {K((0, 2)): F(1), 0: F(-1)})
 
 
 # -- the integer-numerator kernel against the Fraction oracle -----------------
@@ -98,19 +134,15 @@ def term_dicts(min_size=0):
     return st.dictionaries(MONOS, COEFFS, min_size=min_size, max_size=5)
 
 
-def assert_same(got, want):
-    """Same items in the same order, every coefficient a Fraction."""
-    assert list(got.items()) == list(want.items())
-    assert all(type(c) is Fraction for c in got.values())
+def polys(min_size=0):
+    return term_dicts(min_size).map(lambda t: P(RING, t))
 
 
 class TestIntegerKernel:
     @settings(max_examples=200, deadline=None)
     @given(term_dicts(min_size=1), term_dicts(min_size=1))
     def test_mul_terms_matches_oracle(self, a, b):
-        assert_same(mul_terms(a, b, RMASKS), oracle_mul(a, b, RPAR))
-        got = SuperPolynomial(RING, a) * SuperPolynomial(RING, b)
-        assert_same(got.terms, oracle_mul(a, b, RPAR))
+        assert_same(P(RING, a) * P(RING, b), oracle_mul(a, b, RPAR))
 
     @settings(max_examples=100, deadline=None)
     @given(term_dicts(min_size=2), st.data())
@@ -121,11 +153,12 @@ class TestIntegerKernel:
         flips = data.draw(st.lists(st.booleans(), min_size=len(a),
                                    max_size=len(a)))
         b = {m: (-k if f else k) * c for (m, c), f in zip(a.items(), flips)}
-        assert_same(mul_terms(a, b, RMASKS), oracle_mul(a, b, RPAR))
+        assert_same(P(RING, a) * P(RING, b), oracle_mul(a, b, RPAR))
 
     @given(term_dicts())
     def test_zero_operand(self, a):
-        assert mul_terms(a, {}, RMASKS) == {} == mul_terms({}, a, RMASKS)
+        for got in (P(RING, a) * RING.zero(), RING.zero() * P(RING, a)):
+            assert got.terms == {} and got.den == 1
 
     def test_fixed_cancelled_key_is_appended_again(self):
         # (1 + x + x^2)(1 - x + x^2) = 1 + x^2 + x^4: x^2 is met first,
@@ -134,23 +167,10 @@ class TestIntegerKernel:
         a = {0: F(1, 2), x: F(1, 2), x2: F(1, 2)}
         b = {x2: F(2, 3), x: F(-2, 3), 0: F(2, 3)}
         want = {0: F(1, 3), K((0, 4)): F(1, 3), x2: F(1, 3)}
-        got = mul_terms(a, b, RMASKS)
+        got = P(RING, a) * P(RING, b)
         assert_same(got, want)
         assert_same(got, oracle_mul(a, b, RPAR))
-
-
-def oracle_sum(triples, parities):
-    """sum n * a * b, each product by the Fraction oracle, summed in
-    Fractions one product at a time."""
-    out = {}
-    for n, a, b in triples:
-        for m, c in oracle_mul(a, b, parities).items():
-            s = out.get(m, 0) + n * c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+        assert got.terms == {0: 1, K((0, 4)): 1, x2: 1} and got.den == 3
 
 
 # int and Fraction multipliers, zero included: a Fraction's denominator
@@ -161,51 +181,57 @@ TRIPLES = st.lists(st.tuples(MULTIPLIERS, term_dicts(), term_dicts()),
                    max_size=5)
 
 
+def poly_triples(triples):
+    return [(n, P(RING, a), P(RING, b)) for n, a, b in triples]
+
+
 class TestSumOfProducts:
     @settings(max_examples=200, deadline=None)
     @given(TRIPLES)
     def test_matches_oracle(self, triples):
-        got = sum_of_products(triples, RMASKS)
-        assert got == oracle_sum(triples, RPAR)
-        assert all(type(c) is Fraction for c in got.values())
+        got = sum_of_products(poly_triples(triples), RMASKS)
+        assert_canonical(got)
+        assert rationals(got) == oracle_sum(triples, RPAR)
 
     @settings(max_examples=100, deadline=None)
     @given(TRIPLES, st.data())
     def test_cancellation_across_triples(self, triples, data):
         # each triple again with its multiplier negated, in a drawn order:
-        # every product cancels against its partner
+        # every product cancels against its partner, down to ({}, 1)
         back = data.draw(st.permutations([(-n, a, b) for n, a, b in triples]))
-        assert sum_of_products(triples + back, RMASKS) == {}
+        assert sum_of_products(poly_triples(triples + back), RMASKS) == \
+            ({}, 1)
         # a partial cancellation leaves the rest, as the oracle says
         mixed = triples + back[:len(back) // 2]
-        got = sum_of_products(mixed, RMASKS)
-        assert got == oracle_sum(mixed, RPAR)
-        assert all(type(c) is Fraction for c in got.values())
+        got = sum_of_products(poly_triples(mixed), RMASKS)
+        assert_canonical(got)
+        assert rationals(got) == oracle_sum(mixed, RPAR)
 
     def test_fixed_cases(self):
         t, x = K((1, 1)), K((0, 1))
-        half, third = {x: F(1, 2)}, {x: F(1, 3), 0: F(2, 3)}
-        assert sum_of_products([], RMASKS) == {}
+        half, third = P(RING, {x: F(1, 2)}), P(RING, {x: F(1, 3), 0: F(2, 3)})
+        assert sum_of_products([], RMASKS) == ({}, 1)
         # odd square dies; zero multiplier and empty operands add nothing
-        assert sum_of_products([(5, {t: F(2, 3)}, {t: F(1, 2)}),
-                                (0, half, third), (1, {}, third)],
-                               RMASKS) == {}
-        # 1/2 x (1/3 x + 2/3) * 3 - 1/4 x^2 over the lcm 6 * 4
+        assert sum_of_products([(5, P(RING, {t: F(2, 3)}),
+                                 P(RING, {t: F(1, 2)})),
+                                (0, half, third), (1, RING.zero(), third)],
+                               RMASKS) == ({}, 1)
+        # 1/2 x (1/3 x + 2/3) * 3 - 1/4 x^2 over the lcm 6 * 4, made
+        # canonical: (x^2 + 4 x) / 4
         got = sum_of_products([(3, half, third), (-1, half, half)], RMASKS)
-        assert got == {K((0, 2)): F(1, 4), x: F(1)}
-        assert all(type(c) is Fraction for c in got.values())
+        assert got == ({K((0, 2)): 1, x: 4}, 4)
         # 2/3 * (1/2 x) * 1 - 1/6 x over the lcm of 2 * 3 and 6
         assert sum_of_products([(F(2, 3), half, UNIT),
-                                (F(-1, 6), {x: F(1)}, UNIT)], RMASKS) == \
-            {x: F(1, 6)}
+                                (F(-1, 6), RING.gen("x"), UNIT)],
+                               RMASKS) == ({x: 1}, 6)
 
 
 class TestCombine:
     @settings(max_examples=100, deadline=None)
     @given(term_dicts(), MULTIPLIERS)
     def test_unit_operand_is_scalar_multiple(self, a, c):
-        p = SuperPolynomial(RING, a)
-        got = combine(RING, {"k": [(c, p.terms, UNIT)]})
+        p = P(RING, a)
+        got = combine(RING, {"k": [(c, p, UNIT)]})
         assert got == ({"k": p * c} if a and c else {})
 
     @settings(max_examples=100, deadline=None)
@@ -213,31 +239,244 @@ class TestCombine:
     def test_keys_match_sum_of_products(self, kept, other):
         # key "c" cancels exactly and is dropped; "k" and "o" are
         # summed on their own, in key order
-        acc = {"c": kept + [(-n, a, b) for n, a, b in kept],
-               "k": kept, "o": other}
+        acc = {"c": poly_triples(kept + [(-n, a, b) for n, a, b in kept]),
+               "k": poly_triples(kept), "o": poly_triples(other)}
         got = combine(RING, acc)
         want = {key: sum_of_products(acc[key], RMASKS) for key in ("k", "o")}
-        assert list(got) == [key for key in ("k", "o") if want[key]]
+        assert list(got) == [key for key in ("k", "o") if want[key].terms]
         for key, v in got.items():
-            assert v.ring is RING and v.terms == want[key]
+            assert v.ring is RING and (v.terms, v.den) == want[key]
+            assert rationals(v) == oracle_sum(
+                kept if key == "k" else other, RPAR)
 
     def test_fixed_cancellation_drops_key(self):
         x, t, s = RING.gen("x"), RING.gen("t"), RING.gen("s")
         # t s + s t = 0 for odd t, s
         got = combine(RING, {
-            0: [(1, t.terms, s.terms), (1, s.terms, t.terms)],
-            1: [(F(1, 2), x.terms, UNIT), (-1, t.terms, UNIT)],
-            2: [], 3: [(0, x.terms, UNIT)]})
+            0: [(1, t, s), (1, s, t)],
+            1: [(F(1, 2), x, UNIT), (-1, t, UNIT)],
+            2: [], 3: [(0, x, UNIT)]})
         assert got == {1: x * F(1, 2) - t}
 
     def test_parities_read_at_the_call(self):
         # the operands name a jet that the ring gains after they are built
         ring = PolyRing([Variable("u", 1)], differential=True)
-        u, du = ring.gen(0).terms, {K((1, 1)): F(1)}
+        u, du = ring.gen(0), P(ring, {K((1, 1)): F(1)})
         acc = {0: [(1, du, u)]}
         ring.derivative_index(0)
         assert combine(ring, acc) == {0: -(ring.gen(0) * ring.gen(1))}
 
+
+# -- the canonical (terms, den) form -----------------------------------------
+
+class TestCanonicalForm:
+    def test_fixed_half_plus_half(self):
+        x = RING.gen("x")
+        half = x * F(1, 2)
+        assert half.terms == {K((0, 1)): 1} and half.den == 2
+        for two_halves in (half + half, x / 2 + x / 2,
+                           P(RING, {K((0, 1)): 1}, 2) + half):
+            assert two_halves == x
+            assert hash(two_halves) == hash(x)
+            assert two_halves.terms == {K((0, 1)): 1}
+            assert two_halves.den == 1
+        assert half != x and half == P(RING, {K((0, 1)): 3}, 6)
+
+    def test_fixed_zero_is_empty_over_one(self):
+        x = RING.gen("x")
+        for zero in (RING.zero(), RING.const(0), RING.const(F(0, 7)),
+                     P(RING, {0: F(0), K((0, 1)): 0}, 5),
+                     x * F(1, 3) - x / 3, (x / 2) * 0):
+            assert zero.terms == {} and zero.den == 1
+            assert zero == RING.zero() and hash(zero) == hash(RING.zero())
+
+    def test_constructor_rejects_inexact_input(self):
+        with pytest.raises(TypeError):
+            P(RING, {0: 0.5})
+        for den in (0, -2, F(1, 2), True):
+            with pytest.raises(ValueError):
+                SuperPolynomial(RING, {0: 1}, den)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(MONOS, COEFFS | st.integers(-6, 6), max_size=5),
+           st.integers(1, 12))
+    def test_constructor(self, coeffs, den):
+        p = SuperPolynomial(RING, coeffs, den)
+        assert_same(p, {m: F(c) / den for m, c in coeffs.items() if c})
+        assert dict(p.items()) == {m: p.coefficient(m) for m in p.terms}
+        assert p.coefficient(K((3, 1), (2, 2))) == \
+            F(coeffs.get(K((3, 1), (2, 2)), 0)) / den
+        assert p.constant_term() == F(coeffs.get(0, 0)) / den
+
+    @settings(max_examples=150, deadline=None)
+    @given(term_dicts(), term_dicts(), MULTIPLIERS)
+    def test_every_result_is_canonical(self, a, b, c):
+        p, q = P(RING, a), P(RING, b)
+        fa, fb = tupled(a), tupled(b)
+        want_sum = packed(oracle.sum_of_products(
+            [(ONE, fa, {(): ONE}), (ONE, fb, {(): ONE})], RPAR))
+        assert_same(p + q, want_sum)
+        assert rationals(p - q) == packed(oracle.sum_of_products(
+            [(ONE, fa, {(): ONE}), (-ONE, fb, {(): ONE})], RPAR))
+        assert_same(-p, {m: -v for m, v in a.items()})
+        assert_same(p * c, {m: v * c for m, v in a.items() if c})
+        assert_same(c * p, {m: v * c for m, v in a.items() if c})
+        if c:
+            assert_same(p / c, {m: v / c for m, v in a.items()})
+        for part in p.parity_split():
+            assert_canonical(part)
+        assert p.parity_split()[0] + p.parity_split()[1] == p
+        for i in range(len(RPAR)):
+            assert_canonical(p.partial_derivative(i))
+
+    def test_fixed_derivative_and_split_reduce(self):
+        # x^2 / 2 -> x, and the odd part t y of x/2 + t y is over 1
+        x, y, t = RING.gen("x"), RING.gen("y"), RING.gen("t")
+        d = (x * x / 2).partial_derivative("x")
+        assert d.terms == {K((0, 1)): 1} and d.den == 1
+        ev, od = (x / 2 + t * y).parity_split()
+        assert (ev.den, od.den) == (2, 1)
+        dt = (x / 2 + t * y).partial_derivative("t")
+        assert dt == y and dt.den == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_dicts(min_size=1), term_dicts(min_size=1))
+    def test_text_matches_oracle_rendering(self, a, b):
+        # the oracle renders its own Fraction product, byte for byte
+        want = oracle.mul_terms(tupled(a), tupled(b), RPAR)
+        assert (P(RING, a) * P(RING, b)).text() == oracle.text(RING, want)
+        assert P(RING, a).text() == oracle.text(RING, tupled(a))
+
+
+# -- the scaled add that replaces a product with a constant operand ----------
+
+class TestScaledAdd:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(1, 0, 1, 1, 0, 1), (0,) * 6]),
+           st.data())
+    def test_constant_operand_matches_product_loop(self, parities, data):
+        # into an accumulator that already holds some terms, and some of
+        # their negatives: the product loop of the tuple merge on the
+        # constant monomial () against the package's scaled add
+        a = data.draw(int_terms(parities))
+        c = data.draw(st.integers(-4, 4).filter(bool))
+        scale = data.draw(st.integers(-3, 3).filter(bool))
+        prior = data.draw(int_terms(parities))
+        prior.update({m: -scale * c * v for m, v in a.items()
+                      if data.draw(st.booleans())})
+        masks = key_masks(parities)
+        scaled = {m: scale * v for m, v in a.items()}
+        for got in (mul_int_terms(packed(a), {0: c}, masks, packed(prior),
+                                  scale),
+                    mul_int_terms({0: c}, packed(a), masks, packed(prior),
+                                  scale)):
+            want = tuple_merge_oracle.mul_int_terms(scaled, {(): c},
+                                                    parities, dict(prior))
+            assert list(tupled(got).items()) == list(want.items())
+        got = add_scaled(packed(prior), packed(a), scale * c)
+        assert list(tupled(got).items()) == list(want.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_dicts(), MULTIPLIERS)
+    def test_unit_product(self, a, c):
+        # (c, p, UNIT) and (c, UNIT, p) against the Fraction product of p
+        # and the constant 1, and against p times the polynomial c
+        p = P(RING, a)
+        want = packed(oracle.sum_of_products(
+            [(F(c), tupled(a), {(): ONE})], RPAR))
+        for triple in ((c, p, UNIT), (c, UNIT, p), (1, p, RING.const(c))):
+            assert_same(sum_of_products([triple], RMASKS), want)
+        assert_same(p * RING.const(c), want)
+        assert_same(RING.const(c) * p, want)
+
+
+# -- substitution and the odd derivation against the Fraction oracle ---------
+
+@st.composite
+def image_maps(draw):
+    """Images of a random subset of RING's variables: polynomials of the
+    variable's parity, with mixed denominators, zero included."""
+    images = {}
+    for i, par in enumerate(RPAR):
+        if draw(st.booleans()):
+            images[i] = P(RING, draw(term_dicts())).parity_split()[par]
+    return images
+
+
+class TestSubstitute:
+    @settings(max_examples=150, deadline=None)
+    @given(term_dicts(), image_maps())
+    def test_matches_oracle(self, a, images):
+        got = P(RING, a).substitute(images)
+        want = oracle.substitute(
+            tupled(a), {i: oracle.fractions(q) for i, q in images.items()},
+            RPAR)
+        assert_same(got, packed(want))
+
+    def test_fixed_cancellation_to_zero(self):
+        # (x/2 + y/3) t at x -> 2y/3, y -> -y: every term cancels
+        x, y, t = RING.gen("x"), RING.gen("y"), RING.gen("t")
+        p = (x / 2 + y / 3) * t
+        got = p.substitute({0: y * F(2, 3), 2: -y})
+        assert got.terms == {} and got.den == 1
+        got = (p + F(5, 4)).substitute({0: y * F(2, 3), 2: -y})
+        assert got.terms == {0: 5} and got.den == 4
+
+
+def oracle_derivation(terms, images, parities):
+    """sum c d(m) for a Fraction term dict, d the odd derivation with
+    d(x_i) = images[i] (zero if absent), by the Leibniz rule
+    d(x_i r) = d(x_i) r + (-1)^{|x_i|} x_i d(r), in Fractions."""
+    def d_mono(m):
+        if not m:
+            return {}
+        (i, e), tail = m[0], m[1:]
+        rest = ((i, e - 1),) + tail if e > 1 else tail
+        return oracle.sum_of_products(
+            [(ONE, images.get(i, {}), {rest: ONE}),
+             (-ONE if parities[i] else ONE, {((i, 1),): ONE}, d_mono(rest))],
+            parities)
+    return oracle.sum_of_products(
+        [(c, d_mono(m), {(): ONE}) for m, c in terms.items()], parities)
+
+
+class TestOddDerivation:
+    @settings(max_examples=100, deadline=None)
+    @given(term_dicts(), image_maps(), st.sampled_from(sorted(RING.index)),
+           st.sampled_from([1, 2, 3, 5, 6, 7]))
+    def test_matches_oracle_and_checks_the_denominator(self, a, images,
+                                                       extra, d):
+        # values() lists the drawn images; get also serves the variable
+        # extra (when it has no image) with the image x_extra / d, which
+        # divides the common denominator or not
+        j = RING.index[extra]
+        lazy = RING.gen(j) / d
+
+        class LazyTable:
+            def values(self):
+                return images.values()
+
+            def get(self, i, default=None):
+                if i == j and i not in images:
+                    return lazy
+                return images.get(i, default)
+
+        der = OddDerivation(RING, LazyTable())
+        served = dict(images)
+        served.setdefault(j, lazy)
+        p = P(RING, a)
+        if j not in images and der.den % d and j in p.variables_used():
+            with pytest.raises(ValueError, match=f"denominator {d}"):
+                der(p)
+            return
+        got = der(p)
+        if j not in images and der.den % d:
+            return  # x_j does not occur in p: its image is never read
+        assert_canonical(got)
+        want = oracle_derivation(
+            tupled(a), {i: oracle.fractions(q) for i, q in served.items()},
+            RPAR)
+        assert rationals(got) == packed(want)
 
 # -- packed keys against the tuple merge ------------------------------------
 
@@ -457,7 +696,7 @@ class TestBracketPoly:
         assert list(got) == list(want)
         for k, v in got.items():
             assert v.ring is RING
-            assert_same(v.terms, want[k].terms)
+            assert_same(v, dict(want[k].items()))
 
     def test_rings_must_agree(self):
         alg = build_sl(2)

@@ -7,11 +7,14 @@ Gauss-Jordan elimination (tests/dense_oracles.py).
 """
 
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_elimination_oracle as fraction_oracle
 from dense_oracles import dense_rank, dense_rref
+from superslice import linalg
 from superslice.linalg import (RationalMatrix, exact_rank, from_columns,
                                nullspace, row_nullspace, row_rank, rref,
                                solve)
@@ -249,3 +252,29 @@ def test_row_rank_takes_empty_rows():
     assert row_rank([{}, {}]) == 0
     assert row_rank([{}, {3: -2, 5: 4}, {3: 1, 5: -2}, {}]) == 1
     assert row_nullspace([{}], 2) == [[1, 0], [0, 1]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_rank_ignores_column_order(data):
+    # row_rank relabels the columns of large matrices by nonzero count:
+    # with the relabelling forced on and off, and under any permutation
+    # of the columns (and so of the counts' ties), the rank must stay
+    # that of the Fraction oracle on the matrix as given
+    rows, nc = (draw_hard_rows if data.draw(st.booleans())
+                else draw_sparse_rows)(data)
+    ints = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        ints.append([int(x * den) for x in row])
+    want = fraction_oracle.rank(rows)
+    perm = data.draw(st.permutations(range(nc)))
+    for threshold in (0, linalg.RELABEL_NNZ):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "RELABEL_NNZ", threshold)
+            for order in (list(range(nc)), perm):
+                sparse = [{order[j]: x for j, x in enumerate(row) if x}
+                          for row in ints]
+                keep = [dict(r) for r in sparse]
+                assert row_rank(sparse) == want
+                assert sparse == keep  # the input rows are not work space

@@ -608,9 +608,9 @@ class TestTruncatedH0:
         got = reps[0]
         # same line: proportional with a rational factor
         scale = None
-        for mono, c in jet.terms.items():
+        for mono, c in jet.items():
             assert mono in got.terms
-            s = got.terms[mono] / c
+            s = got.coefficient(mono) / c
             assert scale is None or s == scale
             scale = s
         assert got == jet * scale

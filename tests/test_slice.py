@@ -25,11 +25,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
+from slice_bracket_oracle import slice_poisson_table
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                principal_nilpotent, sl2_triple_for)
+from superslice.pva import graded_miura
 from superslice.slice import (PoissonStructure, finite_miura, gauge_fix,
-                              injectivity_certificate, slice_poisson_table,
-                              verify_invariance)
+                              injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
 HALF = Fraction(1, 2)
@@ -406,6 +407,30 @@ class TestPoissonAxioms:
 
 
 # -- edge behavior ---------------------------------------------------------------
+
+
+class TestSourceBracketOracle:
+    """GradedMiura.source_bracket, the package's one bracket of slice
+    invariants, against the finite-chart bracket that
+    tests/slice_bracket_oracle.py keeps."""
+
+    @pytest.mark.parametrize("name", ["sl2_chart", "sl3_chart", "osp_chart",
+                                      "sl21_chart"])
+    def test_agrees_on_every_invariant_pair(self, name, request):
+        chart = request.getfixturevalue(name)
+        table = slice_poisson_table(chart)
+        gm = graded_miura(chart)
+        src = gm.source
+        assert [v.name for v in src.variables] == \
+            [v.name for v in chart.slice_ring.variables]
+        for i, la in enumerate(chart.inv_order):
+            for j, lb in enumerate(chart.inv_order):
+                got = gm.source_bracket(src.gen(i), src.gen(j))
+                # level-zero tables: the bracket is constant in lambda
+                assert got.degree() <= 0
+                c, want = got.coefficient(0), table[(la, lb)]
+                assert (c.terms, c.den) == (want.terms, want.den)
+                assert c.text() == want.text()
 
 
 class TestEdges:
