@@ -7,7 +7,8 @@ reproducible report: a JSON body whose bytes depend only on the job
 configuration, with wall-clock timings segregated so re-runs compare
 equal.  Exit code 0 exactly when every executed stage passes; otherwise
 1 for a failed check, 2 for rejected input (a failed load or validate
-stage, or bad arguments) and 3 for an internal error.
+stage, a stage that met the exponent limit, or bad arguments) and 3 for
+an internal error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .pva import brst_complex, graded_miura, h0_truncated
 from .slice import (_render_vector, finite_miura, gauge_fix,
                     injectivity_certificate, verify_invariance)
 from .supergroup import adjoint_orbit_map
-from .superpoly import EMAX, PolyRing
+from .superpoly import PolyRing
 from .liealg import dense_to_poly
 
 
@@ -341,63 +342,6 @@ def _targets(command: str, action: Optional[str],
     return out
 
 
-def _lightest_even_wt2(alg: LieSuperalgebra, grading: GoodGrading,
-                       kind: str) -> Optional[int]:
-    """The smallest doubled weight (in absolute value) of an even
-    generator of a graded complex built on (alg, grading): ``regular``
-    (group coordinates and ghosts of g_+), ``slice`` (the coordinates of
-    f + g_{>=-1/2} and the ghosts of g_+) or ``arc`` (the Zhu generators
-    and ghosts of the BRST complex; their jets are heavier).  None when
-    every generator is odd."""
-    w2, par = grading.weights2, alg.parities
-    pos = [i for i in range(alg.dim) if w2[i] > 0]
-    gens = [(w2[i], 1 - par[i]) for i in pos]  # the ghosts
-    if kind == "regular":
-        gens += [(w2[i], par[i]) for i in pos]
-    elif kind == "slice":
-        gens += [(2 + w2[i], par[i]) for i in range(alg.dim) if w2[i] >= -1]
-    else:
-        gens += [(2 - w2[i], par[i]) for i in range(alg.dim)
-                 if w2[i] <= 0 or w2[i] == 1]
-    even = [w for w, p in gens if not p]
-    return min(even) if even else None
-
-
-def _exponent_limit_error(config: JobConfig,
-                          targets: list[str]) -> Optional[str]:
-    """Why the weight blocks that ``targets`` enumerate up to
-    ``--max-weight`` need a monomial exponent above ``superpoly.EMAX``,
-    or None.  The block of weight w holds x^e for an even generator x of
-    weight v whenever e v <= w, so the lightest even generator of each
-    complex sets the largest exponent.  Every generator weighs at least
-    1/2, so a cutoff up to EMAX / 2 needs no look at the algebra;
-    otherwise the load, triple and grading stages run here on a scratch
-    context, and if one of them fails the pipeline reports it."""
-    mw = config.max_weight
-    if mw is None or 2 * mw <= EMAX:
-        return None
-    kinds = [config.coefficients] if "cohomology" in targets else []
-    if "pva-h0" in targets:
-        kinds.append("arc")
-    if not kinds:
-        return None
-    ctx: dict = {}
-    try:
-        for name in ("load", "triple", "grading"):
-            _STAGES[name](config, ctx)
-    except Exception:
-        return None
-    w2 = _as_wt2(mw)
-    for kind in kinds:
-        light = _lightest_even_wt2(ctx["alg"], ctx["grading"], kind)
-        if light is not None and w2 // light > EMAX:
-            return (f"argument --max-weight: {mw} needs the power "
-                    f"{w2 // light} of an even generator of weight "
-                    f"{Fraction(light, 2)}, above the exponent limit "
-                    f"{EMAX}")
-    return None
-
-
 # -- reports -------------------------------------------------------------------
 
 def _jsonable(x):
@@ -426,22 +370,28 @@ def _internal_error(stage: str, e: Exception) -> dict:
 
 def exit_code(report: dict) -> int:
     """0 pass, 1 failed check, 2 rejected input (the load or validate
-    stage failed), 3 internal error."""
+    stage failed, or a stage met the exponent limit), 3 internal
+    error."""
     body = report["body"]
     if body["verdict"] == "pass":
         return 0
-    failed = body["stages"][-1]["name"]
-    if failed == INTERNAL_ERROR:
+    failed = body["stages"][-1]
+    if failed["name"] == INTERNAL_ERROR:
         return 3
-    return 2 if failed in _REJECTED_INPUT else 1
+    if failed["name"] in _REJECTED_INPUT or \
+            failed.get("exception") == "OverflowError":
+        return 2
+    return 1
 
 
 def run_pipeline(config: JobConfig, command: str = "run",
                  targets: Optional[list[str]] = None) -> dict:
     """Execute the requested stages in order; a failing stage is recorded
     with its name and counterexample data and everything after it is
-    skipped.  An exception other than StageError or ValueError is
-    recorded as an internal-error stage naming the stage that raised it.
+    skipped.  An OverflowError (a monomial past the exponent limit) is
+    a failed stage of that name marked with its exception type; any
+    other exception but StageError or ValueError is recorded as an
+    internal-error stage naming the stage that raised it.
     Returns {"body": ..., "timings": ...}."""
     if targets is None:
         targets = _targets("run", None, config)
@@ -476,6 +426,12 @@ def run_pipeline(config: JobConfig, command: str = "run",
             data = getattr(e, "data", None)
             if data:
                 failure["counterexample"] = _jsonable(data)
+        except OverflowError as e:
+            # every OverflowError in the package is a monomial past the
+            # exponent limit of the packed keys: the job asked for more
+            # than the keys hold, which is rejected input
+            failure = {"name": name, "verdict": "fail", "error": str(e),
+                       "exception": "OverflowError"}
         except Exception as e:
             failure = _internal_error(name, e)
         timings[name] = round(time.perf_counter() - t0, 6)
@@ -694,8 +650,7 @@ def _emit(report: dict, config: JobConfig):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     action = getattr(args, "action", None)
     command = args.command + (f" {action}" if action else "")
     config = JobConfig(
@@ -709,11 +664,8 @@ def main(argv=None) -> int:
     else:
         if command == "pva h0" and config.max_weight is None:
             config = replace(config, max_weight=Fraction(3))
-        targets = _targets(args.command, action, config)
-        error = _exponent_limit_error(config, targets)
-        if error:
-            parser.error(error)
-        report = run_pipeline(config, command=command, targets=targets)
+        report = run_pipeline(config, command=command,
+                              targets=_targets(args.command, action, config))
     _emit(report, config)
     return exit_code(report)
 

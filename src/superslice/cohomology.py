@@ -24,7 +24,10 @@ derivation, so vanishing on generators is vanishing everywhere.
 
 Every variable carries a nonzero weight and all weights share one sign,
 so each weight block is finite dimensional and cohomology is a matter
-of exact ranks, block by block, with no analysis anywhere.  The rank
+of exact ranks, block by block, with no analysis anywhere.  Monomial
+keys hold exponents up to superpoly.EMAX = 127, so GradedComplex refuses
+at construction (check_exponent_limit), with OverflowError, a truncation
+whose blocks would need a higher power of its lightest even variable.  The rank
 path runs in Python ints from the differential to the pivot: every
 polynomial already holds integer numerators over one denominator,
 OddDerivation puts all generator images over one common denominator,
@@ -135,13 +138,36 @@ def _check_square_zero(ring: PolyRing, d,
                              f"{ring.variables[pos].name}: {sq.text()}")
 
 
+def check_exponent_limit(ring: PolyRing, positions: Sequence[int],
+                         max_wt2: int) -> None:
+    """Raise OverflowError if a weight block up to ``max_wt2`` on the
+    variables at ``positions`` holds a power above ``EMAX`` of an even
+    variable.  The block of weight w holds x^e whenever e |wt(x)| <= |w|,
+    so the lightest even variable sets the largest exponent; an odd one
+    never exceeds 1.  GradedComplex runs this on construction; a caller
+    may run it first to refuse a truncation before computing images."""
+    even = [ring.variables[p] for p in positions if not ring.parity_of(p)]
+    if not even:
+        return
+    v = min(even, key=lambda v: abs(v.wt2))
+    e = max_wt2 // abs(v.wt2)
+    if e > EMAX:
+        raise OverflowError(
+            f"max weight {Fraction(max_wt2, 2)} needs {v.name}^{e} "
+            f"({v.name} of weight {Fraction(v.wt2, 2)}), above the "
+            f"exponent limit {EMAX}")
+
+
 class GradedComplex:
     """Finite weight blocks of a ring with an odd square-zero derivation.
 
     ``module_positions`` and ``ghost_positions`` list the ring variables
     the complex is built on; cohomological degree counts ghost factors
     with multiplicity.  Weights are doubled integers internally, matching
-    the ring's ``wt2`` convention.
+    the ring's ``wt2`` convention.  The constructor checks, in order,
+    that the truncation is not negative, that every variable has a
+    nonzero weight and all share a sign, that no block needs an exponent
+    above ``EMAX`` (``OverflowError``), and that d squares to zero.
 
     A block (k, n2) has the monomials of ghost degree k and doubled
     weight n2 as its basis, in a fixed enumeration order.  ``d_matrix``
@@ -166,14 +192,15 @@ class GradedComplex:
         self.positions = self.module_positions + self.ghost_positions
         self.ghost_set = set(self.ghost_positions)
         self.max_wt2 = max_wt2
-        self.d = OddDerivation(ring, self.images)
-        _check_square_zero(ring, self.d, self.images, "d")
         w2s = [ring.variables[p].wt2 for p in self.positions]
         if any(w is None or w == 0 for w in w2s):
             raise ValueError("every complex variable needs a nonzero weight")
         if len({1 if w > 0 else -1 for w in w2s}) > 1:
             raise ValueError("variable weights must share a sign")
         self.sign = 1 if w2s[0] > 0 else -1
+        check_exponent_limit(ring, self.positions, max_wt2)
+        self.d = OddDerivation(ring, self.images)
+        _check_square_zero(ring, self.d, self.images, "d")
         self._blocks: dict[int, dict[int, list[int]]] = {}
         # rank of d on block (k, n2); H^k and H^{k+1} both need it
         self._ranks: dict[tuple[int, int], int] = {}
@@ -207,10 +234,6 @@ class GradedComplex:
             cap = rem // w
             if odd[i] and cap > 1:
                 cap = 1
-            if cap > EMAX:
-                raise OverflowError(
-                    f"weight block {Fraction(n2, 2)} needs exponent {cap} "
-                    f"of {self.ring.variables[poss[i]].name}, above {EMAX}")
             for e in range(1, cap + 1):
                 left = rem - w * e
                 ke = k + e if ghost[i] else k
@@ -315,6 +338,16 @@ def cohomology_table(complex_: GradedComplex) -> dict:
 
 # -- the three gauge complexes ------------------------------------------------
 
+def _ghost_variables(alg: LieSuperalgebra, grading: GoodGrading,
+                     sign: int = 1) -> list[Variable]:
+    """The ghost ph_<label> of each positive direction, in the order of
+    ``grading.positive_indices()``: reversed parity and doubled weight
+    sign * wt2 of its direction."""
+    return [Variable(f"ph_{alg.labels[i]}", 1 - alg.parities[i],
+                     wt2=sign * grading.weights2[i])
+            for i in grading.positive_indices()]
+
+
 def _ghost_images(sub: LieSuperalgebra, ring: PolyRing,
                   ghost_offset: int) -> dict[int, SuperPolynomial]:
     acc: dict[int, list] = {}
@@ -362,15 +395,9 @@ def regular_ce_complex(alg: LieSuperalgebra, grading: GoodGrading,
     pos_idx = grading.positive_indices()
     if not pos_idx:
         raise ValueError("positive part is zero")
-    variables = []
-    for i in pos_idx:
-        variables.append(Variable(f"x_{alg.labels[i]}", alg.parities[i],
-                                  wt2=-grading.weights2[i]))
-    for i in pos_idx:
-        variables.append(Variable(f"ph_{alg.labels[i]}",
-                                  1 - alg.parities[i],
-                                  wt2=-grading.weights2[i]))
-    ring = PolyRing(variables)
+    ring = PolyRing([Variable(f"x_{alg.labels[i]}", alg.parities[i],
+                              wt2=-grading.weights2[i]) for i in pos_idx]
+                    + _ghost_variables(alg, grading, -1))
     p = len(pos_idx)
     fields = regular_representation(alg, pos_idx, ring, list(range(p)))
     images = _ce_images(alg.restrict_to(pos_idx), ring, fields, p)
@@ -408,14 +435,10 @@ def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
     """
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
-    variables = [Variable(v.name, v.parity, wt2=v.wt2)
-                 for v in chart.ring.variables[:m]]
     pos_idx = grading.positive_indices()
-    for i in pos_idx:
-        variables.append(Variable(f"ph_{alg.labels[i]}",
-                                  1 - alg.parities[i],
-                                  wt2=grading.weights2[i]))
-    ring = PolyRing(variables)
+    ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
+                     for v in chart.ring.variables[:m]]
+                    + _ghost_variables(alg, grading))
     p = len(pos_idx)
     fields = _gauge_action_fields(chart, ring)
     images = _ce_images(alg.restrict_to(pos_idx), ring, fields, m)

@@ -41,6 +41,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cohomology import (GradedComplex, OddDerivation, _as_wt2, _ce_images,
                          _check_square_zero, _gauge_action_fields,
+                         _ghost_variables, check_exponent_limit,
                          weighted_monomial_counts)
 from .slice import SliceChart, finite_miura
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, Variable,
@@ -453,7 +454,9 @@ def skew_defect(machine: ArcBracket, a: SuperPolynomial,
 class _JetImages:
     """Image table for a map commuting with the total derivative (the BRST
     derivation, a DifferentialMorphism): the image of a jet is the jet of
-    the image of its base generator, computed once and cached.  Total
+    the image of its base generator, computed once and cached, each jet
+    as the total derivative of the one below, so serving jets 1..K
+    takes K derivatives.  Total
     derivatives multiply coefficients by integers only, so every jet
     image has denominators dividing the lcm of those of ``values()``,
     the base images (OddDerivation checks this on each image served)."""
@@ -471,15 +474,20 @@ class _JetImages:
         got = self.cache.get(j)
         if got is not None:
             return got
-        v = self.ring.variables[j]
+        ring = self.ring
+        v = ring.variables[j]
         if not v.order:
             return default
-        img = self.cache.get(self.ring.index[v.base])
+        i = ring.index[v.base]
+        img = self.cache.get(i)
         if img is None:
             return default
+        # climb the jets of the base: one derivative per jet not cached
         for _ in range(v.order):
-            img = img.total_derivative()
-        self.cache[j] = img
+            i = ring.derivative_index(i)
+            got = self.cache.get(i)
+            img = got if got is not None else img.total_derivative()
+            self.cache[i] = img
         return img
 
 
@@ -545,13 +553,9 @@ class BRSTComplex:
         self.chart = chart
         pos_idx = grading.positive_indices()
         n = len(ps.gen_indices)
-        gens = [Variable(v.name, v.parity, wt2=v.wt2)
-                for v in ps.ring.variables]
-        for i in pos_idx:
-            gens.append(Variable(f"ph_{alg.labels[i]}",
-                                 1 - alg.parities[i],
-                                 wt2=grading.weights2[i]))
-        ring = PolyRing(gens, differential=True)
+        ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
+                         for v in ps.ring.variables]
+                        + _ghost_variables(alg, grading), differential=True)
         self.ring = ring
         self.nmod = n
         self.nghost = len(pos_idx)
@@ -627,6 +631,7 @@ class TruncatedH0:
                     break
                 idx = ring.derivative_index(idx)
                 w += 2
+        check_exponent_limit(ring, module + ghosts, w2cap)  # before images
         images = {i: cx.Q(ring.gen(i)) for i in module + ghosts}
         self.graded = GradedComplex(ring, images, module, ghosts, w2cap)
         gens = []

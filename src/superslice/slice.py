@@ -330,8 +330,6 @@ class PoissonStructure:
             acc[(self.gen_pos[ia], self.gen_pos[ib])] = val
         self.table: dict[tuple[int, int], SuperPolynomial] = \
             combine(self.ring, acc)
-        from .pva import ArcBracket  # pva imports this module
-        self._arc = ArcBracket(self.ring, self.table)
 
         # affine identification with the z-coordinate ring of the chart:
         # zeta_a = c_a + sum_beta M[a, beta] z_beta
@@ -367,6 +365,13 @@ class PoissonStructure:
                          for a2, cc in row_c.items() if (a, a2) in on_z]
                 for b, row_b in enumerate(self._minv_rows)
                 for c, row_c in enumerate(self._minv_rows)})
+
+    @cached_property
+    def _arc(self):
+        """The arc lambda bracket on ``table``, built the first time
+        ``bracket`` needs it."""
+        from .pva import ArcBracket  # pva imports this module
+        return ArcBracket(self.ring, self.table)
 
     def coordinate_brackets(self, ring: PolyRing) -> dict:
         """``coordinate_table`` on a ring whose first variables are the

@@ -20,12 +20,10 @@ import pytest
 from superslice import cli
 from superslice.cli import (JobConfig, body_bytes, main, parse_algebra_file,
                             report_text, resolve_algebra, run_pipeline)
-from superslice.cohomology import regular_ce_complex, slice_ce_complex
 from superslice.liealg import (LieSuperalgebra, algebra_to_json,
-                               build_osp_1_2, build_sl, dynkin_grading,
-                               parse_nilpotent, sl2_triple_for)
-from superslice.pva import brst_complex
-from superslice.slice import PoissonStructure, gauge_fix
+                               build_osp_1_2, build_sl)
+from superslice.pva import ArcBracket
+from superslice.slice import PoissonStructure
 
 F = Fraction
 
@@ -567,12 +565,15 @@ class TestReportMechanics:
         ["run", "--max-weight", "128"]])
     def test_max_weight_past_the_exponent_limit_rejected(self, argv, capsys):
         # sl2's lightest even generator weighs 1 in every complex: a
-        # cutoff of 128 needs x^128, one past EMAX = 127
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--algebra", "sl2"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--max-weight" in err and "exponent limit 127" in err
+        # cutoff of 128 needs x^128, one past EMAX = 127, and the stage
+        # that builds the complex refuses it
+        code, rep = run_json(argv + ["--algebra", "sl2"], capsys)
+        assert code == 2 and cli.exit_code(rep) == 2
+        st = rep["body"]["stages"][-1]
+        failed = "pva-h0" if argv[0] == "pva" else "cohomology"
+        assert st["name"] == failed and st["verdict"] == "fail"
+        assert st["exception"] == "OverflowError"
+        assert "exponent limit 127" in st["error"]
 
     @pytest.mark.parametrize("weight", ["127", "255/2"])
     def test_max_weight_at_the_exponent_limit_runs(self, weight, capsys):
@@ -582,31 +583,18 @@ class TestReportMechanics:
                               "--max-weight", weight], capsys)
         assert code == 0 and out["body"]["verdict"] == "pass"
 
-    @pytest.mark.parametrize("name,nilpotent", [
-        ("sl2", "principal"), ("sl(2|1)", "principal"),
-        ("osp12", "principal"), ("sl4", "principal"), ("sl4", "e21")])
-    def test_lightest_even_generator_matches_the_complexes(self, name,
-                                                           nilpotent):
-        # the weights the limit check reads off (alg, grading) against
-        # the rings of the three complexes
-        alg, _ = resolve_algebra(name)
-        triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
-        grading = dynkin_grading(alg, triple)
-        chart = gauge_fix(alg, triple, grading)
-        brst = brst_complex(chart)
-
-        def lightest(ring, positions):
-            even = [abs(ring.variables[p].wt2) for p in positions
-                    if not ring.parity_of(p)]
-            return min(even) if even else None
-
-        complexes = {"slice": slice_ce_complex(chart, 1),
-                     "regular": regular_ce_complex(alg, grading, 1)}
-        for kind, cx in complexes.items():
-            assert cli._lightest_even_wt2(alg, grading, kind) == \
-                lightest(cx.ring, cx.positions)
-        assert cli._lightest_even_wt2(alg, grading, "arc") == \
-            lightest(brst.ring, range(brst.nmod + brst.nghost))
+    def test_library_max_weight_past_the_exponent_limit_fails_cohomology(
+            self):
+        # run_pipeline has no argparse in front of it: the complex itself
+        # refuses the cutoff, and the failure is rejected input
+        rep = run_pipeline(JobConfig(algebra="sl2", max_weight=F(130),
+                                     coefficients="regular"),
+                           command="cohomology")
+        assert rep["body"]["verdict"] == "fail"
+        st = rep["body"]["stages"][-1]
+        assert st["name"] == "cohomology"
+        assert "exponent limit 127" in st["error"]
+        assert cli.exit_code(rep) == 2
 
     @pytest.mark.parametrize("coefficients", ["slice", "regular"])
     def test_library_negative_max_weight_fails_cohomology(self, coefficients):
@@ -793,6 +781,24 @@ class TestVerifyOnce:
         built.clear()
         code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
         assert code == 0 and built == []
+
+    def test_poisson_arc_bracket_built_on_first_use(self, monkeypatch,
+                                                    capsys):
+        # the chart's own arc bracket is never built by the pipeline: qcheck
+        # builds only the BRST bracket, a full run that and graded_miura's
+        built = []
+        real = ArcBracket.__init__
+
+        def counted(self, ring, table):
+            built.append(ring)
+            real(self, ring, table)
+
+        monkeypatch.setattr(ArcBracket, "__init__", counted)
+        code, _ = run_cli(["pva", "qcheck", "--algebra", "sl5"], capsys)
+        assert code == 0 and len(built) == 1
+        code, _ = run_cli(["run", "--algebra", "sl(2|1)",
+                           "--max-weight", "2"], capsys)
+        assert code == 0 and len(built) == 3
 
     def test_orbit_verifies_its_load(self, verify_calls, capsys):
         code, _ = run_cli(["orbit", "--algebra", "sl2", "--element", "e21",

@@ -42,7 +42,7 @@ from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
                             brst_complex, graded_miura, h0_truncated,
                             skew_defect)
 from superslice.slice import gauge_fix
-from superslice.superpoly import PolyRing, Variable
+from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
 ONE = Fraction(1)
 
@@ -498,6 +498,35 @@ class TestBRSTComplex:
             rhs = cx.Q(a) * b + (a * cx.Q(b) if pa == 0 else -(a * cx.Q(b)))
             assert lhs == rhs
 
+    def test_jet_images_cost_one_derivative_each(self, sl2_chart,
+                                                 monkeypatch):
+        # serving jets 1..K of one generator takes K total derivatives,
+        # each jet from the one below, and the same images as K
+        # derivatives of the base image
+        cx, K = brst_complex(sl2_chart), 12
+        R = cx.ring
+        base = R.index["p_e21"]
+        jets = [base]
+        for _ in range(K):
+            jets.append(R.derivative_index(jets[-1]))
+        images = pva._JetImages(R, cx._images)
+        calls = []
+        real = SuperPolynomial.total_derivative
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SuperPolynomial, "total_derivative", counted)
+        served = [images.get(j) for j in jets[1:]]
+        assert len(calls) == K
+        monkeypatch.undo()
+        want = cx._images[base]
+        for got in served:
+            want = want.total_derivative()
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert got.den == want.den
+
     def test_q_preserves_conformal_weight(self, osp_cx):
         cx = osp_cx
         for pos in range(cx.nmod + cx.nghost):
@@ -614,6 +643,18 @@ class TestTruncatedH0:
             assert scale is None or s == scale
             scale = s
         assert got == jet * scale
+
+    def test_past_the_exponent_limit_refused_before_images(self, sl2_cx,
+                                                           monkeypatch):
+        # weight 128 needs p_h1^128; the truncation is refused before Q
+        # is applied to any jet
+        served = []
+        monkeypatch.setattr(sl2_cx, "Q", served.append)
+        with pytest.raises(OverflowError, match="exponent limit 127"):
+            h0_truncated(sl2_cx, 128)
+        assert served == []
+        monkeypatch.undo()
+        assert h0_truncated(sl2_cx, 3).consistent()
 
     def test_osp_dimensions_include_odd_generator(self, osp_chart, osp_cx):
         h0 = h0_truncated(osp_cx, 2)
