@@ -7,8 +7,8 @@ reproducible report: a JSON body whose bytes depend only on the job
 configuration, with wall-clock timings segregated so re-runs compare
 equal.  Exit code 0 exactly when every executed stage passes; otherwise
 1 for a failed check, 2 for rejected input (a failed load or validate
-stage, a stage that met the exponent limit, or bad arguments) and 3 for
-an internal error.
+stage, a stage that met the exponent limit, bad arguments, or an
+``--output`` file that cannot be written) and 3 for an internal error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 
 from .cohomology import (_as_wt2, cohomology_table, regular_ce_complex,
                          slice_ce_complex, weighted_monomial_counts)
-from .liealg import (GoodGrading, LieSuperalgebra, build_osp_1_2, build_sl,
+from .liealg import (GoodGrading, build_osp_1_2, build_sl,
                      dynkin_grading, graded_slice_decomposition,
                      load_algebra_file, parse_nilpotent, sl2_triple_for)
 from .pva import brst_complex, graded_miura, h0_truncated
@@ -83,13 +83,6 @@ def resolve_algebra(name_or_path: str, check: bool = True):
                 f"algebra file {s!r} does not match the schema: {e}")
     raise ValueError(f"unknown algebra {name_or_path!r}: not a catalogue "
                      "name (sl<m>, sl<m>|<n>, osp12) and not a file")
-
-
-def parse_algebra_file(path: str) -> LieSuperalgebra:
-    """Load a JSON algebra file and verify all structural invariants."""
-    alg = load_algebra_file(path, check=False)
-    alg.validate()
-    return alg
 
 
 # -- stages -------------------------------------------------------------------
@@ -260,15 +253,9 @@ def _stage_pva_qcheck(config: JobConfig, ctx: dict) -> dict:
 
 
 def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
-    chart = ctx["chart"]
     mw = config.max_weight
     if mw is None:
         raise StageError("pva h0 needs --max-weight")
-    top = max(v.wt2 for v in chart.slice_ring.variables)
-    if _as_wt2(mw) < top:
-        raise StageError(
-            f"max weight {mw} is below the largest slice generator weight "
-            f"{Fraction(top, 2)}")
     h0 = h0_truncated(ctx["brst"], mw)
     dims = h0.dimensions()
     if not h0.consistent(dims):
@@ -639,14 +626,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(report: dict, config: JobConfig):
-    if config.output:
-        with open(config.output, "w") as fh:
-            fh.write(report_json(report))
+def _emit(report: dict, config: JobConfig) -> bool:
+    """Write the report to stdout and to ``--output``; False, after one
+    line on stderr, when the output file cannot be written."""
     if config.fmt == "json":
         sys.stdout.write(report_json(report))
     else:
         sys.stdout.write(report_text(report))
+    if config.output:
+        try:
+            with open(config.output, "w") as fh:
+                fh.write(report_json(report))
+        except OSError as e:
+            sys.stderr.write(f"superslice: cannot write --output "
+                             f"{config.output!r}: {e.strerror or e}\n")
+            return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -666,7 +661,8 @@ def main(argv=None) -> int:
             config = replace(config, max_weight=Fraction(3))
         report = run_pipeline(config, command=command,
                               targets=_targets(args.command, action, config))
-    _emit(report, config)
+    if not _emit(report, config):
+        return 2  # an unwritable --output is rejected input
     return exit_code(report)
 
 

@@ -10,11 +10,11 @@ derivation determined on generators by
 
 where R is the infinitesimal action of the acting algebra: the right
 regular representation on exponential group coordinates (a Bernoulli
-series of brackets, see supergroup), the gauge action R(v_a)(Z) =
-[Z, v_a] on the coordinates of f + g_{>=-1/2}, or that gauge action
-moved to the Zhu generators of the arc complex in pva.  str^c_{ab} are
-the structure constants of the acting algebra.  One routine,
-_ce_images, builds these generator images for all three complexes.  The
+series of brackets, see supergroup), or the gauge action R(v_a)(Z) =
+[Z, v_a] on the coordinates of f + g_{>=-1/2}.  str^c_{ab} are the
+structure constants of the acting algebra.  One routine, _ce_images,
+builds these generator images for all three complexes; _gauge_ce builds
+the gauge complex for the finite slice and the arc (pva) sides.  The
 ghost must multiply from the left: only then does the Leibniz extension
 of the generator images reproduce sum_a ph^a . R(v_a)(.) on the whole
 ring (R(v_a) is a superderivation of parity |v_a|, and moving ph^a in
@@ -425,25 +425,32 @@ def _gauge_action_fields(chart, ring: PolyRing):
     return fields
 
 
-def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
-    """CE complex of g_+ with coefficients in the functions on
-    f + g_{>=-1/2}, acting by the gauge flow.
-
-    Coordinates keep their conformal weights 1 + j > 0 and ghosts carry
-    +wt(v_a), so blocks sit at weights 0, 1/2, 1, ... and H^0 consists of
-    the gauge invariants, weight by weight.
-    """
+def _gauge_ce(chart, differential: bool = False):
+    """(ring, generator images) of the gauge complex for
+    ``slice_ce_complex`` and, ``differential``, ``pva.BRSTComplex``: the
+    chart coordinates z_b at their conformal weights 1 + j > 0, then
+    the ghosts ph_a at +wt(v_a)."""
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
-    pos_idx = grading.positive_indices()
     ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
                      for v in chart.ring.variables[:m]]
-                    + _ghost_variables(alg, grading))
-    p = len(pos_idx)
+                    + _ghost_variables(alg, grading),
+                    differential=differential)
     fields = _gauge_action_fields(chart, ring)
-    images = _ce_images(alg.restrict_to(pos_idx), ring, fields, m)
+    sub = alg.restrict_to(grading.positive_indices())
+    return ring, _ce_images(sub, ring, fields, m)
+
+
+def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
+    """CE complex of g_+ with coefficients in the functions on
+    f + g_{>=-1/2}, acting by the gauge flow.  Blocks sit at weights 0,
+    1/2, 1, ... and H^0 consists of the gauge invariants, weight by
+    weight."""
+    ring, images = _gauge_ce(chart)
+    m = len(chart.coord_indices)
     return GradedComplex(ring, images, list(range(m)),
-                         list(range(m, m + p)), _as_wt2(max_weight))
+                         list(range(m, len(ring.variables))),
+                         _as_wt2(max_weight))
 
 
 # -- independent cross-checks ----------------------------------------------------

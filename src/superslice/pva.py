@@ -23,14 +23,14 @@ Three layers:
   constant in lambda and all lambda dependence comes from jets.
 
 * ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects built
-  on the chart's one Poisson structure (``SliceChart.poisson``).  The
-  arc gauge complex puts its generator table on the Zhu generators of
-  g_{<=0} + g_{1/2} with one ghost per positive direction; its
-  degree-zero cohomology is sized per conformal weight against the free
-  differential ring on the slice generators.  The arc functor applied to
-  the finite Miura map lands in one differential ring on the chart
-  coordinates, carrying the Poisson structure's coordinate table, where
-  the lambda-bracket intertwining check takes both of its brackets.
+  on the chart's one Poisson structure (``SliceChart.poisson``), each on
+  a differential ring on the chart coordinates.  The arc gauge complex
+  is the finite slice gauge complex made differential
+  (``cohomology._gauge_ce``), a coordinate of grading weight j weighing
+  1 + j; its degree-zero cohomology is sized per conformal weight
+  against the free differential ring on the slice generators.  The arc
+  functor applied to the finite Miura map lands in the same coordinates,
+  where the intertwining check takes both of its brackets.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, OddDerivation, _as_wt2, _ce_images,
-                         _check_square_zero, _gauge_action_fields,
-                         _ghost_variables, check_exponent_limit,
+from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
+                         _check_square_zero, _gauge_ce, check_exponent_limit,
                          weighted_monomial_counts)
 from .slice import SliceChart, finite_miura
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, Variable,
@@ -528,67 +527,70 @@ class DifferentialMorphism:
 # -- the arc gauge complex -------------------------------------------------
 
 class BRSTComplex:
-    """Differential ring on the Zhu generators of g_{<=0} + g_{1/2} plus
-    one ghost per positive basis direction, carrying the level-zero
-    lambda bracket and the odd differential Q.
+    """The slice gauge complex made differential (``cohomology._gauge_ce``):
+    the chart coordinates z_b plus one ghost per positive basis
+    direction, carrying the level-zero lambda bracket and Q.
 
-    The generator rows of the lambda table are the chart's Poisson
-    table (``SliceChart.poisson``); the ghost rows are read off the
-    structure constants.  Q on a generator symbol is the gauge action
-    pushed to the generators by the Poisson structure, each ghost
-    multiplying from the left; on a ghost it is the coadjoint half-sum
-    over the positive part.  Jets follow by commuting Q with the total
-    derivative.  The constructor checks Q^2 = 0 on every generator; an
-    odd derivation commuting with d whose square kills the order-zero
-    generators squares to zero everywhere.
+    The generator rows of the lambda table are the chart's coordinate
+    table (``PoissonStructure.coordinate_brackets``); the ghost rows are
+    {ph_a _lam z_b} = sum_u Minv[b, u] sum_c (coefficient of v_a in
+    [u, v_c]) ph_c and their skew partners.  Q on a coordinate is the
+    gauge action, each ghost multiplying from the left; on a ghost it is
+    the coadjoint half-sum over the positive part.  Jets follow by
+    commuting Q with the total derivative.  The constructor checks
+    Q^2 = 0 on every generator; an odd derivation commuting with d whose
+    square kills the order-zero generators squares to zero everywhere.
 
-    Conformal weights: a generator for u of grading weight j carries
-    1 - j, the ghost for a positive direction of weight j carries j,
-    each jet order adds 1, and Q preserves the weight.
+    Conformal weights: a coordinate of grading weight j carries 1 + j,
+    the ghost for a positive direction of weight j carries j, each jet
+    order adds 1, and Q preserves the weight.
     """
 
     def __init__(self, chart: SliceChart):
         ps = chart.poisson
-        alg, grading = chart.alg, chart.grading
+        alg = chart.alg
+        pos_idx = chart.grading.positive_indices()
         self.chart = chart
-        pos_idx = grading.positive_indices()
-        n = len(ps.gen_indices)
-        ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
-                         for v in ps.ring.variables]
-                        + _ghost_variables(alg, grading), differential=True)
+        ring, images = _gauge_ce(chart, differential=True)
+        n = len(chart.coord_indices)
         self.ring = ring
         self.nmod = n
         self.nghost = len(pos_idx)
 
-        table = {k: v.substitute({}, ring) for k, v in ps.table.items()}
-        # {ph_a _lam u} = sum_b (coefficient of v_a in [u, v_b]) ph_b
+        table = ps.coordinate_brackets(ring)
+        minv_cols: dict[int, dict[int, Fraction]] = {}
+        for b, row in enumerate(ps.minv_rows):
+            for u, co in row.items():
+                minv_cols.setdefault(u, {})[b] = co
         ghost_pos = {i: n + loc for loc, i in enumerate(pos_idx)}
         rows: dict[tuple[int, int], list] = {}
-        for (iu, ib), br in alg.table.items():
-            uloc, b = ps.gen_pos.get(iu), ghost_pos.get(ib)
-            if uloc is None or b is None:
+        for (iu, ic), br in alg.table.items():
+            u, c = ps.gen_pos.get(iu), ghost_pos.get(ic)
+            if u is None or c is None:
                 continue
-            for ia, c in br.items():
+            for ia, co in br.items():
                 a = ghost_pos.get(ia)
                 if a is not None:
-                    rows.setdefault((a, uloc), []).append(
-                        (c, ring.gen(b), UNIT))
-        for (a, uloc), acc in combine(ring, rows).items():
-            table[(a, uloc)] = acc
-            # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}
-            iu, ia = ps.gen_indices[uloc], pos_idx[a - n]
-            both_odd = alg.parities[iu] and not alg.parities[ia]
-            table[(uloc, a)] = acc * (ONE if both_odd else -ONE)
+                    for b, m in minv_cols[u].items():
+                        rows.setdefault((a, b), []).append(
+                            (co * m, ring.gen(c), UNIT))
+        for (a, b), acc in combine(ring, rows).items():
+            table[(a, b)] = acc
+            # skew partner: {z_lam ph} = -(-1)^{|z||ph|} {ph_lam z}
+            both_odd = alg.parities[chart.coord_indices[b]] \
+                and not alg.parities[pos_idx[a - n]]
+            table[(b, a)] = acc * (ONE if both_odd else -ONE)
         self.bracket_machine = ArcBracket(ring, table)
 
-        fields = ps.push_fields(_gauge_action_fields(chart, chart.ring), ring)
-        images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
         self._images = images
         self.Q = OddDerivation(ring, _JetImages(ring, images))
         _check_square_zero(ring, self.Q, images, "Q")
 
     def generator(self, label: str) -> SuperPolynomial:
-        return self.ring.gen(self.ring.index[f"p_{label}"])
+        """The Zhu generator u-hat: zeta_u = c_u + sum_b M[u, b] z_b."""
+        ps = self.chart.poisson
+        return ps.from_poisson_ring(ps.ring.gen(f"p_{label}")).substitute(
+            {}, self.ring)
 
     def ghost(self, label: str) -> SuperPolynomial:
         return self.ring.gen(self.ring.index[f"ph_{label}"])
@@ -615,10 +617,11 @@ class TruncatedH0:
         self.chart = chart
         self.complex = cx
         self.max_wt2 = w2cap
-        slice_w2 = [v.wt2 for v in chart.slice_ring.variables]
-        if min(slice_w2) > w2cap:
-            raise ValueError("truncation lies below every slice generator "
-                             "weight")
+        top = max(v.wt2 for v in chart.slice_ring.variables)
+        if top > w2cap:
+            raise ValueError(
+                f"max weight {Fraction(w2cap, 2)} is below the largest "
+                f"slice generator weight {Fraction(top, 2)}")
         ring = cx.ring
         module: list[int] = []
         ghosts: list[int] = []

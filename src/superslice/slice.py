@@ -288,10 +288,14 @@ class PoissonStructure:
     "Finite vs affine W-algebras").  Polynomials from any other ring are
     rejected.
 
-    The identification is zeta = c + M z with z the chart coordinates.
-    ``coordinate_table`` is the table moved to the chart ring once:
+    The identification is zeta = c + M z with z the chart coordinates;
+    ``minv_rows`` holds the nonzero entries of the rows of Minv, so
+    z_b = sum_a Minv[b, a] (zeta_a - c_a).  ``coordinate_table`` is the
+    table moved to the chart ring once:
     {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'} over the
     nonzero entries of rows b and c of Minv (constants bracket to zero).
+    The arc side (``pva``) works on the chart coordinates through
+    ``coordinate_brackets`` and ``minv_rows``.
     """
 
     def __init__(self, chart: SliceChart):
@@ -345,16 +349,16 @@ class PoissonStructure:
             for ib, v in form[ia].items():
                 if ib in chart.coord_pos:
                     M[a, chart.coord_pos[ib]] = sgn * v
-        self._m_rows = [{b: c for b, c in enumerate(r) if c} for r in M.rows]
-        self._minv_rows = [{a: c for a, c in enumerate(r) if c}
-                           for r in _invert(M).rows]
+        m_rows = [{b: c for b, c in enumerate(r) if c} for r in M.rows]
+        self.minv_rows = [{a: c for a, c in enumerate(r) if c}
+                          for r in _invert(M).rows]
         # zeta_a as a polynomial in the z-ring; M is invertible, so no
         # row is zero and every a has an image
         self._gen_images = combine(chart.ring, {
             a: [(self._const[a], UNIT, UNIT)]
             + [(co, chart.ring.gen(beta), UNIT)
                for beta, co in row.items()]
-            for a, row in enumerate(self._m_rows)})
+            for a, row in enumerate(m_rows)})
 
         on_z = {k: self.from_poisson_ring(v)
                 for k, v in self.table.items()}
@@ -363,8 +367,8 @@ class PoissonStructure:
                 (b, c): [(ca * cc, on_z[(a, a2)], UNIT)
                          for a, ca in row_b.items()
                          for a2, cc in row_c.items() if (a, a2) in on_z]
-                for b, row_b in enumerate(self._minv_rows)
-                for c, row_c in enumerate(self._minv_rows)})
+                for b, row_b in enumerate(self.minv_rows)
+                for c, row_c in enumerate(self.minv_rows)})
 
     @cached_property
     def _arc(self):
@@ -379,41 +383,19 @@ class PoissonStructure:
         return {k: v.substitute({}, ring)
                 for k, v in self.coordinate_table.items()}
 
-    def _coordinates_in(self, ring: PolyRing) -> dict:
-        """z_b = sum_a Minv[b, a] (zeta_a - c_a), zeta_a being ring.gen(a).
-        Minv is invertible, so every b has a nonzero image."""
+    def to_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
+        """p at z_b = sum_a Minv[b, a] (zeta_a - c_a), zeta_a the
+        generators (Minv is invertible, so no z_b maps to zero)."""
+        if p.ring is not self.chart_ring:
+            raise ValueError("polynomial is not on the chart coordinates")
+        ring = self.ring
         acc: dict = {}
-        for b, row in enumerate(self._minv_rows):
+        for b, row in enumerate(self.minv_rows):
             acc[b] = []
             for a, co in row.items():
                 acc[b] += [(co, ring.gen(a), UNIT),
                            (-co * self._const[a], UNIT, UNIT)]
-        return combine(ring, acc)
-
-    def push_fields(self, fields, ring: PolyRing) -> list:
-        """Vector fields on the chart coordinates, fields[k][b] being the
-        motion of z_b, written on the generators: component a of field k
-        is sum_b M[a, b] fields[k][b] at z = Minv (zeta - c), zeta_a being
-        ring.gen(a)."""
-        z = self._coordinates_in(ring)
-        zero = self.chart_ring.zero()
-        out = []
-        for field in fields:
-            comps = combine(self.chart_ring, {
-                a: [(co, field[b], UNIT) for b, co in row.items()]
-                for a, row in enumerate(self._m_rows)})
-            moved = []
-            for a in range(len(self._m_rows)):
-                comp = comps.get(a, zero)
-                moved.append(comp.substitute(
-                    {b: z[b] for b in comp.variables_used()}, ring))
-            out.append(moved)
-        return out
-
-    def to_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
-        if p.ring is not self.chart_ring:
-            raise ValueError("polynomial is not on the chart coordinates")
-        return p.substitute(self._coordinates_in(self.ring), self.ring)
+        return p.substitute(combine(ring, acc), ring)
 
     def from_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
         if p.ring is not self.ring:

@@ -18,10 +18,10 @@ from fractions import Fraction
 import pytest
 
 from superslice import cli
-from superslice.cli import (JobConfig, body_bytes, main, parse_algebra_file,
-                            report_text, resolve_algebra, run_pipeline)
+from superslice.cli import (JobConfig, body_bytes, main, report_text,
+                            resolve_algebra, run_pipeline)
 from superslice.liealg import (LieSuperalgebra, algebra_to_json,
-                               build_osp_1_2, build_sl)
+                               build_osp_1_2, build_sl, load_algebra_file)
 from superslice.pva import ArcBracket
 from superslice.slice import PoissonStructure
 
@@ -65,7 +65,7 @@ class TestResolveAlgebra:
         alg = build_sl(2)
         path = tmp_path / "sl2.json"
         path.write_text(json.dumps(algebra_to_json(alg)))
-        back = parse_algebra_file(str(path))
+        back = load_algebra_file(str(path))
         assert back.labels == alg.labels
         assert back.parities == alg.parities
         assert back.table == alg.table
@@ -654,6 +654,16 @@ class TestExitCodes:
         code, rep = run_json(["run", "--algebra", path], capsys)
         assert code == 2
         assert rep["body"]["stages"][-1]["name"] == "validate"
+
+    def test_unwritable_output_is_2(self, tmp_path, capsys):
+        # one stderr line naming the path, no traceback
+        path = str(tmp_path / "nonexistent" / "x.json")
+        code = main(["algebra", "validate", "--algebra", "sl2",
+                     "--output", path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and path in err
+        assert "Traceback" not in err
 
     def test_orbit_rejected_algebra_is_2(self, tmp_path, capsys):
         # an unknown name and a file that fails validation both fail the

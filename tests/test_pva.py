@@ -19,7 +19,12 @@ Oracles:
   tests/finite_poisson_oracle.py.
 * Q: squares to zero (constructor trap plus explicit), commutes with
   the total derivative, is an odd derivation; the sl2 generator images
-  and the weight-2 harmonic representative are pinned by hand.
+  and the weight-2 harmonic representative are pinned by hand.  The
+  complex on the chart coordinates is compared with the former one on
+  the Zhu generators, kept in tests/zhu_brst_oracle.py: Q, every
+  generator and ghost lambda bracket, and H^0 dimensions agree under
+  u-hat -> zeta_u; its order-zero images are the finite slice
+  complex's.
 * H^0 sizes: weighted monomial counts over the jet-expanded slice
   generators, an independent knapsack count.
 * Miura: images are the finite images one jet at a time; the
@@ -34,9 +39,13 @@ from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
 from leibniz_bracket_oracle import leibniz_bracket
-from superslice import pva
+from zhu_brst_oracle import ZhuBRST
+from superslice import cohomology, pva
+from superslice.cli import resolve_algebra
+from superslice.cohomology import slice_ce_complex
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
-                               principal_nilpotent, sl2_triple_for)
+                               parse_nilpotent, principal_nilpotent,
+                               sl2_triple_for)
 from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
                             DifferentialMorphism, LambdaPolynomial,
                             brst_complex, graded_miura, h0_truncated,
@@ -441,8 +450,8 @@ class TestOperands:
 class TestBRSTComplex:
     def test_sl2_ring_layout(self, sl2_cx):
         names = [v.name for v in sl2_cx.ring.variables[:3]]
-        assert names == ["p_e21", "p_h1", "ph_e12"]
-        # conformal doubled weights: 1-j doubled for generators, j for ghosts
+        assert names == ["z_e12", "z_h1", "ph_e12"]
+        # conformal doubled weights: 1+j doubled for coordinates, j for ghosts
         assert [v.wt2 for v in sl2_cx.ring.variables[:3]] == [4, 2, 2]
         assert sl2_cx.ring.parity_of(2) == 1  # ghost of an even root flips
 
@@ -467,14 +476,14 @@ class TestBRSTComplex:
     def test_q_square_trap(self, osp_chart, monkeypatch):
         # doubling the ghost half-sum breaks Q^2 = 0 on the generators,
         # and the constructor must say so
-        real = pva._ce_images
+        real = cohomology._ce_images
 
         def doubled_ghosts(sub, ring, fields, nmod):
             images = real(sub, ring, fields, nmod)
             return {k: v * 2 if k >= nmod else v for k, v in images.items()}
 
-        monkeypatch.setattr(pva, "_ce_images", doubled_ghosts)
-        with pytest.raises(ValueError, match=r"Q\^2 != 0 on generator p_"):
+        monkeypatch.setattr(cohomology, "_ce_images", doubled_ghosts)
+        with pytest.raises(ValueError, match=r"Q\^2 != 0 on generator z_"):
             BRSTComplex(osp_chart)
 
     def test_q_commutes_with_d(self, osp_cx):
@@ -505,7 +514,7 @@ class TestBRSTComplex:
         # derivatives of the base image
         cx, K = brst_complex(sl2_chart), 12
         R = cx.ring
-        base = R.index["p_e21"]
+        base = R.index["z_e12"]
         jets = [base]
         for _ in range(K):
             jets.append(R.derivative_index(jets[-1]))
@@ -606,6 +615,77 @@ class TestBRSTComplex:
                 assert all(k == 0 for k in P.coeffs)
 
 
+# -- the complex on the chart coordinates against the Zhu generators ---------
+
+
+def chart_for(name, nilpotent="principal"):
+    alg, _ = resolve_algebra(name)
+    triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+
+
+ORACLE_CASES = ["sl2", "osp12", "sl(2|1)", "sl3"]
+
+
+class TestZhuGeneratorOracle:
+    """BRSTComplex against the former complex on the Zhu generators
+    p_u (tests/zhu_brst_oracle.py) under p_u -> generator(u), each ghost
+    to the ghost of the same name."""
+
+    @staticmethod
+    def transported(chart):
+        cx, old = brst_complex(chart), ZhuBRST(chart)
+        alg, ps = chart.alg, chart.poisson
+        base = {a: cx.generator(alg.labels[i])
+                for a, i in enumerate(ps.gen_indices)}
+        for pos in range(old.nmod, old.nmod + old.nghost):
+            name = old.ring.variables[pos].name
+            base[pos] = cx.ring.gen(name)
+        return cx, old, DifferentialMorphism(old.ring, cx.ring, base)
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_q_matches_the_oracle(self, name):
+        cx, old, phi = self.transported(chart_for(name))
+        assert (cx.nmod, cx.nghost) == (old.nmod, old.nghost)
+        for pos in range(old.nmod + old.nghost):
+            g = old.ring.gen(pos)
+            for x in (g, g.total_derivative()):
+                assert phi(old.Q(x)) == cx.Q(phi(x)), x.text()
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_lambda_brackets_match_the_oracle(self, name):
+        cx, old, phi = self.transported(chart_for(name))
+        gens = [old.ring.gen(pos) for pos in range(old.nmod + old.nghost)]
+        for x in gens:
+            for y in gens:
+                want = phi.on_lambda(old.bracket_machine.bracket(x, y))
+                assert cx.lambda_bracket(phi(x), phi(y)) == want, \
+                    (x.text(), y.text())
+
+    @pytest.mark.parametrize("name,nilpotent,weight", [
+        ("sl(2|1)", "principal", 6), ("sl4", "e21", 2)])
+    def test_h0_dimensions_match_the_oracle(self, name, nilpotent, weight):
+        chart = chart_for(name, nilpotent)
+        got = h0_truncated(brst_complex(chart), weight).dimensions()
+        assert got == h0_truncated(ZhuBRST(chart), weight).dimensions()
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    def test_base_images_are_the_slice_complex_images(self, name):
+        # one builder: same variables, and Q on each order-zero generator
+        # is d of the finite slice complex on the variable of that name
+        chart = chart_for(name)
+        cx, sx = brst_complex(chart), slice_ce_complex(chart, max_weight=2)
+        n = cx.nmod + cx.nghost
+        assert [(v.name, v.parity, v.wt2) for v in cx.ring.variables[:n]] \
+            == [(v.name, v.parity, v.wt2) for v in sx.ring.variables]
+
+        def by_name(ring, images):
+            return {ring.variables[pos].name: img.text()
+                    for pos, img in images.items()}
+
+        assert by_name(cx.ring, cx._images) == by_name(sx.ring, sx.images)
+
+
 # -- truncated degree-zero cohomology ----------------------------------------
 
 
@@ -683,8 +763,17 @@ class TestTruncatedH0:
                 assert osp_cx.Q(r).is_zero()
 
     def test_truncation_below_generators_rejected(self, sl2_chart, sl2_cx):
-        with pytest.raises(ValueError, match="below every slice generator"):
+        with pytest.raises(ValueError,
+                           match="below the largest slice generator weight"):
             h0_truncated(sl2_cx, 1)
+
+    def test_truncation_below_the_largest_generator_rejected(self):
+        # sl3's slice generators weigh 2 and 3: a cutoff at 2 keeps the
+        # first and loses the second, and is refused before any image
+        cx = brst_complex(principal_chart(build_sl(3, 0)))
+        with pytest.raises(ValueError, match="max weight 2 is below the "
+                           "largest slice generator weight 3"):
+            h0_truncated(cx, 2)
 
     def test_half_integer_weights_only(self, sl2_chart, sl2_cx):
         with pytest.raises(ValueError, match="half-integers"):

@@ -1,0 +1,96 @@
+"""The arc gauge complex on the Zhu generators, kept as the oracle for
+pva.BRSTComplex.
+
+This is the package's former construction.  Its ring holds one
+generator p_u per basis vector u of g_{<=0} + g_{1/2} (the ring of
+``PoissonStructure``, made differential) plus the ghosts.  The lambda
+table is the Poisson table itself with the ghost rows
+{ph_a _lam p_u} = sum_c (coefficient of v_a in [u, v_c]) ph_c, and Q
+pushes the gauge action on the chart coordinates through the affine
+identification zeta = c + M z: component u of a field is
+sum_b M[u, b] R(v_a)(z_b), evaluated at z = Minv (zeta - c).  The
+package instead keeps the chart coordinates z_b and moves the bracket;
+the two complexes are isomorphic under p_u -> zeta_u, ghosts fixed.
+
+``ZhuBRST`` carries the attributes ``pva.TruncatedH0`` reads (chart,
+ring, nmod, nghost, Q), so both complexes go through one H^0 count.
+"""
+
+from superslice.cohomology import (OddDerivation, _ce_images,
+                                   _check_square_zero, _gauge_action_fields,
+                                   _ghost_variables)
+from superslice.pva import ArcBracket, _JetImages
+from superslice.superpoly import UNIT, PolyRing, Variable, combine
+
+
+def push_fields(chart, fields, ring):
+    """Vector fields on the chart coordinates, fields[k][b] being the
+    motion of z_b, written on the generators p_u, which are the first
+    variables of ring: component u of field k is sum_b M[u, b]
+    fields[k][b] at z = Minv (zeta - c), zeta_u being p_u."""
+    ps = chart.poisson
+    m = len(chart.coord_indices)
+    z = {b: ps.to_poisson_ring(chart.ring.gen(b)).substitute({}, ring)
+         for b in range(m)}
+    # M[u, b] is the coefficient of z_b in zeta_u = c_u + sum_b M[u, b] z_b
+    M = [[ps.from_poisson_ring(ps.ring.gen(u)).partial_derivative(b)
+          for b in range(m)] for u in range(m)]
+    out = []
+    for field in fields:
+        moved = []
+        for u in range(m):
+            comp = chart.ring.zero()
+            for b in range(m):
+                comp = comp + M[u][b] * field[b]
+            moved.append(comp.substitute(
+                {b: z[b] for b in comp.variables_used()}, ring))
+        out.append(moved)
+    return out
+
+
+class ZhuBRST:
+    """Differential ring on the Zhu generators p_u plus one ghost per
+    positive direction, with the lambda bracket and Q."""
+
+    def __init__(self, chart):
+        ps = chart.poisson
+        alg, grading = chart.alg, chart.grading
+        self.chart = chart
+        pos_idx = grading.positive_indices()
+        n = len(ps.gen_indices)
+        ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
+                         for v in ps.ring.variables]
+                        + _ghost_variables(alg, grading), differential=True)
+        self.ring = ring
+        self.nmod = n
+        self.nghost = len(pos_idx)
+
+        table = {k: v.substitute({}, ring) for k, v in ps.table.items()}
+        # {ph_a _lam u} = sum_c (coefficient of v_a in [u, v_c]) ph_c
+        ghost_pos = {i: n + loc for loc, i in enumerate(pos_idx)}
+        rows = {}
+        for (iu, ic), br in alg.table.items():
+            uloc, c = ps.gen_pos.get(iu), ghost_pos.get(ic)
+            if uloc is None or c is None:
+                continue
+            for ia, co in br.items():
+                a = ghost_pos.get(ia)
+                if a is not None:
+                    rows.setdefault((a, uloc), []).append(
+                        (co, ring.gen(c), UNIT))
+        for (a, uloc), acc in combine(ring, rows).items():
+            table[(a, uloc)] = acc
+            # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}
+            iu, ia = ps.gen_indices[uloc], pos_idx[a - n]
+            both_odd = alg.parities[iu] and not alg.parities[ia]
+            table[(uloc, a)] = -acc if not both_odd else acc
+        self.bracket_machine = ArcBracket(ring, table)
+
+        fields = push_fields(chart, _gauge_action_fields(chart, chart.ring),
+                             ring)
+        images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
+        self.Q = OddDerivation(ring, _JetImages(ring, images))
+        _check_square_zero(ring, self.Q, images, "Q")
+
+    def generator(self, label):
+        return self.ring.gen(f"p_{label}")
