@@ -1,0 +1,34 @@
+"""The intertwining check on every ordered pair, kept as the oracle for
+``pva.GradedMiura.check_intertwining``.
+
+This is the package's former loop: for every ordered pair (a, b) of
+slice generators it brackets the Miura images and, separately, the
+embedded invariants, restricts the second bracket to the slice jets
+(with the closure check) and maps it forward.  It brackets every source
+pair, diagonals included, and uses no skew-symmetry, so it shares with
+the package check only the bracket engine, the morphisms and the
+closure check.
+"""
+
+from superslice.pva import GradedMiura
+
+
+def check_all_ordered_pairs(gm: GradedMiura) -> dict:
+    """{(a, b): True} over every ordered pair of generator labels; raises
+    ValueError on the first pair whose two sides differ."""
+    labs = gm.chart.inv_order
+    gens = [gm.source.gen(i) for i in range(len(labs))]
+    B = gm.bracket_machine
+    images = [B.operand(gm(g)) for g in gens]
+    embedded = [B.operand(gm._embed(g)) for g in gens]
+    out = {}
+    for i, la in enumerate(labs):
+        for j, lb in enumerate(labs):
+            lhs = B.bracket(images[i], images[j])
+            rhs = gm.morphism.on_lambda(gm._to_slice(
+                B.bracket(embedded[i], embedded[j])))
+            if lhs != rhs:
+                raise ValueError("Miura images fail the lambda bracket "
+                                 f"on ({la}, {lb})")
+            out[(la, lb)] = True
+    return out

@@ -29,7 +29,12 @@ Oracles:
   generators, an independent knapsack count.
 * Miura: images are the finite images one jet at a time; the
   lambda-bracket intertwining compares two independently computed
-  sides.
+  sides.  The check, which brackets each source pair once and skips
+  the even diagonals by skew-symmetry, has the outcome of the former
+  all-ordered-pairs loop kept in tests/miura_pairs_oracle.py, with
+  the Miura map intact and with one image doubled; the source bracket
+  is checked skew on every pair, and a table that is not skew or not
+  constant in lambda is refused.
 """
 
 from fractions import Fraction
@@ -39,6 +44,7 @@ from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
 from leibniz_bracket_oracle import leibniz_bracket
+from miura_pairs_oracle import check_all_ordered_pairs
 from zhu_brst_oracle import ZhuBRST
 from superslice import cohomology, pva
 from superslice.cli import resolve_algebra
@@ -47,9 +53,9 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
                                sl2_triple_for)
 from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
-                            DifferentialMorphism, LambdaPolynomial,
-                            brst_complex, graded_miura, h0_truncated,
-                            skew_defect)
+                            DifferentialMorphism, GradedMiura,
+                            LambdaPolynomial, brst_complex, graded_miura,
+                            h0_truncated, skew_defect)
 from superslice.slice import gauge_fix
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
@@ -726,7 +732,7 @@ class TestTruncatedH0:
 
     def test_past_the_exponent_limit_refused_before_images(self, sl2_cx,
                                                            monkeypatch):
-        # weight 128 needs p_h1^128; the truncation is refused before Q
+        # weight 128 needs z_h1^128; the truncation is refused before Q
         # is applied to any jet
         served = []
         monkeypatch.setattr(sl2_cx, "Q", served.append)
@@ -916,3 +922,118 @@ class TestGradedMiura:
         stray = amb.gen(0)  # a bare coordinate is not a slice function
         r = gm._restrict(stray)
         assert gm._embed(r) != stray
+
+
+# -- the intertwining check against the all-ordered-pairs loop ----------------
+
+
+MIURA_CASES = ["sl2", "sl3", "osp12", "sl(2|1)", "sl(3|2)"]
+
+
+@pytest.fixture(scope="module")
+def miura_charts():
+    return {name: chart_for(name) for name in MIURA_CASES}
+
+
+def _outcome(check, gm):
+    try:
+        return check(gm)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _double_last_image(gm):
+    """Replace the Miura map by one whose last generator image is doubled."""
+    n = len(gm.chart.inv_order)
+    gm.morphism = DifferentialMorphism(
+        gm.source, gm.ring,
+        {k: gm.morphism.image(k) * (2 if k == n - 1 else 1)
+         for k in range(n)})
+
+
+class TestIntertwiningOnUnorderedPairs:
+    @pytest.mark.parametrize("name", MIURA_CASES)
+    def test_matches_all_pairs_oracle(self, miura_charts, name):
+        ch = miura_charts[name]
+        got = graded_miura(ch).check_intertwining()
+        assert got == check_all_ordered_pairs(graded_miura(ch))
+        assert len(got) == len(ch.inv_order) ** 2
+
+    @pytest.mark.parametrize("name", MIURA_CASES)
+    def test_broken_map_fails_like_the_oracle(self, miura_charts, name):
+        # with one image doubled both checks stop on the same pair; on
+        # sl2 and sl3, whose slice brackets vanish, both still pass
+        gm, oracle = graded_miura(miura_charts[name]), \
+            graded_miura(miura_charts[name])
+        _double_last_image(gm)
+        _double_last_image(oracle)
+        want = _outcome(check_all_ordered_pairs, oracle)
+        assert _outcome(GradedMiura.check_intertwining, gm) == want
+        if name not in ("sl2", "sl3"):
+            assert want.startswith("ValueError: Miura images fail")
+
+    @pytest.mark.parametrize("name", MIURA_CASES)
+    def test_source_bracket_is_skew(self, miura_charts, name):
+        gm = graded_miura(miura_charts[name])
+        src = gm.source
+        n = len(gm.chart.inv_order)
+        for a in range(n):
+            for b in range(n):
+                ab = gm.source_bracket(src.gen(a), src.gen(b))
+                back = ab.sub_neg_lam_d()
+                if not (src.parity_of(a) and src.parity_of(b)):
+                    back = -back
+                assert gm.source_bracket(src.gen(b), src.gen(a)) == back
+            if not src.parity_of(a):
+                assert gm.source_bracket(src.gen(a), src.gen(a)).is_zero()
+
+    @pytest.mark.parametrize("name", ["osp12", "sl(2|1)", "sl(3|2)"])
+    def test_source_brackets_taken(self, miura_charts, name, monkeypatch):
+        # one per unordered pair of distinct generators, one per odd
+        # diagonal
+        gm = graded_miura(miura_charts[name])
+        calls = []
+        real = gm._to_slice
+        monkeypatch.setattr(gm, "_to_slice",
+                            lambda P: calls.append(1) or real(P))
+        gm.check_intertwining()
+        n = len(gm.chart.inv_order)
+        odd = sum(gm.source.parity_of(k) for k in range(n))
+        assert odd and len(calls) == n * (n - 1) // 2 + odd
+
+    def test_non_skew_table_entry_refused(self, osp_chart, monkeypatch):
+        # {z_h lam z_h} = z_vp * z_vm: an even diagonal must vanish
+        gm = graded_miura(osp_chart)
+        R = gm.ring
+        bogus = R.gen("z_vp") * R.gen("z_vm")
+        monkeypatch.setitem(gm.bracket_machine.table,
+                            (R.index["z_h"], R.index["z_h"]),
+                            LambdaPolynomial(R, {0: bogus}))
+        with pytest.raises(ValueError, match=r"bracket table is not "
+                           r"skew-symmetric at \(z_h, z_h\)"):
+            gm.check_intertwining()
+
+    def test_one_sided_table_entry_refused(self, osp_chart, monkeypatch):
+        # {z_vp lam z_h} present without its partner {z_h lam z_vp}
+        gm = graded_miura(osp_chart)
+        R = gm.ring
+        vp, h = R.index["z_vp"], R.index["z_h"]
+        table = gm.bracket_machine.table
+        assert (h, vp) in table and (vp, h) in table
+        monkeypatch.delitem(table, (h, vp))
+        with pytest.raises(ValueError,
+                           match="bracket table is not skew-symmetric"):
+            gm.check_intertwining()
+
+    def test_lambda_dependent_table_entry_refused(self, osp_chart,
+                                                  monkeypatch):
+        # {z_h lam z_h} = 2 lam is skew (a level term), so only the
+        # lambda-degree check refuses it
+        gm = graded_miura(osp_chart)
+        R = gm.ring
+        monkeypatch.setitem(gm.bracket_machine.table,
+                            (R.index["z_h"], R.index["z_h"]),
+                            LambdaPolynomial(R, {1: R.const(2)}))
+        with pytest.raises(ValueError, match=r"bracket table is not "
+                           r"constant in lambda at \(z_h, z_h\)"):
+            gm.check_intertwining()
