@@ -639,8 +639,8 @@ def _invert(m: RationalMatrix) -> RationalMatrix:
     n = m.nrows
     if m.ncols != n:
         raise ValueError("not square")
-    aug = RationalMatrix([list(m.rows[i]) + list(RationalMatrix.identity(n).rows[i])
-                          for i in range(n)])
+    eye = RationalMatrix.identity(n).rows
+    aug = RationalMatrix([list(m.rows[i]) + list(eye[i]) for i in range(n)])
     r, piv = rref(aug)
     if piv != list(range(n)):
         raise ValueError("matrix is singular")

@@ -588,9 +588,12 @@ class BRSTComplex:
         _check_square_zero(ring, self.Q, images, "Q")
 
     def generator(self, label: str) -> SuperPolynomial:
-        """The Zhu generator u-hat: zeta_u = c_u + sum_b M[u, b] z_b."""
+        """The Zhu generator u-hat: zeta_u = c_u + sum_b M[u, b] z_b
+        (``PoissonStructure.zeta``) on this ring.  The constant c_u is
+        kept: it is zero on every catalogue grading, but nothing rules
+        out a nonzero one for an algebra read from JSON."""
         ps = self.chart.poisson
-        return ps.from_poisson_ring(ps.ring.gen(f"p_{label}")).substitute(
+        return ps.zeta[ps.gen_pos[self.chart.alg.index[label]]].substitute(
             {}, self.ring)
 
     def ghost(self, label: str) -> SuperPolynomial:

@@ -274,47 +274,69 @@ def verify_invariance(chart: SliceChart, trials: int,
 # -- Poisson structure ---------------------------------------------------------
 
 class PoissonStructure:
-    """Poisson bracket on the coordinate ring of f + g_{>=-1/2}, presented
-    on the generator ring S(g_{<=0} + g_{1/2}).
+    """Poisson bracket on the coordinate ring of f + g_{>=-1/2}, built on
+    the chart coordinates z_b.
 
-    Generators are labeled by basis vectors u of g_{<=0} + g_{1/2} and are
-    identified with the affine functions u -> -(-1)^{|u|}(u|.) for
-    u in g_{<=0} and u -> (u|.) for u in g_{1/2}; generator brackets are
-    {u, v} = [u, v] (both in g_{<=0}), (f|[u,v]) (both in g_{1/2}), 0 mixed,
-    extended as a biderivation.  ``table`` holds them, read off the
-    nonzero structure constants and form entries.  The extension is
-    delegated to ``pva.ArcBracket`` on the same table: the finite bracket
-    is the lambda^0 part of the arc lambda bracket (De Sole and Kac,
-    "Finite vs affine W-algebras").  Polynomials from any other ring are
-    rejected.
+    Each basis vector u of g_{<=0} + g_{1/2} gives the affine function
+    zeta_u = -(-1)^{|u|}(u|.) for u in g_{<=0} and zeta_u = (u|.) for u
+    in g_{1/2}; at the generic point it reads zeta_a = c_a + sum_beta
+    M[a, beta] z_beta (``zeta``, one chart polynomial per generator).
+    The generator brackets are {zeta_u, zeta_v} = zeta_{[u,v]} (both in
+    g_{<=0}), the constant (f|[u,v]) (both in g_{1/2}) and 0 when mixed,
+    extended as a biderivation (De Sole and Kac, "Finite vs affine
+    W-algebras"); they are read off the nonzero structure constants and
+    form entries straight into zeta.  The constant c_a = sgn_a (u_a|f)
+    vanishes on every grading the catalogue produces, but nothing rules
+    it out for an algebra read from JSON, so it stays inside zeta.
 
-    The identification is zeta = c + M z with z the chart coordinates;
     ``minv_rows`` holds the nonzero entries of the rows of Minv, so
-    z_b = sum_a Minv[b, a] (zeta_a - c_a).  ``coordinate_table`` is the
-    table moved to the chart ring once:
+    z_b = sum_a Minv[b, a] (zeta_a - c_a), and ``coordinate_table`` is
+    the generator table moved to the chart coordinates:
     {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'} over the
     nonzero entries of rows b and c of Minv (constants bracket to zero).
-    The arc side (``pva``) works on the chart coordinates through
-    ``coordinate_brackets`` and ``minv_rows``.
+    The arc side (``pva``) reads it through ``coordinate_brackets``.
     """
 
     def __init__(self, chart: SliceChart):
         alg, grading = chart.alg, chart.grading
         if alg.form is None:
             raise ValueError("Poisson structure needs the bilinear form")
-        # the chart's ring, not the chart: the chart caches this object,
-        # and a reference cycle would keep both alive until a collection
-        self.chart_ring = chart.ring
-        self.alg = alg
+        ring = chart.ring
         w2 = grading.weights2
         self.gen_indices = [i for i in range(alg.dim)
                             if w2[i] <= 0 or w2[i] == 1]
         self.gen_pos = {b: a for a, b in enumerate(self.gen_indices)}
-        self.ring = PolyRing([
-            Variable(f"p_{alg.labels[i]}", alg.parities[i], wt2=2 - w2[i])
-            for i in self.gen_indices])
+        n, m = len(self.gen_indices), len(chart.coord_indices)
+        if n != m:
+            raise ValueError("generator/coordinate count mismatch")
         form = alg.form_rows
         f = {j: c for j, c in enumerate(chart.triple.f) if c}
+
+        # zeta_a = c_a + sum_beta M[a, beta] z_beta
+        M = RationalMatrix.zeros(n, m)
+        const = []
+        for a, ia in enumerate(self.gen_indices):
+            sgn = ONE if w2[ia] == 1 else (ONE if alg.parities[ia] else -ONE)
+            const.append(sgn * sum((v * f.get(j, ZERO)
+                                    for j, v in form[ia].items()), ZERO))
+            for ib, v in form[ia].items():
+                if ib in chart.coord_pos:
+                    M[a, chart.coord_pos[ib]] = sgn * v
+        try:
+            minv = _invert(M)
+        except ValueError:
+            raise ValueError(
+                "the bilinear form is degenerate on g_{<=0} + g_{1/2} "
+                "against the chart coordinates") from None
+        self.minv_rows = [{a: c for a, c in enumerate(r) if c}
+                          for r in minv.rows]
+        # M is invertible, so no row is zero and every a has an image
+        self.zeta: dict[int, SuperPolynomial] = combine(ring, {
+            a: [(const[a], UNIT, UNIT)]
+            + [(co, ring.gen(beta), UNIT)
+               for beta, co in enumerate(r) if co]
+            for a, r in enumerate(M.rows)})
+
         f_left: dict[int, Fraction] = {}  # k -> (f|x_k)
         for j, c in f.items():
             for k, v in form[j].items():
@@ -324,7 +346,7 @@ class PoissonStructure:
             if ia not in self.gen_pos or ib not in self.gen_pos:
                 continue
             if w2[ia] <= 0 and w2[ib] <= 0:
-                val = [(c, self.ring.gen(self.gen_pos[k]), UNIT)
+                val = [(c, self.zeta[self.gen_pos[k]], UNIT)
                        for k, c in row.items()]
             elif w2[ia] == 1 and w2[ib] == 1:
                 val = [(c * f_left.get(k, ZERO), UNIT, UNIT)
@@ -332,83 +354,20 @@ class PoissonStructure:
             else:
                 continue
             acc[(self.gen_pos[ia], self.gen_pos[ib])] = val
-        self.table: dict[tuple[int, int], SuperPolynomial] = \
-            combine(self.ring, acc)
-
-        # affine identification with the z-coordinate ring of the chart:
-        # zeta_a = c_a + sum_beta M[a, beta] z_beta
-        n, m = len(self.gen_indices), len(chart.coord_indices)
-        if n != m:
-            raise ValueError("generator/coordinate count mismatch")
-        M = RationalMatrix.zeros(n, m)
-        self._const = []
-        for a, ia in enumerate(self.gen_indices):
-            sgn = ONE if w2[ia] == 1 else (ONE if alg.parities[ia] else -ONE)
-            self._const.append(sgn * sum((v * f.get(j, ZERO)
-                                          for j, v in form[ia].items()), ZERO))
-            for ib, v in form[ia].items():
-                if ib in chart.coord_pos:
-                    M[a, chart.coord_pos[ib]] = sgn * v
-        m_rows = [{b: c for b, c in enumerate(r) if c} for r in M.rows]
-        self.minv_rows = [{a: c for a, c in enumerate(r) if c}
-                          for r in _invert(M).rows]
-        # zeta_a as a polynomial in the z-ring; M is invertible, so no
-        # row is zero and every a has an image
-        self._gen_images = combine(chart.ring, {
-            a: [(self._const[a], UNIT, UNIT)]
-            + [(co, chart.ring.gen(beta), UNIT)
-               for beta, co in row.items()]
-            for a, row in enumerate(m_rows)})
-
-        on_z = {k: self.from_poisson_ring(v)
-                for k, v in self.table.items()}
+        on_zeta = combine(ring, acc)
         self.coordinate_table: dict[tuple[int, int], SuperPolynomial] = \
-            combine(chart.ring, {
-                (b, c): [(ca * cc, on_z[(a, a2)], UNIT)
+            combine(ring, {
+                (b, c): [(ca * cc, on_zeta[(a, a2)], UNIT)
                          for a, ca in row_b.items()
-                         for a2, cc in row_c.items() if (a, a2) in on_z]
+                         for a2, cc in row_c.items() if (a, a2) in on_zeta]
                 for b, row_b in enumerate(self.minv_rows)
                 for c, row_c in enumerate(self.minv_rows)})
-
-    @cached_property
-    def _arc(self):
-        """The arc lambda bracket on ``table``, built the first time
-        ``bracket`` needs it."""
-        from .pva import ArcBracket  # pva imports this module
-        return ArcBracket(self.ring, self.table)
 
     def coordinate_brackets(self, ring: PolyRing) -> dict:
         """``coordinate_table`` on a ring whose first variables are the
         chart coordinates, in chart order."""
         return {k: v.substitute({}, ring)
                 for k, v in self.coordinate_table.items()}
-
-    def to_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
-        """p at z_b = sum_a Minv[b, a] (zeta_a - c_a), zeta_a the
-        generators (Minv is invertible, so no z_b maps to zero)."""
-        if p.ring is not self.chart_ring:
-            raise ValueError("polynomial is not on the chart coordinates")
-        ring = self.ring
-        acc: dict = {}
-        for b, row in enumerate(self.minv_rows):
-            acc[b] = []
-            for a, co in row.items():
-                acc[b] += [(co, ring.gen(a), UNIT),
-                           (-co * self._const[a], UNIT, UNIT)]
-        return p.substitute(combine(ring, acc), ring)
-
-    def from_poisson_ring(self, p: SuperPolynomial) -> SuperPolynomial:
-        if p.ring is not self.ring:
-            raise ValueError("polynomial is not in the Poisson ring")
-        return p.substitute(self._gen_images, self.chart_ring)
-
-    def bracket(self, p: SuperPolynomial, q: SuperPolynomial) -> SuperPolynomial:
-        """{p, q}: the lambda^0 coefficient of the arc lambda bracket on the
-        same generator table (no jets here, so it is the whole bracket)."""
-        for x in (p, q):
-            if x.ring is not self.ring:
-                raise ValueError("polynomial is not in the Poisson ring")
-        return self._arc.bracket(p, q).coefficient(0)
 
 
 # -- Miura --------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Finite Leibniz recursion, kept as the independent oracle for
-PoissonStructure.bracket.
+"""Finite Leibniz recursion, kept as the independent oracle for the
+finite Poisson bracket.
 
 This is the package's former finite Poisson bracket: the generator table
-of a PoissonStructure extended as a biderivation by recursing on the
-leading factor of each monomial.  It shares no code with the arc lambda
-bracket (superslice.pva.ArcBracket) whose lambda^0 part the package now
-returns, and the tests compare the two.
+of a Poisson structure on the Zhu generators (tests/zhu_poisson_oracle.py)
+extended as a biderivation by recursing on the leading factor of each
+monomial.  It shares no code with the arc lambda bracket
+(superslice.pva.ArcBracket), whose lambda^0 part on the chart's
+``coordinate_table`` is the package's finite bracket, and the tests
+compare the two.
 """
 
 from fractions import Fraction
@@ -67,7 +69,7 @@ def _bracket_gen_poly(ps, a, q):
 
 
 def finite_bracket(ps, p, q):
-    """{p, q} on ps.ring: biderivation extension of ps's generator table."""
+    """{p, q} on ps.ring: biderivation extension of ps.table."""
     qe, qo = q.parity_split()
     out = ps.ring.zero()
     for mono, c in p.items():

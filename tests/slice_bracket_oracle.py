@@ -2,23 +2,24 @@
 oracle for ``pva.GradedMiura.source_bracket``.
 
 This is the package's former ``slice.slice_poisson_table``: each pair of
-invariants is lifted to the Poisson ring, bracketed there by
-``PoissonStructure.bracket``, moved back to the chart coordinates and
-restricted to the slice point, and the result is checked to be a
-function of the invariants by substituting them back.  It takes the
-bracket on the finite chart, one pair at a time, and shares no code
-with the arc machinery of ``GradedMiura`` beyond the Poisson
-structure's generator table.
+invariants is lifted to the ring of Zhu generators
+(tests/zhu_poisson_oracle.py), bracketed there by the finite Leibniz
+recursion, moved back to the chart coordinates and restricted to the
+slice point, and the result is checked to be a function of the
+invariants by substituting them back.  It takes the bracket on the
+finite chart, one pair at a time, and shares no code with the arc
+machinery of ``GradedMiura`` or with ``slice.PoissonStructure``.
 """
 
 from superslice.slice import SliceChart
+from zhu_poisson_oracle import ZhuPoisson
 
 
 def slice_poisson_table(chart: SliceChart) -> dict:
     """{I_a, I_b} for all invariant pairs, re-expressed exactly in the
     slice coordinates.  Raises if a bracket is not a function of the
     invariants (which would signal an invariance bug)."""
-    ps = chart.poisson
+    ps = ZhuPoisson(chart)
     lifted = {lab: ps.to_poisson_ring(chart.invariants[lab])
               for lab in chart.inv_order}
     spoint = chart.slice_point()

@@ -227,6 +227,41 @@ class TestAlgebraValidate:
         assert "form entry (0, 1): '1/0' is not an integer" in err
 
 
+class TestPoissonRefusals:
+    """An algebra file whose form cannot carry the slice's Poisson
+    structure fails the arc stage that needs it, with exit code 1."""
+
+    @staticmethod
+    def failure(tmp_path, capsys, form, command):
+        data = algebra_to_json(build_sl(2, 1))
+        if form is None:
+            del data["form"]
+        else:
+            data["form"] = form(data["form"])
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["pva", command, "--algebra", str(path),
+                              "--nilpotent", "e21"], capsys)
+        assert code == 1 and rep["body"]["verdict"] == "fail"
+        failed = [s for s in rep["body"]["stages"] if s["verdict"] != "pass"]
+        assert [s["name"] for s in failed] == [
+            {"qcheck": "pva-qcheck", "miura-check": "pva-miura"}[command]]
+        return failed[0]["error"]
+
+    @pytest.mark.parametrize("command", ["qcheck", "miura-check"])
+    def test_formless_algebra(self, tmp_path, capsys, command):
+        err = self.failure(tmp_path, capsys, None, command)
+        assert err == "Poisson structure needs the bilinear form"
+
+    @pytest.mark.parametrize("command", ["qcheck", "miura-check"])
+    def test_zero_form(self, tmp_path, capsys, command):
+        # used to fail with the bare "matrix is singular"
+        err = self.failure(tmp_path, capsys,
+                           lambda rows: [[0] * len(r) for r in rows], command)
+        assert err == ("the bilinear form is degenerate on g_{<=0} + "
+                       "g_{1/2} against the chart coordinates")
+
+
 # -- stage orchestration ---------------------------------------------------------
 
 class TestStageIsolation:
@@ -794,8 +829,9 @@ class TestVerifyOnce:
 
     def test_poisson_arc_bracket_built_on_first_use(self, monkeypatch,
                                                     capsys):
-        # the chart's own arc bracket is never built by the pipeline: qcheck
-        # builds only the BRST bracket, a full run that and graded_miura's
+        # the Poisson structure keeps no bracket of its own: qcheck builds
+        # only the BRST complex's, and a full run adds that and
+        # graded_miura's, so the running count goes 1, then 3
         built = []
         real = ArcBracket.__init__
 

@@ -230,8 +230,7 @@ class TestBuildDispatch:
         ("sl(2|1)", "principal"), ("sl4", "e21")])
     def test_builders_leave_every_ring_unchanged(self, name, nilpotent):
         chart = chart_for(name, nilpotent)
-        ps = chart.poisson
-        given = [chart.ring, chart.slice_ring, ps.ring]
+        given = [chart.ring, chart.slice_ring]
         before = [names(r) for r in given]
         reg = regular_ce_complex(chart.alg, chart.grading, max_weight=2)
         sx = slice_ce_complex(chart, max_weight=2)

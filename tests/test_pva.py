@@ -46,6 +46,7 @@ from finite_poisson_oracle import finite_bracket
 from leibniz_bracket_oracle import leibniz_bracket
 from miura_pairs_oracle import check_all_ordered_pairs
 from zhu_brst_oracle import ZhuBRST
+from zhu_poisson_oracle import ZhuPoisson
 from superslice import cohomology, pva
 from superslice.cli import resolve_algebra
 from superslice.cohomology import slice_ce_complex
@@ -603,7 +604,7 @@ class TestBRSTComplex:
         # Independent implementations: ArcBracket's recursion vs the
         # finite Leibniz oracle, compared on all product pairs.
         ch = osp_chart
-        ps = ch.poisson
+        ps = ZhuPoisson(ch)
         gm = graded_miura(ch)
         amb, B = gm.ring, gm.bracket_machine
         m = len(ch.coord_indices)

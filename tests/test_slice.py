@@ -13,10 +13,14 @@ Oracles used here:
   restriction to f + (diagonal) factors as (lambda-b1)(lambda-b2)(lambda-b3).
 * osp(1|2) and sl(2|1), structural: invariance under random gauge moves
   with formal odd symbols, weight/parity homogeneity, exact round trips,
-  Poisson antisymmetry / Jacobi / Leibniz, and the bracket (the lambda^0
-  part of the arc lambda bracket) against the finite Leibniz recursion
-  in tests/finite_poisson_oracle.py.  On top of that the computed charts
-  and bracket tables are frozen as regression values.
+  Poisson antisymmetry / Jacobi / Leibniz on the chart coordinates, and
+  the bracket (the lambda^0 part of the arc lambda bracket on the
+  coordinate table) against the finite Leibniz recursion in
+  tests/finite_poisson_oracle.py on the Zhu generators of
+  tests/zhu_poisson_oracle.py, which also gates the coordinate table
+  and the generators zeta on principal and minimal charts.  On top of
+  that the computed charts and bracket tables are frozen as regression
+  values.
 """
 
 from fractions import Fraction
@@ -26,10 +30,13 @@ from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
 from slice_bracket_oracle import slice_poisson_table
+from zhu_poisson_oracle import ZhuPoisson
+from superslice.cli import resolve_algebra
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
-                               principal_nilpotent, sl2_triple_for)
-from superslice.pva import graded_miura
-from superslice.slice import (PoissonStructure, finite_miura, gauge_fix,
+                               parse_nilpotent, principal_nilpotent,
+                               sl2_triple_for)
+from superslice.pva import ArcBracket, graded_miura
+from superslice.slice import (finite_miura, gauge_fix,
                               injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
@@ -310,63 +317,66 @@ class TestSl21:
         assert d["verdict"] == "pass" and d["even_rank"] == 2
 
 
-# -- Poisson axioms on the generator rings --------------------------------------
+# -- Poisson axioms on the chart coordinates ------------------------------------
 
 
-def poisson_gens(ps):
-    return [ps.ring.gen(i) for i in range(len(ps.gen_indices))]
+def finite_on_chart(chart):
+    """The chart's finite bracket: the lambda^0 part of the arc bracket on
+    its coordinate table (no jets here, so it is the whole bracket)."""
+    arc = ArcBracket(chart.ring, chart.poisson.coordinate_table)
+    return lambda p, q: arc.bracket(p, q).coefficient(0)
 
 
-@pytest.fixture(scope="module")
-def osp_ps(osp_chart):
-    return PoissonStructure(osp_chart)
-
-
-@pytest.fixture(scope="module")
-def sl21_ps(sl21_chart):
-    return PoissonStructure(sl21_chart)
+def zeta_of(chart, label):
+    ps = chart.poisson
+    return ps.zeta[ps.gen_pos[chart.alg.index[label]]]
 
 
 class TestPoissonAxioms:
-    def test_antisymmetry(self, osp_ps, sl21_ps):
-        for ps in (osp_ps, sl21_ps):
-            gens = poisson_gens(ps)
-            par = ps.ring.parities()
+    def test_antisymmetry(self, osp_chart, sl21_chart):
+        for chart in (osp_chart, sl21_chart):
+            br = finite_on_chart(chart)
+            gens = [chart.ring.gen(i)
+                    for i in range(len(chart.ring.variables))]
+            par = chart.ring.parities()
             for a, ga in enumerate(gens):
                 for b, gb in enumerate(gens):
                     sgn = Fraction(1 if (par[a] and par[b]) else -1)
-                    assert ps.bracket(ga, gb) == ps.bracket(gb, ga) * sgn
+                    assert br(ga, gb) == br(gb, ga) * sgn
 
-    def test_super_jacobi(self, osp_ps, sl21_ps):
-        for ps in (osp_ps, sl21_ps):
-            gens = poisson_gens(ps)
-            par = ps.ring.parities()
+    def test_super_jacobi(self, osp_chart, sl21_chart):
+        for chart in (osp_chart, sl21_chart):
+            br = finite_on_chart(chart)
+            gens = [chart.ring.gen(i)
+                    for i in range(len(chart.ring.variables))]
+            par = chart.ring.parities()
             n = len(gens)
             for a in range(n):
                 for b in range(n):
                     for c in range(n):
-                        lhs = ps.bracket(gens[a], ps.bracket(gens[b], gens[c]))
-                        r1 = ps.bracket(ps.bracket(gens[a], gens[b]), gens[c])
-                        r2 = ps.bracket(gens[b], ps.bracket(gens[a], gens[c]))
+                        lhs = br(gens[a], br(gens[b], gens[c]))
+                        r1 = br(br(gens[a], gens[b]), gens[c])
+                        r2 = br(gens[b], br(gens[a], gens[c]))
                         sgn = Fraction(-1 if (par[a] and par[b]) else 1)
                         assert lhs == r1 + r2 * sgn, (a, b, c)
 
-    def test_leibniz(self, osp_ps):
-        ps = osp_ps
-        a = ps.ring.gen("p_vp")
-        b = ps.ring.gen("p_h")
-        c = ps.ring.gen("p_vm")
-        lhs = ps.bracket(a, b * c)
-        rhs = ps.bracket(a, b) * c + b * ps.bracket(a, c)  # b is even
+    def test_leibniz(self, osp_chart):
+        br = finite_on_chart(osp_chart)
+        a = osp_chart.ring.gen("z_vp")
+        b = osp_chart.ring.gen("z_h")
+        c = osp_chart.ring.gen("z_vm")
+        lhs = br(a, b * c)
+        rhs = br(a, b) * c + b * br(a, c)  # b is even
         assert lhs == rhs
         # quadratic first slot, odd second slot
-        lhs2 = ps.bracket(b * b, c)
-        rhs2 = b * ps.bracket(b, c) + ps.bracket(b, c) * b
+        lhs2 = br(b * b, c)
+        rhs2 = b * br(b, c) + br(b, c) * b
         assert lhs2 == rhs2
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_matches_finite_leibniz_oracle(self, osp_ps, sl21_ps, data):
+    def test_matches_finite_leibniz_oracle(self, osp_chart, sl21_chart,
+                                           data):
         # random products of mixed parity, up to three factors per term
         def draw_poly(ring):
             out = ring.zero()
@@ -378,32 +388,83 @@ class TestPoissonAxioms:
                 out = out + term
             return out
 
-        for ps in (osp_ps, sl21_ps):
-            p, q = draw_poly(ps.ring), draw_poly(ps.ring)
-            assert ps.bracket(p, q) == finite_bracket(ps, p, q)
+        for chart, zp in ((osp_chart, ZhuPoisson(osp_chart)),
+                          (sl21_chart, ZhuPoisson(sl21_chart))):
+            p, q = draw_poly(chart.ring), draw_poly(chart.ring)
+            want = finite_bracket(zp, zp.to_poisson_ring(p),
+                                  zp.to_poisson_ring(q))
+            assert finite_on_chart(chart)(p, q) == zp.from_poisson_ring(want)
 
-    def test_mixed_degree_pairs_vanish(self, osp_ps):
-        # one argument in degree <= 0, the other in degree 1/2
-        zvm = osp_ps.ring.gen("p_vm")
-        zvp = osp_ps.ring.gen("p_vp")
-        assert osp_ps.bracket(zvp, zvm).is_zero()
+    def test_mixed_degree_pairs_vanish(self, osp_chart):
+        # one generator in degree <= 0, the other in degree 1/2
+        br = finite_on_chart(osp_chart)
+        vp, vm = zeta_of(osp_chart, "vp"), zeta_of(osp_chart, "vm")
+        assert br(vp, vm).is_zero()
 
-    def test_affine_identification_round_trip(self, osp_ps, osp_chart):
+    def test_affine_identification_round_trip(self, osp_chart, sl21_chart):
+        # z_b = sum_a Minv[b, a] (zeta_a - c_a), c_a the constant of zeta_a
+        for chart in (osp_chart, sl21_chart):
+            ps, ring = chart.poisson, chart.ring
+            lin = {a: z - ring.const(z.constant_term())
+                   for a, z in ps.zeta.items()}
+            for b, row in enumerate(ps.minv_rows):
+                back = ring.zero()
+                for a, co in row.items():
+                    back = back + lin[a] * co
+                assert back == ring.gen(b)
+        zp = ZhuPoisson(osp_chart)
         for pos in range(len(osp_chart.coord_indices)):
             z = osp_chart.ring.gen(pos)
-            assert osp_ps.from_poisson_ring(osp_ps.to_poisson_ring(z)) == z
-        for a in range(len(osp_ps.gen_indices)):
-            g = osp_ps.ring.gen(a)
-            assert osp_ps.to_poisson_ring(osp_ps.from_poisson_ring(g)) == g
+            assert zp.from_poisson_ring(zp.to_poisson_ring(z)) == z
 
-    def test_wrong_ring_rejected(self, osp_ps, osp_chart):
+    def test_wrong_ring_rejected(self, osp_chart):
+        br = finite_on_chart(osp_chart)
         s = osp_chart.slice_ring.gen(0)
-        with pytest.raises(ValueError, match="not on the chart"):
-            osp_ps.to_poisson_ring(s)
-        with pytest.raises(ValueError, match="not in the Poisson ring"):
-            osp_ps.from_poisson_ring(s)
-        with pytest.raises(ValueError, match="not in the Poisson ring"):
-            osp_ps.bracket(s, s)
+        with pytest.raises(ValueError, match="not in the bracket ring"):
+            br(s, osp_chart.ring.gen(0))
+        with pytest.raises(ValueError, match="not in the bracket ring"):
+            br(osp_chart.ring.gen(0), s)
+
+
+def chart_for(name, nilpotent="principal"):
+    alg, _ = resolve_algebra(name)
+    triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+
+
+GATE_CASES = [("sl5", "principal"), ("osp12", "principal"),
+              ("sl(2|1)", "principal"), ("sl(3|2)", "principal"),
+              ("sl4", "e21"), ("sl3", "e21"), ("sl(3|1)", "e21"),
+              ("sl(1|2)", "e32")]
+
+
+class TestZhuPoissonOracle:
+    """The structure built on the chart coordinates against the former
+    one on the Zhu generators p_u (tests/zhu_poisson_oracle.py)."""
+
+    @pytest.mark.parametrize("name,nilpotent", GATE_CASES)
+    def test_coordinate_table_is_the_oracle_table_moved(self, name,
+                                                        nilpotent):
+        # {z_b, z_c} = {Minv (p - c), Minv (p - c)} through the oracle's
+        # own Minv, read back on the chart coordinates
+        chart = chart_for(name, nilpotent)
+        ps, zp = chart.poisson, ZhuPoisson(chart)
+        zero = chart.ring.zero()
+        lifted = [zp.to_poisson_ring(chart.ring.gen(b))
+                  for b in range(len(chart.coord_indices))]
+        for b, pb in enumerate(lifted):
+            for c, pc in enumerate(lifted):
+                want = zp.from_poisson_ring(zp.bracket(pb, pc))
+                assert ps.coordinate_table.get((b, c), zero) == want, (b, c)
+
+    @pytest.mark.parametrize("name,nilpotent", GATE_CASES)
+    def test_zeta_is_the_oracle_generator(self, name, nilpotent):
+        chart = chart_for(name, nilpotent)
+        ps, zp = chart.poisson, ZhuPoisson(chart)
+        assert ps.gen_indices == zp.gen_indices
+        assert sorted(ps.zeta) == list(range(len(zp.gen_indices)))
+        for a in range(len(zp.gen_indices)):
+            assert ps.zeta[a] == zp.from_poisson_ring(zp.ring.gen(a)), a
 
 
 # -- edge behavior ---------------------------------------------------------------

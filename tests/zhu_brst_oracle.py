@@ -3,7 +3,7 @@ pva.BRSTComplex.
 
 This is the package's former construction.  Its ring holds one
 generator p_u per basis vector u of g_{<=0} + g_{1/2} (the ring of
-``PoissonStructure``, made differential) plus the ghosts.  The lambda
+tests/zhu_poisson_oracle.py, made differential) plus the ghosts.  The lambda
 table is the Poisson table itself with the ghost rows
 {ph_a _lam p_u} = sum_c (coefficient of v_a in [u, v_c]) ph_c, and Q
 pushes the gauge action on the chart coordinates through the affine
@@ -21,27 +21,25 @@ from superslice.cohomology import (OddDerivation, _ce_images,
                                    _ghost_variables)
 from superslice.pva import ArcBracket, _JetImages
 from superslice.superpoly import UNIT, PolyRing, Variable, combine
+from zhu_poisson_oracle import ZhuPoisson
 
 
-def push_fields(chart, fields, ring):
+def push_fields(ps, fields, ring):
     """Vector fields on the chart coordinates, fields[k][b] being the
-    motion of z_b, written on the generators p_u, which are the first
-    variables of ring: component u of field k is sum_b M[u, b]
-    fields[k][b] at z = Minv (zeta - c), zeta_u being p_u."""
-    ps = chart.poisson
-    m = len(chart.coord_indices)
-    z = {b: ps.to_poisson_ring(chart.ring.gen(b)).substitute({}, ring)
+    motion of z_b, written on the generators p_u of the ZhuPoisson ps,
+    which are the first variables of ring: component u of field k is
+    sum_b M[u, b] fields[k][b] at z = Minv (zeta - c), zeta_u being p_u."""
+    m = len(ps.gen_indices)
+    z = {b: ps.to_poisson_ring(ps.chart_ring.gen(b)).substitute({}, ring)
          for b in range(m)}
-    # M[u, b] is the coefficient of z_b in zeta_u = c_u + sum_b M[u, b] z_b
-    M = [[ps.from_poisson_ring(ps.ring.gen(u)).partial_derivative(b)
-          for b in range(m)] for u in range(m)]
     out = []
     for field in fields:
         moved = []
         for u in range(m):
-            comp = chart.ring.zero()
-            for b in range(m):
-                comp = comp + M[u][b] * field[b]
+            comp = ps.chart_ring.zero()
+            for b, co in enumerate(ps.M[u]):
+                if co:
+                    comp = comp + field[b] * co
             moved.append(comp.substitute(
                 {b: z[b] for b in comp.variables_used()}, ring))
         out.append(moved)
@@ -53,7 +51,7 @@ class ZhuBRST:
     positive direction, with the lambda bracket and Q."""
 
     def __init__(self, chart):
-        ps = chart.poisson
+        ps = ZhuPoisson(chart)
         alg, grading = chart.alg, chart.grading
         self.chart = chart
         pos_idx = grading.positive_indices()
@@ -86,7 +84,7 @@ class ZhuBRST:
             table[(uloc, a)] = -acc if not both_odd else acc
         self.bracket_machine = ArcBracket(ring, table)
 
-        fields = push_fields(chart, _gauge_action_fields(chart, chart.ring),
+        fields = push_fields(ps, _gauge_action_fields(chart, chart.ring),
                              ring)
         images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
         self.Q = OddDerivation(ring, _JetImages(ring, images))
