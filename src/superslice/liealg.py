@@ -3,23 +3,34 @@
 An algebra is a basis (labels + parities), a sparse table of structure
 constants over Q, and an optional even supersymmetric invariant bilinear
 form.  Construction re-verifies super-antisymmetry, parity homogeneity,
-the super Jacobi identity and, when a form is given, its invariance.
-Jacobi is checked on sorted basis triples i <= j <= k only: once
-super-antisymmetry holds, the Jacobiator is super-alternating, so its
-value on any permutation of a triple is a sign times its value on the
-sorted one (the proof is in ``LieSuperalgebra._verify``).  The form is
-read once into sparse rows (``form_rows``) and checked only where an
-entry or a bracket can be nonzero.
+the super Jacobi identity and, when a form is given, its invariance and
+nondegeneracy.  Jacobi is checked on sorted basis triples i <= j <= k
+only: once super-antisymmetry holds, the Jacobiator is
+super-alternating, so its value on any permutation of a triple is a
+sign times its value on the sorted one (the proof is in
+``LieSuperalgebra._verify``).  The form is read once into sparse rows
+(``form_rows``) and checked only where an entry or a bracket can be
+nonzero.
 
 Every bracket reads the structure constants as one integer table: the
 numerators n_ij^k over one common denominator d, so that
 c_ij^k = n_ij^k / d.  ``_bracket`` sums u_i v_j n_ij^k over sparse
 vectors and returns d [u, v]; the checks compare such scaled sums, and
-each public bracket divides by d once.
+each public bracket divides by d once.  The checks, the catalogue
+builder, the triple, the grading and the centralizer run in Python ints
+in the same way (the fraction-free discipline of ``linalg``): the
+Jacobi check sums one integer accumulator per triple, the form checks
+read the form rows as integer numerators over their common
+denominator, the catalogue builder forms its supercommutators over one
+denominator for the basis matrices and one for their coordinates, and
+the triple, the grading and the centralizer hand integer brackets of
+sparse vectors to ``linalg``'s ``row_solve``, ``row_rank`` and
+``row_nullspace``.  A Fraction is built only where a result is
+written.
 
 Vectors come in two flavors: dense lists of Fractions, one entry per
-basis element (``bracket_num``, ``ad_matrix``, ``form_value``), and
-sparse dicts mapping basis index -> SuperPolynomial for symbolic points
+basis element (``bracket_num``, ``form_value``), and sparse dicts
+mapping basis index -> SuperPolynomial for symbolic points
 (``bracket_poly``).  The bracket on polynomial vectors applies the
 Koszul rule [a x, b y] = (-1)^{|x||b|} a b [x, y].
 """
@@ -32,8 +43,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
-from .linalg import (RationalMatrix, exact_rank, from_columns, nullspace,
-                     rref, solve)
+from .linalg import (RationalMatrix, _reduced, exact_rank, from_columns,
+                     rref, row_nullspace, row_rank, row_solve, solve)
 from .superpoly import (PolyRing, SuperPolynomial, _as_fraction, _poly,
                         add_scaled, common_denominator, key_parity,
                         mul_int_terms, normal_terms, numerators)
@@ -112,52 +123,77 @@ class LieSuperalgebra:
         a basis triple iff it vanishes on its sorted one.  Equal indices
         stay in: J(x,x,z) need not vanish for odd x.  A triple is skipped
         when [x_j,x_k], [x_i,x_j] and [x_i,x_k] are all absent from the
-        table, since then all three terms of J are zero.  The terms are
-        compared as d^2 J (d = ``_int_den``), in integers: the inner
-        bracket is a row of the integer table, the outer one ``_bracket``.
+        table, since then all three terms of J are zero.
+
+        Everything runs on the integer table (``_int_table``, over
+        d = ``_int_den``).  Each triple sums d^2 J into one integer
+        accumulator, each term read from ad rows: ad[a][b] is the row of
+        [x_a, x_b], so [x_i,[x_j,x_k]] adds n_jk^m ad[i][m],
+        -[[x_i,x_j],x_k] adds -n_ij^m ad[m][k] and
+        -(-1)^{|i||j|}[x_j,[x_i,x_k]] adds -(-1)^{|i||j|} n_ik^m ad[j][m].
+        The identity holds on the triple exactly when every accumulated
+        entry is zero.
         """
-        p = self.parities
-        for (i, j), row in self.table.items():
-            sgn = -ONE if not (p[i] and p[j]) else ONE
-            mirror = self.table.get((j, i), {})
+        p, labels = self.parities, self.labels
+        table = self._int_table
+        none: dict[int, int] = {}  # the row of a bracket absent from the table
+        for (i, j), row in table.items():
+            sgn = -1 if not (p[i] and p[j]) else 1
+            mirror = table.get((j, i), none)
             keys = set(row) | set(mirror)
             for k in keys:
-                if mirror.get(k, ZERO) != sgn * row.get(k, ZERO):
+                if mirror.get(k, 0) != sgn * row.get(k, 0):
                     raise ValueError(
-                        f"super-antisymmetry fails at ({self.labels[i]},"
-                        f"{self.labels[j]},{self.labels[k]})")
-                if (p[i] + p[j]) % 2 != p[k] and row.get(k, ZERO):
+                        f"super-antisymmetry fails at ({labels[i]},"
+                        f"{labels[j]},{labels[k]})")
+                if (p[i] + p[j]) % 2 != p[k] and row.get(k, 0):
                     raise ValueError(
-                        f"parity inhomogeneity in [{self.labels[i]},"
-                        f"{self.labels[j]}]")
+                        f"parity inhomogeneity in [{labels[i]},"
+                        f"{labels[j]}]")
         n = self.dim
-        table, bracket = self._int_table, self._bracket
-        none: dict[int, int] = {}  # the row of a bracket absent from the table
+        ad = [{} for _ in range(n)]
+        for (a, b), row in table.items():
+            ad[a][b] = row
         for i in range(n):
+            adi = ad[i]
             for j in range(i, n):
-                pij = p[i] * p[j]
-                bij = table.get((i, j), none)
+                adj = ad[j]
+                bij = adi.get(j, none)
+                # the sign of -(-1)^{|i||j|}[x_j,[x_i,x_k]]
+                third = 1 if p[i] and p[j] else -1
                 for k in range(j, n):
-                    bjk = table.get((j, k), none)
-                    bik = table.get((i, k), none)
+                    bjk = adj.get(k, none)
+                    bik = adi.get(k, none)
                     if not (bij or bjk or bik):
                         continue  # all three terms vanish
-                    # [x_i,[x_j,x_k]] = [[x_i,x_j],x_k] + (-1)^{ij}[x_j,[x_i,x_k]]
-                    lhs = bracket({i: 1}, bjk)
-                    rhs = bracket(bij, {k: 1})
-                    for m, c in bracket({j: 1}, bik).items():
-                        rhs[m] = rhs.get(m, 0) + (-c if pij else c)
-                    for m in lhs.keys() | rhs.keys():
-                        if lhs.get(m, 0) != rhs.get(m, 0):
-                            raise ValueError(
-                                f"super Jacobi fails at ({self.labels[i]},"
-                                f"{self.labels[j]},{self.labels[k]})")
+                    acc = {}
+                    get = acc.get
+                    for m, c in bjk.items():
+                        for t, v in adi.get(m, none).items():
+                            acc[t] = get(t, 0) + c * v
+                    for m, c in bij.items():
+                        for t, v in ad[m].get(k, none).items():
+                            acc[t] = get(t, 0) - c * v
+                    for m, c in bik.items():
+                        c *= third
+                        for t, v in adj.get(m, none).items():
+                            acc[t] = get(t, 0) + c * v
+                    if any(acc.values()):
+                        raise ValueError(
+                            f"super Jacobi fails at ({labels[i]},"
+                            f"{labels[j]},{labels[k]})")
         if self.form is not None:
             self._verify_form()
 
     def _verify_form(self):
         """Evenness, supersymmetry and invariance of the form, on the
-        entries and triples where something can be nonzero.
+        entries and triples where something can be nonzero, then its
+        nondegeneracy.
+
+        The form rows are read once as integer numerators over their
+        common denominator e, so every comparison below is between
+        Python ints: entries compare as e-scaled values, and the
+        invariance sums as d e-scaled ones (d = ``_int_den``).
 
         Evenness and supersymmetry are checked at every position (a, b)
         where f[a,b] or f[b,a] is nonzero, in row-major order, so the
@@ -177,19 +213,24 @@ class LieSuperalgebra:
         entry (k,j) with the same support and f[m,i] != 0, so it is
         reached, and its defect vanishes exactly when this one does.
         Triples reached from neither side have D = 0.
+
+        Last, the Gram matrix must have full rank (``row_rank`` of the
+        integer rows): a degenerate form, the zero form among them,
+        cannot carry the slice's Poisson structure.
         """
         f = self.form
         if f.nrows != self.dim or f.ncols != self.dim:
             raise ValueError("form shape mismatch")
         p = self.parities
-        rows = self.form_rows
+        den = common_denominator(*self.form_rows)
+        rows = [numerators(r, den) for r in self.form_rows]
         nonzero = {(a, b) for a, row in enumerate(rows) for b in row}
         for a, b in sorted(nonzero | {(b, a) for a, b in nonzero}):
-            v = rows[a].get(b, ZERO)
+            v = rows[a].get(b, 0)
             if p[a] != p[b] and v:
                 raise ValueError("form is not even")
-            sgn = -ONE if p[a] and p[b] else ONE
-            if v != sgn * rows[b].get(a, ZERO):
+            sgn = -1 if p[a] and p[b] else 1
+            if v != sgn * rows[b].get(a, 0):
                 raise ValueError("form is not supersymmetric")
         table = self._int_table
         triples = set()
@@ -198,12 +239,14 @@ class LieSuperalgebra:
                 triples.update((i, j, k) for k in rows[m])
         none: dict[int, int] = {}
         for i, j, k in triples:
-            # d D(i,j,k), with d = _int_den: the brackets are integer rows
-            lhs = sum(n * rows[m].get(k, ZERO) for m, n in table[i, j].items())
-            rhs = sum(n * rows[i].get(m, ZERO)
+            # d e D(i,j,k): the brackets and the form are integer rows
+            lhs = sum(n * rows[m].get(k, 0) for m, n in table[i, j].items())
+            rhs = sum(n * rows[i].get(m, 0)
                       for m, n in table.get((j, k), none).items())
             if lhs != rhs:
                 raise ValueError("form is not invariant")
+        if row_rank(rows) < self.dim:
+            raise ValueError("form is degenerate")
 
     # -- brackets -------------------------------------------------------------
 
@@ -311,15 +354,6 @@ class LieSuperalgebra:
         return {k: _poly(ring, *normal_terms(acc, den))
                 for k, acc in out.items() if acc}
 
-    def ad_matrix(self, x: Sequence) -> RationalMatrix:
-        """Matrix of ad_x = [x, .] in the basis (columns are images): column
-        j is ``_bracket`` of x with the basis vector j, divided by
-        ``_int_den`` once."""
-        u = _sparse(x)
-        return from_columns(self._dense(self._bracket(u, {j: 1}),
-                                        self._int_den)
-                            for j in range(self.dim))
-
     def form_value(self, x: Sequence, y: Sequence) -> Fraction:
         if self.form is None:
             raise ValueError("algebra carries no bilinear form")
@@ -365,6 +399,33 @@ class LieSuperalgebra:
 def _sparse(v: Sequence) -> dict:
     """The nonzero entries of a dense vector, by index."""
     return {i: c for i, c in enumerate(v) if c}
+
+
+def _int_vector(v: Sequence) -> tuple[dict[int, int], int]:
+    """The nonzero entries of a dense rational vector as integer
+    numerators over the lcm of their denominators: (numerators, lcm)."""
+    s = _sparse(v)
+    den = common_denominator(s)
+    return numerators(s, den), den
+
+
+def _ad_columns(alg: LieSuperalgebra, u: Mapping[int, int],
+                indices: Sequence[int]) -> list[dict[int, int]]:
+    """The columns [u, x_c] of ad_u for c in indices, each scaled by
+    ``_int_den`` (``_bracket``), entries that cancel dropped."""
+    bracket = alg._bracket
+    return [{r: x for r, x in bracket(u, {c: 1}).items() if x}
+            for c in indices]
+
+
+def _transpose(cols: Sequence[Mapping[int, int]],
+               nrows: int) -> list[dict[int, int]]:
+    """The sparse rows of the matrix with these sparse columns."""
+    rows = [{} for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            rows[r][c] = x
+    return rows
 
 
 def dense_to_poly(alg: LieSuperalgebra, v: Sequence, ring: PolyRing) -> dict:
@@ -444,16 +505,16 @@ class GoodGrading:
                 raise ValueError("f has a component outside degree -1")
         if all(not c for c in self.f):
             raise ValueError("f is zero")
-        adf = alg.ad_matrix(self.f)
+        # ad_f, column by column, in integers: rank is blind to scaling
+        uf, _ = _int_vector(self.f)
+        adf = _ad_columns(alg, uf, range(alg.dim))
         levels = sorted(set(w2))
         for lev in levels:
             dom = self.indices_at(lev)
             img_idx = self.indices_at(lev - 2)
-            if dom and img_idx:
-                cols = [[adf[r, c] for r in img_idx] for c in dom]
-                r = exact_rank(from_columns(cols))
-            else:
-                r = 0
+            # the block from degree lev to lev - 2, one row per column
+            r = row_rank({t: x for t, x in adf[c].items() if w2[t] == lev - 2}
+                         for c in dom)
             if lev >= 1 and r != len(dom):
                 raise ValueError(f"ad_f not injective from degree {lev}/2")
             if lev <= 1 and img_idx and r != len(img_idx):
@@ -479,33 +540,54 @@ def sl2_triple_for(alg: LieSuperalgebra, f: Sequence) -> "Sl2Triple":
     the joint linear system [f, e] = -h, (ad_h - 2) e = 0.  Raises
     ValueError when f is zero or odd, or when no completion exists for
     the found h.
+
+    Both systems are integer rows for ``row_solve``: f and h as integer
+    numerators over their denominators df and dh, and the columns of
+    ad_f and ad_h as ``_bracket``s, so each equation is its rational one
+    times a nonzero integer.  That keeps the solution set, and RREF is
+    unique with free variables 0, so the solutions are the ones a solve
+    over Fractions gives.
     """
     f = [_as_fraction(x) for x in f]
     if not any(f):
         raise ValueError("f is zero: a nilpotent must be a nonzero vector")
     if not alg.is_even(f):
         raise ValueError("f must be even")
+    dim, d = alg.dim, alg._int_den
     even = alg.even_indices()
-    # column c of ad_f^2 is two brackets, d^2 [f, [f, x_c]] over d^2
-    u = _sparse(f)
-    cols = [alg._dense(alg._bracket(u, alg._bracket(u, {c: 1})),
-                       alg._int_den ** 2) for c in even]
-    w_even = solve(from_columns(cols), [2 * c for c in f])
+    uf, df = _int_vector(f)
+    adf = _ad_columns(alg, uf, even)  # d df [f, x_c]
+    # column c of ad_f^2 is d^2 df^2 [f, [f, x_c]], so the right side of
+    # ad_f^2 w = 2 f becomes 2 d^2 df^2 f = 2 d^2 df uf
+    cols = [{r: x for r, x in alg._bracket(uf, col).items() if x}
+            for col in adf]
+    w_even = row_solve(_transpose(cols, dim),
+                       [2 * d * d * df * uf.get(r, 0) for r in range(dim)],
+                       len(even))
     if w_even is None:
         raise ValueError("no h with [h,f] = -2f in the image of ad_f")
-    w = [ZERO] * alg.dim
+    w = [ZERO] * dim
     for pos, i in enumerate(even):
         w[i] = w_even[pos]
     h = alg.bracket_num(f, w)
-    adf, adh = alg.ad_matrix(f), alg.ad_matrix(h)
-    # rows: ad_f e = -h ; (ad_h - 2) e = 0, unknowns restricted to even part
-    rows = ([[adf[r, c] for c in even] for r in range(alg.dim)]
-            + [[adh[r, c] - 2 * (r == c) for c in even]
-               for r in range(alg.dim)])
-    e_even = solve(RationalMatrix(rows), [-x for x in h] + [ZERO] * alg.dim)
+    uh, dh = _int_vector(h)
+    # d df dh ([f, e] + h) = 0 and d dh ([h, e] - 2 e) = 0, unknowns on
+    # the even part
+    adh = _transpose(_ad_columns(alg, uh, even), dim)
+    rows = [{c: dh * x for c, x in r.items()} for r in _transpose(adf, dim)]
+    for pos, i in enumerate(even):
+        r = adh[i]
+        x = r.get(pos, 0) - 2 * d * dh
+        if x:
+            r[pos] = x
+        else:
+            del r[pos]
+    rows += adh
+    e_even = row_solve(rows, [-d * df * uh.get(r, 0) for r in range(dim)]
+                       + [0] * dim, len(even))
     if e_even is None:
         raise ValueError("found h does not extend to an sl2-triple")
-    e = [ZERO] * alg.dim
+    e = [ZERO] * dim
     for pos, i in enumerate(even):
         e[i] = e_even[pos]
     return Sl2Triple(alg, e, h, f)
@@ -532,15 +614,18 @@ class Sl2Triple:
 
 
 def dynkin_grading(alg: LieSuperalgebra, triple: Sl2Triple) -> GoodGrading:
-    """Grading by halved ad_h eigenvalues; requires an ad_h-diagonal basis."""
-    adh = alg.ad_matrix(triple.h)
+    """Grading by halved ad_h eigenvalues; requires an ad_h-diagonal basis.
+
+    Column j of ad_h is ``_bracket`` of h's integer numerators (over dh)
+    with x_j, so its diagonal entry is the eigenvalue times d dh."""
+    uh, dh = _int_vector(triple.h)
+    scale = alg._int_den * dh
     w2 = []
-    for j in range(alg.dim):
-        lam = adh[j, j]
-        for r in range(alg.dim):
-            if r != j and adh[r, j]:
-                raise ValueError(
-                    f"basis vector {alg.labels[j]} is not an ad_h eigenvector")
+    for j, col in enumerate(_ad_columns(alg, uh, range(alg.dim))):
+        if col.keys() - {j}:
+            raise ValueError(
+                f"basis vector {alg.labels[j]} is not an ad_h eigenvector")
+        lam = Fraction(col.get(j, 0), scale)
         if lam.denominator != 1:
             raise ValueError("non-integral ad_h eigenvalue")
         w2.append(int(lam))
@@ -548,42 +633,11 @@ def dynkin_grading(alg: LieSuperalgebra, triple: Sl2Triple) -> GoodGrading:
 
 
 def centralizer(alg: LieSuperalgebra, x: Sequence) -> SubspaceBasis:
-    """Kernel of ad_x, canonical RREF basis."""
-    return SubspaceBasis(alg, nullspace(alg.ad_matrix(x)))
-
-
-def descending_central_series(alg: LieSuperalgebra) -> list[SubspaceBasis]:
-    """g^0 = g, g^n = [g, g^{n-1}]; stops when stable.  Last entry is the
-    first repeated (for nilpotent algebras: zero) term."""
-    current = [alg.basis_vector(i) for i in range(alg.dim)]
-    out = [SubspaceBasis(alg, current)]
-    while True:
-        spans = []
-        for i in range(alg.dim):
-            for v in current:
-                w = alg.bracket_num(alg.basis_vector(i), v)
-                if any(w):
-                    spans.append(w)
-        if spans:
-            r, piv = rref(RationalMatrix(spans))
-            new = [r.rows[n] for n in range(len(piv))]
-        else:
-            new = []
-        out.append(SubspaceBasis(alg, new))
-        if len(new) == len(current):
-            break
-        current = new
-        if not new:
-            break
-    return out
-
-
-def nilpotency_class(alg: LieSuperalgebra) -> int:
-    series = descending_central_series(alg)
-    for n, s in enumerate(series):
-        if len(s) == 0:
-            return n
-    raise ValueError("algebra is not nilpotent")
+    """Kernel of ad_x, canonical RREF basis: ``row_nullspace`` of the
+    integer rows of ad_x (scaling keeps the kernel)."""
+    u, _ = _int_vector(x)
+    rows = _transpose(_ad_columns(alg, u, range(alg.dim)), alg.dim)
+    return SubspaceBasis(alg, row_nullspace(rows, alg.dim))
 
 
 class GradedPiece:
@@ -659,11 +713,19 @@ def _from_matrices(labels: Sequence[str], mats: Sequence[Mapping],
     in the basis through one rref of [B | I], B with the flattened basis
     matrices as columns.  It gives E with E B = [I; 0]: the first dim
     rows of E are a left inverse of B, the others vanish exactly on its
-    span.  Each position is mapped to its coordinates once; table rows
-    list basis indices in increasing order.  The form is ``form_scale``
-    times the supertrace of the product.  Raises ValueError on a basis
-    matrix that is not parity homogeneous, on dependent basis matrices
-    and on a supercommutator outside their span.
+    span.  Each position is mapped to its coordinates once, and each
+    basis matrix is multiplied only with those whose entries meet its
+    own; table rows list basis indices in increasing order.  The form
+    is ``form_scale`` times the supertrace of the product.  Raises
+    ValueError on a basis matrix that is not parity homogeneous, on
+    dependent basis matrices and on a supercommutator outside their
+    span.
+
+    The arithmetic is in integers: the basis matrices are numerators
+    over one denominator dm, and the columns of E over another, du.  A
+    product of two basis matrices then sits over dm^2 and its
+    coordinates over dm^2 du; a Fraction is built only when a table or
+    form entry is written.
     """
     dim, size = len(mats), len(row_parity)
     parities = []
@@ -672,55 +734,73 @@ def _from_matrices(labels: Sequence[str], mats: Sequence[Mapping],
         if len(seen) != 1:
             raise ValueError(f"basis matrix {lab} is not parity homogeneous")
         parities.append(seen.pop())
+    dm = common_denominator(*mats)
+    mats = [numerators(a, dm) for a in mats]
     n = size * size
-    aug = RationalMatrix.zeros(n, dim + n)
-    for q, row in enumerate(aug.rows):
-        row[:dim] = [a.get(divmod(q, size), ZERO) for a in mats]
-        row[dim + q] = ONE
-    red, piv = rref(aug)
+    aug = []  # [B | I] as integer rows, row q times dm
+    for q in range(n):
+        rc = divmod(q, size)
+        row = {k: a[rc] for k, a in enumerate(mats) if rc in a}
+        row[dim + q] = dm
+        aug.append(row)
+    piv, red = _reduced(aug)
     if piv[:dim] != list(range(dim)):
         raise ValueError("basis matrices are linearly dependent")
-    unit = {}  # (r, c) -> coordinates of a unit there, its part off the span
-    for q in range(n):
-        col = [row[dim + q] for row in red.rows]
-        unit[divmod(q, size)] = (
-            [(k, ONE if x == 1 else x) for k, x in enumerate(col[:dim]) if x],
-            [(k, x) for k, x in enumerate(col[dim:]) if x])
-    by_row = [{} for _ in mats]  # row -> [(col, entry)] per basis matrix
-    for a, rows in zip(mats, by_row):
+    du = common_denominator(*red)
+    # column dim + q of E over du: the coordinates of the unit at
+    # position q (rows k < dim) and its part off the span (the others)
+    on_span = [[] for _ in range(n)]
+    off_span = [[] for _ in range(n)]
+    for k, row in enumerate(red):
+        out = on_span if k < dim else off_span
+        for q, x in row.items():
+            if q >= dim:
+                out[q - dim].append((k, x.numerator * (du // x.denominator)))
+    unit = {divmod(q, size): (on_span[q], off_span[q]) for q in range(n)}
+    # the entries of every basis matrix by row and by column:
+    # starts[r] lists (j, c, x) and ends[c] lists (j, r, x) for each
+    # entry x at (r, c) of basis matrix j
+    starts = [[] for _ in range(size)]
+    ends = [[] for _ in range(size)]
+    for j, a in enumerate(mats):
         for (r, c), x in a.items():
-            rows.setdefault(r, []).append((c, x))
+            starts[r].append((j, c, x))
+            ends[c].append((j, r, x))
 
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     form = RationalMatrix.zeros(dim, dim)
+    pden, cden = dm * dm, dm * dm * du
     for i, (a, frow) in enumerate(zip(mats, form.rows)):
-        for j, b in enumerate(mats):
-            prod: dict[tuple[int, int], Fraction] = {}
-            for (r, c), x in a.items():
-                for c2, y in by_row[j].get(c, ()):
-                    prod[r, c2] = prod.get((r, c2), ZERO) + x * y
-            if prod:
-                frow[j] = form_scale * sum(-v if row_parity[r] else v
-                                           for (r, c), v in prod.items()
-                                           if r == c)
-            odd = parities[i] and parities[j]
-            for (r, c), y in b.items():
-                for c2, x in by_row[i].get(c, ()):
-                    v = y * x
-                    prod[r, c2] = prod.get((r, c2), ZERO) + (v if odd else -v)
-            row: dict[int, Fraction] = {}
-            outside: dict[int, Fraction] = {}
-            for rc, v in prod.items():
+        # a b_j for every j it can meet, its supertrace, then -+ b_j a
+        prods = {}
+        for (r, c), x in a.items():
+            for j, c2, y in starts[c]:
+                prod = prods.setdefault(j, {})
+                prod[r, c2] = prod.get((r, c2), 0) + x * y
+        for j, prod in prods.items():
+            tr = sum(-v if row_parity[r] else v
+                     for (r, c), v in prod.items() if r == c)
+            if tr:
+                frow[j] = form_scale * Fraction(tr, pden)
+        for (r, c), x in a.items():
+            for j, r0, y in ends[r]:
+                v = y * x
+                prod = prods.setdefault(j, {})
+                prod[r0, c] = prod.get((r0, c), 0) + (
+                    v if parities[i] and parities[j] else -v)
+        for j in sorted(prods):
+            row, outside = {}, {}
+            for rc, v in prods[j].items():
                 if v:
                     coords, defect = unit[rc]
                     for k, x in coords:
-                        row[k] = row.get(k, ZERO) + (v if x is ONE else v * x)
+                        row[k] = row.get(k, 0) + v * x
                     for k, x in defect:
-                        outside[k] = outside.get(k, ZERO) + v * x
+                        outside[k] = outside.get(k, 0) + v * x
             if any(outside.values()):
                 raise ValueError(f"[{labels[i]},{labels[j]}] leaves the "
                                  "span of the basis matrices")
-            row = {k: row[k] for k in sorted(row) if row[k]}
+            row = {k: Fraction(row[k], cden) for k in sorted(row) if row[k]}
             if row:
                 table[i, j] = row
     return LieSuperalgebra(labels, parities, table, form=form, meta=meta,

@@ -12,8 +12,9 @@ Fraction is built before the end.  The method is sparse fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, ch. 9).
 
-``row_rank`` and ``row_nullspace`` take integer rows directly; the
-cohomology layer hands them its differential this way.  RationalMatrix
+``row_rank``, ``row_nullspace`` and ``row_solve`` take integer rows
+directly; the cohomology layer hands them its differential this way,
+and the algebra layer its integer brackets.  RationalMatrix
 is a thin dense container of Fractions for everything else: its rank,
 reduced row echelon form, kernel and solutions (``exact_rank``,
 ``rref``, ``nullspace``, ``solve``) clear each row's denominators and
@@ -219,6 +220,26 @@ def row_nullspace(rows: Iterable[Mapping[int, int]],
     return basis
 
 
+def row_solve(rows: Iterable[Mapping[int, int]], rhs: Sequence[int],
+              ncols: int) -> Optional[list[Fraction]]:
+    """One particular solution x of the system with the given sparse
+    integer rows and integer right sides (sum_j r[j] x_j = b per row r
+    and side b) in ncols unknowns, free variables 0, or None when it is
+    inconsistent.  The right sides ride along as column ncols of the
+    RREF; RREF is unique, so scaling a row changes nothing."""
+    rows = list(rows)
+    if len(rhs) != len(rows):
+        raise ValueError("shape mismatch")
+    cols, prows = _reduced({**r, ncols: b} if b else r
+                           for r, b in zip(rows, rhs))
+    if cols and cols[-1] == ncols:
+        return None  # inconsistent
+    x = [ZERO] * ncols
+    for pc, r in zip(cols, prows):
+        x[pc] = r.get(ncols, ZERO)
+    return x
+
+
 def exact_rank(m: RationalMatrix) -> int:
     """Rank by fraction-free elimination (echelon form only)."""
     return len(_echelon(_integer_rows(m.rows)))
@@ -240,19 +261,15 @@ def nullspace(m: RationalMatrix) -> list[list[Fraction]]:
 
 
 def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Fraction]]:
-    """One particular solution of M x = b (free variables 0), or None."""
+    """One particular solution of M x = b (free variables 0), or None:
+    ``row_solve`` of the rows of [M | b], each with its denominators
+    cleared."""
     bb = [_as_fraction(x) for x in b]
     if len(bb) != m.nrows:
         raise ValueError("shape mismatch")
     nc = m.ncols
     rows = _integer_rows(list(r) + [bb[i]] for i, r in enumerate(m.rows))
-    cols, prows = _reduced(rows)
-    if cols and cols[-1] == nc:
-        return None  # inconsistent
-    x = [ZERO] * nc
-    for pc, r in zip(cols, prows):
-        x[pc] = r.get(nc, ZERO)
-    return x
+    return row_solve(rows, [r.pop(nc, 0) for r in rows], nc)
 
 
 def from_columns(cols: Iterable[Sequence]) -> RationalMatrix:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
@@ -548,8 +549,9 @@ class BRSTComplex:
     """
 
     def __init__(self, chart: SliceChart):
-        ps = chart.poisson
-        alg = chart.alg
+        # the complex carries the chart's Poisson structure: a formless
+        # or degenerate form fails here, even where nothing is bracketed
+        chart.poisson
         pos_idx = chart.grading.positive_indices()
         self.chart = chart
         ring, images = _gauge_ce(chart, differential=True)
@@ -558,6 +560,18 @@ class BRSTComplex:
         self.nmod = n
         self.nghost = len(pos_idx)
 
+        self._images = images
+        self.Q = OddDerivation(ring, _JetImages(ring, images))
+        _check_square_zero(ring, self.Q, images, "Q")
+
+    @cached_property
+    def bracket_machine(self) -> "ArcBracket":
+        """The lambda bracket, built the first time it is used: the
+        chart's coordinate table plus the ghost rows.  ``pva qcheck``
+        checks Q alone and never builds it."""
+        chart, ring, n = self.chart, self.ring, self.nmod
+        ps, alg = chart.poisson, chart.alg
+        pos_idx = chart.grading.positive_indices()
         table = ps.coordinate_brackets(ring)
         minv_cols: dict[int, dict[int, Fraction]] = {}
         for b, row in enumerate(ps.minv_rows):
@@ -581,11 +595,7 @@ class BRSTComplex:
             both_odd = alg.parities[chart.coord_indices[b]] \
                 and not alg.parities[pos_idx[a - n]]
             table[(b, a)] = acc * (ONE if both_odd else -ONE)
-        self.bracket_machine = ArcBracket(ring, table)
-
-        self._images = images
-        self.Q = OddDerivation(ring, _JetImages(ring, images))
-        _check_square_zero(ring, self.Q, images, "Q")
+        return ArcBracket(ring, table)
 
     def generator(self, label: str) -> SuperPolynomial:
         """The Zhu generator u-hat: zeta_u = c_u + sum_b M[u, b] z_b

@@ -656,9 +656,20 @@ class SuperPolynomial:
         the same ring they're left alone.  Parity of each image must match
         the variable (odd -> odd-homogeneous, even -> even-homogeneous);
         this keeps Koszul reordering consistent.
+
+        With no images, when every variable used exists in the target at
+        the same index with the same parity, the result is a copy of the
+        terms over the same denominator (a ring move); otherwise the
+        general path below runs, and raises on a variable the target
+        lacks.
         """
         tgt = target if target is not None else self.ring
         par = self.ring.parities()
+        if not images:
+            tpar = tgt.parities()
+            if all(i < len(tpar) and tpar[i] == par[i]
+                   for i in self.variables_used()):
+                return _poly(tgt, dict(self.terms), self.den)
         cache: dict[int, tuple[dict, int]] = {}
 
         def image(i: int) -> tuple[dict, int]:

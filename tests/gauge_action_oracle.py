@@ -13,7 +13,8 @@ package beyond the bracket itself and the two series it linearises.
 Both functions grow the ring they are given by one or two variables.
 """
 
-from superslice.liealg import dense_to_poly, nilpotency_class
+from nilpotency_oracle import nilpotency_class
+from superslice.liealg import dense_to_poly
 from superslice.superpoly import SuperPolynomial, Variable, unpack
 from superslice.supergroup import adjoint_orbit_map, bch_product
 

@@ -22,14 +22,15 @@ in the suite against independent oracles.
 import time
 from fractions import Fraction
 
+from nilpotency_oracle import nilpotency_class
 from slice_bracket_oracle import slice_poisson_table
 from superslice.cli import JobConfig, body_bytes, report_text, run_pipeline
 from superslice.cohomology import (cohomology_table, de_rham_check,
                                    regular_ce_complex,
                                    weighted_monomial_counts)
 from superslice.liealg import (build_osp_1_2, build_sl, centralizer,
-                               dynkin_grading, nilpotency_class,
-                               principal_nilpotent, sl2_triple_for)
+                               dynkin_grading, principal_nilpotent,
+                               sl2_triple_for)
 from superslice.pva import (ArcBracket, brst_complex, graded_miura,
                             h0_truncated)
 from superslice.slice import (PoissonStructure, finite_miura, gauge_fix,

@@ -21,9 +21,11 @@ from superslice import cli
 from superslice.cli import (JobConfig, body_bytes, main, report_text,
                             resolve_algebra, run_pipeline)
 from superslice.liealg import (LieSuperalgebra, algebra_to_json,
-                               build_osp_1_2, build_sl, load_algebra_file)
-from superslice.pva import ArcBracket
-from superslice.slice import PoissonStructure
+                               build_osp_1_2, build_sl, dynkin_grading,
+                               load_algebra_file, parse_nilpotent,
+                               sl2_triple_for)
+from superslice.pva import ArcBracket, brst_complex, graded_miura
+from superslice.slice import PoissonStructure, gauge_fix
 
 F = Fraction
 
@@ -228,16 +230,15 @@ class TestAlgebraValidate:
 
 
 class TestPoissonRefusals:
-    """An algebra file whose form cannot carry the slice's Poisson
-    structure fails the arc stage that needs it, with exit code 1."""
+    """An algebra file without a form fails the arc stage that needs the
+    slice's Poisson structure, with exit code 1.  A degenerate form is
+    rejected input (exit 2 at validate); the arc stage's own refusal of
+    it is reached through an algebra built with check=False."""
 
     @staticmethod
-    def failure(tmp_path, capsys, form, command):
+    def failure(tmp_path, capsys, command):
         data = algebra_to_json(build_sl(2, 1))
-        if form is None:
-            del data["form"]
-        else:
-            data["form"] = form(data["form"])
+        del data["form"]
         path = tmp_path / "alg.json"
         path.write_text(json.dumps(data))
         code, rep = run_json(["pva", command, "--algebra", str(path),
@@ -250,16 +251,32 @@ class TestPoissonRefusals:
 
     @pytest.mark.parametrize("command", ["qcheck", "miura-check"])
     def test_formless_algebra(self, tmp_path, capsys, command):
-        err = self.failure(tmp_path, capsys, None, command)
+        err = self.failure(tmp_path, capsys, command)
         assert err == "Poisson structure needs the bilinear form"
 
     @pytest.mark.parametrize("command", ["qcheck", "miura-check"])
     def test_zero_form(self, tmp_path, capsys, command):
-        # used to fail with the bare "matrix is singular"
-        err = self.failure(tmp_path, capsys,
-                           lambda rows: [[0] * len(r) for r in rows], command)
-        assert err == ("the bilinear form is degenerate on g_{<=0} + "
-                       "g_{1/2} against the chart coordinates")
+        data = algebra_to_json(build_sl(2, 1))
+        data["form"] = [[0] * len(r) for r in data["form"]]
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["pva", command, "--algebra", str(path),
+                              "--nilpotent", "e21"], capsys)
+        assert code == 2 and rep["body"]["verdict"] == "fail"
+        failed = [s for s in rep["body"]["stages"] if s["verdict"] != "pass"]
+        assert [(s["name"], s["error"]) for s in failed] == [
+            ("validate", "form is degenerate")]
+        # past validate, the arc stage refuses the form with its own
+        # message (it used to be the bare "matrix is singular")
+        alg = load_algebra_file(str(path), check=False)
+        triple = sl2_triple_for(alg, parse_nilpotent(alg, "e21"))
+        chart = gauge_fix(alg, triple, dynkin_grading(alg, triple))
+        build = {"qcheck": brst_complex, "miura-check": graded_miura}[command]
+        with pytest.raises(ValueError) as exc:
+            build(chart)
+        assert str(exc.value) == ("the bilinear form is degenerate on "
+                                  "g_{<=0} + g_{1/2} against the chart "
+                                  "coordinates")
 
 
 # -- stage orchestration ---------------------------------------------------------
@@ -827,11 +844,10 @@ class TestVerifyOnce:
         code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
         assert code == 0 and built == []
 
-    def test_poisson_arc_bracket_built_on_first_use(self, monkeypatch,
-                                                    capsys):
-        # the Poisson structure keeps no bracket of its own: qcheck builds
-        # only the BRST complex's, and a full run adds that and
-        # graded_miura's, so the running count goes 1, then 3
+    def test_brst_bracket_built_on_first_use(self, monkeypatch, capsys):
+        # the BRST complex builds its lambda bracket only when something
+        # brackets: qcheck builds none, and a full run builds only
+        # graded_miura's, so the running count goes 0, then 1
         built = []
         real = ArcBracket.__init__
 
@@ -841,10 +857,10 @@ class TestVerifyOnce:
 
         monkeypatch.setattr(ArcBracket, "__init__", counted)
         code, _ = run_cli(["pva", "qcheck", "--algebra", "sl5"], capsys)
-        assert code == 0 and len(built) == 1
+        assert code == 0 and len(built) == 0
         code, _ = run_cli(["run", "--algebra", "sl(2|1)",
                            "--max-weight", "2"], capsys)
-        assert code == 0 and len(built) == 3
+        assert code == 0 and len(built) == 1
 
     def test_orbit_verifies_its_load(self, verify_calls, capsys):
         code, _ = run_cli(["orbit", "--algebra", "sl2", "--element", "e21",

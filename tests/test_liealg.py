@@ -11,14 +11,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import dense_oracles
 import validate_oracle
+from nilpotency_oracle import descending_central_series, nilpotency_class
+from superslice.cli import resolve_algebra
 from superslice.linalg import RationalMatrix
 from superslice.liealg import (GoodGrading, LieSuperalgebra, SubspaceBasis,
                                algebra_from_json, algebra_to_json, build_osp_1_2,
-                               build_sl, centralizer, descending_central_series,
-                               dynkin_grading, graded_slice_decomposition,
-                               nilpotency_class, parse_nilpotent,
-                               sl2_triple_for)
+                               build_sl, centralizer, dynkin_grading,
+                               graded_slice_decomposition, parse_nilpotent,
+                               principal_nilpotent, sl2_triple_for)
+from superslice.liealg import _ad_columns, _int_vector
 from superslice.superpoly import PolyRing, Variable
 
 F = Fraction
@@ -203,22 +206,33 @@ def test_jacobi_fails_on_one_term_of_one_triple(brackets):
         validate_oracle.verify(alg)
 
 
+def test_jacobi_odd_pair_caught_by_third_term():
+    # odd a, b, d, even c, e: [a,c] = d and [b,d] = [d,b] = e.  Every
+    # sorted triple before (a,b,c) passes or is skipped, and at (a,b,c)
+    # only -(-1)^{|a||b|}[b,[a,c]] = [b,d] = e is nonzero, so dropping
+    # that term, or skipping triples where only [a,c] is in the table,
+    # would let the algebra pass
+    table = {(0, 2): {3: F(1)}, (2, 0): {3: F(-1)},
+             (1, 3): {4: F(1)}, (3, 1): {4: F(1)}}
+    alg = LieSuperalgebra(list("abcde"), [1, 1, 0, 1, 0], table, check=False)
+    want = "super Jacobi fails at (a,b,c)"
+    assert _failure(lambda a: a._verify(), alg) == want
+    assert _failure(validate_oracle.verify, alg) == want
+
+
 # -- sorted-triple and sparse-form checks against the dense oracle -------------
 
 _CATALOGUE = {"sl3": build_sl(3), "sl(2|1)": build_sl(2, 1),
               "osp12": build_osp_1_2()}
 
-_KINDS = ("antisymmetry", "parity", "Jacobi", "not even",
-          "not supersymmetric", "not invariant")
-
-
-def _failure_kind(check, alg):
+def _failure(check, alg):
+    """The message of the first violation check raises, None on PASS:
+    comparing messages compares the kind and, for antisymmetry, parity
+    and Jacobi, the labels of the offending entry or triple."""
     try:
         check(alg)
     except ValueError as exc:
-        kinds = [k for k in _KINDS if k in str(exc)]
-        assert len(kinds) == 1, str(exc)
-        return kinds[0]
+        return str(exc)
     return None
 
 
@@ -262,8 +276,8 @@ def perturbed_algebras(draw):
 @settings(max_examples=150, deadline=None)
 @given(perturbed_algebras())
 def test_verify_matches_dense_oracle(alg):
-    assert (_failure_kind(lambda a: a._verify(), alg)
-            == _failure_kind(validate_oracle.verify, alg))
+    assert (_failure(lambda a: a._verify(), alg)
+            == _failure(validate_oracle.verify, alg))
 
 
 @st.composite
@@ -304,8 +318,8 @@ def sparse_algebras(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_algebras())
 def test_verify_matches_dense_oracle_on_sparse_tables(alg):
-    assert (_failure_kind(lambda a: a._verify(), alg)
-            == _failure_kind(validate_oracle.verify, alg))
+    assert (_failure(lambda a: a._verify(), alg)
+            == _failure(validate_oracle.verify, alg))
 
 
 def _rescale(base, s):
@@ -345,8 +359,8 @@ def _has_denominators(alg):
 @given(rescaled_algebras())
 def test_verify_matches_dense_oracle_on_rescaled_bases(alg):
     assume(_has_denominators(alg))
-    assert (_failure_kind(lambda a: a._verify(), alg)
-            == _failure_kind(validate_oracle.verify, alg))
+    assert (_failure(lambda a: a._verify(), alg)
+            == _failure(validate_oracle.verify, alg))
 
 
 @pytest.mark.parametrize("name", ["sl3", "sl(2|1)"])
@@ -363,6 +377,49 @@ def test_rescaled_basis_keeps_checks_and_triple(name):
     got = sl2_triple_for(alg, [c / si for c, si in zip(want.f, s)])
     for u, v in ((got.e, want.e), (got.h, want.h)):
         assert [c * si for c, si in zip(u, s)] == v
+
+
+def _assert_triple_matches_dense(alg, f):
+    """The integer-row triple, grading and centralizer of f against the
+    package's former dense solves, ad matrices and RREF kernel."""
+    t = sl2_triple_for(alg, f)
+    assert (t.e, t.h, t.f) == dense_oracles.sl2_triple(alg, f)
+    adh = dense_oracles.ad_matrix(alg, t.h)
+    assert dynkin_grading(alg, t).weights2 == [adh[j][j]
+                                               for j in range(alg.dim)]
+    assert centralizer(alg, t.e).vectors == dense_oracles.dense_nullspace(
+        dense_oracles.ad_matrix(alg, t.e), alg.dim)
+
+
+@pytest.mark.parametrize("name, nilpotent", [
+    ("sl2", "principal"), ("sl3", "principal"), ("sl3", "e21"),
+    ("sl4", "e21+e43"), ("sl4", "2*e21 - 1/3*e32"), ("sl(2|1)", "principal"),
+    ("sl(2|1)", "e21"), ("sl(3|1)", "e21"), ("sl(3|2)", "principal"),
+    ("osp12", "principal")])
+def test_triple_grading_centralizer_match_dense_oracle(name, nilpotent):
+    alg, _ = resolve_algebra(name)
+    _assert_triple_matches_dense(alg, parse_nilpotent(alg, nilpotent))
+
+
+@st.composite
+def rescaled_nilpotents(draw):
+    """A catalogue algebra in the basis s_i x_i (as in
+    ``rescaled_algebras``) with its principal nilpotent in that basis,
+    so the integer table, f, h and e all carry denominators."""
+    base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
+    s = draw(st.lists(st.fractions(min_value=-4, max_value=4,
+                                   max_denominator=5).filter(bool),
+                      min_size=base.dim, max_size=base.dim))
+    alg = LieSuperalgebra(base.labels, base.parities, *_rescale(base, s),
+                          check=False)
+    f = principal_nilpotent(base)
+    return alg, [c / si for c, si in zip(f, s)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rescaled_nilpotents())
+def test_triple_matches_dense_oracle_on_rescaled_bases(case):
+    _assert_triple_matches_dense(*case)
 
 
 def _dense(alg, sparse):
@@ -395,10 +452,13 @@ def test_numeric_brackets_match_dense_fraction_sums(case):
                 table, i, {j: b for j, b in enumerate(y) if b}).items():
             want[k] = want.get(k, F(0)) + a * c
     assert alg.bracket_num(x, y) == _dense(alg, want)
-    ad = alg.ad_matrix(x)
-    for j in range(alg.dim):
-        col = _dense(alg, validate_oracle._b2(table, xs, j))
-        assert [ad[r, j] for r in range(alg.dim)] == col
+    # the integer ad_x columns of the triple, grading and centralizer
+    u, den = _int_vector(x)
+    scale = alg._int_den * den
+    for j, col in enumerate(_ad_columns(alg, u, range(alg.dim))):
+        assert 0 not in col.values()
+        assert (_dense(alg, {k: F(c, scale) for k, c in col.items()})
+                == _dense(alg, validate_oracle._b2(table, xs, j)))
     assert alg.form_value(x, y) == sum(
         (x[i] * alg.form[i, j] * y[j]
          for i in range(alg.dim) for j in range(alg.dim)), F(0))

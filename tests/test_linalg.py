@@ -13,11 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_elimination_oracle as fraction_oracle
-from dense_oracles import dense_rank, dense_rref
+from dense_oracles import dense_nullspace, dense_rank, dense_rref, dense_solve
 from superslice import linalg
 from superslice.linalg import (RationalMatrix, exact_rank, from_columns,
-                               nullspace, row_nullspace, row_rank, rref,
-                               solve)
+                               nullspace, row_nullspace, row_rank, row_solve,
+                               rref, solve)
 
 
 def times_vector(m, v):
@@ -118,29 +118,6 @@ def draw_sparse_rows(data, max_side=9):
     return rows, nc
 
 
-def oracle_nullspace(rows, nc):
-    r, pivots = dense_rref(rows, nc)
-    basis = []
-    for fc in (c for c in range(nc) if c not in pivots):
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
-
-
-def oracle_solve(rows, nc, b):
-    r, pivots = dense_rref([list(row) + [x] for row, x in zip(rows, b)],
-                           nc + 1)
-    if nc in pivots:
-        return None
-    x = [Fraction(0)] * nc
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][nc]
-    return x
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_sparse_rank_matches_dense_bareiss(data):
@@ -160,12 +137,12 @@ def test_rref_nullspace_solve_match_dense_oracle(data):
     assert pivots == want_pivots
     assert r.rows == want_rows
     assert (r.nrows, r.ncols) == (m.nrows, nc)
-    assert nullspace(m) == oracle_nullspace(rows, nc)
+    assert nullspace(m) == dense_nullspace(rows, nc)
     # one right-hand side in the column space, one drawn freely
     x0 = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(nc)]
     for b in (times_vector(m, x0),
               [Fraction(data.draw(st.integers(-3, 3))) for _ in rows]):
-        assert solve(m, b) == oracle_solve(rows, nc, b)
+        assert solve(m, b) == dense_solve(rows, nc, b)
 
 
 # -- the integer core against both oracles ------------------------------------
@@ -209,7 +186,7 @@ def assert_matches_both_oracles(rows, nc, data):
     assert all(type(x) is Fraction for row in r.rows for x in row)
     kernel = nullspace(m)
     assert kernel == fraction_oracle.nullspace(rows, nc)
-    assert kernel == oracle_nullspace(rows, nc)
+    assert kernel == dense_nullspace(rows, nc)
     x0 = [Fraction(data.draw(st.integers(-3, 3))) for _ in range(nc)]
     for b in (times_vector(m, x0),
               [Fraction(data.draw(st.sampled_from([0, 1, -7, 2 ** 61 - 1])),
@@ -217,7 +194,7 @@ def assert_matches_both_oracles(rows, nc, data):
                for _ in rows]):
         got = solve(m, b)
         assert got == fraction_oracle.solve(rows, nc, b)
-        assert got == oracle_solve(rows, nc, b)
+        assert got == dense_solve(rows, nc, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +220,12 @@ def test_row_entry_points_match_dense_oracle(data):
     sparse = [{j: x for j, x in enumerate(row) if x} for row in ints]
     keep = [dict(r) for r in sparse]
     assert row_rank(sparse) == dense_rank(ints)
-    assert row_nullspace(sparse, nc) == oracle_nullspace(ints, nc)
+    assert row_nullspace(sparse, nc) == dense_nullspace(ints, nc)
+    # one right side in the column space, one drawn freely
+    x0 = [data.draw(st.integers(-3, 3)) for _ in range(nc)]
+    for b in ([sum(a * x for a, x in zip(r, x0)) for r in ints],
+              [data.draw(st.integers(-5, 5)) for _ in ints]):
+        assert row_solve(sparse, b, nc) == dense_solve(ints, nc, b)
     assert sparse == keep  # the input rows are not work space
 
 

@@ -29,14 +29,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
+from nilpotency_oracle import nilpotency_class
 from slice_bracket_oracle import slice_poisson_table
 from zhu_poisson_oracle import ZhuPoisson
 from superslice.cli import resolve_algebra
-from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
-                               parse_nilpotent, principal_nilpotent,
-                               sl2_triple_for)
+from superslice.liealg import (GoodGrading, build_osp_1_2, build_sl,
+                               dynkin_grading, parse_nilpotent,
+                               principal_nilpotent, sl2_triple_for)
 from superslice.pva import ArcBracket, graded_miura
-from superslice.slice import (finite_miura, gauge_fix,
+from superslice.slice import (bch_word_bound, finite_miura, gauge_fix,
                               injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
@@ -536,3 +537,44 @@ class TestEdges:
     def test_fallback_witness_with_zero_trials(self, osp_chart):
         cert = injectivity_certificate(finite_miura(osp_chart), trials=0)
         assert cert.verdict == "pass"
+
+
+# -- the BCH word bound against the nilpotency class ---------------------------
+
+# the Dynkin gradings of these charts, and sl2 with its explicit grading
+# "1,-1,0" (the one explicit grading the CLI tests run to a chart)
+_WORD_BOUND_CHARTS = [
+    ("sl2", "principal"), ("sl3", "principal"), ("sl4", "principal"),
+    ("sl5", "principal"), ("sl6", "principal"), ("sl7", "principal"),
+    ("sl(2|1)", "principal"), ("sl(1|2)", "principal"),
+    ("sl(3|1)", "principal"), ("sl(3|2)", "principal"),
+    ("sl(5|1)", "principal"), ("sl(6|1)", "principal"),
+    ("sl(2|2)", "principal"), ("osp12", "principal"),
+    ("sl3", "e21"), ("sl3", "e31"), ("sl4", "e21"), ("sl4", "e31"),
+    ("sl4", "e41"), ("sl4", "e21+e32"), ("sl4", "e31+e42"),
+    ("sl4", "e21+e43"), ("sl(2|1)", "e21"), ("sl(1|2)", "e32"),
+    ("sl(3|1)", "e21"), ("sl(3|2)", "e21"), ("sl(2|2)", "e21"),
+    ("sl2", "explicit 2,-2,0"),
+]
+
+
+@pytest.mark.parametrize("name, nilpotent", _WORD_BOUND_CHARTS)
+def test_bch_word_bound_is_the_nilpotency_class(name, nilpotent):
+    # the support bound gauge_fix truncates at lies between the class of
+    # g_+ (the old truncation, now in the oracle) and the grading's
+    # max_wt2 // min_wt2, and on these charts it is the class; on
+    # sl(6|1) principal the grading's bound is 10 against a class of 6
+    alg, _ = resolve_algebra(name)
+    if nilpotent.startswith("explicit"):
+        f = parse_nilpotent(alg, "e21")
+        w2 = [int(w) for w in nilpotent.split()[1].split(",")]
+        grading = GoodGrading(alg, w2, f)
+    else:
+        triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+        grading = dynkin_grading(alg, triple)
+    pos = grading.positive_indices()
+    pos_wt2 = [grading.weights2[i] for i in pos]
+    nclass = nilpotency_class(alg.restrict_to(pos))
+    bound = bch_word_bound(alg, grading)
+    assert nclass <= bound <= max(pos_wt2) // min(pos_wt2)
+    assert bound == nclass

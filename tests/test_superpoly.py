@@ -233,6 +233,35 @@ def test_substitute_errors(subst):
     assert subst(p, {R.index["t"]: T.zero()}, T).is_zero()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_substitute_without_images_moves_rings(data):
+    # no images and a target that keeps every index and parity: a copy
+    # of the terms over the same denominator, as the oracle's products
+    # give, never the source's own dict
+    p = data.draw(polys(R, max_terms=5, max_exp=3))
+    tgt = data.draw(st.sampled_from([R, T]))
+    got = p.substitute({}, tgt)
+    want = substitute_oracle.substitute(p, {}, tgt)
+    assert got.ring is tgt and (got.terms, got.den) == (p.terms, p.den)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert got.terms is not p.terms
+
+
+def test_substitute_without_images_keeps_the_general_path():
+    x, y, t = R.gen("x"), R.gen("y"), R.gen("t")
+    # a variable the target lacks still raises
+    with pytest.raises(ValueError, match="outside the ring"):
+        (x * t + y).substitute({}, PolyRing([Variable("x", 0),
+                                             Variable("y", 0)]))
+    # a used variable whose parity differs in the target is substituted
+    # by products, as before: x odd there, so x^2 vanishes
+    flip = PolyRing([Variable("x", 1), Variable("y", 0)])
+    got = (x * x + y).substitute({}, flip)
+    assert got.ring is flip and got == flip.gen("y")
+    assert got == substitute_oracle.substitute(x * x + y, {}, flip)
+
+
 def test_substitute_drops_cancelled_terms():
     x, y, t = R.gen("x"), R.gen("y"), R.gen("t")
     p = x * t + y * t + 3

@@ -4,13 +4,17 @@ LieSuperalgebra._verify and _verify_form.
 This is the package's former implementation: super Jacobi on every
 ordered basis triple (dim^3 of them), and evenness, supersymmetry and
 invariance of the form on every dense entry and triple through
-RationalMatrix indexing.  It reads only the algebra's parities, labels,
-table and form, and has its own bracket helpers, so it shares no code
-with the sorted-triple and sparse-row checks it is compared against.
-Raises ValueError with the same messages as the package.
+RationalMatrix indexing, all in Fractions, then nondegeneracy by the
+dense Bareiss rank of ``dense_oracles``.  It reads only the algebra's
+parities, labels, table and form, and has its own bracket helpers, so
+it shares no code with the integer sorted-triple and sparse-row checks
+it is compared against.  Raises ValueError with the same messages as
+the package, triple labels included.
 """
 
 from fractions import Fraction
+
+from dense_oracles import dense_rank
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -106,3 +110,5 @@ def verify_form(alg):
                           ZERO)
                 if lhs != rhs:
                     raise ValueError("form is not invariant")
+    if dense_rank(f.rows) < n:
+        raise ValueError("form is degenerate")
