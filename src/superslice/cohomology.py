@@ -42,7 +42,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
-from .linalg import row_nullspace, row_rank
+from .linalg import row_rank
 from .supergroup import regular_representation
 from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, _poly,
                         add_scaled, combine, lowest_variable, mul_int_terms,
@@ -174,9 +174,7 @@ class GradedComplex:
     gives d on a block as sparse primitive integer rows, one per source
     monomial (the transpose of the matrix of d, each column scaled);
     ranks are taken on those rows and cached, since H^k and H^{k+1}
-    both need the rank of d on block k.  ``cocycles`` takes the kernel
-    from the unscaled integer images instead, where scaling would
-    matter.
+    both need the rank of d on block k.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial],
@@ -276,7 +274,7 @@ class GradedComplex:
         (k+1, n2) as sparse integer rows: row i is the image of the i-th
         basis monomial of block (k, n2), scaled to a primitive
         {target index: int} ({} for a cocycle).  The rows have the rank
-        of d, not its kernel (see ``cocycles``)."""
+        of d, not its kernel: each row is scaled on its own."""
         rows = self._image_rows(k, n2)
         for i, r in enumerate(rows):
             g = gcd(*r.values())
@@ -291,19 +289,6 @@ class GradedComplex:
         if got is None:
             got = self._ranks[(k, n2)] = row_rank(self.d_matrix(k, n2))
         return got
-
-    def cocycles(self, k: int, n2: int) -> list[SuperPolynomial]:
-        """Basis of the kernel of d on block (k, n2): one cocycle per
-        free column of the reduced matrix of d, with coefficient 1 on
-        its own basis monomial."""
-        src = self.block_basis(k, n2)
-        cols: list[dict] = [{} for _ in self.block_basis(k + 1, n2)]
-        for c, row in enumerate(self._image_rows(k, n2)):
-            for t, x in row.items():
-                cols[t][c] = x
-        return [SuperPolynomial(self.ring,
-                                {m: x for m, x in zip(src, v) if x})
-                for v in row_nullspace(cols, len(src))]
 
     def cohomology_dim(self, k: int, weight) -> int:
         """dim H^k at the given weight (a half-integer; Fractions fine)."""
@@ -451,41 +436,6 @@ def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
     return GradedComplex(ring, images, list(range(m)),
                          list(range(m, len(ring.variables))),
                          _as_wt2(max_weight))
-
-
-# -- independent cross-checks ----------------------------------------------------
-
-def de_rham_check(p: int, q: int, max_degree: int = 4) -> dict:
-    """Algebraic de Rham complex of the affine superspace C^{p|q}.
-
-    d sends x_i to dx_i and th_j to -dth_j; dx is odd, dth is even, and
-    everything has polynomial degree one, so the blocks are graded by
-    total degree.  Returns {(form degree, total degree): dim H}; the
-    expected answer is 1 at (0, 0) and 0 elsewhere.
-    """
-    variables = []
-    for i in range(p):
-        variables.append(Variable(f"x{i + 1}", 0, wt2=2))
-    for j in range(q):
-        variables.append(Variable(f"th{j + 1}", 1, wt2=2))
-    for i in range(p):
-        variables.append(Variable(f"dx{i + 1}", 1, wt2=2))
-    for j in range(q):
-        variables.append(Variable(f"dth{j + 1}", 0, wt2=2))
-    ring = PolyRing(variables)
-    n = p + q
-    images: dict[int, SuperPolynomial] = {}
-    for i in range(p):
-        images[i] = ring.gen(n + i)
-    for j in range(q):
-        images[p + j] = -ring.gen(n + p + j)
-    cx = GradedComplex(ring, images, list(range(n)),
-                       list(range(n, 2 * n)), 2 * max_degree)
-    out = {}
-    for deg in range(max_degree + 1):
-        for k in range(deg + 1):
-            out[(k, deg)] = cx.cohomology_dim(k, deg)
-    return out
 
 
 def weighted_monomial_counts(gens: Sequence[tuple[int, int]],

@@ -29,7 +29,7 @@ sparse vectors to ``linalg``'s ``row_solve``, ``row_rank`` and
 written.
 
 Vectors come in two flavors: dense lists of Fractions, one entry per
-basis element (``bracket_num``, ``form_value``), and sparse dicts
+basis element (``bracket_num``), and sparse dicts
 mapping basis index -> SuperPolynomial for symbolic points
 (``bracket_poly``).  The bracket on polynomial vectors applies the
 Koszul rule [a x, b y] = (-1)^{|x||b|} a b [x, y].
@@ -44,7 +44,7 @@ from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .linalg import (RationalMatrix, _reduced, exact_rank, from_columns,
-                     rref, row_nullspace, row_rank, row_solve, solve)
+                     rref, row_nullspace, row_rank, row_solve)
 from .superpoly import (PolyRing, SuperPolynomial, _as_fraction, _poly,
                         add_scaled, common_denominator, key_parity,
                         mul_int_terms, normal_terms, numerators)
@@ -354,12 +354,6 @@ class LieSuperalgebra:
         return {k: _poly(ring, *normal_terms(acc, den))
                 for k, acc in out.items() if acc}
 
-    def form_value(self, x: Sequence, y: Sequence) -> Fraction:
-        if self.form is None:
-            raise ValueError("algebra carries no bilinear form")
-        return sum((a * v * y[j] for i, a in enumerate(x) if a
-                    for j, v in self.form_rows[i].items() if y[j]), ZERO)
-
     # -- structure ----------------------------------------------------------
 
     def even_indices(self) -> list[int]:
@@ -454,23 +448,6 @@ class SubspaceBasis:
 
     def __len__(self):
         return len(self.vectors)
-
-    def parity_of(self, n: int) -> int:
-        v = self.vectors[n]
-        seen = {self.alg.parities[i] for i, c in enumerate(v) if c}
-        if len(seen) != 1:
-            raise ValueError("basis vector is not parity homogeneous")
-        return seen.pop()
-
-    def parity_counts(self) -> tuple[int, int]:
-        ev = sum(1 for n in range(len(self)) if self.parity_of(n) == 0)
-        return ev, len(self) - ev
-
-    def contains(self, v: Sequence) -> bool:
-        if not self.vectors:
-            return all(not _as_fraction(x) for x in v)
-        m = from_columns(self.vectors)
-        return solve(m, [_as_fraction(x) for x in v]) is not None
 
 
 # -- good gradings ------------------------------------------------------------

@@ -66,10 +66,6 @@ class RationalMatrix:
             m.rows[i][i] = ONE
         return m
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix([[self.rows[r][c] for r in range(self.nrows)]
-                               for c in range(self.ncols)])
-
     def __getitem__(self, rc):
         r, c = rc
         return self.rows[r][c]

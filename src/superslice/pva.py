@@ -1,15 +1,7 @@
-"""Arc spaces, lambda brackets, and the differential-graded side of the
-slice construction.
+"""Lambda brackets and the differential-graded side of the slice
+construction.
 
-Three layers:
-
-* ``ArcRing``: the coordinate ring of the arc space of an affine
-  presentation.  One differential variable per base coordinate; the jet
-  of order k stands for the k-th derivative along the arc parameter, so
-  the coefficient of z^k in the tautological series x(z) is x^(k)/k!.
-  Induced relations are the divided-power derivatives of the base
-  relations, and ``check_relations`` verifies them against the series
-  expansion coefficient by coefficient.
+Two layers:
 
 * ``LambdaPolynomial`` and ``ArcBracket``: a lambda bracket on a
   differential polynomial ring, given by a table of generator brackets
@@ -22,22 +14,22 @@ Three layers:
   the pipeline's tables are level zero, so their generator brackets are
   constant in lambda and all lambda dependence comes from jets.
 
-* ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects built
-  on the chart's one Poisson structure (``SliceChart.poisson``), each on
-  a differential ring on the chart coordinates.  The arc gauge complex
+* ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects on
+  differential rings on the chart coordinates.  The arc gauge complex
   is the finite slice gauge complex made differential
   (``cohomology._gauge_ce``), a coordinate of grading weight j weighing
-  1 + j; its degree-zero cohomology is sized per conformal weight
-  against the free differential ring on the slice generators.  The arc
-  functor applied to the finite Miura map lands in the same coordinates,
-  where the intertwining check takes both of its brackets.
+  1 + j; it carries Q only, and its degree-zero cohomology is sized per
+  conformal weight against the free differential ring on the slice
+  generators.  The arc functor applied to the finite Miura map lands in
+  the same coordinates, which carry the chart's one Poisson structure
+  (``SliceChart.poisson``); the intertwining check takes both of its
+  brackets there.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
@@ -45,105 +37,9 @@ from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
                          weighted_monomial_counts)
 from .slice import SliceChart, finite_miura
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, Variable,
-                        combine, sum_of_products, unpack)
+                        combine, sum_of_products)
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-# -- arc spaces of affine presentations ----------------------------------
-
-class ArcRing:
-    """Arc space of an affine presentation (variables and relations).
-
-    The coordinate at order k is the k-th derivative of the base
-    coordinate, so the tautological series of coordinate i is
-
-        x_i(z) = sum_k x_i^(k) / k! * z^k,
-
-    and the relation f induces one relation per order, the coefficient
-    of z^k in f(x(z)), which is the divided power d^k(f)/k!.
-    """
-
-    def __init__(self, base: PolyRing,
-                 relations: Sequence[SuperPolynomial] = ()):
-        if base.differential:
-            raise ValueError("the presentation ring must not be differential")
-        for r in relations:
-            if r.ring is not base:
-                raise ValueError("relation is not in the base ring")
-        self.base = base
-        self.ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
-                              for v in base.variables], differential=True)
-        self.relations = list(relations)
-
-    def embed(self, p: SuperPolynomial) -> SuperPolynomial:
-        """Pullback along the projection to order zero (x -> x at k=0)."""
-        if p.ring is not self.base:
-            raise ValueError("polynomial is not in the base ring")
-        return p.substitute({}, self.ring)
-
-    def jet(self, i: int, k: int) -> SuperPolynomial:
-        """Coefficient of z^k in the series of coordinate i: x_i^(k)/k!."""
-        out = self.ring.gen(i)
-        for j in range(1, k + 1):
-            out = out.total_derivative() * Fraction(1, j)
-        return out
-
-    def relation_jets(self, j: int, depth: int) -> list[SuperPolynomial]:
-        """Induced relations of relation j through order depth."""
-        out = [self.embed(self.relations[j])]
-        for k in range(1, depth + 1):
-            out.append(out[-1].total_derivative() * Fraction(1, k))
-        return out
-
-    def series_coefficients(self, p: SuperPolynomial,
-                            depth: int) -> list[SuperPolynomial]:
-        """Coefficients of p(x(z)) through z^depth."""
-        if p.ring is not self.base:
-            raise ValueError("polynomial is not in the base ring")
-        ring = self.ring
-        series: dict[int, list[SuperPolynomial]] = {}
-
-        def var_series(i: int) -> list[SuperPolynomial]:
-            got = series.get(i)
-            if got is None:
-                got = [self.jet(i, k) for k in range(depth + 1)]
-                series[i] = got
-            return got
-
-        out: dict[int, list] = {}
-        for mono, c in p.items():
-            acc = [ring.one()] + [ring.zero()] * depth
-            for i, e in unpack(mono):
-                for _ in range(e):
-                    acc = _series_mul(acc, var_series(i), ring)
-            for n, a in enumerate(acc):
-                out.setdefault(n, []).append((c, a, UNIT))
-        sums = combine(ring, out)
-        return [sums.get(n, ring.zero()) for n in range(depth + 1)]
-
-    def check_relations(self, depth: int = 3) -> bool:
-        """Every induced relation equals the series coefficient it names."""
-        for j in range(len(self.relations)):
-            jets = self.relation_jets(j, depth)
-            coeffs = self.series_coefficients(self.relations[j], depth)
-            for k in range(depth + 1):
-                if jets[k] != coeffs[k]:
-                    raise ValueError(
-                        f"relation {j} fails the arc expansion at order {k}")
-        return True
-
-
-def _series_mul(a: list, b: list, ring: PolyRing) -> list:
-    """Truncated product of coefficient lists (same length in and out)."""
-    depth = len(a) - 1
-    acc: dict[int, list] = {}
-    for i, ai in enumerate(a):
-        for j in range(depth + 1 - i):
-            acc.setdefault(i + j, []).append((1, ai, b[j]))
-    sums = combine(ring, acc)
-    return [sums.get(n, ring.zero()) for n in range(depth + 1)]
 
 
 # -- lambda polynomials ---------------------------------------------------
@@ -439,17 +335,6 @@ def _collect_shifted(acc: dict, G: Mapping[int, IntTerms],
                     (sign * math.comb(k, r), g, ds[r]))
 
 
-def skew_defect(machine: ArcBracket, a: SuperPolynomial,
-                b: SuperPolynomial) -> LambdaPolynomial:
-    """{a_lam b} + (-1)^{|a||b|} {b_{-lam-d} a}; zero iff skew holds."""
-    pa, pb = a.parity(), b.parity()
-    if pa is None or pb is None:
-        raise ValueError("skew check needs parity homogeneous arguments")
-    lhs = machine.bracket(a, b)
-    rhs = machine.bracket(b, a).sub_neg_lam_d()
-    return lhs + (rhs.scale(-ONE) if pa and pb else rhs)
-
-
 # -- jet-aware images and morphisms ----------------------------------------
 
 class _JetImages:
@@ -531,17 +416,14 @@ class DifferentialMorphism:
 class BRSTComplex:
     """The slice gauge complex made differential (``cohomology._gauge_ce``):
     the chart coordinates z_b plus one ghost per positive basis
-    direction, carrying the level-zero lambda bracket and Q.
+    direction, carrying Q.
 
-    The generator rows of the lambda table are the chart's coordinate
-    table (``PoissonStructure.coordinate_brackets``); the ghost rows are
-    {ph_a _lam z_b} = sum_u Minv[b, u] sum_c (coefficient of v_a in
-    [u, v_c]) ph_c and their skew partners.  Q on a coordinate is the
-    gauge action, each ghost multiplying from the left; on a ghost it is
-    the coadjoint half-sum over the positive part.  Jets follow by
-    commuting Q with the total derivative.  The constructor checks
-    Q^2 = 0 on every generator; an odd derivation commuting with d whose
-    square kills the order-zero generators squares to zero everywhere.
+    Q on a coordinate is the gauge action, each ghost multiplying from
+    the left; on a ghost it is the coadjoint half-sum over the positive
+    part.  Jets follow by commuting Q with the total derivative.  The
+    constructor checks Q^2 = 0 on every generator; an odd derivation
+    commuting with d whose square kills the order-zero generators
+    squares to zero everywhere.
 
     Conformal weights: a coordinate of grading weight j carries 1 + j,
     the ghost for a positive direction of weight j carries j, each jet
@@ -549,69 +431,18 @@ class BRSTComplex:
     """
 
     def __init__(self, chart: SliceChart):
-        # the complex carries the chart's Poisson structure: a formless
-        # or degenerate form fails here, even where nothing is bracketed
+        # the complex belongs to the chart's Poisson reduction: a
+        # formless or degenerate form fails here, though Q reads no
+        # bracket
         chart.poisson
-        pos_idx = chart.grading.positive_indices()
         self.chart = chart
         ring, images = _gauge_ce(chart, differential=True)
-        n = len(chart.coord_indices)
         self.ring = ring
-        self.nmod = n
-        self.nghost = len(pos_idx)
-
+        self.nmod = len(chart.coord_indices)
+        self.nghost = len(chart.grading.positive_indices())
         self._images = images
         self.Q = OddDerivation(ring, _JetImages(ring, images))
         _check_square_zero(ring, self.Q, images, "Q")
-
-    @cached_property
-    def bracket_machine(self) -> "ArcBracket":
-        """The lambda bracket, built the first time it is used: the
-        chart's coordinate table plus the ghost rows.  ``pva qcheck``
-        checks Q alone and never builds it."""
-        chart, ring, n = self.chart, self.ring, self.nmod
-        ps, alg = chart.poisson, chart.alg
-        pos_idx = chart.grading.positive_indices()
-        table = ps.coordinate_brackets(ring)
-        minv_cols: dict[int, dict[int, Fraction]] = {}
-        for b, row in enumerate(ps.minv_rows):
-            for u, co in row.items():
-                minv_cols.setdefault(u, {})[b] = co
-        ghost_pos = {i: n + loc for loc, i in enumerate(pos_idx)}
-        rows: dict[tuple[int, int], list] = {}
-        for (iu, ic), br in alg.table.items():
-            u, c = ps.gen_pos.get(iu), ghost_pos.get(ic)
-            if u is None or c is None:
-                continue
-            for ia, co in br.items():
-                a = ghost_pos.get(ia)
-                if a is not None:
-                    for b, m in minv_cols[u].items():
-                        rows.setdefault((a, b), []).append(
-                            (co * m, ring.gen(c), UNIT))
-        for (a, b), acc in combine(ring, rows).items():
-            table[(a, b)] = acc
-            # skew partner: {z_lam ph} = -(-1)^{|z||ph|} {ph_lam z}
-            both_odd = alg.parities[chart.coord_indices[b]] \
-                and not alg.parities[pos_idx[a - n]]
-            table[(b, a)] = acc * (ONE if both_odd else -ONE)
-        return ArcBracket(ring, table)
-
-    def generator(self, label: str) -> SuperPolynomial:
-        """The Zhu generator u-hat: zeta_u = c_u + sum_b M[u, b] z_b
-        (``PoissonStructure.zeta``) on this ring.  The constant c_u is
-        kept: it is zero on every catalogue grading, but nothing rules
-        out a nonzero one for an algebra read from JSON."""
-        ps = self.chart.poisson
-        return ps.zeta[ps.gen_pos[self.chart.alg.index[label]]].substitute(
-            {}, self.ring)
-
-    def ghost(self, label: str) -> SuperPolynomial:
-        return self.ring.gen(self.ring.index[f"ph_{label}"])
-
-    def lambda_bracket(self, a: SuperPolynomial,
-                       b: SuperPolynomial) -> LambdaPolynomial:
-        return self.bracket_machine.bracket(a, b)
 
 
 def brst_complex(chart: SliceChart) -> BRSTComplex:
@@ -659,9 +490,6 @@ class TruncatedH0:
                 w += 2
         self.expected = weighted_monomial_counts(gens, w2cap)
 
-    def dimension(self, weight) -> int:
-        return self.graded.cohomology_dim(0, weight)
-
     def dimensions(self) -> dict:
         return {Fraction(n2, 2): self.graded.cohomology_dim(0, Fraction(n2, 2))
                 for n2 in range(self.max_wt2 + 1)}
@@ -676,10 +504,6 @@ class TruncatedH0:
         have = {w: d for w, d in dims.items() if d}
         want = {Fraction(n2, 2): c for n2, c in self.expected.items() if c}
         return have == want
-
-    def representatives(self, weight) -> list[SuperPolynomial]:
-        """Basis of the degree-zero kernel of Q at the given weight."""
-        return self.graded.cocycles(0, _as_wt2(weight))
 
 
 def h0_truncated(complex_: BRSTComplex, max_weight) -> TruncatedH0:
@@ -699,11 +523,12 @@ class GradedMiura:
     invariant, a polynomial in the f + g_ini coordinates; jets map to
     total derivatives.  The constructor checks that brackets of g_ini
     coordinates stay in g_ini, so brackets of images never leave them.
-    The finite map is injective (see the certificate); the jet extension
-    adds one triangular block per derivative order, so injectivity
-    carries over order by order.  No statement beyond the level-zero
-    brackets is made here: the tables are constant in lambda and
-    ``check_intertwining`` brackets order-zero generators and their
+    The finite map is injective (see the certificate).  Whether the jet
+    extension stays injective weight by weight is not checked here or
+    by any stage; ROADMAP item 4 ("the jet Miura map is injective,
+    weight by weight") describes that check.  No statement beyond the
+    level-zero brackets is made here: the tables are constant in lambda
+    and ``check_intertwining`` brackets order-zero generators and their
     images, so every bracket it compares has lambda-degree 0 and no
     jets, and the check re-derives the finite Poisson intertwining.
     Because such a bracket is skew-symmetric, the check takes each

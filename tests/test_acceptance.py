@@ -22,11 +22,11 @@ in the suite against independent oracles.
 import time
 from fractions import Fraction
 
+from cross_checks import de_rham_check
 from nilpotency_oracle import nilpotency_class
 from slice_bracket_oracle import slice_poisson_table
 from superslice.cli import JobConfig, body_bytes, report_text, run_pipeline
-from superslice.cohomology import (cohomology_table, de_rham_check,
-                                   regular_ce_complex,
+from superslice.cohomology import (cohomology_table, regular_ce_complex,
                                    weighted_monomial_counts)
 from superslice.liealg import (build_osp_1_2, build_sl, centralizer,
                                dynkin_grading, principal_nilpotent,

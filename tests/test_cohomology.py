@@ -15,12 +15,12 @@ from fractions import Fraction
 import pytest
 
 import gauge_action_oracle
+from cross_checks import de_rham_check
 from dense_oracles import dense_rank
 
 from superslice.cli import resolve_algebra
 from superslice.cohomology import (GradedComplex, OddDerivation,
-                                   cohomology_table, de_rham_check,
-                                   regular_ce_complex, slice_ce_complex,
+                                   cohomology_table, regular_ce_complex, slice_ce_complex,
                                    weighted_monomial_counts,
                                    _gauge_action_fields)
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,

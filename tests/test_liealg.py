@@ -6,6 +6,7 @@ every structure constant of the catalogue algebras is compared entry by
 entry against that.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import dense_oracles
 import validate_oracle
+from cross_checks import form_value
 from nilpotency_oracle import descending_central_series, nilpotency_class
 from superslice.cli import resolve_algebra
-from superslice.linalg import RationalMatrix
+from superslice.linalg import RationalMatrix, row_solve
 from superslice.liealg import (GoodGrading, LieSuperalgebra, SubspaceBasis,
                                algebra_from_json, algebra_to_json, build_osp_1_2,
                                build_sl, centralizer, dynkin_grading,
@@ -113,13 +115,16 @@ def test_sl21_supertrace_form():
     # kappa(e_ij, e_kl) = delta_jk delta_il (-1)^{|i|} with |1|=|2|=0, |3|=1
     alg = build_sl(2, 1)
     ix = alg.index
-    assert alg.form_value(alg.basis_vector("e12"), alg.basis_vector("e21")) == 1
-    assert alg.form_value(alg.basis_vector("e13"), alg.basis_vector("e31")) == 1
-    assert alg.form_value(alg.basis_vector("e31"), alg.basis_vector("e13")) == -1
-    assert alg.form_value(alg.basis_vector("e23"), alg.basis_vector("e32")) == 1
-    assert alg.form_value(alg.basis_vector("e12"), alg.basis_vector("e12")) == 0
-    h1 = alg.basis_vector("h1")
-    assert alg.form_value(h1, h1) == 2  # (theta,theta)=2 normalization
+
+    def form(a, b):
+        return form_value(alg, alg.basis_vector(a), alg.basis_vector(b))
+
+    assert form("e12", "e21") == 1
+    assert form("e13", "e31") == 1
+    assert form("e31", "e13") == -1
+    assert form("e23", "e32") == 1
+    assert form("e12", "e12") == 0
+    assert form("h1", "h1") == 2  # (theta,theta)=2 normalization
 
 
 def test_gl22_center_warning():
@@ -459,7 +464,7 @@ def test_numeric_brackets_match_dense_fraction_sums(case):
         assert 0 not in col.values()
         assert (_dense(alg, {k: F(c, scale) for k, c in col.items()})
                 == _dense(alg, validate_oracle._b2(table, xs, j)))
-    assert alg.form_value(x, y) == sum(
+    assert form_value(alg, x, y) == sum(
         (x[i] * alg.form[i, j] * y[j]
          for i in range(alg.dim) for j in range(alg.dim)), F(0))
 
@@ -547,6 +552,27 @@ def test_good_grading_rejects_bad_weights():
         GoodGrading(alg, [2, -2, 0], alg.basis_vector("h1"))
 
 
+def in_span(basis, v):
+    """Whether v lies in the span of the basis vectors, by an exact
+    solve against the integer rows of the vectors as columns."""
+    vectors = basis.vectors
+    den = math.lcm(*(x.denominator for u in vectors + [v] for x in u))
+    rows = [{c: int(u[r] * den) for c, u in enumerate(vectors) if u[r]}
+            for r in range(len(v))]
+    return row_solve(rows, [int(x * den) for x in v],
+                     len(vectors)) is not None
+
+
+def parity_counts(basis):
+    """(even, odd) counts of a basis of parity homogeneous vectors."""
+    parities = []
+    for u in basis.vectors:
+        seen = {basis.alg.parities[i] for i, c in enumerate(u) if c}
+        assert len(seen) == 1, "basis vector is not parity homogeneous"
+        parities.extend(seen)
+    return parities.count(0), parities.count(1)
+
+
 def test_centralizer_sl3():
     alg = build_sl(3)
     t = sl2_triple_for(alg, parse_nilpotent(alg, "principal"))
@@ -555,26 +581,26 @@ def test_centralizer_sl3():
     v = [F(0)] * 8
     v[alg.index["e12"]] = F(1)
     v[alg.index["e23"]] = F(1)
-    assert c.contains(v)
-    assert c.contains(alg.basis_vector("e13"))
-    assert not c.contains(alg.basis_vector("e21"))
+    assert in_span(c, v)
+    assert in_span(c, alg.basis_vector("e13"))
+    assert not in_span(c, alg.basis_vector("e21"))
 
 
 def test_centralizer_sl21():
     alg = build_sl(2, 1)
     t = sl2_triple_for(alg, parse_nilpotent(alg, "e21"))
     c = centralizer(alg, t.e)
-    assert c.parity_counts() == (2, 2)
-    assert c.contains(alg.basis_vector("e12"))
-    assert c.contains(alg.basis_vector("e13"))
+    assert parity_counts(c) == (2, 2)
+    assert in_span(c, alg.basis_vector("e12"))
+    assert in_span(c, alg.basis_vector("e13"))
 
 
 def test_centralizer_osp12():
     alg = build_osp_1_2()
     c = centralizer(alg, alg.basis_vector("e"))
-    assert c.parity_counts() == (1, 1)
-    assert c.contains(alg.basis_vector("e"))
-    assert c.contains(alg.basis_vector("vp"))
+    assert parity_counts(c) == (1, 1)
+    assert in_span(c, alg.basis_vector("e"))
+    assert in_span(c, alg.basis_vector("vp"))
 
 
 def test_graded_slice_decomposition_sl2():

@@ -1,30 +1,25 @@
-"""Arc rings, lambda brackets, the arc gauge complex, and the graded
-Miura morphism.
+"""Lambda brackets, the arc gauge complex, and the graded Miura
+morphism.
 
 Oracles:
 
-* Arc relations: the induced relation of order k must equal the z^k
-  coefficient of f(x(z)), both computed mechanically (series expansion
-  vs divided-power derivatives).  For x^2 the first few coefficients
-  are also written out by hand.
 * Lambda brackets: generator pairs come from the structure constants;
   products and jets are checked against hand Leibniz/sesquilinearity
   expansions (a Virasoro central charge among them), skew-symmetry is
-  verified as a property, the master formula is compared with the
-  per-monomial Leibniz recursion kept in tests/leibniz_bracket_oracle.py
-  on random polynomials with jets (and, through prepared operands used
-  on either side and reused, on a table with lambda-dependent entries),
-  and the lambda-degree-zero sector is
-  cross-checked against the finite Leibniz recursion kept in
-  tests/finite_poisson_oracle.py.
+  verified as a property (``skew_defect``, tests/cross_checks.py), the
+  master formula is compared with the per-monomial Leibniz recursion
+  kept in tests/leibniz_bracket_oracle.py on random polynomials with
+  jets (and, through prepared operands used on either side and reused,
+  on a table with lambda-dependent entries), and the
+  lambda-degree-zero sector is cross-checked against the finite
+  Leibniz recursion kept in tests/finite_poisson_oracle.py.
 * Q: squares to zero (constructor trap plus explicit), commutes with
   the total derivative, is an odd derivation; the sl2 generator images
-  and the weight-2 harmonic representative are pinned by hand.  The
-  complex on the chart coordinates is compared with the former one on
-  the Zhu generators, kept in tests/zhu_brst_oracle.py: Q, every
-  generator and ghost lambda bracket, and H^0 dimensions agree under
-  u-hat -> zeta_u; its order-zero images are the finite slice
-  complex's.
+  and the weight-2 cocycle are pinned by hand.  The complex on the
+  chart coordinates is compared with the former one on the Zhu
+  generators, kept in tests/zhu_brst_oracle.py: Q and the H^0
+  dimensions agree under u-hat -> zeta_u, on principal and minimal
+  charts; its order-zero images are the finite slice complex's.
 * H^0 sizes: weighted monomial counts over the jet-expanded slice
   generators, an independent knapsack count.
 * Miura: images are the finite images one jet at a time; the
@@ -42,6 +37,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cross_checks import skew_defect
 from finite_poisson_oracle import finite_bracket
 from leibniz_bracket_oracle import leibniz_bracket
 from miura_pairs_oracle import check_all_ordered_pairs
@@ -53,10 +49,9 @@ from superslice.cohomology import slice_ce_complex
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
                                sl2_triple_for)
-from superslice.pva import (ArcBracket, ArcRing, BRSTComplex,
-                            DifferentialMorphism, GradedMiura,
-                            LambdaPolynomial, brst_complex, graded_miura,
-                            h0_truncated, skew_defect)
+from superslice.pva import (ArcBracket, BRSTComplex, DifferentialMorphism,
+                            GradedMiura, LambdaPolynomial, brst_complex,
+                            graded_miura, h0_truncated)
 from superslice.slice import gauge_fix
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
@@ -87,108 +82,6 @@ def sl2_cx(sl2_chart):
 @pytest.fixture(scope="module")
 def osp_cx(osp_chart):
     return brst_complex(osp_chart)
-
-
-# -- arc rings -------------------------------------------------------------
-
-
-class TestArcRing:
-    def test_affine_line_is_free(self):
-        base = PolyRing([Variable("x", 0)])
-        arc = ArcRing(base)
-        assert arc.relations == []
-        assert arc.check_relations(depth=3)
-        x = arc.ring.gen(0)
-        assert arc.jet(0, 0) == x
-        assert arc.jet(0, 2) == x.total_derivative().total_derivative() * Fraction(1, 2)
-
-    def test_product_presentation_is_union(self):
-        bx = PolyRing([Variable("x", 0)])
-        by = PolyRing([Variable("y", 0)])
-        both = PolyRing([Variable("x", 0), Variable("y", 0)])
-        rx = bx.gen(0) * bx.gen(0)
-        ry = by.gen(0) * by.gen(0) * by.gen(0)
-        rboth = [both.gen(0) * both.gen(0),
-                 both.gen(1) * both.gen(1) * both.gen(1)]
-        arc = ArcRing(both, rboth)
-        assert arc.check_relations(depth=3)
-        # each induced relation only mentions the jets of its own factor
-        for k, jet in enumerate(arc.relation_jets(0, 3)):
-            assert all(arc.ring.variables[i].base == "x"
-                       for i in jet.variables_used())
-        for k, jet in enumerate(arc.relation_jets(1, 3)):
-            assert all(arc.ring.variables[i].base == "y"
-                       for i in jet.variables_used())
-        # and matches the standalone arc rings term for term
-        ax = ArcRing(bx, [rx])
-        assert [p.text() for p in ax.relation_jets(0, 3)] == \
-            [p.text() for p in arc.relation_jets(0, 3)]
-        ay = ArcRing(by, [ry])
-        assert [p.text() for p in ay.relation_jets(0, 3)] == \
-            [p.text() for p in arc.relation_jets(1, 3)]
-
-    def test_double_point_relations_by_hand(self):
-        # Spec of the double point: one relation x^2.  The induced
-        # relations, written in jets:
-        #   order 0: x^2
-        #   order 1: 2 x x'
-        #   order 2: x x'' + x'^2        (= d(2xx')/2)
-        #   order 3: x x'''/3 + x' x''
-        base = PolyRing([Variable("x", 0)])
-        x = base.gen(0)
-        arc = ArcRing(base, [x * x])
-        R = arc.ring
-        x0 = R.gen(0)
-        x1 = x0.total_derivative()
-        x2 = x1.total_derivative()
-        x3 = x2.total_derivative()
-        jets = arc.relation_jets(0, 3)
-        assert jets[0] == x0 * x0
-        assert jets[1] == x0 * x1 * 2
-        assert jets[2] == x0 * x2 + x1 * x1
-        assert jets[3] == x0 * x3 * Fraction(1, 3) + x1 * x2
-        assert arc.check_relations(depth=5)
-
-    def test_series_coefficients_match_jets(self):
-        base = PolyRing([Variable("x", 0), Variable("y", 0)])
-        p = base.gen(0) * base.gen(0) * base.gen(1)
-        arc = ArcRing(base, [p])
-        want = arc.relation_jets(0, 4)
-        got = arc.series_coefficients(p, 4)
-        assert want == got
-
-    def test_check_relations_reports_failure(self, monkeypatch):
-        # the two sides are computed independently (divided-power
-        # derivatives vs truncated series), so a mismatch must be forced
-        base = PolyRing([Variable("x", 0)])
-        x = base.gen(0)
-        arc = ArcRing(base, [x * x])
-        monkeypatch.setattr(
-            arc, "relation_jets",
-            lambda j, depth: [arc.ring.zero()] * (depth + 1))
-        with pytest.raises(ValueError, match="fails the arc expansion"):
-            arc.check_relations(depth=1)
-
-    def test_rejects_wrong_rings(self):
-        base = PolyRing([Variable("x", 0)])
-        other = PolyRing([Variable("x", 0)])
-        with pytest.raises(ValueError, match="not in the base ring"):
-            ArcRing(base, [other.gen(0)])
-        diff = PolyRing([Variable("x", 0)], differential=True)
-        with pytest.raises(ValueError, match="must not be differential"):
-            ArcRing(diff)
-        arc = ArcRing(base)
-        with pytest.raises(ValueError, match="not in the base ring"):
-            arc.embed(other.gen(0))
-
-    def test_embed_is_order_zero(self):
-        base = PolyRing([Variable("x", 0), Variable("th", 1)])
-        arc = ArcRing(base)
-        p = base.gen(0) * base.gen(1)
-        q = arc.embed(p)
-        assert q.text() == p.text()
-        assert all(arc.ring.variables[i].order == 0
-                   for i in q.variables_used())
 
 
 # -- lambda polynomials ------------------------------------------------------
@@ -361,11 +254,10 @@ def _lambda_table_machine():
 
 
 @pytest.fixture(scope="module")
-def oracle_machines(boson, osp_chart, osp_cx):
+def oracle_machines(boson, osp_chart):
     sl21 = graded_miura(principal_chart(build_sl(2, 1)))
     return [boson[1], _lambda_table_machine(),
-            graded_miura(osp_chart).bracket_machine, sl21.bracket_machine,
-            osp_cx.bracket_machine]
+            graded_miura(osp_chart).bracket_machine, sl21.bracket_machine]
 
 
 class TestMasterFormula:
@@ -454,6 +346,15 @@ class TestOperands:
 # -- the arc gauge complex ---------------------------------------------------
 
 
+def zeta(cx, label):
+    """The Zhu generator u-hat on the complex's ring: zeta_u
+    (``PoissonStructure.zeta``), an affine function of the chart
+    coordinates."""
+    ps = cx.chart.poisson
+    return ps.zeta[ps.gen_pos[cx.chart.alg.index[label]]].substitute(
+        {}, cx.ring)
+
+
 class TestBRSTComplex:
     def test_sl2_ring_layout(self, sl2_cx):
         names = [v.name for v in sl2_cx.ring.variables[:3]]
@@ -465,9 +366,9 @@ class TestBRSTComplex:
     def test_sl2_generator_images_by_hand(self, sl2_cx):
         # [PAPER]-style pins: Q(h-hat) = 2 ph, Q(f-hat) = h-hat ph.
         cx = sl2_cx
-        h = cx.generator("h1")
-        f = cx.generator("e21")
-        ph = cx.ghost("e12")
+        h = zeta(cx, "h1")
+        f = zeta(cx, "e21")
+        ph = cx.ring.gen("ph_e12")
         assert cx.Q(h) == ph * 2
         assert cx.Q(f) == h * ph
         assert cx.Q(ph).is_zero()  # abelian positive part
@@ -554,51 +455,10 @@ class TestBRSTComplex:
     def test_sl2_weight2_cocycle_by_hand(self, sl2_cx):
         # f-hat - h-hat^2/4 is Q-closed: Q(f) = h ph, Q(h^2/4) = h ph.
         cx = sl2_cx
-        h = cx.generator("h1")
-        f = cx.generator("e21")
+        h = zeta(cx, "h1")
+        f = zeta(cx, "e21")
         w = f - h * h * Fraction(1, 4)
         assert cx.Q(w).is_zero()
-
-    def test_ghost_lambda_rows(self, sl2_cx):
-        # {ph^e_lam h-hat} = coefficient of e in [h, e] = 2 ph^e; skew
-        # partner picks up the minus sign (|u| |ph| both-odd rule).
-        cx = sl2_cx
-        h = cx.generator("h1")
-        ph = cx.ghost("e12")
-        assert cx.lambda_bracket(ph, h) == \
-            LambdaPolynomial(cx.ring, {0: ph * 2})
-        assert cx.lambda_bracket(h, ph) == \
-            LambdaPolynomial(cx.ring, {0: ph * (-2)})
-        assert cx.lambda_bracket(ph, ph).is_zero()
-
-    def test_even_generator_self_bracket_vanishes(self, sl2_cx):
-        # [u, u] = 0 for even u, so {u_lam u} = 0 on the nose
-        h = sl2_cx.generator("h1")
-        assert sl2_cx.lambda_bracket(h, h).is_zero()
-
-    def test_osp_odd_half_pair_is_chi(self, osp_cx):
-        # {vp-hat_lam vp-hat} = (f | [vp, vp]), a nonzero constant
-        cx = osp_cx
-        alg, ch = cx.chart.alg, cx.chart
-        vp = cx.generator("vp")
-        got = cx.lambda_bracket(vp, vp)
-        i = alg.labels.index("vp")
-        br = alg.bracket_num(alg.basis_vector(i), alg.basis_vector(i))
-        want = alg.form_value(ch.triple.f, br)
-        assert want != 0
-        assert got == LambdaPolynomial(cx.ring, {0: cx.ring.const(want)})
-
-    def test_skew_symmetry_property(self, osp_cx):
-        cx = osp_cx
-        R = cx.ring
-        gens = [R.gen(i) for i in range(cx.nmod + cx.nghost)]
-        samples = gens + [gens[0].total_derivative(),
-                          gens[2] * gens[1],
-                          gens[2] * gens[3],
-                          gens[3].total_derivative() * gens[0]]
-        for a in samples:
-            for b in samples:
-                assert skew_defect(cx.bracket_machine, a, b).is_zero()
 
     def test_lambda_zero_sector_matches_finite_bracket(self, osp_chart):
         # Independent implementations: ArcBracket's recursion vs the
@@ -632,42 +492,37 @@ def chart_for(name, nilpotent="principal"):
 
 
 ORACLE_CASES = ["sl2", "osp12", "sl(2|1)", "sl3"]
+# minimal nilpotents too: their g_{1/2} brackets are constants of the form
+Q_ORACLE_CASES = [(name, "principal") for name in ORACLE_CASES] + [
+    ("sl4", "e21"), ("sl(3|1)", "e21")]
 
 
 class TestZhuGeneratorOracle:
     """BRSTComplex against the former complex on the Zhu generators
-    p_u (tests/zhu_brst_oracle.py) under p_u -> generator(u), each ghost
-    to the ghost of the same name."""
+    p_u (tests/zhu_brst_oracle.py) under p_u -> zeta_u, each ghost to
+    the ghost of the same name."""
 
     @staticmethod
     def transported(chart):
         cx, old = brst_complex(chart), ZhuBRST(chart)
         alg, ps = chart.alg, chart.poisson
-        base = {a: cx.generator(alg.labels[i])
+        base = {a: zeta(cx, alg.labels[i])
                 for a, i in enumerate(ps.gen_indices)}
         for pos in range(old.nmod, old.nmod + old.nghost):
             name = old.ring.variables[pos].name
             base[pos] = cx.ring.gen(name)
         return cx, old, DifferentialMorphism(old.ring, cx.ring, base)
 
-    @pytest.mark.parametrize("name", ORACLE_CASES)
-    def test_q_matches_the_oracle(self, name):
-        cx, old, phi = self.transported(chart_for(name))
+    @pytest.mark.parametrize("name,nilpotent", Q_ORACLE_CASES,
+                             ids=[n if nil == "principal" else f"{n}-{nil}"
+                                  for n, nil in Q_ORACLE_CASES])
+    def test_q_matches_the_oracle(self, name, nilpotent):
+        cx, old, phi = self.transported(chart_for(name, nilpotent))
         assert (cx.nmod, cx.nghost) == (old.nmod, old.nghost)
         for pos in range(old.nmod + old.nghost):
             g = old.ring.gen(pos)
             for x in (g, g.total_derivative()):
                 assert phi(old.Q(x)) == cx.Q(phi(x)), x.text()
-
-    @pytest.mark.parametrize("name", ORACLE_CASES)
-    def test_lambda_brackets_match_the_oracle(self, name):
-        cx, old, phi = self.transported(chart_for(name))
-        gens = [old.ring.gen(pos) for pos in range(old.nmod + old.nghost)]
-        for x in gens:
-            for y in gens:
-                want = phi.on_lambda(old.bracket_machine.bracket(x, y))
-                assert cx.lambda_bracket(phi(x), phi(y)) == want, \
-                    (x.text(), y.text())
 
     @pytest.mark.parametrize("name,nilpotent,weight", [
         ("sl(2|1)", "principal", 6), ("sl4", "e21", 2)])
@@ -703,34 +558,6 @@ class TestTruncatedH0:
         assert [dims[Fraction(w)] for w in range(4)] == [1, 0, 1, 1]
         assert h0.consistent()
 
-    def test_sl2_weight_two_representative(self, sl2_chart, sl2_cx):
-        h0 = h0_truncated(sl2_cx, 3)
-        reps = h0.representatives(2)
-        assert len(reps) == 1
-        cx = sl2_cx
-        f = cx.generator("e21")
-        h = cx.generator("h1")
-        want = f - h * h * Fraction(1, 4)
-        assert reps[0] == want or reps[0] == -want
-
-    def test_sl2_weight_three_representative_is_the_jet(self, sl2_chart,
-                                                        sl2_cx):
-        h0 = h0_truncated(sl2_cx, 3)
-        reps = h0.representatives(3)
-        assert len(reps) == 1
-        cx = sl2_cx
-        w = cx.generator("e21") - cx.generator("h1") ** 2 * Fraction(1, 4)
-        jet = w.total_derivative()
-        got = reps[0]
-        # same line: proportional with a rational factor
-        scale = None
-        for mono, c in jet.items():
-            assert mono in got.terms
-            s = got.coefficient(mono) / c
-            assert scale is None or s == scale
-            scale = s
-        assert got == jet * scale
-
     def test_past_the_exponent_limit_refused_before_images(self, sl2_cx,
                                                            monkeypatch):
         # weight 128 needs z_h1^128; the truncation is refused before Q
@@ -759,15 +586,12 @@ class TestTruncatedH0:
             assert deep[w] == d
 
     def test_weight_zero_is_constants(self, sl2_chart, sl2_cx):
+        # H^0 at weight 0 is one line, and the block holds only 1
         h0 = h0_truncated(sl2_cx, 2)
-        assert h0.dimension(0) == 1
-        assert [r.text() for r in h0.representatives(0)] == ["1"]
-
-    def test_representatives_are_cocycles(self, osp_chart, osp_cx):
-        h0 = h0_truncated(osp_cx, 3)
-        for n2 in range(7):
-            for r in h0.representatives(Fraction(n2, 2)):
-                assert osp_cx.Q(r).is_zero()
+        assert h0.dimensions()[Fraction(0)] == 1
+        ring = sl2_cx.ring
+        assert [SuperPolynomial(ring, {m: 1}).text()
+                for m in h0.graded.block_basis(0, 0)] == ["1"]
 
     def test_truncation_below_generators_rejected(self, sl2_chart, sl2_cx):
         with pytest.raises(ValueError,

@@ -3,14 +3,12 @@ pva.BRSTComplex.
 
 This is the package's former construction.  Its ring holds one
 generator p_u per basis vector u of g_{<=0} + g_{1/2} (the ring of
-tests/zhu_poisson_oracle.py, made differential) plus the ghosts.  The lambda
-table is the Poisson table itself with the ghost rows
-{ph_a _lam p_u} = sum_c (coefficient of v_a in [u, v_c]) ph_c, and Q
+tests/zhu_poisson_oracle.py, made differential) plus the ghosts, and Q
 pushes the gauge action on the chart coordinates through the affine
 identification zeta = c + M z: component u of a field is
 sum_b M[u, b] R(v_a)(z_b), evaluated at z = Minv (zeta - c).  The
-package instead keeps the chart coordinates z_b and moves the bracket;
-the two complexes are isomorphic under p_u -> zeta_u, ghosts fixed.
+package instead keeps the chart coordinates z_b; the two complexes are
+isomorphic under p_u -> zeta_u, ghosts fixed.
 
 ``ZhuBRST`` carries the attributes ``pva.TruncatedH0`` reads (chart,
 ring, nmod, nghost, Q), so both complexes go through one H^0 count.
@@ -19,8 +17,8 @@ ring, nmod, nghost, Q), so both complexes go through one H^0 count.
 from superslice.cohomology import (OddDerivation, _ce_images,
                                    _check_square_zero, _gauge_action_fields,
                                    _ghost_variables)
-from superslice.pva import ArcBracket, _JetImages
-from superslice.superpoly import UNIT, PolyRing, Variable, combine
+from superslice.pva import _JetImages
+from superslice.superpoly import PolyRing, Variable
 from zhu_poisson_oracle import ZhuPoisson
 
 
@@ -48,7 +46,7 @@ def push_fields(ps, fields, ring):
 
 class ZhuBRST:
     """Differential ring on the Zhu generators p_u plus one ghost per
-    positive direction, with the lambda bracket and Q."""
+    positive direction, with Q."""
 
     def __init__(self, chart):
         ps = ZhuPoisson(chart)
@@ -63,32 +61,9 @@ class ZhuBRST:
         self.nmod = n
         self.nghost = len(pos_idx)
 
-        table = {k: v.substitute({}, ring) for k, v in ps.table.items()}
-        # {ph_a _lam u} = sum_c (coefficient of v_a in [u, v_c]) ph_c
-        ghost_pos = {i: n + loc for loc, i in enumerate(pos_idx)}
-        rows = {}
-        for (iu, ic), br in alg.table.items():
-            uloc, c = ps.gen_pos.get(iu), ghost_pos.get(ic)
-            if uloc is None or c is None:
-                continue
-            for ia, co in br.items():
-                a = ghost_pos.get(ia)
-                if a is not None:
-                    rows.setdefault((a, uloc), []).append(
-                        (co, ring.gen(c), UNIT))
-        for (a, uloc), acc in combine(ring, rows).items():
-            table[(a, uloc)] = acc
-            # skew partner: {u_lam ph} = -(-1)^{|u||ph|} {ph_lam u}
-            iu, ia = ps.gen_indices[uloc], pos_idx[a - n]
-            both_odd = alg.parities[iu] and not alg.parities[ia]
-            table[(uloc, a)] = -acc if not both_odd else acc
-        self.bracket_machine = ArcBracket(ring, table)
-
         fields = push_fields(ps, _gauge_action_fields(chart, chart.ring),
                              ring)
         images = _ce_images(alg.restrict_to(pos_idx), ring, fields, n)
         self.Q = OddDerivation(ring, _JetImages(ring, images))
         _check_square_zero(ring, self.Q, images, "Q")
 
-    def generator(self, label):
-        return self.ring.gen(f"p_{label}")

@@ -8,9 +8,9 @@ in g_{1/2}), 0 when mixed, is read off dense brackets of basis vectors
 and the form.  The generators are the affine functions
 p_u = -(-1)^{|u|}(u|Z) for u in g_{<=0} and p_u = (u|Z) for u in
 g_{1/2}, Z = f + sum z_b x_b the chart's generic point; that is
-zeta = c + M z, with M and c taken here from ``form_value`` on basis
-vectors and M inverted by dense Gauss-Jordan elimination
-(tests/dense_oracles.py).  ``to_poisson_ring`` and ``from_poisson_ring``
+zeta = c + M z, with M and c taken here from ``form_value``
+(tests/cross_checks.py) on basis vectors and M inverted by dense
+Gauss-Jordan elimination (tests/dense_oracles.py).  ``to_poisson_ring`` and ``from_poisson_ring``
 move polynomials through that identification, and ``bracket`` is the
 finite Leibniz recursion of tests/finite_poisson_oracle.py on the
 table.  The package builds its table on the chart coordinates directly
@@ -19,6 +19,7 @@ and shares none of this beyond the algebra and the chart.
 
 from fractions import Fraction
 
+from cross_checks import form_value
 from dense_oracles import dense_rref
 from finite_poisson_oracle import finite_bracket
 from superslice.superpoly import PolyRing, Variable
@@ -52,7 +53,7 @@ class ZhuPoisson:
                         if c:
                             val = val + ring.gen(self.gen_pos[k]) * c
                 elif w2[ia] == 1 and w2[ib] == 1:
-                    val = ring.const(alg.form_value(f, br))
+                    val = ring.const(form_value(alg, f, br))
                 else:
                     continue
                 if not val.is_zero():
@@ -67,8 +68,8 @@ class ZhuPoisson:
         for ia in self.gen_indices:
             u = alg.basis_vector(ia)
             sgn = ONE if w2[ia] == 1 or alg.parities[ia] else -ONE
-            self.const.append(sgn * alg.form_value(u, f))
-            self.M.append([sgn * alg.form_value(u, alg.basis_vector(ib))
+            self.const.append(sgn * form_value(alg, u, f))
+            self.M.append([sgn * form_value(alg, u, alg.basis_vector(ib))
                            for ib in coords])
         red, piv = dense_rref([row + [ONE if i == j else 0 for j in range(n)]
                                for i, row in enumerate(self.M)], 2 * n)
