@@ -33,20 +33,40 @@ polynomial already holds integer numerators over one denominator,
 OddDerivation puts all generator images over one common denominator,
 GradedComplex.d_matrix reads a block's rows straight from those, and
 linalg.row_rank eliminates them fraction-free.
+
+The tables are certified by the leading part of d.  Give every complex
+variable polynomial degree 1.  No generator image has a term of degree
+0 (GradedComplex.leading_part refuses one), so d never lowers the
+degree and splits as d = d_0 + d_1 + ..., d_i raising it by i.  d_0 is
+the odd derivation on the degree-1 parts of the generator images: the
+constant part of each gauge or Bernoulli field times its ghost, and
+zero on the ghosts; d_0^2 = 0 is the degree-0 part of d^2 = 0.  In a
+basis of a block ordered by degree, the matrix of d is block triangular
+with the blocks of d_0 on its diagonal, so rank d >= rank d_0 on every
+block and dim H^k(d) <= dim H^k(d_0): the first page of the spectral
+sequence of the degree filtration (Gan and Ginzburg, IMRN 2002;
+Kostant, Invent. Math. 1978, for Lie algebras).  Both have the Euler
+characteristic chi = sum_k (-1)^k dim C^k of the weight.  So where
+H^k(d_0) = 0 for every k > 0, H^k(d) = 0 for k > 0 and H^0(d) = chi =
+H^0(d_0).  cohomology_table takes the ranks of d_0 at each weight and
+falls back to the ranks of d, at that weight only, where some H^k(d_0),
+k > 0, is not zero.  d is built and d^2 = 0 checked either way; d_0 is
+a second GradedComplex on the same ring, positions and weight blocks,
+and its blocks are far sparser than those of d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Mapping, Sequence
+from math import gcd, inf, lcm
+from typing import Mapping, Optional, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
 from .linalg import row_rank
 from .supergroup import regular_representation
 from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, _poly,
                         add_scaled, combine, lowest_variable, mul_int_terms,
-                        normal_terms, var_key)
+                        normal_terms, unpack, var_key)
 
 
 class OddDerivation:
@@ -170,16 +190,20 @@ class GradedComplex:
     above ``EMAX`` (``OverflowError``), and that d squares to zero.
 
     A block (k, n2) has the monomials of ghost degree k and doubled
-    weight n2 as its basis, in a fixed enumeration order.  ``d_matrix``
-    gives d on a block as sparse primitive integer rows, one per source
-    monomial (the transpose of the matrix of d, each column scaled);
-    ranks are taken on those rows and cached, since H^k and H^{k+1}
-    both need the rank of d on block k.
+    weight n2 as its basis, in a fixed enumeration order (``_monomials``).
+    ``max_ghosts``, when given, is the highest ghost degree enumerated:
+    a caller that reads only H^0 needs blocks 0 and 1 and passes 1, and
+    ``d_matrix`` then refuses a block whose target is not enumerated.
+    ``d_matrix`` gives d on a block as sparse primitive integer rows,
+    one per source monomial (the transpose of the matrix of d, each
+    column scaled); ranks are taken on those rows and cached, since H^k
+    and H^{k+1} both need the rank of d on block k.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial],
                  module_positions: Sequence[int],
-                 ghost_positions: Sequence[int], max_wt2: int):
+                 ghost_positions: Sequence[int], max_wt2: int,
+                 max_ghosts: Optional[int] = None):
         if max_wt2 < 0:
             raise ValueError(f"max weight must be at least 0, got "
                              f"{Fraction(max_wt2, 2)}")
@@ -190,6 +214,7 @@ class GradedComplex:
         self.positions = self.module_positions + self.ghost_positions
         self.ghost_set = set(self.ghost_positions)
         self.max_wt2 = max_wt2
+        self.max_ghosts = max_ghosts
         w2s = [ring.variables[p].wt2 for p in self.positions]
         if any(w is None or w == 0 for w in w2s):
             raise ValueError("every complex variable needs a nonzero weight")
@@ -199,54 +224,61 @@ class GradedComplex:
         check_exponent_limit(ring, self.positions, max_wt2)
         self.d = OddDerivation(ring, self.images)
         _check_square_zero(ring, self.d, self.images, "d")
-        self._blocks: dict[int, dict[int, list[int]]] = {}
+        # by position of the complex: weight with the sign removed,
+        # parity, ghost degree and key of one factor
+        self._w2 = [w * self.sign for w in w2s]
+        self._odd = [ring.parity_of(p) for p in self.positions]
+        self._gdeg = [int(p in self.ghost_set) for p in self.positions]
+        self._unit = [var_key(p) for p in self.positions]
+        # no monomial in positions i.. has a weight below _min_w2[i]
+        self._min_w2 = [min(self._w2[i:]) for i in range(len(w2s))]
+        self._top = inf if max_ghosts is None else max_ghosts
+        # (i, r) -> {k: monomials}, see _monomials; the leading part
+        # shares it
+        self._memo: dict[tuple[int, int], dict[int, list[int]]] = {}
         # rank of d on block (k, n2); H^k and H^{k+1} both need it
         self._ranks: dict[tuple[int, int], int] = {}
+        self._lead: Optional[GradedComplex] = None
 
     # -- weight blocks -----------------------------------------------------
+
+    def _monomials(self, i: int, r: int) -> dict[int, list[int]]:
+        """The monomials of weight r (doubled, sign removed) in positions
+        i.. as {ghost degree k: keys}, k at most ``max_ghosts``: first
+        those without position i, then those with exponent 1, 2, ... of
+        it, each times the monomials of the weight left in positions
+        i+1.. .  Memoized by (i, r) for every weight of the complex; the
+        lists are shared between entries (do not modify)."""
+        memo = self._memo
+        got = memo.get((i, r))
+        if got is not None:
+            return got
+        if r == 0:
+            got = {0: [0]}
+        elif i == len(self._w2) or r < self._min_w2[i]:
+            got = {}
+        else:
+            w = self._w2[i]
+            cap = r // w
+            if cap > 1 and self._odd[i]:
+                cap = 1
+            got = self._monomials(i + 1, r)
+            if cap:
+                got = {k: list(ms) for k, ms in got.items()}
+                unit, g, top = self._unit[i], self._gdeg[i], self._top
+                for e in range(1, cap + 1):
+                    s = e * unit
+                    for k, ms in self._monomials(i + 1, r - w * e).items():
+                        ke = k + g * e
+                        if ke <= top:
+                            got.setdefault(ke, []).extend([m + s for m in ms])
+        memo[(i, r)] = got
+        return got
 
     def _weight_blocks(self, n2: int) -> dict[int, list[int]]:
         if n2 * self.sign < 0 or abs(n2) > self.max_wt2:
             raise ValueError("weight block outside the truncation")
-        got = self._blocks.get(n2)
-        if got is not None:
-            return got
-        poss = self.positions
-        n = len(poss)
-        w2 = [self.ring.variables[p].wt2 * self.sign for p in poss]
-        odd = [self.ring.parity_of(p) for p in poss]
-        ghost = [p in self.ghost_set for p in poss]
-        unit = [var_key(p) for p in poss]
-        # no monomial in positions i.. has weight below min_w2[i]; the
-        # entry past the end is above every weight the block can reach
-        min_w2 = [min(w2[i:]) for i in range(n)] + [abs(n2) + 1]
-        out: dict[int, list[int]] = {}
-
-        def rec(i: int, rem: int, k: int, key: int):
-            """Monomials of weight rem in positions i.., times key
-            (ghost degree k so far): first those without position i,
-            then those with exponent 1, 2, ... of it."""
-            if rem >= min_w2[i + 1]:
-                rec(i + 1, rem, k, key)
-            w = w2[i]
-            cap = rem // w
-            if odd[i] and cap > 1:
-                cap = 1
-            for e in range(1, cap + 1):
-                left = rem - w * e
-                ke = k + e if ghost[i] else k
-                m = key + e * unit[i]
-                if left == 0:
-                    out.setdefault(ke, []).append(m)
-                elif left >= min_w2[i + 1]:
-                    rec(i + 1, left, ke, m)
-
-        if n2 == 0:
-            out[0] = [0]
-        elif abs(n2) >= min_w2[0]:
-            rec(0, abs(n2), 0, 0)
-        self._blocks[n2] = out
-        return out
+        return self._monomials(0, abs(n2))
 
     def block_basis(self, k: int, n2: int) -> list[int]:
         return self._weight_blocks(n2).get(k, [])
@@ -257,6 +289,9 @@ class GradedComplex:
     def _image_rows(self, k: int, n2: int) -> list[dict]:
         """den * d(m) for each basis monomial m of block (k, n2), in
         basis order, as {index in the basis of block (k+1, n2): int}."""
+        if k + 1 > self._top:
+            raise ValueError(f"ghost degree {k + 1} is above the "
+                             f"enumerated {self.max_ghosts}")
         where = {m: t for t, m in enumerate(self.block_basis(k + 1, n2))}
         rows = []
         for m in self.block_basis(k, n2):
@@ -302,6 +337,31 @@ class GradedComplex:
         blocks = self._weight_blocks(n2)
         return max(blocks) if blocks else 0
 
+    def leading_part(self) -> "GradedComplex":
+        """The complex of d_0, the part of d that keeps the polynomial
+        degree, every complex variable of degree 1 (module docstring),
+        on the same ring, positions and weight blocks; built once.  The
+        images of d_0 are the degree-1 parts of those of d.  Raises
+        ValueError if an image has a term of degree 0: d then lowers
+        the degree, and d_0 bounds nothing."""
+        if self._lead is None:
+            low = {}
+            for j, img in self.images.items():
+                if 0 in img.terms:
+                    raise ValueError(
+                        f"image of {self.ring.variables[j].name} has a "
+                        f"term of degree 0")
+                low[j] = SuperPolynomial(
+                    self.ring, {m: n for m, n in img.terms.items()
+                                if sum(e for _, e in unpack(m)) == 1},
+                    img.den)
+            lead = GradedComplex(self.ring, low, self.module_positions,
+                                 self.ghost_positions, self.max_wt2,
+                                 self.max_ghosts)
+            lead._memo = self._memo
+            self._lead = lead
+        return self._lead
+
 
 def _as_wt2(weight) -> int:
     n2 = Fraction(weight) * 2
@@ -311,13 +371,21 @@ def _as_wt2(weight) -> int:
 
 
 def cohomology_table(complex_: GradedComplex) -> dict:
-    """{(degree, weight): dim} over every block inside the truncation."""
+    """{(degree, weight): dim} over every block inside the truncation.
+
+    Each weight is first computed with the leading part d_0 (module
+    docstring).  Where H^k(d_0) = 0 for every k > 0, so is H^k(d), and
+    H^0(d) = H^0(d_0); at any other weight the ranks of d decide."""
+    lead = complex_.leading_part()
     out = {}
     for a2 in range(0, complex_.max_wt2 + 1):
         n2 = a2 * complex_.sign
-        for k in range(0, complex_.max_degree(n2) + 1):
-            out[(k, Fraction(n2, 2))] = complex_.cohomology_dim(
-                k, Fraction(n2, 2))
+        w = Fraction(n2, 2)
+        degrees = range(complex_.max_degree(n2) + 1)
+        dims = [lead.cohomology_dim(k, w) for k in degrees]
+        if any(dims[1:]):
+            dims = [complex_.cohomology_dim(k, w) for k in degrees]
+        out.update(((k, w), dim) for k, dim in zip(degrees, dims))
     return out
 
 

@@ -35,7 +35,7 @@ from typing import Mapping, Optional, Sequence
 from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
                          _check_square_zero, _gauge_ce, check_exponent_limit,
                          weighted_monomial_counts)
-from .slice import SliceChart, finite_miura
+from .slice import SliceChart, check_poisson_form, finite_miura
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, Variable,
                         combine, sum_of_products)
 
@@ -433,8 +433,8 @@ class BRSTComplex:
     def __init__(self, chart: SliceChart):
         # the complex belongs to the chart's Poisson reduction: a
         # formless or degenerate form fails here, though Q reads no
-        # bracket
-        chart.poisson
+        # bracket, so the rank of M is all it takes
+        check_poisson_form(chart)
         self.chart = chart
         ring, images = _gauge_ce(chart, differential=True)
         self.ring = ring
@@ -481,7 +481,9 @@ class TruncatedH0:
                 w += 2
         check_exponent_limit(ring, module + ghosts, w2cap)  # before images
         images = {i: cx.Q(ring.gen(i)) for i in module + ghosts}
-        self.graded = GradedComplex(ring, images, module, ghosts, w2cap)
+        # H^0 reads only the blocks of ghost degree 0 and 1
+        self.graded = GradedComplex(ring, images, module, ghosts, w2cap,
+                                    max_ghosts=1)
         gens = []
         for v in chart.slice_ring.variables:
             w = v.wt2
@@ -573,14 +575,6 @@ class GradedMiura:
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return self.morphism(p)
-
-    def source_bracket(self, a: SuperPolynomial,
-                       b: SuperPolynomial) -> LambdaPolynomial:
-        """{a_lam b} on the slice jets, computed through the chart
-        coordinates and re-expressed on the slice; raises if any
-        coefficient fails to live on the slice jets."""
-        return self._to_slice(
-            self.bracket_machine.bracket(self._embed(a), self._embed(b)))
 
     def _to_slice(self, P: LambdaPolynomial) -> LambdaPolynomial:
         out: dict[int, SuperPolynomial] = {}

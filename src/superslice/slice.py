@@ -304,6 +304,47 @@ def verify_invariance(chart: SliceChart, trials: int,
 
 # -- Poisson structure ---------------------------------------------------------
 
+DEGENERATE_FORM = ("the bilinear form is degenerate on g_{<=0} + g_{1/2} "
+                   "against the chart coordinates")
+
+
+def zeta_matrix(chart: SliceChart
+                ) -> tuple[list[int], RationalMatrix, list[Fraction]]:
+    """(generator indices, M, c) of the affine functions zeta_a = c_a +
+    sum_beta M[a, beta] z_beta of ``PoissonStructure``: the indices of
+    the basis of g_{<=0} + g_{1/2}, the square matrix M and the
+    constants c.  Raises ValueError without a form, or when the
+    generators and the chart coordinates differ in number."""
+    alg, w2 = chart.alg, chart.grading.weights2
+    if alg.form is None:
+        raise ValueError("Poisson structure needs the bilinear form")
+    gen_indices = [i for i in range(alg.dim) if w2[i] <= 0 or w2[i] == 1]
+    n, m = len(gen_indices), len(chart.coord_indices)
+    if n != m:
+        raise ValueError("generator/coordinate count mismatch")
+    form = alg.form_rows
+    f = {j: c for j, c in enumerate(chart.triple.f) if c}
+    M = RationalMatrix.zeros(n, m)
+    const = []
+    for a, ia in enumerate(gen_indices):
+        sgn = ONE if w2[ia] == 1 else (ONE if alg.parities[ia] else -ONE)
+        const.append(sgn * sum((v * f.get(j, ZERO)
+                                for j, v in form[ia].items()), ZERO))
+        for ib, v in form[ia].items():
+            if ib in chart.coord_pos:
+                M[a, chart.coord_pos[ib]] = sgn * v
+    return gen_indices, M, const
+
+
+def check_poisson_form(chart: SliceChart) -> None:
+    """Refuse, with the messages of ``PoissonStructure``, a chart whose
+    form gives no Poisson structure, from the rank of M alone (no
+    inverse, no bracket table)."""
+    _, M, _ = zeta_matrix(chart)
+    if exact_rank(M) < M.nrows:
+        raise ValueError(DEGENERATE_FORM)
+
+
 class PoissonStructure:
     """Poisson bracket on the coordinate ring of f + g_{>=-1/2}, built on
     the chart coordinates z_b.
@@ -329,36 +370,16 @@ class PoissonStructure:
     """
 
     def __init__(self, chart: SliceChart):
-        alg, grading = chart.alg, chart.grading
-        if alg.form is None:
-            raise ValueError("Poisson structure needs the bilinear form")
+        alg, w2 = chart.alg, chart.grading.weights2
         ring = chart.ring
-        w2 = grading.weights2
-        self.gen_indices = [i for i in range(alg.dim)
-                            if w2[i] <= 0 or w2[i] == 1]
+        self.gen_indices, M, const = zeta_matrix(chart)
         self.gen_pos = {b: a for a, b in enumerate(self.gen_indices)}
-        n, m = len(self.gen_indices), len(chart.coord_indices)
-        if n != m:
-            raise ValueError("generator/coordinate count mismatch")
         form = alg.form_rows
         f = {j: c for j, c in enumerate(chart.triple.f) if c}
-
-        # zeta_a = c_a + sum_beta M[a, beta] z_beta
-        M = RationalMatrix.zeros(n, m)
-        const = []
-        for a, ia in enumerate(self.gen_indices):
-            sgn = ONE if w2[ia] == 1 else (ONE if alg.parities[ia] else -ONE)
-            const.append(sgn * sum((v * f.get(j, ZERO)
-                                    for j, v in form[ia].items()), ZERO))
-            for ib, v in form[ia].items():
-                if ib in chart.coord_pos:
-                    M[a, chart.coord_pos[ib]] = sgn * v
         try:
             minv = _invert(M)
         except ValueError:
-            raise ValueError(
-                "the bilinear form is degenerate on g_{<=0} + g_{1/2} "
-                "against the chart coordinates") from None
+            raise ValueError(DEGENERATE_FORM) from None
         self.minv_rows = [{a: c for a, c in enumerate(r) if c}
                           for r in minv.rows]
         # M is invertible, so no row is zero and every a has an image

@@ -1,5 +1,7 @@
 """The intertwining check on every ordered pair, kept as the oracle for
-``pva.GradedMiura.check_intertwining``.
+``pva.GradedMiura.check_intertwining``, and the bracket of slice
+invariants through the arc machinery that both checks take on the
+source side.
 
 This is the package's former loop: for every ordered pair (a, b) of
 slice generators it brackets the Miura images and, separately, the
@@ -10,7 +12,18 @@ the package check only the bracket engine, the morphisms and the
 closure check.
 """
 
-from superslice.pva import GradedMiura
+from superslice.pva import GradedMiura, LambdaPolynomial
+from superslice.superpoly import SuperPolynomial
+
+
+def source_bracket(gm: GradedMiura, a: SuperPolynomial,
+                   b: SuperPolynomial) -> LambdaPolynomial:
+    """{a_lam b} on the slice jets of gm.source, computed through the
+    chart coordinates and re-expressed on the slice (the package's
+    former ``GradedMiura.source_bracket``); raises if any coefficient
+    fails to live on the slice jets."""
+    return gm._to_slice(
+        gm.bracket_machine.bracket(gm._embed(a), gm._embed(b)))
 
 
 def check_all_ordered_pairs(gm: GradedMiura) -> dict:

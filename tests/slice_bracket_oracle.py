@@ -1,5 +1,6 @@
 """The bracket of slice invariants on the finite chart, kept as the
-oracle for ``pva.GradedMiura.source_bracket``.
+oracle for the bracket of slice invariants through the arc machinery
+(``source_bracket`` in tests/miura_pairs_oracle.py).
 
 This is the package's former ``slice.slice_poisson_table``: each pair of
 invariants is lifted to the ring of Zhu generators

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import block_enumeration_oracle
 import gauge_action_oracle
 from cross_checks import de_rham_check
 from dense_oracles import dense_rank
@@ -29,7 +30,8 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
 from superslice.linalg import row_rank
 from superslice.pva import BRSTComplex, h0_truncated
 from superslice.slice import gauge_fix
-from superslice.superpoly import PolyRing, SuperPolynomial, Variable, pack
+from superslice.superpoly import (PolyRing, SuperPolynomial, Variable, pack,
+                                  unpack)
 
 
 def principal_setup(alg):
@@ -318,11 +320,17 @@ def dense_d_rows(cx, k, n2):
 
 
 def assert_block_ranks_match_dense(cx):
+    """Rank of d and dim H^k against the dense oracle on every block
+    whose target block the complex enumerates: all of them, or blocks
+    0 .. max_ghosts - 1 of a complex with a ghost-degree cap."""
+    cap = cx.max_ghosts
     blocks = 0
     for a2 in range(cx.max_wt2 + 1):
         n2 = a2 * cx.sign
         below = 0  # rank of d from block k - 1 into block k
         for k in range(cx.max_degree(n2) + 1):
+            if cap is not None and k >= cap:
+                break
             rows = dense_d_rows(cx, k, n2)
             rank = dense_rank(rows) if rows and rows[0] else 0
             assert row_rank(cx.d_matrix(k, n2)) == rank, (k, n2)
@@ -330,7 +338,8 @@ def assert_block_ranks_match_dense(cx):
                 cx.block_dim(k, n2) - rank - below, (k, n2)
             below = rank
             blocks += 1
-    assert blocks > 10
+    # a complex capped for H^0 (max_ghosts 1): block 0 at every weight
+    assert blocks > 10 if cap is None else blocks == cx.max_wt2 + 1
 
 
 class TestIntegerRows:
@@ -405,6 +414,134 @@ class TestOneDenominator:
         assert got == want
         assert all(cx.Q.den % c.denominator == 0
                    for _, c in got.items())
+
+
+# -- the Koszul certificate and the block enumerator -----------------------------
+
+
+def full_rank_table(cx):
+    """cohomology_table without the certificate: every block's dimension
+    from the ranks of d."""
+    out = {}
+    for a2 in range(cx.max_wt2 + 1):
+        w = Fraction(a2 * cx.sign, 2)
+        for k in range(cx.max_degree(a2 * cx.sign) + 1):
+            out[(k, w)] = cx.cohomology_dim(k, w)
+    return out
+
+
+CERTIFIED_SLICES = [("sl2", "principal"), ("sl3", "principal"),
+                    ("sl5", "principal"), ("osp12", "principal"),
+                    ("sl(2|1)", "principal"), ("sl(1|2)", "principal"),
+                    ("sl(2|2)", "principal"), ("sl(3|2)", "principal"),
+                    ("sl3", "e21"), ("sl4", "e21"), ("sl4", "e21+e43"),
+                    ("sl4", "e31"), ("sl(2|1)", "e21"), ("sl(3|1)", "e21")]
+CERTIFIED_REGULAR = [("sl3", "principal"), ("osp12", "principal"),
+                     ("sl(2|1)", "principal"), ("sl4", "e21")]
+
+
+class TestKoszulCertificate:
+    @staticmethod
+    def assert_certified(cx):
+        """The certified table equals the full-rank table, and d_0 is
+        exact above degree 0 at every weight, so no weight fell back."""
+        assert cohomology_table(cx) == full_rank_table(cx)
+        lead = cx.leading_part()
+        for (k, w), dim in full_rank_table(lead).items():
+            assert k == 0 or dim == 0, (k, w)
+
+    @pytest.mark.parametrize("name,nilpotent", CERTIFIED_SLICES)
+    def test_slice_tables(self, name, nilpotent):
+        self.assert_certified(
+            slice_ce_complex(chart_for(name, nilpotent), max_weight=3))
+
+    @pytest.mark.parametrize("name,nilpotent", CERTIFIED_REGULAR)
+    def test_regular_tables(self, name, nilpotent):
+        chart = chart_for(name, nilpotent)
+        self.assert_certified(
+            regular_ce_complex(chart.alg, chart.grading, max_weight=3))
+
+    def test_leading_part_of_the_slice_complex(self, sl2_data):
+        # d(z_e12) = 2 z_h1 ph_e12 and d(z_h1) = -ph_e12 on sl2: d_0 keeps
+        # the constant part of each gauge field times its ghost
+        alg, triple, grading = sl2_data
+        cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
+        lead = cx.leading_part()
+        assert lead is cx.leading_part()
+        assert lead._memo is cx._memo
+        ring = cx.ring
+        ph = ring.gen("ph_e12")
+        assert lead.images[ring.index["z_e12"]].is_zero()
+        assert lead.images[ring.index["z_h1"]] == -ph
+        for j, img in cx.images.items():
+            low = {m: c for m, c in img.items()
+                   if sum(e for _, e in unpack(m)) == 1}
+            assert dict(lead.images[j].items()) == low
+
+    def test_leading_part_drops_the_ghost_images(self, sl3_data):
+        alg, triple, grading = sl3_data
+        cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
+        lead = cx.leading_part()
+        ghosts = [j for j in cx.ghost_positions if j in cx.images]
+        assert any(not cx.images[j].is_zero() for j in ghosts)
+        assert all(lead.images[j].is_zero() for j in ghosts)
+
+    def test_inexact_leading_part_falls_back(self):
+        # d(u) = c x has degree 2, so d_0 = 0 and H^1(d_0) at weight 1
+        # holds c x, which d hits: the table must come from d there
+        ring = PolyRing([Variable("x", 0, wt2=1), Variable("u", 0, wt2=2),
+                         Variable("c", 1, wt2=1)])
+        x, c = ring.gen(0), ring.gen(2)
+        cx = GradedComplex(ring, {1: c * x}, [0, 1], [2], 4)
+        assert cx.leading_part().cohomology_dim(1, 1) == 1
+        table = cohomology_table(cx)
+        assert table == full_rank_table(cx)
+        # weight 1: u and x^2 in degree 0, c x in degree 1, d(u) = c x
+        assert table[(0, 1)] == 1 and table[(1, 1)] == 0
+
+    def test_degree_zero_image_raises(self):
+        ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=2)])
+        cx = GradedComplex(ring, {0: ring.one() + ring.gen(1)}, [0], [1], 4)
+        with pytest.raises(ValueError, match="term of degree 0"):
+            cohomology_table(cx)
+
+
+def uncapped(cx):
+    return GradedComplex(cx.ring, cx.images, cx.module_positions,
+                         cx.ghost_positions, cx.max_wt2)
+
+
+class TestBlockEnumeration:
+    @pytest.mark.parametrize("name,nilpotent", [
+        ("sl(2|1)", "principal"), ("sl4", "e21"), ("osp12", "principal")])
+    def test_memoized_blocks_match_the_recursion(self, name, nilpotent):
+        chart = chart_for(name, nilpotent)
+        brst = h0_truncated(BRSTComplex(chart), 4).graded
+        for cx in (slice_ce_complex(chart, max_weight=4),
+                   regular_ce_complex(chart.alg, chart.grading, 4),
+                   uncapped(brst)):
+            for a2 in range(cx.max_wt2 + 1):
+                n2 = a2 * cx.sign
+                want = block_enumeration_oracle.weight_blocks(cx, n2)
+                got = {k: cx.block_basis(k, n2) for k in want}
+                assert got == want, n2  # same monomials, same order
+                assert cx.max_degree(n2) == max(want, default=0)
+
+    def test_capped_blocks_match_uncapped(self, sl21_data):
+        alg, triple, grading = sl21_data
+        capped = h0_truncated(BRSTComplex(gauge_fix(alg, triple, grading)),
+                              4).graded
+        assert capped.max_ghosts == 1
+        full = uncapped(capped)
+        for n2 in range(capped.max_wt2 + 1):
+            for k in (0, 1):
+                assert capped.block_basis(k, n2) == full.block_basis(k, n2)
+            assert capped.max_degree(n2) <= 1
+            assert capped.cohomology_dim(0, Fraction(n2, 2)) == \
+                full.cohomology_dim(0, Fraction(n2, 2))
+        assert full.max_degree(capped.max_wt2) > 1
+        with pytest.raises(ValueError, match="above the enumerated"):
+            capped.d_matrix(1, capped.max_wt2)
 
 
 # -- counting helper -------------------------------------------------------------

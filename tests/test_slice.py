@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finite_poisson_oracle import finite_bracket
+from miura_pairs_oracle import source_bracket
 from nilpotency_oracle import nilpotency_class
 from slice_bracket_oracle import slice_poisson_table
 from zhu_poisson_oracle import ZhuPoisson
@@ -472,9 +473,9 @@ class TestZhuPoissonOracle:
 
 
 class TestSourceBracketOracle:
-    """GradedMiura.source_bracket, the package's one bracket of slice
-    invariants, against the finite-chart bracket that
-    tests/slice_bracket_oracle.py keeps."""
+    """The bracket of slice invariants through the arc machinery
+    (miura_pairs_oracle.source_bracket), against the finite-chart
+    bracket that tests/slice_bracket_oracle.py keeps."""
 
     @pytest.mark.parametrize("name", ["sl2_chart", "sl3_chart", "osp_chart",
                                       "sl21_chart"])
@@ -487,7 +488,7 @@ class TestSourceBracketOracle:
             [v.name for v in chart.slice_ring.variables]
         for i, la in enumerate(chart.inv_order):
             for j, lb in enumerate(chart.inv_order):
-                got = gm.source_bracket(src.gen(i), src.gen(j))
+                got = source_bracket(gm, src.gen(i), src.gen(j))
                 # level-zero tables: the bracket is constant in lambda
                 assert got.degree() <= 0
                 c, want = got.coefficient(0), table[(la, lb)]
