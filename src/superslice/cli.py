@@ -30,8 +30,8 @@ from .liealg import (GoodGrading, build_osp_1_2, build_sl,
                      dynkin_grading, graded_slice_decomposition,
                      load_algebra_file, parse_nilpotent, sl2_triple_for)
 from .pva import brst_complex, graded_miura, h0_truncated
-from .slice import (_render_vector, finite_miura, gauge_fix,
-                    injectivity_certificate, verify_invariance)
+from .slice import (_render_vector, gauge_fix, injectivity_certificate,
+                    verify_invariance)
 from .supergroup import adjoint_orbit_map
 from .superpoly import PolyRing
 from .liealg import dense_to_poly
@@ -202,8 +202,7 @@ def _stage_invariance(config: JobConfig, ctx: dict) -> dict:
 
 def _stage_miura(config: JobConfig, ctx: dict) -> dict:
     chart = ctx["chart"]
-    mi = finite_miura(chart)
-    ctx["miura"] = mi
+    mi = chart.miura
     return {"images": {lab: mi.images[lab].text()
                        for lab in chart.inv_order},
             "ini_coordinates": [chart.ring.variables[p].name
@@ -211,7 +210,7 @@ def _stage_miura(config: JobConfig, ctx: dict) -> dict:
 
 
 def _stage_certificate(config: JobConfig, ctx: dict) -> dict:
-    cert = injectivity_certificate(ctx["miura"], trials=config.trials,
+    cert = injectivity_certificate(ctx["chart"].miura, trials=config.trials,
                                    seed=config.seed)
     if cert.verdict != "pass":
         raise StageError("no full-rank witness found", data=cert.as_dict())
@@ -230,7 +229,7 @@ def _stage_cohomology(config: JobConfig, ctx: dict) -> dict:
         chart = ctx["chart"]
         cx = slice_ce_complex(chart, mw)
         table = cohomology_table(cx)
-        gens = [(v.wt2, v.parity) for v in chart.slice_ring.variables]
+        gens = [(v.wt2, v.parity) for v in chart.slice_generators()]
         want = weighted_monomial_counts(gens, _as_wt2(mw))
         # H^k vanishes for k > 0 (Gan and Ginzburg): the chart's round
         # trip N x S = f + g_{>=-1/2} reduces it to regular coefficients
@@ -258,7 +257,7 @@ def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
         raise StageError("pva h0 needs --max-weight")
     h0 = h0_truncated(ctx["brst"], mw)
     dims = h0.dimensions()
-    if not h0.consistent(dims):
+    if not h0.consistent():
         raise StageError(
             "H^0 dimensions disagree with the free superfield count",
             data={"computed": {str(w): d for w, d in sorted(dims.items())},

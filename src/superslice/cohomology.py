@@ -58,7 +58,7 @@ and its blocks are far sparser than those of d.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import inf, lcm
 from typing import Mapping, Optional, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
@@ -194,9 +194,9 @@ class GradedComplex:
     ``max_ghosts``, when given, is the highest ghost degree enumerated:
     a caller that reads only H^0 needs blocks 0 and 1 and passes 1, and
     ``d_matrix`` then refuses a block whose target is not enumerated.
-    ``d_matrix`` gives d on a block as sparse primitive integer rows,
-    one per source monomial (the transpose of the matrix of d, each
-    column scaled); ranks are taken on those rows and cached, since H^k
+    ``d_matrix`` gives d on a block as sparse integer rows, one per
+    source monomial (the transpose of the matrix of d over its one
+    denominator); ranks are taken on those rows and cached, since H^k
     and H^{k+1} both need the rank of d on block k.
     """
 
@@ -286,9 +286,14 @@ class GradedComplex:
     def block_dim(self, k: int, n2: int) -> int:
         return len(self.block_basis(k, n2))
 
-    def _image_rows(self, k: int, n2: int) -> list[dict]:
-        """den * d(m) for each basis monomial m of block (k, n2), in
-        basis order, as {index in the basis of block (k+1, n2): int}."""
+    def d_matrix(self, k: int, n2: int) -> list[dict]:
+        """The transpose of the matrix of d from block (k, n2) to block
+        (k+1, n2) times the derivation's one denominator ``d.den``, as
+        sparse integer rows: row i is den * d(m) for the i-th basis
+        monomial m of block (k, n2), as {index in the basis of block
+        (k+1, n2): int} ({} for a cocycle).  Rows are not made
+        primitive: ``linalg.row_rank`` divides out contents as it
+        eliminates."""
         if k + 1 > self._top:
             raise ValueError(f"ghost degree {k + 1} is above the "
                              f"enumerated {self.max_ghosts}")
@@ -302,19 +307,6 @@ class GradedComplex:
                     raise ValueError("differential left its weight block")
                 row[t] = x
             rows.append(row)
-        return rows
-
-    def d_matrix(self, k: int, n2: int) -> list[dict]:
-        """The transpose of the matrix of d from block (k, n2) to block
-        (k+1, n2) as sparse integer rows: row i is the image of the i-th
-        basis monomial of block (k, n2), scaled to a primitive
-        {target index: int} ({} for a cocycle).  The rows have the rank
-        of d, not its kernel: each row is scaled on its own."""
-        rows = self._image_rows(k, n2)
-        for i, r in enumerate(rows):
-            g = gcd(*r.values())
-            if g > 1:
-                rows[i] = {t: x // g for t, x in r.items()}
         return rows
 
     def _rank(self, k: int, n2: int) -> int:
@@ -478,17 +470,17 @@ def _gauge_action_fields(chart, ring: PolyRing):
     return fields
 
 
-def _gauge_ce(chart, differential: bool = False):
+def _gauge_ce(chart):
     """(ring, generator images) of the gauge complex for
-    ``slice_ce_complex`` and, ``differential``, ``pva.BRSTComplex``: the
-    chart coordinates z_b at their conformal weights 1 + j > 0, then
-    the ghosts ph_a at +wt(v_a)."""
+    ``slice_ce_complex`` and ``pva.BRSTComplex``: the chart coordinates
+    z_b at their conformal weights 1 + j > 0, then the ghosts ph_a at
+    +wt(v_a), in a new differential ring.  The finite complex never
+    asks for a jet; the arc complex serves them."""
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
     ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
                      for v in chart.ring.variables[:m]]
-                    + _ghost_variables(alg, grading),
-                    differential=differential)
+                    + _ghost_variables(alg, grading), differential=True)
     fields = _gauge_action_fields(chart, ring)
     sub = alg.restrict_to(grading.positive_indices())
     return ring, _ce_images(sub, ring, fields, m)

@@ -16,14 +16,15 @@ Two layers:
 
 * ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects on
   differential rings on the chart coordinates.  The arc gauge complex
-  is the finite slice gauge complex made differential
-  (``cohomology._gauge_ce``), a coordinate of grading weight j weighing
-  1 + j; it carries Q only, and its degree-zero cohomology is sized per
-  conformal weight against the free differential ring on the slice
-  generators.  The arc functor applied to the finite Miura map lands in
-  the same coordinates, which carry the chart's one Poisson structure
-  (``SliceChart.poisson``); the intertwining check takes both of its
-  brackets there.
+  is the gauge complex of ``cohomology._gauge_ce``, whose ring is
+  differential, a coordinate of grading weight j weighing 1 + j; it
+  carries Q only, and its degree-zero cohomology is sized per conformal
+  weight against the free differential ring on the slice generators.
+  The arc functor applied to the chart's finite Miura image
+  (``SliceChart.miura``) maps the chart's slice ring to its coordinate
+  ring; both are differential, and the coordinate ring carries the
+  chart's one Poisson structure (``SliceChart.poisson``).  The
+  intertwining check takes both of its brackets there.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from typing import Mapping, Optional, Sequence
 from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
                          _check_square_zero, _gauge_ce, check_exponent_limit,
                          weighted_monomial_counts)
-from .slice import SliceChart, check_poisson_form, finite_miura
-from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, Variable,
-                        combine, sum_of_products)
+from .slice import SliceChart, check_poisson_form
+from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
+                        sum_of_products)
 
 ONE = Fraction(1)
 
@@ -436,7 +437,7 @@ class BRSTComplex:
         # bracket, so the rank of M is all it takes
         check_poisson_form(chart)
         self.chart = chart
-        ring, images = _gauge_ce(chart, differential=True)
+        ring, images = _gauge_ce(chart)
         self.ring = ring
         self.nmod = len(chart.coord_indices)
         self.nghost = len(chart.grading.positive_indices())
@@ -462,7 +463,8 @@ class TruncatedH0:
         self.chart = chart
         self.complex = cx
         self.max_wt2 = w2cap
-        top = max(v.wt2 for v in chart.slice_ring.variables)
+        generators = chart.slice_generators()
+        top = max(v.wt2 for v in generators)
         if top > w2cap:
             raise ValueError(
                 f"max weight {Fraction(w2cap, 2)} is below the largest "
@@ -485,7 +487,7 @@ class TruncatedH0:
         self.graded = GradedComplex(ring, images, module, ghosts, w2cap,
                                     max_ghosts=1)
         gens = []
-        for v in chart.slice_ring.variables:
+        for v in generators:
             w = v.wt2
             while w <= w2cap:
                 gens.append((w, v.parity))
@@ -496,14 +498,9 @@ class TruncatedH0:
         return {Fraction(n2, 2): self.graded.cohomology_dim(0, Fraction(n2, 2))
                 for n2 in range(self.max_wt2 + 1)}
 
-    def consistent(self, dims: Optional[dict] = None) -> bool:
-        """Computed dimensions equal the free differential ring counts.
-
-        ``dims`` is the result of ``dimensions()`` when the caller has it
-        already; otherwise it is computed here."""
-        if dims is None:
-            dims = self.dimensions()
-        have = {w: d for w, d in dims.items() if d}
+    def consistent(self) -> bool:
+        """Computed dimensions equal the free differential ring counts."""
+        have = {w: d for w, d in self.dimensions().items() if d}
         want = {Fraction(n2, 2): c for n2, c in self.expected.items() if c}
         return have == want
 
@@ -517,14 +514,16 @@ def h0_truncated(complex_: BRSTComplex, max_weight) -> TruncatedH0:
 class GradedMiura:
     """Arc functor applied to the finite Miura map.
 
-    Source: differential ring on the slice generators.  ``ring``: one
-    differential ring on the chart coordinates, carrying the chart's
-    Poisson structure moved to those coordinates
-    (``PoissonStructure.coordinate_brackets``) in ``bracket_machine``.
-    The order-zero generator maps to the finite Miura image of its
-    invariant, a polynomial in the f + g_ini coordinates; jets map to
-    total derivatives.  The constructor checks that brackets of g_ini
-    coordinates stay in g_ini, so brackets of images never leave them.
+    ``source`` is the chart's slice ring and ``ring`` its coordinate
+    ring, both differential; ``bracket_machine`` carries the chart's
+    Poisson table (``PoissonStructure.coordinate_table``) on ``ring``,
+    and ``finite`` is the chart's finite Miura image
+    (``SliceChart.miura``).  All are read as they are, so jets served
+    here are added to the chart's rings.  The order-zero generator maps
+    to the finite Miura image of its invariant, a polynomial in the
+    f + g_ini coordinates; jets map to total derivatives.  The
+    constructor checks that brackets of g_ini coordinates stay in g_ini,
+    so brackets of images never leave them.
     The finite map is injective (see the certificate).  Whether the jet
     extension stays injective weight by weight is not checked here or
     by any stage; ROADMAP item 4 ("the jet Miura map is injective,
@@ -539,17 +538,12 @@ class GradedMiura:
     """
 
     def __init__(self, chart: SliceChart):
-        ps = chart.poisson
         self.chart = chart
-        self.finite = finite_miura(chart)
-        self.source = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
-                                for v in chart.slice_ring.variables],
-                               differential=True)
-        self.ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
-                              for v in chart.ring.variables],
-                             differential=True)
+        self.finite = chart.miura
+        self.source = chart.slice_ring
+        self.ring = chart.ring
         ini = set(self.finite.ini_positions)
-        table = ps.coordinate_brackets(self.ring)
+        table = chart.poisson.coordinate_table
         for (b, c), val in table.items():
             if b in ini and c in ini and not val.variables_used() <= ini:
                 raise ValueError("bracket value leaves the g_ini coordinates")
@@ -559,18 +553,15 @@ class GradedMiura:
             img = self.finite.images[lab]
             if not img.variables_used() <= ini:
                 raise ValueError("Miura image leaves the g_ini coordinates")
-            base[nn] = img.substitute({}, self.ring)
+            base[nn] = img
         self.morphism = DifferentialMorphism(self.source, self.ring, base)
         self._embed = DifferentialMorphism(
             self.source, self.ring,
-            {nn: chart.invariants[lab].substitute({}, self.ring)
+            {nn: chart.invariants[lab]
              for nn, lab in enumerate(chart.inv_order)})
         spoint = chart.slice_point()
-        rest: dict[int, SuperPolynomial] = {}
-        for b, bi in enumerate(chart.coord_indices):
-            comp = spoint.get(bi)
-            rest[b] = self.source.zero() if comp is None \
-                else comp.substitute({}, self.source)
+        rest = {b: spoint.get(bi, self.source.zero())
+                for b, bi in enumerate(chart.coord_indices)}
         self._restrict = DifferentialMorphism(self.ring, self.source, rest)
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:

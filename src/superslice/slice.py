@@ -54,9 +54,15 @@ class SliceChart:
     with that label after gauging; gauge[label] is the component of the
     gauge group element on the positive basis direction with that label.
     adjoint_orbit_map(Z, gauge) equals f + sum invariants * basis, and
-    conjugating back by the negated gauge recovers Z exactly.  The
-    chart owns its Poisson structure, ``poisson``, built on first use,
-    so jobs that stop at the chart never build it.
+    conjugating back by the negated gauge recovers Z exactly.
+
+    The chart owns two differential rings, built once: ``ring`` on the
+    coordinates z_b and ``slice_ring`` on the slice generators s_n.  The
+    arc side (``pva``) works on them as they are, so each may gain jets
+    after its order-zero variables; ``slice_generators`` lists those
+    variables alone.  The chart also owns its Poisson structure,
+    ``poisson``, and its finite Miura image, ``miura``, each built on
+    first use, so jobs that stop at the chart build neither.
     """
 
     def __init__(self, alg, triple, grading, ring, coord_indices,
@@ -76,7 +82,7 @@ class SliceChart:
         self.slice_ring = PolyRing([
             Variable(f"s{n + 1}", self.parity_of(lab),
                      wt2=2 + self.inv_wt2[lab])
-            for n, lab in enumerate(self.inv_order)])
+            for n, lab in enumerate(self.inv_order)], differential=True)
         self.slice_names = {lab: f"s{n + 1}"
                             for n, lab in enumerate(self.inv_order)}
 
@@ -84,6 +90,16 @@ class SliceChart:
     def poisson(self) -> "PoissonStructure":
         """The chart's Poisson structure, built the first time it is used."""
         return PoissonStructure(self)
+
+    @cached_property
+    def miura(self) -> "MiuraImage":
+        """The finite Miura image, built the first time it is used."""
+        return MiuraImage(self)
+
+    def slice_generators(self) -> list[Variable]:
+        """The order-zero variables of ``slice_ring``, one per invariant
+        in ``inv_order``; jets the arc side adds come after them."""
+        return self.slice_ring.variables[:len(self.inv_order)]
 
     def parity_of(self, label: str) -> int:
         v = self.inv_vectors[label]
@@ -203,7 +219,7 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
     for b in coord_indices:
         variables.append(Variable(f"z_{alg.labels[b]}", alg.parities[b],
                                   wt2=2 + grading.weights2[b]))
-    ring = PolyRing(variables)
+    ring = PolyRing(variables, differential=True)
 
     cur = affine_point(ring, triple.f,
                        [(alg.basis_vector(b), ring.gen(pos))
@@ -366,7 +382,8 @@ class PoissonStructure:
     the generator table moved to the chart coordinates:
     {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'} over the
     nonzero entries of rows b and c of Minv (constants bracket to zero).
-    The arc side (``pva``) reads it through ``coordinate_brackets``.
+    The arc side (``pva``) reads it as it is: the chart ring is
+    differential.
     """
 
     def __init__(self, chart: SliceChart):
@@ -415,12 +432,6 @@ class PoissonStructure:
                 for b, row_b in enumerate(self.minv_rows)
                 for c, row_c in enumerate(self.minv_rows)})
 
-    def coordinate_brackets(self, ring: PolyRing) -> dict:
-        """``coordinate_table`` on a ring whose first variables are the
-        chart coordinates, in chart order."""
-        return {k: v.substitute({}, ring)
-                for k, v in self.coordinate_table.items()}
-
 
 # -- Miura --------------------------------------------------------------------
 
@@ -441,10 +452,6 @@ class MiuraImage:
                                if alg.parities[chart.coord_indices[p]] == 0]
         self.odd_positions = [p for p in self.ini_positions
                               if alg.parities[chart.coord_indices[p]] == 1]
-
-
-def finite_miura(chart: SliceChart) -> MiuraImage:
-    return MiuraImage(chart)
 
 
 class InjectivityCertificate:

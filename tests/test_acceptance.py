@@ -33,7 +33,7 @@ from superslice.liealg import (build_osp_1_2, build_sl, centralizer,
                                sl2_triple_for)
 from superslice.pva import (ArcBracket, brst_complex, graded_miura,
                             h0_truncated)
-from superslice.slice import (PoissonStructure, finite_miura, gauge_fix,
+from superslice.slice import (PoissonStructure, gauge_fix,
                               injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
@@ -95,7 +95,7 @@ def test_sl2_chart_miura_certificate_exact():
     assert {k: v.text() for k, v in chart.gauge.items()} == {"e12": "z_h1"}
     chart.check_homogeneity()
     chart.round_trip_check()
-    mi = finite_miura(chart)
+    mi = chart.miura
     assert mi.images["e12"].text() == "z_h1^2"
     cert = injectivity_certificate(mi)
     assert cert.verdict == "pass"
@@ -134,7 +134,7 @@ def test_sl3_slice_is_char_poly_and_miura_factors():
 
     # and the restricted invariants are exactly the symmetric functions
     # the factorization produces: coeff(lam) = -2*mu1, coeff(1) = -mu2
-    mi = finite_miura(chart)
+    mi = chart.miura
     mu = {chart.slice_names[lab]: sub_by_name(
         mi.images[lab], {"z_h1": u, "z_h2": v}, U)
         for lab in chart.inv_order}
@@ -157,7 +157,7 @@ def test_osp12_odd_sector_and_poisson_table():
     chart.check_homogeneity()
     chart.round_trip_check()
 
-    mi = finite_miura(chart)
+    mi = chart.miura
     cert = injectivity_certificate(mi)
     assert cert.verdict == "pass"
     assert cert.odd_rank == cert.odd_target == 1
@@ -207,7 +207,7 @@ def test_sl21_invariant_count_matches_centralizer():
     assert sorted(inv_par) == sorted(cpar)
     assert inv_par.count(0) == 2 and inv_par.count(1) == 2
     chart.round_trip_check()
-    cert = injectivity_certificate(finite_miura(chart))
+    cert = injectivity_certificate(chart.miura)
     assert cert.verdict == "pass"
     assert cert.even_rank == cert.even_target
     assert cert.odd_rank == cert.odd_target

@@ -44,7 +44,7 @@ from miura_pairs_oracle import check_all_ordered_pairs, source_bracket
 from zhu_brst_oracle import ZhuBRST
 from zhu_poisson_oracle import ZhuPoisson
 from superslice import cohomology, pva
-from superslice.cli import resolve_algebra
+from superslice.cli import JobConfig, _stage_cohomology, resolve_algebra
 from superslice.cohomology import slice_ce_complex
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
@@ -717,19 +717,15 @@ class TestGradedMiura:
                            match="bracket value leaves the g_ini coordinates"):
             graded_miura(ch)
 
-    def test_miura_image_trap(self, sl2_chart, monkeypatch):
-        real = pva.finite_miura
-
-        def leaky(chart):
-            mi = real(chart)
-            lab = chart.inv_order[0]
-            mi.images[lab] = mi.images[lab] + chart.ring.gen("z_e12")
-            return mi
-
-        monkeypatch.setattr(pva, "finite_miura", leaky)
+    def test_miura_image_trap(self):
+        # planted in the image a fresh chart owns, so the module's
+        # sl2_chart keeps its own
+        ch = principal_chart(build_sl(2, 0))
+        lab = ch.inv_order[0]
+        ch.miura.images[lab] = ch.miura.images[lab] + ch.ring.gen("z_e12")
         with pytest.raises(ValueError,
                            match="Miura image leaves the g_ini coordinates"):
-            graded_miura(sl2_chart)
+            graded_miura(ch)
 
     def test_source_bracket_off_the_slice_raises(self, osp_chart,
                                                  monkeypatch):
@@ -755,6 +751,37 @@ class TestGradedMiura:
         stray = amb.gen(0)  # a bare coordinate is not a slice function
         r = gm._restrict(stray)
         assert gm._embed(r) != stray
+
+
+# -- the chart's rings, shared with the arc side ------------------------------
+
+
+class TestSharedRings:
+    def test_graded_miura_reads_the_chart(self):
+        ch = principal_chart(build_sl(3, 0))
+        gm = graded_miura(ch)
+        assert gm.ring is ch.ring and gm.source is ch.slice_ring
+        assert gm.finite is ch.miura
+        assert gm.bracket_machine.ring is ch.ring
+
+    def test_served_jets_leave_the_generator_counts(self):
+        # jets served through the Miura morphism land in the chart's own
+        # rings; the cohomology oracle and the H^0 counts read the
+        # order-zero slice generators only
+        config = JobConfig(algebra="sl3", max_weight=Fraction(4))
+        untouched = principal_chart(build_sl(3, 0))
+        ch = principal_chart(build_sl(3, 0))
+        gm = graded_miura(ch)
+        for n in range(len(ch.inv_order)):
+            gm.morphism.image(ch.slice_ring.derivative_index(n))
+        assert len(ch.slice_ring.variables) > len(ch.inv_order)
+        assert len(ch.ring.variables) > len(ch.coord_indices)
+        assert ch.slice_generators() == ch.slice_ring.variables[:2]
+        assert _stage_cohomology(config, {"chart": ch}) \
+            == _stage_cohomology(config, {"chart": untouched})
+        h0 = h0_truncated(brst_complex(ch), 4)
+        assert h0.expected == {0: 1, 4: 1, 6: 2, 8: 3}
+        assert h0.consistent()
 
 
 # -- the intertwining check against the all-ordered-pairs loop ----------------

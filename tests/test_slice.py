@@ -38,7 +38,7 @@ from superslice.liealg import (GoodGrading, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import ArcBracket, graded_miura
-from superslice.slice import (bch_word_bound, finite_miura, gauge_fix,
+from superslice.slice import (MiuraImage, bch_word_bound, gauge_fix,
                               injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
@@ -95,12 +95,12 @@ class TestSl2:
         sl2_chart.round_trip_check()
 
     def test_miura_is_b_squared(self, sl2_chart):
-        m = finite_miura(sl2_chart)
+        m = sl2_chart.miura
         b = sl2_chart.ring.gen("z_h1")
         assert m.images["e12"] == b * b
 
     def test_certificate_passes(self, sl2_chart):
-        cert = injectivity_certificate(finite_miura(sl2_chart))
+        cert = injectivity_certificate(sl2_chart.miura)
         assert cert.verdict == "pass"
         assert (cert.even_rank, cert.even_target) == (1, 1)
         assert (cert.odd_rank, cert.odd_target) == (0, 0)
@@ -177,7 +177,7 @@ class TestSl3:
 
     def test_miura_factors_through_diagonal(self, sl3_chart):
         c = sl3_chart
-        m = finite_miura(c)
+        m = c.miura
         big = with_lambda(c.ring)
         lam = big.gen("lam")
         shift = {i: big.gen(i + 1) for i in range(len(c.ring.variables))}
@@ -189,7 +189,7 @@ class TestSl3:
         assert factors == lam * lam * lam - lam * x * 2 - y
 
     def test_certificate_rank_two(self, sl3_chart):
-        cert = injectivity_certificate(finite_miura(sl3_chart))
+        cert = injectivity_certificate(sl3_chart.miura)
         assert cert.verdict == "pass"
         assert (cert.even_rank, cert.even_target) == (2, 2)
 
@@ -234,14 +234,14 @@ class TestOsp12:
         assert ok and bad is None
 
     def test_miura_images(self, osp_chart):
-        m = finite_miura(osp_chart)
+        m = osp_chart.miura
         ring = osp_chart.ring
         zh, zvm = ring.gen("z_h"), ring.gen("z_vm")
         assert m.images["vp"] == zh * zvm
         assert m.images["e"] == zh * zh
 
     def test_certificate_odd_block_full_rank(self, osp_chart):
-        cert = injectivity_certificate(finite_miura(osp_chart))
+        cert = injectivity_certificate(osp_chart.miura)
         assert cert.verdict == "pass"
         assert (cert.even_rank, cert.even_target) == (1, 1)
         assert (cert.odd_rank, cert.odd_target) == (1, 1)
@@ -311,7 +311,7 @@ class TestSl21:
                 assert val.is_zero(), (la, lb)
 
     def test_certificate_both_blocks(self, sl21_chart):
-        cert = injectivity_certificate(finite_miura(sl21_chart))
+        cert = injectivity_certificate(sl21_chart.miura)
         assert cert.verdict == "pass"
         assert (cert.even_rank, cert.even_target) == (2, 2)
         assert (cert.odd_rank, cert.odd_target) == (2, 2)
@@ -514,7 +514,7 @@ class TestEdges:
             assert vals[lab] == c.slice_ring.gen(n)
 
     def test_degenerate_map_reported_inconclusive(self, sl2_chart):
-        m = finite_miura(sl2_chart)
+        m = MiuraImage(sl2_chart)  # a fresh image; the chart's stays
         m.images = {lab: sl2_chart.ring.zero() for lab in m.images}
         cert = injectivity_certificate(m, trials=2)
         assert cert.verdict == "fail"
@@ -524,7 +524,7 @@ class TestEdges:
     def test_odd_block_failure_keeps_even_witness(self, sl21_chart):
         # the even block passes and the zeroed odd block never does: one
         # even witness, and the verdict is inconclusive
-        m = finite_miura(sl21_chart)
+        m = MiuraImage(sl21_chart)  # a fresh image; the chart's stays
         for lab in m.images:
             if sl21_chart.parity_of(lab):
                 m.images[lab] = sl21_chart.ring.zero()
@@ -536,7 +536,7 @@ class TestEdges:
         assert "inconclusive" in cert.note
 
     def test_fallback_witness_with_zero_trials(self, osp_chart):
-        cert = injectivity_certificate(finite_miura(osp_chart), trials=0)
+        cert = injectivity_certificate(osp_chart.miura, trials=0)
         assert cert.verdict == "pass"
 
 
