@@ -255,7 +255,8 @@ def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
     mw = config.max_weight
     if mw is None:
         raise StageError("pva h0 needs --max-weight")
-    h0 = h0_truncated(ctx["brst"], mw)
+    # popped, so Q and the monomials it memoizes go with this stage
+    h0 = h0_truncated(ctx.pop("brst"), mw)
     dims = h0.dimensions()
     if not h0.consistent():
         raise StageError(

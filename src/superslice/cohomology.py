@@ -14,13 +14,15 @@ series of brackets, see supergroup), or the gauge action R(v_a)(Z) =
 [Z, v_a] on the coordinates of f + g_{>=-1/2}.  str^c_{ab} are the
 structure constants of the acting algebra.  One routine, _ce_images,
 builds these generator images for all three complexes; _gauge_ce builds
-the gauge complex for the finite slice and the arc (pva) sides.  The
-ghost must multiply from the left: only then does the Leibniz extension
-of the generator images reproduce sum_a ph^a . R(v_a)(.) on the whole
-ring (R(v_a) is a superderivation of parity |v_a|, and moving ph^a in
-from the right would cost monomial-dependent signs).  d^2 is checked on
-every generator at construction; an odd derivation squares to an even
-derivation, so vanishing on generators is vanishing everywhere.
+the gauge complex's ring and images, held by the chart (gauge_ce) for
+the finite slice and the arc (pva) sides.  The ghost must multiply
+from the left: only then does the Leibniz extension of the generator
+images reproduce sum_a ph^a . R(v_a)(.) on the whole ring (R(v_a) is a
+superderivation of parity |v_a|, and moving ph^a in from the right
+would cost monomial-dependent signs).  differential builds every
+derivation, jets served by _JetImages, and checks d^2 on the order-zero
+generators: an odd derivation commuting with the total derivative
+squares to an even one that does too, so that is d^2 = 0 everywhere.
 
 Every variable carries a nonzero weight and all weights share one sign,
 so each weight block is finite dimensional and cohomology is a matter
@@ -79,9 +81,8 @@ class OddDerivation:
     Everything inside runs in Python ints over one denominator ``den``,
     the lcm of the denominators of ``images.values()``.  The images may
     be a lazy table whose ``get`` serves more generators than its
-    ``values()`` lists (``pva._JetImages`` derives jet images by total
-    derivatives, which multiply coefficients by integers only); every
-    image is checked to have a denominator dividing ``den`` (``den %
+    ``values()`` lists, as ``_JetImages`` serves jets; every image is
+    checked to have a denominator dividing ``den`` (``den %
     img.den``) and the derivation raises ``ValueError`` if one does not,
     so no numerator is ever floored.  ``mono(m)`` is den * d(m) for a
     monomial key m with coefficient 1, as a cached {monomial: int} dict,
@@ -143,19 +144,59 @@ class OddDerivation:
         return _poly(self.ring, *normal_terms(acc, p.den * self.den))
 
 
-def _check_square_zero(ring: PolyRing, d,
-                       images: Mapping[int, SuperPolynomial],
-                       symbol: str) -> None:
-    """Raise unless the odd derivation d kills the image of every
-    generator; an odd derivation squares to an even one, so d^2 then
-    vanishes on the whole ring."""
+class _JetImages:
+    """Image table for a map commuting with the total derivative (every
+    derivation from ``differential``, a ``pva.DifferentialMorphism``):
+    the image of a jet is the jet of the image of its base generator,
+    computed once and cached, each jet as the total derivative of the
+    one below, so serving jets 1..K takes K derivatives.  Total
+    derivatives multiply coefficients by integers only, so every jet
+    image has denominators dividing the lcm of those of ``values()``,
+    the base images (OddDerivation checks this on each image served)."""
+
+    def __init__(self, ring: PolyRing, base: Mapping[int, SuperPolynomial]):
+        self.ring = ring
+        self.base = dict(base)
+        self.cache = dict(base)
+
+    def values(self):  # the base images; get serves the jets too
+        return self.base.values()
+
+    def get(self, j: int, default=None):
+        got = self.cache.get(j)
+        if got is not None:
+            return got
+        ring = self.ring
+        v = ring.variables[j]
+        if not v.order:
+            return default
+        i = ring.index[v.base]
+        img = self.cache.get(i)
+        if img is None:
+            return default
+        # climb the jets of the base: one derivative per jet not cached
+        for _ in range(v.order):
+            i = ring.derivative_index(i)
+            got = self.cache.get(i)
+            img = got if got is not None else img.total_derivative()
+            self.cache[i] = img
+        return img
+
+
+def differential(ring: PolyRing, images: Mapping[int, SuperPolynomial],
+                 symbol: str) -> OddDerivation:
+    """The odd derivation with the given images of the order-zero
+    generators, jets served by ``_JetImages``, once it kills each of
+    those images; raises ``ValueError`` "<symbol>^2 != 0 on generator
+    ..." otherwise.  Its square is an even derivation commuting with
+    the total derivative, so it then vanishes on the whole ring."""
+    d = OddDerivation(ring, _JetImages(ring, images))
     for pos, img in images.items():
-        if img.is_zero():
-            continue
         sq = d(img)
         if not sq.is_zero():
             raise ValueError(f"{symbol}^2 != 0 on generator "
                              f"{ring.variables[pos].name}: {sq.text()}")
+    return d
 
 
 def check_exponent_limit(ring: PolyRing, positions: Sequence[int],
@@ -164,8 +205,8 @@ def check_exponent_limit(ring: PolyRing, positions: Sequence[int],
     variables at ``positions`` holds a power above ``EMAX`` of an even
     variable.  The block of weight w holds x^e whenever e |wt(x)| <= |w|,
     so the lightest even variable sets the largest exponent; an odd one
-    never exceeds 1.  GradedComplex runs this on construction; a caller
-    may run it first to refuse a truncation before computing images."""
+    never exceeds 1.  GradedComplex runs this on construction, before
+    it reads any image."""
     even = [ring.variables[p] for p in positions if not ring.parity_of(p)]
     if not even:
         return
@@ -181,13 +222,15 @@ def check_exponent_limit(ring: PolyRing, positions: Sequence[int],
 class GradedComplex:
     """Finite weight blocks of a ring with an odd square-zero derivation.
 
+    ``d`` comes from ``differential``, its square checked.
     ``module_positions`` and ``ghost_positions`` list the ring variables
-    the complex is built on; cohomological degree counts ghost factors
-    with multiplicity.  Weights are doubled integers internally, matching
-    the ring's ``wt2`` convention.  The constructor checks, in order,
-    that the truncation is not negative, that every variable has a
-    nonzero weight and all share a sign, that no block needs an exponent
-    above ``EMAX`` (``OverflowError``), and that d squares to zero.
+    the complex is built on (the ring may hold more: the arc jets);
+    cohomological degree counts ghost factors with multiplicity.
+    Weights are doubled integers internally, matching the ring's ``wt2``
+    convention.  The constructor checks, in order, that the truncation
+    is not negative, that every variable has a nonzero weight and all
+    share a sign, and that no block needs an exponent above ``EMAX``
+    (``OverflowError``); it builds no derivation and reads no image.
 
     A block (k, n2) has the monomials of ghost degree k and doubled
     weight n2 as its basis, in a fixed enumeration order (``_monomials``).
@@ -200,15 +243,14 @@ class GradedComplex:
     and H^{k+1} both need the rank of d on block k.
     """
 
-    def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial],
-                 module_positions: Sequence[int],
+    def __init__(self, d: OddDerivation, module_positions: Sequence[int],
                  ghost_positions: Sequence[int], max_wt2: int,
                  max_ghosts: Optional[int] = None):
         if max_wt2 < 0:
             raise ValueError(f"max weight must be at least 0, got "
                              f"{Fraction(max_wt2, 2)}")
-        self.ring = ring
-        self.images = dict(images)
+        self.d = d
+        self.ring = ring = d.ring
         self.module_positions = list(module_positions)
         self.ghost_positions = list(ghost_positions)
         self.positions = self.module_positions + self.ghost_positions
@@ -222,8 +264,6 @@ class GradedComplex:
             raise ValueError("variable weights must share a sign")
         self.sign = 1 if w2s[0] > 0 else -1
         check_exponent_limit(ring, self.positions, max_wt2)
-        self.d = OddDerivation(ring, self.images)
-        _check_square_zero(ring, self.d, self.images, "d")
         # by position of the complex: weight with the sign removed,
         # parity, ghost degree and key of one factor
         self._w2 = [w * self.sign for w in w2s]
@@ -337,19 +377,20 @@ class GradedComplex:
         ValueError if an image has a term of degree 0: d then lowers
         the degree, and d_0 bounds nothing."""
         if self._lead is None:
-            low = {}
-            for j, img in self.images.items():
+            ring, low = self.ring, {}
+            for j in self.positions:
+                img = self.d.images.get(j, ring.zero())
                 if 0 in img.terms:
                     raise ValueError(
-                        f"image of {self.ring.variables[j].name} has a "
+                        f"image of {ring.variables[j].name} has a "
                         f"term of degree 0")
                 low[j] = SuperPolynomial(
-                    self.ring, {m: n for m, n in img.terms.items()
-                                if sum(e for _, e in unpack(m)) == 1},
+                    ring, {m: n for m, n in img.terms.items()
+                           if sum(e for _, e in unpack(m)) == 1},
                     img.den)
-            lead = GradedComplex(self.ring, low, self.module_positions,
-                                 self.ghost_positions, self.max_wt2,
-                                 self.max_ghosts)
+            lead = GradedComplex(differential(ring, low, "d_0"),
+                                 self.module_positions, self.ghost_positions,
+                                 self.max_wt2, self.max_ghosts)
             lead._memo = self._memo
             self._lead = lead
         return self._lead
@@ -446,7 +487,7 @@ def regular_ce_complex(alg: LieSuperalgebra, grading: GoodGrading,
     p = len(pos_idx)
     fields = regular_representation(alg, pos_idx, ring, list(range(p)))
     images = _ce_images(alg.restrict_to(pos_idx), ring, fields, p)
-    return GradedComplex(ring, images, list(range(p)),
+    return GradedComplex(differential(ring, images, "d"), list(range(p)),
                          list(range(p, 2 * p)), _as_wt2(max_weight))
 
 
@@ -471,11 +512,11 @@ def _gauge_action_fields(chart, ring: PolyRing):
 
 
 def _gauge_ce(chart):
-    """(ring, generator images) of the gauge complex for
-    ``slice_ce_complex`` and ``pva.BRSTComplex``: the chart coordinates
-    z_b at their conformal weights 1 + j > 0, then the ghosts ph_a at
-    +wt(v_a), in a new differential ring.  The finite complex never
-    asks for a jet; the arc complex serves them."""
+    """(ring, generator images) of the gauge complex, ``chart.gauge_ce``
+    for ``slice_ce_complex`` and ``pva.BRSTComplex``: the chart
+    coordinates z_b at their conformal weights 1 + j > 0, then the
+    ghosts ph_a at +wt(v_a), in a new differential ring, to which the
+    arc complex adds jets after the ghosts."""
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
     ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
@@ -488,14 +529,15 @@ def _gauge_ce(chart):
 
 def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
     """CE complex of g_+ with coefficients in the functions on
-    f + g_{>=-1/2}, acting by the gauge flow.  Blocks sit at weights 0,
-    1/2, 1, ... and H^0 consists of the gauge invariants, weight by
-    weight."""
-    ring, images = _gauge_ce(chart)
+    f + g_{>=-1/2}, acting by the gauge flow, on the chart's gauge ring:
+    its m coordinates and n ghosts, counted, as the arc side adds jets.
+    Blocks sit at weights 0, 1/2, 1, ... and H^0 consists of the gauge
+    invariants, weight by weight."""
+    ring, images = chart.gauge_ce
     m = len(chart.coord_indices)
-    return GradedComplex(ring, images, list(range(m)),
-                         list(range(m, len(ring.variables))),
-                         _as_wt2(max_weight))
+    n = len(chart.grading.positive_indices())
+    return GradedComplex(differential(ring, images, "d"), list(range(m)),
+                         list(range(m, m + n)), _as_wt2(max_weight))
 
 
 def weighted_monomial_counts(gens: Sequence[tuple[int, int]],

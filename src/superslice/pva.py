@@ -16,9 +16,9 @@ Two layers:
 
 * ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects on
   differential rings on the chart coordinates.  The arc gauge complex
-  is the gauge complex of ``cohomology._gauge_ce``, whose ring is
-  differential, a coordinate of grading weight j weighing 1 + j; it
-  carries Q only, and its degree-zero cohomology is sized per conformal
+  is Q, built by ``cohomology.differential`` on the chart's gauge ring
+  and images (``SliceChart.gauge_ce``), a coordinate of grading weight
+  j weighing 1 + j; its degree-zero cohomology is sized per conformal
   weight against the free differential ring on the slice generators.
   The arc functor applied to the chart's finite Miura image
   (``SliceChart.miura``) maps the chart's slice ring to its coordinate
@@ -33,8 +33,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, OddDerivation, _as_wt2,
-                         _check_square_zero, _gauge_ce, check_exponent_limit,
+from .cohomology import (GradedComplex, _as_wt2, _JetImages, differential,
                          weighted_monomial_counts)
 from .slice import SliceChart, check_poisson_form
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
@@ -338,46 +337,6 @@ def _collect_shifted(acc: dict, G: Mapping[int, IntTerms],
 
 # -- jet-aware images and morphisms ----------------------------------------
 
-class _JetImages:
-    """Image table for a map commuting with the total derivative (the BRST
-    derivation, a DifferentialMorphism): the image of a jet is the jet of
-    the image of its base generator, computed once and cached, each jet
-    as the total derivative of the one below, so serving jets 1..K
-    takes K derivatives.  Total
-    derivatives multiply coefficients by integers only, so every jet
-    image has denominators dividing the lcm of those of ``values()``,
-    the base images (OddDerivation checks this on each image served)."""
-
-    def __init__(self, ring: PolyRing, base: Mapping[int, SuperPolynomial]):
-        self.ring = ring
-        self.base = dict(base)
-        self.cache = dict(base)
-
-    def values(self):
-        """The base images; jet images are served by ``get`` only."""
-        return self.base.values()
-
-    def get(self, j: int, default=None):
-        got = self.cache.get(j)
-        if got is not None:
-            return got
-        ring = self.ring
-        v = ring.variables[j]
-        if not v.order:
-            return default
-        i = ring.index[v.base]
-        img = self.cache.get(i)
-        if img is None:
-            return default
-        # climb the jets of the base: one derivative per jet not cached
-        for _ in range(v.order):
-            i = ring.derivative_index(i)
-            got = self.cache.get(i)
-            img = got if got is not None else img.total_derivative()
-            self.cache[i] = img
-        return img
-
-
 class DifferentialMorphism:
     """Morphism of differential polynomial rings from images of the
     order-zero generators; jets map to total derivatives of the images,
@@ -415,16 +374,15 @@ class DifferentialMorphism:
 # -- the arc gauge complex -------------------------------------------------
 
 class BRSTComplex:
-    """The slice gauge complex made differential (``cohomology._gauge_ce``):
-    the chart coordinates z_b plus one ghost per positive basis
-    direction, carrying Q.
+    """The slice gauge complex made differential: Q on the chart's gauge
+    ring and images (``SliceChart.gauge_ce``), the chart coordinates
+    z_b plus one ghost per positive basis direction.
 
     Q on a coordinate is the gauge action, each ghost multiplying from
     the left; on a ghost it is the coadjoint half-sum over the positive
-    part.  Jets follow by commuting Q with the total derivative.  The
-    constructor checks Q^2 = 0 on every generator; an odd derivation
-    commuting with d whose square kills the order-zero generators
-    squares to zero everywhere.
+    part.  Jets follow by commuting Q with the total derivative, so
+    ``cohomology.differential`` checks Q^2 = 0 on the order-zero
+    generators only.
 
     Conformal weights: a coordinate of grading weight j carries 1 + j,
     the ghost for a positive direction of weight j carries j, each jet
@@ -437,13 +395,10 @@ class BRSTComplex:
         # bracket, so the rank of M is all it takes
         check_poisson_form(chart)
         self.chart = chart
-        ring, images = _gauge_ce(chart)
-        self.ring = ring
+        self.Q = differential(*chart.gauge_ce, "Q")
+        self.ring = self.Q.ring
         self.nmod = len(chart.coord_indices)
         self.nghost = len(chart.grading.positive_indices())
-        self._images = images
-        self.Q = OddDerivation(ring, _JetImages(ring, images))
-        _check_square_zero(ring, self.Q, images, "Q")
 
 
 def brst_complex(chart: SliceChart) -> BRSTComplex:
@@ -455,13 +410,12 @@ def brst_complex(chart: SliceChart) -> BRSTComplex:
 class TruncatedH0:
     """Degree-zero cohomology of the arc gauge complex per conformal
     weight, against the free differential ring on the slice generators
-    as the independent size oracle."""
+    as the independent size oracle.  ``graded`` reads the complex's own
+    Q on the jets up to the cutoff."""
 
     def __init__(self, complex_: BRSTComplex, max_weight):
         w2cap = _as_wt2(max_weight)
         cx, chart = complex_, complex_.chart
-        self.chart = chart
-        self.complex = cx
         self.max_wt2 = w2cap
         generators = chart.slice_generators()
         top = max(v.wt2 for v in generators)
@@ -481,17 +435,11 @@ class TruncatedH0:
                     break
                 idx = ring.derivative_index(idx)
                 w += 2
-        check_exponent_limit(ring, module + ghosts, w2cap)  # before images
-        images = {i: cx.Q(ring.gen(i)) for i in module + ghosts}
         # H^0 reads only the blocks of ghost degree 0 and 1
-        self.graded = GradedComplex(ring, images, module, ghosts, w2cap,
+        self.graded = GradedComplex(cx.Q, module, ghosts, w2cap,
                                     max_ghosts=1)
-        gens = []
-        for v in generators:
-            w = v.wt2
-            while w <= w2cap:
-                gens.append((w, v.parity))
-                w += 2
+        gens = [(w, v.parity) for v in generators
+                for w in range(v.wt2, w2cap + 1, 2)]
         self.expected = weighted_monomial_counts(gens, w2cap)
 
     def dimensions(self) -> dict:

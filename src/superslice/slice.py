@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
+from . import cohomology
 from .liealg import (GoodGrading, LieSuperalgebra, Sl2Triple, _invert,
                      dense_to_poly, graded_slice_decomposition)
 from .linalg import RationalMatrix, exact_rank
@@ -61,8 +62,9 @@ class SliceChart:
     arc side (``pva``) works on them as they are, so each may gain jets
     after its order-zero variables; ``slice_generators`` lists those
     variables alone.  The chart also owns its Poisson structure,
-    ``poisson``, and its finite Miura image, ``miura``, each built on
-    first use, so jobs that stop at the chart build neither.
+    ``poisson``, its finite Miura image, ``miura``, and its gauge
+    complex's ring and images, ``gauge_ce``, each built on first use, so
+    jobs that stop at the chart build none of them.
     """
 
     def __init__(self, alg, triple, grading, ring, coord_indices,
@@ -95,6 +97,12 @@ class SliceChart:
     def miura(self) -> "MiuraImage":
         """The finite Miura image, built the first time it is used."""
         return MiuraImage(self)
+
+    @cached_property
+    def gauge_ce(self) -> tuple:
+        """(ring, images) of the gauge complex (``cohomology._gauge_ce``),
+        built the first time it is used; the arc side adds jets to ring."""
+        return cohomology._gauge_ce(self)
 
     def slice_generators(self) -> list[Variable]:
         """The order-zero variables of ``slice_ring``, one per invariant

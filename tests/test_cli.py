@@ -17,14 +17,15 @@ from fractions import Fraction
 
 import pytest
 
-from superslice import cli
+from superslice import cli, cohomology
 from superslice.cli import (JobConfig, body_bytes, main, report_text,
                             resolve_algebra, run_pipeline)
 from superslice.liealg import (LieSuperalgebra, algebra_to_json,
                                build_osp_1_2, build_sl, dynkin_grading,
                                load_algebra_file, parse_nilpotent,
-                               sl2_triple_for)
-from superslice.pva import ArcBracket, brst_complex, graded_miura
+                               principal_nilpotent, sl2_triple_for)
+from superslice.pva import (ArcBracket, brst_complex, graded_miura,
+                            h0_truncated)
 from superslice.slice import PoissonStructure, gauge_fix
 
 F = Fraction
@@ -843,6 +844,42 @@ class TestVerifyOnce:
         built.clear()
         code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
         assert code == 0 and built == []
+
+    def test_one_gauge_complex_per_chart(self, monkeypatch, capsys):
+        # the finite and the arc complex share the chart's gauge ring and
+        # images; chart jobs build none, and the H^0 truncation reads Q
+        # itself, building no derivation of its own
+        built = []
+        real = cohomology._gauge_ce
+
+        def counted(chart):
+            built.append(chart)
+            return real(chart)
+
+        monkeypatch.setattr(cohomology, "_gauge_ce", counted)
+        code, _ = run_cli(["run", "--algebra", "sl(2|1)",
+                           "--max-weight", "2"], capsys)
+        assert code == 0 and len(built) == 1
+        built.clear()
+        code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
+        assert code == 0 and built == []
+
+        alg = build_sl(2, 1)
+        triple = sl2_triple_for(alg, principal_nilpotent(alg))
+        cx = brst_complex(gauge_fix(alg, triple,
+                                    dynkin_grading(alg, triple)))
+        derivations = []
+        real_init = cohomology.OddDerivation.__init__
+
+        def counted_init(self, ring, images):
+            derivations.append(ring)
+            real_init(self, ring, images)
+
+        monkeypatch.setattr(cohomology.OddDerivation, "__init__",
+                            counted_init)
+        h0 = h0_truncated(cx, 4)
+        assert h0.consistent()
+        assert h0.graded.d is cx.Q and derivations == []
 
     def test_brst_bracket_built_on_first_use(self, monkeypatch, capsys):
         # the BRST complex builds its lambda bracket only when something

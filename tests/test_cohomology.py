@@ -20,7 +20,8 @@ from dense_oracles import dense_rank
 
 from superslice.cli import resolve_algebra
 from superslice.cohomology import (GradedComplex, OddDerivation,
-                                   cohomology_table, regular_ce_complex, slice_ce_complex,
+                                   cohomology_table, differential,
+                                   regular_ce_complex, slice_ce_complex,
                                    weighted_monomial_counts,
                                    _gauge_action_fields)
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
@@ -243,6 +244,23 @@ class TestBuildDispatch:
         assert len(sx.ring.variables) == len(sx.positions)
         assert len(brst.ring.variables) == brst.nmod + brst.nghost
 
+    def test_slice_complex_after_the_arc_jets(self):
+        # the H^0 truncation adds jets to the chart's gauge ring after
+        # the ghosts; a slice complex built after it still sits on the
+        # m coordinates and n ghosts, and its table is an untouched
+        # chart's
+        chart = chart_for("sl(2|1)", "principal")
+        h0_truncated(BRSTComplex(chart), 4)
+        ring = chart.gauge_ce[0]
+        m = len(chart.coord_indices)
+        n = len(chart.grading.positive_indices())
+        assert len(ring.variables) > m + n
+        sx = slice_ce_complex(chart, 4)
+        assert sx.ring is ring and sx.positions == list(range(m + n))
+        untouched = slice_ce_complex(chart_for("sl(2|1)", "principal"), 4)
+        assert len(untouched.ring.variables) == m + n
+        assert cohomology_table(sx) == cohomology_table(untouched)
+
     def test_non_half_integer_weight_rejected(self, osp_data):
         alg, triple, grading = osp_data
         cx = regular_ce_complex(alg, grading, max_weight=2)
@@ -254,19 +272,20 @@ class TestBuildDispatch:
         ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=-2)])
         images = {0: ring.gen(1), 1: ring.gen(0)}
         with pytest.raises(ValueError, match=r"d\^2 != 0"):
-            GradedComplex(ring, images, [0], [1], 6)
+            GradedComplex(differential(ring, images, "d"), [0], [1], 6)
 
     def test_mixed_weight_signs_rejected(self):
         ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=2)])
         with pytest.raises(ValueError, match="share a sign"):
-            GradedComplex(ring, {}, [0], [1], 6)
+            GradedComplex(differential(ring, {}, "d"), [0], [1], 6)
 
     @pytest.mark.parametrize("max_wt2", [-1, -2])
     def test_negative_truncation_rejected(self, max_wt2):
         # no block would survive, so every table would be vacuously empty
         ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=-2)])
         with pytest.raises(ValueError, match="at least 0"):
-            GradedComplex(ring, {0: ring.gen(1)}, [0], [1], max_wt2)
+            GradedComplex(differential(ring, {0: ring.gen(1)}, "d"),
+                          [0], [1], max_wt2)
 
     def test_negative_max_weight_rejected_by_builders(self, sl3_data):
         alg, triple, grading = sl3_data
@@ -278,7 +297,7 @@ class TestBuildDispatch:
     def test_missing_weight_rejected(self):
         ring = PolyRing([Variable("x", 0), Variable("ph", 1, wt2=-2)])
         with pytest.raises(ValueError, match="nonzero weight"):
-            GradedComplex(ring, {}, [0], [1], 6)
+            GradedComplex(differential(ring, {}, "d"), [0], [1], 6)
 
 
 # -- de Rham cross-check ---------------------------------------------------------
@@ -377,7 +396,7 @@ class TestIntegerRows:
 class TestOneDenominator:
     def test_lazy_image_outside_the_denominator_raises(self):
         # values() lists d(x) = 2 th over the denominator 1; get also
-        # serves d(y) = th / 3, the way pva._JetImages serves jets
+        # serves d(y) = th / 3, the way cohomology._JetImages serves jets
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("y", 0, wt2=2),
                          Variable("th", 1, wt2=2)])
         th = ring.gen(2)
@@ -467,20 +486,21 @@ class TestKoszulCertificate:
         assert lead._memo is cx._memo
         ring = cx.ring
         ph = ring.gen("ph_e12")
-        assert lead.images[ring.index["z_e12"]].is_zero()
-        assert lead.images[ring.index["z_h1"]] == -ph
-        for j, img in cx.images.items():
+        assert lead.d.images.get(ring.index["z_e12"]).is_zero()
+        assert lead.d.images.get(ring.index["z_h1"]) == -ph
+        for j, img in cx.d.images.base.items():
             low = {m: c for m, c in img.items()
                    if sum(e for _, e in unpack(m)) == 1}
-            assert dict(lead.images[j].items()) == low
+            assert dict(lead.d.images.get(j).items()) == low
 
     def test_leading_part_drops_the_ghost_images(self, sl3_data):
         alg, triple, grading = sl3_data
         cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
         lead = cx.leading_part()
-        ghosts = [j for j in cx.ghost_positions if j in cx.images]
-        assert any(not cx.images[j].is_zero() for j in ghosts)
-        assert all(lead.images[j].is_zero() for j in ghosts)
+        images, low = cx.d.images, lead.d.images
+        ghosts = [j for j in cx.ghost_positions if j in images.base]
+        assert any(not images.get(j).is_zero() for j in ghosts)
+        assert all(low.get(j).is_zero() for j in ghosts)
 
     def test_inexact_leading_part_falls_back(self):
         # d(u) = c x has degree 2, so d_0 = 0 and H^1(d_0) at weight 1
@@ -488,7 +508,8 @@ class TestKoszulCertificate:
         ring = PolyRing([Variable("x", 0, wt2=1), Variable("u", 0, wt2=2),
                          Variable("c", 1, wt2=1)])
         x, c = ring.gen(0), ring.gen(2)
-        cx = GradedComplex(ring, {1: c * x}, [0, 1], [2], 4)
+        cx = GradedComplex(differential(ring, {1: c * x}, "d"),
+                           [0, 1], [2], 4)
         assert cx.leading_part().cohomology_dim(1, 1) == 1
         table = cohomology_table(cx)
         assert table == full_rank_table(cx)
@@ -497,14 +518,15 @@ class TestKoszulCertificate:
 
     def test_degree_zero_image_raises(self):
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=2)])
-        cx = GradedComplex(ring, {0: ring.one() + ring.gen(1)}, [0], [1], 4)
+        cx = GradedComplex(differential(ring, {0: ring.one() + ring.gen(1)},
+                                        "d"), [0], [1], 4)
         with pytest.raises(ValueError, match="term of degree 0"):
             cohomology_table(cx)
 
 
 def uncapped(cx):
-    return GradedComplex(cx.ring, cx.images, cx.module_positions,
-                         cx.ghost_positions, cx.max_wt2)
+    return GradedComplex(cx.d, cx.module_positions, cx.ghost_positions,
+                         cx.max_wt2)
 
 
 class TestBlockEnumeration:

@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_kernel_oracle as oracle
 import tuple_merge_oracle
 from dense_oracles import bareiss_rank, dense_rref
-from superslice.cohomology import GradedComplex, OddDerivation
+from superslice.cohomology import GradedComplex, OddDerivation, differential
 from superslice.liealg import LieSuperalgebra, build_sl
 from superslice.linalg import RationalMatrix, exact_rank, rref
 from superslice.superpoly import (EMAX, UNIT, W, PolyRing, SuperPolynomial,
@@ -652,13 +652,15 @@ class TestPackedKeys:
     def test_weight_block_past_the_limit_raises(self):
         # the complex refuses a truncation whose top block needs x^(EMAX+1)
         ring = PolyRing([Variable("x", 0, wt2=1)])
-        cx = GradedComplex(ring, {}, [0], [], EMAX)
+        d = differential(ring, {}, "d")
+        cx = GradedComplex(d, [0], [], EMAX)
         assert cx.block_basis(0, EMAX) == [pack(((0, EMAX),))]
         with pytest.raises(OverflowError, match=f"exponent limit {EMAX}"):
-            GradedComplex(ring, {}, [0], [], EMAX + 1)
+            GradedComplex(d, [0], [], EMAX + 1)
         # an odd variable never passes exponent 1, however light it is
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("t", 1, wt2=1)])
-        cx = GradedComplex(ring, {}, [0], [1], 2 * EMAX + 1)
+        cx = GradedComplex(differential(ring, {}, "d"), [0], [1],
+                           2 * EMAX + 1)
         assert cx.block_basis(1, 2 * EMAX + 1) == [pack(((0, EMAX), (1, 1)))]
 
 

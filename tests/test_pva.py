@@ -43,7 +43,7 @@ from leibniz_bracket_oracle import leibniz_bracket
 from miura_pairs_oracle import check_all_ordered_pairs, source_bracket
 from zhu_brst_oracle import ZhuBRST
 from zhu_poisson_oracle import ZhuPoisson
-from superslice import cohomology, pva
+from superslice import cohomology
 from superslice.cli import JobConfig, _stage_cohomology, resolve_algebra
 from superslice.cohomology import slice_ce_complex
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
@@ -388,9 +388,11 @@ class TestBRSTComplex:
                 jet = g.total_derivative()
                 assert cx.Q(cx.Q(jet)).is_zero()
 
-    def test_q_square_trap(self, osp_chart, monkeypatch):
+    def test_q_square_trap(self, monkeypatch):
         # doubling the ghost half-sum breaks Q^2 = 0 on the generators,
-        # and the constructor must say so
+        # and the constructor must say so; a fresh chart, because a
+        # chart keeps the gauge images it built first
+        osp_chart = principal_chart(build_osp_1_2())
         real = cohomology._ce_images
 
         def doubled_ghosts(sub, ring, fields, nmod):
@@ -433,7 +435,7 @@ class TestBRSTComplex:
         jets = [base]
         for _ in range(K):
             jets.append(R.derivative_index(jets[-1]))
-        images = pva._JetImages(R, cx._images)
+        images = cohomology._JetImages(R, sl2_chart.gauge_ce[1])
         calls = []
         real = SuperPolynomial.total_derivative
 
@@ -445,7 +447,7 @@ class TestBRSTComplex:
         served = [images.get(j) for j in jets[1:]]
         assert len(calls) == K
         monkeypatch.undo()
-        want = cx._images[base]
+        want = sl2_chart.gauge_ce[1][base]
         for got in served:
             want = want.total_derivative()
             assert list(got.terms.items()) == list(want.terms.items())
@@ -454,7 +456,7 @@ class TestBRSTComplex:
     def test_q_preserves_conformal_weight(self, osp_cx):
         cx = osp_cx
         for pos in range(cx.nmod + cx.nghost):
-            img = cx._images.get(pos)
+            img = cx.chart.gauge_ce[1].get(pos)
             if img is None or img.is_zero():
                 continue
             assert img.weight2() == cx.ring.variables[pos].wt2
@@ -540,19 +542,19 @@ class TestZhuGeneratorOracle:
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_base_images_are_the_slice_complex_images(self, name):
-        # one builder: same variables, and Q on each order-zero generator
-        # is d of the finite slice complex on the variable of that name
+        # one gauge complex per chart: Q and d of the finite slice
+        # complex are two derivations on the chart's one ring and images
         chart = chart_for(name)
         cx, sx = brst_complex(chart), slice_ce_complex(chart, max_weight=2)
+        ring, images = chart.gauge_ce
+        assert cx.ring is ring and sx.ring is ring
+        assert cx.Q is not sx.d
+        assert cx.Q.images.base == sx.d.images.base == images
         n = cx.nmod + cx.nghost
-        assert [(v.name, v.parity, v.wt2) for v in cx.ring.variables[:n]] \
-            == [(v.name, v.parity, v.wt2) for v in sx.ring.variables]
-
-        def by_name(ring, images):
-            return {ring.variables[pos].name: img.text()
-                    for pos, img in images.items()}
-
-        assert by_name(cx.ring, cx._images) == by_name(sx.ring, sx.images)
+        assert sx.positions == list(range(n))
+        for pos in range(n):
+            g = ring.gen(pos)
+            assert cx.Q(g) == sx.d(g), g.text()
 
 
 # -- truncated degree-zero cohomology ----------------------------------------
@@ -570,7 +572,13 @@ class TestTruncatedH0:
         # weight 128 needs z_h1^128; the truncation is refused before Q
         # is applied to any jet
         served = []
-        monkeypatch.setattr(sl2_cx, "Q", served.append)
+        real = cohomology.OddDerivation.mono
+
+        def counted(self, mono):
+            served.append(mono)
+            return real(self, mono)
+
+        monkeypatch.setattr(cohomology.OddDerivation, "mono", counted)
         with pytest.raises(OverflowError, match="exponent limit 127"):
             h0_truncated(sl2_cx, 128)
         assert served == []
