@@ -1,4 +1,5 @@
-"""Weight-graded Chevalley-Eilenberg cohomology with exact ranks.
+"""Weight-graded Chevalley-Eilenberg cohomology, exact: in closed form
+from the linear part of d, or by exact ranks.
 
 The whole complex lives in a single superpolynomial ring: module
 variables first, then one ghost variable per basis vector of the acting
@@ -25,40 +26,43 @@ generators: an odd derivation commuting with the total derivative
 squares to an even one that does too, so that is d^2 = 0 everywhere.
 
 Every variable carries a nonzero weight and all weights share one sign,
-so each weight block is finite dimensional and cohomology is a matter
-of exact ranks, block by block, with no analysis anywhere.  Monomial
-keys hold exponents up to superpoly.EMAX = 127, so GradedComplex refuses
-at construction (check_exponent_limit), with OverflowError, a truncation
-whose blocks would need a higher power of its lightest even variable.  The rank
-path runs in Python ints from the differential to the pivot: every
-polynomial already holds integer numerators over one denominator,
-OddDerivation puts all generator images over one common denominator,
+so each weight block is finite dimensional.  Give every complex
+variable polynomial degree 1.  No image has a term of degree 0
+(linear_part refuses one), so d = d_0 + d_1 + ..., d_i raising the
+degree by i.  When the images are of Koszul shape (each degree-1 term
+of a module image a ghost of its block, none in a ghost image, as for
+any odd d raising the ghost degree by 1), d_0 sends z_b to
+sum_a c_ab ph_a, the constant part of its field times the ghost, and
+each ghost to zero: (C, d_0) is Sym(V, delta) for a constant delta:
+span(z) -> span(ph) that keeps the weight and flips the parity, its
+blocks the z of weight w and parity p against the ph of weight w and
+parity 1 - p.  Over Q, Kunneth gives H(d_0) = Sym(ker delta) (x)
+Sym(coker delta), coker delta in degree 1.  By degree, d is block
+triangular with d_0 on its diagonal, so dim H^k(d) <= dim H^k(d_0),
+with equal Euler characteristics (the degree filtration: Gan and
+Ginzburg, IMRN 2002; Kostant, Invent. Math. 1978).  So below the
+lightest weight with an element of coker delta, H^k(d) = 0 for k > 0
+and H^0(d) has the monomial counts of ker delta (closed_form_h0; on
+the arc complex Q_0 = delta (x) C[d], the counts of the jets of ker
+delta).  cohomology_table and pva.TruncatedH0 read that, at one
+row_rank per block of delta, and fall back to the ranks of d (or Q)
+from that weight on, or everywhere without Koszul shape; d^2 = 0 is
+checked either way.  On every catalogue chart delta is onto, so no
+rank of d is taken, and ker delta has the weights and parities of the
+slice generators (the transversality of the slice, Gan and Ginzburg),
+which the tests check against the ranks of d.
+
+Monomial keys hold exponents up to superpoly.EMAX = 127, and
+GradedComplex refuses a deeper truncation at construction
+(check_exponent_limit, OverflowError).  On the fallback, ranks run in
+Python ints: OddDerivation puts all images over one denominator,
 GradedComplex.d_matrix reads a block's rows straight from those, and
 linalg.row_rank eliminates them fraction-free.
-
-The tables are certified by the leading part of d.  Give every complex
-variable polynomial degree 1.  No generator image has a term of degree
-0 (GradedComplex.leading_part refuses one), so d never lowers the
-degree and splits as d = d_0 + d_1 + ..., d_i raising it by i.  d_0 is
-the odd derivation on the degree-1 parts of the generator images: the
-constant part of each gauge or Bernoulli field times its ghost, and
-zero on the ghosts; d_0^2 = 0 is the degree-0 part of d^2 = 0.  In a
-basis of a block ordered by degree, the matrix of d is block triangular
-with the blocks of d_0 on its diagonal, so rank d >= rank d_0 on every
-block and dim H^k(d) <= dim H^k(d_0): the first page of the spectral
-sequence of the degree filtration (Gan and Ginzburg, IMRN 2002;
-Kostant, Invent. Math. 1978, for Lie algebras).  Both have the Euler
-characteristic chi = sum_k (-1)^k dim C^k of the weight.  So where
-H^k(d_0) = 0 for every k > 0, H^k(d) = 0 for k > 0 and H^0(d) = chi =
-H^0(d_0).  cohomology_table takes the ranks of d_0 at each weight and
-falls back to the ranks of d, at that weight only, where some H^k(d_0),
-k > 0, is not zero.  d is built and d^2 = 0 checked either way; d_0 is
-a second GradedComplex on the same ring, positions and weight blocks,
-and its blocks are far sparser than those of d.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import inf, lcm
 from typing import Mapping, Optional, Sequence
@@ -68,7 +72,7 @@ from .linalg import row_rank
 from .supergroup import regular_representation
 from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, _poly,
                         add_scaled, combine, lowest_variable, mul_int_terms,
-                        normal_terms, unpack, var_key)
+                        normal_terms, var_key)
 
 
 class OddDerivation:
@@ -237,10 +241,11 @@ class GradedComplex:
     ``max_ghosts``, when given, is the highest ghost degree enumerated:
     a caller that reads only H^0 needs blocks 0 and 1 and passes 1, and
     ``d_matrix`` then refuses a block whose target is not enumerated.
-    ``d_matrix`` gives d on a block as sparse integer rows, one per
-    source monomial (the transpose of the matrix of d over its one
-    denominator); ranks are taken on those rows and cached, since H^k
-    and H^{k+1} both need the rank of d on block k.
+    On the rank fallback (module docstring), ``d_matrix`` gives d on a
+    block as sparse integer rows, one per source monomial (the
+    transpose of the matrix of d over its one denominator); ranks are
+    taken on those rows and cached, since H^k and H^{k+1} both need the
+    rank of d on block k.
     """
 
     def __init__(self, d: OddDerivation, module_positions: Sequence[int],
@@ -273,12 +278,18 @@ class GradedComplex:
         # no monomial in positions i.. has a weight below _min_w2[i]
         self._min_w2 = [min(self._w2[i:]) for i in range(len(w2s))]
         self._top = inf if max_ghosts is None else max_ghosts
-        # (i, r) -> {k: monomials}, see _monomials; the leading part
-        # shares it
+        # bit k of _reach[r]: a monomial of weight r (doubled, sign
+        # removed) has ghost degree k; odd positions are taken once
+        reach = [1] + [0] * max_wt2
+        for w, odd, g in zip(self._w2, self._odd, self._gdeg):
+            for r in (range(max_wt2, w - 1, -1) if odd
+                      else range(w, max_wt2 + 1)):
+                reach[r] |= reach[r - w] << g
+        self._reach = reach
+        # (i, r) -> {k: monomials}, see _monomials
         self._memo: dict[tuple[int, int], dict[int, list[int]]] = {}
         # rank of d on block (k, n2); H^k and H^{k+1} both need it
         self._ranks: dict[tuple[int, int], int] = {}
-        self._lead: Optional[GradedComplex] = None
 
     # -- weight blocks -----------------------------------------------------
 
@@ -315,13 +326,13 @@ class GradedComplex:
         memo[(i, r)] = got
         return got
 
-    def _weight_blocks(self, n2: int) -> dict[int, list[int]]:
+    def _abs_wt2(self, n2: int) -> int:
         if n2 * self.sign < 0 or abs(n2) > self.max_wt2:
             raise ValueError("weight block outside the truncation")
-        return self._monomials(0, abs(n2))
+        return abs(n2)
 
     def block_basis(self, k: int, n2: int) -> list[int]:
-        return self._weight_blocks(n2).get(k, [])
+        return self._monomials(0, self._abs_wt2(n2)).get(k, [])
 
     def block_dim(self, k: int, n2: int) -> int:
         return len(self.block_basis(k, n2))
@@ -366,34 +377,12 @@ class GradedComplex:
         return dim - self._rank(k, n2) - self._rank(k - 1, n2)
 
     def max_degree(self, n2: int) -> int:
-        blocks = self._weight_blocks(n2)
-        return max(blocks) if blocks else 0
-
-    def leading_part(self) -> "GradedComplex":
-        """The complex of d_0, the part of d that keeps the polynomial
-        degree, every complex variable of degree 1 (module docstring),
-        on the same ring, positions and weight blocks; built once.  The
-        images of d_0 are the degree-1 parts of those of d.  Raises
-        ValueError if an image has a term of degree 0: d then lowers
-        the degree, and d_0 bounds nothing."""
-        if self._lead is None:
-            ring, low = self.ring, {}
-            for j in self.positions:
-                img = self.d.images.get(j, ring.zero())
-                if 0 in img.terms:
-                    raise ValueError(
-                        f"image of {ring.variables[j].name} has a "
-                        f"term of degree 0")
-                low[j] = SuperPolynomial(
-                    ring, {m: n for m, n in img.terms.items()
-                           if sum(e for _, e in unpack(m)) == 1},
-                    img.den)
-            lead = GradedComplex(differential(ring, low, "d_0"),
-                                 self.module_positions, self.ghost_positions,
-                                 self.max_wt2, self.max_ghosts)
-            lead._memo = self._memo
-            self._lead = lead
-        return self._lead
+        """The highest ghost degree, at most ``max_ghosts``, of a monomial
+        of doubled weight n2 (0 if none), enumerating no block."""
+        reach = self._reach[self._abs_wt2(n2)]
+        if self.max_ghosts is not None:
+            reach &= (1 << (self.max_ghosts + 1)) - 1
+        return max(reach.bit_length() - 1, 0)
 
 
 def _as_wt2(weight) -> int:
@@ -403,21 +392,69 @@ def _as_wt2(weight) -> int:
     return int(n2)
 
 
-def cohomology_table(complex_: GradedComplex) -> dict:
-    """{(degree, weight): dim} over every block inside the truncation.
+def linear_part(cx: GradedComplex) -> Optional[dict]:
+    """delta (module docstring) as {(w2, p): (rank, kernel, cokernel)}:
+    the z of doubled weight w2 (sign removed) and parity p against the
+    ghosts of weight w2 and parity 1 - p.  None if the images are not
+    of Koszul shape; ValueError on a term of degree 0."""
+    ring, ghosts = cx.ring, cx.ghost_set
+    # a ghost's block holds the module variables of the other parity
+    block = {j: (w, odd ^ (j in ghosts))
+             for j, w, odd in zip(cx.positions, cx._w2, cx._odd)}
+    rows: dict[tuple[int, int], list[dict]] = {b: [] for b in block.values()}
+    koszul = True
+    for j in cx.positions:
+        img = cx.d.images.get(j)
+        terms = img.terms if img is not None else {}
+        if 0 in terms:
+            raise ValueError(f"image of {ring.variables[j].name} has a "
+                             f"term of degree 0")
+        row = {}  # columns are the ghosts' positions
+        for m, n in terms.items():
+            g = lowest_variable(m)
+            if m != var_key(g):
+                continue  # a term of degree 2 or more
+            if j in ghosts or g not in ghosts or block[g] != block[j]:
+                koszul = False
+            row[g] = n
+        if j not in ghosts:
+            rows[block[j]].append(row)
+    if not koszul:
+        return None
+    ncols = Counter(block[g] for g in cx.ghost_positions)
+    out = {}
+    for b, zs in rows.items():
+        r = row_rank(zs)
+        out[b] = (r, len(zs) - r, ncols[b] - r)
+    return out
 
-    Each weight is first computed with the leading part d_0 (module
-    docstring).  Where H^k(d_0) = 0 for every k > 0, so is H^k(d), and
-    H^0(d) = H^0(d_0); at any other weight the ranks of d decide."""
-    lead = complex_.leading_part()
+
+def closed_form_h0(cx: GradedComplex) -> tuple[int, dict[int, int]]:
+    """(cut, {w2: count}): below the doubled weight cut (sign removed),
+    the lightest with a cokernel of delta, H^0 has the monomial counts
+    of ker delta and H^k = 0 for k > 0.  cut is 0 without Koszul shape."""
+    blocks = linear_part(cx)
+    if blocks is None:
+        return 0, {}
+    cut = min((w for (w, _), (_, _, coker) in blocks.items() if coker),
+              default=cx.max_wt2 + 1)
+    gens = [(w, p) for (w, p), (_, ker, _) in blocks.items()
+            for _ in range(ker)]
+    return cut, weighted_monomial_counts(gens, cx.max_wt2)
+
+
+def cohomology_table(complex_: GradedComplex) -> dict:
+    """{(degree, weight): dim} over every block inside the truncation,
+    degrees up to ``max_degree``: the closed form below its cut
+    (``closed_form_h0``), the ranks of d from there on."""
+    cut, h0 = closed_form_h0(complex_)
     out = {}
     for a2 in range(0, complex_.max_wt2 + 1):
         n2 = a2 * complex_.sign
         w = Fraction(n2, 2)
         degrees = range(complex_.max_degree(n2) + 1)
-        dims = [lead.cohomology_dim(k, w) for k in degrees]
-        if any(dims[1:]):
-            dims = [complex_.cohomology_dim(k, w) for k in degrees]
+        dims = ([h0.get(a2, 0)] + [0] * (len(degrees) - 1) if a2 < cut
+                else [complex_.cohomology_dim(k, w) for k in degrees])
         out.update(((k, w), dim) for k, dim in zip(degrees, dims))
     return out
 

@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, _as_wt2, _JetImages, differential,
-                         weighted_monomial_counts)
+from .cohomology import (GradedComplex, _as_wt2, _JetImages, closed_form_h0,
+                         differential, weighted_monomial_counts)
 from .slice import SliceChart, check_poisson_form
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
                         sum_of_products)
@@ -411,7 +411,9 @@ class TruncatedH0:
     """Degree-zero cohomology of the arc gauge complex per conformal
     weight, against the free differential ring on the slice generators
     as the independent size oracle.  ``graded`` reads the complex's own
-    Q on the jets up to the cutoff."""
+    Q on the jets up to the cutoff.  ``dimensions`` reads H^0 from
+    Q_0 = delta (x) C[d] (``cohomology.closed_form_h0``), on every
+    catalogue chart at every weight, and the ranks of Q past its cut."""
 
     def __init__(self, complex_: BRSTComplex, max_weight):
         w2cap = _as_wt2(max_weight)
@@ -443,7 +445,9 @@ class TruncatedH0:
         self.expected = weighted_monomial_counts(gens, w2cap)
 
     def dimensions(self) -> dict:
-        return {Fraction(n2, 2): self.graded.cohomology_dim(0, Fraction(n2, 2))
+        cut, h0 = closed_form_h0(self.graded)
+        return {Fraction(n2, 2): h0.get(n2, 0) if n2 < cut else
+                self.graded.cohomology_dim(0, Fraction(n2, 2))
                 for n2 in range(self.max_wt2 + 1)}
 
     def consistent(self) -> bool:
@@ -475,8 +479,11 @@ class GradedMiura:
     The finite map is injective (see the certificate).  Whether the jet
     extension stays injective weight by weight is not checked here or
     by any stage; ROADMAP item 4 ("the jet Miura map is injective,
-    weight by weight") describes that check.  No statement beyond the
-    level-zero brackets is made here: the tables are constant in lambda
+    weight by weight") describes that check, the arc-side one that
+    would carry weight: ``pva-h0`` takes no rank of Q on a catalogue
+    chart and rests on delta, Q^2 = 0 and the degree-filtration bound
+    (``cohomology``).  No statement beyond the level-zero brackets is
+    made here: the tables are constant in lambda
     and ``check_intertwining`` brackets order-zero generators and their
     images, so every bracket it compares has lambda-degree 0 and no
     jets, and the check re-derives the finite Poisson intertwining.

@@ -17,10 +17,12 @@ import block_enumeration_oracle
 import gauge_action_oracle
 from cross_checks import de_rham_check
 from dense_oracles import dense_rank
+from koszul_oracle import full_rank_table, leading_part
 
 from superslice.cli import resolve_algebra
 from superslice.cohomology import (GradedComplex, OddDerivation,
-                                   cohomology_table, differential,
+                                   closed_form_h0, cohomology_table,
+                                   differential, linear_part,
                                    regular_ce_complex, slice_ce_complex,
                                    weighted_monomial_counts,
                                    _gauge_action_fields)
@@ -431,18 +433,7 @@ class TestOneDenominator:
                    for _, c in got.items())
 
 
-# -- the Koszul certificate and the block enumerator -----------------------------
-
-
-def full_rank_table(cx):
-    """cohomology_table without the certificate: every block's dimension
-    from the ranks of d."""
-    out = {}
-    for a2 in range(cx.max_wt2 + 1):
-        w = Fraction(a2 * cx.sign, 2)
-        for k in range(cx.max_degree(a2 * cx.sign) + 1):
-            out[(k, w)] = cx.cohomology_dim(k, w)
-    return out
+# -- the closed form from delta and the block enumerator -----------------------
 
 
 CERTIFIED_SLICES = [("sl2", "principal"), ("sl3", "principal"),
@@ -453,36 +444,86 @@ CERTIFIED_SLICES = [("sl2", "principal"), ("sl3", "principal"),
                     ("sl4", "e31"), ("sl(2|1)", "e21"), ("sl(3|1)", "e21")]
 CERTIFIED_REGULAR = [("sl3", "principal"), ("osp12", "principal"),
                      ("sl(2|1)", "principal"), ("sl4", "e21")]
+CERTIFIED_ARCS = [("sl2", "principal"), ("sl3", "principal"),
+                  ("osp12", "principal"), ("sl(2|1)", "principal"),
+                  ("sl(3|2)", "principal"), ("sl4", "e21")]
+
+
+@pytest.fixture
+def d_matrix_calls(monkeypatch):
+    """The doubled weight of every GradedComplex.d_matrix call."""
+    calls = []
+    real = GradedComplex.d_matrix
+
+    def counting(self, k, n2):
+        calls.append(n2)
+        return real(self, k, n2)
+
+    monkeypatch.setattr(GradedComplex, "d_matrix", counting)
+    return calls
+
+
+def kernel_generators(cx):
+    """(wt2, parity) of a basis of ker delta, sorted."""
+    return sorted((w, p) for (w, p), (_, ker, _) in linear_part(cx).items()
+                  for _ in range(ker))
 
 
 class TestKoszulCertificate:
     @staticmethod
-    def assert_certified(cx):
-        """The certified table equals the full-rank table, and d_0 is
-        exact above degree 0 at every weight, so no weight fell back."""
-        assert cohomology_table(cx) == full_rank_table(cx)
-        lead = cx.leading_part()
-        for (k, w), dim in full_rank_table(lead).items():
-            assert k == 0 or dim == 0, (k, w)
+    def assert_certified(cx, calls):
+        """The closed form covers every weight, takes no rank of d and
+        equals the full-rank table; and H(d_0) is Sym(ker delta), all
+        in degree 0 (Kunneth), by the ranks of d_0."""
+        cut, h0 = closed_form_h0(cx)
+        assert cut > cx.max_wt2
+        table = cohomology_table(cx)
+        assert calls == []
+        assert table == full_rank_table(cx)
+        for (k, w), dim in full_rank_table(leading_part(cx)).items():
+            want = h0.get(abs(2 * w), 0) if k == 0 else 0
+            assert dim == want, (k, w)
 
     @pytest.mark.parametrize("name,nilpotent", CERTIFIED_SLICES)
-    def test_slice_tables(self, name, nilpotent):
-        self.assert_certified(
-            slice_ce_complex(chart_for(name, nilpotent), max_weight=3))
+    def test_slice_tables(self, name, nilpotent, d_matrix_calls):
+        chart = chart_for(name, nilpotent)
+        cx = slice_ce_complex(chart, max_weight=3)
+        # the transversality of the slice: ker delta has the weights and
+        # parities of the slice generators
+        assert kernel_generators(cx) == sorted(
+            (v.wt2, v.parity) for v in chart.slice_generators())
+        self.assert_certified(cx, d_matrix_calls)
 
     @pytest.mark.parametrize("name,nilpotent", CERTIFIED_REGULAR)
-    def test_regular_tables(self, name, nilpotent):
+    def test_regular_tables(self, name, nilpotent, d_matrix_calls):
         chart = chart_for(name, nilpotent)
-        self.assert_certified(
-            regular_ce_complex(chart.alg, chart.grading, max_weight=3))
+        cx = regular_ce_complex(chart.alg, chart.grading, max_weight=3)
+        assert kernel_generators(cx) == []  # delta is an isomorphism
+        self.assert_certified(cx, d_matrix_calls)
+
+    @pytest.mark.parametrize("name,nilpotent", CERTIFIED_ARCS)
+    def test_arc_h0_dimensions(self, name, nilpotent, d_matrix_calls):
+        h0 = h0_truncated(BRSTComplex(chart_for(name, nilpotent)), 4)
+        assert closed_form_h0(h0.graded)[0] > h0.max_wt2
+        got = h0.dimensions()
+        assert d_matrix_calls == []
+        assert got == {w: h0.graded.cohomology_dim(0, w) for w in got}
+        assert h0.consistent()
+
+    def test_linear_part_of_a_super_chart(self):
+        # sl(2|1): the odd z_e23, z_e31 of weight 1/2 meet the even
+        # ghosts ph_e13, ph_e32, and z_h1, z_h2 of weight 1 the odd
+        # ph_e12; the kernel is s1 (1, even), s2, s3 (3/2, odd), s4 (2)
+        cx = slice_ce_complex(chart_for("sl(2|1)", "principal"), 3)
+        assert linear_part(cx) == {(1, 1): (2, 0, 0), (2, 0): (1, 1, 0),
+                                   (3, 1): (0, 2, 0), (4, 0): (0, 1, 0)}
 
     def test_leading_part_of_the_slice_complex(self, sl2_data):
         # d(z_e12) = 2 z_h1 ph_e12 and d(z_h1) = -ph_e12 on sl2: d_0 keeps
         # the constant part of each gauge field times its ghost
         alg, triple, grading = sl2_data
         cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
-        lead = cx.leading_part()
-        assert lead is cx.leading_part()
+        lead = leading_part(cx)
         assert lead._memo is cx._memo
         ring = cx.ring
         ph = ring.gen("ph_e12")
@@ -492,29 +533,83 @@ class TestKoszulCertificate:
             low = {m: c for m, c in img.items()
                    if sum(e for _, e in unpack(m)) == 1}
             assert dict(lead.d.images.get(j).items()) == low
+        # delta: z_h1 onto ph_e12 at weight 1, z_e12 in the kernel
+        assert linear_part(cx) == {(2, 0): (1, 0, 0), (4, 0): (0, 1, 0)}
 
     def test_leading_part_drops_the_ghost_images(self, sl3_data):
         alg, triple, grading = sl3_data
         cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
-        lead = cx.leading_part()
+        lead = leading_part(cx)
         images, low = cx.d.images, lead.d.images
         ghosts = [j for j in cx.ghost_positions if j in images.base]
         assert any(not images.get(j).is_zero() for j in ghosts)
         assert all(low.get(j).is_zero() for j in ghosts)
 
-    def test_inexact_leading_part_falls_back(self):
-        # d(u) = c x has degree 2, so d_0 = 0 and H^1(d_0) at weight 1
+    def test_inexact_leading_part_falls_back(self, d_matrix_calls):
+        # d(u) = c x has degree 2, so delta = 0 and H^1(d_0) at weight 1
         # holds c x, which d hits: the table must come from d there
         ring = PolyRing([Variable("x", 0, wt2=1), Variable("u", 0, wt2=2),
                          Variable("c", 1, wt2=1)])
         x, c = ring.gen(0), ring.gen(2)
         cx = GradedComplex(differential(ring, {1: c * x}, "d"),
                            [0, 1], [2], 4)
-        assert cx.leading_part().cohomology_dim(1, 1) == 1
+        assert leading_part(cx).cohomology_dim(1, 1) == 1
+        assert linear_part(cx) == {(1, 0): (0, 1, 1), (2, 0): (0, 1, 0)}
+        assert closed_form_h0(cx)[0] == 1
         table = cohomology_table(cx)
+        assert set(d_matrix_calls) == {1, 2, 3, 4}
         assert table == full_rank_table(cx)
         # weight 1: u and x^2 in degree 0, c x in degree 1, d(u) = c x
         assert table[(0, 1)] == 1 and table[(1, 1)] == 0
+
+    def test_heavy_cokernel_falls_back_from_its_weight(self, d_matrix_calls):
+        # d(y) = a is onto at weight 1; the ghost b of weight 3 is hit by
+        # no degree-1 term, so the closed form holds below weight 3 and
+        # the ranks of d decide from there, where d(u) = b x kills the
+        # class b x that d_0 leaves at weight 4
+        ring = PolyRing([Variable("x", 0, wt2=2), Variable("y", 0, wt2=2),
+                         Variable("u", 0, wt2=8), Variable("a", 1, wt2=2),
+                         Variable("b", 1, wt2=6)])
+        x, a, b = ring.gen(0), ring.gen(3), ring.gen(4)
+        cx = GradedComplex(differential(ring, {1: a, 2: b * x}, "d"),
+                           [0, 1, 2], [3, 4], 10)
+        assert linear_part(cx) == {(2, 0): (1, 1, 0), (6, 0): (0, 0, 1),
+                                   (8, 0): (0, 1, 0)}
+        cut, h0 = closed_form_h0(cx)
+        assert cut == 6 and h0[2] == h0[4] == 1
+        table = cohomology_table(cx)
+        assert set(d_matrix_calls) == {6, 8, 10}  # no odd weight is filled
+        assert table == full_rank_table(cx)
+        assert leading_part(cx).cohomology_dim(1, 4) == 1
+        assert table[(1, 4)] == 0
+
+    def test_non_koszul_shape_falls_back_everywhere(self, d_matrix_calls):
+        # d(x) = e meets a ghost of the module variable's own parity, not
+        # a ghost of its block: no weight is taken from the closed form
+        ring = PolyRing([Variable("x", 0, wt2=2), Variable("e", 0, wt2=2)])
+        cx = GradedComplex(differential(ring, {0: ring.gen(1)}, "d"),
+                           [0], [1], 6)
+        assert linear_part(cx) is None
+        assert closed_form_h0(cx) == (0, {})
+        table = cohomology_table(cx)
+        assert set(d_matrix_calls) == {0, 2, 4, 6}
+        assert table == full_rank_table(cx)
+
+    @pytest.mark.parametrize("images", [
+        # a degree-1 term on a module variable: d(t) = x
+        lambda ring: {1: ring.gen(0)},
+        # a ghost image with a degree-1 part: d(c) = e
+        lambda ring: {2: ring.gen(3)}])
+    def test_ghost_degree_kept_reaches_the_rank_path(self, images):
+        # neither is of Koszul shape, so the table is not taken from
+        # delta, and the ranks of d find that d keeps the ghost degree
+        ring = PolyRing([Variable("x", 0, wt2=2), Variable("t", 1, wt2=2),
+                         Variable("c", 1, wt2=2), Variable("e", 0, wt2=2)])
+        cx = GradedComplex(differential(ring, images(ring), "d"),
+                           [0, 1], [2, 3], 6)
+        assert linear_part(cx) is None
+        with pytest.raises(ValueError, match="left its weight block"):
+            cohomology_table(cx)
 
     def test_degree_zero_image_raises(self):
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=2)])
@@ -560,6 +655,16 @@ class TestBlockEnumeration:
         assert full.max_degree(capped.max_wt2) > 1
         with pytest.raises(ValueError, match="above the enumerated"):
             capped.d_matrix(1, capped.max_wt2)
+
+    def test_max_degree_takes_an_odd_variable_once(self):
+        # the odd ghost c of weight 1/2 squares to zero: weight 1 holds
+        # only x, so an exponent 2 of c would give degree 2 there
+        ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=1)])
+        cx = GradedComplex(differential(ring, {}, "d"), [0], [1], 4)
+        got = [cx.max_degree(n2) for n2 in range(5)]
+        assert got == [0, 1, 0, 1, 0]
+        assert got == [max(block_enumeration_oracle.weight_blocks(cx, n2),
+                           default=0) for n2 in range(5)]
 
 
 # -- counting helper -------------------------------------------------------------
