@@ -258,7 +258,7 @@ def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
     # popped, so Q and the monomials it memoizes go with this stage
     h0 = h0_truncated(ctx.pop("brst"), mw)
     dims = h0.dimensions()
-    if not h0.consistent():
+    if not h0.consistent(dims):
         raise StageError(
             "H^0 dimensions disagree with the free superfield count",
             data={"computed": {str(w): d for w, d in sorted(dims.items())},

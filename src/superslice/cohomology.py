@@ -1,5 +1,5 @@
-"""Weight-graded Chevalley-Eilenberg cohomology, exact: in closed form
-from the linear part of d, or by exact ranks.
+"""Weight-graded Chevalley-Eilenberg cohomology, exact, in closed form
+from the linear part of d.
 
 The whole complex lives in a single superpolynomial ring: module
 variables first, then one ghost variable per basis vector of the acting
@@ -40,21 +40,25 @@ parity 1 - p.  Over Q, Kunneth gives H(d_0) = Sym(ker delta) (x)
 Sym(coker delta), coker delta in degree 1.  By degree, d is block
 triangular with d_0 on its diagonal, so dim H^k(d) <= dim H^k(d_0),
 with equal Euler characteristics (the degree filtration: Gan and
-Ginzburg, IMRN 2002; Kostant, Invent. Math. 1978).  So below the
-lightest weight with an element of coker delta, H^k(d) = 0 for k > 0
-and H^0(d) has the monomial counts of ker delta (closed_form_h0; on
-the arc complex Q_0 = delta (x) C[d], the counts of the jets of ker
-delta).  cohomology_table and pva.TruncatedH0 read that, at one
-row_rank per block of delta, and fall back to the ranks of d (or Q)
-from that weight on, or everywhere without Koszul shape; d^2 = 0 is
-checked either way.  On every catalogue chart delta is onto, so no
-rank of d is taken, and ker delta has the weights and parities of the
+Ginzburg, IMRN 2002; Kostant, Invent. Math. 1978).
+
+delta is onto on every complex built here: on the gauge complexes
+delta(z_b) = sum_a ([f, v_a])_b ph_a, so rank delta = dim g_+ exactly
+when ad_f is injective on g_+, which GoodGrading._validate checks; on
+the regular complex delta is the identity.  So H^k(d) = 0 for k > 0
+and H^0(d) has the monomial counts of ker delta at every weight (on
+the arc complex, Q_0 = delta (x) C[d], those of its jets).
+kernel_generators reads ker delta, one row_rank per block, and raises
+ValueError where this does not hold: images not of Koszul shape,
+delta not onto at a weight, a term of degree 0.  The tests check the
+closed form, and that ker delta has the weights and parities of the
 slice generators (the transversality of the slice, Gan and Ginzburg),
-which the tests check against the ranks of d.
+against the ranks of d: block_basis, d_matrix and cohomology_dim,
+which no stage calls.  d^2 = 0 is checked on every complex.
 
 Monomial keys hold exponents up to superpoly.EMAX = 127, and
 GradedComplex refuses a deeper truncation at construction
-(check_exponent_limit, OverflowError).  On the fallback, ranks run in
+(check_exponent_limit, OverflowError).  The reference ranks run in
 Python ints: OddDerivation puts all images over one denominator,
 GradedComplex.d_matrix reads a block's rows straight from those, and
 linalg.row_rank eliminates them fraction-free.
@@ -64,8 +68,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import inf, lcm
-from typing import Mapping, Optional, Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
 from .linalg import row_rank
@@ -237,20 +241,17 @@ class GradedComplex:
     (``OverflowError``); it builds no derivation and reads no image.
 
     A block (k, n2) has the monomials of ghost degree k and doubled
-    weight n2 as its basis, in a fixed enumeration order (``_monomials``).
-    ``max_ghosts``, when given, is the highest ghost degree enumerated:
-    a caller that reads only H^0 needs blocks 0 and 1 and passes 1, and
-    ``d_matrix`` then refuses a block whose target is not enumerated.
-    On the rank fallback (module docstring), ``d_matrix`` gives d on a
-    block as sparse integer rows, one per source monomial (the
-    transpose of the matrix of d over its one denominator); ranks are
-    taken on those rows and cached, since H^k and H^{k+1} both need the
-    rank of d on block k.
+    weight n2 as its basis, in a fixed enumeration order (``_monomials``);
+    ``max_degree`` reads a weight's highest ghost degree from a knapsack
+    instead.  ``d_matrix`` gives d on a block as sparse integer rows,
+    one per source monomial (the transpose of the matrix of d over its
+    one denominator), the rank reference of the module docstring; ranks
+    are taken on those rows and cached, since H^k and H^{k+1} both need
+    the rank of d on block k.
     """
 
     def __init__(self, d: OddDerivation, module_positions: Sequence[int],
-                 ghost_positions: Sequence[int], max_wt2: int,
-                 max_ghosts: Optional[int] = None):
+                 ghost_positions: Sequence[int], max_wt2: int):
         if max_wt2 < 0:
             raise ValueError(f"max weight must be at least 0, got "
                              f"{Fraction(max_wt2, 2)}")
@@ -261,7 +262,6 @@ class GradedComplex:
         self.positions = self.module_positions + self.ghost_positions
         self.ghost_set = set(self.ghost_positions)
         self.max_wt2 = max_wt2
-        self.max_ghosts = max_ghosts
         w2s = [ring.variables[p].wt2 for p in self.positions]
         if any(w is None or w == 0 for w in w2s):
             raise ValueError("every complex variable needs a nonzero weight")
@@ -277,7 +277,6 @@ class GradedComplex:
         self._unit = [var_key(p) for p in self.positions]
         # no monomial in positions i.. has a weight below _min_w2[i]
         self._min_w2 = [min(self._w2[i:]) for i in range(len(w2s))]
-        self._top = inf if max_ghosts is None else max_ghosts
         # bit k of _reach[r]: a monomial of weight r (doubled, sign
         # removed) has ghost degree k; odd positions are taken once
         reach = [1] + [0] * max_wt2
@@ -295,10 +294,9 @@ class GradedComplex:
 
     def _monomials(self, i: int, r: int) -> dict[int, list[int]]:
         """The monomials of weight r (doubled, sign removed) in positions
-        i.. as {ghost degree k: keys}, k at most ``max_ghosts``: first
-        those without position i, then those with exponent 1, 2, ... of
-        it, each times the monomials of the weight left in positions
-        i+1.. .  Memoized by (i, r) for every weight of the complex; the
+        i.. as {ghost degree k: keys}: first those without position i,
+        then those with exponent 1, 2, ... of it, each times the
+        monomials of the weight left in positions i+1.. .  Memoized by (i, r) for every weight of the complex; the
         lists are shared between entries (do not modify)."""
         memo = self._memo
         got = memo.get((i, r))
@@ -316,13 +314,12 @@ class GradedComplex:
             got = self._monomials(i + 1, r)
             if cap:
                 got = {k: list(ms) for k, ms in got.items()}
-                unit, g, top = self._unit[i], self._gdeg[i], self._top
+                unit, g = self._unit[i], self._gdeg[i]
                 for e in range(1, cap + 1):
                     s = e * unit
                     for k, ms in self._monomials(i + 1, r - w * e).items():
-                        ke = k + g * e
-                        if ke <= top:
-                            got.setdefault(ke, []).extend([m + s for m in ms])
+                        got.setdefault(k + g * e, []).extend(
+                            [m + s for m in ms])
         memo[(i, r)] = got
         return got
 
@@ -345,9 +342,6 @@ class GradedComplex:
         (k+1, n2): int} ({} for a cocycle).  Rows are not made
         primitive: ``linalg.row_rank`` divides out contents as it
         eliminates."""
-        if k + 1 > self._top:
-            raise ValueError(f"ghost degree {k + 1} is above the "
-                             f"enumerated {self.max_ghosts}")
         where = {m: t for t, m in enumerate(self.block_basis(k + 1, n2))}
         rows = []
         for m in self.block_basis(k, n2):
@@ -377,12 +371,9 @@ class GradedComplex:
         return dim - self._rank(k, n2) - self._rank(k - 1, n2)
 
     def max_degree(self, n2: int) -> int:
-        """The highest ghost degree, at most ``max_ghosts``, of a monomial
-        of doubled weight n2 (0 if none), enumerating no block."""
-        reach = self._reach[self._abs_wt2(n2)]
-        if self.max_ghosts is not None:
-            reach &= (1 << (self.max_ghosts + 1)) - 1
-        return max(reach.bit_length() - 1, 0)
+        """The highest ghost degree of a monomial of doubled weight n2
+        (0 if none), enumerating no block."""
+        return max(self._reach[self._abs_wt2(n2)].bit_length() - 1, 0)
 
 
 def _as_wt2(weight) -> int:
@@ -392,17 +383,16 @@ def _as_wt2(weight) -> int:
     return int(n2)
 
 
-def linear_part(cx: GradedComplex) -> Optional[dict]:
+def linear_part(cx: GradedComplex) -> dict:
     """delta (module docstring) as {(w2, p): (rank, kernel, cokernel)}:
     the z of doubled weight w2 (sign removed) and parity p against the
-    ghosts of weight w2 and parity 1 - p.  None if the images are not
-    of Koszul shape; ValueError on a term of degree 0."""
+    ghosts of weight w2 and parity 1 - p.  ValueError on a term of
+    degree 0 or an image not of Koszul shape."""
     ring, ghosts = cx.ring, cx.ghost_set
     # a ghost's block holds the module variables of the other parity
     block = {j: (w, odd ^ (j in ghosts))
              for j, w, odd in zip(cx.positions, cx._w2, cx._odd)}
     rows: dict[tuple[int, int], list[dict]] = {b: [] for b in block.values()}
-    koszul = True
     for j in cx.positions:
         img = cx.d.images.get(j)
         terms = img.terms if img is not None else {}
@@ -415,12 +405,11 @@ def linear_part(cx: GradedComplex) -> Optional[dict]:
             if m != var_key(g):
                 continue  # a term of degree 2 or more
             if j in ghosts or g not in ghosts or block[g] != block[j]:
-                koszul = False
+                raise ValueError(f"image of {ring.variables[j].name} is "
+                                 f"not of Koszul shape")
             row[g] = n
         if j not in ghosts:
             rows[block[j]].append(row)
-    if not koszul:
-        return None
     ncols = Counter(block[g] for g in cx.ghost_positions)
     out = {}
     for b, zs in rows.items():
@@ -429,33 +418,31 @@ def linear_part(cx: GradedComplex) -> Optional[dict]:
     return out
 
 
-def closed_form_h0(cx: GradedComplex) -> tuple[int, dict[int, int]]:
-    """(cut, {w2: count}): below the doubled weight cut (sign removed),
-    the lightest with a cokernel of delta, H^0 has the monomial counts
-    of ker delta and H^k = 0 for k > 0.  cut is 0 without Koszul shape."""
+def kernel_generators(cx: GradedComplex) -> list[tuple[int, int]]:
+    """(w2, parity) of a basis of ker delta, w2 with the sign removed;
+    ValueError if delta is not onto (naming the lightest such weight)
+    or from ``linear_part``."""
     blocks = linear_part(cx)
-    if blocks is None:
-        return 0, {}
-    cut = min((w for (w, _), (_, _, coker) in blocks.items() if coker),
-              default=cx.max_wt2 + 1)
-    gens = [(w, p) for (w, p), (_, ker, _) in blocks.items()
+    short = [w for (w, _), (_, _, coker) in blocks.items() if coker]
+    if short:
+        raise ValueError(f"delta is not onto at weight "
+                         f"{Fraction(min(short) * cx.sign, 2)}")
+    return [(w, p) for (w, p), (_, ker, _) in blocks.items()
             for _ in range(ker)]
-    return cut, weighted_monomial_counts(gens, cx.max_wt2)
 
 
 def cohomology_table(complex_: GradedComplex) -> dict:
     """{(degree, weight): dim} over every block inside the truncation,
-    degrees up to ``max_degree``: the closed form below its cut
-    (``closed_form_h0``), the ranks of d from there on."""
-    cut, h0 = closed_form_h0(complex_)
+    degrees up to ``max_degree``: H^0 the monomial counts of ker delta
+    (``kernel_generators``), every higher degree 0."""
+    h0 = weighted_monomial_counts(kernel_generators(complex_),
+                                  complex_.max_wt2)
     out = {}
     for a2 in range(0, complex_.max_wt2 + 1):
         n2 = a2 * complex_.sign
         w = Fraction(n2, 2)
-        degrees = range(complex_.max_degree(n2) + 1)
-        dims = ([h0.get(a2, 0)] + [0] * (len(degrees) - 1) if a2 < cut
-                else [complex_.cohomology_dim(k, w) for k in degrees])
-        out.update(((k, w), dim) for k, dim in zip(degrees, dims))
+        out[(0, w)] = h0.get(a2, 0)
+        out.update(((k, w), 0) for k in range(1, complex_.max_degree(n2) + 1))
     return out
 
 
@@ -552,8 +539,8 @@ def _gauge_ce(chart):
     """(ring, generator images) of the gauge complex, ``chart.gauge_ce``
     for ``slice_ce_complex`` and ``pva.BRSTComplex``: the chart
     coordinates z_b at their conformal weights 1 + j > 0, then the
-    ghosts ph_a at +wt(v_a), in a new differential ring, to which the
-    arc complex adds jets after the ghosts."""
+    ghosts ph_a at +wt(v_a), in a new differential ring; a total
+    derivative there adds jets after the ghosts."""
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
     ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
@@ -567,7 +554,7 @@ def _gauge_ce(chart):
 def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
     """CE complex of g_+ with coefficients in the functions on
     f + g_{>=-1/2}, acting by the gauge flow, on the chart's gauge ring:
-    its m coordinates and n ghosts, counted, as the arc side adds jets.
+    its m coordinates and n ghosts, counted, as the ring may hold jets.
     Blocks sit at weights 0, 1/2, 1, ... and H^0 consists of the gauge
     invariants, weight by weight."""
     ring, images = chart.gauge_ce

@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, _as_wt2, _JetImages, closed_form_h0,
-                         differential, weighted_monomial_counts)
+from .cohomology import (GradedComplex, _as_wt2, _JetImages, differential,
+                         kernel_generators, weighted_monomial_counts)
 from .slice import SliceChart, check_poisson_form
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
                         sum_of_products)
@@ -410,10 +410,11 @@ def brst_complex(chart: SliceChart) -> BRSTComplex:
 class TruncatedH0:
     """Degree-zero cohomology of the arc gauge complex per conformal
     weight, against the free differential ring on the slice generators
-    as the independent size oracle.  ``graded`` reads the complex's own
-    Q on the jets up to the cutoff.  ``dimensions`` reads H^0 from
-    Q_0 = delta (x) C[d] (``cohomology.closed_form_h0``), on every
-    catalogue chart at every weight, and the ranks of Q past its cut."""
+    as the independent size oracle.  ``order_zero`` is the complex of Q
+    on the order-zero coordinates and ghosts, where delta is read, its
+    construction checking the exponent limit up to the cutoff; Q_0 is
+    delta (x) C[d], so ``dimensions`` counts the jets of ker delta
+    (``cohomology.kernel_generators``) and takes no rank of Q."""
 
     def __init__(self, complex_: BRSTComplex, max_weight):
         w2cap = _as_wt2(max_weight)
@@ -425,36 +426,31 @@ class TruncatedH0:
             raise ValueError(
                 f"max weight {Fraction(w2cap, 2)} is below the largest "
                 f"slice generator weight {Fraction(top, 2)}")
-        ring = cx.ring
-        module: list[int] = []
-        ghosts: list[int] = []
-        for pos in range(cx.nmod + cx.nghost):
-            target = module if pos < cx.nmod else ghosts
-            idx, w = pos, ring.variables[pos].wt2
-            while w <= w2cap:
-                target.append(idx)
-                if w + 2 > w2cap:
-                    break
-                idx = ring.derivative_index(idx)
-                w += 2
-        # H^0 reads only the blocks of ghost degree 0 and 1
-        self.graded = GradedComplex(cx.Q, module, ghosts, w2cap,
-                                    max_ghosts=1)
-        gens = [(w, v.parity) for v in generators
-                for w in range(v.wt2, w2cap + 1, 2)]
-        self.expected = weighted_monomial_counts(gens, w2cap)
+        n = cx.nmod + cx.nghost
+        self.order_zero = GradedComplex(cx.Q, range(cx.nmod),
+                                        range(cx.nmod, n), w2cap)
+        self.expected = _jet_counts(
+            [(v.wt2, v.parity) for v in generators], w2cap)
 
     def dimensions(self) -> dict:
-        cut, h0 = closed_form_h0(self.graded)
-        return {Fraction(n2, 2): h0.get(n2, 0) if n2 < cut else
-                self.graded.cohomology_dim(0, Fraction(n2, 2))
+        h0 = _jet_counts(kernel_generators(self.order_zero), self.max_wt2)
+        return {Fraction(n2, 2): h0.get(n2, 0)
                 for n2 in range(self.max_wt2 + 1)}
 
-    def consistent(self) -> bool:
-        """Computed dimensions equal the free differential ring counts."""
-        have = {w: d for w, d in self.dimensions().items() if d}
+    def consistent(self, dims: dict) -> bool:
+        """``dims``, from ``dimensions``, equal the free differential
+        ring counts."""
+        have = {w: d for w, d in dims.items() if d}
         want = {Fraction(n2, 2): c for n2, c in self.expected.items() if c}
         return have == want
+
+
+def _jet_counts(gens, max_wt2: int) -> dict[int, int]:
+    """Monomial counts of the free differential ring on gens, a list of
+    (wt2, parity), each jet order adding weight 1."""
+    return weighted_monomial_counts(
+        [(w, p) for w0, p in gens for w in range(w0, max_wt2 + 1, 2)],
+        max_wt2)
 
 
 def h0_truncated(complex_: BRSTComplex, max_weight) -> TruncatedH0:
@@ -480,8 +476,8 @@ class GradedMiura:
     extension stays injective weight by weight is not checked here or
     by any stage; ROADMAP item 4 ("the jet Miura map is injective,
     weight by weight") describes that check, the arc-side one that
-    would carry weight: ``pva-h0`` takes no rank of Q on a catalogue
-    chart and rests on delta, Q^2 = 0 and the degree-filtration bound
+    would carry weight: ``pva-h0`` takes no rank of Q and rests on
+    delta being onto, Q^2 = 0 and the degree-filtration bound
     (``cohomology``).  No statement beyond the level-zero brackets is
     made here: the tables are constant in lambda
     and ``check_intertwining`` brackets order-zero generators and their

@@ -101,7 +101,8 @@ class SliceChart:
     @cached_property
     def gauge_ce(self) -> tuple:
         """(ring, images) of the gauge complex (``cohomology._gauge_ce``),
-        built the first time it is used; the arc side adds jets to ring."""
+        built the first time it is used; a total derivative there adds
+        jets to ring."""
         return cohomology._gauge_ce(self)
 
     def slice_generators(self) -> list[Variable]:

@@ -1,5 +1,5 @@
-"""The package's former rank certificate, an oracle for the closed form
-of ``cohomology.linear_part``.
+"""The package's former rank certificate and arc complex, oracles for
+the closed form of ``cohomology.linear_part``.
 
 ``leading_part`` builds the complex of d_0, the part of d that keeps the
 polynomial degree (every complex variable of degree 1), as a second
@@ -7,11 +7,13 @@ polynomial degree (every complex variable of degree 1), as a second
 ranks bound those of d (the degree filtration, see the cohomology
 module docstring).  ``full_rank_table`` is ``cohomology_table`` with no
 bound at all: every block's dimension from the ranks of d.
+``arc_complex`` is the jet-level complex of Q up to a weight, whose
+ranks give the H^0 that ``pva.TruncatedH0`` reads from delta.
 """
 
 from fractions import Fraction
 
-from superslice.cohomology import GradedComplex, differential
+from superslice.cohomology import GradedComplex, _as_wt2, differential
 from superslice.superpoly import SuperPolynomial, unpack
 
 
@@ -31,7 +33,7 @@ def leading_part(cx: GradedComplex) -> GradedComplex:
                    if sum(e for _, e in unpack(m)) == 1},
             img.den)
     lead = GradedComplex(differential(ring, low, "d_0"), cx.module_positions,
-                         cx.ghost_positions, cx.max_wt2, cx.max_ghosts)
+                         cx.ghost_positions, cx.max_wt2)
     lead._memo = cx._memo
     return lead
 
@@ -44,3 +46,23 @@ def full_rank_table(cx: GradedComplex) -> dict:
         for k in range(cx.max_degree(a2 * cx.sign) + 1):
             out[(k, w)] = cx.cohomology_dim(k, w)
     return out
+
+
+def arc_complex(brst, max_weight) -> GradedComplex:
+    """The GradedComplex of Q on every jet of the coordinates and ghosts
+    of the pva.BRSTComplex brst up to max_weight, each jet order adding
+    weight 1, with no cap on the ghost degree.  Adds those jets to the
+    chart's gauge ring."""
+    w2cap, ring = _as_wt2(max_weight), brst.ring
+    module: list[int] = []
+    ghosts: list[int] = []
+    for pos in range(brst.nmod + brst.nghost):
+        target = module if pos < brst.nmod else ghosts
+        idx, w = pos, ring.variables[pos].wt2
+        while w <= w2cap:
+            target.append(idx)
+            if w + 2 > w2cap:
+                break
+            idx = ring.derivative_index(idx)
+            w += 2
+    return GradedComplex(brst.Q, module, ghosts, w2cap)

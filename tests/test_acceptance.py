@@ -257,7 +257,7 @@ def test_arc_differential_squares_to_zero_and_h0_counts():
     h2 = h0_truncated(cx2, F(3))
     dims = h2.dimensions()
     assert [dims[F(w)] for w in range(4)] == [1, 0, 1, 1]
-    assert h2.consistent()
+    assert h2.consistent(dims)
 
     ho = h0_truncated(cxo, F(2))
     have = {w: d for w, d in ho.dimensions().items() if d}
@@ -265,7 +265,7 @@ def test_arc_differential_squares_to_zero_and_h0_counts():
     want = {F(n2, 2): c
             for n2, c in weighted_monomial_counts(gens, 4).items() if c}
     assert have == want == {F(0): 1, F(3, 2): 1, F(2): 1}
-    assert ho.consistent()
+    assert ho.consistent(ho.dimensions())
     assert time.perf_counter() - t0 < 60.0
 
 

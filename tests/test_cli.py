@@ -17,10 +17,13 @@ from fractions import Fraction
 
 import pytest
 
-from superslice import cli, cohomology
+from koszul_oracle import full_rank_table
+
+from superslice import cli, cohomology, pva
 from superslice.cli import (JobConfig, body_bytes, main, report_text,
                             resolve_algebra, run_pipeline)
-from superslice.liealg import (LieSuperalgebra, algebra_to_json,
+from superslice.cohomology import slice_ce_complex
+from superslice.liealg import (GoodGrading, LieSuperalgebra, algebra_to_json,
                                build_osp_1_2, build_sl, dynkin_grading,
                                load_algebra_file, parse_nilpotent,
                                principal_nilpotent, sl2_triple_for)
@@ -318,6 +321,27 @@ class TestStageIsolation:
         st = stage(rep, "grading")
         assert st["mode"] == "explicit"
         assert st["weights"] == {"e12": "1", "e21": "-1", "h1": "0"}
+
+    def test_non_dynkin_grading_passes_every_stage(self, capsys):
+        # a good grading of sl3 at e21 other than the Dynkin one: delta
+        # is onto there too, and the table is the one the ranks of d give
+        weights = "1,1,-1,0,-1,0,0,0"
+        code, rep = run_json(["run", "--algebra", "sl3", "--nilpotent",
+                              "e21", "--grading", weights,
+                              "--max-weight", "4"], capsys)
+        assert code == 0
+        assert all(s["verdict"] == "pass" for s in rep["body"]["stages"])
+        assert stage(rep, "grading")["mode"] == "explicit"
+        alg = build_sl(3)
+        triple = sl2_triple_for(alg, parse_nilpotent(alg, "e21"))
+        grading = GoodGrading(alg, [2 * int(w) for w in weights.split(",")],
+                              triple.f)
+        assert grading.weights2 != dynkin_grading(alg, triple).weights2
+        want = full_rank_table(
+            slice_ce_complex(gauge_fix(alg, triple, grading), 4))
+        got = {(row["degree"], F(row["weight"])): row["dim"]
+               for row in stage(rep, "cohomology")["table"]}
+        assert got == want
 
     def test_wrong_weight_count_rejected(self, capsys):
         code, rep = run_json(["run", "--algebra", "sl2",
@@ -878,8 +902,26 @@ class TestVerifyOnce:
         monkeypatch.setattr(cohomology.OddDerivation, "__init__",
                             counted_init)
         h0 = h0_truncated(cx, 4)
-        assert h0.consistent()
-        assert h0.graded.d is cx.Q and derivations == []
+        assert h0.consistent(h0.dimensions())
+        assert h0.order_zero.d is cx.Q and derivations == []
+
+    def test_one_h0_per_pva_h0_stage(self, monkeypatch, capsys):
+        # the stage compares the dimensions it computed with the free
+        # counts, computing H^0 once
+        calls = []
+        real = pva.TruncatedH0.dimensions
+
+        def counted(self):
+            calls.append(self.max_wt2)
+            return real(self)
+
+        monkeypatch.setattr(pva.TruncatedH0, "dimensions", counted)
+        code, _ = run_cli(["run", "--algebra", "sl(2|1)",
+                           "--max-weight", "2"], capsys)
+        assert code == 0 and calls == [4]
+        code, _ = run_cli(["pva", "h0", "--algebra", "sl2",
+                           "--max-weight", "3"], capsys)
+        assert code == 0 and calls == [4, 6]
 
     def test_brst_bracket_built_on_first_use(self, monkeypatch, capsys):
         # the BRST complex builds its lambda bracket only when something

@@ -17,12 +17,12 @@ import block_enumeration_oracle
 import gauge_action_oracle
 from cross_checks import de_rham_check
 from dense_oracles import dense_rank
-from koszul_oracle import full_rank_table, leading_part
+from koszul_oracle import arc_complex, full_rank_table, leading_part
 
 from superslice.cli import resolve_algebra
 from superslice.cohomology import (GradedComplex, OddDerivation,
-                                   closed_form_h0, cohomology_table,
-                                   differential, linear_part,
+                                   cohomology_table, differential,
+                                   kernel_generators, linear_part,
                                    regular_ce_complex, slice_ce_complex,
                                    weighted_monomial_counts,
                                    _gauge_action_fields)
@@ -247,12 +247,12 @@ class TestBuildDispatch:
         assert len(brst.ring.variables) == brst.nmod + brst.nghost
 
     def test_slice_complex_after_the_arc_jets(self):
-        # the H^0 truncation adds jets to the chart's gauge ring after
-        # the ghosts; a slice complex built after it still sits on the
-        # m coordinates and n ghosts, and its table is an untouched
+        # the jet-level arc complex adds jets to the chart's gauge ring
+        # after the ghosts; a slice complex built after it still sits on
+        # the m coordinates and n ghosts, and its table is an untouched
         # chart's
         chart = chart_for("sl(2|1)", "principal")
-        h0_truncated(BRSTComplex(chart), 4)
+        arc_complex(BRSTComplex(chart), 4)
         ring = chart.gauge_ce[0]
         m = len(chart.coord_indices)
         n = len(chart.grading.positive_indices())
@@ -262,6 +262,17 @@ class TestBuildDispatch:
         untouched = slice_ce_complex(chart_for("sl(2|1)", "principal"), 4)
         assert len(untouched.ring.variables) == m + n
         assert cohomology_table(sx) == cohomology_table(untouched)
+
+    @pytest.mark.parametrize("name,nilpotent", [
+        ("sl(2|1)", "principal"), ("sl4", "e21")])
+    def test_h0_truncation_adds_no_jet(self, name, nilpotent):
+        # pva-h0 reads delta on the order-zero positions: the chart's
+        # gauge ring keeps its m coordinates and n ghosts
+        chart = chart_for(name, nilpotent)
+        before = len(chart.gauge_ce[0].variables)
+        h0 = h0_truncated(BRSTComplex(chart), 4)
+        assert h0.consistent(h0.dimensions())
+        assert len(chart.gauge_ce[0].variables) == before
 
     def test_non_half_integer_weight_rejected(self, osp_data):
         alg, triple, grading = osp_data
@@ -341,17 +352,12 @@ def dense_d_rows(cx, k, n2):
 
 
 def assert_block_ranks_match_dense(cx):
-    """Rank of d and dim H^k against the dense oracle on every block
-    whose target block the complex enumerates: all of them, or blocks
-    0 .. max_ghosts - 1 of a complex with a ghost-degree cap."""
-    cap = cx.max_ghosts
+    """Rank of d and dim H^k against the dense oracle on every block."""
     blocks = 0
     for a2 in range(cx.max_wt2 + 1):
         n2 = a2 * cx.sign
         below = 0  # rank of d from block k - 1 into block k
         for k in range(cx.max_degree(n2) + 1):
-            if cap is not None and k >= cap:
-                break
             rows = dense_d_rows(cx, k, n2)
             rank = dense_rank(rows) if rows and rows[0] else 0
             assert row_rank(cx.d_matrix(k, n2)) == rank, (k, n2)
@@ -359,8 +365,7 @@ def assert_block_ranks_match_dense(cx):
                 cx.block_dim(k, n2) - rank - below, (k, n2)
             below = rank
             blocks += 1
-    # a complex capped for H^0 (max_ghosts 1): block 0 at every weight
-    assert blocks > 10 if cap is None else blocks == cx.max_wt2 + 1
+    assert blocks > 10
 
 
 class TestIntegerRows:
@@ -378,8 +383,7 @@ class TestIntegerRows:
     def test_brst_h0_block_ranks(self, sl21_data):
         alg, triple, grading = sl21_data
         chart = gauge_fix(alg, triple, grading)
-        assert_block_ranks_match_dense(
-            h0_truncated(BRSTComplex(chart), 3).graded)
+        assert_block_ranks_match_dense(arc_complex(BRSTComplex(chart), 3))
 
     def test_rows_are_exact_images(self, sl21_data):
         alg, triple, grading = sl21_data
@@ -463,20 +467,13 @@ def d_matrix_calls(monkeypatch):
     return calls
 
 
-def kernel_generators(cx):
-    """(wt2, parity) of a basis of ker delta, sorted."""
-    return sorted((w, p) for (w, p), (_, ker, _) in linear_part(cx).items()
-                  for _ in range(ker))
-
-
 class TestKoszulCertificate:
     @staticmethod
     def assert_certified(cx, calls):
-        """The closed form covers every weight, takes no rank of d and
-        equals the full-rank table; and H(d_0) is Sym(ker delta), all
-        in degree 0 (Kunneth), by the ranks of d_0."""
-        cut, h0 = closed_form_h0(cx)
-        assert cut > cx.max_wt2
+        """The closed form takes no rank of d and equals the full-rank
+        table; and H(d_0) is Sym(ker delta), all in degree 0 (Kunneth),
+        by the ranks of d_0."""
+        h0 = weighted_monomial_counts(kernel_generators(cx), cx.max_wt2)
         table = cohomology_table(cx)
         assert calls == []
         assert table == full_rank_table(cx)
@@ -490,9 +487,18 @@ class TestKoszulCertificate:
         cx = slice_ce_complex(chart, max_weight=3)
         # the transversality of the slice: ker delta has the weights and
         # parities of the slice generators
-        assert kernel_generators(cx) == sorted(
+        assert sorted(kernel_generators(cx)) == sorted(
             (v.wt2, v.parity) for v in chart.slice_generators())
         self.assert_certified(cx, d_matrix_calls)
+
+    @pytest.mark.parametrize("name,nilpotent", CERTIFIED_SLICES)
+    def test_delta_is_onto(self, name, nilpotent):
+        # delta(z_b) = sum_a ([f, v_a])_b ph_a and ad_f is injective on
+        # g_+ on every good grading: rank delta is dim g_+
+        chart = chart_for(name, nilpotent)
+        blocks = linear_part(slice_ce_complex(chart, max_weight=1))
+        assert sum(r for r, _, _ in blocks.values()) == \
+            len(chart.grading.positive_indices())
 
     @pytest.mark.parametrize("name,nilpotent", CERTIFIED_REGULAR)
     def test_regular_tables(self, name, nilpotent, d_matrix_calls):
@@ -503,12 +509,14 @@ class TestKoszulCertificate:
 
     @pytest.mark.parametrize("name,nilpotent", CERTIFIED_ARCS)
     def test_arc_h0_dimensions(self, name, nilpotent, d_matrix_calls):
-        h0 = h0_truncated(BRSTComplex(chart_for(name, nilpotent)), 4)
-        assert closed_form_h0(h0.graded)[0] > h0.max_wt2
+        brst = BRSTComplex(chart_for(name, nilpotent))
+        h0 = h0_truncated(brst, 4)
         got = h0.dimensions()
         assert d_matrix_calls == []
-        assert got == {w: h0.graded.cohomology_dim(0, w) for w in got}
-        assert h0.consistent()
+        assert h0.consistent(got)
+        # the ranks of Q on every jet up to the cutoff
+        arc = arc_complex(brst, 4)
+        assert got == {w: arc.cohomology_dim(0, w) for w in got}
 
     def test_linear_part_of_a_super_chart(self):
         # sl(2|1): the odd z_e23, z_e31 of weight 1/2 meet the even
@@ -547,26 +555,29 @@ class TestKoszulCertificate:
 
     def test_inexact_leading_part_falls_back(self, d_matrix_calls):
         # d(u) = c x has degree 2, so delta = 0 and H^1(d_0) at weight 1
-        # holds c x, which d hits: the table must come from d there
+        # holds c x, which d hits: the closed form does not hold there,
+        # so the table is refused and only the ranks of d give it
         ring = PolyRing([Variable("x", 0, wt2=1), Variable("u", 0, wt2=2),
                          Variable("c", 1, wt2=1)])
         x, c = ring.gen(0), ring.gen(2)
         cx = GradedComplex(differential(ring, {1: c * x}, "d"),
                            [0, 1], [2], 4)
-        assert leading_part(cx).cohomology_dim(1, 1) == 1
         assert linear_part(cx) == {(1, 0): (0, 1, 1), (2, 0): (0, 1, 0)}
-        assert closed_form_h0(cx)[0] == 1
-        table = cohomology_table(cx)
-        assert set(d_matrix_calls) == {1, 2, 3, 4}
-        assert table == full_rank_table(cx)
+        with pytest.raises(ValueError,
+                           match=r"delta is not onto at weight 1/2$"):
+            cohomology_table(cx)
+        assert d_matrix_calls == []
+        assert leading_part(cx).cohomology_dim(1, 1) == 1
+        table = full_rank_table(cx)
         # weight 1: u and x^2 in degree 0, c x in degree 1, d(u) = c x
         assert table[(0, 1)] == 1 and table[(1, 1)] == 0
 
     def test_heavy_cokernel_falls_back_from_its_weight(self, d_matrix_calls):
         # d(y) = a is onto at weight 1; the ghost b of weight 3 is hit by
-        # no degree-1 term, so the closed form holds below weight 3 and
-        # the ranks of d decide from there, where d(u) = b x kills the
-        # class b x that d_0 leaves at weight 4
+        # no degree-1 term, so the closed form would hold only below
+        # weight 3, and the table is refused naming that weight; the
+        # ranks of d find that d(u) = b x kills the class b x that d_0
+        # leaves at weight 4
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("y", 0, wt2=2),
                          Variable("u", 0, wt2=8), Variable("a", 1, wt2=2),
                          Variable("b", 1, wt2=6)])
@@ -575,13 +586,18 @@ class TestKoszulCertificate:
                            [0, 1, 2], [3, 4], 10)
         assert linear_part(cx) == {(2, 0): (1, 1, 0), (6, 0): (0, 0, 1),
                                    (8, 0): (0, 1, 0)}
-        cut, h0 = closed_form_h0(cx)
-        assert cut == 6 and h0[2] == h0[4] == 1
-        table = cohomology_table(cx)
-        assert set(d_matrix_calls) == {6, 8, 10}  # no odd weight is filled
-        assert table == full_rank_table(cx)
+        with pytest.raises(ValueError,
+                           match=r"delta is not onto at weight 3$"):
+            kernel_generators(cx)
+        with pytest.raises(ValueError,
+                           match=r"delta is not onto at weight 3$"):
+            cohomology_table(cx)
+        assert d_matrix_calls == []
+        table = full_rank_table(cx)
         assert leading_part(cx).cohomology_dim(1, 4) == 1
         assert table[(1, 4)] == 0
+        # below weight 3 the ranks agree with the counts of ker delta
+        assert table[(0, 1)] == table[(0, 2)] == 1
 
     def test_non_koszul_shape_falls_back_everywhere(self, d_matrix_calls):
         # d(x) = e meets a ghost of the module variable's own parity, not
@@ -589,11 +605,13 @@ class TestKoszulCertificate:
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("e", 0, wt2=2)])
         cx = GradedComplex(differential(ring, {0: ring.gen(1)}, "d"),
                            [0], [1], 6)
-        assert linear_part(cx) is None
-        assert closed_form_h0(cx) == (0, {})
-        table = cohomology_table(cx)
-        assert set(d_matrix_calls) == {0, 2, 4, 6}
-        assert table == full_rank_table(cx)
+        for read in (linear_part, kernel_generators, cohomology_table):
+            with pytest.raises(ValueError,
+                               match="image of x is not of Koszul shape"):
+                read(cx)
+        assert d_matrix_calls == []
+        table = full_rank_table(cx)
+        assert table[(0, 0)] == 1 and table[(0, 1)] == 0
 
     @pytest.mark.parametrize("images", [
         # a degree-1 term on a module variable: d(t) = x
@@ -601,15 +619,16 @@ class TestKoszulCertificate:
         # a ghost image with a degree-1 part: d(c) = e
         lambda ring: {2: ring.gen(3)}])
     def test_ghost_degree_kept_reaches_the_rank_path(self, images):
-        # neither is of Koszul shape, so the table is not taken from
-        # delta, and the ranks of d find that d keeps the ghost degree
+        # neither is of Koszul shape, so the table is refused, and the
+        # rank reference finds that d keeps the ghost degree
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("t", 1, wt2=2),
                          Variable("c", 1, wt2=2), Variable("e", 0, wt2=2)])
         cx = GradedComplex(differential(ring, images(ring), "d"),
                            [0, 1], [2, 3], 6)
-        assert linear_part(cx) is None
-        with pytest.raises(ValueError, match="left its weight block"):
+        with pytest.raises(ValueError, match="is not of Koszul shape"):
             cohomology_table(cx)
+        with pytest.raises(ValueError, match="left its weight block"):
+            full_rank_table(cx)
 
     def test_degree_zero_image_raises(self):
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=2)])
@@ -619,42 +638,20 @@ class TestKoszulCertificate:
             cohomology_table(cx)
 
 
-def uncapped(cx):
-    return GradedComplex(cx.d, cx.module_positions, cx.ghost_positions,
-                         cx.max_wt2)
-
-
 class TestBlockEnumeration:
     @pytest.mark.parametrize("name,nilpotent", [
         ("sl(2|1)", "principal"), ("sl4", "e21"), ("osp12", "principal")])
     def test_memoized_blocks_match_the_recursion(self, name, nilpotent):
         chart = chart_for(name, nilpotent)
-        brst = h0_truncated(BRSTComplex(chart), 4).graded
         for cx in (slice_ce_complex(chart, max_weight=4),
                    regular_ce_complex(chart.alg, chart.grading, 4),
-                   uncapped(brst)):
+                   arc_complex(BRSTComplex(chart), 4)):
             for a2 in range(cx.max_wt2 + 1):
                 n2 = a2 * cx.sign
                 want = block_enumeration_oracle.weight_blocks(cx, n2)
                 got = {k: cx.block_basis(k, n2) for k in want}
                 assert got == want, n2  # same monomials, same order
                 assert cx.max_degree(n2) == max(want, default=0)
-
-    def test_capped_blocks_match_uncapped(self, sl21_data):
-        alg, triple, grading = sl21_data
-        capped = h0_truncated(BRSTComplex(gauge_fix(alg, triple, grading)),
-                              4).graded
-        assert capped.max_ghosts == 1
-        full = uncapped(capped)
-        for n2 in range(capped.max_wt2 + 1):
-            for k in (0, 1):
-                assert capped.block_basis(k, n2) == full.block_basis(k, n2)
-            assert capped.max_degree(n2) <= 1
-            assert capped.cohomology_dim(0, Fraction(n2, 2)) == \
-                full.cohomology_dim(0, Fraction(n2, 2))
-        assert full.max_degree(capped.max_wt2) > 1
-        with pytest.raises(ValueError, match="above the enumerated"):
-            capped.d_matrix(1, capped.max_wt2)
 
     def test_max_degree_takes_an_odd_variable_once(self):
         # the odd ghost c of weight 1/2 squares to zero: weight 1 holds

@@ -565,7 +565,7 @@ class TestTruncatedH0:
         h0 = h0_truncated(sl2_cx, 3)
         dims = h0.dimensions()
         assert [dims[Fraction(w)] for w in range(4)] == [1, 0, 1, 1]
-        assert h0.consistent()
+        assert h0.consistent(dims)
 
     def test_past_the_exponent_limit_refused_before_images(self, sl2_cx,
                                                            monkeypatch):
@@ -583,20 +583,21 @@ class TestTruncatedH0:
             h0_truncated(sl2_cx, 128)
         assert served == []
         monkeypatch.undo()
-        assert h0_truncated(sl2_cx, 3).consistent()
+        h0 = h0_truncated(sl2_cx, 3)
+        assert h0.consistent(h0.dimensions())
 
     def test_osp_dimensions_include_odd_generator(self, osp_chart, osp_cx):
         h0 = h0_truncated(osp_cx, 2)
         dims = {w: d for w, d in h0.dimensions().items() if d}
         assert dims == {Fraction(0): 1, Fraction(3, 2): 1, Fraction(2): 1}
-        assert h0.consistent()
+        assert h0.consistent(h0.dimensions())
 
     def test_osp_deeper_truncation_consistent(self, osp_chart, osp_cx):
         h0 = h0_truncated(osp_cx, 3)
-        assert h0.consistent()
+        deep = h0.dimensions()
+        assert h0.consistent(deep)
         # the two truncations agree where they overlap
         shallow = h0_truncated(osp_cx, 2)
-        deep = h0.dimensions()
         for w, d in shallow.dimensions().items():
             assert deep[w] == d
 
@@ -606,7 +607,7 @@ class TestTruncatedH0:
         assert h0.dimensions()[Fraction(0)] == 1
         ring = sl2_cx.ring
         assert [SuperPolynomial(ring, {m: 1}).text()
-                for m in h0.graded.block_basis(0, 0)] == ["1"]
+                for m in h0.order_zero.block_basis(0, 0)] == ["1"]
 
     def test_truncation_below_generators_rejected(self, sl2_chart, sl2_cx):
         with pytest.raises(ValueError,
@@ -789,7 +790,7 @@ class TestSharedRings:
             == _stage_cohomology(config, {"chart": untouched})
         h0 = h0_truncated(brst_complex(ch), 4)
         assert h0.expected == {0: 1, 4: 1, 6: 2, 8: 3}
-        assert h0.consistent()
+        assert h0.consistent(h0.dimensions())
 
 
 # -- the intertwining check against the all-ordered-pairs loop ----------------
