@@ -246,7 +246,6 @@ def _stage_cohomology(config: JobConfig, ctx: dict) -> dict:
 
 def _stage_pva_qcheck(config: JobConfig, ctx: dict) -> dict:
     cx = brst_complex(ctx["chart"])
-    ctx["brst"] = cx
     return {"generators": cx.nmod, "ghosts": cx.nghost,
             "q_squared": "zero on all generators and ghosts"}
 
@@ -255,8 +254,7 @@ def _stage_pva_h0(config: JobConfig, ctx: dict) -> dict:
     mw = config.max_weight
     if mw is None:
         raise StageError("pva h0 needs --max-weight")
-    # popped, so Q and the monomials it memoizes go with this stage
-    h0 = h0_truncated(ctx.pop("brst"), mw)
+    h0 = h0_truncated(ctx["chart"], mw)
     dims = h0.dimensions()
     if not h0.consistent(dims):
         raise StageError(

@@ -15,15 +15,16 @@ series of brackets, see supergroup), or the gauge action R(v_a)(Z) =
 [Z, v_a] on the coordinates of f + g_{>=-1/2}.  str^c_{ab} are the
 structure constants of the acting algebra.  One routine, _ce_images,
 builds these generator images for all three complexes; _gauge_ce builds
-the gauge complex's ring and images, held by the chart (gauge_ce) for
-the finite slice and the arc (pva) sides.  The ghost must multiply
-from the left: only then does the Leibniz extension of the generator
-images reproduce sum_a ph^a . R(v_a)(.) on the whole ring (R(v_a) is a
+the gauge complex's ring and images.  The ghost must multiply from the
+left: only then does the Leibniz extension of the generator images
+reproduce sum_a ph^a . R(v_a)(.) on the whole ring (R(v_a) is a
 superderivation of parity |v_a|, and moving ph^a in from the right
 would cost monomial-dependent signs).  differential builds every
 derivation, jets served by _JetImages, and checks d^2 on the order-zero
 generators: an odd derivation commuting with the total derivative
 squares to an even one that does too, so that is d^2 = 0 everywhere.
+The chart squares its gauge derivation once (SliceChart.gauge_ce): d
+of the slice complex, Q of the arc complex (pva).
 
 Every variable carries a nonzero weight and all weights share one sign,
 so each weight block is finite dimensional.  Give every complex
@@ -191,18 +192,18 @@ class _JetImages:
         return img
 
 
-def differential(ring: PolyRing, images: Mapping[int, SuperPolynomial],
-                 symbol: str) -> OddDerivation:
+def differential(ring: PolyRing,
+                 images: Mapping[int, SuperPolynomial]) -> OddDerivation:
     """The odd derivation with the given images of the order-zero
     generators, jets served by ``_JetImages``, once it kills each of
-    those images; raises ``ValueError`` "<symbol>^2 != 0 on generator
-    ..." otherwise.  Its square is an even derivation commuting with
-    the total derivative, so it then vanishes on the whole ring."""
+    those images; raises ``ValueError`` "d^2 != 0 on generator ..."
+    otherwise.  Its square is an even derivation commuting with the
+    total derivative, so it then vanishes on the whole ring."""
     d = OddDerivation(ring, _JetImages(ring, images))
     for pos, img in images.items():
         sq = d(img)
         if not sq.is_zero():
-            raise ValueError(f"{symbol}^2 != 0 on generator "
+            raise ValueError(f"d^2 != 0 on generator "
                              f"{ring.variables[pos].name}: {sq.text()}")
     return d
 
@@ -295,9 +296,9 @@ class GradedComplex:
     def _monomials(self, i: int, r: int) -> dict[int, list[int]]:
         """The monomials of weight r (doubled, sign removed) in positions
         i.. as {ghost degree k: keys}: first those without position i,
-        then those with exponent 1, 2, ... of it, each times the
-        monomials of the weight left in positions i+1.. .  Memoized by (i, r) for every weight of the complex; the
-        lists are shared between entries (do not modify)."""
+        then those with exponent e = 1, 2, ... of it, each times those
+        of weight r - e w_i in positions i+1..; memoized by (i, r) for
+        every weight, the lists shared between entries (do not modify)."""
         memo = self._memo
         got = memo.get((i, r))
         if got is not None:
@@ -511,7 +512,7 @@ def regular_ce_complex(alg: LieSuperalgebra, grading: GoodGrading,
     p = len(pos_idx)
     fields = regular_representation(alg, pos_idx, ring, list(range(p)))
     images = _ce_images(alg.restrict_to(pos_idx), ring, fields, p)
-    return GradedComplex(differential(ring, images, "d"), list(range(p)),
+    return GradedComplex(differential(ring, images), list(range(p)),
                          list(range(p, 2 * p)), _as_wt2(max_weight))
 
 
@@ -536,10 +537,10 @@ def _gauge_action_fields(chart, ring: PolyRing):
 
 
 def _gauge_ce(chart):
-    """(ring, generator images) of the gauge complex, ``chart.gauge_ce``
-    for ``slice_ce_complex`` and ``pva.BRSTComplex``: the chart
-    coordinates z_b at their conformal weights 1 + j > 0, then the
-    ghosts ph_a at +wt(v_a), in a new differential ring; a total
+    """(ring, generator images) of the gauge complex, from which
+    ``SliceChart.gauge_ce`` builds the chart's one derivation: the
+    chart coordinates z_b at their conformal weights 1 + j > 0, then
+    the ghosts ph_a at +wt(v_a), in a new differential ring; a total
     derivative there adds jets after the ghosts."""
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
@@ -553,14 +554,13 @@ def _gauge_ce(chart):
 
 def slice_ce_complex(chart, max_weight=4) -> GradedComplex:
     """CE complex of g_+ with coefficients in the functions on
-    f + g_{>=-1/2}, acting by the gauge flow, on the chart's gauge ring:
-    its m coordinates and n ghosts, counted, as the ring may hold jets.
-    Blocks sit at weights 0, 1/2, 1, ... and H^0 consists of the gauge
-    invariants, weight by weight."""
-    ring, images = chart.gauge_ce
+    f + g_{>=-1/2}, acting by the gauge flow: ``chart.gauge_ce`` on its
+    m coordinates and n ghosts, counted, as the ring may hold jets; the
+    one GradedComplex on it, ``pva.TruncatedH0``'s too.  Blocks sit at
+    weights 0, 1/2, 1, ..., H^0 the gauge invariants."""
     m = len(chart.coord_indices)
     n = len(chart.grading.positive_indices())
-    return GradedComplex(differential(ring, images, "d"), list(range(m)),
+    return GradedComplex(chart.gauge_ce, list(range(m)),
                          list(range(m, m + n)), _as_wt2(max_weight))
 
 

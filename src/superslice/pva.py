@@ -16,10 +16,10 @@ Two layers:
 
 * ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects on
   differential rings on the chart coordinates.  The arc gauge complex
-  is Q, built by ``cohomology.differential`` on the chart's gauge ring
-  and images (``SliceChart.gauge_ce``), a coordinate of grading weight
-  j weighing 1 + j; its degree-zero cohomology is sized per conformal
-  weight against the free differential ring on the slice generators.
+  is Q, the chart's one gauge derivation (``SliceChart.gauge_ce``), a
+  coordinate of grading weight j weighing 1 + j; its degree-zero
+  cohomology is sized per conformal weight against the free
+  differential ring on the slice generators.
   The arc functor applied to the chart's finite Miura image
   (``SliceChart.miura``) maps the chart's slice ring to its coordinate
   ring; both are differential, and the coordinate ring carries the
@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (GradedComplex, _as_wt2, _JetImages, differential,
-                         kernel_generators, weighted_monomial_counts)
+from .cohomology import (_as_wt2, _JetImages, kernel_generators,
+                         slice_ce_complex, weighted_monomial_counts)
 from .slice import SliceChart, check_poisson_form
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
                         sum_of_products)
@@ -374,15 +374,16 @@ class DifferentialMorphism:
 # -- the arc gauge complex -------------------------------------------------
 
 class BRSTComplex:
-    """The slice gauge complex made differential: Q on the chart's gauge
-    ring and images (``SliceChart.gauge_ce``), the chart coordinates
-    z_b plus one ghost per positive basis direction.
+    """The slice gauge complex made differential: Q is the chart's gauge
+    derivation (``SliceChart.gauge_ce``), the one d of the finite slice
+    complex, on the chart coordinates z_b plus one ghost per positive
+    basis direction; this class checks the form and builds nothing.
 
     Q on a coordinate is the gauge action, each ghost multiplying from
     the left; on a ghost it is the coadjoint half-sum over the positive
     part.  Jets follow by commuting Q with the total derivative, so
     ``cohomology.differential`` checks Q^2 = 0 on the order-zero
-    generators only.
+    generators only, once per chart.
 
     Conformal weights: a coordinate of grading weight j carries 1 + j,
     the ghost for a positive direction of weight j carries j, each jet
@@ -395,7 +396,7 @@ class BRSTComplex:
         # bracket, so the rank of M is all it takes
         check_poisson_form(chart)
         self.chart = chart
-        self.Q = differential(*chart.gauge_ce, "Q")
+        self.Q = chart.gauge_ce
         self.ring = self.Q.ring
         self.nmod = len(chart.coord_indices)
         self.nghost = len(chart.grading.positive_indices())
@@ -410,15 +411,14 @@ def brst_complex(chart: SliceChart) -> BRSTComplex:
 class TruncatedH0:
     """Degree-zero cohomology of the arc gauge complex per conformal
     weight, against the free differential ring on the slice generators
-    as the independent size oracle.  ``order_zero`` is the complex of Q
-    on the order-zero coordinates and ghosts, where delta is read, its
-    construction checking the exponent limit up to the cutoff; Q_0 is
-    delta (x) C[d], so ``dimensions`` counts the jets of ker delta
-    (``cohomology.kernel_generators``) and takes no rank of Q."""
+    as the independent size oracle.  ``order_zero`` is the chart's
+    ``slice_ce_complex``, Q on the order-zero coordinates and ghosts,
+    where delta is read, built checking the exponent limit up to the
+    cutoff; Q_0 is delta (x) C[d], so ``dimensions`` counts the jets of
+    ker delta (``cohomology.kernel_generators``), taking no rank of Q."""
 
-    def __init__(self, complex_: BRSTComplex, max_weight):
+    def __init__(self, chart: SliceChart, max_weight):
         w2cap = _as_wt2(max_weight)
-        cx, chart = complex_, complex_.chart
         self.max_wt2 = w2cap
         generators = chart.slice_generators()
         top = max(v.wt2 for v in generators)
@@ -426,9 +426,7 @@ class TruncatedH0:
             raise ValueError(
                 f"max weight {Fraction(w2cap, 2)} is below the largest "
                 f"slice generator weight {Fraction(top, 2)}")
-        n = cx.nmod + cx.nghost
-        self.order_zero = GradedComplex(cx.Q, range(cx.nmod),
-                                        range(cx.nmod, n), w2cap)
+        self.order_zero = slice_ce_complex(chart, max_weight)
         self.expected = _jet_counts(
             [(v.wt2, v.parity) for v in generators], w2cap)
 
@@ -453,8 +451,8 @@ def _jet_counts(gens, max_wt2: int) -> dict[int, int]:
         max_wt2)
 
 
-def h0_truncated(complex_: BRSTComplex, max_weight) -> TruncatedH0:
-    return TruncatedH0(complex_, max_weight)
+def h0_truncated(chart: SliceChart, max_weight) -> TruncatedH0:
+    return TruncatedH0(chart, max_weight)
 
 
 # -- the Miura map, one jet at a time ---------------------------------------

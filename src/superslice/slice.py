@@ -63,7 +63,7 @@ class SliceChart:
     after its order-zero variables; ``slice_generators`` lists those
     variables alone.  The chart also owns its Poisson structure,
     ``poisson``, its finite Miura image, ``miura``, and its gauge
-    complex's ring and images, ``gauge_ce``, each built on first use, so
+    complex's derivation, ``gauge_ce``, each built on first use, so
     jobs that stop at the chart build none of them.
     """
 
@@ -99,11 +99,12 @@ class SliceChart:
         return MiuraImage(self)
 
     @cached_property
-    def gauge_ce(self) -> tuple:
-        """(ring, images) of the gauge complex (``cohomology._gauge_ce``),
-        built the first time it is used; a total derivative there adds
-        jets to ring."""
-        return cohomology._gauge_ce(self)
+    def gauge_ce(self) -> "cohomology.OddDerivation":
+        """The gauge complex's derivation (``cohomology._gauge_ce``),
+        built and squared on first use: d of the slice complex, Q of
+        the arc one.  ``.ring`` gains jets; ``.images.base`` holds the
+        order-zero images."""
+        return cohomology.differential(*cohomology._gauge_ce(self))
 
     def slice_generators(self) -> list[Variable]:
         """The order-zero variables of ``slice_ring``, one per invariant

@@ -44,7 +44,7 @@ def de_rham_check(p: int, q: int, max_degree: int = 4) -> dict:
         images[i] = ring.gen(n + i)
     for j in range(q):
         images[p + j] = -ring.gen(n + p + j)
-    cx = GradedComplex(differential(ring, images, "d"), list(range(n)),
+    cx = GradedComplex(differential(ring, images), list(range(n)),
                        list(range(n, 2 * n)), 2 * max_degree)
     out = {}
     for deg in range(max_degree + 1):

@@ -32,7 +32,7 @@ def leading_part(cx: GradedComplex) -> GradedComplex:
             ring, {m: n for m, n in img.terms.items()
                    if sum(e for _, e in unpack(m)) == 1},
             img.den)
-    lead = GradedComplex(differential(ring, low, "d_0"), cx.module_positions,
+    lead = GradedComplex(differential(ring, low), cx.module_positions,
                          cx.ghost_positions, cx.max_wt2)
     lead._memo = cx._memo
     return lead

@@ -870,28 +870,29 @@ class TestVerifyOnce:
         assert code == 0 and built == []
 
     def test_one_gauge_complex_per_chart(self, monkeypatch, capsys):
-        # the finite and the arc complex share the chart's gauge ring and
-        # images; chart jobs build none, and the H^0 truncation reads Q
-        # itself, building no derivation of its own
+        # the finite and the arc complex read the chart's one gauge
+        # derivation, built and squared once; chart jobs build none, and
+        # the H^0 truncation reads Q itself, building no derivation
         built = []
-        real = cohomology._gauge_ce
+        real = cohomology.differential
 
-        def counted(chart):
-            built.append(chart)
-            return real(chart)
+        def counted(ring, images):
+            built.append(ring)
+            return real(ring, images)
 
-        monkeypatch.setattr(cohomology, "_gauge_ce", counted)
+        monkeypatch.setattr(cohomology, "differential", counted)
         code, _ = run_cli(["run", "--algebra", "sl(2|1)",
                            "--max-weight", "2"], capsys)
         assert code == 0 and len(built) == 1
         built.clear()
         code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
         assert code == 0 and built == []
+        monkeypatch.undo()
 
         alg = build_sl(2, 1)
         triple = sl2_triple_for(alg, principal_nilpotent(alg))
-        cx = brst_complex(gauge_fix(alg, triple,
-                                    dynkin_grading(alg, triple)))
+        chart = gauge_fix(alg, triple, dynkin_grading(alg, triple))
+        cx = brst_complex(chart)
         derivations = []
         real_init = cohomology.OddDerivation.__init__
 
@@ -901,7 +902,7 @@ class TestVerifyOnce:
 
         monkeypatch.setattr(cohomology.OddDerivation, "__init__",
                             counted_init)
-        h0 = h0_truncated(cx, 4)
+        h0 = h0_truncated(chart, 4)
         assert h0.consistent(h0.dimensions())
         assert h0.order_zero.d is cx.Q and derivations == []
 

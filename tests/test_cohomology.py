@@ -253,7 +253,7 @@ class TestBuildDispatch:
         # chart's
         chart = chart_for("sl(2|1)", "principal")
         arc_complex(BRSTComplex(chart), 4)
-        ring = chart.gauge_ce[0]
+        ring = chart.gauge_ce.ring
         m = len(chart.coord_indices)
         n = len(chart.grading.positive_indices())
         assert len(ring.variables) > m + n
@@ -269,10 +269,10 @@ class TestBuildDispatch:
         # pva-h0 reads delta on the order-zero positions: the chart's
         # gauge ring keeps its m coordinates and n ghosts
         chart = chart_for(name, nilpotent)
-        before = len(chart.gauge_ce[0].variables)
-        h0 = h0_truncated(BRSTComplex(chart), 4)
+        before = len(chart.gauge_ce.ring.variables)
+        h0 = h0_truncated(chart, 4)
         assert h0.consistent(h0.dimensions())
-        assert len(chart.gauge_ce[0].variables) == before
+        assert len(chart.gauge_ce.ring.variables) == before
 
     def test_non_half_integer_weight_rejected(self, osp_data):
         alg, triple, grading = osp_data
@@ -285,19 +285,19 @@ class TestBuildDispatch:
         ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=-2)])
         images = {0: ring.gen(1), 1: ring.gen(0)}
         with pytest.raises(ValueError, match=r"d\^2 != 0"):
-            GradedComplex(differential(ring, images, "d"), [0], [1], 6)
+            GradedComplex(differential(ring, images), [0], [1], 6)
 
     def test_mixed_weight_signs_rejected(self):
         ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=2)])
         with pytest.raises(ValueError, match="share a sign"):
-            GradedComplex(differential(ring, {}, "d"), [0], [1], 6)
+            GradedComplex(differential(ring, {}), [0], [1], 6)
 
     @pytest.mark.parametrize("max_wt2", [-1, -2])
     def test_negative_truncation_rejected(self, max_wt2):
         # no block would survive, so every table would be vacuously empty
         ring = PolyRing([Variable("x", 0, wt2=-2), Variable("ph", 1, wt2=-2)])
         with pytest.raises(ValueError, match="at least 0"):
-            GradedComplex(differential(ring, {0: ring.gen(1)}, "d"),
+            GradedComplex(differential(ring, {0: ring.gen(1)}),
                           [0], [1], max_wt2)
 
     def test_negative_max_weight_rejected_by_builders(self, sl3_data):
@@ -310,7 +310,7 @@ class TestBuildDispatch:
     def test_missing_weight_rejected(self):
         ring = PolyRing([Variable("x", 0), Variable("ph", 1, wt2=-2)])
         with pytest.raises(ValueError, match="nonzero weight"):
-            GradedComplex(differential(ring, {}, "d"), [0], [1], 6)
+            GradedComplex(differential(ring, {}), [0], [1], 6)
 
 
 # -- de Rham cross-check ---------------------------------------------------------
@@ -510,7 +510,7 @@ class TestKoszulCertificate:
     @pytest.mark.parametrize("name,nilpotent", CERTIFIED_ARCS)
     def test_arc_h0_dimensions(self, name, nilpotent, d_matrix_calls):
         brst = BRSTComplex(chart_for(name, nilpotent))
-        h0 = h0_truncated(brst, 4)
+        h0 = h0_truncated(brst.chart, 4)
         got = h0.dimensions()
         assert d_matrix_calls == []
         assert h0.consistent(got)
@@ -560,7 +560,7 @@ class TestKoszulCertificate:
         ring = PolyRing([Variable("x", 0, wt2=1), Variable("u", 0, wt2=2),
                          Variable("c", 1, wt2=1)])
         x, c = ring.gen(0), ring.gen(2)
-        cx = GradedComplex(differential(ring, {1: c * x}, "d"),
+        cx = GradedComplex(differential(ring, {1: c * x}),
                            [0, 1], [2], 4)
         assert linear_part(cx) == {(1, 0): (0, 1, 1), (2, 0): (0, 1, 0)}
         with pytest.raises(ValueError,
@@ -582,7 +582,7 @@ class TestKoszulCertificate:
                          Variable("u", 0, wt2=8), Variable("a", 1, wt2=2),
                          Variable("b", 1, wt2=6)])
         x, a, b = ring.gen(0), ring.gen(3), ring.gen(4)
-        cx = GradedComplex(differential(ring, {1: a, 2: b * x}, "d"),
+        cx = GradedComplex(differential(ring, {1: a, 2: b * x}),
                            [0, 1, 2], [3, 4], 10)
         assert linear_part(cx) == {(2, 0): (1, 1, 0), (6, 0): (0, 0, 1),
                                    (8, 0): (0, 1, 0)}
@@ -603,7 +603,7 @@ class TestKoszulCertificate:
         # d(x) = e meets a ghost of the module variable's own parity, not
         # a ghost of its block: no weight is taken from the closed form
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("e", 0, wt2=2)])
-        cx = GradedComplex(differential(ring, {0: ring.gen(1)}, "d"),
+        cx = GradedComplex(differential(ring, {0: ring.gen(1)}),
                            [0], [1], 6)
         for read in (linear_part, kernel_generators, cohomology_table):
             with pytest.raises(ValueError,
@@ -623,7 +623,7 @@ class TestKoszulCertificate:
         # rank reference finds that d keeps the ghost degree
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("t", 1, wt2=2),
                          Variable("c", 1, wt2=2), Variable("e", 0, wt2=2)])
-        cx = GradedComplex(differential(ring, images(ring), "d"),
+        cx = GradedComplex(differential(ring, images(ring)),
                            [0, 1], [2, 3], 6)
         with pytest.raises(ValueError, match="is not of Koszul shape"):
             cohomology_table(cx)
@@ -632,8 +632,8 @@ class TestKoszulCertificate:
 
     def test_degree_zero_image_raises(self):
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=2)])
-        cx = GradedComplex(differential(ring, {0: ring.one() + ring.gen(1)},
-                                        "d"), [0], [1], 4)
+        images = {0: ring.one() + ring.gen(1)}
+        cx = GradedComplex(differential(ring, images), [0], [1], 4)
         with pytest.raises(ValueError, match="term of degree 0"):
             cohomology_table(cx)
 
@@ -657,7 +657,7 @@ class TestBlockEnumeration:
         # the odd ghost c of weight 1/2 squares to zero: weight 1 holds
         # only x, so an exponent 2 of c would give degree 2 there
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("c", 1, wt2=1)])
-        cx = GradedComplex(differential(ring, {}, "d"), [0], [1], 4)
+        cx = GradedComplex(differential(ring, {}), [0], [1], 4)
         got = [cx.max_degree(n2) for n2 in range(5)]
         assert got == [0, 1, 0, 1, 0]
         assert got == [max(block_enumeration_oracle.weight_blocks(cx, n2),

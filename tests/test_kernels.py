@@ -652,14 +652,14 @@ class TestPackedKeys:
     def test_weight_block_past_the_limit_raises(self):
         # the complex refuses a truncation whose top block needs x^(EMAX+1)
         ring = PolyRing([Variable("x", 0, wt2=1)])
-        d = differential(ring, {}, "d")
+        d = differential(ring, {})
         cx = GradedComplex(d, [0], [], EMAX)
         assert cx.block_basis(0, EMAX) == [pack(((0, EMAX),))]
         with pytest.raises(OverflowError, match=f"exponent limit {EMAX}"):
             GradedComplex(d, [0], [], EMAX + 1)
         # an odd variable never passes exponent 1, however light it is
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("t", 1, wt2=1)])
-        cx = GradedComplex(differential(ring, {}, "d"), [0], [1],
+        cx = GradedComplex(differential(ring, {}), [0], [1],
                            2 * EMAX + 1)
         assert cx.block_basis(1, 2 * EMAX + 1) == [pack(((0, EMAX), (1, 1)))]
 

@@ -17,9 +17,10 @@ Oracles:
   the total derivative, is an odd derivation; the sl2 generator images
   and the weight-2 cocycle are pinned by hand.  The complex on the
   chart coordinates is compared with the former one on the Zhu
-  generators, kept in tests/zhu_brst_oracle.py: Q and the H^0
-  dimensions agree under u-hat -> zeta_u, on principal and minimal
-  charts; its order-zero images are the finite slice complex's.
+  generators, kept in tests/zhu_brst_oracle.py: Q agrees under
+  u-hat -> zeta_u, on principal and minimal charts, and the H^0
+  dimensions with the jets of ker delta read on the oracle's complex;
+  Q is the finite slice complex's derivation, the chart's one.
 * H^0 sizes: weighted monomial counts over the jet-expanded slice
   generators, an independent knapsack count.
 * Miura: images are the finite images one jet at a time; the
@@ -45,13 +46,14 @@ from zhu_brst_oracle import ZhuBRST
 from zhu_poisson_oracle import ZhuPoisson
 from superslice import cohomology
 from superslice.cli import JobConfig, _stage_cohomology, resolve_algebra
-from superslice.cohomology import slice_ce_complex
+from superslice.cohomology import (GradedComplex, kernel_generators,
+                                   slice_ce_complex)
 from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
                                sl2_triple_for)
 from superslice.pva import (ArcBracket, BRSTComplex, DifferentialMorphism,
-                            GradedMiura, LambdaPolynomial, brst_complex,
-                            graded_miura, h0_truncated)
+                            GradedMiura, LambdaPolynomial, _jet_counts,
+                            brst_complex, graded_miura, h0_truncated)
 from superslice.slice import gauge_fix
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
@@ -400,7 +402,7 @@ class TestBRSTComplex:
             return {k: v * 2 if k >= nmod else v for k, v in images.items()}
 
         monkeypatch.setattr(cohomology, "_ce_images", doubled_ghosts)
-        with pytest.raises(ValueError, match=r"Q\^2 != 0 on generator z_"):
+        with pytest.raises(ValueError, match=r"d\^2 != 0 on generator z_"):
             BRSTComplex(osp_chart)
 
     def test_q_commutes_with_d(self, osp_cx):
@@ -435,7 +437,7 @@ class TestBRSTComplex:
         jets = [base]
         for _ in range(K):
             jets.append(R.derivative_index(jets[-1]))
-        images = cohomology._JetImages(R, sl2_chart.gauge_ce[1])
+        images = cohomology._JetImages(R, sl2_chart.gauge_ce.images.base)
         calls = []
         real = SuperPolynomial.total_derivative
 
@@ -447,7 +449,7 @@ class TestBRSTComplex:
         served = [images.get(j) for j in jets[1:]]
         assert len(calls) == K
         monkeypatch.undo()
-        want = sl2_chart.gauge_ce[1][base]
+        want = sl2_chart.gauge_ce.images.base[base]
         for got in served:
             want = want.total_derivative()
             assert list(got.terms.items()) == list(want.terms.items())
@@ -456,7 +458,7 @@ class TestBRSTComplex:
     def test_q_preserves_conformal_weight(self, osp_cx):
         cx = osp_cx
         for pos in range(cx.nmod + cx.nghost):
-            img = cx.chart.gauge_ce[1].get(pos)
+            img = cx.chart.gauge_ce.images.base.get(pos)
             if img is None or img.is_zero():
                 continue
             assert img.weight2() == cx.ring.variables[pos].wt2
@@ -536,41 +538,43 @@ class TestZhuGeneratorOracle:
     @pytest.mark.parametrize("name,nilpotent,weight", [
         ("sl(2|1)", "principal", 6), ("sl4", "e21", 2)])
     def test_h0_dimensions_match_the_oracle(self, name, nilpotent, weight):
+        # the jets of ker delta read on the oracle's own complex, not on
+        # the chart's, against the chart's truncation
         chart = chart_for(name, nilpotent)
-        got = h0_truncated(brst_complex(chart), weight).dimensions()
-        assert got == h0_truncated(ZhuBRST(chart), weight).dimensions()
+        old, w2 = ZhuBRST(chart), 2 * weight
+        n = old.nmod + old.nghost
+        zhu = GradedComplex(old.Q, range(old.nmod), range(old.nmod, n), w2)
+        counts = _jet_counts(kernel_generators(zhu), w2)
+        want = {Fraction(n2, 2): counts.get(n2, 0) for n2 in range(w2 + 1)}
+        assert h0_truncated(chart, weight).dimensions() == want
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
     def test_base_images_are_the_slice_complex_images(self, name):
         # one gauge complex per chart: Q and d of the finite slice
-        # complex are two derivations on the chart's one ring and images
+        # complex are the chart's one derivation on its one ring
         chart = chart_for(name)
         cx, sx = brst_complex(chart), slice_ce_complex(chart, max_weight=2)
-        ring, images = chart.gauge_ce
-        assert cx.ring is ring and sx.ring is ring
-        assert cx.Q is not sx.d
-        assert cx.Q.images.base == sx.d.images.base == images
-        n = cx.nmod + cx.nghost
-        assert sx.positions == list(range(n))
-        for pos in range(n):
-            g = ring.gen(pos)
-            assert cx.Q(g) == sx.d(g), g.text()
+        assert cx.Q is sx.d is chart.gauge_ce
+        assert cx.ring is sx.ring is chart.gauge_ce.ring
+        assert sx.positions == list(range(cx.nmod + cx.nghost))
 
 
 # -- truncated degree-zero cohomology ----------------------------------------
 
 
 class TestTruncatedH0:
-    def test_sl2_dimensions(self, sl2_chart, sl2_cx):
-        h0 = h0_truncated(sl2_cx, 3)
+    def test_sl2_dimensions(self, sl2_chart):
+        h0 = h0_truncated(sl2_chart, 3)
         dims = h0.dimensions()
         assert [dims[Fraction(w)] for w in range(4)] == [1, 0, 1, 1]
         assert h0.consistent(dims)
 
-    def test_past_the_exponent_limit_refused_before_images(self, sl2_cx,
+    def test_past_the_exponent_limit_refused_before_images(self, sl2_chart,
+                                                           sl2_cx,
                                                            monkeypatch):
-        # weight 128 needs z_h1^128; the truncation is refused before Q
-        # is applied to any jet
+        # weight 128 needs z_h1^128; the chart's Q was built and squared
+        # with sl2_cx, and the truncation is refused before Q is applied
+        # to any jet
         served = []
         real = cohomology.OddDerivation.mono
 
@@ -580,51 +584,53 @@ class TestTruncatedH0:
 
         monkeypatch.setattr(cohomology.OddDerivation, "mono", counted)
         with pytest.raises(OverflowError, match="exponent limit 127"):
-            h0_truncated(sl2_cx, 128)
+            h0_truncated(sl2_chart, 128)
         assert served == []
         monkeypatch.undo()
-        h0 = h0_truncated(sl2_cx, 3)
+        h0 = h0_truncated(sl2_chart, 3)
         assert h0.consistent(h0.dimensions())
 
-    def test_osp_dimensions_include_odd_generator(self, osp_chart, osp_cx):
-        h0 = h0_truncated(osp_cx, 2)
+    def test_osp_dimensions_include_odd_generator(self, osp_chart):
+        h0 = h0_truncated(osp_chart, 2)
         dims = {w: d for w, d in h0.dimensions().items() if d}
         assert dims == {Fraction(0): 1, Fraction(3, 2): 1, Fraction(2): 1}
         assert h0.consistent(h0.dimensions())
 
-    def test_osp_deeper_truncation_consistent(self, osp_chart, osp_cx):
-        h0 = h0_truncated(osp_cx, 3)
+    def test_osp_deeper_truncation_consistent(self, osp_chart):
+        h0 = h0_truncated(osp_chart, 3)
         deep = h0.dimensions()
         assert h0.consistent(deep)
         # the two truncations agree where they overlap
-        shallow = h0_truncated(osp_cx, 2)
+        shallow = h0_truncated(osp_chart, 2)
         for w, d in shallow.dimensions().items():
             assert deep[w] == d
 
-    def test_weight_zero_is_constants(self, sl2_chart, sl2_cx):
+    def test_weight_zero_is_constants(self, sl2_chart):
         # H^0 at weight 0 is one line, and the block holds only 1
-        h0 = h0_truncated(sl2_cx, 2)
+        h0 = h0_truncated(sl2_chart, 2)
         assert h0.dimensions()[Fraction(0)] == 1
-        ring = sl2_cx.ring
+        ring = sl2_chart.gauge_ce.ring
         assert [SuperPolynomial(ring, {m: 1}).text()
                 for m in h0.order_zero.block_basis(0, 0)] == ["1"]
 
-    def test_truncation_below_generators_rejected(self, sl2_chart, sl2_cx):
+    def test_truncation_below_generators_rejected(self, sl2_chart):
         with pytest.raises(ValueError,
                            match="below the largest slice generator weight"):
-            h0_truncated(sl2_cx, 1)
+            h0_truncated(sl2_chart, 1)
 
     def test_truncation_below_the_largest_generator_rejected(self):
         # sl3's slice generators weigh 2 and 3: a cutoff at 2 keeps the
-        # first and loses the second, and is refused before any image
-        cx = brst_complex(principal_chart(build_sl(3, 0)))
+        # first and loses the second, and is refused before the chart
+        # builds its gauge derivation
+        chart = principal_chart(build_sl(3, 0))
         with pytest.raises(ValueError, match="max weight 2 is below the "
                            "largest slice generator weight 3"):
-            h0_truncated(cx, 2)
+            h0_truncated(chart, 2)
+        assert "gauge_ce" not in vars(chart)
 
-    def test_half_integer_weights_only(self, sl2_chart, sl2_cx):
+    def test_half_integer_weights_only(self, sl2_chart):
         with pytest.raises(ValueError, match="half-integers"):
-            h0_truncated(sl2_cx, Fraction(7, 3))
+            h0_truncated(sl2_chart, Fraction(7, 3))
 
 
 # -- graded Miura -------------------------------------------------------------
@@ -788,7 +794,7 @@ class TestSharedRings:
         assert ch.slice_generators() == ch.slice_ring.variables[:2]
         assert _stage_cohomology(config, {"chart": ch}) \
             == _stage_cohomology(config, {"chart": untouched})
-        h0 = h0_truncated(brst_complex(ch), 4)
+        h0 = h0_truncated(ch, 4)
         assert h0.expected == {0: 1, 4: 1, 6: 2, 8: 3}
         assert h0.consistent(h0.dimensions())
 

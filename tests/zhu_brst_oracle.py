@@ -10,8 +10,10 @@ sum_b M[u, b] R(v_a)(z_b), evaluated at z = Minv (zeta - c).  The
 package instead keeps the chart coordinates z_b; the two complexes are
 isomorphic under p_u -> zeta_u, ghosts fixed.
 
-``ZhuBRST`` carries the attributes ``pva.TruncatedH0`` reads (chart,
-ring, nmod, nghost, Q), so both complexes go through one H^0 count.
+``ZhuBRST`` holds its own Q on its own ring (chart, ring, nmod, nghost,
+Q), built without the chart's gauge derivation, so the tests read ker
+delta on a ``GradedComplex`` of this Q and compare the jet counts with
+``pva.TruncatedH0``, which reads the chart's.
 """
 
 from superslice.cohomology import (OddDerivation, _ce_images,
