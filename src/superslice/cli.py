@@ -245,8 +245,10 @@ def _stage_cohomology(config: JobConfig, ctx: dict) -> dict:
 
 
 def _stage_pva_qcheck(config: JobConfig, ctx: dict) -> dict:
-    cx = brst_complex(ctx["chart"])
-    return {"generators": cx.nmod, "ghosts": cx.nghost,
+    chart = ctx["chart"]
+    brst_complex(chart)
+    return {"generators": len(chart.coord_indices),
+            "ghosts": len(chart.grading.positive_indices()),
             "q_squared": "zero on all generators and ghosts"}
 
 
@@ -369,17 +371,17 @@ def exit_code(report: dict) -> int:
     return 1
 
 
-def run_pipeline(config: JobConfig, command: str = "run",
-                 targets: Optional[list[str]] = None) -> dict:
-    """Execute the requested stages in order; a failing stage is recorded
+def run_pipeline(config: JobConfig, command: str = "run") -> dict:
+    """Execute the stages of ``command`` (``_targets``; an action follows
+    the command after a space) in order; a failing stage is recorded
     with its name and counterexample data and everything after it is
     skipped.  An OverflowError (a monomial past the exponent limit) is
     a failed stage of that name marked with its exception type; any
     other exception but StageError or ValueError is recorded as an
     internal-error stage naming the stage that raised it.
     Returns {"body": ..., "timings": ...}."""
-    if targets is None:
-        targets = _targets("run", None, config)
+    head, _, action = command.partition(" ")
+    targets = _targets(head, action or None, config)
     body = {
         "tool": "superslice",
         "command": command,
@@ -657,8 +659,7 @@ def main(argv=None) -> int:
     else:
         if command == "pva h0" and config.max_weight is None:
             config = replace(config, max_weight=Fraction(3))
-        report = run_pipeline(config, command=command,
-                              targets=_targets(args.command, action, config))
+        report = run_pipeline(config, command=command)
     if not _emit(report, config):
         return 2  # an unwritable --output is rejected input
     return exit_code(report)

@@ -24,7 +24,7 @@ derivation, jets served by _JetImages, and checks d^2 on the order-zero
 generators: an odd derivation commuting with the total derivative
 squares to an even one that does too, so that is d^2 = 0 everywhere.
 The chart squares its gauge derivation once (SliceChart.gauge_ce): d
-of the slice complex, Q of the arc complex (pva).
+of the slice complex, Q of the arc complex (pva.brst_complex).
 
 Every variable carries a nonzero weight and all weights share one sign,
 so each weight block is finite dimensional.  Give every complex
@@ -539,9 +539,10 @@ def _gauge_action_fields(chart, ring: PolyRing):
 def _gauge_ce(chart):
     """(ring, generator images) of the gauge complex, from which
     ``SliceChart.gauge_ce`` builds the chart's one derivation: the
-    chart coordinates z_b at their conformal weights 1 + j > 0, then
-    the ghosts ph_a at +wt(v_a), in a new differential ring; a total
-    derivative there adds jets after the ghosts."""
+    chart coordinates z_b of grading weight j at conformal weight
+    1 + j > 0, then the ghosts ph_a at +wt(v_a), in a new differential
+    ring; a total derivative there adds jets after the ghosts, each
+    jet order adding weight 1, and the derivation keeps the weight."""
     alg, grading = chart.alg, chart.grading
     m = len(chart.coord_indices)
     ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)

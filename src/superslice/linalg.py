@@ -26,9 +26,7 @@ floats.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,11 +34,6 @@ from .superpoly import _as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-# nonzeros from which row_rank orders the columns by count: below it
-# the relabelling pass costs more than the fill-in it saves (measured
-# on the cohomology blocks of sl(3|2), sl(2|1) and sl4, break-even
-# near 4,000 nonzeros)
-RELABEL_NNZ = 4096
 
 
 class RationalMatrix:
@@ -176,22 +169,7 @@ def _reduced(rows: Iterable[Mapping[int, int]]
 
 def row_rank(rows: Iterable[Mapping[int, int]]) -> int:
     """Rank of a matrix given as sparse integer rows {col: int}; empty
-    rows are allowed.
-
-    The rank does not depend on the column order.  On a matrix with at
-    least ``RELABEL_NNZ`` nonzeros the columns are relabelled by
-    ascending nonzero count before elimination (the column half of
-    Markowitz ordering): the leading column of a row is then its
-    sparsest, and pivots on sparse columns cause little fill-in.  On
-    smaller matrices fill-in is cheap and the relabelling pass costs
-    more than it saves.  The RREF and ``row_nullspace``'s canonical
-    basis depend on the column order, so they keep it."""
-    rows = list(rows)
-    if sum(map(len, rows)) >= RELABEL_NNZ:
-        count = Counter(chain.from_iterable(rows))
-        label = dict(zip(sorted(count, key=count.__getitem__),
-                         range(len(count)))).__getitem__
-        rows = [dict(zip(map(label, r), r.values())) for r in rows]
+    rows are allowed."""
     return len(_echelon(rows))
 
 

@@ -14,12 +14,12 @@ Two layers:
   the pipeline's tables are level zero, so their generator brackets are
   constant in lambda and all lambda dependence comes from jets.
 
-* ``BRSTComplex``, ``h0_truncated``, ``GradedMiura``: arc objects on
+* ``brst_complex``, ``h0_truncated``, ``GradedMiura``: arc objects on
   differential rings on the chart coordinates.  The arc gauge complex
-  is Q, the chart's one gauge derivation (``SliceChart.gauge_ce``), a
-  coordinate of grading weight j weighing 1 + j; its degree-zero
-  cohomology is sized per conformal weight against the free
-  differential ring on the slice generators.
+  is Q, the chart's one gauge derivation (``SliceChart.gauge_ce``),
+  which ``brst_complex`` returns once the chart's form is checked; its
+  degree-zero cohomology is sized per conformal weight against the
+  free differential ring on the slice generators.
   The arc functor applied to the chart's finite Miura image
   (``SliceChart.miura``) maps the chart's slice ring to its coordinate
   ring; both are differential, and the coordinate ring carries the
@@ -33,8 +33,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cohomology import (_as_wt2, _JetImages, kernel_generators,
-                         slice_ce_complex, weighted_monomial_counts)
+from .cohomology import (_as_wt2, _JetImages, OddDerivation,
+                         kernel_generators, slice_ce_complex,
+                         weighted_monomial_counts)
 from .slice import SliceChart, check_poisson_form
 from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
                         sum_of_products)
@@ -373,37 +374,14 @@ class DifferentialMorphism:
 
 # -- the arc gauge complex -------------------------------------------------
 
-class BRSTComplex:
-    """The slice gauge complex made differential: Q is the chart's gauge
-    derivation (``SliceChart.gauge_ce``), the one d of the finite slice
-    complex, on the chart coordinates z_b plus one ghost per positive
-    basis direction; this class checks the form and builds nothing.
-
-    Q on a coordinate is the gauge action, each ghost multiplying from
-    the left; on a ghost it is the coadjoint half-sum over the positive
-    part.  Jets follow by commuting Q with the total derivative, so
-    ``cohomology.differential`` checks Q^2 = 0 on the order-zero
-    generators only, once per chart.
-
-    Conformal weights: a coordinate of grading weight j carries 1 + j,
-    the ghost for a positive direction of weight j carries j, each jet
-    order adds 1, and Q preserves the weight.
-    """
-
-    def __init__(self, chart: SliceChart):
-        # the complex belongs to the chart's Poisson reduction: a
-        # formless or degenerate form fails here, though Q reads no
-        # bracket, so the rank of M is all it takes
-        check_poisson_form(chart)
-        self.chart = chart
-        self.Q = chart.gauge_ce
-        self.ring = self.Q.ring
-        self.nmod = len(chart.coord_indices)
-        self.nghost = len(chart.grading.positive_indices())
-
-
-def brst_complex(chart: SliceChart) -> BRSTComplex:
-    return BRSTComplex(chart)
+def brst_complex(chart: SliceChart) -> OddDerivation:
+    """Q of the arc gauge complex: the chart's one gauge derivation
+    (``SliceChart.gauge_ce``), built and squared on first use.  The
+    complex belongs to the chart's Poisson reduction, so a formless or
+    degenerate form is refused first, from the rank of M alone: Q
+    reads no bracket, and the chart's Poisson structure is not built."""
+    check_poisson_form(chart)
+    return chart.gauge_ce
 
 
 # -- degree-zero cohomology by conformal weight -----------------------------

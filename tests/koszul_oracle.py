@@ -48,16 +48,17 @@ def full_rank_table(cx: GradedComplex) -> dict:
     return out
 
 
-def arc_complex(brst, max_weight) -> GradedComplex:
-    """The GradedComplex of Q on every jet of the coordinates and ghosts
-    of the pva.BRSTComplex brst up to max_weight, each jet order adding
-    weight 1, with no cap on the ghost degree.  Adds those jets to the
-    chart's gauge ring."""
-    w2cap, ring = _as_wt2(max_weight), brst.ring
+def arc_complex(chart, max_weight) -> GradedComplex:
+    """The GradedComplex of Q, the chart's gauge derivation, on every jet
+    of the chart's coordinates and ghosts up to max_weight, each jet
+    order adding weight 1, with no cap on the ghost degree.  Adds those
+    jets to the chart's gauge ring."""
+    Q, w2cap = chart.gauge_ce, _as_wt2(max_weight)
+    ring, nmod = Q.ring, len(chart.coord_indices)
     module: list[int] = []
     ghosts: list[int] = []
-    for pos in range(brst.nmod + brst.nghost):
-        target = module if pos < brst.nmod else ghosts
+    for pos in range(nmod + len(chart.grading.positive_indices())):
+        target = module if pos < nmod else ghosts
         idx, w = pos, ring.variables[pos].wt2
         while w <= w2cap:
             target.append(idx)
@@ -65,4 +66,4 @@ def arc_complex(brst, max_weight) -> GradedComplex:
                 break
             idx = ring.derivative_index(idx)
             w += 2
-    return GradedComplex(brst.Q, module, ghosts, w2cap)
+    return GradedComplex(Q, module, ghosts, w2cap)

@@ -679,6 +679,9 @@ class TestReportMechanics:
                                      coefficients=coefficients),
                            command="cohomology")
         assert rep["body"]["verdict"] == "fail"
+        # the command alone names the stages: no run-only stage ran
+        names = [st["name"] for st in rep["body"]["stages"]]
+        assert "invariance" not in names and "miura" not in names
         st = rep["body"]["stages"][-1]
         assert st["name"] == "cohomology"
         assert "at least 0" in st["error"]
@@ -892,7 +895,7 @@ class TestVerifyOnce:
         alg = build_sl(2, 1)
         triple = sl2_triple_for(alg, principal_nilpotent(alg))
         chart = gauge_fix(alg, triple, dynkin_grading(alg, triple))
-        cx = brst_complex(chart)
+        Q = brst_complex(chart)
         derivations = []
         real_init = cohomology.OddDerivation.__init__
 
@@ -904,7 +907,7 @@ class TestVerifyOnce:
                             counted_init)
         h0 = h0_truncated(chart, 4)
         assert h0.consistent(h0.dimensions())
-        assert h0.order_zero.d is cx.Q and derivations == []
+        assert h0.order_zero.d is Q and derivations == []
 
     def test_one_h0_per_pva_h0_stage(self, monkeypatch, capsys):
         # the stage compares the dimensions it computed with the free
@@ -960,7 +963,5 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
-    direct = run_pipeline(JobConfig(algebra="sl2"), command="slice chart",
-                          targets=cli._targets("slice", "chart",
-                                               JobConfig(algebra="sl2")))
+    direct = run_pipeline(JobConfig(algebra="sl2"), command="slice chart")
     assert rep["body"] == direct["body"]

@@ -30,7 +30,7 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                parse_nilpotent, principal_nilpotent,
                                sl2_triple_for)
 from superslice.linalg import row_rank
-from superslice.pva import BRSTComplex, h0_truncated
+from superslice.pva import brst_complex, h0_truncated
 from superslice.slice import gauge_fix
 from superslice.superpoly import (PolyRing, SuperPolynomial, Variable, pack,
                                   unpack)
@@ -239,12 +239,13 @@ class TestBuildDispatch:
         before = [names(r) for r in given]
         reg = regular_ce_complex(chart.alg, chart.grading, max_weight=2)
         sx = slice_ce_complex(chart, max_weight=2)
-        brst = BRSTComplex(chart)
+        Q = brst_complex(chart)
         assert [names(r) for r in given] == before
-        # each complex's own ring holds its module variables and ghosts
+        # each complex's own ring holds its module variables and ghosts,
+        # and the arc complex's Q is the slice complex's d
         assert len(reg.ring.variables) == len(reg.positions)
         assert len(sx.ring.variables) == len(sx.positions)
-        assert len(brst.ring.variables) == brst.nmod + brst.nghost
+        assert Q is sx.d
 
     def test_slice_complex_after_the_arc_jets(self):
         # the jet-level arc complex adds jets to the chart's gauge ring
@@ -252,7 +253,7 @@ class TestBuildDispatch:
         # the m coordinates and n ghosts, and its table is an untouched
         # chart's
         chart = chart_for("sl(2|1)", "principal")
-        arc_complex(BRSTComplex(chart), 4)
+        arc_complex(chart, 4)
         ring = chart.gauge_ce.ring
         m = len(chart.coord_indices)
         n = len(chart.grading.positive_indices())
@@ -383,7 +384,7 @@ class TestIntegerRows:
     def test_brst_h0_block_ranks(self, sl21_data):
         alg, triple, grading = sl21_data
         chart = gauge_fix(alg, triple, grading)
-        assert_block_ranks_match_dense(arc_complex(BRSTComplex(chart), 3))
+        assert_block_ranks_match_dense(arc_complex(chart, 3))
 
     def test_rows_are_exact_images(self, sl21_data):
         alg, triple, grading = sl21_data
@@ -427,13 +428,13 @@ class TestOneDenominator:
 
     def test_jet_images_share_the_denominator(self, sl2_data):
         alg, triple, grading = sl2_data
-        cx = BRSTComplex(gauge_fix(alg, triple, grading))
-        ring = cx.ring
+        Q = brst_complex(gauge_fix(alg, triple, grading))
+        ring = Q.ring
         jet = ring.derivative_index(ring.derivative_index(0))
-        got = cx.Q(ring.gen(jet))
-        want = cx.Q(ring.gen(0)).total_derivative().total_derivative()
+        got = Q(ring.gen(jet))
+        want = Q(ring.gen(0)).total_derivative().total_derivative()
         assert got == want
-        assert all(cx.Q.den % c.denominator == 0
+        assert all(Q.den % c.denominator == 0
                    for _, c in got.items())
 
 
@@ -509,13 +510,13 @@ class TestKoszulCertificate:
 
     @pytest.mark.parametrize("name,nilpotent", CERTIFIED_ARCS)
     def test_arc_h0_dimensions(self, name, nilpotent, d_matrix_calls):
-        brst = BRSTComplex(chart_for(name, nilpotent))
-        h0 = h0_truncated(brst.chart, 4)
+        chart = chart_for(name, nilpotent)
+        h0 = h0_truncated(chart, 4)
         got = h0.dimensions()
         assert d_matrix_calls == []
         assert h0.consistent(got)
         # the ranks of Q on every jet up to the cutoff
-        arc = arc_complex(brst, 4)
+        arc = arc_complex(chart, 4)
         assert got == {w: arc.cohomology_dim(0, w) for w in got}
 
     def test_linear_part_of_a_super_chart(self):
@@ -645,7 +646,7 @@ class TestBlockEnumeration:
         chart = chart_for(name, nilpotent)
         for cx in (slice_ce_complex(chart, max_weight=4),
                    regular_ce_complex(chart.alg, chart.grading, 4),
-                   arc_complex(BRSTComplex(chart), 4)):
+                   arc_complex(chart, 4)):
             for a2 in range(cx.max_wt2 + 1):
                 n2 = a2 * cx.sign
                 want = block_enumeration_oracle.weight_blocks(cx, n2)

@@ -9,12 +9,10 @@ Gauss-Jordan elimination (tests/dense_oracles.py).
 from fractions import Fraction
 from math import lcm
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_elimination_oracle as fraction_oracle
 from dense_oracles import dense_nullspace, dense_rank, dense_rref, dense_solve
-from superslice import linalg
 from superslice.linalg import (RationalMatrix, exact_rank, from_columns,
                                nullspace, row_nullspace, row_rank, row_solve,
                                rref, solve)
@@ -244,10 +242,9 @@ def test_row_rank_takes_empty_rows():
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_row_rank_ignores_column_order(data):
-    # row_rank relabels the columns of large matrices by nonzero count:
-    # with the relabelling forced on and off, and under any permutation
-    # of the columns (and so of the counts' ties), the rank must stay
-    # that of the Fraction oracle on the matrix as given
+    # under any permutation of the columns, which moves every leading
+    # column, the rank must stay that of the Fraction oracle on the
+    # matrix as given
     rows, nc = (draw_hard_rows if data.draw(st.booleans())
                 else draw_sparse_rows)(data)
     ints = []
@@ -256,12 +253,9 @@ def test_row_rank_ignores_column_order(data):
         ints.append([int(x * den) for x in row])
     want = fraction_oracle.rank(rows)
     perm = data.draw(st.permutations(range(nc)))
-    for threshold in (0, linalg.RELABEL_NNZ):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(linalg, "RELABEL_NNZ", threshold)
-            for order in (list(range(nc)), perm):
-                sparse = [{order[j]: x for j, x in enumerate(row) if x}
-                          for row in ints]
-                keep = [dict(r) for r in sparse]
-                assert row_rank(sparse) == want
-                assert sparse == keep  # the input rows are not work space
+    for order in (list(range(nc)), perm):
+        sparse = [{order[j]: x for j, x in enumerate(row) if x}
+                  for row in ints]
+        keep = [dict(r) for r in sparse]
+        assert row_rank(sparse) == want
+        assert sparse == keep  # the input rows are not work space

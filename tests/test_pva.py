@@ -13,7 +13,7 @@ Oracles:
   on a table with lambda-dependent entries), and the
   lambda-degree-zero sector is cross-checked against the finite
   Leibniz recursion kept in tests/finite_poisson_oracle.py.
-* Q: squares to zero (constructor trap plus explicit), commutes with
+* Q: squares to zero (build trap plus explicit), commutes with
   the total derivative, is an odd derivation; the sl2 generator images
   and the weight-2 cocycle are pinned by hand.  The complex on the
   chart coordinates is compared with the former one on the Zhu
@@ -33,6 +33,7 @@ Oracles:
   constant in lambda is refused.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -48,12 +49,12 @@ from superslice import cohomology
 from superslice.cli import JobConfig, _stage_cohomology, resolve_algebra
 from superslice.cohomology import (GradedComplex, kernel_generators,
                                    slice_ce_complex)
-from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
-                               parse_nilpotent, principal_nilpotent,
-                               sl2_triple_for)
-from superslice.pva import (ArcBracket, BRSTComplex, DifferentialMorphism,
-                            GradedMiura, LambdaPolynomial, _jet_counts,
-                            brst_complex, graded_miura, h0_truncated)
+from superslice.liealg import (algebra_to_json, build_osp_1_2, build_sl,
+                               dynkin_grading, parse_nilpotent,
+                               principal_nilpotent, sl2_triple_for)
+from superslice.pva import (ArcBracket, DifferentialMorphism, GradedMiura,
+                            LambdaPolynomial, _jet_counts, brst_complex,
+                            graded_miura, h0_truncated)
 from superslice.slice import gauge_fix
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
@@ -77,12 +78,12 @@ def osp_chart():
 
 
 @pytest.fixture(scope="module")
-def sl2_cx(sl2_chart):
+def sl2_Q(sl2_chart):
     return brst_complex(sl2_chart)
 
 
 @pytest.fixture(scope="module")
-def osp_cx(osp_chart):
+def osp_Q(osp_chart):
     return brst_complex(osp_chart)
 
 
@@ -348,52 +349,69 @@ class TestOperands:
 # -- the arc gauge complex ---------------------------------------------------
 
 
-def zeta(cx, label):
-    """The Zhu generator u-hat on the complex's ring: zeta_u
-    (``PoissonStructure.zeta``), an affine function of the chart
-    coordinates."""
-    ps = cx.chart.poisson
-    return ps.zeta[ps.gen_pos[cx.chart.alg.index[label]]].substitute(
-        {}, cx.ring)
+def zeta(chart, label):
+    """The Zhu generator u-hat on the ring of the chart's gauge
+    derivation: zeta_u (``PoissonStructure.zeta``), an affine function
+    of the chart coordinates."""
+    ps = chart.poisson
+    return ps.zeta[ps.gen_pos[chart.alg.index[label]]].substitute(
+        {}, chart.gauge_ce.ring)
+
+
+def order_zero(chart):
+    """Positions of the order-zero coordinates and ghosts of the
+    chart's gauge ring, counted as ``slice_ce_complex`` counts them."""
+    return range(len(chart.coord_indices)
+                 + len(chart.grading.positive_indices()))
 
 
 class TestBRSTComplex:
-    def test_sl2_ring_layout(self, sl2_cx):
-        names = [v.name for v in sl2_cx.ring.variables[:3]]
+    def test_sl2_ring_layout(self, sl2_Q):
+        names = [v.name for v in sl2_Q.ring.variables[:3]]
         assert names == ["z_e12", "z_h1", "ph_e12"]
         # conformal doubled weights: 1+j doubled for coordinates, j for ghosts
-        assert [v.wt2 for v in sl2_cx.ring.variables[:3]] == [4, 2, 2]
-        assert sl2_cx.ring.parity_of(2) == 1  # ghost of an even root flips
+        assert [v.wt2 for v in sl2_Q.ring.variables[:3]] == [4, 2, 2]
+        assert sl2_Q.ring.parity_of(2) == 1  # ghost of an even root flips
 
-    def test_sl2_generator_images_by_hand(self, sl2_cx):
+    def test_sl2_generator_images_by_hand(self, sl2_chart, sl2_Q):
         # [PAPER]-style pins: Q(h-hat) = 2 ph, Q(f-hat) = h-hat ph.
-        cx = sl2_cx
-        h = zeta(cx, "h1")
-        f = zeta(cx, "e21")
-        ph = cx.ring.gen("ph_e12")
-        assert cx.Q(h) == ph * 2
-        assert cx.Q(f) == h * ph
-        assert cx.Q(ph).is_zero()  # abelian positive part
+        Q = sl2_Q
+        h = zeta(sl2_chart, "h1")
+        f = zeta(sl2_chart, "e21")
+        ph = Q.ring.gen("ph_e12")
+        assert Q(h) == ph * 2
+        assert Q(f) == h * ph
+        assert Q(ph).is_zero()  # abelian positive part
 
-    def test_builds_no_poisson_structure(self):
+    def test_builds_no_poisson_structure(self, tmp_path):
         # Q reads no bracket: the form is refused from the rank of M
         # alone, and the chart's Poisson structure is never built
         chart = principal_chart(build_sl(2, 1))
-        BRSTComplex(chart)
+        assert brst_complex(chart) is chart.gauge_ce
         assert "poisson" not in vars(chart)
+        # a formless chart is refused before its derivation is built
+        data = algebra_to_json(build_sl(2, 1))
+        del data["form"]
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(data))
+        formless = chart_for(str(path), "e21")
+        with pytest.raises(ValueError, match="needs the bilinear form"):
+            brst_complex(formless)
+        assert not {"gauge_ce", "poisson"} & set(vars(formless))
 
-    def test_q_squares_to_zero(self, sl2_cx, osp_cx):
-        for cx in (sl2_cx, osp_cx):
-            for pos in range(cx.nmod + cx.nghost):
-                g = cx.ring.gen(pos)
-                assert cx.Q(cx.Q(g)).is_zero()
+    def test_q_squares_to_zero(self, sl2_chart, osp_chart):
+        for chart in (sl2_chart, osp_chart):
+            Q = brst_complex(chart)
+            for pos in order_zero(chart):
+                g = Q.ring.gen(pos)
+                assert Q(Q(g)).is_zero()
                 jet = g.total_derivative()
-                assert cx.Q(cx.Q(jet)).is_zero()
+                assert Q(Q(jet)).is_zero()
 
     def test_q_square_trap(self, monkeypatch):
         # doubling the ghost half-sum breaks Q^2 = 0 on the generators,
-        # and the constructor must say so; a fresh chart, because a
-        # chart keeps the gauge images it built first
+        # and brst_complex must say so; a fresh chart, because a chart
+        # keeps the gauge derivation it built first
         osp_chart = principal_chart(build_osp_1_2())
         real = cohomology._ce_images
 
@@ -403,27 +421,27 @@ class TestBRSTComplex:
 
         monkeypatch.setattr(cohomology, "_ce_images", doubled_ghosts)
         with pytest.raises(ValueError, match=r"d\^2 != 0 on generator z_"):
-            BRSTComplex(osp_chart)
+            brst_complex(osp_chart)
 
-    def test_q_commutes_with_d(self, osp_cx):
-        cx = osp_cx
-        R = cx.ring
+    def test_q_commutes_with_d(self, osp_Q):
+        Q = osp_Q
+        R = Q.ring
         samples = [R.gen(0), R.gen(2), R.gen(0) * R.gen(3),
                    R.gen(2) * R.gen(4) + R.gen(1)]
         for p in samples:
-            assert cx.Q(p.total_derivative()) == cx.Q(p).total_derivative()
+            assert Q(p.total_derivative()) == Q(p).total_derivative()
 
-    def test_q_is_an_odd_derivation(self, osp_cx):
-        cx = osp_cx
-        R = cx.ring
+    def test_q_is_an_odd_derivation(self, osp_Q):
+        Q = osp_Q
+        R = Q.ring
         pairs = [(R.gen(0), R.gen(1)),
                  (R.gen(2), R.gen(3)),
                  (R.gen(2), R.gen(0) * R.gen(3)),
                  (R.gen(3).total_derivative(), R.gen(4))]
         for a, b in pairs:
             pa = a.parity()
-            lhs = cx.Q(a * b)
-            rhs = cx.Q(a) * b + (a * cx.Q(b) if pa == 0 else -(a * cx.Q(b)))
+            lhs = Q(a * b)
+            rhs = Q(a) * b + (a * Q(b) if pa == 0 else -(a * Q(b)))
             assert lhs == rhs
 
     def test_jet_images_cost_one_derivative_each(self, sl2_chart,
@@ -431,13 +449,13 @@ class TestBRSTComplex:
         # serving jets 1..K of one generator takes K total derivatives,
         # each jet from the one below, and the same images as K
         # derivatives of the base image
-        cx, K = brst_complex(sl2_chart), 12
-        R = cx.ring
+        Q, K = brst_complex(sl2_chart), 12
+        R = Q.ring
         base = R.index["z_e12"]
         jets = [base]
         for _ in range(K):
             jets.append(R.derivative_index(jets[-1]))
-        images = cohomology._JetImages(R, sl2_chart.gauge_ce.images.base)
+        images = cohomology._JetImages(R, Q.images.base)
         calls = []
         real = SuperPolynomial.total_derivative
 
@@ -449,27 +467,25 @@ class TestBRSTComplex:
         served = [images.get(j) for j in jets[1:]]
         assert len(calls) == K
         monkeypatch.undo()
-        want = sl2_chart.gauge_ce.images.base[base]
+        want = Q.images.base[base]
         for got in served:
             want = want.total_derivative()
             assert list(got.terms.items()) == list(want.terms.items())
             assert got.den == want.den
 
-    def test_q_preserves_conformal_weight(self, osp_cx):
-        cx = osp_cx
-        for pos in range(cx.nmod + cx.nghost):
-            img = cx.chart.gauge_ce.images.base.get(pos)
+    def test_q_preserves_conformal_weight(self, osp_chart, osp_Q):
+        for pos in order_zero(osp_chart):
+            img = osp_Q.images.base.get(pos)
             if img is None or img.is_zero():
                 continue
-            assert img.weight2() == cx.ring.variables[pos].wt2
+            assert img.weight2() == osp_Q.ring.variables[pos].wt2
 
-    def test_sl2_weight2_cocycle_by_hand(self, sl2_cx):
+    def test_sl2_weight2_cocycle_by_hand(self, sl2_chart, sl2_Q):
         # f-hat - h-hat^2/4 is Q-closed: Q(f) = h ph, Q(h^2/4) = h ph.
-        cx = sl2_cx
-        h = zeta(cx, "h1")
-        f = zeta(cx, "e21")
+        h = zeta(sl2_chart, "h1")
+        f = zeta(sl2_chart, "e21")
         w = f - h * h * Fraction(1, 4)
-        assert cx.Q(w).is_zero()
+        assert sl2_Q(w).is_zero()
 
     def test_lambda_zero_sector_matches_finite_bracket(self, osp_chart):
         # Independent implementations: ArcBracket's recursion vs the
@@ -509,31 +525,33 @@ Q_ORACLE_CASES = [(name, "principal") for name in ORACLE_CASES] + [
 
 
 class TestZhuGeneratorOracle:
-    """BRSTComplex against the former complex on the Zhu generators
+    """The chart's Q against the former complex on the Zhu generators
     p_u (tests/zhu_brst_oracle.py) under p_u -> zeta_u, each ghost to
     the ghost of the same name."""
 
     @staticmethod
     def transported(chart):
-        cx, old = brst_complex(chart), ZhuBRST(chart)
+        Q, old = brst_complex(chart), ZhuBRST(chart)
         alg, ps = chart.alg, chart.poisson
-        base = {a: zeta(cx, alg.labels[i])
+        base = {a: zeta(chart, alg.labels[i])
                 for a, i in enumerate(ps.gen_indices)}
         for pos in range(old.nmod, old.nmod + old.nghost):
             name = old.ring.variables[pos].name
-            base[pos] = cx.ring.gen(name)
-        return cx, old, DifferentialMorphism(old.ring, cx.ring, base)
+            base[pos] = Q.ring.gen(name)
+        return Q, old, DifferentialMorphism(old.ring, Q.ring, base)
 
     @pytest.mark.parametrize("name,nilpotent", Q_ORACLE_CASES,
                              ids=[n if nil == "principal" else f"{n}-{nil}"
                                   for n, nil in Q_ORACLE_CASES])
     def test_q_matches_the_oracle(self, name, nilpotent):
-        cx, old, phi = self.transported(chart_for(name, nilpotent))
-        assert (cx.nmod, cx.nghost) == (old.nmod, old.nghost)
+        chart = chart_for(name, nilpotent)
+        Q, old, phi = self.transported(chart)
+        assert old.nmod == len(chart.coord_indices)
+        assert old.nghost == len(chart.grading.positive_indices())
         for pos in range(old.nmod + old.nghost):
             g = old.ring.gen(pos)
             for x in (g, g.total_derivative()):
-                assert phi(old.Q(x)) == cx.Q(phi(x)), x.text()
+                assert phi(old.Q(x)) == Q(phi(x)), x.text()
 
     @pytest.mark.parametrize("name,nilpotent,weight", [
         ("sl(2|1)", "principal", 6), ("sl4", "e21", 2)])
@@ -553,10 +571,10 @@ class TestZhuGeneratorOracle:
         # one gauge complex per chart: Q and d of the finite slice
         # complex are the chart's one derivation on its one ring
         chart = chart_for(name)
-        cx, sx = brst_complex(chart), slice_ce_complex(chart, max_weight=2)
-        assert cx.Q is sx.d is chart.gauge_ce
-        assert cx.ring is sx.ring is chart.gauge_ce.ring
-        assert sx.positions == list(range(cx.nmod + cx.nghost))
+        sx = slice_ce_complex(chart, max_weight=2)
+        assert brst_complex(chart) is chart.gauge_ce is sx.d
+        assert sx.ring is chart.gauge_ce.ring
+        assert sx.positions == list(order_zero(chart))
 
 
 # -- truncated degree-zero cohomology ----------------------------------------
@@ -570,10 +588,10 @@ class TestTruncatedH0:
         assert h0.consistent(dims)
 
     def test_past_the_exponent_limit_refused_before_images(self, sl2_chart,
-                                                           sl2_cx,
+                                                           sl2_Q,
                                                            monkeypatch):
         # weight 128 needs z_h1^128; the chart's Q was built and squared
-        # with sl2_cx, and the truncation is refused before Q is applied
+        # with sl2_Q, and the truncation is refused before Q is applied
         # to any jet
         served = []
         real = cohomology.OddDerivation.mono

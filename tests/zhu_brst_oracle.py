@@ -1,5 +1,5 @@
 """The arc gauge complex on the Zhu generators, kept as the oracle for
-pva.BRSTComplex.
+Q, the chart's gauge derivation that pva.brst_complex returns.
 
 This is the package's former construction.  Its ring holds one
 generator p_u per basis vector u of g_{<=0} + g_{1/2} (the ring of
