@@ -14,6 +14,7 @@ stage, a stage that met the exponent limit, bad arguments, or an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -553,7 +554,10 @@ def _positive_int(s: str) -> int:
     return v
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` runs
+    any number of jobs in one interpreter on the same parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--algebra", required=True,
                         help="catalogue name (sl2, sl3, sl2|1, osp12) "

@@ -1,18 +1,21 @@
-"""Lambda brackets and the differential-graded side of the slice
-construction.
+"""The chart's Poisson bracket and the differential-graded side of the
+slice construction.
 
 Two layers:
 
-* ``LambdaPolynomial`` and ``ArcBracket``: a lambda bracket on a
-  differential polynomial ring, given by a table of generator brackets
-  and extended by sesquilinearity and the left and right Leibniz rules.
-  ``ArcBracket.bracket`` evaluates that extension in closed form by the
-  master formula of Barakat, De Sole and Kac (Japan. J. Math. 4, 2009,
-  eq. 1.33) with left partial derivatives, the Koszul sign of each
-  term being (-1)^{|g||df/du_i^(m)|} (see the class docstring).  The
-  engine takes any table, jets and lambda-dependent entries included;
-  the pipeline's tables are level zero, so their generator brackets are
-  constant in lambda and all lambda dependence comes from jets.
+* ``ArcBracket``: the finite Poisson bracket on the chart coordinates,
+  the biderivation extending the chart's table of generator brackets
+  (``PoissonStructure.coordinate_table``).  The Miura check works at
+  level zero: every generator bracket is constant in lambda, and
+  ``GradedMiura.check_intertwining`` brackets order-zero generators and
+  their images only, so each lambda bracket it compares has no jets,
+  has lambda-degree 0 and is this finite bracket (De Sole and Kac,
+  "Finite vs affine W-algebras", Japan. J. Math. 1, 2006).  The Miura
+  map is a morphism of differential algebras, so sesquilinearity and
+  the Leibniz rules carry the identity on generators to the whole arc
+  algebra; no lambda bracket is evaluated.  A level would bring powers
+  of lambda back (ROADMAP item 8), and so would a jet in an argument,
+  which the bracket refuses.
 
 * ``brst_complex``, ``h0_truncated``, ``GradedMiura``: arc objects on
   differential rings on the chart coordinates.  The arc gauge complex
@@ -29,232 +32,89 @@ Two layers:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .cohomology import (_as_wt2, _JetImages, OddDerivation,
                          kernel_generators, slice_ce_complex,
                          weighted_monomial_counts)
 from .slice import SliceChart, check_poisson_form
-from .superpoly import (UNIT, IntTerms, PolyRing, SuperPolynomial, combine,
+from .superpoly import (UNIT, PolyRing, SuperPolynomial, _poly,
                         sum_of_products)
 
-ONE = Fraction(1)
 
-
-# -- lambda polynomials ---------------------------------------------------
-
-class LambdaPolynomial:
-    """Polynomial in an even indeterminate lam with coefficients in a
-    differential ring; the value type of a lambda bracket."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: PolyRing,
-                 coeffs: Optional[Mapping[int, SuperPolynomial]] = None):
-        self.ring = ring
-        out: dict[int, SuperPolynomial] = {}
-        if coeffs:
-            for k, p in coeffs.items():
-                if p.ring is not ring:
-                    raise ValueError("coefficient in wrong ring")
-                if not p.is_zero():
-                    out[int(k)] = p
-        self.coeffs = out
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> SuperPolynomial:
-        return self.coeffs.get(k, self.ring.zero())
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def __add__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        if other.ring is not self.ring:
-            raise ValueError("lambda polynomial in wrong ring")
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            q = out.get(k)
-            out[k] = p if q is None else q + p
-        return LambdaPolynomial(self.ring, out)
-
-    def scale(self, c) -> "LambdaPolynomial":
-        return LambdaPolynomial(self.ring,
-                                {k: p * c for k, p in self.coeffs.items()})
-
-    def __neg__(self) -> "LambdaPolynomial":
-        return self.scale(-ONE)
-
-    def __sub__(self, other: "LambdaPolynomial") -> "LambdaPolynomial":
-        return self + (-other)
-
-    def lam_plus_d(self) -> "LambdaPolynomial":
-        """Multiply by (lam + d), d the total derivative on coefficients."""
-        acc: dict[int, list] = {}
-        for k, p in self.coeffs.items():
-            acc.setdefault(k + 1, []).append((1, p, UNIT))
-            acc.setdefault(k, []).append((1, p.total_derivative(), UNIT))
-        return LambdaPolynomial(self.ring, combine(self.ring, acc))
-
-    def sub_neg_lam_d(self) -> "LambdaPolynomial":
-        """Substitute lam -> -lam - d, the d landing on the coefficient."""
-        acc: dict[int, list] = {}
-        for k, p in self.coeffs.items():
-            sgn = -1 if k % 2 else 1
-            q = p
-            for j in range(k, -1, -1):
-                acc.setdefault(j, []).append(
-                    (sgn * math.comb(k, j), q, UNIT))
-                if j:
-                    q = q.total_derivative()
-        return LambdaPolynomial(self.ring, combine(self.ring, acc))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LambdaPolynomial)
-                and self.ring is other.ring and self.coeffs == other.coeffs)
-
-    def text(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k].text()
-            if k == 0:
-                parts.append(c)
-            elif k == 1:
-                parts.append(f"({c})*lam")
-            else:
-                parts.append(f"({c})*lam^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"LambdaPolynomial({self.text()})"
-
-
-# -- lambda brackets on differential rings --------------------------------
+# -- the finite Poisson bracket on the chart coordinates -------------------
 
 class ArcBracket:
-    """Lambda bracket on a differential polynomial ring.
+    """Finite Poisson bracket on a polynomial ring: the biderivation
+    extending ``table``, which maps pairs (i, j) of order-zero variable
+    positions to the polynomial T_ij = {u_i, u_j}.
 
-    ``table`` maps pairs of order-zero variable positions to the bracket
-    of the generators (a LambdaPolynomial, or a plain polynomial meaning
-    its lambda-degree-zero part).  Jets follow by sesquilinearity and
-    products by the two Leibniz rules:
+    For f and g of pure parity, with left partial derivatives d_i:
 
-        {a'_lam b}  = -lam {a_lam b}
-        {a_lam b'}  = (lam + d) {a_lam b}
-        {ab_lam c}  = (-1)^{|b||c|} {a_{lam+d} c}_> b
-                      + (-1)^{|a|(|b|+|c|)} {b_{lam+d} c}_> a
-        {a_lam bc}  = {a_lam b} c + (-1)^{|a||b|} b {a_lam c}
+        {f, g} = sum_i (-1)^{|g|(|f|+|u_i|)} G_i d_i f,
+        G_i    = {u_i, g} = sum_j T_ij d_j g.
 
-    where _> means the powers of lam + d act on the trailing factor.
-    The left rule is the one forced by the right rule and
-    skew-symmetry; at lambda-degree zero it reduces to the bracket
-    convention of the finite Poisson structure.  The engine does not
-    impose skew-symmetry; it holds whenever the table is skew.
+    The right Leibniz rule makes {u_i, .} the left derivation
+    sum_j T_ij d_j, which gives G_i; the left rule gives the sum over
+    i, its sign the Koszul sign of moving g past d_i f, of parity
+    |f| + |u_i|.  Mixed-parity arguments are split into parity parts.
+    This is the lambda bracket of two arguments without jets on a table
+    constant in lambda (see the module docstring), so an argument that
+    holds a jet is refused rather than given a bracket without its
+    powers of lambda.  The bracket does not impose skew-symmetry; it
+    holds whenever the table is skew.
     ``GradedMiura.check_intertwining`` relies on it, and checks its
     table first.
 
-    ``bracket`` evaluates these rules in closed form by the master
-    formula of Barakat, De Sole and Kac ("Poisson vertex algebras in the
-    theory of Hamiltonian equations", Japan. J. Math. 4, 2009, eq. 1.33),
-    written with left partial derivatives.  For f and g of pure parity,
-    u_i the generators and u_i^(m) their jets:
-
-        {f_lam g} = sum_i (-1)^{|g|(|f|+|u_i|)} G_i(lam + d)_> F_i,
-        G_i(lam)  = {u_i _lam g}
-                  = sum_{j,n} [(lam + d)^n {u_i _lam u_j}] dg/du_j^(n),
-        F_i(lam)  = sum_m (-lam - d)^m df/du_i^(m).
-
-    The right rule makes {u_i _lam .} the left derivation
-    sum_y {u_i _lam y} d/dy, which gives G_i.  The left rule gives the
-    sum over the jets of f by induction on f; its sign is the Koszul
-    sign (-1)^{|g||df/du_i^(m)|} of moving g past the derivative, and
-    |df/du_i^(m)| = |f| + |u_i|.  Mixed-parity arguments are split into
-    parity parts.  Each G_i costs one product per table entry that meets
-    a jet of g, and F_i one more; with no jets and a lambda-free entry,
-    no power of lam + d is expanded.  The products of G_i and of each
-    power of lam in the result are collected as (n, a, b) triples and
-    summed by ``superpoly.sum_of_products`` in one integer accumulator.
-
     Arguments are ``BracketOperand``s: ``operand(p)`` prepares p once
-    for this machine (its parity parts, its partials and F_i on the
-    left, its pairs (y, dg/dy) on the right), and the operand keeps a
+    (its parity parts and their partials d_i), and the operand keeps a
     memo of the rows G_i it has served as right argument, so an
-    argument bracketed n times computes each of them once.  ``bracket``
-    takes polynomials or operands and wraps polynomials itself, so both
-    go through one evaluation.
+    argument bracketed n times computes each of them once.  A row is
+    summed by ``superpoly.sum_of_products`` in one integer accumulator;
+    each product G_i d_i f is taken with ``*``, and the products are
+    summed once.  ``bracket`` takes polynomials or operands and wraps
+    polynomials itself, so both go through one evaluation.
     """
 
-    def __init__(self, ring: PolyRing, table: Mapping[tuple, object]):
+    def __init__(self, ring: PolyRing,
+                 table: Mapping[tuple, SuperPolynomial]):
         self.ring = ring
-        self.table: dict[tuple[int, int], LambdaPolynomial] = {}
+        self.table: dict[tuple[int, int], SuperPolynomial] = {}
         for (i, j), val in table.items():
-            if isinstance(val, SuperPolynomial):
-                val = LambdaPolynomial(ring, {0: val})
             if val.ring is not ring:
                 raise ValueError("table value in wrong ring")
             if not val.is_zero():
                 self.table[(i, j)] = val
-        self._zero = LambdaPolynomial(ring)
 
-    def _entry(self, i: int, y: int) -> LambdaPolynomial:
-        """{u_i _lam y} for the jet y = u_j^(n): (lam + d)^n {u_i _lam u_j}."""
-        v = self.ring.variables[y]
-        out = self.table.get((i, self.ring.index[v.base]), self._zero)
-        for _ in range(v.order):
-            out = out.lam_plus_d()
-        return out
-
-    def _generator_bracket(self, i: int, dg: Sequence[tuple]) -> dict:
-        """Coefficients {k: IntTerms} of G_i = {u_i _lam g} from the
-        pairs (y, dg/dy), each power summed in one accumulator."""
-        acc: dict[int, list] = {}
-        for y, d in dg:
-            for k, c in self._entry(i, y).coeffs.items():
-                acc.setdefault(k, []).append((1, c, d))
-        masks = self.ring.masks()  # after _entry may have added jets
-        out = {}
-        for k, triples in acc.items():
-            got = sum_of_products(triples, masks)
-            if got.terms:
-                out[k] = got
-        return out
-
-    def _partials_by_generator(self, f: SuperPolynomial) -> dict:
-        """{i: {m: df/du_i^(m)}} over the jets in f."""
-        ring = self.ring
-        out: dict[int, dict[int, SuperPolynomial]] = {}
-        for x in sorted(f.variables_used()):
-            v = ring.variables[x]
-            out.setdefault(ring.index[v.base], {})[v.order] = \
-                f.partial_derivative(x)
-        return out
+    def _row(self, i: int, dg: Mapping[int, SuperPolynomial]
+             ) -> Optional[SuperPolynomial]:
+        """G_i = sum_j T_ij d_j g from the partials {j: d_j g}; None when
+        zero."""
+        table = self.table
+        got = sum_of_products([(1, table[(i, j)], d) for j, d in dg.items()
+                               if (i, j) in table], self.ring.masks())
+        return _poly(self.ring, *got) if got.terms else None
 
     def operand(self, p: SuperPolynomial) -> "BracketOperand":
         """p prepared once as an argument of ``bracket`` on this machine."""
         return BracketOperand(self, p)
 
-    def bracket(self, p, q) -> LambdaPolynomial:
-        """{p _lam q} for polynomials or operands of this machine."""
+    def bracket(self, p, q) -> SuperPolynomial:
+        """{p, q} for polynomials or operands of this machine."""
         p, q = self._as_operand(p), self._as_operand(q)
-        acc: dict[int, list] = {}
+        parity = self.ring.parity_of
+        products = []
         for q_par, qq in enumerate(q.parts):
             if qq.is_zero():
                 continue
             for p_par, partials in enumerate(p.partials()):
-                for i in partials:
+                for i, df in partials.items():
                     G = q.row(q_par, i)
-                    if not G:
-                        continue
-                    odd = q_par and (p_par + self.ring.parity_of(i)) % 2
-                    _collect_shifted(acc, G, p.shifted(p_par, i),
-                                     -1 if odd else 1)
-        # combine reads the parities after the derivatives of F_i
-        return LambdaPolynomial(self.ring, combine(self.ring, acc))
+                    if G is not None:
+                        odd = q_par and (p_par + parity(i)) % 2
+                        products.append((-1 if odd else 1, G * df, UNIT))
+        return _poly(self.ring, *sum_of_products(products, self.ring.masks()))
 
     def _as_operand(self, x) -> "BracketOperand":
         if isinstance(x, BracketOperand):
@@ -267,73 +127,44 @@ class ArcBracket:
 class BracketOperand:
     """An argument of ``ArcBracket.bracket``, prepared once for reuse.
 
-    Holds the parity parts of the polynomial.  On the left it supplies,
-    per part and generator i, F_i = sum_m (-lam - d)^m df/du_i^(m) with
-    the total derivatives of its coefficients, both computed on first
-    use; on the right the pairs (y, dg/dy) per part and a memo of the
-    rows G_i = {u_i _lam g}.  Every memo depends only on the polynomial
+    Holds the parity parts of the polynomial and, computed on first use,
+    their partials {i: d_i f}, read on the left as the d_i f and on the
+    right as the d_j g of the rows; and a memo of the rows
+    G_i = {u_i, g} per part.  Every memo depends only on the polynomial
     and the machine's table, so an operand serves any number of brackets
     on its machine, on either side.
     """
 
-    __slots__ = ("machine", "parts", "_partials", "_shifted", "_dg",
-                 "_rows")
+    __slots__ = ("machine", "parts", "_partials", "_rows")
 
     def __init__(self, machine: ArcBracket, p: SuperPolynomial):
-        if p.ring is not machine.ring:
+        ring = machine.ring
+        if p.ring is not ring:
             raise ValueError("polynomial is not in the bracket ring")
+        for x in sorted(p.variables_used()):
+            if ring.variables[x].order:
+                raise ValueError(f"bracket argument holds the jet "
+                                 f"{ring.variables[x].name}: the finite "
+                                 f"bracket takes no jets")
         self.machine = machine
         self.parts = p.parity_split()  # indexed by parity
         self._partials = None
-        self._shifted: tuple[dict, dict] = ({}, {})
-        self._dg = None
         self._rows: tuple[dict, dict] = ({}, {})
 
     def partials(self) -> list:
-        """Per parity part, {i: {m: df/du_i^(m)}} over its jets."""
+        """Per parity part, {i: d_i f} over its variables."""
         if self._partials is None:
-            self._partials = [self.machine._partials_by_generator(pp)
+            self._partials = [{x: pp.partial_derivative(x)
+                               for x in sorted(pp.variables_used())}
                               for pp in self.parts]
         return self._partials
 
-    def shifted(self, par: int, i: int) -> dict:
-        """F_i of the parity-par part as {l: [F_l, dF_l, d^2F_l, ...]};
-        the derivative lists grow as the brackets need them."""
-        got = self._shifted[par].get(i)
-        if got is None:
-            F = LambdaPolynomial(self.machine.ring,
-                                 self.partials()[par][i]).sub_neg_lam_d()
-            got = self._shifted[par][i] = {l: [f]
-                                           for l, f in F.coeffs.items()}
-        return got
-
-    def row(self, par: int, i: int) -> dict:
-        """G_i of the parity-par part as {k: IntTerms}."""
-        got = self._rows[par].get(i)
-        if got is None:
-            if self._dg is None:
-                self._dg = [[(y, pp.partial_derivative(y))
-                             for y in sorted(pp.variables_used())]
-                            for pp in self.parts]
-            got = self._rows[par][i] = \
-                self.machine._generator_bracket(i, self._dg[par])
-        return got
-
-
-def _collect_shifted(acc: dict, G: Mapping[int, IntTerms],
-                     F: Mapping[int, list],
-                     sign: int) -> None:
-    """Collect the products of sign * G(lam + d)_> F, that is
-    sign * sum_k G_k (lam + d)^k F, as (n, a, b) triples per power of
-    lam in acc; F maps each power l to the derivatives of its
-    coefficient, extended here as far as k needs."""
-    for k, g in G.items():
-        for l, ds in F.items():
-            while len(ds) <= k:
-                ds.append(ds[-1].total_derivative())
-            for r in range(k + 1):
-                acc.setdefault(k - r + l, []).append(
-                    (sign * math.comb(k, r), g, ds[r]))
+    def row(self, par: int, i: int) -> Optional[SuperPolynomial]:
+        """G_i of the parity-par part; None when zero."""
+        rows = self._rows[par]
+        if i not in rows:
+            rows[i] = self.machine._row(i, self.partials()[par])
+        return rows[i]
 
 
 # -- jet-aware images and morphisms ----------------------------------------
@@ -364,12 +195,6 @@ class DifferentialMorphism:
             raise ValueError("polynomial is not in the source ring")
         return p.substitute({i: self.image(i) for i in p.variables_used()},
                             self.dst)
-
-    def on_lambda(self, P: LambdaPolynomial) -> LambdaPolynomial:
-        if P.ring is not self.src:
-            raise ValueError("lambda polynomial is not in the source ring")
-        return LambdaPolynomial(self.dst,
-                                {k: self(c) for k, c in P.coeffs.items()})
 
 
 # -- the arc gauge complex -------------------------------------------------
@@ -454,14 +279,16 @@ class GradedMiura:
     weight by weight") describes that check, the arc-side one that
     would carry weight: ``pva-h0`` takes no rank of Q and rests on
     delta being onto, Q^2 = 0 and the degree-filtration bound
-    (``cohomology``).  No statement beyond the level-zero brackets is
-    made here: the tables are constant in lambda
-    and ``check_intertwining`` brackets order-zero generators and their
-    images, so every bracket it compares has lambda-degree 0 and no
-    jets, and the check re-derives the finite Poisson intertwining.
-    Because such a bracket is skew-symmetric, the check takes each
-    source bracket once per unordered pair and none on an even
-    diagonal (see ``check_intertwining``).
+    (``cohomology``).  The check is made at level zero: the table is
+    constant in lambda and ``check_intertwining`` brackets order-zero
+    generators and their images, so every lambda bracket it compares
+    has no jets and is the finite Poisson bracket that
+    ``bracket_machine`` takes.  The Miura map commutes with d, so
+    sesquilinearity and the Leibniz rules carry the identity on the
+    generators to every jet and product.  Because the finite bracket of
+    a skew table is skew-symmetric, the check takes each source bracket
+    once per unordered pair and none on an even diagonal (see
+    ``check_intertwining``).
     """
 
     def __init__(self, chart: SliceChart):
@@ -494,48 +321,43 @@ class GradedMiura:
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return self.morphism(p)
 
-    def _to_slice(self, P: LambdaPolynomial) -> LambdaPolynomial:
-        out: dict[int, SuperPolynomial] = {}
-        for k, c in P.coeffs.items():
-            r = self._restrict(c)
-            if self._embed(r) != c:
-                raise ValueError("lambda bracket leaves the slice jets")
-            out[k] = r
-        return LambdaPolynomial(self.source, out)
+    def _to_slice(self, p: SuperPolynomial) -> SuperPolynomial:
+        """A bracket of embedded invariants as a polynomial on the slice
+        ring; raises when it is no function of the invariants."""
+        r = self._restrict(p)
+        if self._embed(r) != p:
+            raise ValueError("lambda bracket leaves the slice jets")
+        return r
 
     def _check_table(self) -> None:
-        """Every generator bracket is constant in lambda and skew:
-        {u_c _lam u_b} = -(-1)^{|b||c|} {u_b _lam u_c}, an absent entry
-        counting as zero."""
+        """Every generator bracket is skew:
+        {u_c, u_b} = -(-1)^{|b||c|} {u_b, u_c}, an absent entry counting
+        as zero."""
         table, ring = self.bracket_machine.table, self.ring
-        zero = LambdaPolynomial(ring)
+        zero = ring.zero()
         for (b, c), val in table.items():
-            at = f"({ring.variables[b].name}, {ring.variables[c].name})"
-            if val.degree() > 0:
-                raise ValueError(f"bracket table is not constant in lambda "
-                                 f"at {at}")
             both_odd = ring.parity_of(b) and ring.parity_of(c)
             if table.get((c, b), zero) != (val if both_odd else -val):
-                raise ValueError(f"bracket table is not skew-symmetric "
-                                 f"at {at}")
+                raise ValueError(f"bracket table is not skew-symmetric at "
+                                 f"({ring.variables[b].name}, "
+                                 f"{ring.variables[c].name})")
 
     def check_intertwining(self) -> dict:
         """Bracket of the images equals the image of the slice bracket,
         on every ordered generator pair, both brackets taken in the one
         coordinate ring.
 
-        The left side {mu I_a _lam mu I_b} is computed for every ordered
-        pair.  The right side mu{I_a _lam I_b} is computed for a < b and
-        on odd diagonals, with the closure check of ``_to_slice``.  The
+        The left side {mu I_a, mu I_b} is computed for every ordered
+        pair.  The right side mu{I_a, I_b} is computed for a < b and on
+        odd diagonals, with the closure check of ``_to_slice``.  The
         rest follows from skew-symmetry of the source bracket, which
-        holds when the table is constant in lambda and skew (checked
-        first) and each invariant has the parity of its generator (as
-        substitution checks): for b < a the right side is
-        -(-1)^{|a||b|} times the (b, a) one with lam -> -lam - d, and on
-        an even diagonal it is zero, since a bracket of lambda-degree 0
-        equal to minus itself vanishes.  This halves the source brackets
-        and skips the even diagonals, the costliest of them; each
-        ordered pair still compares two independently computed sides."""
+        holds when the table is skew (checked first) and each invariant
+        has the parity of its generator (as substitution checks): for
+        b < a the right side is -(-1)^{|a||b|} times the (b, a) one, and
+        on an even diagonal it is zero, being equal to minus itself.
+        This halves the source brackets and skips the even diagonals,
+        the costliest of them; each ordered pair still compares two
+        independently computed sides."""
         self._check_table()
         labs = self.chart.inv_order
         gens = [self.source.gen(i) for i in range(len(labs))]
@@ -543,19 +365,19 @@ class GradedMiura:
         B = self.bracket_machine
         images = [B.operand(self(g)) for g in gens]
         embedded = [B.operand(self._embed(g)) for g in gens]
-        upper: dict[tuple[int, int], LambdaPolynomial] = {}
+        upper: dict[tuple[int, int], SuperPolynomial] = {}
         out = {}
         for i, la in enumerate(labs):
             for j, lb in enumerate(labs):
                 if i < j or i == j and par[i]:
-                    rhs = upper[(i, j)] = self.morphism.on_lambda(
-                        self._to_slice(B.bracket(embedded[i], embedded[j])))
+                    rhs = upper[(i, j)] = self.morphism(self._to_slice(
+                        B.bracket(embedded[i], embedded[j])))
                 elif i == j:
-                    rhs = LambdaPolynomial(self.ring)
+                    rhs = self.ring.zero()
+                elif par[i] and par[j]:
+                    rhs = upper[(j, i)]
                 else:
-                    rhs = upper[(j, i)].sub_neg_lam_d()
-                    if not (par[i] and par[j]):
-                        rhs = -rhs
+                    rhs = -upper[(j, i)]
                 if B.bracket(images[i], images[j]) != rhs:
                     raise ValueError("Miura images fail the lambda bracket "
                                      f"on ({la}, {lb})")

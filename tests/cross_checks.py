@@ -5,8 +5,8 @@
   known in closed form (one constant, nothing else), so it checks the
   complex, its blocks and its ranks on a case with a written-down
   answer.
-* ``skew_defect``: {a_lam b} + (-1)^{|a||b|} {b_{-lam-d} a}, zero when
-  a lambda bracket is skew-symmetric on a pair.
+* ``skew_defect``: {a, b} + (-1)^{|a||b|} {b, a}, zero when a Poisson
+  bracket is skew-symmetric on a pair.
 * ``form_value``: the invariant form on two dense vectors, read from
   the algebra's sparse form rows.
 """
@@ -17,7 +17,6 @@ from superslice.cohomology import GradedComplex, differential
 from superslice.superpoly import PolyRing, SuperPolynomial, Variable
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def de_rham_check(p: int, q: int, max_degree: int = 4) -> dict:
@@ -54,14 +53,14 @@ def de_rham_check(p: int, q: int, max_degree: int = 4) -> dict:
 
 
 def skew_defect(machine, a, b):
-    """{a_lam b} + (-1)^{|a||b|} {b_{-lam-d} a} on the ArcBracket
-    machine; zero iff skew holds."""
+    """{a, b} + (-1)^{|a||b|} {b, a} on the ArcBracket machine; zero iff
+    skew holds."""
     pa, pb = a.parity(), b.parity()
     if pa is None or pb is None:
         raise ValueError("skew check needs parity homogeneous arguments")
     lhs = machine.bracket(a, b)
-    rhs = machine.bracket(b, a).sub_neg_lam_d()
-    return lhs + (rhs.scale(-ONE) if pa and pb else rhs)
+    rhs = machine.bracket(b, a)
+    return lhs - rhs if pa and pb else lhs + rhs
 
 
 def form_value(alg, x, y) -> Fraction:

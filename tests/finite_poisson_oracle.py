@@ -4,10 +4,9 @@ finite Poisson bracket.
 This is the package's former finite Poisson bracket: the generator table
 of a Poisson structure on the Zhu generators (tests/zhu_poisson_oracle.py)
 extended as a biderivation by recursing on the leading factor of each
-monomial.  It shares no code with the arc lambda bracket
-(superslice.pva.ArcBracket), whose lambda^0 part on the chart's
-``coordinate_table`` is the package's finite bracket, and the tests
-compare the two.
+monomial.  It shares no code with the package's finite bracket
+(superslice.pva.ArcBracket, the biderivation on the chart's
+``coordinate_table`` in closed form), and the tests compare the two.
 """
 
 from fractions import Fraction

@@ -1,6 +1,7 @@
 """The bracket of slice invariants on the finite chart, kept as the
-oracle for the bracket of slice invariants through the arc machinery
-(``source_bracket`` in tests/miura_pairs_oracle.py).
+oracle for the bracket of slice invariants through the chart's Poisson
+bracket ``pva.ArcBracket`` (``source_bracket`` in
+tests/miura_pairs_oracle.py).
 
 This is the package's former ``slice.slice_poisson_table``: each pair of
 invariants is lifted to the ring of Zhu generators
@@ -8,8 +9,8 @@ invariants is lifted to the ring of Zhu generators
 recursion, moved back to the chart coordinates and restricted to the
 slice point, and the result is checked to be a function of the
 invariants by substituting them back.  It takes the bracket on the
-finite chart, one pair at a time, and shares no code with the arc
-machinery of ``GradedMiura`` or with ``slice.PoissonStructure``.
+finite chart, one pair at a time, and shares no code with the bracket
+of ``GradedMiura`` or with ``slice.PoissonStructure``.
 """
 
 from superslice.slice import SliceChart

@@ -175,11 +175,9 @@ def test_osp12_odd_sector_and_poisson_table():
     assert not table[(odd, odd)].is_zero()
 
     # super Jacobi on the invariants inside the ambient bracket: the
-    # lambda^0 part of the arc bracket on the chart's coordinate table
-    arc = ArcBracket(chart.ring, PoissonStructure(chart).coordinate_table)
-
-    def br(p, q):
-        return arc.bracket(p, q).coefficient(0)
+    # finite bracket on the chart's coordinate table
+    br = ArcBracket(chart.ring,
+                    PoissonStructure(chart).coordinate_table).bracket
 
     imgs = [chart.invariants[lab] for lab in chart.inv_order]
     pars = [chart.parity_of(lab) for lab in chart.inv_order]

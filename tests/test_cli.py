@@ -9,6 +9,7 @@ a failure, exit codes, file round-trips, and byte-level determinism of
 the report body.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -584,6 +585,27 @@ class TestReportMechanics:
         assert set(rep["timings"]["stages"]) == \
             {s["name"] for s in rep["body"]["stages"]}
 
+    def test_two_main_calls_build_one_parser(self, monkeypatch, capsys):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        counts = []
+        for name in ("sl2", "osp12"):
+            code, _ = run_cli(["algebra", "validate", "--algebra", name],
+                              capsys)
+            assert code == 0
+            counts.append(len(built))
+        # the second call builds no parser, subparsers included
+        assert built.count("superslice") == 1 and counts[0] == counts[1]
+        monkeypatch.undo()
+        cli.build_parser.cache_clear()
+
     def test_output_file_holds_the_full_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _ = run_cli(["run", "--algebra", "sl2", "--output", str(out)],
@@ -928,7 +950,7 @@ class TestVerifyOnce:
         assert code == 0 and calls == [4, 6]
 
     def test_brst_bracket_built_on_first_use(self, monkeypatch, capsys):
-        # the BRST complex builds its lambda bracket only when something
+        # the chart's Poisson bracket is built only when something
         # brackets: qcheck builds none, and a full run builds only
         # graded_miura's, so the running count goes 0, then 1
         built = []

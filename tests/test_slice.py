@@ -14,8 +14,8 @@ Oracles used here:
 * osp(1|2) and sl(2|1), structural: invariance under random gauge moves
   with formal odd symbols, weight/parity homogeneity, exact round trips,
   Poisson antisymmetry / Jacobi / Leibniz on the chart coordinates, and
-  the bracket (the lambda^0 part of the arc lambda bracket on the
-  coordinate table) against the finite Leibniz recursion in
+  the bracket (``pva.ArcBracket``, the biderivation on the coordinate
+  table) against the finite Leibniz recursion in
   tests/finite_poisson_oracle.py on the Zhu generators of
   tests/zhu_poisson_oracle.py, which also gates the coordinate table
   and the generators zeta on principal and minimal charts.  On top of
@@ -323,10 +323,9 @@ class TestSl21:
 
 
 def finite_on_chart(chart):
-    """The chart's finite bracket: the lambda^0 part of the arc bracket on
-    its coordinate table (no jets here, so it is the whole bracket)."""
-    arc = ArcBracket(chart.ring, chart.poisson.coordinate_table)
-    return lambda p, q: arc.bracket(p, q).coefficient(0)
+    """The chart's finite bracket: the biderivation on its coordinate
+    table."""
+    return ArcBracket(chart.ring, chart.poisson.coordinate_table).bracket
 
 
 def zeta_of(chart, label):
@@ -473,8 +472,8 @@ class TestZhuPoissonOracle:
 
 
 class TestSourceBracketOracle:
-    """The bracket of slice invariants through the arc machinery
-    (miura_pairs_oracle.source_bracket), against the finite-chart
+    """The bracket of slice invariants through the chart's Poisson
+    bracket (miura_pairs_oracle.source_bracket), against the finite-chart
     bracket that tests/slice_bracket_oracle.py keeps."""
 
     @pytest.mark.parametrize("name", ["sl2_chart", "sl3_chart", "osp_chart",
@@ -488,10 +487,8 @@ class TestSourceBracketOracle:
             [v.name for v in chart.slice_ring.variables]
         for i, la in enumerate(chart.inv_order):
             for j, lb in enumerate(chart.inv_order):
-                got = source_bracket(gm, src.gen(i), src.gen(j))
-                # level-zero tables: the bracket is constant in lambda
-                assert got.degree() <= 0
-                c, want = got.coefficient(0), table[(la, lb)]
+                c = source_bracket(gm, src.gen(i), src.gen(j))
+                want = table[(la, lb)]
                 assert (c.terms, c.den) == (want.terms, want.den)
                 assert c.text() == want.text()
 
