@@ -27,7 +27,7 @@ from typing import Optional
 
 from .cohomology import (_as_wt2, cohomology_table, regular_ce_complex,
                          slice_ce_complex, weighted_monomial_counts)
-from .liealg import (GoodGrading, build_osp_1_2, build_sl,
+from .liealg import (GoodGrading, build_osp_1_2, build_sl, dense_to_poly,
                      dynkin_grading, graded_slice_decomposition,
                      load_algebra_file, parse_nilpotent, sl2_triple_for)
 from .pva import brst_complex, graded_miura, h0_truncated
@@ -35,7 +35,6 @@ from .slice import (_render_vector, gauge_fix, injectivity_certificate,
                     verify_invariance)
 from .supergroup import adjoint_orbit_map
 from .superpoly import PolyRing
-from .liealg import dense_to_poly
 
 
 # -- configuration -----------------------------------------------------------
@@ -154,7 +153,8 @@ def _stage_grading(config: JobConfig, ctx: dict) -> dict:
 
 def _stage_decomposition(config: JobConfig, ctx: dict) -> dict:
     alg = ctx["alg"]
-    pieces = graded_slice_decomposition(alg, ctx["grading"], ctx["triple"])
+    pieces = ctx["pieces"] = graded_slice_decomposition(
+        alg, ctx["grading"], ctx["triple"])
     rows = []
     even = odd = 0
     for lev in sorted(pieces):
@@ -173,7 +173,8 @@ def _stage_decomposition(config: JobConfig, ctx: dict) -> dict:
 
 
 def _stage_chart(config: JobConfig, ctx: dict) -> dict:
-    chart = gauge_fix(ctx["alg"], ctx["triple"], ctx["grading"])
+    chart = gauge_fix(ctx["alg"], ctx["triple"], ctx["grading"],
+                      ctx["pieces"])
     chart.check_homogeneity()
     chart.round_trip_check()
     ctx["chart"] = chart
@@ -622,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_parser("h0", parents=[common],
                   help="degree-zero cohomology per conformal weight")
     gs.add_parser("miura-check", parents=[common],
-                  help="lambda-bracket intertwining of the jet Miura map")
+                  help="Poisson-bracket intertwining of the Miura map")
 
     g = sub.add_parser("run", parents=[common], help="full pipeline")
     g.add_argument("--coefficients", choices=("regular", "slice"),

@@ -41,10 +41,10 @@ import json
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .linalg import (RationalMatrix, _reduced, exact_rank, from_columns,
-                     rref, row_nullspace, row_rank, row_solve)
+from .linalg import (RationalMatrix, _reduced, row_inverse, row_nullspace,
+                     row_rank, row_solve)
 from .superpoly import (PolyRing, SuperPolynomial, _as_fraction, _poly,
                         add_scaled, common_denominator, key_parity,
                         mul_int_terms, normal_terms, numerators)
@@ -431,25 +431,6 @@ def dense_to_poly(alg: LieSuperalgebra, v: Sequence, ring: PolyRing) -> dict:
     return out
 
 
-# -- subspaces ---------------------------------------------------------------
-
-class SubspaceBasis:
-    """Exact basis of a subspace of the algebra's underlying vector space."""
-
-    def __init__(self, alg: LieSuperalgebra, vectors: Sequence[Sequence]):
-        self.alg = alg
-        self.vectors = [[_as_fraction(x) for x in v] for v in vectors]
-        for v in self.vectors:
-            if len(v) != alg.dim:
-                raise ValueError("vector length mismatch")
-        if self.vectors:
-            if exact_rank(RationalMatrix(self.vectors)) != len(self.vectors):
-                raise ValueError("vectors are not linearly independent")
-
-    def __len__(self):
-        return len(self.vectors)
-
-
 # -- good gradings ------------------------------------------------------------
 
 class GoodGrading:
@@ -609,36 +590,36 @@ def dynkin_grading(alg: LieSuperalgebra, triple: Sl2Triple) -> GoodGrading:
     return GoodGrading(alg, w2, triple.f)
 
 
-def centralizer(alg: LieSuperalgebra, x: Sequence) -> SubspaceBasis:
-    """Kernel of ad_x, canonical RREF basis: ``row_nullspace`` of the
-    integer rows of ad_x (scaling keeps the kernel)."""
+def centralizer(alg: LieSuperalgebra, x: Sequence) -> list[list[Fraction]]:
+    """Kernel of ad_x: ``row_nullspace`` of the integer rows of ad_x
+    (scaling keeps the kernel).  Its RREF basis is independent with no
+    check: each vector is 1 at its own free column and 0 at the others."""
     u, _ = _int_vector(x)
     rows = _transpose(_ad_columns(alg, u, range(alg.dim)), alg.dim)
-    return SubspaceBasis(alg, row_nullspace(rows, alg.dim))
+    return row_nullspace(rows, alg.dim)
 
 
-class GradedPiece:
-    """Degree-p data for the gauge recursion: g_p = g_p^e + [f, g_{p+1}]."""
+class GradedPiece(NamedTuple):
+    """Degree-p data for the gauge recursion: g_p = g_p^e + [f, g_{p+1}].
+    ``inverse`` (sparse rows) inverts the matrix with columns e_basis,
+    then [f, x_j] for j in lift_indices, on the rows row_indices."""
 
-    __slots__ = ("wt2", "row_indices", "e_basis", "lift_indices", "inverse")
-
-    def __init__(self, wt2, row_indices, e_basis, lift_indices, inverse):
-        self.wt2 = wt2
-        self.row_indices = row_indices
-        self.e_basis = e_basis
-        self.lift_indices = lift_indices
-        self.inverse = inverse
+    wt2: int
+    row_indices: list[int]
+    e_basis: list[list[Fraction]]
+    lift_indices: list[int]
+    inverse: list[dict[int, Fraction]]
 
 
 def graded_slice_decomposition(alg: LieSuperalgebra, grading: GoodGrading,
                                triple: Sl2Triple) -> dict[int, GradedPiece]:
-    """For each degree p >= -1/2 the exact splitting g_p = g_p^e + [f,g_{p+1}]
-    with the inverse of the combined basis matrix precomputed."""
-    cent = centralizer(alg, triple.e)
+    """For each degree p >= -1/2 the exact splitting g_p = g_p^e +
+    [f, g_{p+1}], the combined basis inverted by ``row_inverse``; the
+    ``decomposition`` stage computes it once and ``gauge_fix`` reads it.
+    Raises on a "direct sum dimension mismatch" or a singular basis."""
     w2 = grading.weights2
     ge_by_level: dict[int, list[list[Fraction]]] = {}
-    for n in range(len(cent)):
-        v = cent.vectors[n]
+    for v in centralizer(alg, triple.e):
         levels = {w2[i] for i, c in enumerate(v) if c}
         if len(levels) != 1:
             raise ValueError("centralizer vector not weight homogeneous")
@@ -652,30 +633,16 @@ def graded_slice_decomposition(alg: LieSuperalgebra, grading: GoodGrading,
             continue
         e_basis = ge_by_level.get(lev, [])
         lift = grading.indices_at(lev + 2)
-        cols = [[v[r] for r in rows] for v in e_basis]
-        for j in lift:
-            img = alg.bracket_num(triple.f, alg.basis_vector(j))
-            cols.append([img[r] for r in rows])
+        cols = e_basis + [alg.bracket_num(triple.f, alg.basis_vector(j))
+                          for j in lift]
         if len(cols) != len(rows):
             raise ValueError(
                 f"degree {lev}/2: direct sum dimension mismatch "
                 f"({len(cols)} vs {len(rows)})")
-        m = from_columns(cols) if cols else RationalMatrix.zeros(0, 0)
-        inv = _invert(m) if cols else m
+        inv = row_inverse([{k: v[r] for k, v in enumerate(cols) if v[r]}
+                           for r in rows])
         out[lev] = GradedPiece(lev, rows, e_basis, lift, inv)
     return out
-
-
-def _invert(m: RationalMatrix) -> RationalMatrix:
-    n = m.nrows
-    if m.ncols != n:
-        raise ValueError("not square")
-    eye = RationalMatrix.identity(n).rows
-    aug = RationalMatrix([list(m.rows[i]) + list(eye[i]) for i in range(n)])
-    r, piv = rref(aug)
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return RationalMatrix([r.rows[i][n:] for i in range(n)])
 
 
 # -- catalogue ----------------------------------------------------------------
@@ -859,15 +826,17 @@ def principal_nilpotent(alg: LieSuperalgebra) -> list[Fraction]:
 
 
 def parse_nilpotent(alg: LieSuperalgebra, expr: str) -> list[Fraction]:
-    """Parse 'e21+e32' / '2*e21 - 1/3*e31' / 'principal' into a vector."""
+    """Parse 'e21+e32' / '2*e21 - 1/3*e31' / 'principal' into a vector;
+    an empty term, as in 'e21+' or 'e21++e32', raises ValueError."""
     expr = expr.strip()
     if expr == "principal":
         return principal_nilpotent(alg)
     out = [ZERO] * alg.dim
-    token = expr.replace("-", "+-").replace(" ", "")
-    for part in token.split("+"):
-        if not part:
-            continue
+    # "+-" is the minus sign of a term; a leading sign opens no term
+    terms = expr.replace(" ", "").replace("+-", "-").replace("-", "+-")
+    for part in terms.split("+")[expr.startswith(("+", "-")):]:
+        if part in ("", "-"):
+            raise ValueError(f"empty term in nilpotent {expr!r}")
         sign = ONE
         if part.startswith("-"):
             sign = -ONE

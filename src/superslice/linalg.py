@@ -5,22 +5,21 @@ step replaces r by (a/g) r - (b/g) p, where p is the pivot row, a and b
 are the entries of p and r at the pivot column and g = gcd(a, b) with
 the sign of a, and then divides r by its content (the gcd of its
 entries); rows are reduced shortest first, pivoting on the leading
-column.  So the
-mostly-zero coboundary matrices of the cohomology layer cost in
-proportion to their nonzeros, and every entry is a Python int: no
-Fraction is built before the end.  The method is sparse fraction-free
-elimination (Bareiss, Math. Comp. 22, 1968; Geddes, Czapor and Labahn,
-Algorithms for Computer Algebra, ch. 9).
+column.  So mostly-zero matrices cost in proportion to their nonzeros,
+and every entry is a Python int until a result is written.  The method
+is sparse fraction-free elimination (Bareiss, Math. Comp. 22, 1968;
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 9).
 
-``row_rank``, ``row_nullspace`` and ``row_solve`` take integer rows
-directly; the cohomology layer hands them its differential this way,
-and the algebra layer its integer brackets.  RationalMatrix
-is a thin dense container of Fractions for everything else: its rank,
-reduced row echelon form, kernel and solutions (``exact_rank``,
-``rref``, ``nullspace``, ``solve``) clear each row's denominators and
-run on the same core.  RREF divides each pivot row by its pivot once,
-after back substitution; RREF is unique, so the results do not depend
-on the pivot order.  Everything is exact; nothing here ever touches
+``row_rank``, ``row_nullspace`` and ``row_solve`` take integer rows: the
+cohomology layer's ker delta and the algebra layer's integer brackets.
+``row_inverse`` takes sparse rational rows, clears each row's
+denominators and inverts on the same core: the slice decomposition and
+the Poisson form matrix M.  RationalMatrix is a thin dense container of
+Fractions for the form, M and the certificate, ranked by
+``exact_rank``; ``rref``, ``nullspace`` and ``solve`` have no caller in
+the package, but the benchmark tracer wraps them by name.  RREF divides
+each pivot row by its pivot once, after back substitution; RREF is
+unique, so no result depends on the pivot order.  Nothing here touches
 floats.
 """
 
@@ -52,13 +51,6 @@ class RationalMatrix:
         m.nrows, m.ncols = nrows, ncols
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.rows[i][i] = ONE
-        return m
-
     def __getitem__(self, rc):
         r, c = rc
         return self.rows[r][c]
@@ -70,26 +62,26 @@ class RationalMatrix:
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self.rows == other.rows)
 
-    def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
-
     def __repr__(self):
         return f"<RationalMatrix {self.nrows}x{self.ncols}>"
 
 
+def _cleared(r: Mapping[int, Fraction]) -> dict:
+    """A sparse row of nonzero rationals times the lcm of its
+    denominators, as {col: int} (scaling a row by a nonzero number keeps
+    the row space)."""
+    den = lcm(*[x.denominator for x in r.values()])
+    return {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+
+
 def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict]:
-    """Nonzero rows of Fractions as {col: int} dicts, in input order, each
-    multiplied by the lcm of its denominators (scaling a row by a nonzero
-    number keeps the row space)."""
+    """Nonzero dense rows of Fractions, ``_cleared``, in input order."""
     out = []
     for r in rows:
         # the identity test skips the shared ZERO cheaply
         sr = {j: x for j, x in enumerate(r) if x is not ZERO and x}
-        if not sr:
-            continue
-        den = lcm(*[x.denominator for x in sr.values()])
-        out.append({j: x.numerator * (den // x.denominator)
-                    for j, x in sr.items()})
+        if sr:
+            out.append(_cleared(sr))
     return out
 
 
@@ -214,6 +206,22 @@ def row_solve(rows: Iterable[Mapping[int, int]], rhs: Sequence[int],
     return x
 
 
+def row_inverse(rows: Sequence[Mapping[int, Fraction]]) -> list[dict]:
+    """Inverse of the n x n matrix M with the given sparse rows of nonzero
+    rationals {col: Fraction}, as sparse rows {col: Fraction} in column
+    order: the right half of the RREF of [M | I].  Row i of [M | I], its
+    unit at column n + i included, is ``_cleared`` first: a row
+    operation, so the RREF is the same.  Raises ValueError("matrix is
+    singular") when a pivot lies in the right half."""
+    n = len(rows)
+    cols, prows = _reduced(_cleared({**r, n + i: ONE})
+                           for i, r in enumerate(rows))
+    if cols != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [{j - n: x for j, x in sorted(r.items()) if j >= n}
+            for r in prows]
+
+
 def exact_rank(m: RationalMatrix) -> int:
     """Rank by fraction-free elimination (echelon form only)."""
     return len(_echelon(_integer_rows(m.rows)))
@@ -245,10 +253,3 @@ def solve(m: RationalMatrix, b: Sequence) -> Optional[list[Fraction]]:
     rows = _integer_rows(list(r) + [bb[i]] for i, r in enumerate(m.rows))
     return row_solve(rows, [r.pop(nc, 0) for r in rows], nc)
 
-
-def from_columns(cols: Iterable[Sequence]) -> RationalMatrix:
-    cols = [list(c) for c in cols]
-    if not cols:
-        return RationalMatrix.zeros(0, 0)
-    n = len(cols[0])
-    return RationalMatrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])

@@ -326,7 +326,8 @@ class GradedMiura:
         ring; raises when it is no function of the invariants."""
         r = self._restrict(p)
         if self._embed(r) != p:
-            raise ValueError("lambda bracket leaves the slice jets")
+            raise ValueError(
+                "source bracket is no function of the invariants")
         return r
 
     def _check_table(self) -> None:
@@ -379,7 +380,7 @@ class GradedMiura:
                 else:
                     rhs = -upper[(j, i)]
                 if B.bracket(images[i], images[j]) != rhs:
-                    raise ValueError("Miura images fail the lambda bracket "
+                    raise ValueError("Miura images fail the Poisson bracket "
                                      f"on ({la}, {lb})")
                 out[(la, lb)] = True
         return out

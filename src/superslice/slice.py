@@ -18,9 +18,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import cohomology
-from .liealg import (GoodGrading, LieSuperalgebra, Sl2Triple, _invert,
-                     dense_to_poly, graded_slice_decomposition)
-from .linalg import RationalMatrix, exact_rank
+from .liealg import (GoodGrading, GradedPiece, LieSuperalgebra, Sl2Triple,
+                     dense_to_poly)
+from .linalg import RationalMatrix, exact_rank, row_inverse
 from .supergroup import adjoint_orbit_map, bch_product
 from .superpoly import UNIT, PolyRing, SuperPolynomial, Variable, combine
 
@@ -216,14 +216,16 @@ def bch_word_bound(alg: LieSuperalgebra, grading: GoodGrading) -> int:
     return max(n, 1)
 
 
-def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
-              grading: GoodGrading) -> SliceChart:
+def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
+              pieces: dict[int, GradedPiece]) -> SliceChart:
     """Solve the gauge-fixing recursion at the symbolic generic point.
 
-    The gauge steps are composed by ``bch_product``, truncated at
-    ``bch_word_bound`` letters.
+    ``pieces`` is the ``decomposition`` stage's
+    ``graded_slice_decomposition`` of the same data; a level's
+    coordinates are its ``inverse`` rows applied to that level of the
+    point.  The gauge steps are composed by ``bch_product``, truncated
+    at ``bch_word_bound`` letters.
     """
-    pieces = graded_slice_decomposition(alg, grading, triple)
     coord_indices = [i for i in range(alg.dim) if grading.weights2[i] >= -1]
     variables = []
     for b in coord_indices:
@@ -245,10 +247,9 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple,
         D = [cur.get(r, zero) for r in piece.row_indices]
         n_e = len(piece.e_basis)
         sums = combine(ring, {
-            r: [(piece.inverse[r, c], d, UNIT) for c, d in enumerate(D)]
-            for r in range(piece.inverse.nrows)})
-        coords = [sums.get(r, ring.zero())
-                  for r in range(piece.inverse.nrows)]
+            r: [(x, D[c], UNIT) for c, x in row.items()]
+            for r, row in enumerate(piece.inverse)})
+        coords = [sums.get(r, zero) for r in range(len(piece.inverse))]
         for j in range(n_e):
             lab = _render_vector(alg, piece.e_basis[j])
             inv_order.append(lab)
@@ -387,7 +388,8 @@ class PoissonStructure:
     vanishes on every grading the catalogue produces, but nothing rules
     it out for an algebra read from JSON, so it stays inside zeta.
 
-    ``minv_rows`` holds the nonzero entries of the rows of Minv, so
+    ``minv_rows`` holds the nonzero entries of the rows of Minv, read
+    by ``linalg.row_inverse`` from the sparse rows of M, so
     z_b = sum_a Minv[b, a] (zeta_a - c_a), and ``coordinate_table`` is
     the generator table moved to the chart coordinates:
     {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'} over the
@@ -403,18 +405,17 @@ class PoissonStructure:
         self.gen_pos = {b: a for a, b in enumerate(self.gen_indices)}
         form = alg.form_rows
         f = {j: c for j, c in enumerate(chart.triple.f) if c}
+        m_rows = [{beta: co for beta, co in enumerate(r) if co}
+                  for r in M.rows]
         try:
-            minv = _invert(M)
+            self.minv_rows = row_inverse(m_rows)
         except ValueError:
             raise ValueError(DEGENERATE_FORM) from None
-        self.minv_rows = [{a: c for a, c in enumerate(r) if c}
-                          for r in minv.rows]
         # M is invertible, so no row is zero and every a has an image
         self.zeta: dict[int, SuperPolynomial] = combine(ring, {
             a: [(const[a], UNIT, UNIT)]
-            + [(co, ring.gen(beta), UNIT)
-               for beta, co in enumerate(r) if co]
-            for a, r in enumerate(M.rows)})
+            + [(co, ring.gen(beta), UNIT) for beta, co in r.items()]
+            for a, r in enumerate(m_rows)})
 
         f_left: dict[int, Fraction] = {}  # k -> (f|x_k)
         for j, c in f.items():

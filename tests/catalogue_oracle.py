@@ -11,7 +11,7 @@ must reproduce.
 
 from fractions import Fraction
 
-from superslice.linalg import RationalMatrix, from_columns, solve
+from superslice.linalg import RationalMatrix, solve
 from superslice.liealg import LieSuperalgebra
 
 ZERO = Fraction(0)
@@ -74,7 +74,7 @@ def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
     diag_cols = []
     for k in diag_idx:
         diag_cols.append([mats[k].get((i, i), ZERO) for i in range(size)])
-    diag_matrix = from_columns(diag_cols)
+    diag_matrix = RationalMatrix([list(r) for r in zip(*diag_cols)])
 
     def decompose(M: dict) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}

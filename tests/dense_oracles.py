@@ -4,8 +4,8 @@ and for the algebra layer's linear solves.
 These are the package's former rank and RREF routines: fraction-free
 Bareiss elimination on a denominator-cleared integer copy, and textbook
 Gauss-Jordan elimination over Fractions with the first nonzero entry of
-each column as pivot, with the solve and the kernel read off that RREF.
-They share no code with the sparse elimination core in
+each column as pivot, with the solve, the kernel and the inverse read
+off that RREF.  They share no code with the sparse elimination core in
 superslice.linalg, which the tests compare against them.  On top of
 them sit the package's former dense ad matrices and sl2-triple solve,
 the oracle for the integer-row triple, grading and centralizer of
@@ -122,6 +122,21 @@ def dense_nullspace(rows, ncols):
             v[pc] = -row[fc]
         basis.append(v)
     return basis
+
+
+def dense_inverse(rows):
+    """Inverse of a square rational matrix as dense rows: the right half
+    of dense_rref of [M | I], the package's former dense inverse of the
+    slice decomposition and of the Poisson form matrix.  Raises
+    ValueError("matrix is singular") when a pivot falls in the right
+    half."""
+    n = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    red, piv = dense_rref(aug, 2 * n)
+    if piv != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def ad_matrix(alg, x):

@@ -40,7 +40,7 @@ def check_all_ordered_pairs(gm: GradedMiura) -> dict:
             rhs = gm.morphism(gm._to_slice(
                 B.bracket(embedded[i], embedded[j])))
             if lhs != rhs:
-                raise ValueError("Miura images fail the lambda bracket "
+                raise ValueError("Miura images fail the Poisson bracket "
                                  f"on ({la}, {lb})")
             out[(la, lb)] = True
     return out

@@ -8,15 +8,16 @@ one rref per step.  gauge_fix now reads the bound off the grading
 the class; the tests compare the two.
 """
 
-from superslice.liealg import SubspaceBasis
 from superslice.linalg import RationalMatrix, rref
 
 
 def descending_central_series(alg):
-    """g^0 = g, g^n = [g, g^{n-1}]; stops when stable.  Last entry is the
-    first repeated (for nilpotent algebras: zero) term."""
+    """g^0 = g, g^n = [g, g^{n-1}], each term a basis (a list of dense
+    vectors; the nonzero rows of an rref are independent); stops when
+    stable.  Last entry is the first repeated (for nilpotent algebras:
+    zero) term."""
     current = [alg.basis_vector(i) for i in range(alg.dim)]
-    out = [SubspaceBasis(alg, current)]
+    out = [current]
     while True:
         spans = []
         for i in range(alg.dim):
@@ -29,7 +30,7 @@ def descending_central_series(alg):
             new = [r.rows[n] for n in range(len(piv))]
         else:
             new = []
-        out.append(SubspaceBasis(alg, new))
+        out.append(new)
         if len(new) == len(current):
             break
         current = new

@@ -22,6 +22,7 @@ in the suite against independent oracles.
 import time
 from fractions import Fraction
 
+from charts import make_chart
 from cross_checks import de_rham_check
 from nilpotency_oracle import nilpotency_class
 from slice_bracket_oracle import slice_poisson_table
@@ -33,8 +34,8 @@ from superslice.liealg import (build_osp_1_2, build_sl, centralizer,
                                sl2_triple_for)
 from superslice.pva import (ArcBracket, brst_complex, graded_miura,
                             h0_truncated)
-from superslice.slice import (PoissonStructure, gauge_fix,
-                              injectivity_certificate, verify_invariance)
+from superslice.slice import (PoissonStructure, injectivity_certificate,
+                              verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
 F = Fraction
@@ -42,7 +43,7 @@ F = Fraction
 
 def principal_chart(alg):
     triple = sl2_triple_for(alg, principal_nilpotent(alg))
-    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+    return make_chart(alg, triple)
 
 
 def sub_by_name(p, mapping, target):
@@ -199,7 +200,7 @@ def test_sl21_invariant_count_matches_centralizer():
     chart = principal_chart(alg)
     cent = centralizer(alg, chart.triple.e)
     cpar = []
-    for vec in cent.vectors:
+    for vec in cent:
         cpar.append(next(alg.parities[i] for i, c in enumerate(vec) if c))
     inv_par = [chart.parity_of(lab) for lab in chart.inv_order]
     assert sorted(inv_par) == sorted(cpar)

@@ -18,9 +18,10 @@ from fractions import Fraction
 
 import pytest
 
+from charts import make_chart
 from koszul_oracle import full_rank_table
 
-from superslice import cli, cohomology, pva
+from superslice import cli, cohomology, liealg, pva
 from superslice.cli import (JobConfig, body_bytes, main, report_text,
                             resolve_algebra, run_pipeline)
 from superslice.cohomology import slice_ce_complex
@@ -30,7 +31,7 @@ from superslice.liealg import (GoodGrading, LieSuperalgebra, algebra_to_json,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import (ArcBracket, brst_complex, graded_miura,
                             h0_truncated)
-from superslice.slice import PoissonStructure, gauge_fix
+from superslice.slice import PoissonStructure
 
 F = Fraction
 
@@ -275,7 +276,7 @@ class TestPoissonRefusals:
         # message (it used to be the bare "matrix is singular")
         alg = load_algebra_file(str(path), check=False)
         triple = sl2_triple_for(alg, parse_nilpotent(alg, "e21"))
-        chart = gauge_fix(alg, triple, dynkin_grading(alg, triple))
+        chart = make_chart(alg, triple)
         build = {"qcheck": brst_complex, "miura-check": graded_miura}[command]
         with pytest.raises(ValueError) as exc:
             build(chart)
@@ -339,7 +340,7 @@ class TestStageIsolation:
                               triple.f)
         assert grading.weights2 != dynkin_grading(alg, triple).weights2
         want = full_rank_table(
-            slice_ce_complex(gauge_fix(alg, triple, grading), 4))
+            slice_ce_complex(make_chart(alg, triple, grading), 4))
         got = {(row["degree"], F(row["weight"])): row["dim"]
                for row in stage(rep, "cohomology")["table"]}
         assert got == want
@@ -367,6 +368,18 @@ class TestStageIsolation:
         names = [s["name"] for s in rep["body"]["stages"]]
         assert names == ["load", "validate", "triple"]
         assert "'1/0' has a zero denominator" in stage(rep, "triple")["error"]
+
+    @pytest.mark.parametrize("nilpotent", ["e21+", "e21++e32"])
+    def test_empty_nilpotent_term_fails_at_triple_stage(self, nilpotent,
+                                                        capsys):
+        # both used to pass as e21 and e21+e32
+        code, rep = run_json(["run", "--algebra", "sl3",
+                              "--nilpotent", nilpotent], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple"]
+        assert stage(rep, "triple")["error"] == \
+            f"empty term in nilpotent {nilpotent!r}"
 
     def test_zero_denominator_fails_at_grading_stage(self, capsys):
         # a bare Fraction("1/0") on a weight used to end in an
@@ -894,6 +907,27 @@ class TestVerifyOnce:
         code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
         assert code == 0 and built == []
 
+    def test_one_decomposition_per_chart(self, monkeypatch, capsys):
+        # the decomposition stage's pieces are the ones gauge_fix reads:
+        # every package module that holds the function counts its calls
+        calls = []
+        real = liealg.graded_slice_decomposition
+
+        def counted(alg, grading, triple):
+            calls.append(alg.dim)
+            return real(alg, grading, triple)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "superslice" and \
+                    getattr(mod, "graded_slice_decomposition", None) is real:
+                monkeypatch.setattr(mod, "graded_slice_decomposition",
+                                    counted)
+        code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
+        assert code == 0 and calls == [8]
+        code, _ = run_cli(["run", "--algebra", "sl4", "--nilpotent", "e21",
+                           "--max-weight", "2"], capsys)
+        assert code == 0 and calls == [8, 15]
+
     def test_one_gauge_complex_per_chart(self, monkeypatch, capsys):
         # the finite and the arc complex read the chart's one gauge
         # derivation, built and squared once; chart jobs build none, and
@@ -916,7 +950,7 @@ class TestVerifyOnce:
 
         alg = build_sl(2, 1)
         triple = sl2_triple_for(alg, principal_nilpotent(alg))
-        chart = gauge_fix(alg, triple, dynkin_grading(alg, triple))
+        chart = make_chart(alg, triple)
         Q = brst_complex(chart)
         derivations = []
         real_init = cohomology.OddDerivation.__init__

@@ -15,6 +15,7 @@ import pytest
 
 import block_enumeration_oracle
 import gauge_action_oracle
+from charts import make_chart
 from cross_checks import de_rham_check
 from dense_oracles import dense_rank
 from koszul_oracle import arc_complex, full_rank_table, leading_part
@@ -31,7 +32,6 @@ from superslice.liealg import (build_osp_1_2, build_sl, dynkin_grading,
                                sl2_triple_for)
 from superslice.linalg import row_rank
 from superslice.pva import brst_complex, h0_truncated
-from superslice.slice import gauge_fix
 from superslice.superpoly import (PolyRing, SuperPolynomial, Variable, pack,
                                   unpack)
 
@@ -46,7 +46,7 @@ def principal_setup(alg):
 def chart_for(name, nilpotent):
     alg, _ = resolve_algebra(name)
     triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
-    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+    return make_chart(alg, triple)
 
 
 def names(ring):
@@ -123,7 +123,7 @@ class TestRegular:
 class TestSliceModule:
     def test_sl3_h0_counts_invariant_monomials(self, sl3_data):
         alg, triple, grading = sl3_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         cx = slice_ce_complex(chart, max_weight=6)
         gens = [(v.wt2, v.parity) for v in chart.slice_ring.variables]
         want = weighted_monomial_counts(gens, 12)
@@ -136,7 +136,7 @@ class TestSliceModule:
 
     def test_osp_h0_includes_odd_generator(self, osp_data):
         alg, triple, grading = osp_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         cx = slice_ce_complex(chart, max_weight=3)
         assert cx.cohomology_dim(0, Fraction(3, 2)) == 1
         assert cx.cohomology_dim(0, 2) == 1
@@ -148,7 +148,7 @@ class TestSliceModule:
 
     def test_sl21_h0_counts(self, sl21_data):
         alg, triple, grading = sl21_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         cx = slice_ce_complex(chart, max_weight=3)
         gens = [(v.wt2, v.parity) for v in chart.slice_ring.variables]
         want = weighted_monomial_counts(gens, 6)
@@ -157,7 +157,7 @@ class TestSliceModule:
 
     def test_gauge_fields_are_a_homomorphism(self, osp_data):
         alg, triple, grading = osp_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         m = len(chart.coord_indices)
         ring = PolyRing([Variable(v.name, v.parity, wt2=v.wt2)
                          for v in chart.ring.variables[:m]])
@@ -201,7 +201,7 @@ class TestSliceModule:
 
     def test_truncation_consistency(self, sl3_data):
         alg, triple, grading = sl3_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         small = slice_ce_complex(chart, max_weight=3)
         large = slice_ce_complex(chart, max_weight=4)
         for n2 in range(0, 7):
@@ -211,7 +211,7 @@ class TestSliceModule:
 
     def test_block_outside_truncation(self, osp_data):
         alg, triple, grading = osp_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         cx = slice_ce_complex(chart, max_weight=2)
         with pytest.raises(ValueError, match="outside the truncation"):
             cx.cohomology_dim(0, 3)
@@ -225,7 +225,7 @@ class TestSliceModule:
 class TestBuildDispatch:
     def test_regular_and_slice_alias(self, osp_data):
         alg, triple, grading = osp_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         cx = regular_ce_complex(alg, grading, max_weight=2)
         assert cx.cohomology_dim(0, 0) == 1
         sx = slice_ce_complex(chart, max_weight=2)
@@ -306,7 +306,7 @@ class TestBuildDispatch:
         with pytest.raises(ValueError, match="at least 0"):
             regular_ce_complex(alg, grading, max_weight=-1)
         with pytest.raises(ValueError, match="at least 0"):
-            slice_ce_complex(gauge_fix(alg, triple, grading), max_weight=-1)
+            slice_ce_complex(make_chart(alg, triple, grading), max_weight=-1)
 
     def test_missing_weight_rejected(self):
         ring = PolyRing([Variable("x", 0), Variable("ph", 1, wt2=-2)])
@@ -373,7 +373,7 @@ class TestIntegerRows:
     def test_slice_sl21_block_ranks(self, sl21_data):
         alg, triple, grading = sl21_data
         assert_block_ranks_match_dense(
-            slice_ce_complex(gauge_fix(alg, triple, grading), max_weight=4))
+            slice_ce_complex(make_chart(alg, triple, grading), max_weight=4))
 
     def test_regular_sl4_block_ranks(self):
         alg = build_sl(4)
@@ -383,12 +383,12 @@ class TestIntegerRows:
 
     def test_brst_h0_block_ranks(self, sl21_data):
         alg, triple, grading = sl21_data
-        chart = gauge_fix(alg, triple, grading)
+        chart = make_chart(alg, triple, grading)
         assert_block_ranks_match_dense(arc_complex(chart, 3))
 
     def test_rows_are_exact_images(self, sl21_data):
         alg, triple, grading = sl21_data
-        cx = slice_ce_complex(gauge_fix(alg, triple, grading), max_weight=4)
+        cx = slice_ce_complex(make_chart(alg, triple, grading), max_weight=4)
         den = cx.d.den
         for k in range(3):
             rows = cx.d_matrix(k, 6)
@@ -428,7 +428,7 @@ class TestOneDenominator:
 
     def test_jet_images_share_the_denominator(self, sl2_data):
         alg, triple, grading = sl2_data
-        Q = brst_complex(gauge_fix(alg, triple, grading))
+        Q = brst_complex(make_chart(alg, triple, grading))
         ring = Q.ring
         jet = ring.derivative_index(ring.derivative_index(0))
         got = Q(ring.gen(jet))
@@ -531,7 +531,7 @@ class TestKoszulCertificate:
         # d(z_e12) = 2 z_h1 ph_e12 and d(z_h1) = -ph_e12 on sl2: d_0 keeps
         # the constant part of each gauge field times its ghost
         alg, triple, grading = sl2_data
-        cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
+        cx = slice_ce_complex(make_chart(alg, triple, grading), 2)
         lead = leading_part(cx)
         assert lead._memo is cx._memo
         ring = cx.ring
@@ -547,7 +547,7 @@ class TestKoszulCertificate:
 
     def test_leading_part_drops_the_ghost_images(self, sl3_data):
         alg, triple, grading = sl3_data
-        cx = slice_ce_complex(gauge_fix(alg, triple, grading), 2)
+        cx = slice_ce_complex(make_chart(alg, triple, grading), 2)
         lead = leading_part(cx)
         images, low = cx.d.images, lead.d.images
         ghosts = [j for j in cx.ghost_positions if j in images.base]

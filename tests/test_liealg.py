@@ -18,7 +18,7 @@ from cross_checks import form_value
 from nilpotency_oracle import descending_central_series, nilpotency_class
 from superslice.cli import resolve_algebra
 from superslice.linalg import RationalMatrix, row_solve
-from superslice.liealg import (GoodGrading, LieSuperalgebra, SubspaceBasis,
+from superslice.liealg import (GoodGrading, LieSuperalgebra,
                                algebra_from_json, algebra_to_json, build_osp_1_2,
                                build_sl, centralizer, dynkin_grading,
                                graded_slice_decomposition, parse_nilpotent,
@@ -392,7 +392,7 @@ def _assert_triple_matches_dense(alg, f):
     adh = dense_oracles.ad_matrix(alg, t.h)
     assert dynkin_grading(alg, t).weights2 == [adh[j][j]
                                                for j in range(alg.dim)]
-    assert centralizer(alg, t.e).vectors == dense_oracles.dense_nullspace(
+    assert centralizer(alg, t.e) == dense_oracles.dense_nullspace(
         dense_oracles.ad_matrix(alg, t.e), alg.dim)
 
 
@@ -552,10 +552,9 @@ def test_good_grading_rejects_bad_weights():
         GoodGrading(alg, [2, -2, 0], alg.basis_vector("h1"))
 
 
-def in_span(basis, v):
-    """Whether v lies in the span of the basis vectors, by an exact
-    solve against the integer rows of the vectors as columns."""
-    vectors = basis.vectors
+def in_span(vectors, v):
+    """Whether v lies in the span of the vectors, by an exact solve
+    against the integer rows of the vectors as columns."""
     den = math.lcm(*(x.denominator for u in vectors + [v] for x in u))
     rows = [{c: int(u[r] * den) for c, u in enumerate(vectors) if u[r]}
             for r in range(len(v))]
@@ -563,11 +562,11 @@ def in_span(basis, v):
                      len(vectors)) is not None
 
 
-def parity_counts(basis):
+def parity_counts(alg, basis):
     """(even, odd) counts of a basis of parity homogeneous vectors."""
     parities = []
-    for u in basis.vectors:
-        seen = {basis.alg.parities[i] for i, c in enumerate(u) if c}
+    for u in basis:
+        seen = {alg.parities[i] for i, c in enumerate(u) if c}
         assert len(seen) == 1, "basis vector is not parity homogeneous"
         parities.extend(seen)
     return parities.count(0), parities.count(1)
@@ -590,7 +589,7 @@ def test_centralizer_sl21():
     alg = build_sl(2, 1)
     t = sl2_triple_for(alg, parse_nilpotent(alg, "e21"))
     c = centralizer(alg, t.e)
-    assert parity_counts(c) == (2, 2)
+    assert parity_counts(alg, c) == (2, 2)
     assert in_span(c, alg.basis_vector("e12"))
     assert in_span(c, alg.basis_vector("e13"))
 
@@ -598,7 +597,7 @@ def test_centralizer_sl21():
 def test_centralizer_osp12():
     alg = build_osp_1_2()
     c = centralizer(alg, alg.basis_vector("e"))
-    assert parity_counts(c) == (1, 1)
+    assert parity_counts(alg, c) == (1, 1)
     assert in_span(c, alg.basis_vector("e"))
     assert in_span(c, alg.basis_vector("vp"))
 
@@ -702,6 +701,28 @@ def test_parse_nilpotent_coefficients():
         parse_nilpotent(alg, "e21 + 3/0*e12")
 
 
+@pytest.mark.parametrize("expr", [
+    "e21+", "e21++e32", "+", "-", "", "e21 -", "e21--e32", "e21 + - e32 +"])
+def test_parse_nilpotent_refuses_an_empty_term(expr):
+    alg = build_sl(3)
+    with pytest.raises(ValueError, match="empty term in nilpotent"):
+        parse_nilpotent(alg, expr)
+
+
+@pytest.mark.parametrize("expr,want", [
+    ("-e21", {"e21": -1}),
+    ("e21 - e32", {"e21": 1, "e32": -1}),
+    ("1/2*e21", {"e21": F(1, 2)}),
+    ("+e21", {"e21": 1}),
+    ("- e21 + e32", {"e21": -1, "e32": 1}),
+    ("e21 + -e32", {"e21": 1, "e32": -1}),
+    ("-1/2*e21 - 2*e32", {"e21": F(-1, 2), "e32": -2})])
+def test_parse_nilpotent_accepts_signed_terms(expr, want):
+    alg = build_sl(3)
+    v = parse_nilpotent(alg, expr)
+    assert {alg.labels[i]: x for i, x in enumerate(v) if x} == want
+
+
 def test_sl2_triple_rejects_zero_f():
     alg = build_sl(2)
     for expr in ("0*e21", "e21 - e21"):
@@ -709,8 +730,18 @@ def test_sl2_triple_rejects_zero_f():
             sl2_triple_for(alg, parse_nilpotent(alg, expr))
 
 
-def test_subspace_basis_rejects_dependent_vectors():
-    alg = build_sl(2)
-    v = alg.basis_vector("e12")
-    with pytest.raises(ValueError, match="independent"):
-        SubspaceBasis(alg, [v, [2 * c for c in v]])
+@pytest.mark.parametrize("name,nilpotent", [
+    ("sl3", "principal"), ("sl4", "e21+e43"), ("sl(2|1)", "e21"),
+    ("sl(3|2)", "principal"), ("osp12", "principal")])
+def test_centralizer_basis_is_independent(name, nilpotent):
+    # each vector has a unit at its own free column, where the others
+    # vanish: the argument that lets centralizer skip a rank check
+    alg, _ = resolve_algebra(name)
+    t = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
+    c = centralizer(alg, t.e)
+    assert c and all(len(v) == alg.dim for v in c)
+    free = [max(j for j, x in enumerate(v) if x) for v in c]
+    assert len(set(free)) == len(c)
+    for k, v in enumerate(c):
+        assert [v[j] for j in free] == [int(i == k) for i in range(len(c))]
+    assert dense_oracles.dense_rank(c) == len(c)

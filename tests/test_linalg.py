@@ -1,4 +1,4 @@
-"""Exact linear algebra: rank, RREF, solve, nullspace.
+"""Exact linear algebra: rank, RREF, solve, nullspace, inverse.
 
 The fraction-free integer core is compared with two oracles that share
 no code with it: the package's former sparse elimination over Fractions
@@ -11,11 +11,14 @@ from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 import fraction_elimination_oracle as fraction_oracle
-from dense_oracles import dense_nullspace, dense_rank, dense_rref, dense_solve
-from superslice.linalg import (RationalMatrix, exact_rank, from_columns,
-                               nullspace, row_nullspace, row_rank, row_solve,
-                               rref, solve)
+from dense_oracles import (dense_inverse, dense_nullspace, dense_rank,
+                           dense_rref, dense_solve)
+from superslice.linalg import (RationalMatrix, exact_rank, nullspace,
+                               row_inverse, row_nullspace, row_rank,
+                               row_solve, rref, solve)
 
 
 def transpose(m):
@@ -28,9 +31,19 @@ def times_vector(m, v):
     return [sum((a * x for a, x in zip(r, v)), Fraction(0)) for r in m.rows]
 
 
+def identity(n):
+    """The n x n identity as a RationalMatrix."""
+    return RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def sparse(rows):
+    """Dense rows as sparse rows {col: entry}, zeros dropped."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 def test_rank_trivial():
     assert exact_rank(RationalMatrix.zeros(3, 4)) == 0
-    assert exact_rank(RationalMatrix.identity(5)) == 5
+    assert exact_rank(identity(5)) == 5
     assert exact_rank(RationalMatrix([[Fraction(1, 2), 1], [1, 2]])) == 1
 
 
@@ -63,9 +76,14 @@ def test_nullspace_annihilates():
     assert len(nullspace(m)) == 3 - exact_rank(m)
 
 
-def test_from_columns():
-    m = from_columns([[1, 0], [2, 3]])
-    assert m.rows == [[1, 2], [0, 3]]
+def test_row_inverse_known():
+    m = [[Fraction(1, 2), 1], [0, Fraction(2, 3)]]
+    assert row_inverse(sparse(m)) == [{0: 2, 1: -3}, {1: Fraction(3, 2)}]
+    assert row_inverse([]) == []
+    with pytest.raises(ValueError, match="matrix is singular"):
+        row_inverse([{0: Fraction(1, 2), 1: 1}, {0: 1, 1: 2}])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        row_inverse([{0: 1}, {}])
 
 
 small = st.fractions(min_value=-5, max_value=5)
@@ -146,6 +164,38 @@ def test_rref_nullspace_solve_match_dense_oracle(data):
     for b in (times_vector(m, x0),
               [Fraction(data.draw(st.integers(-3, 3))) for _ in rows]):
         assert solve(m, b) == dense_solve(rows, nc, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_row_inverse_matches_dense_inverse(data):
+    # square, mostly invertible at high density and mostly singular at
+    # low density or with a row made a combination of two others; the
+    # denominators make a missed clearing of the unit column show
+    rnd = data.draw(st.randoms(use_true_random=False))
+    n = rnd.randint(1, 7)
+    density = rnd.choice([0.3, 0.6, 0.9, 1.0])
+
+    def entry():
+        return Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9),
+                        rnd.randint(1, 7))
+
+    rows = [[entry() if rnd.random() < density else Fraction(0)
+             for _ in range(n)] for _ in range(n)]
+    if n >= 3 and rnd.random() < 0.25:
+        i, j, t = rnd.sample(range(n), 3)
+        a, b = entry(), entry()
+        rows[t] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    if dense_rank(rows) < n:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            dense_inverse(rows)
+        with pytest.raises(ValueError, match="matrix is singular"):
+            row_inverse(sparse(rows))
+        return
+    got = row_inverse(sparse(rows))
+    assert got == sparse(dense_inverse(rows))
+    assert all(type(x) is Fraction for r in got for x in r.values())
+    assert all(sorted(r) == list(r) for r in got)
 
 
 # -- the integer core against both oracles ------------------------------------

@@ -28,6 +28,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from charts import make_chart
 from finite_poisson_oracle import finite_bracket
 from miura_pairs_oracle import source_bracket
 from nilpotency_oracle import nilpotency_class
@@ -38,7 +39,7 @@ from superslice.liealg import (GoodGrading, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import ArcBracket, graded_miura
-from superslice.slice import (MiuraImage, bch_word_bound, gauge_fix,
+from superslice.slice import (MiuraImage, bch_word_bound,
                               injectivity_certificate, verify_invariance)
 from superslice.superpoly import PolyRing, Variable
 
@@ -48,7 +49,7 @@ HALF = Fraction(1, 2)
 def principal_chart(alg):
     f = principal_nilpotent(alg)
     triple = sl2_triple_for(alg, f)
-    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+    return make_chart(alg, triple)
 
 
 @pytest.fixture(scope="module")
@@ -430,7 +431,7 @@ class TestPoissonAxioms:
 def chart_for(name, nilpotent="principal"):
     alg, _ = resolve_algebra(name)
     triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
-    return gauge_fix(alg, triple, dynkin_grading(alg, triple))
+    return make_chart(alg, triple)
 
 
 GATE_CASES = [("sl5", "principal"), ("osp12", "principal"),
