@@ -133,6 +133,9 @@ def _stage_grading(config: JobConfig, ctx: dict) -> dict:
             except ZeroDivisionError:
                 raise StageError(f"grading weight {x!r} has a zero "
                                  "denominator") from None
+            except ValueError:
+                raise StageError(f"grading weight {x!r} is not a "
+                                 "number") from None
         if len(parts) != alg.dim:
             raise StageError(f"need {alg.dim} grading weights, "
                              f"got {len(parts)}")
@@ -300,8 +303,6 @@ _STAGES = {
     "pva-miura": _stage_pva_miura,
 }
 
-_STAGE_ORDER = list(_STAGES)
-
 
 def _targets(command: str, action: Optional[str],
              config: JobConfig) -> list[str]:
@@ -374,16 +375,15 @@ def exit_code(report: dict) -> int:
 
 
 def run_pipeline(config: JobConfig, command: str = "run") -> dict:
-    """Execute the stages of ``command`` (``_targets``; an action follows
-    the command after a space) in order; a failing stage is recorded
-    with its name and counterexample data and everything after it is
-    skipped.  An OverflowError (a monomial past the exponent limit) is
-    a failed stage of that name marked with its exception type; any
-    other exception but StageError or ValueError is recorded as an
-    internal-error stage naming the stage that raised it.
+    """Execute the stages of ``command`` (an action follows the command
+    after a space) in the order ``_targets`` lists them; a failing stage
+    is recorded with its name and counterexample data and everything
+    after it is skipped.  An OverflowError (a monomial past the exponent
+    limit) is a failed stage of that name marked with its exception
+    type; any other exception but StageError or ValueError is recorded
+    as an internal-error stage naming the stage that raised it.
     Returns {"body": ..., "timings": ...}."""
     head, _, action = command.partition(" ")
-    targets = _targets(head, action or None, config)
     body = {
         "tool": "superslice",
         "command": command,
@@ -402,9 +402,7 @@ def run_pipeline(config: JobConfig, command: str = "run") -> dict:
     }
     timings: dict = {}
     ctx: dict = {}
-    for name in _STAGE_ORDER:
-        if name not in targets:
-            continue
+    for name in _targets(head, action or None, config):
         t0 = time.perf_counter()
         failure = None
         try:

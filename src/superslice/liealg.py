@@ -827,7 +827,8 @@ def principal_nilpotent(alg: LieSuperalgebra) -> list[Fraction]:
 
 def parse_nilpotent(alg: LieSuperalgebra, expr: str) -> list[Fraction]:
     """Parse 'e21+e32' / '2*e21 - 1/3*e31' / 'principal' into a vector;
-    an empty term, as in 'e21+' or 'e21++e32', raises ValueError."""
+    an empty term, as in 'e21+' or 'e21++e32', an empty basis label, as
+    in '2*', and a coefficient that is not a number raise ValueError."""
     expr = expr.strip()
     if expr == "principal":
         return principal_nilpotent(alg)
@@ -848,8 +849,13 @@ def parse_nilpotent(alg: LieSuperalgebra, expr: str) -> list[Fraction]:
             except ZeroDivisionError:
                 raise ValueError(
                     f"coefficient {c!r} has a zero denominator") from None
+            except ValueError:
+                raise ValueError(f"coefficient {c!r} of term {part!r} is "
+                                 "not a number") from None
         else:
             coeff, name = ONE, part
+        if not name:
+            raise ValueError(f"empty basis label in term {part!r}")
         if name not in alg.index:
             raise ValueError(f"unknown basis label {name!r}")
         out[alg.index[name]] += sign * coeff

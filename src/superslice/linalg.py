@@ -15,7 +15,7 @@ cohomology layer's ker delta and the algebra layer's integer brackets.
 ``row_inverse`` takes sparse rational rows, clears each row's
 denominators and inverts on the same core: the slice decomposition and
 the Poisson form matrix M.  RationalMatrix is a thin dense container of
-Fractions for the form, M and the certificate, ranked by
+Fractions for the form and the certificate's Jacobians, ranked by
 ``exact_rank``; ``rref``, ``nullspace`` and ``solve`` have no caller in
 the package, but the benchmark tracer wraps them by name.  RREF divides
 each pivot row by its pivot once, after back substitution; RREF is

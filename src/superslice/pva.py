@@ -20,9 +20,10 @@ Two layers:
 * ``brst_complex``, ``h0_truncated``, ``GradedMiura``: arc objects on
   differential rings on the chart coordinates.  The arc gauge complex
   is Q, the chart's one gauge derivation (``SliceChart.gauge_ce``),
-  which ``brst_complex`` returns once the chart's form is checked; its
-  degree-zero cohomology is sized per conformal weight against the
-  free differential ring on the slice generators.
+  which ``brst_complex`` returns once the chart's Poisson structure has
+  inverted M, building no bracket table; its degree-zero cohomology is
+  sized per conformal weight against the free differential ring on the
+  slice generators.
   The arc functor applied to the chart's finite Miura image
   (``SliceChart.miura``) maps the chart's slice ring to its coordinate
   ring; both are differential, and the coordinate ring carries the
@@ -38,7 +39,7 @@ from typing import Mapping, Optional
 from .cohomology import (_as_wt2, _JetImages, OddDerivation,
                          kernel_generators, slice_ce_complex,
                          weighted_monomial_counts)
-from .slice import SliceChart, check_poisson_form
+from .slice import SliceChart
 from .superpoly import (UNIT, PolyRing, SuperPolynomial, _poly,
                         sum_of_products)
 
@@ -202,10 +203,11 @@ class DifferentialMorphism:
 def brst_complex(chart: SliceChart) -> OddDerivation:
     """Q of the arc gauge complex: the chart's one gauge derivation
     (``SliceChart.gauge_ce``), built and squared on first use.  The
-    complex belongs to the chart's Poisson reduction, so a formless or
-    degenerate form is refused first, from the rank of M alone: Q
-    reads no bracket, and the chart's Poisson structure is not built."""
-    check_poisson_form(chart)
+    complex belongs to the chart's Poisson reduction, so the chart's
+    Poisson structure is built first and refuses a formless or
+    degenerate form; Q reads no bracket, so the structure's table is
+    not built."""
+    chart.poisson
     return chart.gauge_ce
 
 

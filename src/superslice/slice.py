@@ -335,113 +335,103 @@ DEGENERATE_FORM = ("the bilinear form is degenerate on g_{<=0} + g_{1/2} "
                    "against the chart coordinates")
 
 
-def zeta_matrix(chart: SliceChart
-                ) -> tuple[list[int], RationalMatrix, list[Fraction]]:
-    """(generator indices, M, c) of the affine functions zeta_a = c_a +
-    sum_beta M[a, beta] z_beta of ``PoissonStructure``: the indices of
-    the basis of g_{<=0} + g_{1/2}, the square matrix M and the
-    constants c.  Raises ValueError without a form, or when the
-    generators and the chart coordinates differ in number."""
-    alg, w2 = chart.alg, chart.grading.weights2
-    if alg.form is None:
-        raise ValueError("Poisson structure needs the bilinear form")
-    gen_indices = [i for i in range(alg.dim) if w2[i] <= 0 or w2[i] == 1]
-    n, m = len(gen_indices), len(chart.coord_indices)
-    if n != m:
-        raise ValueError("generator/coordinate count mismatch")
-    form = alg.form_rows
-    f = {j: c for j, c in enumerate(chart.triple.f) if c}
-    M = RationalMatrix.zeros(n, m)
-    const = []
-    for a, ia in enumerate(gen_indices):
-        sgn = ONE if w2[ia] == 1 else (ONE if alg.parities[ia] else -ONE)
-        const.append(sgn * sum((v * f.get(j, ZERO)
-                                for j, v in form[ia].items()), ZERO))
-        for ib, v in form[ia].items():
-            if ib in chart.coord_pos:
-                M[a, chart.coord_pos[ib]] = sgn * v
-    return gen_indices, M, const
-
-
-def check_poisson_form(chart: SliceChart) -> None:
-    """Refuse, with the messages of ``PoissonStructure``, a chart whose
-    form gives no Poisson structure, from the rank of M alone (no
-    inverse, no bracket table)."""
-    _, M, _ = zeta_matrix(chart)
-    if exact_rank(M) < M.nrows:
-        raise ValueError(DEGENERATE_FORM)
-
-
 class PoissonStructure:
     """Poisson bracket on the coordinate ring of f + g_{>=-1/2}, built on
     the chart coordinates z_b.
 
-    Each basis vector u of g_{<=0} + g_{1/2} gives the affine function
-    zeta_u = -(-1)^{|u|}(u|.) for u in g_{<=0} and zeta_u = (u|.) for u
-    in g_{1/2}; at the generic point it reads zeta_a = c_a + sum_beta
-    M[a, beta] z_beta (``zeta``, one chart polynomial per generator).
-    The generator brackets are {zeta_u, zeta_v} = zeta_{[u,v]} (both in
-    g_{<=0}), the constant (f|[u,v]) (both in g_{1/2}) and 0 when mixed,
-    extended as a biderivation (De Sole and Kac, "Finite vs affine
-    W-algebras"); they are read off the nonzero structure constants and
-    form entries straight into zeta.  The constant c_a = sgn_a (u_a|f)
-    vanishes on every grading the catalogue produces, but nothing rules
-    it out for an algebra read from JSON, so it stays inside zeta.
+    Each basis vector u of g_{<=0} + g_{1/2} (``gen_indices``) gives the
+    affine function zeta_u = -(-1)^{|u|}(u|.) for u in g_{<=0} and
+    zeta_u = (u|.) for u in g_{1/2}; at the generic point it reads
+    zeta_a = c_a + sum_beta M[a, beta] z_beta (``zeta``, one chart
+    polynomial per generator).  The generator brackets are
+    {zeta_u, zeta_v} = zeta_{[u,v]} (both in g_{<=0}), the constant
+    (f|[u,v]) (both in g_{1/2}) and 0 when mixed, extended as a
+    biderivation (De Sole and Kac, "Finite vs affine W-algebras"); they
+    are read off the nonzero structure constants and form entries
+    straight into zeta.  The constant c_a = sgn_a (u_a|f) vanishes on
+    every grading the catalogue produces, but nothing rules it out for
+    an algebra read from JSON, so it stays inside zeta.  Both c_a and
+    the g_{1/2} brackets read the one pairing (f|x_k): the form is even
+    and supersymmetric and f is even, so (u|f) = (f|u).
 
-    ``minv_rows`` holds the nonzero entries of the rows of Minv, read
-    by ``linalg.row_inverse`` from the sparse rows of M, so
-    z_b = sum_a Minv[b, a] (zeta_a - c_a), and ``coordinate_table`` is
-    the generator table moved to the chart coordinates:
-    {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'} over the
-    nonzero entries of rows b and c of Minv (constants bracket to zero).
-    The arc side (``pva``) reads it as it is: the chart ring is
-    differential.
+    The constructor is the one place that reads M: it refuses a chart
+    without a form, generators and chart coordinates that differ in
+    number, and a singular M (``DEGENERATE_FORM``), in that order.  It
+    reads M's sparse rows straight from the form rows and inverts them
+    once: ``minv_rows`` holds the nonzero entries of the rows of Minv,
+    from ``linalg.row_inverse``, so z_b = sum_a Minv[b, a]
+    (zeta_a - c_a).  ``zeta`` and ``coordinate_table`` are built on
+    first use, so a job that only needs the form checked builds neither.
+    ``coordinate_table`` is the generator table moved to the chart
+    coordinates: {z_b, z_c} = sum Minv[b,a] Minv[c,a'] {zeta_a, zeta_a'}
+    over the nonzero entries of rows b and c of Minv (constants bracket
+    to zero).  The arc side (``pva``) reads it as it is: the chart ring
+    is differential.  The structure keeps the chart's ring, algebra and
+    grading weights, not the chart itself.
     """
 
     def __init__(self, chart: SliceChart):
         alg, w2 = chart.alg, chart.grading.weights2
-        ring = chart.ring
-        self.gen_indices, M, const = zeta_matrix(chart)
-        self.gen_pos = {b: a for a, b in enumerate(self.gen_indices)}
         form = alg.form_rows
-        f = {j: c for j, c in enumerate(chart.triple.f) if c}
-        m_rows = [{beta: co for beta, co in enumerate(r) if co}
-                  for r in M.rows]
+        if form is None:
+            raise ValueError("Poisson structure needs the bilinear form")
+        self.gen_indices = [i for i in range(alg.dim)
+                            if w2[i] <= 0 or w2[i] == 1]
+        if len(self.gen_indices) != len(chart.coord_indices):
+            raise ValueError("generator/coordinate count mismatch")
+        self.gen_pos = {b: a for a, b in enumerate(self.gen_indices)}
+        self.ring, self.alg, self.weights2 = chart.ring, alg, w2
+        self._f_pairing: dict[int, Fraction] = {}  # k -> (f|x_k)
+        for j, c in enumerate(chart.triple.f):
+            if c:
+                for k, v in form[j].items():
+                    self._f_pairing[k] = self._f_pairing.get(k, ZERO) + c * v
+        # zeta_a = c_a + sum_beta M[a, beta] z_beta, M by its sparse rows
+        self._const, self._m_rows = [], []
+        for ia in self.gen_indices:
+            sgn = ONE if w2[ia] == 1 or alg.parities[ia] else -ONE
+            self._const.append(sgn * self._f_pairing.get(ia, ZERO))
+            self._m_rows.append({chart.coord_pos[ib]: sgn * v
+                                 for ib, v in form[ia].items()
+                                 if ib in chart.coord_pos})
         try:
-            self.minv_rows = row_inverse(m_rows)
+            self.minv_rows = row_inverse(self._m_rows)
         except ValueError:
             raise ValueError(DEGENERATE_FORM) from None
-        # M is invertible, so no row is zero and every a has an image
-        self.zeta: dict[int, SuperPolynomial] = combine(ring, {
-            a: [(const[a], UNIT, UNIT)]
-            + [(co, ring.gen(beta), UNIT) for beta, co in r.items()]
-            for a, r in enumerate(m_rows)})
 
-        f_left: dict[int, Fraction] = {}  # k -> (f|x_k)
-        for j, c in f.items():
-            for k, v in form[j].items():
-                f_left[k] = f_left.get(k, ZERO) + c * v
+    @cached_property
+    def zeta(self) -> dict[int, SuperPolynomial]:
+        """zeta_a as a chart polynomial, for every generator a: M is
+        invertible, so no row is zero."""
+        ring = self.ring
+        return combine(ring, {
+            a: [(self._const[a], UNIT, UNIT)]
+            + [(co, ring.gen(beta), UNIT) for beta, co in r.items()]
+            for a, r in enumerate(self._m_rows)})
+
+    @cached_property
+    def coordinate_table(self) -> dict[tuple[int, int], SuperPolynomial]:
+        """{(b, c): {z_b, z_c}} over the nonzero brackets."""
+        ring, w2, pos = self.ring, self.weights2, self.gen_pos
         acc: dict = {}
-        for (ia, ib), row in alg.table.items():
-            if ia not in self.gen_pos or ib not in self.gen_pos:
+        for (ia, ib), row in self.alg.table.items():
+            if ia not in pos or ib not in pos:
                 continue
             if w2[ia] <= 0 and w2[ib] <= 0:
-                val = [(c, self.zeta[self.gen_pos[k]], UNIT)
-                       for k, c in row.items()]
+                val = [(c, self.zeta[pos[k]], UNIT) for k, c in row.items()]
             elif w2[ia] == 1 and w2[ib] == 1:
-                val = [(c * f_left.get(k, ZERO), UNIT, UNIT)
+                val = [(c * self._f_pairing.get(k, ZERO), UNIT, UNIT)
                        for k, c in row.items()]
             else:
                 continue
-            acc[(self.gen_pos[ia], self.gen_pos[ib])] = val
+            acc[(pos[ia], pos[ib])] = val
         on_zeta = combine(ring, acc)
-        self.coordinate_table: dict[tuple[int, int], SuperPolynomial] = \
-            combine(ring, {
-                (b, c): [(ca * cc, on_zeta[(a, a2)], UNIT)
-                         for a, ca in row_b.items()
-                         for a2, cc in row_c.items() if (a, a2) in on_zeta]
-                for b, row_b in enumerate(self.minv_rows)
-                for c, row_c in enumerate(self.minv_rows)})
+        return combine(ring, {
+            (b, c): [(ca * cc, on_zeta[(a, a2)], UNIT)
+                     for a, ca in row_b.items()
+                     for a2, cc in row_c.items() if (a, a2) in on_zeta]
+            for b, row_b in enumerate(self.minv_rows)
+            for c, row_c in enumerate(self.minv_rows)})
 
 
 # -- Miura --------------------------------------------------------------------

@@ -21,7 +21,8 @@ import pytest
 from charts import make_chart
 from koszul_oracle import full_rank_table
 
-from superslice import cli, cohomology, liealg, pva
+from superslice import cli, cohomology, liealg, linalg, pva
+from superslice import slice as slice_module
 from superslice.cli import (JobConfig, body_bytes, main, report_text,
                             resolve_algebra, run_pipeline)
 from superslice.cohomology import slice_ce_complex
@@ -296,6 +297,35 @@ class TestStageIsolation:
             "chart", "invariance", "miura", "certificate"]
         assert all(s["verdict"] == "pass" for s in rep["body"]["stages"])
 
+    CHAIN = ["load", "validate", "triple", "grading", "decomposition",
+             "chart"]
+
+    @pytest.mark.parametrize("argv,want", [
+        (["algebra", "validate"], ["load", "validate"]),
+        (["slice", "chart"], CHAIN),
+        (["slice", "check-invariance"], CHAIN + ["invariance"]),
+        (["miura", "show"], CHAIN + ["miura"]),
+        (["miura", "certify"], CHAIN + ["miura", "certificate"]),
+        (["cohomology"], CHAIN + ["cohomology"]),
+        (["cohomology", "--coefficients", "regular"],
+         ["load", "validate", "triple", "grading", "cohomology"]),
+        (["pva", "qcheck"], CHAIN + ["pva-qcheck"]),
+        (["pva", "h0"], CHAIN + ["pva-qcheck", "pva-h0"]),
+        (["pva", "miura-check"], CHAIN + ["pva-miura"]),
+        (["run"], CHAIN + ["invariance", "miura", "certificate"]),
+        (["run", "--max-weight", "3"],
+         CHAIN + ["invariance", "miura", "certificate", "cohomology",
+                  "pva-qcheck", "pva-h0", "pva-miura"]),
+        (["run", "--coefficients", "regular", "--max-weight", "3"],
+         CHAIN + ["invariance", "miura", "certificate", "cohomology",
+                  "pva-qcheck", "pva-h0", "pva-miura"])])
+    def test_every_command_runs_its_stages_in_order(self, argv, want,
+                                                    capsys):
+        # the stages run as _targets lists them: no second ordering
+        code, rep = run_json(argv + ["--algebra", "sl2"], capsys)
+        assert code == 0
+        assert [s["name"] for s in rep["body"]["stages"]] == want
+
     def test_run_with_max_weight_appends_arc_stages(self, capsys):
         code, rep = run_json(["run", "--algebra", "sl2",
                               "--max-weight", "3"], capsys)
@@ -391,6 +421,36 @@ class TestStageIsolation:
         assert names == ["load", "validate", "triple", "grading"]
         assert "grading weight '1/0' has a zero denominator" in \
             stage(rep, "grading")["error"]
+
+    def test_non_numeric_grading_weight_fails_at_grading_stage(self,
+                                                               capsys):
+        # used to report Python's "Invalid literal for Fraction: 'x'"
+        code, rep = run_json(["run", "--algebra", "sl2",
+                              "--grading", "1,x,-1"], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple", "grading"]
+        assert stage(rep, "grading")["error"] == \
+            "grading weight 'x' is not a number"
+
+    def test_non_numeric_coefficient_fails_at_triple_stage(self, capsys):
+        code, rep = run_json(["run", "--algebra", "sl3",
+                              "--nilpotent", "a*e21"], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple"]
+        assert stage(rep, "triple")["error"] == \
+            "coefficient 'a' of term 'a*e21' is not a number"
+
+    def test_empty_basis_label_fails_at_triple_stage(self, capsys):
+        # used to report "unknown basis label ''"
+        code, rep = run_json(["run", "--algebra", "sl3",
+                              "--nilpotent", "2*"], capsys)
+        assert code == 1
+        names = [s["name"] for s in rep["body"]["stages"]]
+        assert names == ["load", "validate", "triple"]
+        assert stage(rep, "triple")["error"] == \
+            "empty basis label in term '2*'"
 
     @pytest.mark.parametrize("nilpotent", ["0*e21", "e21-e21"])
     def test_zero_nilpotent_fails_at_triple_stage(self, nilpotent, capsys):
@@ -906,6 +966,35 @@ class TestVerifyOnce:
         built.clear()
         code, _ = run_cli(["slice", "chart", "--algebra", "sl(2|1)"], capsys)
         assert code == 0 and built == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algebra", "sl(2|1)", "--max-weight", "2"],
+        ["pva", "qcheck", "--algebra", "sl(2|1)"]])
+    def test_one_inversion_of_m_and_no_rank(self, argv, monkeypatch, capsys):
+        # the chart's Poisson structure is the one place that reads M:
+        # it inverts M once, and no stage ranks M (every package module
+        # that holds exact_rank records what it ranks)
+        inverted, ranked = [], []
+        real_inverse, real_rank = slice_module.row_inverse, linalg.exact_rank
+
+        def counted_inverse(rows):
+            inverted.append(rows)
+            return real_inverse(rows)
+
+        def counted_rank(m):
+            ranked.append(m.rows)
+            return real_rank(m)
+
+        monkeypatch.setattr(slice_module, "row_inverse", counted_inverse)
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "superslice" and \
+                    getattr(mod, "exact_rank", None) is real_rank:
+                monkeypatch.setattr(mod, "exact_rank", counted_rank)
+        code, _ = run_cli(argv, capsys)
+        assert code == 0 and len(inverted) == 1
+        n = len(inverted[0])
+        M = [[r.get(c, 0) for c in range(n)] for r in inverted[0]]
+        assert M not in ranked
 
     def test_one_decomposition_per_chart(self, monkeypatch, capsys):
         # the decomposition stage's pieces are the ones gauge_fix reads:

@@ -287,12 +287,12 @@ class TestBRSTComplex:
         assert Q(f) == h * ph
         assert Q(ph).is_zero()  # abelian positive part
 
-    def test_builds_no_poisson_structure(self, tmp_path):
-        # Q reads no bracket: the form is refused from the rank of M
-        # alone, and the chart's Poisson structure is never built
+    def test_builds_no_poisson_table(self, tmp_path):
+        # Q reads no bracket: the chart's Poisson structure inverts M,
+        # which refuses a bad form, and builds no bracket table
         chart = principal_chart(build_sl(2, 1))
         assert brst_complex(chart) is chart.gauge_ce
-        assert "poisson" not in vars(chart)
+        assert "coordinate_table" not in vars(chart.poisson)
         # a formless chart is refused before its derivation is built
         data = algebra_to_json(build_sl(2, 1))
         del data["form"]

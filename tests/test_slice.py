@@ -419,6 +419,13 @@ class TestPoissonAxioms:
             z = osp_chart.ring.gen(pos)
             assert zp.from_poisson_ring(zp.to_poisson_ring(z)) == z
 
+    def test_structure_keeps_no_chart(self, sl21_chart):
+        # a chart -> structure -> chart cycle would keep finished jobs
+        # alive; the structure keeps the chart's ring, not the chart
+        ps = sl21_chart.poisson
+        assert ps.ring is sl21_chart.ring
+        assert all(v is not sl21_chart for v in vars(ps).values())
+
     def test_wrong_ring_rejected(self, osp_chart):
         br = finite_on_chart(osp_chart)
         s = osp_chart.slice_ring.gen(0)
