@@ -26,9 +26,12 @@ Two layers:
   slice generators.
   The arc functor applied to the chart's finite Miura image
   (``SliceChart.miura``) maps the chart's slice ring to its coordinate
-  ring; both are differential, and the coordinate ring carries the
-  chart's one Poisson structure (``SliceChart.poisson``).  The
-  intertwining check takes both of its brackets there.
+  ring.  Each ``DifferentialMorphism`` is one ``superpoly.RingMap``, so
+  every polynomial it maps shares one image check per generator and one
+  memo of products.  Both rings are differential, and the coordinate
+  ring carries the chart's one Poisson structure
+  (``SliceChart.poisson``).  The intertwining check takes both of its
+  brackets there.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .cohomology import (_as_wt2, _JetImages, OddDerivation,
                          kernel_generators, slice_ce_complex,
                          weighted_monomial_counts)
 from .slice import SliceChart
-from .superpoly import (UNIT, PolyRing, SuperPolynomial, _poly,
+from .superpoly import (UNIT, PolyRing, RingMap, SuperPolynomial, _poly,
                         sum_of_products)
 
 
@@ -170,32 +173,26 @@ class BracketOperand:
 
 # -- jet-aware images and morphisms ----------------------------------------
 
-class DifferentialMorphism:
+class DifferentialMorphism(RingMap):
     """Morphism of differential polynomial rings from images of the
-    order-zero generators; jets map to total derivatives of the images,
-    so the morphism commutes with d by construction."""
+    order-zero generators; jets map to total derivatives of the images
+    (``_JetImages``), so the morphism commutes with d by construction.
+    A ``RingMap`` in which no variable passes through unmapped."""
 
     def __init__(self, src: PolyRing, dst: PolyRing,
                  base_images: Mapping[int, SuperPolynomial]):
-        self.src = src
-        self.dst = dst
         for img in base_images.values():
             if img.ring is not dst:
                 raise ValueError("image polynomial in wrong ring")
-        self.images = _JetImages(src, base_images)
+        super().__init__(src, _JetImages(src, base_images), dst)
+
+    def unmapped(self, i: int) -> SuperPolynomial:
+        raise ValueError(f"no image for generator "
+                         f"{self.source.variables[i].name}")
 
     def image(self, i: int) -> SuperPolynomial:
         got = self.images.get(i)
-        if got is None:
-            raise ValueError(f"no image for generator "
-                             f"{self.src.variables[i].name}")
-        return got
-
-    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
-        if p.ring is not self.src:
-            raise ValueError("polynomial is not in the source ring")
-        return p.substitute({i: self.image(i) for i in p.variables_used()},
-                            self.dst)
+        return got if got is not None else self.unmapped(i)
 
 
 # -- the arc gauge complex -------------------------------------------------

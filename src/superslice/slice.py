@@ -22,7 +22,8 @@ from .liealg import (GoodGrading, GradedPiece, LieSuperalgebra, Sl2Triple,
                      dense_to_poly)
 from .linalg import RationalMatrix, exact_rank, row_inverse
 from .supergroup import adjoint_orbit_map, bch_product
-from .superpoly import UNIT, PolyRing, SuperPolynomial, Variable, combine
+from .superpoly import (UNIT, PolyRing, RingMap, SuperPolynomial, Variable,
+                        combine)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -148,8 +149,8 @@ class SliceChart:
                     raise ValueError("point leaves f + g_{>=-1/2}")
             elif not (comp.is_constant() and comp.as_constant() == want):
                 raise ValueError("point leaves f + g_{>=-1/2}")
-        return {lab: self.invariants[lab].substitute(images, ring)
-                for lab in self.inv_order}
+        at = RingMap(self.ring, images, ring)
+        return {lab: at(self.invariants[lab]) for lab in self.inv_order}
 
     def check_homogeneity(self):
         """Each invariant is homogeneous of conformal weight 1 + j for its
@@ -443,9 +444,10 @@ class MiuraImage:
     def __init__(self, chart: SliceChart):
         self.chart = chart
         alg, grading = chart.alg, chart.grading
-        zeros = {pos: 0 for pos, b in enumerate(chart.coord_indices)
-                 if grading.weights2[b] >= 1}
-        self.images = {lab: chart.invariants[lab].evaluate(zeros)
+        at = RingMap(chart.ring, dict.fromkeys(
+            (pos for pos, b in enumerate(chart.coord_indices)
+             if grading.weights2[b] >= 1), chart.ring.zero()))
+        self.images = {lab: at(chart.invariants[lab])
                        for lab in chart.inv_order}
         self.ini_positions = [pos for pos, b in enumerate(chart.coord_indices)
                               if grading.weights2[b] <= 0]
@@ -485,15 +487,15 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     alg = chart.alg
     rng = random.Random(seed)
     even, odd = miura.even_positions, miura.odd_positions
-    zero_odd = dict.fromkeys(odd, 0)
+    zero_odd = RingMap(chart.ring, dict.fromkeys(odd, chart.ring.zero()))
     labels = [[l for l in chart.inv_order if chart.parity_of(l) == par]
               for par in (0, 1)]
     # even block: odd coordinates zeroed once per image, then
     # differentiated; odd block: differentiated, then odd coordinates zeroed
     jacobians = (
         [[img.partial_derivative(pos) for pos in even]
-         for img in (miura.images[l].evaluate(zero_odd) for l in labels[0])],
-        [[miura.images[l].partial_derivative(pos).evaluate(zero_odd)
+         for img in (zero_odd(miura.images[l]) for l in labels[0])],
+        [[zero_odd(miura.images[l].partial_derivative(pos))
           for pos in odd] for l in labels[1]])
     targets = [len(l) for l in labels]
 
@@ -517,12 +519,13 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     ranks = [0, 0]
     done = [not t for t in targets]
     for point in witness_candidates():
+        at = RingMap(chart.ring, {pos: chart.ring.const(v)
+                                  for pos, v in point.items()})
         for blk, name in enumerate(("even", "odd")):
             if done[blk]:
                 continue
-            r = exact_rank(RationalMatrix([
-                [x.evaluate(point).as_constant() for x in row]
-                for row in jacobians[blk]]))
+            r = exact_rank(RationalMatrix([[at(x).as_constant() for x in row]
+                                           for row in jacobians[blk]]))
             ranks[blk] = max(ranks[blk], r)
             if r == targets[blk]:
                 done[blk] = True

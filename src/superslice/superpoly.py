@@ -61,7 +61,9 @@ Poisson bracket of ``pva`` take their products this way, and the
 bracket sums its products with it; ``combine`` sums a whole
 {key: [triples]} table with it, one key at a time; with the unit operand
 ``UNIT``, (c, p, UNIT) is c * p, so series, generator images, Poisson
-tables and points f + sum p v are all summed this way.
+tables and points f + sum p v are all summed this way.  ``RingMap`` is
+the one substitution path; it adds each term's last product of images
+straight into its result with the same kernel.
 
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
@@ -649,87 +651,14 @@ class SuperPolynomial:
 
     def substitute(self, images: Mapping[int, "SuperPolynomial"],
                    target: Optional[PolyRing] = None) -> "SuperPolynomial":
-        """Substitute polynomials for variables.
-
-        ``images`` maps variable indices to polynomials in ``target``
-        (default: this ring).  Unmapped variables must exist in the target
-        ring under the same index when the rings differ; when target is
-        the same ring they're left alone.  Parity of each image must match
-        the variable (odd -> odd-homogeneous, even -> even-homogeneous);
-        this keeps Koszul reordering consistent.
-
-        With no images, when every variable used exists in the target at
-        the same index with the same parity, the result is a copy of the
-        terms over the same denominator (a ring move); otherwise the
-        general path below runs, and raises on a variable the target
-        lacks.
-        """
-        tgt = target if target is not None else self.ring
-        par = self.ring.parities()
-        if not images:
-            tpar = tgt.parities()
-            if all(i < len(tpar) and tpar[i] == par[i]
-                   for i in self.variables_used()):
-                return _poly(tgt, dict(self.terms), self.den)
-        cache: dict[int, tuple[dict, int]] = {}
-
-        def image(i: int) -> tuple[dict, int]:
-            """The image of variable i as (numerators, denominator)."""
-            got = cache.get(i)
-            if got is not None:
-                return got
-            if i in images:
-                p = images[i]
-                if p.ring is not tgt:
-                    raise ValueError("image polynomial in wrong ring")
-                ip = p.parity()
-                if p.is_zero():
-                    pass  # zero is homogeneous of every parity
-                elif ip is None:
-                    raise ValueError("image must be parity homogeneous")
-                elif ip != par[i]:
-                    raise ValueError(
-                        f"parity mismatch substituting variable "
-                        f"{self.ring.variables[i].name}")
-            else:
-                # unmapped variables pass through; extensions keep indices stable
-                p = tgt.gen(i)
-            got = cache[i] = (p.terms, p.den)
-            return got
-
-        masks = tgt.masks()
-        # a term's product of images is the head of its key (the product
-        # for the key without its highest factor) times that factor's
-        # image; heads are memoized as integer numerators over their
-        # denominator, so terms share the products of common factors
-        heads: dict[int, tuple[dict, int]] = {0: ({0: 1}, 1)}
-
-        def split(m: int) -> tuple[tuple[dict, int], tuple[dict, int]]:
-            i = (m.bit_length() - 1) // W
-            return head(m - var_key(i)), image(i)
-
-        def head(m: int) -> tuple[dict, int]:
-            got = heads.get(m)
-            if got is None:
-                (h, dh), (g, dg) = split(m)
-                got = heads[m] = (mul_int_terms(h, g, masks), dh * dg)
-            return got
-
-        # term n * m / den has denominator den * d(m); all terms are
-        # summed over den times the lcm of the d(m)
-        parts = [(n, split(m) if m else (heads[0], heads[0]))
-                 for m, n in self.terms.items()]
-        den = lcm(*[dh * dg for _, ((_, dh), (_, dg)) in parts])
-        out: dict[int, int] = {}
-        for n, ((h, dh), (g, dg)) in parts:
-            add_scaled(out, mul_int_terms(h, g, masks), n * (den // (dh * dg)))
-        return _poly(tgt, *normal_terms(out, den * self.den))
+        """Substitute polynomials for variables (see ``RingMap``)."""
+        return RingMap(self.ring, images, target)(self)
 
     def evaluate(self, values: Mapping[int, Scalar]) -> "SuperPolynomial":
         """Substitute scalars for variables: any for an even variable,
         only zero for an odd one."""
-        imgs = {i: self.ring.const(v) for i, v in values.items()}
-        return self.substitute(imgs)
+        return RingMap(self.ring, {i: self.ring.const(v)
+                                   for i, v in values.items()})(self)
 
     # -- rendering ----------------------------------------------------------
 
@@ -766,6 +695,102 @@ class SuperPolynomial:
 
     def __repr__(self):
         return f"<SuperPolynomial {self.text()}>"
+
+
+class RingMap:
+    """Substitution of polynomials for variables: one map from the
+    polynomials of ``source`` to those of ``target`` (default: source).
+
+    ``images`` maps variable indices to polynomials in the target (read
+    with ``get``).  Unmapped variables must exist in the target ring
+    under the same index when the rings differ; when target is the same
+    ring they're left alone (``unmapped``).  Parity of each image must
+    match the variable (odd -> odd-homogeneous, even -> even-homogeneous);
+    this keeps Koszul reordering consistent.  An image's ring and parity
+    are checked on its first use, against the source parity read then,
+    so a jet added to a ring after the map was built maps as any other.
+
+    With no images, when every variable a polynomial uses exists in the
+    target at the same index with the same parity, its image is a copy
+    of the terms over the same denominator (a ring move); otherwise the
+    general path runs, and raises on a variable the target lacks.
+
+    A term's product of images is the head of its key (the product for
+    the key without its highest factor) times that factor's image.
+    Heads are memoized in ``heads`` as integer numerators over their
+    denominator, one memo for every polynomial the map takes, so terms
+    and polynomials share the products of common factors.  Each term's
+    last product is accumulated straight into the result, pair by pair
+    as in ``sum_of_products``.
+    """
+
+    def __init__(self, source: PolyRing,
+                 images: Mapping[int, SuperPolynomial],
+                 target: Optional[PolyRing] = None):
+        self.source = source
+        self.images = images
+        self.target = target if target is not None else source
+        self._factors: dict[int, tuple[dict, int]] = {}
+        self.heads: dict[int, tuple[dict, int]] = {0: ({0: 1}, 1)}
+
+    def unmapped(self, i: int) -> SuperPolynomial:
+        """The target's variable i, for a variable with no image."""
+        return self.target.gen(i)
+
+    def _factor(self, i: int) -> tuple[dict, int]:
+        """The image of variable i as (numerators, denominator)."""
+        got = self._factors.get(i)
+        if got is not None:
+            return got
+        p = self.images.get(i)
+        if p is None:
+            p = self.unmapped(i)
+        elif p.ring is not self.target:
+            raise ValueError("image polynomial in wrong ring")
+        elif p.terms:  # zero is homogeneous of every parity
+            ip = p.parity()
+            if ip is None:
+                raise ValueError("image must be parity homogeneous")
+            if ip != self.source.parity_of(i):
+                raise ValueError(f"parity mismatch substituting variable "
+                                 f"{self.source.variables[i].name}")
+        got = self._factors[i] = (p.terms, p.den)
+        return got
+
+    def _split(self, m: int):
+        """(head, image of the highest factor) of a nonzero key m."""
+        i = (m.bit_length() - 1) // W
+        return self._head(m - var_key(i)), self._factor(i)
+
+    def _head(self, m: int) -> tuple[dict, int]:
+        got = self.heads.get(m)
+        if got is None:
+            # masks read after the factor, which may have added jets
+            (h, dh), (g, dg) = self._split(m)
+            got = self.heads[m] = (mul_int_terms(h, g, self.target.masks()),
+                                   dh * dg)
+        return got
+
+    def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
+        if p.ring is not self.source:
+            raise ValueError("polynomial is not in the source ring")
+        tgt = self.target
+        if not self.images:
+            par, tpar = self.source.parities(), tgt.parities()
+            if all(i < len(tpar) and tpar[i] == par[i]
+                   for i in p.variables_used()):
+                return _poly(tgt, dict(p.terms), p.den)
+        one = self.heads[0]
+        parts = [(n, self._split(m) if m else (one, one))
+                 for m, n in p.terms.items()]
+        masks = tgt.masks()
+        # term n * m / den has denominator den * d(m); all terms are
+        # summed over den times the lcm of the d(m)
+        den = lcm(*[dh * dg for _, ((_, dh), (_, dg)) in parts])
+        out: dict[int, int] = {}
+        for n, ((h, dh), (g, dg)) in parts:
+            mul_int_terms(h, g, masks, out, n * (den // (dh * dg)))
+        return _poly(tgt, *normal_terms(out, den * p.den))
 
 
 _new = object.__new__

@@ -10,6 +10,7 @@ the report body.
 """
 
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -297,7 +298,7 @@ class TestStageIsolation:
             "chart", "invariance", "miura", "certificate"]
         assert all(s["verdict"] == "pass" for s in rep["body"]["stages"])
 
-    CHAIN = ["load", "validate", "triple", "grading", "decomposition",
+    CHAIN =["load", "validate", "triple", "grading", "decomposition",
              "chart"]
 
     @pytest.mark.parametrize("argv,want", [
@@ -325,6 +326,7 @@ class TestStageIsolation:
         code, rep = run_json(argv + ["--algebra", "sl2"], capsys)
         assert code == 0
         assert [s["name"] for s in rep["body"]["stages"]] == want
+        assert all(s["verdict"] == "pass" for s in rep["body"]["stages"])
 
     def test_run_with_max_weight_appends_arc_stages(self, capsys):
         code, rep = run_json(["run", "--algebra", "sl2",
@@ -333,6 +335,33 @@ class TestStageIsolation:
         names = [s["name"] for s in rep["body"]["stages"]]
         assert names[-4:] == ["cohomology", "pva-qcheck", "pva-h0",
                               "pva-miura"]
+
+    @pytest.mark.parametrize("algebra", ["sl3", "sl(2|1)"])
+    def test_moved_invariant_fails_the_invariance_stage(self, algebra,
+                                                        capsys, monkeypatch):
+        # the first invariant plus the first coordinate, both even, after
+        # the chart stage has checked the chart
+        run_stage = cli._STAGES["invariance"]
+        moved = []
+
+        def perturbed(config, ctx):
+            chart = ctx["chart"] = copy.copy(ctx["chart"])
+            lab = chart.inv_order[0]
+            chart.invariants = dict(chart.invariants)
+            chart.invariants[lab] = chart.invariants[lab] + chart.ring.gen(0)
+            moved.append(lab)
+            return run_stage(config, ctx)
+
+        monkeypatch.setitem(cli._STAGES, "invariance", perturbed)
+        code, rep = run_json(["run", "--algebra", algebra], capsys)
+        assert code == 1
+        assert rep["body"]["verdict"] == "fail"
+        assert [s["name"] for s in rep["body"]["stages"]] == self.CHAIN + [
+            "invariance"]
+        st = stage(rep, "invariance")
+        assert st["verdict"] == "fail"
+        assert st["error"] == "invariants moved under a random gauge"
+        assert st["counterexample"]["invariant"] == moved[0]
 
     def test_bad_grading_fails_at_grading_stage(self, capsys):
         # hand-edited weights that are not additive on the bracket

@@ -578,6 +578,11 @@ class TestGradedMiura:
         for i in (1, src.derivative_index(1)):
             with pytest.raises(ValueError, match="no image for generator"):
                 mor.image(i)
+            with pytest.raises(ValueError, match="no image for generator"):
+                mor(src.gen(0) * src.gen(i))
+        assert mor(src.gen(da) + 1) == x * x.total_derivative() * 2 + 1
+        with pytest.raises(ValueError, match="not in the source ring"):
+            mor(x)
 
     def test_constants_map_to_constants(self, sl2_chart):
         gm = graded_miura(sl2_chart)

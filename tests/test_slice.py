@@ -23,6 +23,7 @@ Oracles used here:
   values.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -318,6 +319,37 @@ class TestSl21:
         assert (cert.odd_rank, cert.odd_target) == (2, 2)
         d = cert.as_dict()
         assert d["verdict"] == "pass" and d["even_rank"] == 2
+
+
+# -- invariance trials catch a moved invariant ----------------------------------
+
+
+def with_coordinate_added(chart, label, pos):
+    """A copy of chart whose invariant at label has the coordinate at
+    pos added; the chart itself is left as it is."""
+    bad = copy.copy(chart)
+    bad.invariants = dict(chart.invariants)
+    bad.invariants[label] = chart.invariants[label] + chart.ring.gen(pos)
+    return bad
+
+
+class TestInvarianceFailure:
+    @pytest.mark.parametrize("name", ["sl3_chart", "sl21_chart"])
+    def test_perturbed_invariant_is_named(self, name, request):
+        # each invariant plus a coordinate of its parity moves under the
+        # first gauge, and the counterexample names that invariant only
+        chart = request.getfixturevalue(name)
+        for lab in chart.inv_order:
+            pos = next(p for p, v in enumerate(chart.ring.variables)
+                       if v.parity == chart.parity_of(lab))
+            ok, bad = verify_invariance(with_coordinate_added(chart, lab, pos),
+                                        trials=3, seed=1)
+            assert not ok
+            assert set(bad) == {"trial", "invariant", "before", "after"}
+            assert (bad["trial"], bad["invariant"]) == (0, lab)
+            assert bad["before"] != bad["after"]
+        ok, bad = verify_invariance(chart, trials=3, seed=1)
+        assert ok and bad is None
 
 
 # -- Poisson axioms on the chart coordinates ------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import substitute_oracle
-from superslice.superpoly import PolyRing, SuperPolynomial, Variable, pack
+from superslice.superpoly import (PolyRing, RingMap, SuperPolynomial, Variable,
+                                  pack)
 
 
 def ring_xts():
@@ -217,8 +218,48 @@ def test_substitute_matches_oracle(data):
     assert list(got.terms.items()) == list(want.terms.items())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_ring_map_matches_oracle(data):
+    # one map, and so one head memo, for several polynomials in turn
+    tgt = data.draw(st.sampled_from([R, T]))
+    images = data.draw(image_maps(R, tgt))
+    ring_map = RingMap(R, images, tgt)
+    for p in data.draw(st.lists(polys(R, max_terms=5, max_exp=3),
+                                min_size=2, max_size=5)):
+        got = ring_map(p)
+        assert got.ring is tgt
+        assert got == substitute_oracle.substitute(p, images, tgt)
+
+
+def test_ring_map_result_is_canonical_when_a_running_sum_cancels():
+    # y -> ab makes the running sum of ab zero on the first pair of
+    # (a + b)^2 that meets it, and the second pair brings it back
+    src = PolyRing([Variable("x", 0), Variable("y", 0)])
+    tgt = PolyRing([Variable("a", 0), Variable("b", 0)])
+    a, b = tgt.gen("a"), tgt.gen("b")
+    x, y = src.gen("x"), src.gen("y")
+    p = -y + x * x  # the y term first
+    images = {0: a + b, 1: a * b}
+    got = RingMap(src, images, tgt)(p)
+    assert got == a * a + a * b + b * b
+    assert got == substitute_oracle.substitute(p, images, tgt)
+
+
+def through_a_shared_map(p, images, target):
+    """p through a RingMap that has already mapped every variable p
+    does not use, so p is the first to use an image of its own."""
+    ring_map = RingMap(p.ring, images, target)
+    used = p.variables_used()
+    for i in range(len(p.ring.variables)):
+        if i not in used:
+            ring_map(p.ring.gen(i))
+    return ring_map(p)
+
+
 @pytest.mark.parametrize("subst", [
     lambda p, imgs, tgt: p.substitute(imgs, tgt),
+    through_a_shared_map,
     substitute_oracle.substitute])
 def test_substitute_errors(subst):
     x, t = R.gen("x"), R.gen("t")
@@ -260,6 +301,41 @@ def test_substitute_without_images_keeps_the_general_path():
     got = (x * x + y).substitute({}, flip)
     assert got.ring is flip and got == flip.gen("y")
     assert got == substitute_oracle.substitute(x * x + y, {}, flip)
+
+
+def test_ring_map_checks_a_bad_image_on_every_use():
+    x, y, t = R.gen("x"), R.gen("y"), R.gen("t")
+    ring_map = RingMap(R, {R.index["t"]: T.gen("u")}, T)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="parity mismatch"):
+            ring_map(x * t)
+        assert ring_map(x * y) == T.gen("x") * T.gen("y")
+    with pytest.raises(ValueError, match="not in the source ring"):
+        ring_map(T.gen("x"))
+
+
+def test_ring_map_maps_a_jet_added_after_it_was_built():
+    # the source's parities are read when an image is first used, and
+    # the target's masks once a polynomial's images are served
+    ring = PolyRing([Variable("x", 0), Variable("t", 1)], differential=True)
+    x, t = ring.gen("x"), ring.gen("t")
+
+    class Served(dict):
+        """Images made on request, as differential morphisms serve
+        jets: t' -> (x t)', which adds the jet x' to the ring."""
+        def get(self, i, default=None):
+            if ring.variables[i].name == "t'":
+                return (x * t).total_derivative()
+            return super().get(i, default)
+
+    ring_map = RingMap(ring, Served({1: x * t}))
+    assert ring_map(x * t) == x * x * t
+    dt = ring.derivative_index(1)  # an odd jet the map has never seen
+    p = ring.gen(dt) * t + x
+    got = ring_map(p)
+    assert "x'" in ring.index
+    assert got == substitute_oracle.substitute(
+        p, {1: x * t, dt: (x * t).total_derivative()})
 
 
 def test_substitute_drops_cancelled_terms():
