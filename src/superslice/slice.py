@@ -55,8 +55,9 @@ class SliceChart:
     invariants[label] is the coefficient of the centralizer basis vector
     with that label after gauging; gauge[label] is the component of the
     gauge group element on the positive basis direction with that label.
-    adjoint_orbit_map(Z, gauge) equals f + sum invariants * basis, and
-    conjugating back by the negated gauge recovers Z exactly.
+    adjoint_orbit_map(Z, gauge) equals f + sum invariants * basis
+    (``round_trip_check``), so conjugating back by the negated gauge
+    recovers Z exactly.
 
     The chart owns two differential rings, built once: ``ring`` on the
     coordinates z_b and ``slice_ring`` on the slice generators s_n.  The
@@ -167,12 +168,20 @@ class SliceChart:
                     f"{Fraction(2 + self.inv_wt2[lab], 2)}")
 
     def round_trip_check(self):
-        """conj(slice point(Z), -gauge) == Z, symbolically."""
+        """conj(Z, gauge) == f + sum invariants * basis, symbolically:
+        the composite gauge element takes the generic point Z onto the
+        slice point.
+
+        This is the round trip read forwards.  ad(gauge) is nilpotent on
+        g_+ tensor the ring, so conj(., -gauge) is the exact inverse of
+        conj(., gauge), and conj(slice point, -gauge) == Z holds exactly
+        when this does.  The series runs on Z, which is linear in the
+        variables, rather than on the gauged point."""
         gauged = affine_point(self.ring, self.triple.f,
                               [(self.inv_vectors[lab], self.invariants[lab])
                                for lab in self.inv_order])
-        neg = {i: -p for i, p in self.gauge_vec.items()}
-        if adjoint_orbit_map(self.alg, gauged, neg) != self.generic_point():
+        if adjoint_orbit_map(self.alg, self.generic_point(),
+                             self.gauge_vec) != gauged:
             raise ValueError("round trip failed")
 
 

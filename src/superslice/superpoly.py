@@ -41,8 +41,8 @@ zero is ({}, 1), so den is the lcm of the reduced coefficient
 denominators and equal polynomials have equal (terms, den).  Fractions
 appear only at the edges: the constructor (which takes int or Fraction
 coefficients), ``PolyRing.const``, scalar ``*`` and ``/``,
-``coefficient``, ``items``, ``constant_term`` and ``text``, which
-renders each n/den reduced.
+``coefficient``, ``items`` and ``constant_term``; ``text`` renders
+each n/den reduced by one integer gcd.
 
 ``mul_int_terms`` is the one product kernel: it multiplies and
 accumulates numerators in Python ints, with a scale factor applied once
@@ -663,34 +663,33 @@ class SuperPolynomial:
     # -- rendering ----------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical deterministic rendering."""
+        """Canonical deterministic rendering: terms by (degree, unpacked
+        key), each coefficient numerator/den reduced by their gcd."""
         if not self.terms:
             return "0"
+        names = [v.name for v in self.ring.variables]
         mono = {m: unpack(m) for m in self.terms}
 
         def key(m):
             return (sum(e for _, e in mono[m]), mono[m])
-        pieces = []
-        for m in sorted(self.terms, key=key):
-            c = Fraction(self.terms[m], self.den)
-            factors = []
-            for i, e in mono[m]:
-                nm = self.ring.variables[i].name
-                factors.append(nm if e == 1 else f"{nm}^{e}")
-            body = "*".join(factors)
-            a = abs(c)
-            if not body:
-                pieces.append((c, _frac_str(a)))
-            elif a == 1:
-                pieces.append((c, body))
-            else:
-                pieces.append((c, f"{_frac_str(a)}*{body}"))
+        den = self.den
         out = []
-        for n, (c, s) in enumerate(pieces):
-            if n == 0:
-                out.append(("-" if c < 0 else "") + s)
+        for m in sorted(self.terms, key=key):
+            n = self.terms[m]
+            a = abs(n)
+            body = "*".join(names[i] if e == 1 else f"{names[i]}^{e}"
+                            for i, e in mono[m])
+            if body and a == den:
+                s = body
             else:
-                out.append((" - " if c < 0 else " + ") + s)
+                g = gcd(a, den)
+                s = str(a // g) if g == den else f"{a // g}/{den // g}"
+                if body:
+                    s = f"{s}*{body}"
+            if out:
+                out.append((" - " if n < 0 else " + ") + s)
+            else:
+                out.append(("-" if n < 0 else "") + s)
         return "".join(out)
 
     def __repr__(self):
@@ -717,11 +716,17 @@ class RingMap:
 
     A term's product of images is the head of its key (the product for
     the key without its highest factor) times that factor's image.
-    Heads are memoized in ``heads`` as integer numerators over their
-    denominator, one memo for every polynomial the map takes, so terms
-    and polynomials share the products of common factors.  Each term's
-    last product is accumulated straight into the result, pair by pair
-    as in ``sum_of_products``.
+    Heads are memoized in ``heads`` as (s, terms, den), the polynomial
+    s * terms / den with s an int scalar, one memo for every polynomial
+    the map takes, so terms and polynomials share the products of
+    common factors.  A factor whose image is a constant {0: c} over dg
+    multiplies s by c and den by dg and shares the head's terms: it
+    takes no product and builds no dict, so a point of constants (a
+    trial point) costs one int product per head.  Each term's last
+    product is accumulated straight into the result, pair by pair as in
+    ``sum_of_products``, its scale s * n * (D / den) applied once.
+    Scaling by a nonzero int keeps every zero test, so the result has
+    the keys, in the order, of the products taken unscaled.
     """
 
     def __init__(self, source: PolyRing,
@@ -731,7 +736,7 @@ class RingMap:
         self.images = images
         self.target = target if target is not None else source
         self._factors: dict[int, tuple[dict, int]] = {}
-        self.heads: dict[int, tuple[dict, int]] = {0: ({0: 1}, 1)}
+        self.heads: dict[int, tuple[int, dict, int]] = {0: (1, {0: 1}, 1)}
 
     def unmapped(self, i: int) -> SuperPolynomial:
         """The target's variable i, for a variable with no image."""
@@ -762,13 +767,16 @@ class RingMap:
         i = (m.bit_length() - 1) // W
         return self._head(m - var_key(i)), self._factor(i)
 
-    def _head(self, m: int) -> tuple[dict, int]:
+    def _head(self, m: int) -> tuple[int, dict, int]:
         got = self.heads.get(m)
         if got is None:
-            # masks read after the factor, which may have added jets
-            (h, dh), (g, dg) = self._split(m)
-            got = self.heads[m] = (mul_int_terms(h, g, self.target.masks()),
-                                   dh * dg)
+            (s, h, dh), (g, dg) = self._split(m)
+            if len(g) == 1 and 0 in g:
+                got = (s * g[0], h, dh * dg)
+            else:
+                # masks read after the factor, which may have added jets
+                got = (s, mul_int_terms(h, g, self.target.masks()), dh * dg)
+            self.heads[m] = got
         return got
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
@@ -780,16 +788,16 @@ class RingMap:
             if all(i < len(tpar) and tpar[i] == par[i]
                    for i in p.variables_used()):
                 return _poly(tgt, dict(p.terms), p.den)
-        one = self.heads[0]
-        parts = [(n, self._split(m) if m else (one, one))
+        one = (self.heads[0], UNIT)
+        parts = [(n, self._split(m) if m else one)
                  for m, n in p.terms.items()]
         masks = tgt.masks()
         # term n * m / den has denominator den * d(m); all terms are
         # summed over den times the lcm of the d(m)
-        den = lcm(*[dh * dg for _, ((_, dh), (_, dg)) in parts])
+        den = lcm(*[dh * dg for _, ((_, _, dh), (_, dg)) in parts])
         out: dict[int, int] = {}
-        for n, ((h, dh), (g, dg)) in parts:
-            mul_int_terms(h, g, masks, out, n * (den // (dh * dg)))
+        for n, ((s, h, dh), (g, dg)) in parts:
+            mul_int_terms(h, g, masks, out, s * n * (den // (dh * dg)))
         return _poly(tgt, *normal_terms(out, den * p.den))
 
 
@@ -804,7 +812,3 @@ def _poly(ring: PolyRing, terms: dict, den: int) -> SuperPolynomial:
     p.terms = terms
     p.den = den
     return p
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"

@@ -298,7 +298,7 @@ class TestStageIsolation:
             "chart", "invariance", "miura", "certificate"]
         assert all(s["verdict"] == "pass" for s in rep["body"]["stages"])
 
-    CHAIN =["load", "validate", "triple", "grading", "decomposition",
+    CHAIN = ["load", "validate", "triple", "grading", "decomposition",
              "chart"]
 
     @pytest.mark.parametrize("argv,want", [

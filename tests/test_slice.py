@@ -352,6 +352,26 @@ class TestInvarianceFailure:
         assert ok and bad is None
 
 
+# -- the round trip catches a wrong gauge ---------------------------------------
+
+
+class TestRoundTripFailure:
+    @pytest.mark.parametrize("name", ["sl3", "sl(2|1)", "osp12", "sl4"])
+    def test_doubled_gauge_component_fails(self, name):
+        # N acts freely on f + g_{>=-1/2} (N x S = f + g_{>=-1/2}), so no
+        # other gauge element takes the generic point onto the slice
+        chart = chart_for(name)
+        chart.round_trip_check()
+        doubled = [i for i, p in chart.gauge_vec.items() if not p.is_zero()]
+        assert doubled
+        for i in doubled:
+            bad = copy.copy(chart)
+            bad.gauge_vec = dict(chart.gauge_vec)
+            bad.gauge_vec[i] = 2 * chart.gauge_vec[i]
+            with pytest.raises(ValueError, match="round trip failed"):
+                bad.round_trip_check()
+
+
 # -- Poisson axioms on the chart coordinates ------------------------------------
 
 

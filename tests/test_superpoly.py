@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import substitute_oracle
+import text_oracle
 from superslice.superpoly import (PolyRing, RingMap, SuperPolynomial, Variable,
                                   pack)
 
@@ -122,6 +123,40 @@ def test_text_deterministic():
     assert p.text() == "-2 + x*y + x^2"
 
 
+# unit coefficients, integers and reduced fractions
+TEXT_COEFFS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polynomials on x, y (even) and t, s (odd) with a constant term
+    and terms whose even exponents reach 4, over mixed denominators."""
+    terms = {0: draw(TEXT_COEFFS)}
+    for _ in range(draw(st.integers(1, 6))):
+        es = [draw(st.integers(0, 4)), draw(st.integers(0, 4)),
+              draw(st.integers(0, 1)), draw(st.integers(0, 1))]
+        terms[pack((i, e) for i, e in enumerate(es) if e)] = \
+            draw(TEXT_COEFFS)
+    return SuperPolynomial(ring_xts(), terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_polys())
+def test_text_matches_fraction_rendering(p):
+    for q in (p, -p, p / 6):
+        assert q.text() == text_oracle.text(q)
+
+
+def test_text_fixed_mixed_parity():
+    r = ring_xts()
+    x, y, t, s = (r.gen(v) for v in "xyts")
+    p = Fraction(-3, 4) + x * x * t - Fraction(2, 3) * y ** 3 * t * s - s
+    assert p.text() == text_oracle.text(p) \
+        == "-3/4 - s + x^2*t - 2/3*y^3*t*s"
+
+
 # -- property tests ---------------------------------------------------------
 
 def polys(r, max_terms=4, max_exp=2):
@@ -230,6 +265,28 @@ def test_shared_ring_map_matches_oracle(data):
         got = ring_map(p)
         assert got.ring is tgt
         assert got == substitute_oracle.substitute(p, images, tgt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_ring_map_folds_constant_images(data):
+    # x -> a constant, t -> 0, y and s -> polynomials, in one map: a
+    # head times x's image scales the head and shares its terms
+    tgt = data.draw(st.sampled_from([R, T]))
+    c = data.draw(st.fractions(min_value=-4, max_value=4,
+                               max_denominator=6).filter(bool))
+    images = {0: tgt.const(c), 1: data.draw(polys(tgt)).parity_split()[0],
+              2: tgt.zero(), 3: data.draw(polys(tgt)).parity_split()[1]}
+    ring_map = RingMap(R, images, tgt)
+    for p in data.draw(st.lists(polys(R, max_terms=5, max_exp=3),
+                                min_size=2, max_size=5)):
+        got = ring_map(p)
+        want = substitute_oracle.substitute(p, images, tgt)
+        assert got.ring is tgt
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.den == want.den
+    ring_map(R.gen("x") ** 3)
+    assert ring_map.heads[pack([(0, 2)])][1] is ring_map.heads[0][1]
 
 
 def test_ring_map_result_is_canonical_when_a_running_sum_cancels():
