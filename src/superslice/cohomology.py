@@ -15,14 +15,19 @@ series of brackets, see supergroup), or the gauge action R(v_a)(Z) =
 [Z, v_a] on the coordinates of f + g_{>=-1/2}.  str^c_{ab} are the
 structure constants of the acting algebra.  One routine, _ce_images,
 builds these generator images for all three complexes; _gauge_ce builds
-the gauge complex's ring and images.  The ghost must multiply from the
-left: only then does the Leibniz extension of the generator images
-reproduce sum_a ph^a . R(v_a)(.) on the whole ring (R(v_a) is a
-superderivation of parity |v_a|, and moving ph^a in from the right
-would cost monomial-dependent signs).  differential builds every
-derivation, jets served by _JetImages, and checks d^2 on the order-zero
-generators: an odd derivation commuting with the total derivative
-squares to an even one that does too, so that is d^2 = 0 everywhere.
+the gauge complex's ring and images.  OddDerivation applies d to a
+polynomial p as sum_i d(x_i) . d_i p, left partials d_i, the one
+Leibniz rule of the package (superpoly.total_derivative and the rows
+of pva.ArcBracket take theirs the same way); every image has the
+parity opposite to its generator, which OddDerivation checks.  The
+ghost must multiply from the left: only then does the Leibniz extension
+of the generator images reproduce sum_a ph^a . R(v_a)(.) on the whole
+ring (R(v_a) is a superderivation of parity |v_a|, and moving ph^a in
+from the right would cost monomial-dependent signs).  differential
+builds every derivation, jets served by _JetImages, and checks d^2 on
+the order-zero generators: an odd derivation commuting with the total
+derivative squares to an even one that does too, so that is d^2 = 0
+everywhere.
 The chart squares its gauge derivation once (SliceChart.gauge_ce): d
 of the slice complex, Q of the arc complex (pva.brst_complex).
 
@@ -60,97 +65,64 @@ which no stage calls.  d^2 = 0 is checked on every complex.
 Monomial keys hold exponents up to superpoly.EMAX = 127, and
 GradedComplex refuses a deeper truncation at construction
 (check_exponent_limit, OverflowError).  The reference ranks run in
-Python ints: OddDerivation puts all images over one denominator,
-GradedComplex.d_matrix reads a block's rows straight from those, and
-linalg.row_rank eliminates them fraction-free.
+Python ints: GradedComplex.d_matrix reads each row from the numerators
+of d(m) for a basis monomial m, and linalg.row_rank eliminates them
+fraction-free.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from .liealg import GoodGrading, LieSuperalgebra
 from .linalg import row_rank
 from .supergroup import regular_representation
 from .superpoly import (EMAX, PolyRing, SuperPolynomial, Variable, _poly,
-                        add_scaled, combine, lowest_variable, mul_int_terms,
-                        normal_terms, var_key)
+                        combine, lowest_variable, sum_of_products, var_key)
 
 
 class OddDerivation:
     """Extension of generator images to an odd derivation of the whole ring.
 
-    Calling it maps a polynomial to its image.  Missing generators map to
-    zero; all Koszul signs come from the ring's product plus the single
-    crossing sign for moving d past the leading factor.
-
-    Everything inside runs in Python ints over one denominator ``den``,
-    the lcm of the denominators of ``images.values()``.  The images may
-    be a lazy table whose ``get`` serves more generators than its
-    ``values()`` lists, as ``_JetImages`` serves jets; every image is
-    checked to have a denominator dividing ``den`` (``den %
-    img.den``) and the derivation raises ``ValueError`` if one does not,
-    so no numerator is ever floored.  ``mono(m)`` is den * d(m) for a
-    monomial key m with coefficient 1, as a cached {monomial: int} dict,
-    split off at the lowest variable of m; a polynomial's image is the
-    sum of its numerators times those, over p.den * den, made canonical
-    once at the end.
+    Calling it maps a polynomial p to d(p) = sum_i d(x_i) . d_i p over
+    the variables of p, with left partial derivatives d_i, summed by one
+    ``superpoly.sum_of_products`` (as ``total_derivative`` sums its
+    even derivation); missing generators map to zero.  This is the left
+    Leibniz rule d(ab) = d(a) b + (-1)^{|a|} a d(b) exactly when each
+    image d(x_i) is zero or of parity |x_i| + 1, which ``_image`` checks
+    once per generator, on its first use, raising ``ValueError`` naming
+    the generator otherwise.  The images may be a lazy table whose
+    ``get`` serves more generators than it was built with, as
+    ``_JetImages`` serves jets; each image keeps its own denominator.
     """
 
     def __init__(self, ring: PolyRing, images: Mapping[int, SuperPolynomial]):
         self.ring = ring
         self.images = images
-        self.den = lcm(*(img.den for img in images.values()))
-        self._gens: dict[int, dict] = {}
-        self._monos: dict[int, dict] = {}
+        self._checked: dict[int, SuperPolynomial] = {}
 
-    def _generator(self, j: int) -> dict:
-        """den * d(x_j) as {monomial: int} (do not modify)."""
-        got = self._gens.get(j)
+    def _image(self, i: int) -> SuperPolynomial:
+        """d(x_i), zero if it has no image, its parity checked."""
+        got = self._checked.get(i)
         if got is None:
-            img = self.images.get(j)
-            got = {}
-            if img is not None and img.terms:
-                if self.den % img.den:
-                    raise ValueError(
-                        f"image of {self.ring.variables[j].name} has "
-                        f"denominator {img.den}, which does not "
-                        f"divide {self.den}")
-                s = self.den // img.den
-                got = img.terms if s == 1 else \
-                    {m: n * s for m, n in img.terms.items()}
-            self._gens[j] = got
-        return got
-
-    def mono(self, mono: int) -> dict:
-        """den * d(mono) for a monomial key with coefficient 1, as
-        {monomial: int} without zero entries (cached; do not modify)."""
-        if not mono:
-            return {}
-        got = self._monos.get(mono)
-        if got is not None:
-            return got
-        j = lowest_variable(mono)
-        unit = var_key(j)
-        rest = mono - unit
-        # d(x_j rest) = d(x_j) rest + (-1)^{|x_j|} x_j d(rest)
-        head = self._generator(j)
-        tail = self.mono(rest)
-        masks = self.ring.masks()
-        got = mul_int_terms(head, {rest: 1}, masks)
-        mul_int_terms({unit: -1 if self.ring.parity_of(j) else 1}, tail,
-                      masks, got)
-        self._monos[mono] = got
+            got = self.images.get(i)
+            if got is None:
+                got = self.ring.zero()
+            elif got.terms and got.parity() != 1 - self.ring.parity_of(i):
+                name = self.ring.variables[i].name
+                raise ValueError(f"image of {name} must have the parity "
+                                 f"opposite to {name}")
+            self._checked[i] = got
         return got
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
-        acc: dict[int, int] = {}
-        for mono, n in p.terms.items():
-            add_scaled(acc, self.mono(mono), n)  # n times den * d(mono)
-        return _poly(self.ring, *normal_terms(acc, p.den * self.den))
+        ring = self.ring
+        images = [(i, self._image(i)) for i in sorted(p.variables_used())]
+        triples = [(1, img, p.partial_derivative(i))
+                   for i, img in images if img.terms]
+        return _poly(ring, *sum_of_products(triples, ring.masks()))
 
 
 class _JetImages:
@@ -158,18 +130,13 @@ class _JetImages:
     derivation from ``differential``, a ``pva.DifferentialMorphism``):
     the image of a jet is the jet of the image of its base generator,
     computed once and cached, each jet as the total derivative of the
-    one below, so serving jets 1..K takes K derivatives.  Total
-    derivatives multiply coefficients by integers only, so every jet
-    image has denominators dividing the lcm of those of ``values()``,
-    the base images (OddDerivation checks this on each image served)."""
+    one below, so serving jets 1..K takes K derivatives.  A jet image
+    has the parity of its base image."""
 
     def __init__(self, ring: PolyRing, base: Mapping[int, SuperPolynomial]):
         self.ring = ring
         self.base = dict(base)
         self.cache = dict(base)
-
-    def values(self):  # the base images; get serves the jets too
-        return self.base.values()
 
     def get(self, j: int, default=None):
         got = self.cache.get(j)
@@ -245,10 +212,10 @@ class GradedComplex:
     weight n2 as its basis, in a fixed enumeration order (``_monomials``);
     ``max_degree`` reads a weight's highest ghost degree from a knapsack
     instead.  ``d_matrix`` gives d on a block as sparse integer rows,
-    one per source monomial (the transpose of the matrix of d over its
-    one denominator), the rank reference of the module docstring; ranks
-    are taken on those rows and cached, since H^k and H^{k+1} both need
-    the rank of d on block k.
+    one per source monomial (the transpose of the matrix of d, each row
+    over its own denominator), the rank reference of the module
+    docstring; ranks are taken on those rows and cached, since H^k and
+    H^{k+1} both need the rank of d on block k.
     """
 
     def __init__(self, d: OddDerivation, module_positions: Sequence[int],
@@ -337,17 +304,18 @@ class GradedComplex:
 
     def d_matrix(self, k: int, n2: int) -> list[dict]:
         """The transpose of the matrix of d from block (k, n2) to block
-        (k+1, n2) times the derivation's one denominator ``d.den``, as
-        sparse integer rows: row i is den * d(m) for the i-th basis
-        monomial m of block (k, n2), as {index in the basis of block
-        (k+1, n2): int} ({} for a cocycle).  Rows are not made
-        primitive: ``linalg.row_rank`` divides out contents as it
-        eliminates."""
+        (k+1, n2), as sparse integer rows: row i holds the numerators of
+        d(m) for the i-th basis monomial m of block (k, n2), as {index in
+        the basis of block (k+1, n2): int} ({} for a cocycle), so row i
+        over d(m).den is d(m).  Scaling a row by its denominator keeps
+        the rank; rows are not made primitive: ``linalg.row_rank``
+        divides out contents as it eliminates."""
+        ring = self.ring
         where = {m: t for t, m in enumerate(self.block_basis(k + 1, n2))}
         rows = []
         for m in self.block_basis(k, n2):
             row = {}
-            for mm, x in self.d.mono(m).items():
+            for mm, x in self.d(_poly(ring, {m: 1}, 1)).terms.items():
                 t = where.get(mm)
                 if t is None:
                     raise ValueError("differential left its weight block")

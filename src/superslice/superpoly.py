@@ -56,9 +56,11 @@ products and for linear combinations: it takes sum n * a * b over many
 over the lcm D of the products' denominators (a.den * b.den times n's),
 each product scaled by n's numerator times D over its own denominator;
 the result is made canonical once, by one gcd over its numerators
-(``normal_terms``).  ``*``, ``total_derivative`` and the rows of the
-Poisson bracket of ``pva`` take their products this way, and the
-bracket sums its products with it; ``combine`` sums a whole
+(``normal_terms``).  ``*`` takes its product this way, and so does every
+derivation, as sum_i D(x_i) * d_i p over the variables of p with left
+partials d_i: ``total_derivative``, ``cohomology.OddDerivation`` and the
+rows of the Poisson bracket of ``pva``, which sums its products with it
+too; ``combine`` sums a whole
 {key: [triples]} table with it, one key at a time; with the unit operand
 ``UNIT``, (c, p, UNIT) is c * p, so series, generator images, Poisson
 tables and points f + sum p v are all summed this way.  ``RingMap`` is

@@ -2,7 +2,7 @@
 numerator kernel and the (terms, den) polynomials of superslice.superpoly.
 
 This is the package's former implementation of ``mul_monomials``,
-``mul_terms``, ``sum_of_products``, ``substitute``, ``text`` and
+``mul_terms``, ``sum_of_products``, ``substitute`` and
 ``LieSuperalgebra.bracket_poly``, when a polynomial stored one Fraction
 per term: every coefficient pair is multiplied and summed as Fractions,
 one gcd per operation, and every monomial pair is merged by counting
@@ -118,34 +118,6 @@ def substitute(terms, images, parities):
                                 parities)
         triples.append((c, acc, {(): ONE}))
     return sum_of_products(triples, parities)
-
-
-def text(ring, terms):
-    """The rendering of a term dict on ring: terms sorted by (degree,
-    monomial), each coefficient as a reduced n/d with its sign."""
-    if not terms:
-        return "0"
-    pieces = []
-    for m in sorted(terms, key=lambda m: (sum(e for _, e in m), m)):
-        c = terms[m]
-        body = "*".join(ring.variables[i].name + ("" if e == 1 else f"^{e}")
-                        for i, e in m)
-        a = abs(c)
-        s = str(a.numerator) if a.denominator == 1 \
-            else f"{a.numerator}/{a.denominator}"
-        if not body:
-            pieces.append((c, s))
-        elif a == 1:
-            pieces.append((c, body))
-        else:
-            pieces.append((c, f"{s}*{body}"))
-    out = []
-    for n, (c, s) in enumerate(pieces):
-        if n == 0:
-            out.append(("-" if c < 0 else "") + s)
-        else:
-            out.append((" - " if c < 0 else " + ") + s)
-    return "".join(out)
 
 
 def fractions(p):

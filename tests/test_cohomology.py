@@ -89,9 +89,19 @@ class TestRegular:
         assert cx.block_basis(1, -2) == [pack(((1, 1),))]
         x, ph = cx.ring.gen(0), cx.ring.gen(1)
         assert cx.d(x * x) == x * ph * 2  # d(x^2) = 2 x ph
-        # the transpose as integer rows den * d(m): one source, one target
-        assert cx.d.den == 1
+        # the transpose as integer rows: one source, one target
         assert cx.d_matrix(0, -4) == [{0: 2}]
+        # on every block, row i over d(m).den is d(m) for the i-th
+        # source m, entry for entry
+        for n2 in range(0, -7, -1):
+            for k in range(cx.max_degree(n2) + 1):
+                targets = cx.block_basis(k + 1, n2)
+                rows = cx.d_matrix(k, n2)
+                assert len(rows) == cx.block_dim(k, n2)
+                for m, row in zip(cx.block_basis(k, n2), rows):
+                    dm = cx.d(SuperPolynomial(cx.ring, {m: 1}))
+                    assert {targets[t]: Fraction(x, dm.den)
+                            for t, x in row.items()} == dict(dm.items())
 
     def test_sl2_point_cohomology(self, sl2_data):
         alg, triple, grading = sl2_data
@@ -389,44 +399,41 @@ class TestIntegerRows:
     def test_rows_are_exact_images(self, sl21_data):
         alg, triple, grading = sl21_data
         cx = slice_ce_complex(make_chart(alg, triple, grading), max_weight=4)
-        den = cx.d.den
         for k in range(3):
             rows = cx.d_matrix(k, 6)
             dense = dense_d_rows(cx, k, 6)
             assert len(rows) == len(dense) == cx.block_dim(k, 6)
-            for row, want in zip(rows, dense):
+            for m, row, want in zip(cx.block_basis(k, 6), rows, dense):
                 assert all(isinstance(x, int) for x in row.values())
-                # row = den * d(m), entry for entry
+                # row = d(m).den * d(m), entry for entry
+                den = cx.d(SuperPolynomial(cx.ring, {m: 1})).den
                 assert row == {t: den * c for t, c in enumerate(want) if c}
 
 
-class TestOneDenominator:
-    def test_lazy_image_outside_the_denominator_raises(self):
-        # values() lists d(x) = 2 th over the denominator 1; get also
-        # serves d(y) = th / 3, the way cohomology._JetImages serves jets
+class TestLazyImages:
+    def test_lazy_image_with_a_new_denominator_is_exact(self):
+        # the table was built with d(x) = 2 th over the denominator 1; get
+        # also serves d(y) = th / 3, the way cohomology._JetImages serves
+        # jets, and each image is applied over its own denominator
         ring = PolyRing([Variable("x", 0, wt2=2), Variable("y", 0, wt2=2),
                          Variable("th", 1, wt2=2)])
-        th = ring.gen(2)
+        x, y, th = ring.gen(0), ring.gen(1), ring.gen(2)
 
         class LazyTable:
             base = {0: th * 2}
-
-            def values(self):
-                return self.base.values()
 
             def get(self, j, default=None):
                 return th * Fraction(1, 3) if j == 1 else \
                     self.base.get(j, default)
 
         d = OddDerivation(ring, LazyTable())
-        assert d.den == 1
-        assert d(ring.gen(0)) == th * 2
-        with pytest.raises(ValueError, match="denominator 3"):
-            d(ring.gen(1))
-        with pytest.raises(ValueError, match="denominator 3"):
-            d(ring.gen(0) * ring.gen(1))
+        assert d(x) == th * 2
+        assert d(y) == th * Fraction(1, 3)
+        # d(x y^2 / 2) = th y^2 + x y th / 3
+        assert d(x * y * y / 2) == th * y * y + x * y * th / 3
+        assert d(th).is_zero()
 
-    def test_jet_images_share_the_denominator(self, sl2_data):
+    def test_second_jet_is_the_total_derivative_twice(self, sl2_data):
         alg, triple, grading = sl2_data
         Q = brst_complex(make_chart(alg, triple, grading))
         ring = Q.ring
@@ -434,8 +441,8 @@ class TestOneDenominator:
         got = Q(ring.gen(jet))
         want = Q(ring.gen(0)).total_derivative().total_derivative()
         assert got == want
-        assert all(Q.den % c.denominator == 0
-                   for _, c in got.items())
+        # total derivatives scale coefficients by integers only
+        assert Q(ring.gen(0)).den % got.den == 0
 
 
 # -- the closed form from delta and the block enumerator -----------------------
@@ -611,8 +618,11 @@ class TestKoszulCertificate:
                                match="image of x is not of Koszul shape"):
                 read(cx)
         assert d_matrix_calls == []
-        table = full_rank_table(cx)
-        assert table[(0, 0)] == 1 and table[(0, 1)] == 0
+        # and so does the rank path: an odd derivation maps the even x
+        # to an odd image
+        with pytest.raises(ValueError, match="image of x must have the "
+                                             "parity opposite to x"):
+            full_rank_table(cx)
 
     @pytest.mark.parametrize("images", [
         # a degree-1 term on a module variable: d(t) = x

@@ -3,9 +3,10 @@ oracles.
 
 A polynomial is integer numerators over one positive denominator, in
 canonical form.  Products, ``sum_of_products``, ``combine``,
-``substitute``, ``text`` and ``OddDerivation`` are compared with the
-Fraction kernel in tests/fraction_kernel_oracle.py (the package's former
-implementation, one Fraction per term), on operands with mixed
+``substitute`` and ``OddDerivation`` are compared with the Fraction
+kernel in tests/fraction_kernel_oracle.py (the package's former
+implementation, one Fraction per term), and ``text`` with the Fraction
+rendering in tests/text_oracle.py, on operands with mixed
 denominators, Fraction multipliers and sums that cancel to zero: the
 same coefficients, products with their items in the same order, and
 every result canonical (no zero numerator, the numerators coprime to the
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_kernel_oracle as oracle
+import text_oracle
 import tuple_merge_oracle
 from dense_oracles import bareiss_rank, dense_rref
 from superslice.cohomology import GradedComplex, OddDerivation, differential
@@ -342,10 +344,11 @@ class TestCanonicalForm:
     @settings(max_examples=100, deadline=None)
     @given(term_dicts(min_size=1), term_dicts(min_size=1))
     def test_text_matches_oracle_rendering(self, a, b):
-        # the oracle renders its own Fraction product, byte for byte
+        # the Fraction rendering of the oracle's product, byte for byte
         want = oracle.mul_terms(tupled(a), tupled(b), RPAR)
-        assert (P(RING, a) * P(RING, b)).text() == oracle.text(RING, want)
-        assert P(RING, a).text() == oracle.text(RING, tupled(a))
+        assert (P(RING, a) * P(RING, b)).text() == \
+            text_oracle.text(P(RING, packed(want)))
+        assert P(RING, a).text() == text_oracle.text(P(RING, a))
 
 
 # -- the scaled add that replaces a product with a constant operand ----------
@@ -440,43 +443,63 @@ def oracle_derivation(terms, images, parities):
         [(c, d_mono(m), {(): ONE}) for m, c in terms.items()], parities)
 
 
+@st.composite
+def derivation_images(draw):
+    """Images of a random subset of RING's variables for an odd
+    derivation: polynomials of the variable's opposite parity, with mixed
+    denominators, zero included."""
+    images = {}
+    for i, par in enumerate(RPAR):
+        if draw(st.booleans()):
+            images[i] = P(RING, draw(term_dicts())).parity_split()[1 - par]
+    return images
+
+
 class TestOddDerivation:
-    @settings(max_examples=100, deadline=None)
-    @given(term_dicts(), image_maps(), st.sampled_from(sorted(RING.index)),
+    @settings(max_examples=150, deadline=None)
+    @given(term_dicts(), derivation_images(),
+           st.sampled_from(sorted(RING.index)), term_dicts(),
            st.sampled_from([1, 2, 3, 5, 6, 7]))
-    def test_matches_oracle_and_checks_the_denominator(self, a, images,
-                                                       extra, d):
-        # values() lists the drawn images; get also serves the variable
-        # extra (when it has no image) with the image x_extra / d, which
-        # divides the common denominator or not
+    def test_matches_oracle(self, a, images, extra, lazy_terms, d):
+        # the table's get also serves the variable extra, when it has no
+        # drawn image, with an image of the opposite parity over a further
+        # denominator d, the way cohomology._JetImages serves jets
         j = RING.index[extra]
-        lazy = RING.gen(j) / d
+        lazy = P(RING, lazy_terms).parity_split()[1 - RPAR[j]] / d
 
         class LazyTable:
-            def values(self):
-                return images.values()
-
             def get(self, i, default=None):
                 if i == j and i not in images:
                     return lazy
                 return images.get(i, default)
 
-        der = OddDerivation(RING, LazyTable())
         served = dict(images)
         served.setdefault(j, lazy)
-        p = P(RING, a)
-        if j not in images and der.den % d and j in p.variables_used():
-            with pytest.raises(ValueError, match=f"denominator {d}"):
-                der(p)
-            return
-        got = der(p)
-        if j not in images and der.den % d:
-            return  # x_j does not occur in p: its image is never read
+        got = OddDerivation(RING, LazyTable())(P(RING, a))
         assert_canonical(got)
         want = oracle_derivation(
             tupled(a), {i: oracle.fractions(q) for i, q in served.items()},
             RPAR)
         assert rationals(got) == packed(want)
+
+    @pytest.mark.parametrize("var,image", [
+        ("x", lambda x, t, y, s: y * 2),
+        ("t", lambda x, t, y, s: s / 3),
+        ("x", lambda x, t, y, s: t + x * y),
+        ("s", lambda x, t, y, s: x * y + t / 2)],
+        ids=["even-to-even", "odd-to-odd", "even-to-mixed", "odd-to-mixed"])
+    def test_wrong_parity_image_raises(self, var, image):
+        # checked on the first polynomial that holds the variable: one
+        # without it is mapped, and a zero image is allowed
+        j = RING.index[var]
+        gens = [RING.gen(i) for i in range(len(RPAR))]
+        other = next(i for i in range(len(RPAR)) if i != j)
+        d = OddDerivation(RING, {j: image(*gens), other: RING.zero()})
+        assert d(gens[other] * gens[other]).is_zero()
+        with pytest.raises(ValueError, match=f"image of {var} must have "
+                                             f"the parity opposite"):
+            d(gens[j] + gens[other])
+
 
 # -- packed keys against the tuple merge ------------------------------------
 

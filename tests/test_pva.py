@@ -490,18 +490,18 @@ class TestTruncatedH0:
                                                            monkeypatch):
         # weight 128 needs z_h1^128; the chart's Q was built and squared
         # with sl2_Q, and the truncation is refused before Q is applied
-        # to any jet
-        served = []
-        real = cohomology.OddDerivation.mono
+        # to anything
+        applied = []
+        real = cohomology.OddDerivation.__call__
 
-        def counted(self, mono):
-            served.append(mono)
-            return real(self, mono)
+        def counted(self, p):
+            applied.append(p)
+            return real(self, p)
 
-        monkeypatch.setattr(cohomology.OddDerivation, "mono", counted)
+        monkeypatch.setattr(cohomology.OddDerivation, "__call__", counted)
         with pytest.raises(OverflowError, match="exponent limit 127"):
             h0_truncated(sl2_chart, 128)
-        assert served == []
+        assert applied == []
         monkeypatch.undo()
         h0 = h0_truncated(sl2_chart, 3)
         assert h0.consistent(h0.dimensions())
