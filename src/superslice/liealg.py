@@ -32,7 +32,8 @@ Vectors come in two flavors: dense lists of Fractions, one entry per
 basis element (``bracket_num``), and sparse dicts
 mapping basis index -> SuperPolynomial for symbolic points
 (``bracket_poly``).  The bracket on polynomial vectors applies the
-Koszul rule [a x, b y] = (-1)^{|x||b|} a b [x, y].
+Koszul rule [a x, b y] = (-1)^{|x||b|} a b [x, y], each component as
+one ``superpoly.sum_of_products`` over the integer table.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .linalg import (RationalMatrix, _reduced, row_inverse, row_nullspace,
                      row_rank, row_solve)
-from .superpoly import (PolyRing, SuperPolynomial, _as_fraction, _poly,
-                        add_scaled, common_denominator, key_parity,
-                        mul_int_terms, normal_terms, numerators)
+from .superpoly import (IntTerms, PolyRing, SuperPolynomial, _as_fraction,
+                        combine, common_denominator, key_parity,
+                        numerators)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -295,18 +295,14 @@ class LieSuperalgebra:
         """Bracket of polynomial-coefficient vectors with the Koszul rule
         [a x_i, b x_j] = a ((-1)^{|x_i||b|} b) [x_i, x_j].
 
-        Fused over the polynomials' integer numerators: the output sits
-        over dx * dy * ``_int_den``, dx and dy the lcms of the
-        denominators of x and y, and the structure constants are read
-        from the integer table (``_int_table``).  Each (i, j) product
-        a * b is formed once by ``mul_int_terms``, scaled by
-        (dx / a.den) (dy / b.den) per term of a, with the parity twist
-        for odd x_i applied as a sign per term of b (the parity of the
-        popcount of its odd fields), and scattered to every k of the
-        table row (i, j) times its integer constant.  Each output
-        component is made canonical once, at the end.  Keys and their
-        order are those of the sum over (i, j) of (a * b) * c taken in
-        Fractions.
+        Each output component k is one ``sum_of_products`` (through
+        ``combine``) over the triples (n_ij^k, a_i, eff_j) of the (i, j)
+        whose table row holds k: n_ij^k from ``_int_table``, a_i over its
+        denominator times ``_int_den``, and eff_j = b_j with its odd
+        terms negated when x_i is odd, built once per j.  The result has
+        the key set and the exact coefficients of the sum in Fractions,
+        and a component that sums to zero is absent; the order of keys
+        and terms after a cancellation is not promised.
         """
         x = [(i, a) for i, a in x.items() if a.terms]
         y = [(j, b) for j, b in y.items() if b.terms]
@@ -316,43 +312,29 @@ class LieSuperalgebra:
         for _, p in x + y:
             if p.ring is not ring:
                 raise ValueError("polynomials belong to different rings")
-        masks = ring.masks()
-        odd = masks[0]
-        dx = lcm(*[a.den for _, a in x])
-        dy = lcm(*[b.den for _, b in y])
-        twisted: dict[int, dict] = {}
+        odd = ring.masks()[0]
+        d = self._int_den
         par = self.parities
         table = self._int_table
-        out: dict[int, dict] = {}
-        for i, ap in x:
-            a, sa = ap.terms, dx // ap.den
-            for j, bp in y:
+        twisted: dict[int, IntTerms] = {}
+        acc: dict[int, list] = {}
+        for i, a in x:
+            a = IntTerms(a.terms, a.den * d)
+            for j, b in y:
                 row = table.get((i, j))
                 if row is None:
                     continue
-                b = bp.terms
                 if par[i]:
-                    # (-1)^{|b|} b: even terms in order, then odd ones negated
                     eff = twisted.get(j)
                     if eff is None:
-                        ev, od = {}, {}
-                        for m, n in b.items():
-                            if key_parity(m, odd):
-                                od[m] = -n
-                            else:
-                                ev[m] = n
-                        ev.update(od)
-                        eff = twisted[j] = ev
+                        eff = twisted[j] = IntTerms(
+                            {m: -n if key_parity(m, odd) else n
+                             for m, n in b.terms.items()}, b.den)
                 else:
                     eff = b
-                prod = mul_int_terms(a, eff, masks, None, sa * (dy // bp.den))
-                if not prod:
-                    continue
-                for k, c in row.items():
-                    add_scaled(out.setdefault(k, {}), prod, c)
-        den = dx * dy * self._int_den
-        return {k: _poly(ring, *normal_terms(acc, den))
-                for k, acc in out.items() if acc}
+                for k, n in row.items():
+                    acc.setdefault(k, []).append((n, a, eff))
+        return combine(ring, acc)
 
     # -- structure ----------------------------------------------------------
 

@@ -65,7 +65,9 @@ too; ``combine`` sums a whole
 ``UNIT``, (c, p, UNIT) is c * p, so series, generator images, Poisson
 tables and points f + sum p v are all summed this way.  ``RingMap`` is
 the one substitution path; it adds each term's last product of images
-straight into its result with the same kernel.
+straight into its result with the same kernel.  So does
+``LieSuperalgebra.bracket_poly``: each component of a bracket is one
+``sum_of_products`` over the pairs of its table rows.
 
 Odd derivatives are left derivatives: d/dt (t*u) = u and
 d/dt (s*t) = -s for odd s, t.
@@ -301,8 +303,10 @@ def sum_of_products(triples, masks) -> IntTerms:
     denominator); all are summed in ints over the lcm D of those, each
     product scaled by n's numerator times D / (a.den * b.den * dn)
     inside ``mul_int_terms``, and the sum is divided by its gcd with D
-    once.  Products accumulate into one dict in triple order, each as
-    ``mul_int_terms`` orders it.
+    once.  Products accumulate into one dict in triple order; the
+    promise is the key set and every exact coefficient of the sum taken
+    in Fractions, a zero sum as ({}, 1), not the key order once a
+    running sum cancels.
     """
     prepared = []
     for n, a, b in triples:
@@ -531,10 +535,15 @@ class SuperPolynomial:
         return None
 
     def variables_used(self) -> set[int]:
-        both = 0
+        """The nonzero fields of the OR of the keys."""
+        both, out = 0, set()
         for m in self.terms:
             both |= m
-        return {i for i, _ in unpack(both)}
+        while both:
+            i = lowest_variable(both)
+            out.add(i)
+            both &= -1 << (W * (i + 1))  # clear fields 0..i
+        return out
 
     # -- arithmetic --------------------------------------------------------
 
@@ -724,11 +733,11 @@ class RingMap:
     common factors.  A factor whose image is a constant {0: c} over dg
     multiplies s by c and den by dg and shares the head's terms: it
     takes no product and builds no dict, so a point of constants (a
-    trial point) costs one int product per head.  Each term's last
-    product is accumulated straight into the result, pair by pair as in
-    ``sum_of_products``, its scale s * n * (D / den) applied once.
-    Scaling by a nonzero int keeps every zero test, so the result has
-    the keys, in the order, of the products taken unscaled.
+    trial point) costs one int product per head.  A call reads each
+    term's head and last factor straight from ``heads`` and the image
+    table and adds its last product straight into the result, scaled
+    once by s * n * (D / den), as ``sum_of_products`` does and with
+    its promise.
     """
 
     def __init__(self, source: PolyRing,
@@ -764,15 +773,12 @@ class RingMap:
         got = self._factors[i] = (p.terms, p.den)
         return got
 
-    def _split(self, m: int):
-        """(head, image of the highest factor) of a nonzero key m."""
-        i = (m.bit_length() - 1) // W
-        return self._head(m - var_key(i)), self._factor(i)
-
     def _head(self, m: int) -> tuple[int, dict, int]:
         got = self.heads.get(m)
         if got is None:
-            (s, h, dh), (g, dg) = self._split(m)
+            i = (m.bit_length() - 1) // W  # the highest factor
+            s, h, dh = self._head(m - var_key(i))
+            g, dg = self._factor(i)
             if len(g) == 1 and 0 in g:
                 got = (s * g[0], h, dh * dg)
             else:
@@ -790,9 +796,17 @@ class RingMap:
             if all(i < len(tpar) and tpar[i] == par[i]
                    for i in p.variables_used()):
                 return _poly(tgt, dict(p.terms), p.den)
-        one = (self.heads[0], UNIT)
-        parts = [(n, self._split(m) if m else one)
-                 for m, n in p.terms.items()]
+        heads, factors = self.heads, self._factors
+        one = (heads[0], UNIT)
+        parts = []
+        for m, n in p.terms.items():
+            if m:
+                i = (m.bit_length() - 1) // W
+                rest = m - (1 << (W * i))
+                parts.append((n, (heads.get(rest) or self._head(rest),
+                                  factors.get(i) or self._factor(i))))
+            else:
+                parts.append((n, one))
         masks = tgt.masks()
         # term n * m / den has denominator den * d(m); all terms are
         # summed over den times the lcm of the d(m)

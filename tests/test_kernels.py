@@ -8,18 +8,21 @@ kernel in tests/fraction_kernel_oracle.py (the package's former
 implementation, one Fraction per term), and ``text`` with the Fraction
 rendering in tests/text_oracle.py, on operands with mixed
 denominators, Fraction multipliers and sums that cancel to zero: the
-same coefficients, products with their items in the same order, and
-every result canonical (no zero numerator, the numerators coprime to the
-denominator, zero as ({}, 1)).  The scaled add that replaces a product
-with a constant operand is compared with the tuple merge's product loop
-on that operand.  The packed monomial keys are compared with the tuple
-merge in tests/tuple_merge_oracle.py (the package's former monomial
-product): mixed-parity rings, jets added after the operands were
-packed, exponents next to the field limit, and the same keys in the
-same order after unpacking; a product past the limit raises.  The dense
-Bareiss rank in tests/dense_oracles.py (the package's former rank
-kernel) is checked against the pivot count of dense Gauss-Jordan
-elimination, and the package's sparse exact_rank against both.
+same key set and the same exact coefficients, every result canonical
+(no zero numerator, the numerators coprime to the denominator, zero as
+({}, 1)), and a single product with its items in the same order.  A sum
+promises no order once a running sum cancels, so sums, substitutions
+and brackets are compared as canonical forms.  The scaled add that
+replaces a product with a constant operand is compared with the tuple
+merge's product loop on that operand.  The packed monomial keys are
+compared with the tuple merge in tests/tuple_merge_oracle.py (the
+package's former monomial product): mixed-parity rings, jets added
+after the operands were packed, exponents next to the field limit, and
+the same keys in the same order after unpacking; a product past the
+limit raises.  The dense Bareiss rank in tests/dense_oracles.py (the
+package's former rank kernel) is checked against the pivot count of
+dense Gauss-Jordan elimination, and the package's sparse exact_rank
+against both.
 """
 
 from fractions import Fraction
@@ -90,6 +93,13 @@ def assert_same(x, want):
     items in the same order."""
     assert_canonical(x)
     assert list(rationals(x).items()) == list(want.items())
+
+
+def assert_equal(x, want):
+    """x is canonical and has the Fraction term dict want: the same keys
+    and the same exact coefficients, in any order."""
+    assert_canonical(x)
+    assert rationals(x) == want
 
 
 P = SuperPolynomial
@@ -388,7 +398,7 @@ class TestScaledAdd:
         want = packed(oracle.sum_of_products(
             [(F(c), tupled(a), {(): ONE})], RPAR))
         for triple in ((c, p, UNIT), (c, UNIT, p), (1, p, RING.const(c))):
-            assert_same(sum_of_products([triple], RMASKS), want)
+            assert_equal(sum_of_products([triple], RMASKS), want)
         assert_same(p * RING.const(c), want)
         assert_same(RING.const(c) * p, want)
 
@@ -414,7 +424,24 @@ class TestSubstitute:
         want = oracle.substitute(
             tupled(a), {i: oracle.fractions(q) for i, q in images.items()},
             RPAR)
-        assert_same(got, packed(want))
+        assert_equal(got, packed(want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_dicts(), term_dicts(), term_dicts(), image_maps(), COEFFS)
+    def test_cancelling_terms_match_oracle(self, a, b, g, images, c):
+        # x and y map to one even image g, so the terms of a (a polynomial
+        # in x, t, s) cancel against those of c a with y put for x, down
+        # to (1 - c) a at g, while b adds terms of its own
+        images[0] = images[2] = P(RING, g).parity_split()[0]
+        pa = P(RING, a).evaluate({2: 0})
+        p = pa + P(RING, b) - c * pa.substitute({0: RING.gen("y")})
+        got = p.substitute(images)
+        want = oracle.substitute(
+            tupled(dict(p.items())),
+            {i: oracle.fractions(q) for i, q in images.items()}, RPAR)
+        assert_equal(got, packed(want))
+        if c == 1:
+            assert got == P(RING, b).substitute(images)
 
     def test_fixed_cancellation_to_zero(self):
         # (x/2 + y/3) t at x -> 2y/3, y -> -y: every term cancels
@@ -706,6 +733,29 @@ def poly_vectors(draw, dim):
     return {i: SuperPolynomial(RING, draw(term_dicts())) for i in idx}
 
 
+def sharing_pairs(alg):
+    """(i, j, i2, j2, k) with i != i2, j != j2, x_i and x_i2 of one
+    parity, and k in the table rows of both (i, j) and (i2, j2)."""
+    par = alg.parities
+    return [(i, j, i2, j2, k)
+            for (i, j), row in alg.table.items()
+            for (i2, j2), row2 in alg.table.items()
+            if i != i2 and j != j2 and par[i] == par[i2]
+            for k in row if k in row2]
+
+
+def assert_bracket_matches_oracle(alg, x, y):
+    """bracket_poly against the Fraction oracle: the same components,
+    each canonical with the same exact coefficients, and no component
+    that sums to zero."""
+    got = alg.bracket_poly(x, y)
+    want = oracle.bracket_poly(alg, x, y)
+    assert set(got) == set(want)
+    for k, v in got.items():
+        assert v.ring is RING and v.terms
+        assert_equal(v, dict(want[k].items()))
+
+
 class TestBracketPoly:
     @pytest.mark.parametrize("label", ["e13", "e12"])
     def test_rescaled_table_has_denominators(self, label):
@@ -721,12 +771,45 @@ class TestBracketPoly:
         alg = rescaled_sl21(label)
         x = data.draw(poly_vectors(alg.dim))
         y = data.draw(poly_vectors(alg.dim))
+        assert_bracket_matches_oracle(alg, x, y)
+
+    @pytest.mark.parametrize("label", ["e13", "e12"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cancelling_pairs_match_oracle(self, label, data):
+        # two pairs (i, j), (i2, j2) of one parity for i and i2 that meet
+        # in a component k, with coefficients that cancel there exactly,
+        # beside a drawn vector of other pairs
+        alg = rescaled_sl21(label)
+        i, j, i2, j2, k = data.draw(st.sampled_from(sharing_pairs(alg)))
+        a, b = (P(RING, data.draw(term_dicts(min_size=1))) for _ in "ab")
+        c, c2 = alg.table[i, j][k], alg.table[i2, j2][k]
+        x = data.draw(poly_vectors(alg.dim))
+        y = data.draw(poly_vectors(alg.dim))
+        x.update({i: a * c2, i2: -(a * c)})
+        y.update({j: b, j2: b})
+        assert_bracket_matches_oracle(alg, x, y)
+
+    @pytest.mark.parametrize("alg", [
+        build_sl(2, 1), rescaled_sl21("e13"), rescaled_sl21("e12")],
+        ids=["sl21", "rescaled-e13", "rescaled-e12"])
+    def test_fixed_cancelled_component_is_absent(self, alg):
+        # [e12, e23] and [h1, e13] both land on e13, and the coefficients
+        # of e12 and h1 make the two products cancel there; the odd e31
+        # with the odd t meets the odd t of y, whose product t t is zero
+        e = alg.index
+        x_, t = RING.gen("x"), RING.gen("t")
+        a = x_ / 2 + 1
+        c = alg.table[e["e12"], e["e23"]][e["e13"]]
+        c2 = alg.table[e["h1"], e["e13"]][e["e13"]]
+        x = {e["e12"]: a * c2, e["h1"]: -(a * c), e["e31"]: t}
+        y = {e["e23"]: t, e["e13"]: t}
         got = alg.bracket_poly(x, y)
-        want = oracle.bracket_poly(alg, x, y)
-        assert list(got) == list(want)
-        for k, v in got.items():
-            assert v.ring is RING
-            assert_same(v, dict(want[k].items()))
+        assert set(got) == {e["e23"]}
+        # [h1, e23] = c3 e23 leaves -c c3 a t
+        c3 = alg.table[e["h1"], e["e23"]][e["e23"]]
+        assert got[e["e23"]] == -(a * t) * c * c3
+        assert_bracket_matches_oracle(alg, x, y)
 
     def test_rings_must_agree(self):
         alg = build_sl(2)

@@ -249,8 +249,8 @@ def test_substitute_matches_oracle(data):
     got = p.substitute(images, target)
     want = substitute_oracle.substitute(p, images, target)
     assert got.ring is want.ring is tgt
-    # same terms, in the same order
-    assert list(got.terms.items()) == list(want.terms.items())
+    # the same canonical form: key set, numerators and denominator
+    assert got.terms == want.terms and got.den == want.den
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,8 +283,7 @@ def test_shared_ring_map_folds_constant_images(data):
         got = ring_map(p)
         want = substitute_oracle.substitute(p, images, tgt)
         assert got.ring is tgt
-        assert list(got.terms.items()) == list(want.terms.items())
-        assert got.den == want.den
+        assert got.terms == want.terms and got.den == want.den
     ring_map(R.gen("x") ** 3)
     assert ring_map.heads[pack([(0, 2)])][1] is ring_map.heads[0][1]
 
