@@ -733,6 +733,11 @@ def _from_matrices(labels: Sequence[str], mats: Sequence[Mapping],
                            check=check)
 
 
+def unit_label(i: int, j: int, size: int) -> str:
+    """e_(i+1)(j+1): "e21"; from size 10 on "e2_1", as "e111" is ambiguous."""
+    return f"e{i + 1}_{j + 1}" if size >= 10 else f"e{i + 1}{j + 1}"
+
+
 def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
     """sl(m|n), or gl(n|n) with a warning in meta when m == n, from the
     matrix units e_ij (i != j) and h_i = e_ii -+ e_(i+1)(i+1) (every e_ii
@@ -743,11 +748,12 @@ def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
         raise ValueError("need m >= 1, n >= 0, m + n >= 2")
     size = m + n
     par = [0] * m + [1] * n
-    basis = [(f"e{i + 1}{j + 1}", {(i, j): ONE})
+    basis = [(unit_label(i, j, size), {(i, j): ONE})
              for i in range(size) for j in range(size) if i != j]
     meta = {"type": "gl" if m == n else "sl", "m": m, "n": n}
     if m == n:
-        basis += [(f"e{i + 1}{i + 1}", {(i, i): ONE}) for i in range(size)]
+        basis += [(unit_label(i, i, size), {(i, i): ONE})
+                  for i in range(size)]
         meta["warning"] = ("sl(n|n) is not basic; returning gl(n|n) "
                            "with its center")
     else:
@@ -798,7 +804,7 @@ def principal_nilpotent(alg: LieSuperalgebra) -> list[Fraction]:
         for i in range(m + n - 1):
             if i + 1 == m:
                 continue  # odd direction, not part of the even principal
-            f[unit(f"e{i + 2}{i + 1}")] = ONE
+            f[unit(unit_label(i + 1, i, m + n))] = ONE
         if not any(f):
             raise ValueError("even part has no principal nilpotent")
         return f

@@ -707,6 +707,35 @@ class SuperPolynomial:
         return f"<SuperPolynomial {self.text()}>"
 
 
+class MonomialTrie:
+    """Many polynomials as one straight-line program, run at each point
+    (Kaltofen, J. ACM 1988): ``nodes`` holds (parent, last variable) per
+    distinct head key, node 0 the constant; ``compile`` gives (terms,
+    den), a term (numerator, head node, last variable, -1 if none)."""
+
+    def __init__(self):
+        self.nodes: list[tuple[int, int]] = [(0, -1)]
+        self._node: dict[int, int] = {0: 0}
+
+    def node(self, m: int) -> int:
+        """The node of key m, added after its prefixes when new."""
+        got = self._node.get(m)
+        if got is None:
+            i = (m.bit_length() - 1) // W  # the highest factor
+            self.nodes.append((self.node(m - var_key(i)), i))
+            got = self._node[m] = len(self.nodes) - 1
+        return got
+
+    def compile(self, p: SuperPolynomial) -> tuple[list, int]:
+        get, terms = self._node.get, []
+        for m, n in p.terms.items():
+            i = (m.bit_length() - 1) // W  # -1 for the constant term
+            h = m - (1 << W * i) if m else 0
+            k = get(h)
+            terms.append((n, self.node(h) if k is None else k, i))
+        return terms, p.den
+
+
 class RingMap:
     """Substitution of polynomials for variables: one map from the
     polynomials of ``source`` to those of ``target`` (default: source).
@@ -725,39 +754,34 @@ class RingMap:
     of the terms over the same denominator (a ring move); otherwise the
     general path runs, and raises on a variable the target lacks.
 
-    A term's product of images is the head of its key (the product for
-    the key without its highest factor) times that factor's image.
-    Heads are memoized in ``heads`` as (s, terms, den), the polynomial
-    s * terms / den with s an int scalar, one memo for every polynomial
-    the map takes, so terms and polynomials share the products of
-    common factors.  A factor whose image is a constant {0: c} over dg
-    multiplies s by c and den by dg and shares the head's terms: it
-    takes no product and builds no dict, so a point of constants (a
-    trial point) costs one int product per head.  A call reads each
-    term's head and last factor straight from ``heads`` and the image
-    table and adds its last product straight into the result, scaled
-    once by s * n * (D / den), as ``sum_of_products`` does and with
-    its promise.
+    A call compiles p into ``trie`` (private and growing, or shared by
+    maps at many points) and ``run``s it.  ``heads[k]`` is node k's
+    product of images, made on first use as (s, terms, den), meaning
+    s * terms / den with s an int; a constant image {0: c} over dg gives
+    (s * c, terms, den * dg) with no product.  Each term adds its head
+    times its last factor straight into the result, scaled once by
+    s * n * (D / den) as ``sum_of_products`` does and with its promise;
+    a scalar head times a constant adds one int to the constant term.
     """
 
     def __init__(self, source: PolyRing,
                  images: Mapping[int, SuperPolynomial],
-                 target: Optional[PolyRing] = None):
+                 target: Optional[PolyRing] = None,
+                 trie: Optional[MonomialTrie] = None):
         self.source = source
         self.images = images
         self.target = target if target is not None else source
-        self._factors: dict[int, tuple[dict, int]] = {}
-        self.heads: dict[int, tuple[int, dict, int]] = {0: (1, {0: 1}, 1)}
+        self.trie = MonomialTrie() if trie is None else trie
+        # (terms, den, c), c the int of a constant image or 0; -1 is 1
+        self._factors: dict[int, tuple] = {-1: (UNIT.terms, 1, 1)}
+        self.heads: list = [(1, UNIT.terms, 1)]
 
     def unmapped(self, i: int) -> SuperPolynomial:
         """The target's variable i, for a variable with no image."""
         return self.target.gen(i)
 
-    def _factor(self, i: int) -> tuple[dict, int]:
-        """The image of variable i as (numerators, denominator)."""
-        got = self._factors.get(i)
-        if got is not None:
-            return got
+    def _factor(self, i: int) -> tuple[dict, int, int]:
+        """The image of variable i as (numerators, denominator, c)."""
         p = self.images.get(i)
         if p is None:
             p = self.unmapped(i)
@@ -770,21 +794,17 @@ class RingMap:
             if ip != self.source.parity_of(i):
                 raise ValueError(f"parity mismatch substituting variable "
                                  f"{self.source.variables[i].name}")
-        got = self._factors[i] = (p.terms, p.den)
+        c = p.terms.get(0, 0) if len(p.terms) == 1 else 0
+        got = self._factors[i] = (p.terms, p.den, c)
         return got
 
-    def _head(self, m: int) -> tuple[int, dict, int]:
-        got = self.heads.get(m)
-        if got is None:
-            i = (m.bit_length() - 1) // W  # the highest factor
-            s, h, dh = self._head(m - var_key(i))
-            g, dg = self._factor(i)
-            if len(g) == 1 and 0 in g:
-                got = (s * g[0], h, dh * dg)
-            else:
-                # masks read after the factor, which may have added jets
-                got = (s, mul_int_terms(h, g, self.target.masks()), dh * dg)
-            self.heads[m] = got
+    def _head(self, k: int) -> tuple[int, dict, int]:
+        parent, i = self.trie.nodes[k]
+        s, h, dh = self.heads[parent] or self._head(parent)
+        g, dg, c = self._factors.get(i) or self._factor(i)
+        # masks read after the factor, which may have added jets
+        got = self.heads[k] = (s * c, h, dh * dg) if c else (
+            s, mul_int_terms(h, g, self.target.masks()), dh * dg)
         return got
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
@@ -796,25 +816,28 @@ class RingMap:
             if all(i < len(tpar) and tpar[i] == par[i]
                    for i in p.variables_used()):
                 return _poly(tgt, dict(p.terms), p.den)
-        heads, factors = self.heads, self._factors
-        one = (heads[0], UNIT)
-        parts = []
-        for m, n in p.terms.items():
-            if m:
-                i = (m.bit_length() - 1) // W
-                rest = m - (1 << (W * i))
-                parts.append((n, (heads.get(rest) or self._head(rest),
-                                  factors.get(i) or self._factor(i))))
-            else:
-                parts.append((n, one))
-        masks = tgt.masks()
-        # term n * m / den has denominator den * d(m); all terms are
-        # summed over den times the lcm of the d(m)
-        den = lcm(*[dh * dg for _, ((_, _, dh), (_, dg)) in parts])
+        return self.run(self.trie.compile(p))
+
+    def run(self, program: tuple[list, int]) -> SuperPolynomial:
+        """The image of a source polynomial compiled by ``trie``."""
+        terms, pden = program
+        heads, factors, one = self.heads, self._factors, UNIT.terms
+        heads += [None] * (len(self.trie.nodes) - len(heads))
+        parts = [(n, heads[k] or self._head(k),
+                  factors.get(i) or self._factor(i)) for n, k, i in terms]
+        masks = self.target.masks()
+        # term n * m / den has denominator den * d(m); D is their lcm
+        den = lcm(*[dh * dg for _, (_, _, dh), (_, dg, _) in parts])
         out: dict[int, int] = {}
-        for n, ((s, h, dh), (g, dg)) in parts:
-            mul_int_terms(h, g, masks, out, s * n * (den // (dh * dg)))
-        return _poly(tgt, *normal_terms(out, den * p.den))
+        const = 0
+        for n, (s, h, dh), (g, dg, c) in parts:
+            if c and h is one:
+                const += s * n * c * (den // (dh * dg))
+            else:
+                mul_int_terms(h, g, masks, out, s * n * (den // (dh * dg)))
+        if const:
+            add_scaled(out, {0: const}, 1)
+        return _poly(self.target, *normal_terms(out, den * pden))
 
 
 _new = object.__new__

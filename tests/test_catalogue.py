@@ -14,7 +14,9 @@ from fractions import Fraction
 import pytest
 
 import catalogue_oracle
-from superslice.liealg import _from_matrices, build_osp_1_2, build_sl
+from superslice.cli import main
+from superslice.liealg import (_from_matrices, build_osp_1_2, build_sl,
+                               principal_nilpotent)
 
 F = Fraction
 
@@ -37,6 +39,32 @@ def test_sl_matches_former_builder(m, n):
     assert list(got.table) == list(want.table)
     for ij, row in want.table.items():
         assert list(got.table[ij]) == list(row), ij
+
+
+@pytest.mark.parametrize("size", range(2, 13))
+def test_labels_are_unique_for_every_split(size):
+    # e_(1)(11) and e_(11)(1) would both read "e111": from size 10 on an
+    # underscore keeps the indices apart, and up to size 9 they run on
+    sep = "_" if size >= 10 else ""
+    off = [f"e{i}{sep}{j}" for i in range(1, size + 1)
+           for j in range(1, size + 1) if i != j]
+    for m in range(1, size + 1):
+        alg = build_sl(m, size - m, check=False)
+        assert len(set(alg.labels)) == len(alg.labels)
+        diag = ([f"e{i}{sep}{i}" for i in range(1, size + 1)]
+                if 2 * m == size else [])
+        assert [lab for lab in alg.labels if lab[0] == "e"] == off + diag
+        # the even principal nilpotent finds the labels of its simple
+        # roots, one per block but the odd one between them
+        simple = size - 1 - (m < size)
+        if simple:
+            assert sum(principal_nilpotent(alg)) == simple
+
+
+@pytest.mark.parametrize("name", ["sl(10|1)", "sl11"])
+def test_size_eleven_validates(name, capsys):
+    assert main(["algebra", "validate", "--algebra", name]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def test_osp12_matches_former_table():

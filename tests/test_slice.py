@@ -351,6 +351,25 @@ class TestInvarianceFailure:
         ok, bad = verify_invariance(chart, trials=3, seed=1)
         assert ok and bad is None
 
+    @pytest.mark.parametrize("name", ["sl3_chart", "sl21_chart"])
+    def test_copy_after_a_passing_run_reads_its_own_invariants(self, name,
+                                                               request):
+        # the compiled invariants belong to one run, not to the chart: a
+        # copy made after the chart passed, with one invariant moved,
+        # fails, and the chart itself still passes
+        chart = request.getfixturevalue(name)
+        assert verify_invariance(chart, trials=2, seed=3) == (True, None)
+        lab = chart.inv_order[-1]
+        pos = next(p for p, v in enumerate(chart.ring.variables)
+                   if v.parity == chart.parity_of(lab))
+        moved = with_coordinate_added(chart, lab, pos)
+        ok, bad = verify_invariance(moved, trials=2, seed=3)
+        assert not ok and bad["invariant"] == lab
+        point = moved.generic_point()
+        assert (moved.evaluate_invariants(point, moved.ring)[lab]
+                == moved.invariants[lab] != chart.invariants[lab])
+        assert verify_invariance(chart, trials=2, seed=3) == (True, None)
+
 
 # -- the round trip catches a wrong gauge ---------------------------------------
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import substitute_oracle
 import text_oracle
-from superslice.superpoly import (PolyRing, RingMap, SuperPolynomial, Variable,
-                                  pack)
+from superslice.superpoly import (MonomialTrie, PolyRing, RingMap,
+                                  SuperPolynomial, Variable, pack)
 
 
 def ring_xts():
@@ -285,7 +285,70 @@ def test_shared_ring_map_folds_constant_images(data):
         assert got.ring is tgt
         assert got.terms == want.terms and got.den == want.den
     ring_map(R.gen("x") ** 3)
-    assert ring_map.heads[pack([(0, 2)])][1] is ring_map.heads[0][1]
+    x2 = ring_map.trie.node(pack([(0, 2)]))
+    assert ring_map.heads[x2][1] is ring_map.heads[0][1]
+
+
+@st.composite
+def point_images(draw, src, tgt):
+    """Images of every variable of src at one point: a constant (zero
+    for an odd variable, zero or not for an even one), a generator of
+    tgt of the same parity, or a homogeneous polynomial of tgt."""
+    images = {}
+    for i, p in enumerate(src.parities()):
+        kind = draw(st.sampled_from(["const", "gen", "poly"]))
+        if kind == "const":
+            c = 0 if p else draw(st.fractions(min_value=-4, max_value=4,
+                                              max_denominator=6))
+            images[i] = tgt.const(c)
+        elif kind == "gen":
+            images[i] = tgt.gen(draw(st.sampled_from(
+                [j for j, q in enumerate(tgt.parities()) if q == p])))
+        else:
+            images[i] = draw(polys(tgt, max_terms=3)).parity_split()[p]
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shared_trie_matches_oracle_at_every_point(data):
+    # mixed-parity polynomials compiled once, then run at several
+    # points, each with its own target and head values
+    ps = data.draw(st.lists(polys(R, max_terms=5, max_exp=3),
+                            min_size=2, max_size=4))
+    trie = MonomialTrie()
+    programs = [trie.compile(p) for p in ps]
+    for _ in range(3):
+        tgt = data.draw(st.sampled_from([R, T]))
+        images = data.draw(point_images(R, tgt))
+        at = RingMap(R, images, tgt, trie)
+        for p, program in zip(ps, programs):
+            got = at.run(program)
+            want = substitute_oracle.substitute(p, images, tgt)
+            fresh = RingMap(R, images, tgt)(p)
+            assert got.ring is fresh.ring is tgt
+            assert (got.terms, got.den) == (want.terms, want.den)
+            assert (fresh.terms, fresh.den) == (want.terms, want.den)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (T.gen("u"), "parity mismatch"), (R.gen("t"), "wrong ring"),
+    (T.gen("t") + T.gen("x"), "parity homogeneous")])
+def test_shared_trie_checks_a_bad_image_at_every_point(bad, message):
+    # t as a head factor and as a last factor raises at each point on
+    # its first use, and a program without t still runs there
+    x, y, t, s = (R.gen(v) for v in "xyts")
+    trie = MonomialTrie()
+    uses = [trie.compile(t * s), trie.compile(x * t)]
+    clean = x * y + 3
+    program = trie.compile(clean)
+    for c in (1, 2):
+        images = {0: T.const(c), 2: bad}
+        at = RingMap(R, images, T, trie)
+        for use in uses:
+            with pytest.raises(ValueError, match=message):
+                at.run(use)
+        assert at.run(program) == T.const(c) * T.gen("y") + 3
 
 
 def test_ring_map_result_is_canonical_when_a_running_sum_cancels():
