@@ -21,9 +21,8 @@ import re
 import sys
 import time
 import traceback
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .cohomology import (_as_wt2, cohomology_table, regular_ce_complex,
                          slice_ce_complex, weighted_monomial_counts)
@@ -39,8 +38,7 @@ from .superpoly import PolyRing
 
 # -- configuration -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     """Everything a job depends on.  The seed fixes all random draws, so
     two runs with equal configs produce byte-identical report bodies."""
 
@@ -661,7 +659,7 @@ def main(argv=None) -> int:
         report = run_orbit(config, args.element, args.by)
     else:
         if command == "pva h0" and config.max_weight is None:
-            config = replace(config, max_weight=Fraction(3))
+            config = config._replace(max_weight=Fraction(3))
         report = run_pipeline(config, command=command)
     if not _emit(report, config):
         return 2  # an unwritable --output is rejected input

@@ -242,8 +242,10 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
     ``pieces`` is the ``decomposition`` stage's
     ``graded_slice_decomposition`` of the same data; a level's
     coordinates are its ``inverse`` rows applied to that level of the
-    point.  The gauge steps are composed by ``bch_product``, truncated
-    at ``bch_word_bound`` letters.
+    point.  Once the point has landed, the steps s_1 ... s_k are
+    composed from the right, BCH(s_1, BCH(s_2, ... BCH(s_{k-1}, s_k))),
+    by ``bch_product`` truncated at ``bch_word_bound`` letters, so each
+    fold brackets one level's step against the higher steps' composite.
     """
     coord_indices = [i for i in range(alg.dim) if grading.weights2[i] >= -1]
     variables = []
@@ -256,8 +258,7 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
                        [(alg.basis_vector(b), ring.gen(pos))
                         for pos, b in enumerate(coord_indices)])
 
-    words = bch_word_bound(alg, grading)
-    gauge_total: dict = {}
+    steps = []
     inv_order, invariants, inv_vectors, inv_wt2 = [], {}, {}, {}
     zero = ring.zero()
 
@@ -282,8 +283,7 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
                 step[b_idx] = -c
         if step:
             cur = adjoint_orbit_map(alg, cur, step)
-            gauge_total = bch_product(alg, gauge_total, step, words) \
-                if gauge_total else step
+            steps.append(step)
 
     # exact self-check: the gauged point is f + sum invariants * basis
     want = affine_point(ring, triple.f,
@@ -292,6 +292,10 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
     if cur != want:
         raise ValueError("gauge recursion did not land on the slice")
 
+    words = bch_word_bound(alg, grading)
+    gauge_total = steps[-1] if steps else {}
+    for step in reversed(steps[:-1]):
+        gauge_total = bch_product(alg, step, gauge_total, words)
     return SliceChart(alg, triple, grading, ring, coord_indices,
                       inv_order, invariants, inv_vectors, inv_wt2,
                       gauge_total)

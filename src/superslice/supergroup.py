@@ -5,20 +5,21 @@ coefficients carry the parity of their basis vector.  On those the
 classical integrated Baker-Campbell-Hausdorff series (Dynkin form) and
 the adjoint-orbit series apply verbatim, and the right regular action is
 the Bernoulli series in ad of the group coordinate; all three terminate
-because the relevant subalgebras are nilpotent.
+because the relevant subalgebras are nilpotent.  An even element v has
+[v, v] = 0, so the BCH series takes no bracket of a letter with itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import chain
+from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
 from .liealg import LieSuperalgebra
 from .superpoly import UNIT, PolyRing, SuperPolynomial, combine
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 # brackets a nested-ad series may take before its nilpotent operand is
 # declared not nilpotent enough
@@ -53,19 +54,40 @@ def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
     return combine(next(iter(w.values())).ring, acc) if acc else {}
 
 
-def _compositions(total: int):
-    """All tuples ((p1,q1),...,(pn,qn)) with pi+qi >= 1 and sum == total."""
-    def rec(remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for p in range(remaining + 1):
-            for q in range(remaining - p + 1):
-                if p + q == 0:
-                    continue
-                for rest in rec(remaining - p - q):
-                    yield ((p, q),) + rest
-    yield from rec(total)
+@lru_cache(maxsize=None)
+def _block_sums(r: int) -> dict:
+    """{word: {n: sum of r! / prod pi! qi!}} over the spellings of each
+    length-r word as n blocks x^p1 y^q1 ... x^pn y^qn (pi + qi >= 1),
+    built first block outermost, so words keep the order in which the
+    compositions ((p1,q1),...,(pn,qn)) first spell them."""
+    if r == 0:
+        return {(): {0: 1}}
+    out: dict = {}
+    for p in range(r + 1):
+        for q in range(int(p == 0), r - p + 1):
+            mult = comb(r, p) * comb(r - p, q)
+            for tail, by_n in _block_sums(r - p - q).items():
+                slot = out.setdefault((0,) * p + (1,) * q + tail, {})
+                for n, w in by_n.items():
+                    slot[n + 1] = slot.get(n + 1, 0) + mult * w
+    return out
+
+
+@lru_cache(maxsize=None)
+def _word_table(total: int) -> tuple:
+    """((word, coefficient), ...) of the Dynkin series at one word length:
+    a composition into n blocks x^pi y^qi adds (-1)^(n-1) / (n * total *
+    prod pi! qi!) to its word.  The sums are ints over D = total *
+    lcm(1..total) * total!, each word becomes a Fraction once, and words
+    whose sum vanishes are dropped."""
+    lcm_n = lcm(*range(1, total + 1))
+    denom = total * lcm_n * factorial(total)
+    out = []
+    for word, by_n in _block_sums(total).items():
+        num = sum((-1) ** (n - 1) * (lcm_n // n) * w for n, w in by_n.items())
+        if num:
+            out.append((word, Fraction(num, denom)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -73,25 +95,12 @@ def _dynkin_words(max_word_len: int) -> tuple:
     """((word, coefficient), ...) of the Dynkin series up to max_word_len.
 
     A word is a tuple of letters, 0 for x and 1 for y, standing for the
-    right-nested bracket [w1,[w2,[...,wk]]].  Each composition
-    ((p1,q1),...,(pn,qn)) of the word length contributes
-    (-1)^(n-1) / (n * len * prod pi! qi!) to the word x^p1 y^q1 ...;
-    the summed coefficients are exact rationals (Goldberg), and words
-    whose sum vanishes are dropped.  Words keep the order in which the
-    compositions first spell them.
+    right-nested bracket [w1,[w2,[...,wk]]]; its coefficient is an exact
+    rational (Goldberg).  The tables of each length are concatenated,
+    shortest first, and shared by every depth that reaches them.
     """
-    coeffs: dict = {}
-    for total in range(1, max_word_len + 1):
-        for blocks in _compositions(total):
-            n = len(blocks)
-            denom = n * total
-            word: tuple = ()
-            for p, q in blocks:
-                denom *= factorial(p) * factorial(q)
-                word += (0,) * p + (1,) * q
-            coeffs[word] = coeffs.get(word, ZERO) + Fraction(
-                (-1) ** (n - 1), denom)
-    return tuple((w, c) for w, c in coeffs.items() if c)
+    return tuple(chain.from_iterable(
+        _word_table(total) for total in range(1, max_word_len + 1)))
 
 
 def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
@@ -100,11 +109,18 @@ def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
     word length max_word_len (exact when the span is nilpotent of class
     <= max_word_len).
 
+    x and y must be even elements of g tensor R on a super-antisymmetric
+    table, which ``validate`` checks before any chart is built.
+
     The series is summed one distinct word at a time (_dynkin_words, as
     in Casas and Murua), and the nested brackets go through a memo keyed
     by word suffix, [w1, term(w2...wk)], so each suffix is bracketed at
     most once per call; a vanishing suffix makes every word ending in it
-    vanish without a bracket.
+    vanish without a bracket.  A suffix of two equal letters vanishes
+    with no bracket taken: for even v = sum a_i x_i the (i, j) and
+    (j, i) terms of [v, v] cancel under the Koszul rule, and the
+    diagonal ones are a_i^2 [x_i, x_i] with [x_i, x_i] = 0 for even x_i
+    and a_i^2 = 0 for odd x_i.
     """
     letters = (x, y)
     memo: dict = {}
@@ -115,7 +131,7 @@ def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
         got = memo.get(word)
         if got is None:
             inner = term(word[1:])
-            got = {} if vec_is_zero(inner) \
+            got = {} if word in ((0, 0), (1, 1)) or vec_is_zero(inner) \
                 else alg.bracket_poly(letters[word[0]], inner)
             memo[word] = got
         return got

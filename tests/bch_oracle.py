@@ -1,11 +1,13 @@
 """Composition-by-composition BCH series, kept as the oracle for
-supergroup.bch_product.
+supergroup.bch_product and supergroup._dynkin_words.
 
-This is the package's former implementation: every composition
+bch_product is the package's first implementation: every composition
 ((p1,q1),...,(pn,qn)) of each total word length gets its own Dynkin
 coefficient and its own right-nested bracket [w1,[w2,[...,wk]]], built
-from scratch.  It shares no code with the word table and suffix memo in
-superslice.supergroup, which the tests compare against it.
+from scratch.  dynkin_words is the package's former word table, summed
+in Fractions one composition at a time.  Neither shares code with the
+per-length int tables and suffix memo in superslice.supergroup, which
+the tests compare against them.
 """
 
 from fractions import Fraction
@@ -47,6 +49,25 @@ def _add_scaled(out, vec, c):
         else:
             out[k] = s
     return out
+
+
+def dynkin_words(max_word_len):
+    """((word, coefficient), ...) of the Dynkin series up to max_word_len,
+    words as tuples of 0 (x) and 1 (y), in the order in which the
+    compositions first spell them; words whose sum vanishes are
+    dropped."""
+    coeffs = {}
+    for total in range(1, max_word_len + 1):
+        for blocks in _compositions(total):
+            n = len(blocks)
+            denom = n * total
+            word = ()
+            for p, q in blocks:
+                denom *= _factorial(p) * _factorial(q)
+                word += (0,) * p + (1,) * q
+            coeffs[word] = coeffs.get(word, Fraction(0)) + Fraction(
+                (-1) ** (n - 1), denom)
+    return tuple((w, c) for w, c in coeffs.items() if c)
 
 
 def bch_product(alg, x, y, max_word_len):

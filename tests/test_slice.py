@@ -35,6 +35,7 @@ from miura_pairs_oracle import source_bracket
 from nilpotency_oracle import nilpotency_class
 from slice_bracket_oracle import slice_poisson_table
 from zhu_poisson_oracle import ZhuPoisson
+from superslice import slice as slice_module
 from superslice.cli import resolve_algebra
 from superslice.liealg import (GoodGrading, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent,
@@ -42,6 +43,7 @@ from superslice.liealg import (GoodGrading, build_osp_1_2, build_sl,
 from superslice.pva import ArcBracket, graded_miura
 from superslice.slice import (MiuraImage, bch_word_bound,
                               injectivity_certificate, verify_invariance)
+from superslice.supergroup import bch_product
 from superslice.superpoly import PolyRing, Variable
 
 HALF = Fraction(1, 2)
@@ -510,6 +512,30 @@ def chart_for(name, nilpotent="principal"):
     alg, _ = resolve_algebra(name)
     triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
     return make_chart(alg, triple)
+
+
+@pytest.mark.parametrize("name, nilpotent", [
+    ("sl6", "principal"), ("sl(5|1)", "principal"), ("osp12", "principal"),
+    ("sl4", "e21"), ("sl(3|2)", "e21"), ("sl4", "e21+e43")])
+def test_gauge_composite_equals_left_fold(monkeypatch, name, nilpotent):
+    # exp(s_1)...exp(s_k) is associative: folding the steps from the
+    # right gives the left fold BCH(BCH(s_1, s_2), ...) exactly; sl4
+    # e21+e43 has a single level, whose step is the composite
+    steps = []
+    real = slice_module.adjoint_orbit_map
+
+    def recorded(alg, w, y):
+        steps.append(y)
+        return real(alg, w, y)
+
+    monkeypatch.setattr(slice_module, "adjoint_orbit_map", recorded)
+    chart = chart_for(name, nilpotent)
+    assert len(steps) >= (1 if nilpotent == "e21+e43" else 2)
+    words = bch_word_bound(chart.alg, chart.grading)
+    left = steps[0]
+    for step in steps[1:]:
+        left = bch_product(chart.alg, left, step, words)
+    assert chart.gauge_vec == left
 
 
 GATE_CASES = [("sl5", "principal"), ("osp12", "principal"),

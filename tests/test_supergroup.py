@@ -3,7 +3,8 @@
 Matrices over the polynomial ring are multiplied entry by entry in the
 test itself, so exp(A) exp(B) = exp(bch(A,B)) is checked against nothing
 but arithmetic.  The word-table BCH series is also compared with the
-former composition-by-composition series in bch_oracle, and the
+former composition-by-composition series in bch_oracle, its per-length
+word tables with the former Fraction word table there, and the
 Bernoulli-series regular representation with the former linearisation
 of the BCH series in gauge_action_oracle.
 """
@@ -305,6 +306,36 @@ def test_bch_brackets_each_suffix_at_most_once():
     assert got == want
     assert memo_calls <= len(suffixes) <= 62
     assert len(calls) > 4 * memo_calls  # the oracle rebuilds every bracket
+
+
+def test_word_tables_match_composition_oracle():
+    # same words, same order, same coefficients as the composition sums
+    for n in range(1, 9):
+        assert _dynkin_words(n) == bch_oracle.dynkin_words(n), n
+
+
+def test_bch_never_brackets_a_letter_with_itself():
+    # [v, v] = 0 for even v: the suffix memo takes no bracket for a
+    # repeated letter, and every word ending in one vanishes with it
+    alg = build_sl(6)
+    ring = PolyRing([Variable(f"x{k}", 0) for k in range(5)]
+                    + [Variable(f"y{k}", 0) for k in range(5)])
+    simple = ["e12", "e23", "e34", "e45", "e56"]
+    x = {alg.index[l]: ring.gen(f"x{k}") for k, l in enumerate(simple)}
+    y = {alg.index[l]: ring.gen(f"y{k}") for k, l in enumerate(simple)}
+    calls = []
+    real = alg.bracket_poly
+
+    def recorded(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    alg.bracket_poly = recorded
+    got = bch_product(alg, x, y, 5)
+    alg.bracket_poly = real
+    assert calls
+    assert not any(u is v or u == v for u, v in calls)
+    assert got == bch_oracle.bch_product(alg, x, y, 5)
 
 
 # -- adjoint orbit map ---------------------------------------------------------
