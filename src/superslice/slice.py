@@ -206,35 +206,6 @@ def affine_point(ring: PolyRing, f: Sequence, terms) -> dict:
     return combine(ring, acc)
 
 
-def bch_word_bound(alg: LieSuperalgebra, grading: GoodGrading) -> int:
-    """The word length at which ``bch_product`` may truncate the Dynkin
-    series on g_+ exactly, read off the supports of the table.
-
-    S_1 is the set of positive basis indices and S_{n+1} the union of
-    the supports of the table rows [x_i, x_m], i in S_1 and m in S_n.
-    A right-nested bracket of n elements of g_+ lies in the span of
-    S_n, so every word longer than the last nonempty S_n vanishes, and
-    that length is the bound (1 when g_+ is zero).  Each bracket raises
-    the grading level by at least the lowest positive level, so S_n is
-    empty once n exceeds max_wt2 // min_wt2, which bounds the loop.
-
-    Supports ignore cancellation, so the bound is at least the
-    nilpotency class of g_+, and equal to it when brackets of basis
-    vectors do not cancel, as in every catalogue chart the tests check.
-    The grading's own bound max_wt2 // min_wt2 can be far larger: 10
-    against a class of 6 on sl(6|1) principal, where the extra words of
-    ``supergroup._dynkin_words`` cost more than the rest of the chart.
-    """
-    pos = grading.positive_indices()
-    table = alg.table
-    level, n = set(pos), 0
-    while level:
-        n += 1
-        level = {k for i in pos for m in level
-                 for k in table.get((i, m), ())}
-    return max(n, 1)
-
-
 def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
               pieces: dict[int, GradedPiece]) -> SliceChart:
     """Solve the gauge-fixing recursion at the symbolic generic point.
@@ -244,8 +215,9 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
     coordinates are its ``inverse`` rows applied to that level of the
     point.  Once the point has landed, the steps s_1 ... s_k are
     composed from the right, BCH(s_1, BCH(s_2, ... BCH(s_{k-1}, s_k))),
-    by ``bch_product`` truncated at ``bch_word_bound`` letters, so each
-    fold brackets one level's step against the higher steps' composite.
+    by ``bch_product``, so each fold brackets one level's step against
+    the higher steps' composite.  Every step lies in g_+ tensor the
+    ring, so each series ends by itself at the last nonzero word length.
     """
     coord_indices = [i for i in range(alg.dim) if grading.weights2[i] >= -1]
     variables = []
@@ -292,10 +264,9 @@ def gauge_fix(alg: LieSuperalgebra, triple: Sl2Triple, grading: GoodGrading,
     if cur != want:
         raise ValueError("gauge recursion did not land on the slice")
 
-    words = bch_word_bound(alg, grading)
     gauge_total = steps[-1] if steps else {}
     for step in reversed(steps[:-1]):
-        gauge_total = bch_product(alg, step, gauge_total, words)
+        gauge_total = bch_product(alg, step, gauge_total)
     return SliceChart(alg, triple, grading, ring, coord_indices,
                       inv_order, invariants, inv_vectors, inv_wt2,
                       gauge_total)

@@ -5,15 +5,15 @@ coefficients carry the parity of their basis vector.  On those the
 classical integrated Baker-Campbell-Hausdorff series (Dynkin form) and
 the adjoint-orbit series apply verbatim, and the right regular action is
 the Bernoulli series in ad of the group coordinate; all three terminate
-because the relevant subalgebras are nilpotent.  An even element v has
-[v, v] = 0, so the BCH series takes no bracket of a letter with itself.
+because the relevant subalgebras are nilpotent, each at its first
+length whose brackets all vanish.  An even element v has [v, v] = 0,
+so the BCH series takes no bracket of a letter with itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, factorial, lcm
 from typing import Mapping, Sequence
 
@@ -32,25 +32,35 @@ def vec_is_zero(a: PolyVector) -> bool:
     return all(v.is_zero() for v in a.values())
 
 
-def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
-                      y: PolyVector) -> dict:
-    """exp(-y) w exp(y) = sum_n (1/n!) [..[[w,y],y]..,y] (n brackets).
-
-    Terminates when the iterated bracket vanishes; raises if it has not
-    after MAX_SERIES_TERMS steps (y not nilpotent enough).  The nested
-    brackets are taken unscaled and summed once, each with weight 1/n!.
-    """
+def _nested_series(alg: LieSuperalgebra, w: PolyVector, y: PolyVector,
+                   weight, what: str, within=None) -> dict:
+    """{k: [(weight(n), component k of [..[[w,y],y]..,y], UNIT), ...]}
+    with n brackets, n = 0, 1, ... until the nested bracket vanishes, for
+    ``combine`` to sum.  Raises when a bracket has a component outside
+    ``within`` (if given) or after MAX_SERIES_TERMS brackets."""
     acc: dict = {}
     term = w
     n = 0
     while not vec_is_zero(term):
-        weight = Fraction(1, factorial(n))
+        if within is not None and not term.keys() <= within:
+            raise ValueError("group law left the subalgebra")
+        c = weight(n)
         for k, v in term.items():
-            acc.setdefault(k, []).append((weight, v, UNIT))
+            acc.setdefault(k, []).append((c, v, UNIT))
         n += 1
         if n > MAX_SERIES_TERMS:
-            raise ValueError("adjoint series did not terminate")
+            raise ValueError(f"{what} series did not terminate")
         term = alg.bracket_poly(term, y)
+    return acc
+
+
+def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
+                      y: PolyVector) -> dict:
+    """exp(-y) w exp(y) = sum_n (1/n!) [..[[w,y],y]..,y] (n brackets),
+    summed once up to the last nonzero bracket; raises if there is none
+    within MAX_SERIES_TERMS brackets (y not nilpotent enough)."""
+    acc = _nested_series(alg, w, y, lambda n: Fraction(1, factorial(n)),
+                         "adjoint")
     return combine(next(iter(w.values())).ring, acc) if acc else {}
 
 
@@ -90,56 +100,53 @@ def _word_table(total: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _dynkin_words(max_word_len: int) -> tuple:
-    """((word, coefficient), ...) of the Dynkin series up to max_word_len.
+def bch_product(alg: LieSuperalgebra, x: PolyVector,
+                y: PolyVector) -> dict:
+    """log(exp(x) exp(y)) by the integrated Dynkin series, one word
+    length at a time, up to the last length with a nonzero word.
 
-    A word is a tuple of letters, 0 for x and 1 for y, standing for the
-    right-nested bracket [w1,[w2,[...,wk]]]; its coefficient is an exact
-    rational (Goldberg).  The tables of each length are concatenated,
-    shortest first, and shared by every depth that reaches them.
-    """
-    return tuple(chain.from_iterable(
-        _word_table(total) for total in range(1, max_word_len + 1)))
-
-
-def bch_product(alg: LieSuperalgebra, x: PolyVector, y: PolyVector,
-                max_word_len: int) -> dict:
-    """log(exp(x) exp(y)) by the integrated Dynkin series, truncated at
-    word length max_word_len (exact when the span is nilpotent of class
-    <= max_word_len).
+    A word (0 for x, 1 for y) stands for the right-nested bracket
+    [w1,[w2,[...,wk]]]; ``_word_table`` gives each length's words and
+    coefficients (Goldberg; per distinct word as in Casas and Murua).
+    ``level`` holds the nonzero brackets of one length, and the next
+    length's are [letter, term] over them, so each word is bracketed
+    once, from its nonzero suffix.  A word whose suffix vanishes
+    vanishes, so the series ends at the first length with none left.
 
     x and y must be even elements of g tensor R on a super-antisymmetric
-    table, which ``validate`` checks before any chart is built.
+    table (``validate`` checks it before any chart is built), so a word
+    of two equal letters vanishes unbracketed: for v = sum a_i x_i the
+    (i, j) and (j, i) terms of [v, v] cancel under the Koszul rule, and
+    a_i^2 [x_i, x_i] = 0 as [x_i, x_i] = 0 for even x_i and a_i^2 = 0
+    for odd x_i.
 
-    The series is summed one distinct word at a time (_dynkin_words, as
-    in Casas and Murua), and the nested brackets go through a memo keyed
-    by word suffix, [w1, term(w2...wk)], so each suffix is bracketed at
-    most once per call; a vanishing suffix makes every word ending in it
-    vanish without a bracket.  A suffix of two equal letters vanishes
-    with no bracket taken: for even v = sum a_i x_i the (i, j) and
-    (j, i) terms of [v, v] cancel under the Koszul rule, and the
-    diagonal ones are a_i^2 [x_i, x_i] with [x_i, x_i] = 0 for even x_i
-    and a_i^2 = 0 for odd x_i.
+    Raises when a word longer than dim g is still nonzero.  Letters in
+    the positive part of a grading, like every gauge step, never do: a
+    nonzero right-nested bracket of T letters has a nonzero expansion
+    term in homogeneous pieces, whose suffixes are nonzero at T distinct
+    positive levels, so T is below dim g.
     """
-    letters = (x, y)
-    memo: dict = {}
-
-    def term(word: tuple) -> PolyVector:
-        if len(word) == 1:
-            return letters[word[0]]
-        got = memo.get(word)
-        if got is None:
-            inner = term(word[1:])
-            got = {} if word in ((0, 0), (1, 1)) or vec_is_zero(inner) \
-                else alg.bracket_poly(letters[word[0]], inner)
-            memo[word] = got
-        return got
-
+    letters = [(a, v) for a, v in enumerate((x, y)) if not vec_is_zero(v)]
+    level = {(a,): v for a, v in letters}
     acc: dict = {}
-    for word, coeff in _dynkin_words(max_word_len):
-        for k, v in term(word).items():
-            acc.setdefault(k, []).append((coeff, v, UNIT))
+    total = 0
+    while level:
+        total += 1
+        if total > alg.dim:
+            raise ValueError("BCH series did not terminate")
+        for word, coeff in _word_table(total):
+            term = level.get(word)
+            if term is not None:
+                for k, v in term.items():
+                    acc.setdefault(k, []).append((coeff, v, UNIT))
+        longer: dict = {}
+        for word, term in level.items():
+            for a, v in letters:
+                if total > 1 or a != word[0]:
+                    got = alg.bracket_poly(v, term)
+                    if got:
+                        longer[(a,) + word] = got
+        level = longer
     return combine(next(iter((x or y).values())).ring, acc) if acc else {}
 
 
@@ -170,23 +177,11 @@ def regular_representation(alg: LieSuperalgebra, sub_indices: Sequence[int],
     stops when the nested bracket vanishes.
     """
     sub_indices = list(sub_indices)
-    pos = {g: a for a, g in enumerate(sub_indices)}
     X = {g: ring.gen(coord_index[a]) for a, g in enumerate(sub_indices)}
     fields = []
     for g in sub_indices:
-        acc: dict = {}
-        term = {g: ring.one()}
-        n = 0
-        while term:
-            coeff = _bernoulli(n) / factorial(n)
-            for i, comp in term.items():
-                acc.setdefault(pos[i], []).append((coeff, comp, UNIT))
-            n += 1
-            if n > MAX_SERIES_TERMS:
-                raise ValueError("regular series did not terminate")
-            term = alg.bracket_poly(term, X)
-            if not term.keys() <= pos.keys():
-                raise ValueError("group law left the subalgebra")
-        row = combine(ring, acc)
-        fields.append([row.get(b, ring.zero()) for b in range(len(pos))])
+        row = combine(ring, _nested_series(
+            alg, {g: ring.one()}, X,
+            lambda n: _bernoulli(n) / factorial(n), "regular", X.keys()))
+        fields.append([row.get(b, ring.zero()) for b in sub_indices])
     return fields

@@ -1,13 +1,14 @@
 """Composition-by-composition BCH series, kept as the oracle for
-supergroup.bch_product and supergroup._dynkin_words.
+supergroup.bch_product and supergroup._word_table.
 
 bch_product is the package's first implementation: every composition
 ((p1,q1),...,(pn,qn)) of each total word length gets its own Dynkin
 coefficient and its own right-nested bracket [w1,[w2,[...,wk]]], built
 from scratch.  dynkin_words is the package's former word table, summed
 in Fractions one composition at a time.  Neither shares code with the
-per-length int tables and suffix memo in superslice.supergroup, which
-the tests compare against them.
+per-length int tables and the length-by-length series in
+superslice.supergroup, which the tests compare against them.  Both
+truncate at a given word length; the package's series finds its own.
 """
 
 from fractions import Fraction

@@ -13,7 +13,6 @@ package beyond the bracket itself and the two series it linearises.
 Both functions grow the ring they are given by one or two variables.
 """
 
-from nilpotency_oracle import nilpotency_class
 from superslice.liealg import dense_to_poly
 from superslice.superpoly import SuperPolynomial, Variable, unpack
 from superslice.supergroup import adjoint_orbit_map, bch_product
@@ -35,14 +34,12 @@ def _drop_terms_with(poly, idx):
 def regular_representation(alg, sub_indices, ring, coord_index):
     """fields[a][b]: d/dt of log(exp(X) exp(t v_a)) at t = 0, component b."""
     sub_indices = list(sub_indices)
-    sub = alg.restrict_to(sub_indices)
-    nclass = nilpotency_class(sub)
     pos = {g: a for a, g in enumerate(sub_indices)}
     X = {g: ring.gen(coord_index[a]) for a, g in enumerate(sub_indices)}
     fields = []
     for g in sub_indices:
         t = _scratch_parameter(ring, alg.parities[g])
-        B = bch_product(alg, X, {g: ring.gen(t)}, nclass)
+        B = bch_product(alg, X, {g: ring.gen(t)})
         row = [ring.zero() for _ in sub_indices]
         for i, comp in B.items():
             if i not in pos:

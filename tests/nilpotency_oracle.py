@@ -1,11 +1,13 @@
-"""The descending central series and the nilpotency class, kept as the
-oracle for the BCH word bound of slice.gauge_fix.
+"""The descending central series and the nilpotency class, computed
+from the span of iterated brackets with one rref per step.
 
-This is the package's former way of choosing that bound: the class of
-the positive part g_+, computed from the span of iterated brackets with
-one rref per step.  gauge_fix now reads the bound off the grading
-(slice.bch_word_bound: max_wt2 // min_wt2 over g_+), which is at least
-the class; the tests compare the two.
+A right-nested bracket of more elements of g_+ than its class vanishes.
+The tests check that the BCH series of slice.gauge_fix, which ends by
+itself at its last nonzero word length, meets no nonzero word longer
+than the class of g_+, and compare supergroup.bch_product with the
+composition-by-composition series of bch_oracle truncated at the class
+of n+.  The class was once the truncation length gauge_fix passed to
+bch_product.
 """
 
 from superslice.linalg import RationalMatrix, rref

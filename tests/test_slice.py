@@ -41,8 +41,9 @@ from superslice.liealg import (GoodGrading, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent,
                                principal_nilpotent, sl2_triple_for)
 from superslice.pva import ArcBracket, graded_miura
-from superslice.slice import (MiuraImage, bch_word_bound,
-                              injectivity_certificate, verify_invariance)
+from superslice.slice import (MiuraImage, injectivity_certificate,
+                              verify_invariance)
+from superslice import supergroup
 from superslice.supergroup import bch_product
 from superslice.superpoly import PolyRing, Variable
 
@@ -531,10 +532,9 @@ def test_gauge_composite_equals_left_fold(monkeypatch, name, nilpotent):
     monkeypatch.setattr(slice_module, "adjoint_orbit_map", recorded)
     chart = chart_for(name, nilpotent)
     assert len(steps) >= (1 if nilpotent == "e21+e43" else 2)
-    words = bch_word_bound(chart.alg, chart.grading)
     left = steps[0]
     for step in steps[1:]:
-        left = bch_product(chart.alg, left, step, words)
+        left = bch_product(chart.alg, left, step)
     assert chart.gauge_vec == left
 
 
@@ -642,7 +642,7 @@ class TestEdges:
         assert cert.verdict == "pass"
 
 
-# -- the BCH word bound against the nilpotency class ---------------------------
+# -- the longest BCH word against the nilpotency class -------------------------
 
 # the Dynkin gradings of these charts, and sl2 with its explicit grading
 # "1,-1,0" (the one explicit grading the CLI tests run to a chart)
@@ -662,22 +662,26 @@ _WORD_BOUND_CHARTS = [
 
 
 @pytest.mark.parametrize("name, nilpotent", _WORD_BOUND_CHARTS)
-def test_bch_word_bound_is_the_nilpotency_class(name, nilpotent):
-    # the support bound gauge_fix truncates at lies between the class of
-    # g_+ (the old truncation, now in the oracle) and the grading's
-    # max_wt2 // min_wt2, and on these charts it is the class; on
-    # sl(6|1) principal the grading's bound is 10 against a class of 6
+def test_bch_word_bound_is_the_nilpotency_class(monkeypatch, name, nilpotent):
+    # bch_product fetches the word table of each length that still has a
+    # nonzero word, and every gauge step lies in g_+, so no word of the
+    # gauge composite that gauge_fix meets is longer than the class of g_+
     alg, _ = resolve_algebra(name)
     if nilpotent.startswith("explicit"):
-        f = parse_nilpotent(alg, "e21")
+        triple = sl2_triple_for(alg, parse_nilpotent(alg, "e21"))
         w2 = [int(w) for w in nilpotent.split()[1].split(",")]
-        grading = GoodGrading(alg, w2, f)
+        grading = GoodGrading(alg, w2, triple.f)
     else:
         triple = sl2_triple_for(alg, parse_nilpotent(alg, nilpotent))
         grading = dynkin_grading(alg, triple)
-    pos = grading.positive_indices()
-    pos_wt2 = [grading.weights2[i] for i in pos]
-    nclass = nilpotency_class(alg.restrict_to(pos))
-    bound = bch_word_bound(alg, grading)
-    assert nclass <= bound <= max(pos_wt2) // min(pos_wt2)
-    assert bound == nclass
+    lengths = []
+    real = supergroup._word_table
+
+    def recorded(total):
+        lengths.append(total)
+        return real(total)
+
+    monkeypatch.setattr(supergroup, "_word_table", recorded)
+    make_chart(alg, triple, grading)
+    nclass = nilpotency_class(alg.restrict_to(grading.positive_indices()))
+    assert max(lengths, default=0) <= nclass

@@ -9,6 +9,7 @@ Bernoulli-series regular representation with the former linearisation
 of the BCH series in gauge_action_oracle.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import bch_oracle
 import gauge_action_oracle
+from nilpotency_oracle import nilpotency_class
 
 from superslice.cli import resolve_algebra
 from superslice.liealg import (LieSuperalgebra, build_osp_1_2, build_sl,
                                dynkin_grading, parse_nilpotent, sl2_triple_for)
-from superslice.supergroup import (_dynkin_words, adjoint_orbit_map,
+from superslice.supergroup import (_word_table, adjoint_orbit_map,
                                    bch_product, regular_representation)
 from superslice.superpoly import PolyRing, Variable
 
@@ -94,7 +96,7 @@ def test_bch_heisenberg_half_term():
     ring = PolyRing([])
     x = const_vec(alg, ring, {"p": F(1)})
     y = const_vec(alg, ring, {"q": F(1)})
-    out = bch_product(alg, x, y, 2)
+    out = bch_product(alg, x, y)
     assert out[0].as_constant() == 1
     assert out[1].as_constant() == 1
     assert out[2].as_constant() == F(1, 2)
@@ -104,7 +106,7 @@ def test_bch_symbolic_heisenberg():
     alg = heisenberg()
     ring = PolyRing([Variable("a", 0), Variable("b", 0)])
     a, b = ring.gen("a"), ring.gen("b")
-    out = bch_product(alg, {0: a}, {1: b}, 2)
+    out = bch_product(alg, {0: a}, {1: b})
     assert out[2] == a * b / 2
 
 
@@ -113,8 +115,8 @@ def test_bch_inverse_and_identity():
     ring = PolyRing([])
     gp = const_vec(alg, ring, {"e12": F(2), "e23": F(-3), "e13": F(1, 5)})
     neg = {k: -v for k, v in gp.items()}
-    assert bch_product(alg, gp, neg, 2) == {}
-    assert bch_product(alg, gp, {}, 2) == gp
+    assert bch_product(alg, gp, neg) == {}
+    assert bch_product(alg, gp, {}) == gp
 
 
 def test_bch_matches_matrix_exponential_sl3():
@@ -122,7 +124,7 @@ def test_bch_matches_matrix_exponential_sl3():
     ring = PolyRing([])
     x = const_vec(alg, ring, {"e12": F(1), "e13": F(2)})
     y = const_vec(alg, ring, {"e23": F(3), "e13": F(5, 7)})
-    z = bch_product(alg, x, y, 2)
+    z = bch_product(alg, x, y)
     X = vec_to_pmat(alg, x, sl_unit, 3, ring)
     Y = vec_to_pmat(alg, y, sl_unit, 3, ring)
     Z = vec_to_pmat(alg, z, sl_unit, 3, ring)
@@ -139,7 +141,7 @@ def test_bch_matches_matrix_exponential_sl4_depth3():
     x = const_vec(alg, ring, {"e12": F(1), "e23": F(2), "e34": F(-1)})
     y = const_vec(alg, ring, {"e12": F(1, 2), "e23": F(-1, 3), "e34": F(1),
                               "e13": F(1)})
-    z = bch_product(alg, x, y, 3)
+    z = bch_product(alg, x, y)
     X = vec_to_pmat(alg, x, sl_unit, 4, ring)
     Y = vec_to_pmat(alg, y, sl_unit, 4, ring)
     Z = vec_to_pmat(alg, z, sl_unit, 4, ring)
@@ -159,16 +161,13 @@ def test_bch_matches_matrix_exponential_sl6_depth5():
     y = const_vec(alg, ring, {"e12": F(-2), "e23": F(1, 2), "e34": F(1),
                               "e45": F(-3), "e56": F(1, 5), "e13": F(2),
                               "e46": F(-1)})
-    z = bch_product(alg, x, y, 5)
+    z = bch_product(alg, x, y)
     X = vec_to_pmat(alg, x, sl_unit, 6, ring)
     Y = vec_to_pmat(alg, y, sl_unit, 6, ring)
     Z = vec_to_pmat(alg, z, sl_unit, 6, ring)
     assert Z[0][5] != 0  # the length-5 brackets reach the corner
     lhs = pmat_mul(pmat_exp(X, ring), pmat_exp(Y, ring), ring)
     assert lhs == pmat_exp(Z, ring)
-    # and depth 4 is not enough
-    Z4 = vec_to_pmat(alg, bch_product(alg, x, y, 4), sl_unit, 6, ring)
-    assert lhs != pmat_exp(Z4, ring)
 
 
 def test_bch_associative_depth3():
@@ -177,8 +176,8 @@ def test_bch_associative_depth3():
     x = const_vec(alg, ring, {"e12": F(1)})
     y = const_vec(alg, ring, {"e23": F(1), "e13": F(2)})
     w = const_vec(alg, ring, {"e34": F(-2), "e14": F(1, 3)})
-    lhs = bch_product(alg, bch_product(alg, x, y, 3), w, 3)
-    rhs = bch_product(alg, x, bch_product(alg, y, w, 3), 3)
+    lhs = bch_product(alg, bch_product(alg, x, y), w)
+    rhs = bch_product(alg, x, bch_product(alg, y, w))
     assert lhs == rhs
 
 
@@ -189,7 +188,7 @@ def test_bch_odd_directions_osp12():
     t, s = ring.gen("t"), ring.gen("s")
     x = {alg.index["vp"]: t}
     y = {alg.index["vm"]: s}
-    z = bch_product(alg, x, y, 2)
+    z = bch_product(alg, x, y)
     # [t vp, s vm] = -ts [vp,vm] = -ts h
     assert set(z) == {alg.index["vp"], alg.index["vm"], alg.index["h"]}
     assert z[alg.index["h"]] == -(t * s) / 2
@@ -220,7 +219,7 @@ def test_bch_odd_directions_osp12():
     assert lhs == rhs
 
 
-# -- word table and suffix memo against the composition oracle -----------------
+# -- word tables and the BCH series against the composition oracle -------------
 
 def positive_part(alg):
     """Basis indices of n+: e_ij with i < j for sl(m|n), e and vp for
@@ -232,16 +231,16 @@ def positive_part(alg):
 
 
 def _bch_cases():
+    """n+ of small algebras with its nilpotency class: words longer than
+    the class vanish there, so the oracle truncated at the class is the
+    whole series."""
     out = {}
     for name, alg in (("sl4", build_sl(4)), ("sl5", build_sl(5)),
                       ("sl(2|1)", build_sl(2, 1)),
                       ("osp(1|2)", build_osp_1_2())):
-        out[name + " n+"] = (alg, positive_part(alg))
-    # n+ above has class <= 4, so length-5 words vanish there; whole
-    # small algebras keep every word length alive
-    for name in ("sl(2|1)", "osp(1|2)"):
-        alg = out[name + " n+"][0]
-        out[name] = (alg, list(range(alg.dim)))
+        support = positive_part(alg)
+        out[name + " n+"] = (alg, support,
+                             nilpotency_class(alg.restrict_to(support)))
     return out
 
 
@@ -272,57 +271,62 @@ def random_even_vector(data, alg, support):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_bch_matches_composition_oracle(data):
-    alg, support = BCH_CASES[data.draw(st.sampled_from(sorted(BCH_CASES)))]
+    alg, support, nclass = BCH_CASES[
+        data.draw(st.sampled_from(sorted(BCH_CASES)))]
     x = random_even_vector(data, alg, support)
     y = random_even_vector(data, alg, support)
-    for depth in range(1, 6):
-        assert bch_product(alg, x, y, depth) == \
-            bch_oracle.bch_product(alg, x, y, depth), depth
+    assert bch_product(alg, x, y) == \
+        bch_oracle.bch_product(alg, x, y, nclass)
 
 
-def test_bch_brackets_each_suffix_at_most_once():
+def _sl6_simple_letters():
     alg = build_sl(6)
     ring = PolyRing([Variable(f"x{k}", 0) for k in range(5)]
                     + [Variable(f"y{k}", 0) for k in range(5)])
     simple = ["e12", "e23", "e34", "e45", "e56"]
     x = {alg.index[l]: ring.gen(f"x{k}") for k, l in enumerate(simple)}
     y = {alg.index[l]: ring.gen(f"y{k}") for k, l in enumerate(simple)}
-    suffixes = {w[i:] for w, _ in _dynkin_words(5)
-                for i in range(len(w) - 1)}
-    assert len(_dynkin_words(5)) == 44
+    return alg, x, y
 
+
+def test_bch_brackets_each_suffix_at_most_once():
+    # each nonzero word is bracketed exactly once with each letter, each
+    # letter once with the other, and nothing else is bracketed
+    alg, x, y = _sl6_simple_letters()
     calls = []
     real = alg.bracket_poly
 
-    def counted(u, v):
-        calls.append(1)
-        return real(u, v)
+    def recorded(u, v):
+        got = real(u, v)
+        calls.append((u, v, got))
+        return got
 
-    alg.bracket_poly = counted
-    got = bch_product(alg, x, y, 5)
-    memo_calls = len(calls)
-    calls.clear()
-    want = bch_oracle.bch_product(alg, x, y, 5)
-    assert got == want
-    assert memo_calls <= len(suffixes) <= 62
-    assert len(calls) > 4 * memo_calls  # the oracle rebuilds every bracket
+    alg.bracket_poly = recorded
+    got = bch_product(alg, x, y)
+    alg.bracket_poly = real
+    assert got == bch_oracle.bch_product(alg, x, y, 5)
+    nonzero = [r for _, _, r in calls if r]
+    assert all(u is x or u is y for u, _, _ in calls)
+    times = Counter(id(v) for _, v, _ in calls)
+    assert times == Counter({id(x): 1, id(y): 1,
+                             **{id(r): 2 for r in nonzero}})
+    # sl6 n+ has class 5: the nonzero brackets are the words of lengths
+    # 2 to 5 that do not end in a repeated letter, 2 + 4 + 8 + 16
+    assert len(nonzero) == 30 and len(calls) == 62
 
 
 def test_word_tables_match_composition_oracle():
     # same words, same order, same coefficients as the composition sums
+    oracle = bch_oracle.dynkin_words(8)
     for n in range(1, 9):
-        assert _dynkin_words(n) == bch_oracle.dynkin_words(n), n
+        assert _word_table(n) == tuple(
+            (w, c) for w, c in oracle if len(w) == n), n
 
 
 def test_bch_never_brackets_a_letter_with_itself():
-    # [v, v] = 0 for even v: the suffix memo takes no bracket for a
-    # repeated letter, and every word ending in one vanishes with it
-    alg = build_sl(6)
-    ring = PolyRing([Variable(f"x{k}", 0) for k in range(5)]
-                    + [Variable(f"y{k}", 0) for k in range(5)])
-    simple = ["e12", "e23", "e34", "e45", "e56"]
-    x = {alg.index[l]: ring.gen(f"x{k}") for k, l in enumerate(simple)}
-    y = {alg.index[l]: ring.gen(f"y{k}") for k, l in enumerate(simple)}
+    # [v, v] = 0 for even v: BCH takes no bracket of a repeated letter,
+    # and every word ending in one vanishes with it
+    alg, x, y = _sl6_simple_letters()
     calls = []
     real = alg.bracket_poly
 
@@ -331,11 +335,22 @@ def test_bch_never_brackets_a_letter_with_itself():
         return real(u, v)
 
     alg.bracket_poly = recorded
-    got = bch_product(alg, x, y, 5)
+    got = bch_product(alg, x, y)
     alg.bracket_poly = real
     assert calls
     assert not any(u is v or u == v for u, v in calls)
     assert got == bch_oracle.bch_product(alg, x, y, 5)
+
+
+def test_bch_stops_at_words_longer_than_the_dimension():
+    # sl2 is not nilpotent: [e, [f, [e, ... f]]] never vanishes, and the
+    # series is refused once a word is longer than dim g = 3
+    alg = build_sl(2)
+    ring = PolyRing([])
+    x = const_vec(alg, ring, {"e12": F(1)})
+    y = const_vec(alg, ring, {"e21": F(1)})
+    with pytest.raises(ValueError, match="BCH series did not terminate"):
+        bch_product(alg, x, y)
 
 
 # -- adjoint orbit map ---------------------------------------------------------
@@ -364,7 +379,7 @@ def test_adjoint_orbit_identity_and_composition():
     y1 = const_vec(alg, ring, {"e12": F(1)})
     y2 = const_vec(alg, ring, {"e13": F(-2)})
     once = adjoint_orbit_map(alg, adjoint_orbit_map(alg, w, y1), y2)
-    both = adjoint_orbit_map(alg, w, bch_product(alg, y1, y2, 2))
+    both = adjoint_orbit_map(alg, w, bch_product(alg, y1, y2))
     assert once == both
 
 
