@@ -8,7 +8,7 @@ nondegeneracy.  Jacobi is checked on sorted basis triples i <= j <= k
 only: once super-antisymmetry holds, the Jacobiator is
 super-alternating, so its value on any permutation of a triple is a
 sign times its value on the sorted one (the proof is in
-``LieSuperalgebra._verify``).  The form is read once into sparse rows
+``LieSuperalgebra._verify``).  The form is held only as sparse rows
 (``form_rows``) and checked only where an entry or a bracket can be
 nonzero.
 
@@ -43,8 +43,8 @@ import re
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .linalg import (RationalMatrix, _reduced, row_inverse, row_nullspace,
-                     row_rank, row_solve)
+from .linalg import (_reduced, row_inverse, row_nullspace, row_rank,
+                     row_solve)
 from .superpoly import (IntTerms, PolyRing, SuperPolynomial, _as_fraction,
                         combine, common_denominator, key_parity,
                         numerators)
@@ -61,7 +61,7 @@ PolyVector = dict  # basis index -> SuperPolynomial
 class LieSuperalgebra:
     def __init__(self, labels: Sequence[str], parities: Sequence[int],
                  table: Mapping[tuple[int, int], Mapping[int, Fraction]],
-                 form: Optional[RationalMatrix] = None,
+                 form: Optional[Sequence[Mapping[int, Fraction]]] = None,
                  meta: Optional[dict] = None, check: bool = True):
         self.labels = list(labels)
         self.parities = list(parities)
@@ -81,10 +81,10 @@ class LieSuperalgebra:
         self._int_den = common_denominator(*self.table.values())
         self._int_table = {ij: numerators(row, self._int_den)
                            for ij, row in self.table.items()}
-        self.form = form
         # the nonzero form entries, row by row in column order
         self.form_rows = None if form is None else [
-            {c: v for c, v in enumerate(r) if v} for r in form.rows]
+            {c: _as_fraction(v) for c, v in sorted(r.items()) if v}
+            for r in form]
         self.meta = dict(meta or {})
         if check:
             self._verify()
@@ -100,7 +100,7 @@ class LieSuperalgebra:
             "dim_even": ev,
             "dim_odd": self.dim - ev,
             "structure_constants": sum(len(r) for r in self.table.values()),
-            "has_form": self.form is not None,
+            "has_form": self.form_rows is not None,
         }
 
     def _verify(self):
@@ -182,11 +182,12 @@ class LieSuperalgebra:
                         raise ValueError(
                             f"super Jacobi fails at ({labels[i]},"
                             f"{labels[j]},{labels[k]})")
-        if self.form is not None:
+        if self.form_rows is not None:
             self._verify_form()
 
     def _verify_form(self):
-        """Evenness, supersymmetry and invariance of the form, on the
+        """The shape of the form (a row per basis element, columns in the
+        basis), then its evenness, supersymmetry and invariance on the
         entries and triples where something can be nonzero, then its
         nondegeneracy.
 
@@ -218,8 +219,9 @@ class LieSuperalgebra:
         integer rows): a degenerate form, the zero form among them,
         cannot carry the slice's Poisson structure.
         """
-        f = self.form
-        if f.nrows != self.dim or f.ncols != self.dim:
+        n = self.dim
+        if len(self.form_rows) != n or any(
+                not 0 <= c < n for r in self.form_rows for c in r):
             raise ValueError("form shape mismatch")
         p = self.parities
         den = common_denominator(*self.form_rows)
@@ -245,7 +247,7 @@ class LieSuperalgebra:
                       for m, n in table.get((j, k), none).items())
             if lhs != rhs:
                 raise ValueError("form is not invariant")
-        if row_rank(rows) < self.dim:
+        if row_rank(rows) < n:
             raise ValueError("form is degenerate")
 
     # -- brackets -------------------------------------------------------------
@@ -694,9 +696,9 @@ def _from_matrices(labels: Sequence[str], mats: Sequence[Mapping],
             ends[c].append((j, r, x))
 
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    form = RationalMatrix.zeros(dim, dim)
+    form = [{} for _ in range(dim)]
     pden, cden = dm * dm, dm * dm * du
-    for i, (a, frow) in enumerate(zip(mats, form.rows)):
+    for i, (a, frow) in enumerate(zip(mats, form)):
         # a b_j for every j it can meet, its supertrace, then -+ b_j a
         prods = {}
         for (r, c), x in a.items():
@@ -863,9 +865,9 @@ def algebra_to_json(alg: LieSuperalgebra) -> dict:
                   for l, p in zip(alg.labels, alg.parities)],
         "brackets": brackets,
     }
-    if alg.form is not None:
-        out["form"] = [[str(alg.form[i, j]) for j in range(alg.dim)]
-                       for i in range(alg.dim)]
+    if alg.form_rows is not None:
+        out["form"] = [[str(row.get(j, ZERO)) for j in range(alg.dim)]
+                       for row in alg.form_rows]
     return out
 
 
@@ -885,8 +887,9 @@ def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
     algebra can have (a label that is not a string, a number that is not
     a JSON integer, parity outside {0, 1}, a bracket index outside the
     basis, a zero denominator, a form entry that is neither a JSON
-    integer nor an exact rational string, a meta that is not a JSON
-    object), whatever ``check`` says."""
+    integer nor an exact rational string, a form whose rows differ in
+    length or that is not dim x dim, a meta that is not a JSON object),
+    whatever ``check`` says."""
     basis = data["basis"]
     labels = [b["label"] for b in basis]
     parities = [b["parity"] for b in basis]
@@ -916,11 +919,15 @@ def algebra_from_json(data: dict, check: bool = True) -> LieSuperalgebra:
             raise ValueError(f"bracket entry {n}: c_den is 0")
         c = Fraction(num, den)
         table.setdefault((i, j), {})[k] = table.get((i, j), {}).get(k, ZERO) + c
-    form = None
-    if data.get("form") is not None:
-        form = RationalMatrix([
-            [_form_entry(x, r, c) for c, x in enumerate(row)]
-            for r, row in enumerate(data["form"])])
+    form = data.get("form")
+    if form is not None:
+        form = [[_form_entry(x, r, c) for c, x in enumerate(row)]
+                for r, row in enumerate(form)]
+        if len({len(row) for row in form}) > 1:
+            raise ValueError("ragged rows")
+        if len(form) != dim or any(len(row) != dim for row in form):
+            raise ValueError("form shape mismatch")
+        form = [_sparse(row) for row in form]
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError(f"meta {meta!r} is not a JSON object")

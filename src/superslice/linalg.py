@@ -11,16 +11,16 @@ is sparse fraction-free elimination (Bareiss, Math. Comp. 22, 1968;
 Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 9).
 
 ``row_rank``, ``row_nullspace`` and ``row_solve`` take integer rows: the
-cohomology layer's ker delta and the algebra layer's integer brackets.
-``row_inverse`` takes sparse rational rows, clears each row's
-denominators and inverts on the same core: the slice decomposition and
-the Poisson form matrix M.  RationalMatrix is a thin dense container of
-Fractions for the form and the certificate's Jacobians, ranked by
-``exact_rank``; ``rref``, ``nullspace`` and ``solve`` have no caller in
-the package, but the benchmark tracer wraps them by name.  RREF divides
-each pivot row by its pivot once, after back substitution; RREF is
-unique, so no result depends on the pivot order.  Nothing here touches
-floats.
+cohomology layer's ker delta, the algebra layer's integer brackets and
+form, and the certificate's Jacobians.  ``row_inverse`` takes sparse
+rational rows, clears each row's denominators and inverts on the same
+core: the slice decomposition and the Poisson form matrix M.  No stage
+calls ``RationalMatrix``, a thin dense container of Fractions, or
+``exact_rank``, ``rref``, ``nullspace`` and ``solve`` on it; they remain
+because the benchmark tracer wraps them by name and
+``superslice/__init__`` exports them.  RREF divides each pivot row by
+its pivot once, after back substitution; RREF is unique, so no result
+depends on the pivot order.  Nothing here touches floats.
 """
 
 from __future__ import annotations
@@ -50,20 +50,6 @@ class RationalMatrix:
         m.rows = [[ZERO] * ncols for _ in range(nrows)]
         m.nrows, m.ncols = nrows, ncols
         return m
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r][c]
-
-    def __setitem__(self, rc, v):
-        r, c = rc
-        self.rows[r][c] = _as_fraction(v)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalMatrix) and self.rows == other.rows)
-
-    def __repr__(self):
-        return f"<RationalMatrix {self.nrows}x{self.ncols}>"
 
 
 def _cleared(r: Mapping[int, Fraction]) -> dict:

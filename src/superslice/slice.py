@@ -15,12 +15,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import cohomology
 from .liealg import (GoodGrading, GradedPiece, LieSuperalgebra, Sl2Triple,
-                     dense_to_poly)
-from .linalg import RationalMatrix, exact_rank, row_inverse
+                     _int_vector, dense_to_poly)
+from .linalg import row_inverse, row_rank
 from .supergroup import adjoint_orbit_map, bch_product
 from .superpoly import (UNIT, MonomialTrie, PolyRing, RingMap,
                         SuperPolynomial, Variable, combine)
@@ -452,24 +452,17 @@ class MiuraImage:
                               if alg.parities[chart.coord_indices[p]] == 1]
 
 
-class InjectivityCertificate:
-    def __init__(self, even_rank, even_target, odd_rank, odd_target,
-                 witness_points, verdict, note=""):
-        self.even_rank = even_rank
-        self.even_target = even_target
-        self.odd_rank = odd_rank
-        self.odd_target = odd_target
-        self.witness_points = witness_points
-        self.verdict = verdict
-        self.note = note
+class InjectivityCertificate(NamedTuple):
+    even_rank: int
+    even_target: int
+    odd_rank: int
+    odd_target: int
+    witness_points: list
+    verdict: str
+    note: str = ""
 
-    def as_dict(self):
-        return {
-            "even_rank": self.even_rank, "even_target": self.even_target,
-            "odd_rank": self.odd_rank, "odd_target": self.odd_target,
-            "witness_points": self.witness_points, "verdict": self.verdict,
-            "note": self.note,
-        }
+    def as_dict(self) -> dict:
+        return self._asdict()
 
 
 def injectivity_certificate(miura: MiuraImage, trials: int = 5,
@@ -477,7 +470,9 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     """Exact-rank certificate of Miura injectivity at random rational
     points (with the conjugated-by-exp(e) fallback witness for the odd
     block).  A full-rank witness proves injectivity; exhausting the
-    trials is reported as an inconclusive failure."""
+    trials is reported as an inconclusive failure.  Each Jacobian is
+    ranked by ``row_rank``, each row as its numerators over their common
+    denominator."""
     chart = miura.chart
     alg = chart.alg
     rng = random.Random(seed)
@@ -519,8 +514,8 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
         for blk, name in enumerate(("even", "odd")):
             if done[blk]:
                 continue
-            r = exact_rank(RationalMatrix([[at(x).as_constant() for x in row]
-                                           for row in jacobians[blk]]))
+            r = row_rank(_int_vector([at(x).as_constant() for x in row])[0]
+                         for row in jacobians[blk])
             ranks[blk] = max(ranks[blk], r)
             if r == targets[blk]:
                 done[blk] = True

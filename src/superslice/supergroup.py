@@ -21,9 +21,6 @@ from .liealg import LieSuperalgebra
 from .superpoly import UNIT, PolyRing, SuperPolynomial, combine
 
 ONE = Fraction(1)
-# brackets a nested-ad series may take before its nilpotent operand is
-# declared not nilpotent enough
-MAX_SERIES_TERMS = 64
 
 PolyVector = Mapping[int, SuperPolynomial]
 
@@ -37,7 +34,13 @@ def _nested_series(alg: LieSuperalgebra, w: PolyVector, y: PolyVector,
     """{k: [(weight(n), component k of [..[[w,y],y]..,y], UNIT), ...]}
     with n brackets, n = 0, 1, ... until the nested bracket vanishes, for
     ``combine`` to sum.  Raises when a bracket has a component outside
-    ``within`` (if given) or after MAX_SERIES_TERMS brackets."""
+    ``within`` (if given) or, like ``bch_product``, when the term with
+    dim g brackets is nonzero.  A nilpotent ad y never gets there, as
+    every caller's y lies in the positive part of a grading or is
+    numeric.  In the first case a nonzero n-fold bracket has a nonzero
+    term in homogeneous pieces of w and y, whose n + 1 partial brackets
+    sit at distinct levels, so n < dim g; in the second, ad y is a
+    nilpotent operator on g, so (ad y)^dim g = 0."""
     acc: dict = {}
     term = w
     n = 0
@@ -48,7 +51,7 @@ def _nested_series(alg: LieSuperalgebra, w: PolyVector, y: PolyVector,
         for k, v in term.items():
             acc.setdefault(k, []).append((c, v, UNIT))
         n += 1
-        if n > MAX_SERIES_TERMS:
+        if n > alg.dim:
             raise ValueError(f"{what} series did not terminate")
         term = alg.bracket_poly(term, y)
     return acc
@@ -58,7 +61,7 @@ def adjoint_orbit_map(alg: LieSuperalgebra, w: PolyVector,
                       y: PolyVector) -> dict:
     """exp(-y) w exp(y) = sum_n (1/n!) [..[[w,y],y]..,y] (n brackets),
     summed once up to the last nonzero bracket; raises if there is none
-    within MAX_SERIES_TERMS brackets (y not nilpotent enough)."""
+    within dim g brackets (ad y not nilpotent)."""
     acc = _nested_series(alg, w, y, lambda n: Fraction(1, factorial(n)),
                          "adjoint")
     return combine(next(iter(w.values())).ring, acc) if acc else {}

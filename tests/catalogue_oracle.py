@@ -2,16 +2,16 @@
 liealg._from_matrices.
 
 ``build_sl`` multiplies matrix units with ``_matrix_bracket`` and reads
-each bracket back in the basis by label lookup, with one ``solve`` per
-diagonal part; ``build_osp_1_2`` is the hand-transcribed osp(1|2) table
-with its form.  Both return a ``LieSuperalgebra`` whose labels,
-parities, meta, form and table (with its key order) the new builder
-must reproduce.
+each bracket back in the basis by label lookup, with one dense solve
+per diagonal part (``dense_oracles.dense_solve``); ``build_osp_1_2`` is
+the hand-transcribed osp(1|2) table with its form.  Both return a
+``LieSuperalgebra`` whose labels, parities, meta, form rows and table
+(with its key order) the new builder must reproduce.
 """
 
 from fractions import Fraction
 
-from superslice.linalg import RationalMatrix, solve
+from dense_oracles import dense_solve
 from superslice.liealg import LieSuperalgebra
 
 ZERO = Fraction(0)
@@ -74,7 +74,7 @@ def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
     diag_cols = []
     for k in diag_idx:
         diag_cols.append([mats[k].get((i, i), ZERO) for i in range(size)])
-    diag_matrix = RationalMatrix([list(r) for r in zip(*diag_cols)])
+    diag_matrix = [list(r) for r in zip(*diag_cols)]
 
     def decompose(M: dict) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -85,7 +85,7 @@ def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
             else:
                 out[labels.index(f"e{r + 1}{c + 1}")] = v
         if any(diag):
-            sol = solve(diag_matrix, diag)
+            sol = dense_solve(diag_matrix, len(diag_idx), diag)
             if sol is None:
                 raise ValueError("diagonal part outside the basis span")
             for pos, k in enumerate(diag_idx):
@@ -108,7 +108,7 @@ def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
         scale = -ONE
     else:
         scale = ONE  # gl(1|1): no even roots, normalization vacuous
-    form = RationalMatrix.zeros(dim, dim)
+    form = [{} for _ in range(dim)]
     for a in range(dim):
         for b in range(dim):
             v = ZERO
@@ -116,7 +116,8 @@ def build_sl(m: int, n: int = 0, check: bool = True) -> LieSuperalgebra:
                 y = mats[b].get((c, r))
                 if y:
                     v += x * y * (ONE if par(r) == 0 else -ONE)
-            form[a, b] = scale * v
+            if v:
+                form[a][b] = scale * v
 
     meta = {"type": "gl" if gl_center else "sl", "m": m, "n": n}
     if gl_center:
@@ -152,10 +153,10 @@ def build_osp_1_2(check: bool = True) -> LieSuperalgebra:
         if i != j:
             sgn = ONE if (parities[i] and parities[j]) else -ONE
             table[(j, i)] = {k: sgn * c for k, c in r.items()}
-    form = RationalMatrix.zeros(5, 5)
+    form = [{} for _ in range(5)]
     pairs = {("e", "f"): 1, ("f", "e"): 1, ("h", "h"): 2,
              ("vp", "vm"): 2, ("vm", "vp"): -2}
     for (a, b), v in pairs.items():
-        form[ix[a], ix[b]] = Fraction(v)
+        form[ix[a]][ix[b]] = Fraction(v)
     return LieSuperalgebra(labels, parities, table, form=form,
                            meta={"type": "osp12"}, check=check)

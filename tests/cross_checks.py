@@ -65,7 +65,7 @@ def skew_defect(machine, a, b):
 
 def form_value(alg, x, y) -> Fraction:
     """(x | y) for dense vectors x and y of the algebra."""
-    if alg.form is None:
+    if alg.form_rows is None:
         raise ValueError("algebra carries no bilinear form")
     return sum((a * v * y[j] for i, a in enumerate(x) if a
                 for j, v in alg.form_rows[i].items() if y[j]), ZERO)

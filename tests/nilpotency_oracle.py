@@ -1,5 +1,5 @@
 """The descending central series and the nilpotency class, computed
-from the span of iterated brackets with one rref per step.
+from the span of iterated brackets with one dense rref per step.
 
 A right-nested bracket of more elements of g_+ than its class vanishes.
 The tests check that the BCH series of slice.gauge_fix, which ends by
@@ -10,7 +10,7 @@ of n+.  The class was once the truncation length gauge_fix passed to
 bch_product.
 """
 
-from superslice.linalg import RationalMatrix, rref
+from dense_oracles import dense_rref
 
 
 def descending_central_series(alg):
@@ -28,8 +28,8 @@ def descending_central_series(alg):
                 if any(w):
                     spans.append(w)
         if spans:
-            r, piv = rref(RationalMatrix(spans))
-            new = [r.rows[n] for n in range(len(piv))]
+            r, piv = dense_rref(spans, alg.dim)
+            new = r[:len(piv)]
         else:
             new = []
         out.append(new)

@@ -34,7 +34,7 @@ def test_sl_matches_former_builder(m, n):
     assert got.labels == want.labels
     assert got.parities == want.parities
     assert got.meta == want.meta
-    assert got.form.rows == want.form.rows
+    assert got.form_rows == want.form_rows
     assert got.table == want.table
     assert list(got.table) == list(want.table)
     for ij, row in want.table.items():
@@ -72,7 +72,7 @@ def test_osp12_matches_former_table():
     assert got.labels == want.labels
     assert got.parities == want.parities
     assert got.meta == want.meta
-    assert got.form.rows == want.form.rows
+    assert got.form_rows == want.form_rows
     assert got.table == want.table
 
 

@@ -79,8 +79,7 @@ class TestResolveAlgebra:
         assert back.labels == alg.labels
         assert back.parities == alg.parities
         assert back.table == alg.table
-        assert all(back.form[i, j] == alg.form[i, j]
-                   for i in range(3) for j in range(3))
+        assert back.form_rows == alg.form_rows
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -235,6 +234,23 @@ class TestAlgebraValidate:
         # "1/0" used to end in an internal-error stage with exit code 3
         err = self.form_error(tmp_path, capsys, "1/0")
         assert "form entry (0, 1): '1/0' is not an integer" in err
+
+    @pytest.mark.parametrize("reshape, message", [
+        (lambda form: form[0].pop(), "ragged rows"),
+        (lambda form: form.append(list(form[0])), "form shape mismatch"),
+        (lambda form: [row.pop() for row in form], "form shape mismatch"),
+    ], ids=["ragged", "one-row-too-tall", "rows-one-entry-short"])
+    def test_malformed_form_is_rejected_input(self, tmp_path, capsys,
+                                              reshape, message):
+        data = algebra_to_json(build_sl(2, 1))
+        reshape(data["form"])
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(data))
+        code, rep = run_json(["algebra", "validate", "--algebra", str(path)],
+                             capsys)
+        assert code == 2 and rep["body"]["verdict"] == "fail"
+        failed = [s for s in rep["body"]["stages"] if s["verdict"] != "pass"]
+        assert [s["error"] for s in failed] == [message]
 
 
 class TestPoissonRefusals:
@@ -645,6 +661,15 @@ class TestStagePayloads:
         assert st["name"] == "orbit" and st["verdict"] == "fail"
         assert "--by must be even" in st["error"]
 
+    def test_orbit_by_a_non_nilpotent_direction_fails(self, capsys):
+        # [e21, h1] = 2 e21, so no nested bracket ever vanishes
+        code, rep = run_json(["orbit", "--algebra", "sl2",
+                              "--element", "e21", "--by", "h1"], capsys)
+        assert code == 1
+        (st,) = rep["body"]["stages"]
+        assert st["name"] == "orbit" and st["verdict"] == "fail"
+        assert st["error"] == "adjoint series did not terminate"
+
     def test_orbit_moves_odd_element_by_even_direction(self, capsys):
         code, rep = run_json(["orbit", "--algebra", "sl(2|1)",
                               "--element", "e13", "--by", "e21"], capsys)
@@ -994,28 +1019,33 @@ class TestVerifyOnce:
     def test_one_inversion_of_m_and_no_rank(self, argv, monkeypatch, capsys):
         # the chart's Poisson structure is the one place that reads M:
         # it inverts M once, and no stage ranks M (every package module
-        # that holds exact_rank records what it ranks)
+        # that holds row_rank records what it ranks)
         inverted, ranked = [], []
-        real_inverse, real_rank = slice_module.row_inverse, linalg.exact_rank
+        real_inverse, real_rank = slice_module.row_inverse, linalg.row_rank
 
         def counted_inverse(rows):
             inverted.append(rows)
             return real_inverse(rows)
 
-        def counted_rank(m):
-            ranked.append(m.rows)
-            return real_rank(m)
+        def counted_rank(rows):
+            rows = list(rows)
+            ranked.append(rows)
+            return real_rank(rows)
+
+        def up_to_scale(rows):
+            # each row divided by its first entry
+            return [{c: F(x) / r[min(r)] for c, x in r.items()} if r else {}
+                    for r in rows]
 
         monkeypatch.setattr(slice_module, "row_inverse", counted_inverse)
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] == "superslice" and \
-                    getattr(mod, "exact_rank", None) is real_rank:
-                monkeypatch.setattr(mod, "exact_rank", counted_rank)
+                    getattr(mod, "row_rank", None) is real_rank:
+                monkeypatch.setattr(mod, "row_rank", counted_rank)
         code, _ = run_cli(argv, capsys)
-        assert code == 0 and len(inverted) == 1
-        n = len(inverted[0])
-        M = [[r.get(c, 0) for c in range(n)] for r in inverted[0]]
-        assert M not in ranked
+        assert code == 0 and len(inverted) == 1 and ranked
+        M = up_to_scale(inverted[0])
+        assert all(up_to_scale(rows) != M for rows in ranked)
 
     def test_one_decomposition_per_chart(self, monkeypatch, capsys):
         # the decomposition stage's pieces are the ones gauge_fix reads:

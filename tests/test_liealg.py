@@ -6,6 +6,8 @@ every structure constant of the catalogue algebras is compared entry by
 entry against that.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ import validate_oracle
 from cross_checks import form_value
 from nilpotency_oracle import descending_central_series, nilpotency_class
 from superslice.cli import resolve_algebra
-from superslice.linalg import RationalMatrix, row_solve
+from superslice.linalg import row_solve
 from superslice.liealg import (GoodGrading, LieSuperalgebra,
                                algebra_from_json, algebra_to_json, build_osp_1_2,
                                build_sl, centralizer, dynkin_grading,
@@ -158,7 +160,8 @@ def test_osp12_against_matrix_oracle():
     for i in range(5):
         for j in range(5):
             want = neg_str(mat_mul(mats[i], mats[j]))
-            assert alg.form[i, j] == want, (alg.labels[i], alg.labels[j])
+            assert alg.form_rows[i].get(j, 0) == want, (alg.labels[i],
+                                                        alg.labels[j])
 
 
 def test_antisymmetry_violation_rejected():
@@ -252,7 +255,7 @@ def _perturb(draw, labels, p, table, form):
     if on_table:
         old = table.get((i, j), {}).get(k, F(0))
     else:
-        old = form[i, j]
+        old = form[i].get(j, F(0))
     # either clear the entry or add a small nonzero rational to it
     delta = -old if old and draw(st.booleans()) else draw(
         st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
@@ -263,9 +266,9 @@ def _perturb(draw, labels, p, table, form):
             row = table.setdefault((j, i), {})
             row[k] = row.get(k, F(0)) + sgn * delta
     else:
-        form[i, j] = old + delta
+        form[i][j] = old + delta
         if mirror and i != j:
-            form[j, i] = form[j, i] + (-sgn) * delta
+            form[j][i] = form[j].get(i, F(0)) + (-sgn) * delta
     return LieSuperalgebra(labels, p, table, form, check=False)
 
 
@@ -275,7 +278,7 @@ def perturbed_algebras(draw):
     base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
     table = {key: dict(row) for key, row in base.table.items()}
     return _perturb(draw, base.labels, base.parities, table,
-                    RationalMatrix(base.form.rows))
+                    [dict(r) for r in base.form_rows])
 
 
 @settings(max_examples=150, deadline=None)
@@ -307,15 +310,15 @@ def sparse_algebras(draw):
             table.setdefault((b, a), {})[k] = c if p[a] and p[b] else -c
     form = None
     if draw(st.booleans()):
-        form = RationalMatrix.zeros(n, n)
+        form = [{} for _ in range(n)]
         for _ in range(draw(st.integers(1, 3))):
             a, b = draw(st.tuples(st.integers(0, n - 1),
                                   st.integers(0, n - 1)))
             if p[a] != p[b] or (a == b and p[a]):
                 continue
             c = draw(coeff)
-            form[a, b] = c
-            form[b, a] = -c if p[a] else c
+            form[a][b] = c
+            form[b][a] = -c if p[a] else c
     return LieSuperalgebra([f"x{i}" for i in range(n)], p, table, form,
                            check=False)
 
@@ -330,11 +333,10 @@ def test_verify_matches_dense_oracle_on_sparse_tables(alg):
 def _rescale(base, s):
     """Table and form of ``base`` in the basis s_i x_i:
     c_ij^k -> c_ij^k s_i s_j / s_k and F_ij -> F_ij s_i s_j."""
-    n = base.dim
     table = {(i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
              for (i, j), row in base.table.items()}
-    form = RationalMatrix([[base.form[i, j] * s[i] * s[j] for j in range(n)]
-                           for i in range(n)])
+    form = [{j: v * s[i] * s[j] for j, v in row.items()}
+            for i, row in enumerate(base.form_rows)]
     return table, form
 
 
@@ -465,7 +467,7 @@ def test_numeric_brackets_match_dense_fraction_sums(case):
         assert (_dense(alg, {k: F(c, scale) for k, c in col.items()})
                 == _dense(alg, validate_oracle._b2(table, xs, j)))
     assert form_value(alg, x, y) == sum(
-        (x[i] * alg.form[i, j] * y[j]
+        (x[i] * alg.form_rows[i].get(j, F(0)) * y[j]
          for i in range(alg.dim) for j in range(alg.dim)), F(0))
 
 
@@ -687,7 +689,60 @@ def test_json_round_trip():
     assert back.labels == alg.labels
     assert back.parities == alg.parities
     assert back.table == alg.table
-    assert back.form == alg.form
+    assert back.form_rows == alg.form_rows
+
+
+# sha256 of json.dumps(algebra_to_json(alg)), pinned when the form was
+# still a dense matrix: the rows write the same bytes, key order included
+_JSON_DIGESTS = {
+    "sl2": "658854660bff85aad0f66530549add3817a14ab35b4c0837a8aa3af944d2fec5",
+    "sl(2|1)":
+        "066b46c0656713c1893c2865dd512dec6bcba7991fefcc699822d2dd9a24fcc6",
+    "sl(3|2)":
+        "b2f06fd611478a050b11d75c22a62cd2123d516a308555440eebd108bcbe1f5a",
+    "sl(3|3)":
+        "645181cfadf0d454fe54723587bdcb92f7a8ec67592eddad9a4a498799ced3b9",
+    "osp12":
+        "849bc7718a413bd8dd1b1a8d11d4255f9fe10b78603ad007d29492b477cb0a26",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_DIGESTS))
+def test_json_bytes_are_pinned(name):
+    alg, _ = resolve_algebra(name)
+    data = json.dumps(algebra_to_json(alg)).encode()
+    assert hashlib.sha256(data).hexdigest() == _JSON_DIGESTS[name]
+    # and reading them back writes them again
+    again = algebra_to_json(algebra_from_json(json.loads(data)))
+    assert json.dumps(again).encode() == data
+
+
+@pytest.mark.parametrize("reshape, message", [
+    (lambda form: form[0].pop(), "ragged rows"),
+    (lambda form: form.append(list(form[0])), "form shape mismatch"),
+    (lambda form: [row.pop() for row in form], "form shape mismatch"),
+])
+def test_json_form_shape_is_checked_on_reading(reshape, message):
+    # a schema error, refused before any structural check is asked for
+    data = algebra_to_json(build_sl(2))
+    reshape(data["form"])
+    with pytest.raises(ValueError) as exc:
+        algebra_from_json(data, check=False)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("form", [
+    [{0: F(1)}, {1: F(1)}],                       # one row short
+    [{0: F(1)}, {1: F(1)}, {2: F(1)}, {3: F(1)}],  # one row too many
+    [{1: F(1)}, {0: F(1)}, {2: F(2), 3: F(1)}],   # column 3 of 3
+    [{1: F(1)}, {0: F(1)}, {-1: F(2)}],           # column -1
+])
+def test_form_rows_outside_the_basis_rejected(form):
+    base = build_sl(2)
+    alg = LieSuperalgebra(base.labels, base.parities, base.table, form,
+                          check=False)
+    assert _failure(lambda a: a._verify(), alg) == "form shape mismatch"
+    assert _failure(validate_oracle.verify, alg) == "form shape mismatch"
 
 
 def test_parse_nilpotent_coefficients():

@@ -3,12 +3,12 @@ LieSuperalgebra._verify and _verify_form.
 
 This is the package's former implementation: super Jacobi on every
 ordered basis triple (dim^3 of them), and evenness, supersymmetry and
-invariance of the form on every dense entry and triple through
-RationalMatrix indexing, all in Fractions, then nondegeneracy by the
-dense Bareiss rank of ``dense_oracles``.  It reads only the algebra's
-parities, labels, table and form, and has its own bracket helpers, so
-it shares no code with the integer sorted-triple and sparse-row checks
-it is compared against.  Raises ValueError with the same messages as
+invariance of the form on every dense entry and triple of a dense copy
+of the form rows, all in Fractions, then nondegeneracy by the dense
+Bareiss rank of ``dense_oracles``.  It reads only the algebra's
+parities, labels, table and form rows, and has its own bracket helpers,
+so it shares no code with the integer sorted-triple and sparse-row
+checks it is compared against.  Raises ValueError with the same messages as
 the package, triple labels included.
 """
 
@@ -82,33 +82,34 @@ def verify(alg):
                         raise ValueError(
                             f"super Jacobi fails at ({labels[i]},"
                             f"{labels[j]},{labels[k]})")
-    if alg.form is not None:
+    if alg.form_rows is not None:
         verify_form(alg)
 
 
 def verify_form(alg):
-    f = alg.form
     n = alg.dim
     table = alg.table
-    if f.nrows != n or f.ncols != n:
+    rows = alg.form_rows
+    if len(rows) != n or any(set(r) - set(range(n)) for r in rows):
         raise ValueError("form shape mismatch")
+    f = [[r.get(j, ZERO) for j in range(n)] for r in rows]
     p = alg.parities
     for i in range(n):
         for j in range(n):
-            if p[i] != p[j] and f[i, j]:
+            if p[i] != p[j] and f[i][j]:
                 raise ValueError("form is not even")
             sgn = -ONE if p[i] and p[j] else ONE
-            if f[i, j] != sgn * f[j, i]:
+            if f[i][j] != sgn * f[j][i]:
                 raise ValueError("form is not supersymmetric")
     # invariance ([x,y],z) = (x,[y,z]) on basis triples
     for i in range(n):
         for j in range(n):
             bij = _bb(table, i, j)
             for k in range(n):
-                lhs = sum((c * f[m, k] for m, c in bij.items()), ZERO)
-                rhs = sum((c * f[i, m] for m, c in _bb(table, j, k).items()),
+                lhs = sum((c * f[m][k] for m, c in bij.items()), ZERO)
+                rhs = sum((c * f[i][m] for m, c in _bb(table, j, k).items()),
                           ZERO)
                 if lhs != rhs:
                     raise ValueError("form is not invariant")
-    if dense_rank(f.rows) < n:
+    if dense_rank(f) < n:
         raise ValueError("form is degenerate")
