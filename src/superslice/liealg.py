@@ -7,10 +7,11 @@ the super Jacobi identity and, when a form is given, its invariance and
 nondegeneracy.  Jacobi is checked on sorted basis triples i <= j <= k
 only: once super-antisymmetry holds, the Jacobiator is
 super-alternating, so its value on any permutation of a triple is a
-sign times its value on the sorted one (the proof is in
-``LieSuperalgebra._verify``).  The form is held only as sparse rows
-(``form_rows``) and checked only where an entry or a bracket can be
-nonzero.
+sign times its value on the sorted one.  It is summed from the nonzero
+structure constants alone, so its cost follows the table, not dim^3
+(both arguments are in ``LieSuperalgebra._verify``).  The form is held
+only as sparse rows (``form_rows``) and checked only where an entry or
+a bracket can be nonzero.
 
 Every bracket reads the structure constants as one integer table: the
 numerators n_ij^k over one common denominator d, so that
@@ -19,14 +20,14 @@ vectors and returns d [u, v]; the checks compare such scaled sums, and
 each public bracket divides by d once.  The checks, the catalogue
 builder, the triple, the grading and the centralizer run in Python ints
 in the same way (the fraction-free discipline of ``linalg``): the
-Jacobi check sums one integer accumulator per triple, the form checks
-read the form rows as integer numerators over their common
-denominator, the catalogue builder forms its supercommutators over one
-denominator for the basis matrices and one for their coordinates, and
-the triple, the grading and the centralizer hand integer brackets of
-sparse vectors to ``linalg``'s ``row_solve``, ``row_rank`` and
-``row_nullspace``.  A Fraction is built only where a result is
-written.
+Jacobi check sums the contributions of every triple with one first
+index into one dict of integers, the form checks read the form rows as
+integer numerators over their common denominator, the catalogue
+builder forms its supercommutators over one denominator for the basis
+matrices and one for their coordinates, and the triple, the grading
+and the centralizer hand integer brackets of sparse vectors to
+``linalg``'s ``row_solve``, ``row_rank`` and ``row_nullspace``.  A
+Fraction is built only where a result is written.
 
 Vectors come in two flavors: dense lists of Fractions, one entry per
 basis element (``bracket_num``), and sparse dicts
@@ -121,18 +122,34 @@ class LieSuperalgebra:
 
         These transpositions generate every permutation, so J vanishes on
         a basis triple iff it vanishes on its sorted one.  Equal indices
-        stay in: J(x,x,z) need not vanish for odd x.  A triple is skipped
-        when [x_j,x_k], [x_i,x_j] and [x_i,x_k] are all absent from the
-        table, since then all three terms of J are zero.
+        stay in: J(x,x,z) need not vanish for odd x.
 
         Everything runs on the integer table (``_int_table``, over
-        d = ``_int_den``).  Each triple sums d^2 J into one integer
-        accumulator, each term read from ad rows: ad[a][b] is the row of
-        [x_a, x_b], so [x_i,[x_j,x_k]] adds n_jk^m ad[i][m],
-        -[[x_i,x_j],x_k] adds -n_ij^m ad[m][k] and
-        -(-1)^{|i||j|}[x_j,[x_i,x_k]] adds -(-1)^{|i||j|} n_ik^m ad[j][m].
-        The identity holds on the triple exactly when every accumulated
-        entry is zero.
+        d = ``_int_den``), and only the nonzero contributions to d^2 J
+        are visited, grouped by the first index i.  Write ad[a][b] for
+        the row of [x_a, x_b].  Each product in a term of J(i,j,k) is a
+        structure constant n times an ad row, and the constant comes
+        from one table entry:
+
+        - [x_i,[x_j,x_k]] adds n_jk^m ad[i][m]: entry (j,k) with
+          i <= j <= k, each m of its row with (i,m) in the table;
+        - -[[x_i,x_j],x_k] adds -n_ij^m ad[m][k]: entry (i,j) with
+          j >= i, each m of its row, each (m,k) in the table with k >= j;
+        - -(-1)^{|i||j|}[x_j,[x_i,x_k]] adds -(-1)^{|i||j|} n_ik^m
+          ad[j][m]: entry (i,k) with k >= i, each m of its row, each
+          (j,m) in the table with i <= j <= k.
+
+        A product whose constant or ad row is absent from the table is
+        zero, so these enumerations meet every nonzero product of every
+        sorted triple exactly once.  Two indexes make them cheap:
+        col[m][a] is the row of [x_a, x_m], filled in increasing a, and
+        hits[m][j n + k] = n_jk^m over the entries with j <= k, filled
+        in increasing j.  For one i, component t of d^2 J(i,j,k) sums
+        into the integer key (j n + k) n + t of one dict.  The identity
+        holds on the triple exactly when all its keys hold zero, and the
+        keys of i sort as the triples (i,j,k) do, so the smallest key
+        that does not is the first failing triple in sorted order; i is
+        checked before i + 1 is summed.
         """
         p, labels = self.parities, self.labels
         table = self._int_table
@@ -154,34 +171,56 @@ class LieSuperalgebra:
         ad = [{} for _ in range(n)]
         for (a, b), row in table.items():
             ad[a][b] = row
+        col = [{} for _ in range(n)]
+        hits = [{} for _ in range(n)]
+        for a in range(n):
+            for b, row in ad[a].items():
+                col[b][a] = row
+                if a <= b:
+                    jk = a * n + b
+                    for m, c in row.items():
+                        hits[m][jk] = c
         for i in range(n):
             adi = ad[i]
-            for j in range(i, n):
-                adj = ad[j]
-                bij = adi.get(j, none)
-                # the sign of -(-1)^{|i||j|}[x_j,[x_i,x_k]]
-                third = 1 if p[i] and p[j] else -1
-                for k in range(j, n):
-                    bjk = adj.get(k, none)
-                    bik = adi.get(k, none)
-                    if not (bij or bjk or bik):
-                        continue  # all three terms vanish
-                    acc = {}
-                    get = acc.get
-                    for m, c in bjk.items():
-                        for t, v in adi.get(m, none).items():
-                            acc[t] = get(t, 0) + c * v
-                    for m, c in bij.items():
-                        for t, v in ad[m].get(k, none).items():
-                            acc[t] = get(t, 0) - c * v
-                    for m, c in bik.items():
-                        c *= third
-                        for t, v in adj.get(m, none).items():
-                            acc[t] = get(t, 0) + c * v
-                    if any(acc.values()):
-                        raise ValueError(
-                            f"super Jacobi fails at ({labels[i]},"
-                            f"{labels[j]},{labels[k]})")
+            acc = {}
+            get = acc.get
+            # [x_i,[x_j,x_k]]; j >= i exactly when j n + k >= i n + i
+            low = i * n + i
+            for m, rim in adi.items():
+                for jk, c in reversed(hits[m].items()):
+                    if jk < low:
+                        break  # the rest have j < i
+                    key = jk * n
+                    for t, v in rim.items():
+                        acc[key + t] = get(key + t, 0) + c * v
+            odd = p[i]
+            for b, rib in adi.items():
+                if b < i:
+                    continue
+                # -[[x_i,x_j],x_k] with j = b
+                jn = b * n
+                for m, c in rib.items():
+                    for k, rmk in ad[m].items():
+                        if k >= b:
+                            key = (jn + k) * n
+                            for t, v in rmk.items():
+                                acc[key + t] = get(key + t, 0) - c * v
+                # -(-1)^{|i||j|}[x_j,[x_i,x_k]] with k = b
+                for m, c in rib.items():
+                    for j, rjm in col[m].items():
+                        if j > b:
+                            break
+                        if j >= i:
+                            cj = c if odd and p[j] else -c
+                            key = (j * n + b) * n
+                            for t, v in rjm.items():
+                                acc[key + t] = get(key + t, 0) + cj * v
+            if any(acc.values()):
+                j, k = divmod(min(key for key, v in acc.items() if v) // n,
+                              n)
+                raise ValueError(
+                    f"super Jacobi fails at ({labels[i]},"
+                    f"{labels[j]},{labels[k]})")
         if self.form_rows is not None:
             self._verify_form()
 
@@ -201,19 +240,22 @@ class LieSuperalgebra:
         first violation reported is the one a dense scan would meet
         first; at every other position both hold trivially.
 
-        Invariance is checked on the triples reached from a table entry
-        (i,j): some m in its support has f[m,k] != 0.  Write
+        Invariance is summed once per table entry (i,j): its lowered row
+        L_ij[k] = ([x_i,x_j],x_k) = sum_m c_ij^m f[m,k], over the k that
+        some m in its support reaches with f[m,k] != 0.  Write
         D(i,j,k) = ([x_i,x_j],x_k) - (x_i,[x_j,x_k]) and a, b, c for the
-        parities of x_i, x_j, x_k.  Super-antisymmetry and parity of the
-        table (checked in ``_verify``) and supersymmetry (checked just
-        before) give ([x_k,x_j],x_i) = -(-1)^{ab+bc+ca} (x_i,[x_j,x_k])
-        and (x_k,[x_j,x_i]) = -(-1)^{ab+bc+ca} ([x_i,x_j],x_k), so
-        D(k,j,i) = (-1)^{ab+bc+ca} D(i,j,k).  A triple whose right side
-        can be nonzero has a table entry (j,k) with some m in its
-        support and f[i,m] != 0; its reverse (k,j,i) then has the table
-        entry (k,j) with the same support and f[m,i] != 0, so it is
-        reached, and its defect vanishes exactly when this one does.
-        Triples reached from neither side have D = 0.
+        parities of x_i, x_j, x_k.  The form is even and supersymmetric
+        (checked just before), so f[i,m] = (-1)^a f[m,i] wherever either
+        is nonzero, and (x_i,[x_j,x_k]) = (-1)^a L_jk[i]: each reached
+        triple compares two entries of lowered rows.  Super-antisymmetry
+        and parity of the table (checked in ``_verify``) and
+        supersymmetry give ([x_k,x_j],x_i) = -(-1)^{ab+bc+ca}
+        (x_i,[x_j,x_k]) and (x_k,[x_j,x_i]) = -(-1)^{ab+bc+ca}
+        ([x_i,x_j],x_k), so D(k,j,i) = (-1)^{ab+bc+ca} D(i,j,k).  A
+        triple whose right side can be nonzero has L_jk[i] reached; its
+        reverse (k,j,i) then has L_kj = -+L_jk with i reached, and its
+        defect vanishes exactly when this one does.  Triples reached
+        from neither side have D = 0.
 
         Last, the Gram matrix must have full rank (``row_rank`` of the
         integer rows): a degenerate form, the zero form among them,
@@ -234,19 +276,21 @@ class LieSuperalgebra:
             sgn = -1 if p[a] and p[b] else 1
             if v != sgn * rows[b].get(a, 0):
                 raise ValueError("form is not supersymmetric")
-        table = self._int_table
-        triples = set()
-        for (i, j), row in table.items():
-            for m in row:
-                triples.update((i, j, k) for k in rows[m])
+        # lowered[a, b][k] = d e ([x_a, x_b], x_k), one row per table entry
+        lowered = {}
+        for ab, row in self._int_table.items():
+            low = lowered[ab] = {}
+            get = low.get
+            for m, c in row.items():
+                for k, v in rows[m].items():
+                    low[k] = get(k, 0) + c * v
         none: dict[int, int] = {}
-        for i, j, k in triples:
-            # d e D(i,j,k): the brackets and the form are integer rows
-            lhs = sum(n * rows[m].get(k, 0) for m, n in table[i, j].items())
-            rhs = sum(n * rows[i].get(m, 0)
-                      for m, n in table.get((j, k), none).items())
-            if lhs != rhs:
-                raise ValueError("form is not invariant")
+        for (i, j), low in lowered.items():
+            sgn = -1 if p[i] else 1
+            for k, v in low.items():
+                # d e D(i,j,k) = lowered[i,j][k] - (-1)^{|i|} lowered[j,k][i]
+                if v != sgn * lowered.get((j, k), none).get(i, 0):
+                    raise ValueError("form is not invariant")
         if row_rank(rows) < n:
             raise ValueError("form is degenerate")
 

@@ -434,11 +434,20 @@ class PoissonStructure:
 
 class MiuraImage:
     """Invariants restricted to f + g_ini (all degree >= 1/2 coordinates
-    set to zero)."""
+    set to zero).
+
+    The image keeps what ``injectivity_certificate`` reads of its chart
+    (ring, algebra, triple, coordinates, and the invariant labels of
+    each parity in ``inv_order``), not the chart itself: the chart
+    caches its image, so a reference back would make the pair a cycle
+    that only the cyclic collector frees."""
 
     def __init__(self, chart: SliceChart):
-        self.chart = chart
         alg, grading = chart.alg, chart.grading
+        self.ring, self.alg, self.triple = chart.ring, alg, chart.triple
+        self.coord_indices = chart.coord_indices
+        self.labels = [[l for l in chart.inv_order
+                        if chart.parity_of(l) == par] for par in (0, 1)]
         at = RingMap(chart.ring, dict.fromkeys(
             (pos for pos, b in enumerate(chart.coord_indices)
              if grading.weights2[b] >= 1), chart.ring.zero()))
@@ -473,13 +482,10 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     trials is reported as an inconclusive failure.  Each Jacobian is
     ranked by ``row_rank``, each row as its numerators over their common
     denominator."""
-    chart = miura.chart
-    alg = chart.alg
+    alg, ring, labels = miura.alg, miura.ring, miura.labels
     rng = random.Random(seed)
     even, odd = miura.even_positions, miura.odd_positions
-    zero_odd = RingMap(chart.ring, dict.fromkeys(odd, chart.ring.zero()))
-    labels = [[l for l in chart.inv_order if chart.parity_of(l) == par]
-              for par in (0, 1)]
+    zero_odd = RingMap(ring, dict.fromkeys(odd, ring.zero()))
     # even block: odd coordinates zeroed once per image, then
     # differentiated; odd block: differentiated, then odd coordinates zeroed
     jacobians = (
@@ -494,11 +500,11 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
             yield {pos: _random_fraction(rng) for pos in even}
         # guaranteed fallback: even coordinates of exp(e) . f
         shifted = adjoint_orbit_map(
-            alg, dense_to_poly(alg, chart.triple.f, chart.ring),
-            dense_to_poly(alg, chart.triple.e, chart.ring))
+            alg, dense_to_poly(alg, miura.triple.f, ring),
+            dense_to_poly(alg, miura.triple.e, ring))
         point = {}
         for pos in even:
-            b = chart.coord_indices[pos]
+            b = miura.coord_indices[pos]
             comp = shifted.get(b)
             point[pos] = comp.as_constant() if comp is not None else ZERO
         yield point
@@ -509,8 +515,7 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
     ranks = [0, 0]
     done = [not t for t in targets]
     for point in witness_candidates():
-        at = RingMap(chart.ring, {pos: chart.ring.const(v)
-                                  for pos, v in point.items()})
+        at = RingMap(ring, {pos: ring.const(v) for pos, v in point.items()})
         for blk, name in enumerate(("even", "odd")):
             if done[blk]:
                 continue
@@ -520,7 +525,7 @@ def injectivity_certificate(miura: MiuraImage, trials: int = 5,
             if r == targets[blk]:
                 done[blk] = True
                 witnesses.append({"block": name, "point": {
-                    chart.ring.variables[pos].name: str(v)
+                    ring.variables[pos].name: str(v)
                     for pos, v in point.items()}})
         if all(done):
             return InjectivityCertificate(ranks[0], targets[0], ranks[1],

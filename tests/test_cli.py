@@ -11,6 +11,7 @@ the report body.
 
 import argparse
 import copy
+import gc
 import json
 import os
 import subprocess
@@ -696,6 +697,25 @@ class TestReportMechanics:
         w2 = [s for s in r2["body"]["stages"]
               if s["name"] == "certificate"][0]["witness_points"]
         assert w1 != w2
+
+    def test_finished_job_leaves_no_cycle_through_its_chart(self):
+        # with the cyclic collector off, a finished job's chart and
+        # algebra must be freed by reference counting alone: anything a
+        # collection then finds was held only by a reference cycle
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.exit_code(run_pipeline(JobConfig(algebra="sl3"))) == 0
+            gc.collect()
+            held = [type(o).__name__ for o in gc.garbage
+                    if isinstance(o, (slice_module.SliceChart,
+                                      LieSuperalgebra))]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert held == []
 
     def test_timings_live_outside_the_body(self):
         rep = run_pipeline(JobConfig(algebra="sl2"))

@@ -273,9 +273,9 @@ def _perturb(draw, labels, p, table, form):
 
 
 @st.composite
-def perturbed_algebras(draw):
-    """A catalogue algebra with one table or form entry moved."""
-    base = _CATALOGUE[draw(st.sampled_from(sorted(_CATALOGUE)))]
+def perturbed_algebras(draw, catalogue=_CATALOGUE):
+    """An algebra of the catalogue with one table or form entry moved."""
+    base = catalogue[draw(st.sampled_from(sorted(catalogue)))]
     table = {key: dict(row) for key, row in base.table.items()}
     return _perturb(draw, base.labels, base.parities, table,
                     [dict(r) for r in base.form_rows])
@@ -284,6 +284,21 @@ def perturbed_algebras(draw):
 @settings(max_examples=150, deadline=None)
 @given(perturbed_algebras())
 def test_verify_matches_dense_oracle(alg):
+    assert (_failure(lambda a: a._verify(), alg)
+            == _failure(validate_oracle.verify, alg))
+
+
+# larger tables, where many sorted triples with a nonzero term share their
+# first index, so the first failing triple is chosen among many
+_LARGER = {"sl4": build_sl(4), "sl(3|2)": build_sl(3, 2),
+           "gl(2|2)": build_sl(2, 2)}
+
+
+# a fixed sweep: the same examples on every run, none replayed from a
+# database
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(perturbed_algebras(_LARGER))
+def test_verify_matches_dense_oracle_on_larger_tables(alg):
     assert (_failure(lambda a: a._verify(), alg)
             == _failure(validate_oracle.verify, alg))
 

@@ -7,9 +7,11 @@ invariance of the form on every dense entry and triple of a dense copy
 of the form rows, all in Fractions, then nondegeneracy by the dense
 Bareiss rank of ``dense_oracles``.  It reads only the algebra's
 parities, labels, table and form rows, and has its own bracket helpers,
-so it shares no code with the integer sorted-triple and sparse-row
-checks it is compared against.  Raises ValueError with the same messages as
-the package, triple labels included.
+so it shares no code with the checks it is compared against: Jacobi
+summed in integers from the nonzero structure constants, grouped by the
+first index of the sorted triple, and the form checked on its sparse
+rows, invariance once per table entry.  Raises ValueError with the same
+messages as the package, triple labels included.
 """
 
 from fractions import Fraction
